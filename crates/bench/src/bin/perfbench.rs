@@ -1,19 +1,19 @@
-//! `perfbench` — self-timed hot-path throughput harness.
+//! `perfbench` — self-timed hot-path kernel harness.
 //!
-//! Measures (a) the raw kernels (GF(2^8) bulk multiply, XOR delta,
-//! delta codec) in ns/iter and MB/s, and (b) end-to-end engine replay
-//! ops/s on the seeded synthetic traces, then merges the results into
-//! `BENCH_kernels.json` / `BENCH_engine.json` (schema: EXPERIMENTS.md
-//! "Perf trajectory"). Unlike the criterion benches this needs no
-//! nightly features and finishes in seconds, so CI can run it on every
-//! push (`--smoke`) and the committed files preserve the before/after
-//! trajectory across optimisation PRs.
+//! Measures the raw kernels (GF(2^8) bulk multiply, XOR delta, delta
+//! codec) in ns/iter and MB/s and merges the results into
+//! `BENCH_kernels.json` (schema: EXPERIMENTS.md "Perf trajectory"), so the
+//! committed file preserves the before/after trajectory across
+//! optimisation PRs; it finishes in seconds, so CI runs it on every push
+//! (`--smoke`). It also regenerates the committed `OBS_engine.json`
+//! observability snapshot. End-to-end replay throughput is not measured
+//! here: that is `benchmark/`'s job (`replay_ops_per_s`, with spread).
 //!
 //! ```text
 //! perfbench                         # full run, label "current"
 //! perfbench --label after           # record under a named run
 //! perfbench --smoke                 # fast CI variant (same schema)
-//! perfbench --validate              # check committed BENCH files only
+//! perfbench --validate              # check committed files only
 //! perfbench --gate                  # smoke kernels vs committed baseline
 //! ```
 //!
@@ -21,11 +21,10 @@
 //! against the **last committed run** in `BENCH_kernels.json`. Ratios are
 //! normalised by the memory-bound `xor_into_4k` reference (its drift
 //! measures the host, not the code), and any kernel more than 30% slower
-//! after normalisation fails the gate. Engine replay deltas are printed
-//! for information only — wall-clock replay is too noisy to gate on.
+//! after normalisation fails the gate.
 //!
-//! Determinism note: workloads and data are fully seeded; only the
-//! timings vary run to run (the bench crate is exempt from KDD003).
+//! Determinism note: page contents are fully seeded; only the timings
+//! vary run to run (the bench crate is exempt from KDD003).
 
 // Indexing and narrowing casts here are bounds-audited (offsets from
 // length-checked parses; sizes bounded by construction). See DESIGN.md
@@ -39,20 +38,18 @@ use std::time::Instant;
 use kdd_bench::perfjson::{self, obj, Json};
 use kdd_blockdev::SsdDevice;
 use kdd_cache::CacheGeometry;
-use kdd_core::{KddConfig, KddEngine, WriteRequest};
+use kdd_core::{KddConfig, KddEngine};
 use kdd_delta::codec::{compress, decompress, Compressor};
 use kdd_delta::content::PageMutator;
 use kdd_delta::xor::{is_all_zero, xor2_into, xor_into, xor_pages, xor_pages_into, zero_fraction};
 use kdd_obs::{Recorder, RecorderConfig};
 use kdd_raid::{gf256, Layout, RaidArray, RaidLevel};
-use kdd_trace::record::Trace;
+use kdd_sim::replay_engine;
 use kdd_trace::synth::PaperTrace;
-use kdd_trace::Op;
 use kdd_util::units::SimTime;
 
 const PAGE: usize = 4096;
 const KERNELS_FILE: &str = "BENCH_kernels.json";
-const ENGINE_FILE: &str = "BENCH_engine.json";
 const OBS_FILE: &str = "OBS_engine.json";
 
 struct Opts {
@@ -177,8 +174,8 @@ fn bench_kernels(smoke: bool) -> Vec<Json> {
     let delta = xor_pages(&p0, &p1);
     let compressed = compress(&delta);
 
-    // GF(2^8) bulk multiply: 0x1d = g^8 (the RAID-6 coefficient the
-    // criterion bench pins) and g^1 = 2 (the first Q-parity term).
+    // GF(2^8) bulk multiply: 0x1d = g^8 (a RAID-6 coefficient on the
+    // doubling-chain fast path) and g^1 = 2 (the first Q-parity term).
     let mut dst = vec![0u8; PAGE];
     let ns = time_ns(rounds, round_ns, || {
         gf256::mul_slice_into(black_box(&mut dst), black_box(&data), 0x1d);
@@ -283,102 +280,42 @@ fn bench_kernels(smoke: bool) -> Vec<Json> {
     entries
 }
 
-/// Build the reference engine used for replay (same shape as
-/// `examples/endurance_audit.rs`): RAID-5 over 5 disks with a 512-page
+/// Build the reference engine of the observability snapshot (same shape
+/// as `examples/endurance_audit.rs`): RAID-5 over 5 disks with a 512-page
 /// delta cache.
-fn build_engine() -> (KddEngine, u64) {
+fn build_engine() -> KddEngine {
     let layout = Layout::new(RaidLevel::Raid5, 5, 16, 16 * 128);
-    let capacity = layout.capacity_pages();
     let raid = RaidArray::new(layout, PAGE as u32);
     let ssd = SsdDevice::with_logical_capacity((512 + 64) * PAGE as u64, PAGE as u32, 0.07);
     let geometry = CacheGeometry { total_pages: 512, ways: 64, page_size: PAGE as u32 };
-    let engine = match KddEngine::new(KddConfig::new(geometry), ssd, raid) {
+    match KddEngine::new(KddConfig::new(geometry), ssd, raid) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("engine construction failed: {e:?}");
             std::process::exit(1);
         }
-    };
-    (engine, capacity)
-}
-
-/// Drive a seeded trace through `engine` (rewrites are mutations of the
-/// previous content so the delta path is exercised); returns ops issued.
-/// Each record's write pages are submitted as one group commit through
-/// [`KddEngine::write_batch`], matching the batched replay in `kdd-sim`.
-fn drive_engine(engine: &mut KddEngine, capacity: u64, trace: &Trace, seed: u64) -> u64 {
-    let mut mutator = PageMutator::new(PAGE, 0.15, 64, seed ^ 0x9e37);
-    // Current content of every written page, so rewrites are *mutations*
-    // (exercising the delta path) rather than fresh random pages.
-    let mut versions: std::collections::BTreeMap<u64, Vec<u8>> = std::collections::BTreeMap::new();
-    let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut ops = 0u64;
-    for rec in &trace.records {
-        match rec.op {
-            Op::Read => {
-                for page in rec.pages() {
-                    let lba = page % capacity;
-                    if engine.read(lba).is_err() {
-                        eprintln!("replay read error at lba {lba}");
-                        std::process::exit(1);
-                    }
-                    ops += 1;
-                }
-            }
-            Op::Write => {
-                batch.clear();
-                for page in rec.pages() {
-                    let lba = page % capacity;
-                    let next = match versions.get(&lba) {
-                        Some(prev) => mutator.mutate(prev),
-                        None => mutator.initial_page(),
-                    };
-                    batch.push((lba, next));
-                }
-                let reqs: Vec<WriteRequest<'_>> =
-                    batch.iter().map(|(lba, data)| WriteRequest { lba: *lba, data }).collect();
-                if let Err(e) = engine.write_batch(&reqs) {
-                    eprintln!("replay write error at lba {}: {e}", rec.lba);
-                    std::process::exit(1);
-                }
-                ops += batch.len() as u64;
-                for (lba, data) in batch.drain(..) {
-                    versions.insert(lba, data);
-                }
-            }
-        }
     }
-    ops
-}
-
-/// Replay one synthetic trace through the full engine (cache + delta +
-/// RAID on real bytes) and report the sustained request rate.
-fn replay_trace(pt: PaperTrace, scale: u64, seed: u64) -> (u64, f64) {
-    let trace = pt.generate_scaled(scale, seed);
-    let (mut engine, capacity) = build_engine();
-    let t0 = Instant::now();
-    let ops = drive_engine(&mut engine, capacity, &trace, seed);
-    let mut t = SimTime::ZERO;
-    if engine.clean(&mut t).is_err() || engine.flush().is_err() {
-        eprintln!("replay cleanup error");
-        std::process::exit(1);
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    (ops, wall)
 }
 
 /// Emit the committed observability snapshot: a fixed seeded Fin1 replay
 /// with an enabled recorder. Every stamp in the document is *simulated*
 /// time, so the file is byte-identical on any machine — it is committed
-/// at the repo root next to the BENCH files and checked by `--validate`.
+/// at the repo root next to `BENCH_kernels.json` and checked by
+/// `--validate`.
 fn emit_obs_snapshot(path: &str) {
     let trace = PaperTrace::Fin1.generate_scaled(800, 42);
-    let (mut engine, capacity) = build_engine();
+    let mut engine = build_engine();
     engine.attach_recorder(Recorder::new(RecorderConfig {
         sample_interval: SimTime::from_secs(1),
         ring_capacity: 256,
     }));
-    let ops = drive_engine(&mut engine, capacity, &trace, 42);
+    let ops = match replay_engine(&mut engine, &trace, 42) {
+        Ok(report) => report.ops,
+        Err(e) => {
+            eprintln!("obs snapshot replay error: {e}");
+            std::process::exit(1);
+        }
+    };
     let mut t = SimTime::ZERO;
     if engine.clean(&mut t).is_err() || engine.flush().is_err() {
         eprintln!("obs snapshot cleanup error");
@@ -403,25 +340,6 @@ fn emit_obs_snapshot(path: &str) {
     eprintln!("wrote {path} ({ops} ops captured)");
 }
 
-fn bench_engine(smoke: bool) -> Vec<Json> {
-    let traces: &[PaperTrace] = if smoke { &[PaperTrace::Fin1] } else { &PaperTrace::ALL };
-    let scale = if smoke { 5000 } else { 500 };
-    let mut entries = Vec::new();
-    for &pt in traces {
-        let name = format!("engine_replay_{pt:?}").to_lowercase();
-        let (ops, wall) = replay_trace(pt, scale, 42);
-        let ops_per_s = ops as f64 / wall.max(1e-9);
-        eprintln!("  {name:<24} {ops:>8} ops  {:8.1} ms  {:9.0} ops/s", wall * 1e3, ops_per_s);
-        entries.push(obj(vec![
-            ("name", Json::Str(name)),
-            ("ops", Json::Num(ops as f64)),
-            ("wall_ms", Json::Num((wall * 1e5).round() / 100.0)),
-            ("ops_per_s", Json::Num(ops_per_s.round())),
-        ]));
-    }
-    entries
-}
-
 fn load_doc(path: &str) -> Option<Json> {
     let text = std::fs::read_to_string(path).ok()?;
     match perfjson::parse(&text) {
@@ -433,14 +351,14 @@ fn load_doc(path: &str) -> Option<Json> {
     }
 }
 
-fn write_doc(path: &str, kind: &str, label: &str, mode: &str, entries: Vec<Json>) {
+fn write_kernels_doc(path: &str, label: &str, mode: &str, entries: Vec<Json>) {
     let run = obj(vec![
         ("label", Json::Str(label.to_string())),
         ("mode", Json::Str(mode.to_string())),
         ("entries", Json::Arr(entries)),
     ]);
-    let doc = perfjson::merge_run(load_doc(path), kind, PAGE as u32, run);
-    let problems = perfjson::validate(&doc, kind);
+    let doc = perfjson::merge_run(load_doc(path), "kernels", PAGE as u32, run);
+    let problems = perfjson::validate(&doc, "kernels");
     if !problems.is_empty() {
         eprintln!("refusing to write invalid {path}:");
         for p in &problems {
@@ -457,21 +375,22 @@ fn write_doc(path: &str, kind: &str, label: &str, mode: &str, entries: Vec<Json>
 
 fn validate_files(out_dir: &str) -> ! {
     let mut failed = false;
-    for (file, kind) in [(KERNELS_FILE, "kernels"), (ENGINE_FILE, "engine")] {
-        let path = format!("{out_dir}/{file}");
-        let Some(doc) = load_doc(&path) else {
-            eprintln!("{path}: missing or unparseable");
+    let kpath = format!("{out_dir}/{KERNELS_FILE}");
+    match load_doc(&kpath) {
+        None => {
+            eprintln!("{kpath}: missing or unparseable");
             failed = true;
-            continue;
-        };
-        let problems = perfjson::validate(&doc, kind);
-        if problems.is_empty() {
-            let runs = doc.get("runs").and_then(Json::as_arr).map_or(0, <[Json]>::len);
-            eprintln!("{path}: ok ({runs} runs)");
-        } else {
-            failed = true;
-            for p in &problems {
-                eprintln!("{path}: {p}");
+        }
+        Some(doc) => {
+            let problems = perfjson::validate(&doc, "kernels");
+            if problems.is_empty() {
+                let runs = doc.get("runs").and_then(Json::as_arr).map_or(0, <[Json]>::len);
+                eprintln!("{kpath}: ok ({runs} runs)");
+            } else {
+                failed = true;
+                for p in &problems {
+                    eprintln!("{kpath}: {p}");
+                }
             }
         }
     }
@@ -518,8 +437,7 @@ const GATE_THRESHOLD: f64 = 1.30;
 
 /// `--gate`: re-time the kernels (smoke mode) and fail if any regressed
 /// more than [`GATE_THRESHOLD`] against the last committed run, after
-/// normalising out the [`GATE_REFERENCE`] host drift. Engine replay
-/// deltas are printed for information only.
+/// normalising out the [`GATE_REFERENCE`] host drift.
 fn run_gate(out_dir: &str) -> ! {
     let kpath = format!("{out_dir}/{KERNELS_FILE}");
     let Some(kdoc) = load_doc(&kpath) else {
@@ -568,22 +486,6 @@ fn run_gate(out_dir: &str) -> ! {
             (norm - 1.0) * 100.0
         );
     }
-    let epath = format!("{out_dir}/{ENGINE_FILE}");
-    if let Some(ebase) =
-        load_doc(&epath).as_ref().and_then(last_run_entries).map(|e| run_metrics(e, "ops_per_s"))
-    {
-        eprintln!("perfbench: gate — engine replay (informational) ...");
-        let ecur = run_metrics(&bench_engine(true), "ops_per_s");
-        for (name, cur) in &ecur {
-            match ebase.iter().find(|(n, _)| n == name).map(|(_, v)| *v) {
-                Some(base) if base > 0.0 => eprintln!(
-                    "  {name:<26} {base:9.0} -> {cur:9.0} ops/s  {:+6.1}%",
-                    (cur / base - 1.0) * 100.0
-                ),
-                _ => eprintln!("  {name:<26} (no baseline)"),
-            }
-        }
-    }
     if failed {
         eprintln!(
             "gate: FAIL — kernel regression beyond {:.0}% after host normalisation",
@@ -610,13 +512,8 @@ fn main() {
     let mode = if opts.smoke { "smoke" } else { "full" };
     eprintln!("perfbench: kernels ({mode}) ...");
     let kernel_entries = bench_kernels(opts.smoke);
-    eprintln!("perfbench: engine replay ({mode}) ...");
-    let engine_entries = bench_engine(opts.smoke);
-
     let kpath = format!("{}/{KERNELS_FILE}", opts.out_dir);
-    let epath = format!("{}/{ENGINE_FILE}", opts.out_dir);
-    write_doc(&kpath, "kernels", &opts.label, mode, kernel_entries);
-    write_doc(&epath, "engine", &opts.label, mode, engine_entries);
+    write_kernels_doc(&kpath, &opts.label, mode, kernel_entries);
     eprintln!("perfbench: obs snapshot ...");
     emit_obs_snapshot(&format!("{}/{OBS_FILE}", opts.out_dir));
 }

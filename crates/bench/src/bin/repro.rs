@@ -12,7 +12,7 @@
 use kdd_bench::{
     ablation_admission, ablation_desmodel, ablation_metalog, ablation_raid6, ablation_reclaim,
     ablation_setmap, ablation_zoning, fig10, fig11, fig4, fig5, fig6, fig7, fig8, fig9, print_rows,
-    table1, table2, ExpConfig, Row,
+    rows_to_json, table1, table2, ExpConfig, Row,
 };
 
 const ALL: [&str; 17] = [
@@ -98,8 +98,7 @@ fn main() {
         all_rows.extend(rows);
     }
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&all_rows).expect("serialise rows");
-        std::fs::write(&path, json).expect("write json");
+        std::fs::write(&path, rows_to_json(&all_rows)).expect("write json");
         eprintln!("wrote {} rows to {path}", all_rows.len());
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! Each `figN`/`tableN` function reproduces one evaluation artifact of
 //! the ICPP'16 KDD paper and returns uniform [`report::Row`]s; the
-//! `repro` binary prints them as tables (and optionally JSON), and the
-//! Criterion benches time their generation at reduced scale.
+//! `repro` binary prints them as tables (and optionally JSON).
 //!
 //! Scale: `scale` divides the Table I trace sizes (and the FIO volume).
 //! `scale = 1` is the paper's full workload (millions of requests);
@@ -15,4 +14,4 @@ pub mod perfjson;
 pub mod report;
 
 pub use experiments::*;
-pub use report::{print_rows, Row};
+pub use report::{print_rows, rows_to_json, Row};

@@ -4,7 +4,9 @@
 // module invariants. See DESIGN.md "Static analysis & invariants".
 #![allow(clippy::indexing_slicing)]
 
+use kdd_obs::json::write_str;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// One data point of one figure/table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -47,6 +49,58 @@ impl Row {
     pub fn metric(&self, name: &str) -> Option<f64> {
         self.metrics.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
     }
+}
+
+/// A number as JSON: the shortest text that reads back to the same
+/// `f64`, always with a fraction or exponent (`100.0`, `9.93`,
+/// `0.19219176115975312`); non-finite values have no JSON form and
+/// become `null`.
+fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+fn write_str_field(out: &mut String, key: &str, value: &str) {
+    let _ = write!(out, "    \"{key}\": ");
+    write_str(out, value);
+    out.push_str(",\n");
+}
+
+/// Render rows as a pretty-printed JSON array (2-space indent, no
+/// trailing newline), one object per row with its fields in declaration
+/// order and `metrics` as `[name, value]` pairs — the layout of the
+/// committed `results/repro_scale100.json`.
+pub fn rows_to_json(rows: &[Row]) -> String {
+    if rows.is_empty() {
+        return "[]".to_string();
+    }
+    let mut out = String::from("[\n");
+    for (i, r) in rows.iter().enumerate() {
+        out.push_str("  {\n");
+        write_str_field(&mut out, "experiment", &r.experiment);
+        write_str_field(&mut out, "workload", &r.workload);
+        write_str_field(&mut out, "x_label", &r.x_label);
+        out.push_str("    \"x\": ");
+        write_f64(&mut out, r.x);
+        out.push_str(",\n");
+        write_str_field(&mut out, "policy", &r.policy);
+        out.push_str("    \"metrics\": [");
+        for (j, (name, value)) in r.metrics.iter().enumerate() {
+            out.push_str(if j == 0 { "\n" } else { ",\n" });
+            out.push_str("      [\n        ");
+            write_str(&mut out, name);
+            out.push_str(",\n        ");
+            write_f64(&mut out, *value);
+            out.push_str("\n      ]");
+        }
+        out.push_str(if r.metrics.is_empty() { "]\n" } else { "\n    ]\n" });
+        out.push_str(if i + 1 < rows.len() { "  },\n" } else { "  }\n" });
+    }
+    out.push(']');
+    out
 }
 
 /// Render rows as aligned text tables, grouped by (experiment, workload).

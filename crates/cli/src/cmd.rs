@@ -8,9 +8,9 @@
 use kdd_cache::policies::CachePolicy;
 use kdd_cache::policies::RaidModel;
 use kdd_cache::setassoc::CacheGeometry;
-use kdd_sim::closedloop::{run_closed_loop, run_closed_loop_observed};
+use kdd_sim::closedloop::run_closed_loop_observed;
 use kdd_sim::factory::{build_policy, PolicyKind};
-use kdd_sim::openloop::{obs_snapshot_policy, replay_open_loop, replay_open_loop_observed};
+use kdd_sim::openloop::{obs_snapshot_policy, replay_open_loop_observed};
 use kdd_sim::service::ServiceModel;
 use kdd_trace::fio::{FioConfig, FioWorkload};
 use kdd_trace::record::Trace;
@@ -262,21 +262,23 @@ pub fn sim(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the enabled recorder behind `--obs FILE`, honouring
-/// `--ring-capacity`/`--sample-interval-ms`. One snapshot file describes
-/// one run, so a multi-policy sweep is rejected up front.
-fn obs_recorder(o: &Opts) -> Result<Option<(String, kdd_obs::Recorder)>, String> {
+/// The recorder of a `replay`/`fio` run: enabled behind `--obs FILE`
+/// (honouring `--ring-capacity`/`--sample-interval-ms`), the no-op sink
+/// otherwise. One snapshot file describes one run, so a multi-policy
+/// sweep is rejected up front.
+fn obs_recorder(o: &Opts) -> Result<kdd_obs::Recorder, String> {
     use kdd_obs::{Recorder, RecorderConfig};
     use kdd_util::units::SimTime;
-    let Some(path) = o.obs.clone() else { return Ok(None) };
+    if o.obs.is_none() {
+        return Ok(Recorder::disabled());
+    }
     if o.policies()?.len() != 1 {
         return Err("--obs records a single run: pick one policy with --policy".into());
     }
-    let recorder = Recorder::new(RecorderConfig {
+    Ok(Recorder::new(RecorderConfig {
         sample_interval: SimTime::from_millis(o.sample_interval_ms.unwrap_or(1000)),
         ring_capacity: o.ring_capacity.unwrap_or(128),
-    });
-    Ok(Some((path, recorder)))
+    }))
 }
 
 /// Export the recorder's snapshot over the finished policy and write it.
@@ -297,14 +299,11 @@ pub fn replay(o: &Opts) -> Result<(), String> {
     let trace = o.load_trace()?;
     let (g, raid) = geometry_for(&trace, o.cache_frac);
     let model = ServiceModel::paper_default();
-    let obs = obs_recorder(o)?;
+    let recorder = obs_recorder(o)?;
     println!("{:<9} {:>8} {:>12} {:>12} {:>12}", "policy", "hit%", "mean resp", "p50", "p99");
     for kind in o.policies()? {
         let mut p = build_policy(kind, g, raid, o.seed);
-        let r = match &obs {
-            Some((_, rec)) => replay_open_loop_observed(p.as_mut(), &trace, &model, 5, 1, rec),
-            None => replay_open_loop(p.as_mut(), &trace, &model, 5, 1),
-        };
+        let r = replay_open_loop_observed(p.as_mut(), &trace, &model, 5, 1, &recorder);
         println!(
             "{:<9} {:>7.1}% {:>12} {:>12} {:>12}",
             r.policy,
@@ -313,8 +312,8 @@ pub fn replay(o: &Opts) -> Result<(), String> {
             format!("{}", r.p50),
             format!("{}", r.p99)
         );
-        if let Some((path, rec)) = &obs {
-            write_policy_snapshot(p.as_ref(), rec, path)?;
+        if let Some(path) = &o.obs {
+            write_policy_snapshot(p.as_ref(), &recorder, path)?;
         }
     }
     Ok(())
@@ -339,7 +338,7 @@ pub fn fio(o: &Opts) -> Result<(), String> {
         cache_pages,
         cfg.threads
     );
-    let obs = obs_recorder(o)?;
+    let recorder = obs_recorder(o)?;
     println!(
         "{:<9} {:>8} {:>12} {:>12} {:>14}",
         "policy", "hit%", "mean resp", "p99", "ssd writes"
@@ -347,10 +346,7 @@ pub fn fio(o: &Opts) -> Result<(), String> {
     for kind in o.policies()? {
         let mut p = build_policy(kind, g, raid, o.seed);
         let mut w = FioWorkload::new(cfg, o.seed + 1);
-        let r = match &obs {
-            Some((_, rec)) => run_closed_loop_observed(p.as_mut(), &mut w, &model, 5, rec),
-            None => run_closed_loop(p.as_mut(), &mut w, &model, 5),
-        };
+        let r = run_closed_loop_observed(p.as_mut(), &mut w, &model, 5, &recorder);
         println!(
             "{:<9} {:>7.1}% {:>12} {:>12} {:>14}",
             r.policy,
@@ -359,8 +355,8 @@ pub fn fio(o: &Opts) -> Result<(), String> {
             format!("{}", r.p99),
             format!("{}", r.ssd_write_bytes)
         );
-        if let Some((path, rec)) = &obs {
-            write_policy_snapshot(p.as_ref(), rec, path)?;
+        if let Some(path) = &o.obs {
+            write_policy_snapshot(p.as_ref(), &recorder, path)?;
         }
     }
     Ok(())
@@ -494,12 +490,9 @@ pub fn faults(o: &Opts) -> Result<(), String> {
 fn run_observed_engine(o: &Opts) -> Result<kdd_obs::Json, String> {
     use kdd_blockdev::SsdDevice;
     use kdd_core::{KddConfig, KddEngine};
-    use kdd_delta::content::PageMutator;
     use kdd_obs::{Recorder, RecorderConfig};
     use kdd_raid::{Layout, RaidArray, RaidLevel};
-    use kdd_trace::record::Op;
     use kdd_util::units::SimTime;
-    use std::collections::BTreeMap;
 
     const PAGE: u32 = 4096;
     let pt = if o.workload.is_some() { o.paper_trace()? } else { PaperTrace::Fin1 };
@@ -507,7 +500,6 @@ fn run_observed_engine(o: &Opts) -> Result<kdd_obs::Json, String> {
 
     let cache_pages = 256u64;
     let layout = Layout::new(RaidLevel::Raid5, 5, 16, 16 * 64);
-    let capacity = layout.capacity_pages();
     let raid = RaidArray::new(layout, PAGE);
     let ssd = SsdDevice::with_logical_capacity((cache_pages + 64) * PAGE as u64, PAGE, 0.07);
     let g = CacheGeometry { total_pages: cache_pages, ways: 16, page_size: PAGE };
@@ -517,25 +509,10 @@ fn run_observed_engine(o: &Opts) -> Result<kdd_obs::Json, String> {
         ring_capacity: o.ring_capacity.unwrap_or(128),
     }));
 
-    let mut mutator = PageMutator::new(PAGE as usize, 0.15, 64, o.seed);
-    let mut versions: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    for rec in &trace.records {
-        for page in rec.pages() {
-            let lba = page % capacity;
-            match rec.op {
-                Op::Read => {
-                    engine.read(lba).map_err(|e| format!("read lba {lba}: {e}"))?;
-                }
-                Op::Write => {
-                    let next = match versions.get(&lba) {
-                        Some(prev) => mutator.mutate(prev),
-                        None => mutator.initial_page(),
-                    };
-                    engine.write(lba, &next).map_err(|e| format!("write lba {lba}: {e}"))?;
-                    versions.insert(lba, next);
-                }
-            }
-        }
+    let replay =
+        kdd_sim::replay_engine(&mut engine, &trace, o.seed).map_err(|e| format!("replay: {e}"))?;
+    if replay.read_mismatches > 0 {
+        return Err(format!("{} reads returned stale content", replay.read_mismatches));
     }
     engine.flush().map_err(|e| format!("flush: {e}"))?;
     engine.obs_snapshot().ok_or_else(|| "recorder unexpectedly disabled".to_string())

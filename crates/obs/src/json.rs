@@ -1,12 +1,12 @@
 //! Hand-rolled JSON value with a byte-stable renderer and strict parser.
 //!
-//! The vendored `serde_json` stand-in renders Debug output, which is not
-//! parseable JSON, so every machine-readable artifact in the workspace
-//! (the `kdd-obs` snapshots here, the `kdd-perfbench/v1` trajectory
-//! files in `kdd-bench`) goes through this module instead: objects,
-//! arrays, strings, f64 numbers and booleans — exactly the subset those
-//! schemas use. Objects render from a `BTreeMap`, so the same document
-//! always serialises to the same bytes (KDD003 determinism).
+//! The build is offline and carries no JSON crate, so the
+//! machine-readable artifacts of the workspace (the `kdd-obs` snapshots
+//! here, the `kdd-perfbench/v1` trajectory file in `kdd-bench`) go
+//! through this module: objects, arrays, strings, f64 numbers and
+//! booleans — exactly the subset those schemas use. Objects render from a
+//! `BTreeMap`, so the same document always serialises to the same bytes
+//! (KDD003 determinism).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -137,7 +137,9 @@ fn write_num(out: &mut String, n: f64) {
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string, escaping quotes,
+/// backslashes and control characters.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {

@@ -11,21 +11,16 @@
 // counts). See DESIGN.md "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation)]
 
-use crate::openloop::policy_sample;
-use crate::queue::MultiServer;
+use crate::openloop::RequestServer;
 use crate::service::ServiceModel;
 use kdd_cache::policies::CachePolicy;
 use kdd_cache::stats::CacheStats;
-use kdd_core::engine::{EngineError, KddEngine, WriteRequest};
-use kdd_delta::content::PageMutator;
-use kdd_obs::{Recorder, Stage};
+use kdd_obs::Recorder;
 use kdd_trace::fio::FioWorkload;
-use kdd_trace::record::Op;
-use kdd_util::stats::{Histogram, StreamingStats};
 use kdd_util::units::{ByteSize, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Results of one closed-loop run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -71,9 +66,7 @@ pub fn run_closed_loop_observed(
 ) -> ClosedLoopReport {
     let threads = workload.config().threads.max(1);
     let page_size = 4096u32;
-    let mut raid = MultiServer::new(disks);
-    let mut stats = StreamingStats::new();
-    let mut hist = Histogram::new();
+    let mut server = RequestServer::new(disks);
     // Each heap entry: the time a thread becomes ready to issue.
     let mut ready: BinaryHeap<Reverse<SimTime>> =
         (0..threads).map(|_| Reverse(SimTime::ZERO)).collect();
@@ -83,34 +76,7 @@ pub fn run_closed_loop_observed(
             makespan = makespan.max(now);
             continue; // thread retires
         };
-        let outcome = policy.access(op, lba);
-        let fx = outcome.foreground;
-        let ssd_fx =
-            kdd_cache::effects::Effects { raid_rounds: 0, raid_reads: 0, raid_writes: 0, ..fx };
-        let ssd_cpu = model.response_time(&ssd_fx);
-        let done = if fx.raid_rounds > 0 {
-            raid.serve_rounds(now, model.hdd_op, fx.raid_rounds) + ssd_cpu
-        } else {
-            now + ssd_cpu
-        };
-        let resp = done - now;
-        stats.record(resp.as_nanos() as f64);
-        hist.record(resp.as_nanos());
-        if recorder.is_enabled() {
-            let is_read = op == Op::Read;
-            let mut c = outcome.to_obs(is_read, lba, resp);
-            // Same attribution rule as the open-loop driver: charged
-            // SSD/CPU terms plus held member-disk service; queueing
-            // delay stays unattributed (conservation).
-            c.stages = model.stage_times(is_read, &ssd_fx);
-            if fx.raid_rounds > 0 {
-                let raid_stage = if is_read { Stage::RaidRead } else { Stage::RaidWrite };
-                c.stages.add(raid_stage, model.hdd_op * u64::from(fx.raid_rounds));
-            }
-            if recorder.record_at(c, now, done) {
-                recorder.push_sample(policy_sample(policy, recorder.now()));
-            }
-        }
+        let done = server.serve(policy, model, recorder, op, lba, now);
         makespan = makespan.max(done);
         ready.push(Reverse(done));
     }
@@ -118,119 +84,14 @@ pub fn run_closed_loop_observed(
     recorder.sync_cache(&policy.stats().counters());
     ClosedLoopReport {
         policy: policy.name(),
-        requests: stats.count(),
-        mean_response: SimTime::from_nanos(stats.mean() as u64),
-        p99: SimTime::from_nanos(hist.quantile(0.99).unwrap_or(0)),
+        requests: server.requests(),
+        mean_response: server.mean_response(),
+        p99: server.quantile(0.99),
         makespan,
         ssd_write_bytes: policy.stats().ssd_write_bytes(page_size),
         hit_ratio: policy.stats().hit_ratio(),
         stats: *policy.stats(),
     }
-}
-
-/// Results of one engine-backed closed-loop run
-/// ([`run_closed_loop_engine`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EngineClosedLoopReport {
-    /// Page requests completed (reads + writes).
-    pub requests: u64,
-    /// Group commits submitted through [`KddEngine::write_batch`].
-    pub write_batches: u64,
-    /// Summed simulated device time across all requests.
-    pub device_time: SimTime,
-    /// Reads whose content disagreed with the last version written. Always
-    /// zero on a healthy engine; surfaced as data so callers can assert.
-    pub read_mismatches: u64,
-    /// Cache hit ratio over the run.
-    pub hit_ratio: f64,
-    /// SSD write amplification at the end of the run.
-    pub waf: f64,
-}
-
-/// Run the FIO-style load against the real-byte [`KddEngine`] with a
-/// bounded submission queue: writes accumulate up to `queue_depth` and are
-/// submitted as **one group commit** via [`KddEngine::write_batch`]; a
-/// read acts as a barrier (the pending batch is flushed first, preserving
-/// read-after-write ordering). This is the closed-loop analogue of a
-/// request queue draining into a plugged block layer.
-///
-/// Write contents are seeded mutations of the previous version
-/// ([`PageMutator`]) so the delta path is exercised; every read is
-/// verified against the last acknowledged content for its address.
-///
-/// # Errors
-/// Propagates any [`EngineError`] from the engine's read or write path.
-pub fn run_closed_loop_engine(
-    engine: &mut KddEngine,
-    workload: &mut FioWorkload,
-    queue_depth: usize,
-    seed: u64,
-) -> Result<EngineClosedLoopReport, EngineError> {
-    let queue_depth = queue_depth.max(1);
-    let capacity = engine.raid().capacity_pages();
-    let mut mutator = PageMutator::new(engine.page_size(), 0.15, 64, seed ^ 0x9e37);
-    // Last acknowledged content per page. Updated at enqueue time so a
-    // rewrite landing in the same batch mutates the pending version, which
-    // is exactly what `write_batch` (in-order dispatch) will persist.
-    let mut versions: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let mut pending: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut requests = 0u64;
-    let mut write_batches = 0u64;
-    let mut read_mismatches = 0u64;
-    let mut device_time = SimTime::ZERO;
-    let flush_pending = |engine: &mut KddEngine,
-                         pending: &mut Vec<(u64, Vec<u8>)>,
-                         device_time: &mut SimTime,
-                         write_batches: &mut u64|
-     -> Result<(), EngineError> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let reqs: Vec<WriteRequest<'_>> =
-            pending.iter().map(|(lba, data)| WriteRequest { lba: *lba, data }).collect();
-        for t in engine.write_batch(&reqs)? {
-            *device_time += t;
-        }
-        *write_batches += 1;
-        pending.clear();
-        Ok(())
-    };
-    while let Some((op, lba)) = workload.next_request() {
-        let lba = lba % capacity;
-        requests += 1;
-        match op {
-            Op::Read => {
-                flush_pending(engine, &mut pending, &mut device_time, &mut write_batches)?;
-                let (data, t) = engine.read(lba)?;
-                device_time += t;
-                match versions.get(&lba) {
-                    Some(expect) if *expect != data => read_mismatches += 1,
-                    None if data.iter().any(|&b| b != 0) => read_mismatches += 1,
-                    _ => {}
-                }
-            }
-            Op::Write => {
-                let next = match versions.get(&lba) {
-                    Some(prev) => mutator.mutate(prev),
-                    None => mutator.initial_page(),
-                };
-                versions.insert(lba, next.clone());
-                pending.push((lba, next));
-                if pending.len() >= queue_depth {
-                    flush_pending(engine, &mut pending, &mut device_time, &mut write_batches)?;
-                }
-            }
-        }
-    }
-    flush_pending(engine, &mut pending, &mut device_time, &mut write_batches)?;
-    Ok(EngineClosedLoopReport {
-        requests,
-        write_batches,
-        device_time,
-        read_mismatches,
-        hit_ratio: engine.stats().hit_ratio(),
-        waf: engine.ssd().endurance().waf(),
-    })
 }
 
 #[cfg(test)]
@@ -315,10 +176,12 @@ mod tests {
 
     #[test]
     fn engine_closed_loop_preserves_content_and_batches() {
+        use crate::replay::{EngineDriver, EngineReplayReport};
         use kdd_blockdev::ssd::SsdDevice;
-        use kdd_core::KddConfig;
+        use kdd_core::{KddConfig, KddEngine};
         use kdd_raid::array::RaidArray;
         use kdd_raid::layout::{Layout, RaidLevel};
+        use kdd_trace::record::Op;
 
         let build = || {
             let layout = Layout::new(RaidLevel::Raid5, 5, 4, 4 * 64);
@@ -331,10 +194,36 @@ mod tests {
         let mut cfg = FioConfig::paper(0.3).scaled(2048);
         cfg.wss_pages = 200;
 
+        // The FIO load through a bounded submission queue: writes queue up
+        // to `queue_depth` and go out as one group commit; a read drains
+        // the queue first (the driver's barrier). A rewrite landing in the
+        // same group as its predecessor must still read back correctly.
+        let run = |engine: &mut KddEngine, queue_depth: usize| -> EngineReplayReport {
+            let mut w = FioWorkload::new(cfg, 7);
+            let mut driver = EngineDriver::new(engine, 7);
+            let mut queued = 0;
+            while let Some((op, lba)) = w.next_request() {
+                match op {
+                    Op::Read => {
+                        driver.read(lba).unwrap();
+                        queued = 0;
+                    }
+                    Op::Write => {
+                        driver.write(lba);
+                        queued += 1;
+                        if queued >= queue_depth {
+                            driver.submit().unwrap();
+                            queued = 0;
+                        }
+                    }
+                }
+            }
+            driver.finish().unwrap()
+        };
+
         let mut deep = build();
-        let mut w = FioWorkload::new(cfg, 7);
-        let r = run_closed_loop_engine(&mut deep, &mut w, 32, 7).unwrap();
-        assert_eq!(r.requests, cfg.total_pages);
+        let r = run(&mut deep, 32);
+        assert_eq!(r.ops, cfg.total_pages);
         assert_eq!(r.read_mismatches, 0, "read-after-write content must hold across batching");
         assert!(r.write_batches > 0);
         assert!(r.waf >= 1.0);
@@ -342,8 +231,8 @@ mod tests {
         // Depth-1 submits every write as its own group: same request count,
         // at least as many metadata page writes as the deep queue.
         let mut shallow = build();
-        let mut w = FioWorkload::new(cfg, 7);
-        let r1 = run_closed_loop_engine(&mut shallow, &mut w, 1, 7).unwrap();
+        let r1 = run(&mut shallow, 1);
+        assert_eq!(r1.ops, cfg.total_pages);
         assert_eq!(r1.read_mismatches, 0);
         assert!(r1.write_batches >= r.write_batches);
         assert!(

@@ -13,9 +13,12 @@
 //!   (the FIO experiment of Figures 10–11);
 //! * [`factory`] — constructs any policy by name so experiments can sweep
 //!   them uniformly;
-//! * [`prototype`] — drives the real-byte `KddEngine` from concurrent OS
-//!   threads with a background cleaner, demonstrating the kernel-module
-//!   deployment shape.
+//! * [`replay`] — the one content-tracking driver of the real-byte
+//!   `KddEngine`: seeded page mutations, group commits, verified reads.
+//!
+//! The counting drivers come in pairs: the plain form and an `_observed`
+//! form taking a [`kdd_obs::Recorder`]; the plain form is the observed one
+//! with a disabled recorder.
 
 #![warn(missing_docs)]
 
@@ -23,19 +26,16 @@ pub mod closedloop;
 pub mod des;
 pub mod factory;
 pub mod openloop;
-pub mod prototype;
 pub mod queue;
+pub mod replay;
 pub mod service;
 
-pub use closedloop::{
-    run_closed_loop, run_closed_loop_engine, run_closed_loop_observed, ClosedLoopReport,
-    EngineClosedLoopReport,
-};
+pub use closedloop::{run_closed_loop, run_closed_loop_observed, ClosedLoopReport};
 pub use des::{replay_des, DesReport};
 pub use factory::{build_policy, PolicyKind};
 pub use openloop::{
-    obs_snapshot_policy, replay_open_loop, replay_open_loop_engine, replay_open_loop_observed,
-    EngineReplayReport, OpenLoopReport,
+    obs_snapshot_policy, replay_open_loop, replay_open_loop_observed, OpenLoopReport,
 };
 pub use queue::MultiServer;
+pub use replay::{replay_engine, EngineReplayReport};
 pub use service::ServiceModel;

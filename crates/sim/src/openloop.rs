@@ -13,19 +13,16 @@
 use crate::queue::MultiServer;
 use crate::service::ServiceModel;
 use kdd_cache::policies::CachePolicy;
-use kdd_core::engine::{EngineError, KddEngine, WriteRequest};
-use kdd_delta::content::PageMutator;
 use kdd_obs::{Recorder, Sample, Stage};
 use kdd_trace::record::{Op, Trace};
 use kdd_util::stats::{Histogram, StreamingStats};
 use kdd_util::units::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One timeseries sample drawn from a policy's cumulative counters. The
 /// trace drivers have no device gauges (those belong to the engine), so
 /// only the cache-counter half of the sample is populated.
-pub(crate) fn policy_sample(policy: &dyn CachePolicy, at: SimTime) -> Sample {
+fn policy_sample(policy: &dyn CachePolicy, at: SimTime) -> Sample {
     Sample { at, cache: policy.stats().counters(), ..Sample::default() }
 }
 
@@ -35,6 +32,90 @@ pub(crate) fn policy_sample(policy: &dyn CachePolicy, at: SimTime) -> Sample {
 /// to sample. Returns `None` for a disabled recorder.
 pub fn obs_snapshot_policy(policy: &dyn CachePolicy, recorder: &Recorder) -> Option<kdd_obs::Json> {
     recorder.export(&policy_sample(policy, recorder.now()), &kdd_obs::Log2Hist::new())
+}
+
+/// The member-disk service center and the response-time statistics of
+/// one counting run: the per-request step the open- and closed-loop
+/// drivers share.
+pub(crate) struct RequestServer {
+    raid: MultiServer,
+    stats: StreamingStats,
+    hist: Histogram,
+}
+
+impl RequestServer {
+    pub(crate) fn new(disks: usize) -> Self {
+        RequestServer {
+            raid: MultiServer::new(disks),
+            stats: StreamingStats::new(),
+            hist: Histogram::new(),
+        }
+    }
+
+    /// Earliest time any member disk is free.
+    pub(crate) fn next_free(&self) -> SimTime {
+        self.raid.next_free()
+    }
+
+    /// Serve one page request issued at `at` and return its completion
+    /// time. Disk rounds queue on the shared array; SSD/CPU time is added
+    /// on top (the SSD is never the bottleneck here). The response time is
+    /// recorded, and an enabled `recorder` gets the request's span.
+    pub(crate) fn serve(
+        &mut self,
+        policy: &mut dyn CachePolicy,
+        model: &ServiceModel,
+        recorder: &Recorder,
+        op: Op,
+        lba: u64,
+        at: SimTime,
+    ) -> SimTime {
+        let outcome = policy.access(op, lba);
+        let fx = outcome.foreground;
+        let disk_rounds = fx.raid_rounds;
+        let ssd_fx =
+            kdd_cache::effects::Effects { raid_rounds: 0, raid_reads: 0, raid_writes: 0, ..fx };
+        let ssd_cpu = model.response_time(&ssd_fx);
+        let done = if disk_rounds > 0 {
+            self.raid.serve_rounds(at, model.hdd_op, disk_rounds) + ssd_cpu
+        } else {
+            at + ssd_cpu
+        };
+        let resp = done - at;
+        self.stats.record(resp.as_nanos() as f64);
+        self.hist.record(resp.as_nanos());
+        if recorder.is_enabled() {
+            let is_read = op == Op::Read;
+            let mut c = outcome.to_obs(is_read, lba, resp);
+            // Attribute exactly what was charged: the SSD/CPU terms plus
+            // the member-disk service held on the queue; the queueing
+            // delay stays unattributed (conservation).
+            c.stages = model.stage_times(is_read, &ssd_fx);
+            if disk_rounds > 0 {
+                let raid_stage = if is_read { Stage::RaidRead } else { Stage::RaidWrite };
+                c.stages.add(raid_stage, model.hdd_op * u64::from(disk_rounds));
+            }
+            if recorder.record_at(c, at, done) {
+                recorder.push_sample(policy_sample(policy, recorder.now()));
+            }
+        }
+        done
+    }
+
+    /// Requests served so far.
+    pub(crate) fn requests(&self) -> u64 {
+        self.stats.count()
+    }
+
+    /// Mean response time.
+    pub(crate) fn mean_response(&self) -> SimTime {
+        SimTime::from_nanos(self.stats.mean() as u64)
+    }
+
+    /// Response-time quantile `q` (zero before the first request).
+    pub(crate) fn quantile(&self, q: f64) -> SimTime {
+        SimTime::from_nanos(self.hist.quantile(q).unwrap_or(0))
+    }
 }
 
 /// Latency results of one replay.
@@ -81,9 +162,7 @@ pub fn replay_open_loop_observed(
     speedup: u64,
     recorder: &Recorder,
 ) -> OpenLoopReport {
-    let mut raid = MultiServer::new(disks);
-    let mut stats = StreamingStats::new();
-    let mut hist = Histogram::new();
+    let mut server = RequestServer::new(disks);
     let speedup = speedup.max(1);
     // §III-D: the cleaning thread also wakes when the system has been
     // idle for a period. Two quiet seconds count as idle — short enough to
@@ -94,148 +173,24 @@ pub fn replay_open_loop_observed(
     let mut prev_arrival = SimTime::ZERO;
     for r in &trace.records {
         let arrival = r.time / speedup;
-        if arrival.saturating_sub(prev_arrival.max(raid.next_free())) > idle_threshold {
+        if arrival.saturating_sub(prev_arrival.max(server.next_free())) > idle_threshold {
             policy.idle_tick(); // background work during the idle gap
         }
         prev_arrival = arrival;
         for lba in r.pages() {
-            let outcome = policy.access(r.op, lba);
-            let fx = outcome.foreground;
-            // Disk rounds queue on the shared array; SSD/CPU time is added
-            // on top (the SSD is never the bottleneck here).
-            let disk_rounds = fx.raid_rounds;
-            let ssd_fx =
-                kdd_cache::effects::Effects { raid_rounds: 0, raid_reads: 0, raid_writes: 0, ..fx };
-            let ssd_cpu = model.response_time(&ssd_fx);
-            let done = if disk_rounds > 0 {
-                raid.serve_rounds(arrival, model.hdd_op, disk_rounds) + ssd_cpu
-            } else {
-                arrival + ssd_cpu
-            };
-            let resp = done - arrival;
-            stats.record(resp.as_nanos() as f64);
-            hist.record(resp.as_nanos());
-            if recorder.is_enabled() {
-                let is_read = r.op == Op::Read;
-                let mut c = outcome.to_obs(is_read, lba, resp);
-                // Attribute exactly what this driver charged: the SSD/CPU
-                // terms plus the member-disk service held on the queue;
-                // the queueing delay stays unattributed (conservation).
-                c.stages = model.stage_times(is_read, &ssd_fx);
-                if disk_rounds > 0 {
-                    let raid_stage = if is_read { Stage::RaidRead } else { Stage::RaidWrite };
-                    c.stages.add(raid_stage, model.hdd_op * u64::from(disk_rounds));
-                }
-                if recorder.record_at(c, arrival, done) {
-                    recorder.push_sample(policy_sample(policy, recorder.now()));
-                }
-            }
+            server.serve(policy, model, recorder, r.op, lba, arrival);
         }
     }
-    let fx = policy.flush();
-    let _ = fx; // background work; not part of response time
+    policy.flush(); // background work; not part of response time
     recorder.sync_cache(&policy.stats().counters());
     OpenLoopReport {
         policy: policy.name(),
-        requests: stats.count(),
-        mean_response: SimTime::from_nanos(stats.mean() as u64),
-        p50: SimTime::from_nanos(hist.quantile(0.5).unwrap_or(0)),
-        p99: SimTime::from_nanos(hist.quantile(0.99).unwrap_or(0)),
+        requests: server.requests(),
+        mean_response: server.mean_response(),
+        p50: server.quantile(0.5),
+        p99: server.quantile(0.99),
         hit_ratio: policy.stats().hit_ratio(),
     }
-}
-
-/// Results of one engine-backed batched replay ([`replay_open_loop_engine`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EngineReplayReport {
-    /// Page operations issued (reads + writes).
-    pub ops: u64,
-    /// Group commits submitted through [`KddEngine::write_batch`].
-    pub write_batches: u64,
-    /// Summed simulated device time across all operations.
-    pub device_time: SimTime,
-    /// Reads whose content disagreed with the last version written. Always
-    /// zero on a healthy engine; surfaced as data so callers can assert.
-    pub read_mismatches: u64,
-    /// Cache hit ratio over the run.
-    pub hit_ratio: f64,
-    /// SSD write amplification at the end of the run.
-    pub waf: f64,
-}
-
-/// Replay a trace against the real-byte [`KddEngine`], submitting each
-/// record's write pages as **one group commit** via
-/// [`KddEngine::write_batch`] — the batched write path of the prototype
-/// (one metalog flush covers the whole record, mirroring how the kernel
-/// module would plug a multi-page bio into the staging area).
-///
-/// Rewrites are seeded mutations of the previous content ([`PageMutator`])
-/// so the delta-compression path is exercised; every read is verified
-/// against the last version written to that address.
-///
-/// # Errors
-/// Propagates any [`EngineError`] from the engine's read or write path.
-pub fn replay_open_loop_engine(
-    engine: &mut KddEngine,
-    trace: &Trace,
-    seed: u64,
-) -> Result<EngineReplayReport, EngineError> {
-    let capacity = engine.raid().capacity_pages();
-    let mut mutator = PageMutator::new(engine.page_size(), 0.15, 64, seed ^ 0x9e37);
-    // Current content of every written page, so rewrites are *mutations*
-    // (exercising the delta path) rather than fresh random pages.
-    let mut versions: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut ops = 0u64;
-    let mut write_batches = 0u64;
-    let mut read_mismatches = 0u64;
-    let mut device_time = SimTime::ZERO;
-    for rec in &trace.records {
-        match rec.op {
-            Op::Read => {
-                for page in rec.pages() {
-                    let lba = page % capacity;
-                    let (data, t) = engine.read(lba)?;
-                    device_time += t;
-                    ops += 1;
-                    match versions.get(&lba) {
-                        Some(expect) if *expect != data => read_mismatches += 1,
-                        None if data.iter().any(|&b| b != 0) => read_mismatches += 1,
-                        _ => {}
-                    }
-                }
-            }
-            Op::Write => {
-                batch.clear();
-                for page in rec.pages() {
-                    let lba = page % capacity;
-                    let next = match versions.get(&lba) {
-                        Some(prev) => mutator.mutate(prev),
-                        None => mutator.initial_page(),
-                    };
-                    batch.push((lba, next));
-                }
-                let reqs: Vec<WriteRequest<'_>> =
-                    batch.iter().map(|(lba, data)| WriteRequest { lba: *lba, data }).collect();
-                for t in engine.write_batch(&reqs)? {
-                    device_time += t;
-                }
-                write_batches += 1;
-                ops += batch.len() as u64;
-                for (lba, data) in batch.drain(..) {
-                    versions.insert(lba, data);
-                }
-            }
-        }
-    }
-    Ok(EngineReplayReport {
-        ops,
-        write_batches,
-        device_time,
-        read_mismatches,
-        hit_ratio: engine.stats().hit_ratio(),
-        waf: engine.ssd().endurance().waf(),
-    })
 }
 
 #[cfg(test)]
@@ -292,10 +247,12 @@ mod tests {
 
     #[test]
     fn engine_batched_replay_matches_serial_replay() {
+        use crate::replay::replay_engine;
         use kdd_blockdev::ssd::SsdDevice;
-        use kdd_core::KddConfig;
+        use kdd_core::{KddConfig, KddEngine};
         use kdd_raid::array::RaidArray;
         use kdd_raid::layout::{Layout, RaidLevel};
+        use std::collections::BTreeMap;
 
         let build = || {
             let layout = Layout::new(RaidLevel::Raid5, 5, 4, 4 * 64);
@@ -307,7 +264,7 @@ mod tests {
         let trace = PaperTrace::Fin1.generate_scaled(300, 9);
 
         let mut batched = build();
-        let report = replay_open_loop_engine(&mut batched, &trace, 9).unwrap();
+        let report = replay_engine(&mut batched, &trace, 9).unwrap();
         assert_eq!(report.read_mismatches, 0);
         assert!(report.write_batches > 0);
         assert!(report.ops > 0);
@@ -418,6 +375,51 @@ mod tests {
             attributed += sum;
         }
         assert!(attributed > 0, "counting-model attribution is inert");
+    }
+
+    #[test]
+    fn enabled_recorder_does_not_perturb_the_simulation() {
+        use crate::closedloop::{run_closed_loop, run_closed_loop_observed};
+        use kdd_obs::RecorderConfig;
+        use kdd_trace::fio::{FioConfig, FioWorkload};
+
+        let g = CacheGeometry { total_pages: 256, ways: 16, page_size: 4096 };
+        let model = ServiceModel::paper_default();
+        let recorder = || {
+            Recorder::new(RecorderConfig {
+                sample_interval: SimTime::from_secs(1),
+                ring_capacity: 64,
+            })
+        };
+
+        let trace = PaperTrace::Fin1.generate_scaled(800, 11);
+        let raid = RaidModel::paper_default(trace.address_space_pages().max(1024));
+        let mut plain = build_policy(PolicyKind::Kdd(0.25), g, raid, 11);
+        let mut observed = build_policy(PolicyKind::Kdd(0.25), g, raid, 11);
+        let a = replay_open_loop(plain.as_mut(), &trace, &model, 5, 1);
+        let b = replay_open_loop_observed(observed.as_mut(), &trace, &model, 5, 1, &recorder());
+        assert_eq!(
+            (a.requests, a.mean_response, a.p50, a.p99, a.hit_ratio),
+            (b.requests, b.mean_response, b.p50, b.p99, b.hit_ratio)
+        );
+        assert_eq!(plain.stats(), observed.stats());
+
+        let cfg = FioConfig::paper(0.25).scaled(4096);
+        let raid = RaidModel::paper_default(cfg.wss_pages.max(1024));
+        let mut plain = build_policy(PolicyKind::Kdd(0.25), g, raid, 5);
+        let mut observed = build_policy(PolicyKind::Kdd(0.25), g, raid, 5);
+        let a = run_closed_loop(plain.as_mut(), &mut FioWorkload::new(cfg, 99), &model, 5);
+        let b = run_closed_loop_observed(
+            observed.as_mut(),
+            &mut FioWorkload::new(cfg, 99),
+            &model,
+            5,
+            &recorder(),
+        );
+        assert_eq!(
+            (a.requests, a.mean_response, a.p99, a.makespan, a.ssd_write_bytes, a.stats),
+            (b.requests, b.mean_response, b.p99, b.makespan, b.ssd_write_bytes, b.stats)
+        );
     }
 
     #[test]

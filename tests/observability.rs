@@ -15,55 +15,32 @@ use proptest::prelude::*;
 const PAGE: u32 = 4096;
 
 /// Build the standard test engine: 5-disk RAID-5, 256-page cache.
-fn build_engine() -> (KddEngine, u64) {
+fn build_engine() -> KddEngine {
     let layout = Layout::new(RaidLevel::Raid5, 5, 16, 16 * 64);
-    let capacity = layout.capacity_pages();
     let raid = RaidArray::new(layout, PAGE);
     let cache_pages = 256u64;
     let ssd = SsdDevice::with_logical_capacity((cache_pages + 64) * u64::from(PAGE), PAGE, 0.07);
     let geometry = CacheGeometry { total_pages: cache_pages, ways: 16, page_size: PAGE };
-    let engine = KddEngine::new(KddConfig::new(geometry), ssd, raid).expect("engine");
-    (engine, capacity)
+    KddEngine::new(KddConfig::new(geometry), ssd, raid).expect("engine")
 }
 
 /// Drive a seeded paper workload through the engine. `scale` divides
 /// the paper's request counts (20 ≈ 350k fin1 requests exercises the
 /// cleaner under real pressure; 200–400 keeps property tests quick
 /// while still covering every dispatch path).
-fn drive(engine: &mut KddEngine, capacity: u64, workload: PaperTrace, scale: u64, seed: u64) {
-    use kdd::delta::content::PageMutator;
-    use std::collections::BTreeMap;
-
+fn drive(engine: &mut KddEngine, workload: PaperTrace, scale: u64, seed: u64) {
     let trace = workload.generate_scaled(scale, seed);
-    let mut mutator = PageMutator::new(PAGE as usize, 0.15, 64, seed ^ 0x9e37);
-    let mut versions: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    for rec in &trace.records {
-        for page in rec.pages() {
-            let lba = page % capacity;
-            match rec.op {
-                Op::Read => {
-                    engine.read(lba).expect("read");
-                }
-                Op::Write => {
-                    let next = match versions.get(&lba) {
-                        Some(prev) => mutator.mutate(prev),
-                        None => mutator.initial_page(),
-                    };
-                    engine.write(lba, &next).expect("write");
-                    versions.insert(lba, next);
-                }
-            }
-        }
-    }
+    let report = kdd::sim::replay_engine(engine, &trace, seed).expect("replay");
+    assert_eq!(report.read_mismatches, 0, "a read returned stale content");
 }
 
 fn observed_workload_run(workload: PaperTrace, scale: u64, seed: u64) -> Json {
-    let (mut engine, capacity) = build_engine();
+    let mut engine = build_engine();
     engine.attach_recorder(Recorder::new(RecorderConfig {
         sample_interval: SimTime::from_secs(1),
         ring_capacity: 64,
     }));
-    drive(&mut engine, capacity, workload, scale, seed);
+    drive(&mut engine, workload, scale, seed);
     engine.flush().expect("flush");
     engine.obs_snapshot().expect("recorder enabled")
 }
@@ -158,12 +135,12 @@ fn snapshot_validates_and_covers_the_lifecycle() {
 
 #[test]
 fn cleaner_backlog_gauge_returns_to_zero_after_flush() {
-    let (mut engine, capacity) = build_engine();
+    let mut engine = build_engine();
     engine.attach_recorder(Recorder::new(RecorderConfig {
         sample_interval: SimTime::from_secs(1),
         ring_capacity: 64,
     }));
-    drive(&mut engine, capacity, PaperTrace::Fin1, 20, 7);
+    drive(&mut engine, PaperTrace::Fin1, 20, 7);
 
     // Mid-run the delayed-parity design must have left work behind.
     let mid = engine.obs_snapshot().expect("snapshot");
