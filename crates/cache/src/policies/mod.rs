@@ -161,13 +161,20 @@ impl RaidModel {
 #[derive(Debug, Clone, Default)]
 pub struct PendingRows {
     rows: FastMap<u64, FastSet<u64>>,
-    /// Queue of (row, generation); stale generations are skipped lazily.
+    /// Queue of (row, generation); stale generations are skipped lazily
+    /// by `oldest_row` and swept by `add` once they outnumber the pending
+    /// rows, so the queue's length tracks the rows pending, not the
+    /// writes served.
     order: std::collections::VecDeque<(u64, u64)>,
     /// Current generation per row (bumped on every write).
     touch: FastMap<u64, u64>,
     gen: u64,
     pages: u64,
 }
+
+/// Superseded `order` entries tolerated on top of one per pending row
+/// before `add` sweeps them.
+const ORDER_SLACK: usize = 64;
 
 impl PendingRows {
     /// Record that `lba` (in `row`) has a pending parity update; refreshes
@@ -179,6 +186,15 @@ impl PendingRows {
         }
         self.gen += 1;
         self.touch.insert(row, self.gen);
+        if self.order.len() > 2 * self.rows.len() + ORDER_SLACK {
+            // Generations only grow, so an entry that is superseded now
+            // stays superseded: sweeping it never changes what
+            // `oldest_row` returns. At most one entry per row survives, so
+            // the sweep runs once per `rows.len() + ORDER_SLACK` adds.
+            let (rows, touch) = (&self.rows, &self.touch);
+            self.order
+                .retain(|&(row, gen)| rows.contains_key(&row) && touch.get(&row) == Some(&gen));
+        }
         self.order.push_back((row, self.gen));
     }
 
@@ -243,6 +259,13 @@ impl PendingRows {
     pub fn row_ids(&self) -> Vec<u64> {
         self.rows.keys().copied().collect()
     }
+
+    /// The first pending row satisfying `pred`, scanning rows in the
+    /// map's iteration order (deterministic for a given history, but
+    /// *not* oldest-first) without allocating.
+    pub fn find_row(&self, mut pred: impl FnMut(u64) -> bool) -> Option<u64> {
+        self.rows.keys().copied().find(|&row| pred(row))
+    }
 }
 
 #[cfg(test)]
@@ -303,5 +326,49 @@ mod tests {
         assert_eq!(got, vec![100, 101]);
         assert_eq!(p.pending_pages(), 1);
         assert!(p.take_row(3).is_empty());
+    }
+
+    #[test]
+    fn order_queue_is_bounded_and_keeps_lrw_order() {
+        let mut p = PendingRows::default();
+        // Reference model: rows in least-recently-written order.
+        let mut model: Vec<u64> = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..100_000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let row = (x >> 33) % 8;
+            p.add(row, row * 100 + i % 4);
+            model.retain(|&r| r != row);
+            model.push(row);
+            assert!(p.order.len() <= 2 * 8 + ORDER_SLACK + 1, "order grew to {}", p.order.len());
+            if i % 1000 == 999 {
+                // Drain oldest-first now and then, as the cleaner does.
+                for _ in 0..(x >> 40) % 9 {
+                    assert_eq!(p.oldest_row(), model.first().copied());
+                    if let Some(row) = p.oldest_row() {
+                        p.take_row(row);
+                        model.remove(0);
+                    }
+                }
+            }
+        }
+        while let Some(row) = p.oldest_row() {
+            assert_eq!(row, model.remove(0));
+            p.take_row(row);
+        }
+        assert!(model.is_empty());
+        assert_eq!(p.pending_rows(), 0);
+    }
+
+    #[test]
+    fn find_row_scans_pending_rows_only() {
+        let mut p = PendingRows::default();
+        for row in [4u64, 9, 17] {
+            p.add(row, row * 10);
+        }
+        p.take_row(9);
+        assert_eq!(p.find_row(|r| r == 9), None);
+        assert_eq!(p.find_row(|r| r > 4), Some(17));
+        assert_eq!(p.find_row(|_| true), p.row_ids().first().copied());
     }
 }

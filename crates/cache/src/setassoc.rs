@@ -38,6 +38,9 @@ pub enum PageState {
     OldVersion,
 }
 
+/// Number of [`PageState`] variants (size of the per-state slot counters).
+const PAGE_STATES: usize = PageState::OldVersion as usize + 1;
+
 /// How LBAs map to cache sets.
 ///
 /// §III-B: "DAZ pages in the same parity stripe are mapped to the same
@@ -139,6 +142,9 @@ pub struct SetAssocCache {
     free_per_set: Vec<u32>,
     /// Per-set delta (DEZ) page counts.
     delta_per_set: Vec<u32>,
+    /// Slots in each state across the whole cache, indexed by
+    /// `PageState as usize`; always sums to `slots()`.
+    state_counts: [usize; PAGE_STATES],
     /// Set-placement grouping.
     grouping: SetGrouping,
 }
@@ -148,6 +154,8 @@ impl SetAssocCache {
     pub fn new_grouped(geometry: CacheGeometry, grouping: SetGrouping) -> Self {
         let sets = geometry.sets();
         let slots = sets * geometry.ways as usize;
+        let mut state_counts = [0; PAGE_STATES];
+        state_counts[PageState::Free as usize] = slots;
         SetAssocCache {
             geometry,
             sets,
@@ -157,6 +165,7 @@ impl SetAssocCache {
             map: FastMap::default(),
             free_per_set: vec![geometry.ways; sets],
             delta_per_set: vec![0; sets],
+            state_counts,
             grouping,
         }
     }
@@ -223,16 +232,28 @@ impl SetAssocCache {
     /// Change a slot's state (keeps mapping and recency).
     pub fn set_state(&mut self, slot: u32, state: PageState) {
         debug_assert_ne!(state, PageState::Free, "use free_slot to free");
-        let old = self.states[slot as usize];
-        debug_assert_ne!(old, PageState::Free, "slot not allocated");
+        debug_assert_ne!(self.states[slot as usize], PageState::Free, "slot not allocated");
+        self.assign_state(slot, state);
+    }
+
+    /// The one place a slot's state is written: keeps the per-set free and
+    /// delta counts and the whole-cache per-state counts in step with
+    /// `states`.
+    fn assign_state(&mut self, slot: u32, state: PageState) {
         let set = self.set_of_slot(slot);
-        if old == PageState::Delta && state != PageState::Delta {
-            self.delta_per_set[set] -= 1;
+        let old = std::mem::replace(&mut self.states[slot as usize], state);
+        self.state_counts[old as usize] -= 1;
+        self.state_counts[state as usize] += 1;
+        match old {
+            PageState::Free => self.free_per_set[set] -= 1,
+            PageState::Delta => self.delta_per_set[set] -= 1,
+            _ => {}
         }
-        if old != PageState::Delta && state == PageState::Delta {
-            self.delta_per_set[set] += 1;
+        match state {
+            PageState::Free => self.free_per_set[set] += 1,
+            PageState::Delta => self.delta_per_set[set] += 1,
+            _ => {}
         }
-        self.states[slot as usize] = state;
     }
 
     /// Mark a slot most-recently-used.
@@ -262,17 +283,13 @@ impl SetAssocCache {
         let set = self.set_of_slot(slot);
         let local = self.local(slot);
         debug_assert_ne!(self.states[slot as usize], PageState::Free);
-        if self.states[slot as usize] == PageState::Delta {
-            self.delta_per_set[set] -= 1;
-        }
         let tag = self.tags[slot as usize];
         if tag != TAG_NONE {
             self.map.remove(&tag);
             self.tags[slot as usize] = TAG_NONE;
         }
-        self.states[slot as usize] = PageState::Free;
+        self.assign_state(slot, PageState::Free);
         self.lru[set].remove(local);
-        self.free_per_set[set] += 1;
     }
 
     /// Insert `lba` into its set with the given state, evicting the LRU
@@ -324,10 +341,8 @@ impl SetAssocCache {
         // broken, report exhaustion instead of panicking.
         let slot = self.find_free_in_set(set)?;
         let local = self.local(slot);
-        self.states[slot as usize] = PageState::Delta;
+        self.assign_state(slot, PageState::Delta);
         self.lru[set].push_front(local);
-        self.free_per_set[set] -= 1;
-        self.delta_per_set[set] += 1;
         Some(slot)
     }
 
@@ -352,10 +367,8 @@ impl SetAssocCache {
         assert_eq!(self.states[slot as usize], PageState::Free, "slot {slot} occupied");
         let set = self.set_of_slot(slot);
         let local = self.local(slot);
-        self.states[slot as usize] = PageState::Delta;
+        self.assign_state(slot, PageState::Delta);
         self.lru[set].push_front(local);
-        self.free_per_set[set] -= 1;
-        self.delta_per_set[set] += 1;
     }
 
     fn find_free_in_set(&self, set: usize) -> Option<u32> {
@@ -369,19 +382,16 @@ impl SetAssocCache {
         debug_assert_eq!(self.states[slot as usize], PageState::Free);
         debug_assert_ne!(state, PageState::Free);
         self.tags[slot as usize] = lba;
-        self.states[slot as usize] = state;
+        self.assign_state(slot, state);
         self.map.insert(lba, slot);
         let local = self.local(slot);
         self.lru[set].push_front(local);
-        self.free_per_set[set] -= 1;
-        if state == PageState::Delta {
-            self.delta_per_set[set] += 1;
-        }
     }
 
-    /// Count slots in a given state across the whole cache.
+    /// Slots in a given state across the whole cache (a running counter,
+    /// O(1)).
     pub fn count_state(&self, state: PageState) -> usize {
-        self.states.iter().filter(|&&s| s == state).count()
+        self.state_counts[state as usize]
     }
 
     /// Iterate `(slot, lba, state)` over all occupied, mapped slots.

@@ -29,8 +29,104 @@ fn ops(lbas: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Every way a slot's state can change, addressed by slot so that
+/// unmapped (delta, detached) slots are reachable too.
+#[derive(Debug, Clone)]
+enum SlotOp {
+    Insert(u64, PageState),
+    SetState(u32, PageState),
+    FreeSlot(u32),
+    Detach(u32),
+    AllocDelta,
+    InsertAt(u32, u64, PageState),
+    OccupyDeltaAt(u32),
+}
+
+/// Slots of the cache `count_state_matches_recount` drives.
+const SLOTS: u32 = 32;
+
+const ALL_STATES: [PageState; 6] = [
+    PageState::Free,
+    PageState::Clean,
+    PageState::Old,
+    PageState::Delta,
+    PageState::Dirty,
+    PageState::OldVersion,
+];
+
+fn occupied_state() -> impl Strategy<Value = PageState> {
+    (1usize..ALL_STATES.len()).prop_map(|i| ALL_STATES[i])
+}
+
+fn slot_ops(slots: u32, lbas: u64) -> impl Strategy<Value = SlotOp> {
+    prop_oneof![
+        4 => ((0..lbas), occupied_state()).prop_map(|(l, s)| SlotOp::Insert(l, s)),
+        3 => ((0..slots), occupied_state()).prop_map(|(i, s)| SlotOp::SetState(i, s)),
+        2 => (0..slots).prop_map(SlotOp::FreeSlot),
+        1 => (0..slots).prop_map(SlotOp::Detach),
+        1 => Just(SlotOp::AllocDelta),
+        2 => ((0..slots), (0..lbas), occupied_state())
+            .prop_map(|(i, l, s)| SlotOp::InsertAt(i, l, s)),
+        1 => (0..slots).prop_map(SlotOp::OccupyDeltaAt),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `count_state` is a running counter; after any sequence of the
+    /// operations that assign a slot's state it equals a linear recount,
+    /// for every state.
+    #[test]
+    fn count_state_matches_recount(
+        script in proptest::collection::vec(slot_ops(SLOTS, 96), 1..400),
+    ) {
+        let g = CacheGeometry { total_pages: SLOTS as u64, ways: 4, page_size: 4096 };
+        let mut cache = SetAssocCache::new_grouped(g, SetGrouping::Pages(1));
+        for op in &script {
+            match *op {
+                SlotOp::Insert(lba, state) => {
+                    if cache.lookup(lba).is_none() {
+                        // Full sets evict their LRU clean page or report NoRoom.
+                        cache.insert(lba, state, |s| s == PageState::Clean);
+                    }
+                }
+                SlotOp::SetState(slot, state) => {
+                    if cache.state(slot) != PageState::Free {
+                        cache.set_state(slot, state);
+                    }
+                }
+                SlotOp::FreeSlot(slot) => {
+                    if cache.state(slot) != PageState::Free {
+                        cache.free_slot(slot);
+                    }
+                }
+                SlotOp::Detach(slot) => {
+                    if cache.tag(slot).is_some() {
+                        cache.detach(slot);
+                    }
+                }
+                SlotOp::AllocDelta => {
+                    cache.alloc_delta_slot();
+                }
+                SlotOp::InsertAt(slot, lba, state) => {
+                    if cache.state(slot) == PageState::Free && cache.lookup(lba).is_none() {
+                        cache.insert_at(slot, lba, state);
+                    }
+                }
+                SlotOp::OccupyDeltaAt(slot) => {
+                    if cache.state(slot) == PageState::Free {
+                        cache.occupy_delta_at(slot);
+                    }
+                }
+            }
+            for state in ALL_STATES {
+                let recount = (0..SLOTS).filter(|&s| cache.state(s) == state).count();
+                prop_assert_eq!(cache.count_state(state), recount, "{:?} after {:?}", state, op);
+            }
+            prop_assert_eq!(cache.free_slots(), cache.count_state(PageState::Free) as u64);
+        }
+    }
 
     /// The directory's mapping, occupancy and eviction behaviour agree
     /// with a simple reference model at every step.

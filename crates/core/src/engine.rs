@@ -233,6 +233,62 @@ enum DeltaLoc {
 #[derive(Debug, Clone, Default)]
 struct DezInfo {
     lbas: kdd_util::hash::FastSet<u64>,
+    /// Compressed bytes of the deltas in `lbas` that `delta_loc` still
+    /// places in this page (a running counter; see
+    /// [`KddEngine::dez_live_consistent`]).
+    live: u32,
+}
+
+/// Lay `count` deltas out as one DEZ page image — a `[count: u16]` header,
+/// a directory of `(lba: u64, off: u16, len: u16)` records, then the
+/// compressed payloads — and return where each delta landed. The caller
+/// has checked that they fit.
+fn pack_dez_page<'a>(
+    page: &mut [u8],
+    slot: u32,
+    count: usize,
+    deltas: impl Iterator<Item = (u64, &'a [u8])>,
+) -> Vec<(u64, DeltaRef)> {
+    page[..2].copy_from_slice(&(count as u16).to_le_bytes());
+    let mut dir_off = 2;
+    let mut data_off = 2 + count * 12;
+    let mut refs = Vec::with_capacity(count);
+    for (lba, payload) in deltas {
+        let len = payload.len();
+        page[dir_off..dir_off + 8].copy_from_slice(&lba.to_le_bytes());
+        page[dir_off + 8..dir_off + 10].copy_from_slice(&(data_off as u16).to_le_bytes());
+        page[dir_off + 10..dir_off + 12].copy_from_slice(&(len as u16).to_le_bytes());
+        page[data_off..data_off + len].copy_from_slice(payload);
+        refs.push((lba, DeltaRef { slot, off: data_off as u16, len: len as u16 }));
+        dir_off += 12;
+        data_off += len;
+    }
+    refs
+}
+
+/// The two items with the smallest keys, `(smallest, runner-up)`, ties
+/// going to the item met first — exactly elements 0 and 1 of a stable
+/// `sort_by_key` over the same sequence, in one pass and no allocation.
+fn two_smallest_by_key<T: Copy>(
+    items: impl Iterator<Item = T>,
+    key: impl Fn(&T) -> u32,
+) -> Option<(T, T)> {
+    let mut best: Option<T> = None;
+    let mut second: Option<T> = None;
+    for item in items {
+        match best {
+            Some(b) if key(&item) >= key(&b) => {
+                if second.is_none_or(|s| key(&item) < key(&s)) {
+                    second = Some(item);
+                }
+            }
+            _ => {
+                second = best;
+                best = Some(item);
+            }
+        }
+    }
+    best.zip(second)
 }
 
 /// NVRAM-resident state: survives power failure.
@@ -261,6 +317,8 @@ pub struct KddEngine {
     metalog: MetaLog<MapEntry>,
     delta_loc: FastMap<u64, DeltaLoc>,
     dez: FastMap<u32, DezInfo>,
+    /// Sum of every DEZ page's `live` bytes.
+    dez_live_total: u64,
     pending_rows: PendingRows,
     stats: CacheStats,
     meta_pages: u64,
@@ -325,6 +383,7 @@ impl KddEngine {
             metalog,
             delta_loc: FastMap::default(),
             dez: FastMap::default(),
+            dez_live_total: 0,
             pending_rows: PendingRows::default(),
             stats: CacheStats::default(),
             meta_pages,
@@ -585,7 +644,12 @@ impl KddEngine {
             debug_assert!(false, "DEZ accounting broken");
             return Ok(());
         };
-        info.lbas.remove(&lba);
+        // The caller has just moved `lba`'s `delta_loc` off `r`; if the
+        // page listed it, those bytes were live until now.
+        if info.lbas.remove(&lba) {
+            info.live -= u32::from(r.len);
+            self.dez_live_total -= u64::from(r.len);
+        }
         if info.lbas.is_empty() {
             self.dez.remove(&r.slot);
             self.ssd.trim_page(self.slot_lpn(r.slot))?;
@@ -611,56 +675,42 @@ impl KddEngine {
     /// of *payload*); the directory overhead can spill a few deltas into a
     /// second page.
     fn commit_staging(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        if self.nv.get().staging.is_empty() {
-            return Ok(());
-        }
         let ps = self.page_size();
-        // Snapshot instead of draining: a delta leaves NVRAM only once the
-        // DEZ page holding it is durably on flash and logged, so a crash
-        // mid-commit never loses an acknowledged write.
-        let mut queue: std::collections::VecDeque<(u64, Vec<u8>)> =
-            // kdd-waiver(KDD006): NVRAM payloads must outlive the borrow on `self.nv` while the DEZ writes mutate the engine.
-            self.nv.get().staging.snapshot().map(|(lba, payload)| (lba, payload.clone())).collect();
-        while !queue.is_empty() {
+        // Pages are built from the payloads still sitting in NVRAM: a
+        // delta leaves the staging buffer only once the DEZ page holding
+        // it is durably on flash and logged, so a crash mid-commit never
+        // loses an acknowledged write.
+        while !self.nv.get().staging.is_empty() {
+            // Greedy fill from the FIFO's front: each delta costs 12B of
+            // directory + its bytes.
+            let mut used = 2usize;
+            let count = self
+                .nv
+                .get()
+                .staging
+                .snapshot()
+                .take_while(|(_, payload)| {
+                    used += 12 + payload.len();
+                    used <= ps
+                })
+                .count();
+            if count == 0 {
+                return Err(EngineError::Inconsistent("one delta must always fit a DEZ page"));
+            }
             let Some(slot) = self.alloc_dez_slot(t)? else {
                 // Fully pinned cache: the rest simply stays staged.
                 return Ok(());
             };
-            // Greedy fill: each delta costs 12B of directory + its bytes.
-            let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
-            let mut used = 2usize;
-            while let Some((_, payload)) = queue.front() {
-                if used + 12 + payload.len() > ps {
-                    break;
-                }
-                used += 12 + payload.len();
-                let Some(item) = queue.pop_front() else { break };
-                batch.push(item);
-            }
-            assert!(!batch.is_empty(), "one delta must always fit a DEZ page");
             let mut page = self.pool.acquire();
-            page[..2].copy_from_slice(&(batch.len() as u16).to_le_bytes());
-            let mut dir_off = 2;
-            let mut data_off = 2 + batch.len() * 12;
-            let mut refs = Vec::with_capacity(batch.len());
-            for (lba, payload) in &batch {
-                let len = payload.len();
-                page[dir_off..dir_off + 8].copy_from_slice(&lba.to_le_bytes());
-                page[dir_off + 8..dir_off + 10].copy_from_slice(&(data_off as u16).to_le_bytes());
-                page[dir_off + 10..dir_off + 12].copy_from_slice(&(len as u16).to_le_bytes());
-                page[data_off..data_off + len].copy_from_slice(payload);
-                refs.push((*lba, DeltaRef { slot, off: data_off as u16, len: len as u16 }));
-                dir_off += 12;
-                data_off += len;
-            }
+            let batch =
+                self.nv.get().staging.snapshot().take(count).map(|(lba, p)| (lba, p.as_slice()));
+            let refs = pack_dez_page(&mut page, slot, count, batch);
             let dt = self.ssd.write_page(self.slot_lpn(slot), &page)?;
             self.charge_stage(Stage::StagingCommit, dt, t);
             self.pool.release(page);
             self.stats.ssd_delta_writes += 1;
             let mut info = DezInfo::default();
-            for (lba, _) in &batch {
-                info.lbas.insert(*lba);
-            }
+            info.lbas.extend(refs.iter().map(|&(lba, _)| lba));
             self.dez.insert(slot, info);
             // Log the whole DEZ page's mappings as one metalog group, then
             // drop the NVRAM copies. Logging precedes every removal: if the
@@ -681,9 +731,16 @@ impl KddEngine {
             }
             let batches = self.metalog.push_group(entries);
             self.queue_batches(batches, t)?;
+            // The page's bytes become live as `delta_loc` turns to them.
+            let mut live = 0u32;
             for (lba, r) in refs {
                 self.nv.get_mut().staging.remove(lba);
                 self.delta_loc.insert(lba, DeltaLoc::Dez(r));
+                live += u32::from(r.len);
+            }
+            if let Some(info) = self.dez.get_mut(&slot) {
+                info.live = live;
+                self.dez_live_total += u64::from(live);
             }
         }
         Ok(())
@@ -1222,16 +1279,14 @@ impl KddEngine {
         }
     }
 
-    /// Clean the oldest pending row whose pages map to `set`; false when
-    /// none exists.
+    /// Clean one pending row whose pages map to `set` — the first that
+    /// [`PendingRows::find_row`] meets, not the oldest; false when none
+    /// exists.
     fn clean_one_row_in_set(&mut self, set: usize, t: &mut SimTime) -> Result<bool, EngineError> {
-        let row = self.pending_rows.row_ids().into_iter().find(|&row| {
-            self.raid
-                .layout()
-                .row_lpns(row)
-                .first()
-                .is_some_and(|&l| self.cache.set_of_lba(l) == set)
-        });
+        let layout = self.raid.layout();
+        let row = self
+            .pending_rows
+            .find_row(|row| self.cache.set_of_lba(layout.row_first_lpn(row)) == set);
         match row {
             Some(row) => {
                 self.clean_row(row, t)?;
@@ -1300,20 +1355,27 @@ impl KddEngine {
         Ok(())
     }
 
-    /// Live compressed bytes in one DEZ page.
-    fn dez_live_bytes(&self, slot: u32) -> u32 {
-        self.dez
-            .get(&slot)
-            .map(|info| {
-                info.lbas
-                    .iter()
-                    .map(|lba| match self.delta_loc.get(lba) {
-                        Some(DeltaLoc::Dez(r)) if r.slot == slot => r.len as u32,
-                        _ => 0,
-                    })
-                    .sum()
-            })
-            .unwrap_or(0)
+    /// The slow definition the running counters must equal: every page's
+    /// `live` is the bytes of the deltas it lists that `delta_loc` still
+    /// places in it, and `dez_live_total` is their sum. Debug assertions
+    /// and tests only.
+    fn dez_live_consistent(&self) -> bool {
+        let mut total = 0u64;
+        for (&slot, info) in &self.dez {
+            let live: u32 = info
+                .lbas
+                .iter()
+                .map(|lba| match self.delta_loc.get(lba) {
+                    Some(DeltaLoc::Dez(r)) if r.slot == slot => u32::from(r.len),
+                    _ => 0,
+                })
+                .sum();
+            if live != info.live {
+                return false;
+            }
+            total += u64::from(live);
+        }
+        total == self.dez_live_total
     }
 
     /// Log-structured DEZ compaction (pressure-driven, as in the
@@ -1326,18 +1388,15 @@ impl KddEngine {
             if self.dez.len() < 4 {
                 return Ok(());
             }
-            let live: u64 = self.dez.keys().map(|&s| self.dez_live_bytes(s) as u64).sum();
-            if live * 100 >= self.dez.len() as u64 * ps as u64 * 85 {
+            debug_assert!(self.dez_live_consistent(), "DEZ live-byte counters drifted");
+            if self.dez_live_total * 100 >= self.dez.len() as u64 * ps as u64 * 85 {
                 return Ok(());
             }
-            let mut pages: Vec<(u32, u32, usize)> = self
-                .dez
-                .iter()
-                .map(|(&s, info)| (s, self.dez_live_bytes(s), info.lbas.len()))
-                .collect();
-            pages.sort_by_key(|&(_, b, _)| b);
-            let (dst, db, dn) = pages[0];
-            let (src, sb, sn) = pages[1];
+            let pages = self.dez.iter().map(|(&s, info)| (s, info.live, info.lbas.len()));
+            let Some(((dst, db, dn), (src, sb, sn))) = two_smallest_by_key(pages, |&(_, b, _)| b)
+            else {
+                return Ok(());
+            };
             // Fit check: both payloads plus the merged directory.
             if 2 + (dn + sn) * 12 + db as usize + sb as usize > ps {
                 return Ok(());
@@ -1351,46 +1410,35 @@ impl KddEngine {
                     deltas.push((lba, payload));
                 }
             }
-            // Repack into the destination slot.
+            // Repack into the destination slot. Nothing volatile moves
+            // until the merged page is on flash, so a failed write leaves
+            // `delta_loc` pointing at the two intact source pages.
             let mut page = self.pool.acquire();
-            page[..2].copy_from_slice(&(deltas.len() as u16).to_le_bytes());
-            let mut dir_off = 2;
-            let mut data_off = 2 + deltas.len() * 12;
-            let mut info = DezInfo::default();
-            for (lba, payload) in &deltas {
-                let len = payload.len();
-                page[dir_off..dir_off + 8].copy_from_slice(&lba.to_le_bytes());
-                page[dir_off + 8..dir_off + 10].copy_from_slice(&(data_off as u16).to_le_bytes());
-                page[dir_off + 10..dir_off + 12].copy_from_slice(&(len as u16).to_le_bytes());
-                page[data_off..data_off + len].copy_from_slice(payload);
-                self.delta_loc.insert(
-                    *lba,
-                    DeltaLoc::Dez(DeltaRef { slot: dst, off: data_off as u16, len: len as u16 }),
-                );
-                info.lbas.insert(*lba);
-                dir_off += 12;
-                data_off += len;
-            }
+            let batch = deltas.iter().map(|(lba, payload)| (*lba, payload.as_slice()));
+            let moved = pack_dez_page(&mut page, dst, deltas.len(), batch);
             let dt = self.ssd.write_page(self.slot_lpn(dst), &page)?;
             self.charge_stage(Stage::StagingCommit, dt, t);
             self.pool.release(page);
             self.stats.ssd_delta_writes += 1;
+            let mut info = DezInfo::default();
+            for &(lba, r) in &moved {
+                self.delta_loc.insert(lba, DeltaLoc::Dez(r));
+                info.lbas.insert(lba);
+                info.live += u32::from(r.len);
+            }
+            self.dez_live_total =
+                self.dez_live_total - u64::from(db) - u64::from(sb) + u64::from(info.live);
             self.dez.insert(dst, info);
             // Retire the source page.
             self.dez.remove(&src);
             self.ssd.trim_page(self.slot_lpn(src))?;
             self.cache.free_slot(src);
             // Re-log the moved mappings (offsets changed).
-            let moved: Vec<u64> = deltas.iter().map(|(l, _)| *l).collect();
-            for lba in moved {
+            for (lba, r) in moved {
                 let slot_of = self
                     .cache
                     .lookup(lba)
                     .ok_or(EngineError::Inconsistent("old page must be cached"))?;
-                let r = match self.delta_loc.get(&lba) {
-                    Some(DeltaLoc::Dez(r)) => *r,
-                    Some(DeltaLoc::Staged) | None => continue,
-                };
                 self.log_entry(
                     MapEntry { lba_raid: lba, slot: slot_of, state: EntryState::Old, dez: Some(r) },
                     t,
@@ -1616,6 +1664,7 @@ impl KddEngine {
         let mut cache = SetAssocCache::new_grouped(config.geometry, grouping);
         let mut delta_loc: FastMap<u64, DeltaLoc> = FastMap::default();
         let mut dez: FastMap<u32, DezInfo> = FastMap::default();
+        let mut dez_live_total = 0u64;
         let mut pending_rows = PendingRows::default();
         for e in recovered.values() {
             match e.state {
@@ -1625,7 +1674,10 @@ impl KddEngine {
                     pending_rows.add(self.raid.layout().row_of(e.lba_raid), e.lba_raid);
                     if let Some(r) = e.dez {
                         delta_loc.insert(e.lba_raid, DeltaLoc::Dez(r));
-                        dez.entry(r.slot).or_default().lbas.insert(e.lba_raid);
+                        let info = dez.entry(r.slot).or_default();
+                        info.lbas.insert(e.lba_raid);
+                        info.live += u32::from(r.len);
+                        dez_live_total += u64::from(r.len);
                     }
                 }
                 EntryState::Free => {}
@@ -1648,7 +1700,10 @@ impl KddEngine {
             };
             if let Some(DeltaLoc::Dez(r)) = delta_loc.get(&lba).copied() {
                 if let Some(info) = dez.get_mut(&r.slot) {
-                    info.lbas.remove(&lba);
+                    if info.lbas.remove(&lba) {
+                        info.live -= u32::from(r.len);
+                        dez_live_total -= u64::from(r.len);
+                    }
                 }
             }
             delta_loc.insert(lba, DeltaLoc::Staged);
@@ -1736,6 +1791,7 @@ impl KddEngine {
             metalog: self.metalog,
             delta_loc,
             dez,
+            dez_live_total,
             pending_rows,
             stats: CacheStats { torn_pages_detected: torn_detected, ..CacheStats::default() },
             meta_pages,
@@ -1785,6 +1841,7 @@ impl KddEngine {
         self.meta_pending.clear();
         self.delta_loc.clear();
         self.dez.clear();
+        self.dez_live_total = 0;
         self.pending_rows = PendingRows::default();
         Ok(())
     }
@@ -2039,6 +2096,101 @@ mod tests {
         // DEZ footprint must stay bounded relative to its live bytes.
         let dez_pages = e.cache.count_state(PageState::Delta);
         assert!(dez_pages <= 96, "DEZ blew up: {dez_pages} pages");
+    }
+
+    /// The running DEZ counters equal the recount from `delta_loc` after
+    /// every operation of seeded random mixes, recovery paths included.
+    #[test]
+    fn dez_live_counters_match_recount_under_random_mixes() {
+        for seed in [3u64, 11, 42] {
+            let layout = Layout::new(RaidLevel::Raid5, 5, 4, 4 * 32);
+            let raid = RaidArray::new(layout, PS);
+            let ssd = SsdDevice::with_logical_capacity((128 + 64) * PS as u64, PS, 0.1);
+            let g = CacheGeometry { total_pages: 128, ways: 8, page_size: PS };
+            let mut cfg = KddConfig::new(g);
+            cfg.meta_partition_frac = 0.08;
+            let mut e = KddEngine::new(cfg, ssd, raid).unwrap();
+            let mut rng = seeded_rng(seed);
+            let mut versions: FastMap<u64, Vec<u8>> = FastMap::default();
+            // A few clustered bytes per rewrite: deltas of a few dozen
+            // bytes, so DEZ pages hold many and decay one at a time — the
+            // half-empty pages compaction merges.
+            let next_version = |versions: &mut FastMap<u64, Vec<u8>>, lba: u64, tag: u8| {
+                let mut next = versions.get(&lba).cloned().unwrap_or_else(|| page(lba));
+                let at = tag as usize % (PS as usize - 8);
+                next[at..at + 8].fill(tag);
+                versions.insert(lba, next.clone());
+                next
+            };
+            let (mut dez_pages_peak, mut live_peak) = (0usize, 0u64);
+            for step in 0..6000u32 {
+                // 8 LBAs per 16-page stripe group, 104 in all: the hot set
+                // fits the 8-way sets and pins most of the cache.
+                let i = rng.random_range(0..104u64);
+                let lba = (i / 8) * 16 + i % 8;
+                match rng.random_range(0..1000u32) {
+                    0..=599 => {
+                        let data = next_version(&mut versions, lba, rng.random());
+                        e.write(lba, &data).unwrap();
+                    }
+                    600..=749 => {
+                        let pages: Vec<(u64, Vec<u8>)> = (0..rng.random_range(1..6u64))
+                            .map(|k| {
+                                let j = (i + k * 7) % 104;
+                                let l = (j / 8) * 16 + j % 8;
+                                (l, next_version(&mut versions, l, rng.random()))
+                            })
+                            .collect();
+                        let reqs: Vec<WriteRequest<'_>> =
+                            pages.iter().map(|(l, d)| WriteRequest { lba: *l, data: d }).collect();
+                        e.write_batch(&reqs).unwrap();
+                    }
+                    750..=989 => {
+                        // Reads stray outside the hot set to force fills
+                        // into pinned sets (the NoRoom path).
+                        let lba = if rng.random_bool(0.2) { lba + 8 } else { lba };
+                        let (got, _) = e.read(lba).unwrap();
+                        if let Some(v) = versions.get(&lba) {
+                            assert_eq!(&got, v, "seed {seed} step {step} lba {lba}");
+                        }
+                    }
+                    990 | 991 => {
+                        let mut t = SimTime::ZERO;
+                        e.clean(&mut t).unwrap();
+                    }
+                    992 | 993 => {
+                        e.flush().unwrap();
+                    }
+                    994..=998 => e = e.power_cycle().expect("recovery"),
+                    _ => {
+                        e.recover_from_ssd_failure().unwrap();
+                    }
+                }
+                assert!(e.dez_live_consistent(), "seed {seed} step {step}");
+                dez_pages_peak = dez_pages_peak.max(e.dez.len());
+                live_peak = live_peak.max(e.dez_live_total);
+            }
+            assert!(dez_pages_peak >= 4 && live_peak > 0, "mix never exercised the DEZ");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The one-pass victim choice equals elements 0 and 1 of the
+        /// stable sort it replaced, on the same sequence, duplicate keys
+        /// included.
+        #[test]
+        fn two_smallest_matches_stable_sort(
+            keys in proptest::collection::vec(0u32..5, 0..40),
+        ) {
+            let items: Vec<(usize, u32)> = keys.iter().copied().enumerate().collect();
+            let mut sorted = items.clone();
+            sorted.sort_by_key(|&(_, k)| k);
+            let expect = (sorted.len() >= 2).then(|| (sorted[0], sorted[1]));
+            let got = two_smallest_by_key(items.iter().copied(), |&(_, k)| k);
+            proptest::prop_assert_eq!(got, expect);
+        }
     }
 
     #[test]

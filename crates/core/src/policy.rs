@@ -457,8 +457,8 @@ impl KddPolicy {
     }
 
     /// Insert a clean page with clean-only eviction. A fully-pinned set is
-    /// unpinned one pending row at a time (oldest first) until the insert
-    /// fits — minimal reclaim, so hot old pages keep their delta path.
+    /// unpinned one pending row at a time until the insert fits — minimal
+    /// reclaim, so hot old pages keep their delta path.
     /// Returns false only when the set is pinned and holds no pending
     /// rows to clean (the fill is then bypassed).
     fn insert_clean_or_bypass(&mut self, lba: u64, fx: &mut Effects, bg: &mut Effects) -> bool {
@@ -480,12 +480,13 @@ impl KddPolicy {
         }
     }
 
-    /// Clean the oldest pending row whose pages map to `set`. Returns
-    /// false when none exists.
+    /// Clean one pending row whose pages map to `set` — the first that
+    /// [`PendingRows::find_row`] meets, not the oldest. Returns false when
+    /// none exists.
     fn clean_one_row_in_set(&mut self, set: usize, bg: &mut Effects) -> bool {
-        let row = self.pending.row_ids().into_iter().find(|&row| {
-            self.raid.row_lpns(row).first().is_some_and(|&l| self.cache.set_of_lba(l) == set)
-        });
+        let layout = &self.raid.layout;
+        let row =
+            self.pending.find_row(|row| self.cache.set_of_lba(layout.row_first_lpn(row)) == set);
         match row {
             Some(row) => {
                 *bg += self.clean_row(row);

@@ -42,10 +42,18 @@ impl DeltaPayload for Vec<u8> {
 pub struct StagingBuffer<P> {
     capacity_bytes: u32,
     used_bytes: u32,
-    /// FIFO of (key, payload); holes (None) left by coalescing/removal.
+    /// FIFO of (key, payload); holes (None) left by coalescing/removal
+    /// are squeezed out once they outnumber the live entries, so
+    /// `fifo.len() <= 2 * index.len() + HOLE_SLACK` at all times.
     fifo: Vec<Option<(u64, P)>>,
     index: FastMap<u64, usize>,
 }
+
+/// Holes tolerated on top of one per live entry before `remove` compacts
+/// the FIFO: large enough that a fill-then-commit cycle of a few dozen
+/// deltas compacts at most once, small enough that `snapshot` walks at
+/// most this many dead slots more than live ones.
+const HOLE_SLACK: usize = 16;
 
 impl<P: DeltaPayload> StagingBuffer<P> {
     /// A buffer holding up to `capacity_bytes` of compressed deltas
@@ -117,7 +125,21 @@ impl<P: DeltaPayload> StagingBuffer<P> {
         let idx = self.index.remove(&key)?;
         let (_, payload) = self.fifo[idx].take()?;
         self.used_bytes -= payload.nbytes();
+        if self.fifo.len() >= 2 * self.index.len() + HOLE_SLACK {
+            self.squeeze_holes();
+        }
         Some(payload)
+    }
+
+    /// Drop every hole, keeping FIFO order. Runs after at least
+    /// `fifo.len() / 2` removals since the last run, so removal stays
+    /// amortised O(1) and the FIFO's length tracks the live entries, not
+    /// the number of deltas ever staged.
+    fn squeeze_holes(&mut self) {
+        self.fifo.retain(Option::is_some);
+        for (idx, (key, _)) in self.fifo.iter().flatten().enumerate() {
+            self.index.insert(*key, idx);
+        }
     }
 
     /// Iterate the staged `(key, payload)` pairs in FIFO order without
@@ -195,6 +217,61 @@ mod tests {
         s.insert(2, vec![0xBB; 40]);
         assert_eq!(s.used_bytes(), 100);
         assert_eq!(s.get(1).unwrap().len(), 60);
+    }
+
+    #[test]
+    fn backing_store_tracks_live_entries_not_history() {
+        // The engine's pattern: every write hit inserts, every commit
+        // removes one by one — never `drain`.
+        let mut s: StagingBuffer<u32> = StagingBuffer::new(4096);
+        for i in 0..100_000u64 {
+            s.insert(i % 8, 100);
+            if i % 3 == 0 {
+                s.remove((i / 3) % 8);
+            }
+            assert!(s.len() <= 8);
+            assert!(s.fifo.len() <= 2 * 8 + HOLE_SLACK, "fifo grew to {}", s.fifo.len());
+        }
+        // A long-lived front entry must not shelter the holes behind it.
+        let mut s: StagingBuffer<Vec<u8>> = StagingBuffer::new(4096);
+        s.insert(0, vec![1; 8]);
+        for i in 0..100_000u64 {
+            s.insert(1 + i % 7, vec![2; 8]);
+            assert!(s.fifo.len() <= 2 * 8 + HOLE_SLACK, "fifo grew to {}", s.fifo.len());
+        }
+        assert_eq!(s.snapshot().next().map(|(k, _)| k), Some(0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Hole reclamation is invisible: `get`, `snapshot` and `drain`
+        /// agree with a plain ordered-`Vec` model under random
+        /// insert / coalesce / remove sequences.
+        #[test]
+        fn order_matches_vec_model(
+            script in proptest::collection::vec((0u64..24, 0u32..3), 1..600),
+        ) {
+            let mut s: StagingBuffer<u32> = StagingBuffer::new(u32::MAX);
+            let mut model: Vec<(u64, u32)> = Vec::new();
+            for (step, &(key, action)) in script.iter().enumerate() {
+                model.retain(|&(k, _)| k != key);
+                if action == 0 {
+                    s.remove(key);
+                } else {
+                    // Re-inserting a staged key coalesces: newest copy, at the back.
+                    s.insert(key, step as u32);
+                    model.push((key, step as u32));
+                }
+                let got: Vec<(u64, u32)> = s.snapshot().map(|(k, p)| (k, *p)).collect();
+                proptest::prop_assert_eq!(&got, &model);
+                let newest = model.last().filter(|e| e.0 == key).map(|e| &e.1);
+                proptest::prop_assert_eq!(s.get(key), newest);
+                proptest::prop_assert_eq!(s.used_bytes(), model.iter().map(|e| e.1).sum::<u32>());
+            }
+            proptest::prop_assert_eq!(s.drain(), model);
+            proptest::prop_assert!(s.is_empty() && s.fifo.is_empty());
+        }
     }
 
     #[test]

@@ -196,6 +196,14 @@ impl Layout {
         (0..dd).map(|d| (stripe * dd + d) * self.chunk_pages + offset).collect()
     }
 
+    /// First logical page of parity row `row` — `row_lpns(row)[0]` without
+    /// the allocation, for scans that only need the row's cache set.
+    pub fn row_first_lpn(&self, row: u64) -> u64 {
+        let stripe = row / self.chunk_pages;
+        let offset = row % self.chunk_pages;
+        stripe * self.data_disks() as u64 * self.chunk_pages + offset
+    }
+
     /// Disk page where parity row `row` stores P.
     pub fn parity_location(&self, row: u64) -> Option<(usize, u64)> {
         let stripe = row / self.chunk_pages;
@@ -274,17 +282,19 @@ mod tests {
 
     #[test]
     fn row_lpns_roundtrip() {
-        let l = l5();
-        for row in 0..l.rows() {
-            let lpns = l.row_lpns(row);
-            assert_eq!(lpns.len(), l.row_width());
-            for &lpn in &lpns {
-                assert_eq!(l.row_of(lpn), row, "lpn {lpn} row mismatch");
-            }
-            // All pages of a row share the stripe.
-            let s = l.stripe_of_row(row);
-            for &lpn in &lpns {
-                assert_eq!(l.stripe_of(lpn), s);
+        for l in [l5(), Layout::new(RaidLevel::Raid6, 6, 8, 8 * 10)] {
+            for row in 0..l.rows() {
+                let lpns = l.row_lpns(row);
+                assert_eq!(lpns.len(), l.row_width());
+                assert_eq!(lpns.first(), Some(&l.row_first_lpn(row)));
+                for &lpn in &lpns {
+                    assert_eq!(l.row_of(lpn), row, "lpn {lpn} row mismatch");
+                }
+                // All pages of a row share the stripe.
+                let s = l.stripe_of_row(row);
+                for &lpn in &lpns {
+                    assert_eq!(l.stripe_of(lpn), s);
+                }
             }
         }
     }
