@@ -810,7 +810,8 @@ impl KddEngine {
         self.charge_stage(Stage::SsdRead, dt, t);
         if self.cache.state(slot) == PageState::Old {
             let comp = self.read_delta(lba, t)?;
-            let delta = codec::decompress(&comp)?;
+            let mut delta = Vec::with_capacity(data.len());
+            codec::decompress_into(&comp, &mut delta)?;
             // "it takes only tens of microseconds to decompress the delta
             // and combine it with the data" (§IV-B2).
             self.charge_stage(Stage::DeltaDecode, SimTime::from_micros(20), t);
@@ -1501,7 +1502,8 @@ impl KddEngine {
                 let mut deltas = Vec::new();
                 for &lba in &pend {
                     let comp = self.read_delta(lba, t)?;
-                    let full = codec::decompress(&comp)?;
+                    let mut full = Vec::with_capacity(self.page_size());
+                    codec::decompress_into(&comp, &mut full)?;
                     debug_assert_eq!(full.len(), self.page_size());
                     let loc = self.raid.layout().locate(lba);
                     deltas.push((loc.data_index, full));
@@ -1771,7 +1773,8 @@ impl KddEngine {
                             )))
                         }
                     };
-                    let delta = codec::decompress(&comp)?;
+                    let mut delta = Vec::with_capacity(ps);
+                    codec::decompress_into(&comp, &mut delta)?;
                     xor_into(&mut data, &delta);
                 }
                 self.raid.write_no_parity_update(lba, &data)?;
@@ -1903,6 +1906,15 @@ mod tests {
         for i in 0..PS as usize / 10 {
             p[(i * 7) % PS as usize] = tag ^ i as u8;
         }
+        p
+    }
+
+    fn nudged_page(base: &[u8], tag: u8) -> Vec<u8> {
+        // Eight clustered bytes: a delta of a few dozen bytes, so a DEZ
+        // page holds many and loses them one at a time.
+        let mut p = base.to_vec();
+        let at = tag as usize % (PS as usize - 8);
+        p[at..at + 8].fill(tag);
         p
     }
 
@@ -2060,10 +2072,11 @@ mod tests {
 
     #[test]
     fn dez_compaction_preserves_deltas_under_pressure() {
-        // Many hot pages rewritten with small deltas: invalidations decay
-        // DEZ pages; once pinned pages push past 3/4 of the cleaning
-        // trigger the compactor must merge pages without corrupting any
-        // delta.
+        // Many hot pages rewritten in random order with deltas of a few
+        // dozen bytes: a DEZ page holds many and loses them one at a time,
+        // so pages decay to half-empty instead of being freed whole; once
+        // pinned pages push past 3/4 of the cleaning trigger the compactor
+        // must merge them without corrupting any delta.
         // Small pages (512 B) shrink the metadata partition floor, so give
         // this test a roomier one: 96 live mappings need ~5 pages at 22
         // entries/page.
@@ -2081,13 +2094,32 @@ mod tests {
             e.write(lba, &p).unwrap();
             versions.insert(lba, p);
         }
-        for round in 0..3u8 {
-            for &lba in &lbas {
-                let next = similar_page(&versions[&lba], round.wrapping_mul(91) | 1);
-                e.write(lba, &next).unwrap();
-                versions.insert(lba, next);
-            }
+        // Which DEZ page holds each page's delta. A write to one page can
+        // move another page's delta between DEZ pages only through a merge
+        // (commits move deltas from staging, cleaning drops them).
+        let dez_slots = |e: &KddEngine| -> FastMap<u64, u32> {
+            let slot = |(&lba, loc): (&u64, &DeltaLoc)| match loc {
+                DeltaLoc::Dez(r) => Some((lba, r.slot)),
+                DeltaLoc::Staged => None,
+            };
+            e.delta_loc.iter().filter_map(slot).collect()
+        };
+        let mut rng = seeded_rng(14);
+        let mut merged_deltas = 0;
+        let mut before = dez_slots(&e);
+        for _ in 0..600 {
+            let lba = lbas[rng.random_range(0..lbas.len())];
+            let next = nudged_page(&versions[&lba], rng.random());
+            e.write(lba, &next).unwrap();
+            versions.insert(lba, next);
+            let after = dez_slots(&e);
+            merged_deltas += before
+                .iter()
+                .filter(|&(l, slot)| *l != lba && after.get(l).is_some_and(|now| now != slot))
+                .count();
+            before = after;
         }
+        assert!(merged_deltas > 0, "the write pattern never made compact_dez merge a page");
         // Every page must still combine to its latest version.
         for &lba in &lbas {
             let (got, _) = e.read(lba).unwrap();
@@ -2112,13 +2144,13 @@ mod tests {
             let mut e = KddEngine::new(cfg, ssd, raid).unwrap();
             let mut rng = seeded_rng(seed);
             let mut versions: FastMap<u64, Vec<u8>> = FastMap::default();
-            // A few clustered bytes per rewrite: deltas of a few dozen
-            // bytes, so DEZ pages hold many and decay one at a time — the
+            // Small rewrites: DEZ pages decay one delta at a time into the
             // half-empty pages compaction merges.
             let next_version = |versions: &mut FastMap<u64, Vec<u8>>, lba: u64, tag: u8| {
-                let mut next = versions.get(&lba).cloned().unwrap_or_else(|| page(lba));
-                let at = tag as usize % (PS as usize - 8);
-                next[at..at + 8].fill(tag);
+                let next = match versions.get(&lba) {
+                    Some(prev) => nudged_page(prev, tag),
+                    None => nudged_page(&page(lba), tag),
+                };
                 versions.insert(lba, next.clone());
                 next
             };

@@ -15,14 +15,21 @@
 //!   shifted field).
 //!
 //! Because compression runs on *every* write hit, the entry point is a
-//! stateful [`Compressor`] that owns all match-finder scratch (epoch-stamped
-//! head table + chain links + candidate output buffers) so steady-state
-//! compression performs exactly one allocation: the returned buffer. A
-//! sampled **compressibility probe** routes each page before any full pass
+//! stateful [`Compressor`] that owns all match-finder scratch (head table +
+//! chain links + candidate output buffers) so steady-state compression
+//! performs exactly one allocation: the returned buffer. The tables hold
+//! `u16` positions for anything below 64 KiB — 16 KiB + 8 KiB for a 4 KiB
+//! page, resident in L1d next to the page — and are reset by refilling the
+//! head table at the start of each pass. (They used to be a 64 KiB
+//! epoch-stamped `u64` head table plus `u32` links, which spared the refill
+//! and overflowed L1d instead; DESIGN.md "Hot paths" has the before/after.)
+//! A sampled **compressibility probe** routes each page before any full pass
 //! runs: near-all-zero pages take the RLE pass alone, zero-free pages with
 //! repeating 4-grams take the LZ pass alone, zero-free pages without
 //! repetition are stored raw immediately, and only the ambiguous middle runs
-//! both passes and keeps the smaller output.
+//! both passes and keeps the smaller output. The engine's own deltas are
+//! mostly in that middle: they are taken against a cached base several
+//! rewrites old, so about a third of their bytes are zero.
 //!
 //! The output format is unchanged from the original two-pass codec: a
 //! one-byte header records which representation was chosen and the worst
@@ -193,16 +200,18 @@ const GOOD_LEN: usize = 32;
 /// few hundred bytes is not cheaper than just compressing them).
 const PROBE_MIN: usize = 1024;
 
+/// Load 4 little-endian bytes at `pos` (caller guarantees `pos + 4 <= len`).
 #[inline]
-fn lz_hash(bytes: &[u8]) -> usize {
-    // Callers guarantee `bytes.len() >= MIN_MATCH`; zip keeps the load
-    // panic-free regardless (short input hashes the available prefix).
+fn le_u32_at(data: &[u8], pos: usize) -> u32 {
     let mut w = [0u8; 4];
-    for (d, s) in w.iter_mut().zip(bytes) {
-        *d = *s;
-    }
-    let v = u32::from_le_bytes(w);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    w.copy_from_slice(&data[pos..pos + 4]);
+    u32::from_le_bytes(w)
+}
+
+/// Bucket of a 4-gram already loaded as one little-endian word.
+#[inline]
+fn lz_hash(gram: u32) -> usize {
+    (gram.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
 /// Extend a match whose first `MIN_MATCH` bytes the caller has already
@@ -295,27 +304,168 @@ fn probe(data: &[u8]) -> Route {
     }
 }
 
+// ---- Match finder --------------------------------------------------------
+
+/// Index type of the match-finder tables. Pages (and anything else below
+/// 64 KiB) are indexed with `u16`, so head table and chain links together
+/// stay L1-resident.
+trait TablePos: Copy {
+    /// Narrow a position (the caller picked a width that holds it).
+    fn narrow(pos: usize) -> Self;
+    fn widen(self) -> usize;
+}
+
+impl TablePos for u16 {
+    #[inline]
+    fn narrow(pos: usize) -> Self {
+        pos as u16
+    }
+    #[inline]
+    fn widen(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl TablePos for u32 {
+    #[inline]
+    fn narrow(pos: usize) -> Self {
+        pos as u32
+    }
+    #[inline]
+    fn widen(self) -> usize {
+        self as usize
+    }
+}
+
+/// Hash-chain scratch of one index width.
+///
+/// "No position" is the input length `n`, not a fixed all-ones value: it
+/// compares above every real position, and it is itself a valid index into
+/// `chain`, whose slot `n` links to `n` again. A walk can therefore ask
+/// "does the newest candidate have a predecessor?" with one load and no
+/// branch on whether there is a candidate at all.
+struct MatchFinder<P> {
+    /// `hash -> newest position` of this pass; refilled with `n` at the
+    /// start of every pass.
+    head: Vec<P>,
+    /// `position -> previous position with the same hash` at insert time,
+    /// plus the sentinel slot `n`. Never cleared: a pass only follows links
+    /// it wrote itself, because every walk starts at a `head` entry of the
+    /// same pass.
+    chain: Vec<P>,
+}
+
+impl<P: TablePos> MatchFinder<P> {
+    /// Hash-chain LZ77: each position is linked to the previous position
+    /// with the same 4-byte hash, and the finder walks up to [`CHAIN_DEPTH`]
+    /// candidates keeping the longest match (first match wins ties, i.e. the
+    /// shortest distance).
+    fn lz_compress(&mut self, data: &[u8], out: &mut Vec<u8>) {
+        let n = data.len();
+        let none = P::narrow(n);
+        // Refill (and, for the wide tables' first pass, allocate).
+        self.head.clear();
+        self.head.resize(1 << HASH_BITS, none);
+        if self.chain.len() <= n {
+            self.chain.resize(n + 1, none);
+        }
+        // Slicing to the exact lengths lets the optimiser drop the bounds
+        // checks on `head[hash]` and `chain[i]` inside the loop.
+        let head = &mut self.head[..1 << HASH_BITS];
+        let chain = &mut self.chain[..=n];
+        chain[n] = none;
+        let mut i = 0;
+        let mut lit_start = 0;
+        while i + MIN_MATCH <= n {
+            let gram = le_u32_at(data, i);
+            let h = lz_hash(gram);
+            let newest = head[h];
+            chain[i] = newest;
+            head[h] = P::narrow(i);
+            // Most positions of a delta are fresh bytes whose bucket is
+            // empty or holds one colliding position, and whether it does is
+            // a coin flip the branch predictor loses (~40 cycles each, more
+            // than the rest of the position costs). So the walk is entered
+            // only when it can find something — the newest candidate carries
+            // the same 4-gram, or has a predecessor that might — and that
+            // test reads through "no position" without branching on it: the
+            // clamped probe then compares position `i - 1` (equal only
+            // inside a byte run, where entering the walk is harmless) and
+            // `chain[n]` has no predecessor.
+            let mut c = newest.widen();
+            if le_u32_at(data, c.min(i.saturating_sub(1))) != gram && chain[c].widen() >= c {
+                i += 1;
+                continue;
+            }
+            let max_len = (n - i).min(MAX_MATCH);
+            let mut best_len = 0;
+            let mut best_dist = 0;
+            // Links strictly decrease, so `c < limit` ends the walk on "no
+            // position" and makes termination independent of scratch
+            // contents; the distance test is the format's 16-bit offset.
+            let mut limit = i;
+            let mut depth = CHAIN_DEPTH;
+            while c < limit && i - c <= u16::MAX as usize {
+                // Cheap rejection: a candidate can only improve on the
+                // current best if it matches at the first yet-unmatched byte.
+                if le_u32_at(data, c) == gram && data[c + best_len] == data[i + best_len] {
+                    let len = match_len(data, c, i, max_len);
+                    if len > best_len {
+                        best_len = len;
+                        best_dist = i - c;
+                        if len >= max_len || len >= GOOD_LEN {
+                            break;
+                        }
+                    }
+                }
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+                limit = c;
+                c = chain[c].widen();
+            }
+            if best_len >= MIN_MATCH {
+                flush_literals(out, data, lit_start, i);
+                out.push(0x80 | (best_len - MIN_MATCH) as u8);
+                out.extend_from_slice(&(best_dist as u16).to_le_bytes());
+                // Seed the tables inside the match (every other position —
+                // the classic fast-level stride) so later data can still
+                // reference it at half the insert cost.
+                let end = i + best_len;
+                i += 1;
+                while i < end && i + MIN_MATCH <= n {
+                    let h = lz_hash(le_u32_at(data, i));
+                    chain[i] = head[h];
+                    head[h] = P::narrow(i);
+                    i += 2;
+                }
+                i = end;
+                lit_start = i;
+            } else {
+                i += 1;
+            }
+        }
+        flush_literals(out, data, lit_start, n);
+    }
+}
+
 // ---- Compressor ----------------------------------------------------------
 
 /// Stateful compressor owning all match-finder scratch, so steady-state
 /// [`Compressor::compress`] performs exactly one allocation (the returned
 /// buffer).
 ///
-/// The hash-head table is **epoch-stamped**: each entry packs
-/// `(epoch << 32) | position`, the epoch increments on every LZ pass, and an
-/// entry is live only if its epoch matches the current pass. Stale entries
-/// from earlier pages are therefore self-invalidating without an O(table)
-/// clear per call, and the output for a given input is byte-identical no
-/// matter what was compressed before — determinism does not depend on
-/// scratch contents.
+/// The scratch for a 4 KiB page is a 16 KiB head table plus 8 KiB of chain
+/// links (`u16` positions), small enough to stay in L1d next to the page
+/// itself. The head table is refilled at the start of each LZ pass (16 KiB,
+/// ~0.2 µs) and a pass follows no link it did not write, so the output for
+/// a given input is byte-identical no matter what was compressed before.
+/// Inputs of 64 KiB and more run the same routine over `u32` positions in a
+/// second pair of tables, allocated when such an input first arrives.
 pub struct Compressor {
-    /// `hash -> (epoch << 32) | newest position`, live iff epoch matches.
-    head: Vec<u64>,
-    /// `position -> previous position with the same hash` at insert time
-    /// (`u32::MAX` = end of chain). Only positions inserted in the current
-    /// epoch are ever reachable, so stale links are never followed.
-    chain: Vec<u32>,
-    epoch: u32,
+    narrow: MatchFinder<u16>,
+    wide: MatchFinder<u32>,
     /// Candidate outputs for the run-both-passes route.
     rle_buf: Vec<u8>,
     lz_buf: Vec<u8>,
@@ -327,11 +477,14 @@ impl Compressor {
     #[must_use]
     pub fn new() -> Self {
         Compressor {
-            // kdd-waiver(KDD006): one-time scratch construction; every
-            // subsequent compress() reuses these buffers allocation-free.
-            head: vec![0u64; 1 << HASH_BITS],
-            chain: Vec::new(),
-            epoch: 0,
+            narrow: MatchFinder {
+                // kdd-waiver(KDD006): one-time scratch construction; every
+                // subsequent compress() reuses these buffers allocation-free
+                // (the fill value is irrelevant: each pass refills the table).
+                head: vec![u16::MAX; 1 << HASH_BITS],
+                chain: Vec::new(),
+            },
+            wide: MatchFinder { head: Vec::new(), chain: Vec::new() },
             rle_buf: Vec::new(),
             lz_buf: Vec::new(),
         }
@@ -381,90 +534,14 @@ impl Compressor {
         }
     }
 
-    /// Advance the scratch epoch, clearing the head table only on wrap
-    /// (once every 2^32 passes) so entries from prior passes self-expire.
-    fn bump_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.head.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Hash-chain LZ77: each position is linked to the previous position
-    /// with the same 4-byte hash, and the finder walks up to [`CHAIN_DEPTH`]
-    /// candidates keeping the longest match (first match wins ties, i.e. the
-    /// shortest distance).
+    /// Run the LZ pass with the narrowest index type that holds
+    /// `data.len()`, the finder's "no position".
     fn lz_compress(&mut self, data: &[u8], out: &mut Vec<u8>) {
-        self.bump_epoch();
-        if self.chain.len() < data.len() {
-            self.chain.resize(data.len(), 0);
+        if data.len() <= usize::from(u16::MAX) {
+            self.narrow.lz_compress(data, out);
+        } else {
+            self.wide.lz_compress(data, out);
         }
-        let ep = u64::from(self.epoch) << 32;
-        let live = |entry: u64| -> Option<usize> {
-            (entry & !0xFFFF_FFFF == ep).then_some((entry & 0xFFFF_FFFF) as usize)
-        };
-        let mut i = 0;
-        let mut lit_start = 0;
-        while i + MIN_MATCH <= data.len() {
-            let h = lz_hash(&data[i..]);
-            let max_len = (data.len() - i).min(MAX_MATCH);
-            let mut best_len = 0;
-            let mut best_dist = 0;
-            let mut cand = live(self.head[h]);
-            let mut depth = CHAIN_DEPTH;
-            while let Some(c) = cand {
-                if i - c > u16::MAX as usize {
-                    break;
-                }
-                // Cheap rejection: a candidate can only improve on the
-                // current best if it matches at the first yet-unmatched byte.
-                if best_len < max_len
-                    && data[c + best_len] == data[i + best_len]
-                    && data[c..c + MIN_MATCH] == data[i..i + MIN_MATCH]
-                {
-                    let len = match_len(data, c, i, max_len);
-                    if len > best_len {
-                        best_len = len;
-                        best_dist = i - c;
-                        if len >= max_len || len >= GOOD_LEN {
-                            break;
-                        }
-                    }
-                }
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-                let prev = self.chain[c];
-                // Chains are strictly position-decreasing; the guard makes
-                // termination independent of scratch contents.
-                cand = (prev != u32::MAX && (prev as usize) < c).then_some(prev as usize);
-            }
-            self.chain[i] = live(self.head[h]).map_or(u32::MAX, |p| p as u32);
-            self.head[h] = ep | i as u64;
-            if best_len >= MIN_MATCH {
-                flush_literals(out, data, lit_start, i);
-                out.push(0x80 | (best_len - MIN_MATCH) as u8);
-                out.extend_from_slice(&(best_dist as u16).to_le_bytes());
-                // Seed the tables inside the match (every other position —
-                // the classic fast-level stride) so later data can still
-                // reference it at half the insert cost.
-                let end = i + best_len;
-                i += 1;
-                while i < end && i + MIN_MATCH <= data.len() {
-                    let h = lz_hash(&data[i..]);
-                    self.chain[i] = live(self.head[h]).map_or(u32::MAX, |p| p as u32);
-                    self.head[h] = ep | i as u64;
-                    i += 2;
-                }
-                i = end;
-                lit_start = i;
-            } else {
-                i += 1;
-            }
-        }
-        flush_literals(out, data, lit_start, data.len());
     }
 }
 
@@ -512,10 +589,14 @@ fn lz_decompress(mut s: &[u8], out: &mut Vec<u8>) -> Result<(), CompressError> {
                 return Err(CompressError::BadMatchOffset);
             }
             let start = out.len() - dist;
-            // Overlapping copies are legal (dist < len repeats a pattern).
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            // Overlapping copies are legal: `dist < len` repeats the last
+            // `dist` bytes. Everything appended so far is whole periods, so
+            // each round can copy all of it again and the chunks double.
+            let mut copied = 0;
+            while copied < len {
+                let chunk = (len - copied).min(dist + copied);
+                out.extend_from_within(start..start + chunk);
+                copied += chunk;
             }
         }
     }
@@ -549,16 +630,28 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Decompress a buffer produced by [`compress`].
+///
+/// Without a size hint the output is pre-sized to four times the payload;
+/// callers that know the decoded size (the engine always does: one page)
+/// should use [`decompress_into`] with a buffer of that capacity.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
+    let mut out = Vec::with_capacity(data.len().saturating_sub(1) * 4);
+    decompress_into(data, &mut out)?;
+    Ok(out)
+}
+
+/// Decompress a buffer produced by [`compress`] into `out`, replacing its
+/// contents and reusing its capacity. On error `out` holds a decoded prefix.
+pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), CompressError> {
+    out.clear();
     let (&header, payload) = data.split_first().ok_or(CompressError::BadHeader)?;
-    let mut out = Vec::with_capacity(payload.len() * 4);
     match header {
         h if h == DeltaCodec::Raw as u8 => out.extend_from_slice(payload),
-        h if h == DeltaCodec::ZeroRle as u8 => zero_rle_decompress(payload, &mut out)?,
-        h if h == DeltaCodec::Lz as u8 => lz_decompress(payload, &mut out)?,
+        h if h == DeltaCodec::ZeroRle as u8 => zero_rle_decompress(payload, out)?,
+        h if h == DeltaCodec::Lz as u8 => lz_decompress(payload, out)?,
         _ => return Err(CompressError::BadHeader),
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Which codec a compressed buffer used (diagnostics / ablation).
@@ -574,6 +667,9 @@ pub fn codec_of(data: &[u8]) -> Option<DeltaCodec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::content::PageMutator;
+    use crate::xor::xor_pages;
+    use proptest::prelude::*;
 
     fn roundtrip(data: &[u8]) -> usize {
         let c = compress(data);
@@ -686,8 +782,8 @@ mod tests {
 
     #[test]
     fn compressor_reuse_is_deterministic() {
-        // The epoch-stamped scratch must make output a pure function of the
-        // input: interleaving unrelated pages through one Compressor has to
+        // Scratch reuse must leave output a pure function of the input:
+        // interleaving unrelated pages through one Compressor has to
         // produce byte-identical results to fresh compressors.
         let mut shared = Compressor::new();
         let pages: Vec<Vec<u8>> = vec![
@@ -784,16 +880,279 @@ mod tests {
         assert_eq!(probe(&zeros), Route::RleOnly);
         let text = b"req=000001 op=write path=/vol0/seg001/blk ".repeat(100);
         assert_eq!(probe(&text), Route::LzOnly);
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let noise: Vec<u8> = (0..4096)
+        let noise = noise_page(4096, 0x9e37_79b9_7f4a_7c15);
+        assert_eq!(probe(&noise), Route::Raw);
+        assert!(probe(&noise[..512]) == Route::Both, "short inputs skip the probe");
+    }
+    /// The LZ pass as it stood before the tables moved into L1 (64 KiB
+    /// epoch-stamped `u64` head table, `u32` links, byte-zipped hash), kept
+    /// verbatim: its token stream *is* the on-flash format, so the live
+    /// finder is held to it byte for byte.
+    struct ReferenceFinder {
+        head: Vec<u64>,
+        chain: Vec<u32>,
+        epoch: u32,
+    }
+
+    fn reference_lz_hash(bytes: &[u8]) -> usize {
+        let mut w = [0u8; 4];
+        for (d, s) in w.iter_mut().zip(bytes) {
+            *d = *s;
+        }
+        let v = u32::from_le_bytes(w);
+        (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    }
+
+    impl ReferenceFinder {
+        fn new() -> Self {
+            ReferenceFinder { head: vec![0u64; 1 << HASH_BITS], chain: Vec::new(), epoch: 0 }
+        }
+
+        fn bump_epoch(&mut self) {
+            self.epoch = self.epoch.wrapping_add(1);
+            if self.epoch == 0 {
+                self.head.fill(0);
+                self.epoch = 1;
+            }
+        }
+
+        fn lz_compress(&mut self, data: &[u8], out: &mut Vec<u8>) {
+            self.bump_epoch();
+            if self.chain.len() < data.len() {
+                self.chain.resize(data.len(), 0);
+            }
+            let ep = u64::from(self.epoch) << 32;
+            let live = |entry: u64| -> Option<usize> {
+                (entry & !0xFFFF_FFFF == ep).then_some((entry & 0xFFFF_FFFF) as usize)
+            };
+            let mut i = 0;
+            let mut lit_start = 0;
+            while i + MIN_MATCH <= data.len() {
+                let h = reference_lz_hash(&data[i..]);
+                let max_len = (data.len() - i).min(MAX_MATCH);
+                let mut best_len = 0;
+                let mut best_dist = 0;
+                let mut cand = live(self.head[h]);
+                let mut depth = CHAIN_DEPTH;
+                while let Some(c) = cand {
+                    if i - c > u16::MAX as usize {
+                        break;
+                    }
+                    if best_len < max_len
+                        && data[c + best_len] == data[i + best_len]
+                        && data[c..c + MIN_MATCH] == data[i..i + MIN_MATCH]
+                    {
+                        let len = match_len(data, c, i, max_len);
+                        if len > best_len {
+                            best_len = len;
+                            best_dist = i - c;
+                            if len >= max_len || len >= GOOD_LEN {
+                                break;
+                            }
+                        }
+                    }
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                    let prev = self.chain[c];
+                    cand = (prev != u32::MAX && (prev as usize) < c).then_some(prev as usize);
+                }
+                self.chain[i] = live(self.head[h]).map_or(u32::MAX, |p| p as u32);
+                self.head[h] = ep | i as u64;
+                if best_len >= MIN_MATCH {
+                    flush_literals(out, data, lit_start, i);
+                    out.push(0x80 | (best_len - MIN_MATCH) as u8);
+                    out.extend_from_slice(&(best_dist as u16).to_le_bytes());
+                    let end = i + best_len;
+                    i += 1;
+                    while i < end && i + MIN_MATCH <= data.len() {
+                        let h = reference_lz_hash(&data[i..]);
+                        self.chain[i] = live(self.head[h]).map_or(u32::MAX, |p| p as u32);
+                        self.head[h] = ep | i as u64;
+                        i += 2;
+                    }
+                    i = end;
+                    lit_start = i;
+                } else {
+                    i += 1;
+                }
+            }
+            flush_literals(out, data, lit_start, data.len());
+        }
+    }
+
+    /// Both finders, each with the scratch it has accumulated so far.
+    struct Differential {
+        live: Compressor,
+        reference: ReferenceFinder,
+    }
+
+    impl Differential {
+        fn new() -> Self {
+            Differential { live: Compressor::new(), reference: ReferenceFinder::new() }
+        }
+
+        /// LZ token streams of both finders for `data`; they must be equal
+        /// whether or not LZ would win the selection.
+        fn streams(&mut self, data: &[u8]) -> (Vec<u8>, Vec<u8>) {
+            let (mut new, mut old) = (Vec::new(), Vec::new());
+            self.live.lz_compress(data, &mut new);
+            self.reference.lz_compress(data, &mut old);
+            (new, old)
+        }
+    }
+
+    /// A delta against a base `age` rewrites old: what the engine's write
+    /// hits compress (its cached base is several versions behind).
+    fn aged_delta(m: &mut PageMutator, age: usize) -> Vec<u8> {
+        let base = m.initial_page();
+        let mut cur = m.mutate(&base);
+        for _ in 1..age {
+            cur = m.mutate(&cur);
+        }
+        xor_pages(&base, &cur)
+    }
+
+    fn text_page(len: usize, mut n: u32) -> Vec<u8> {
+        let mut page = Vec::with_capacity(len + 64);
+        while page.len() < len {
+            let line = format!(
+                "req={n:06} op=write lat_us={:04} path=/vol0/seg{:03}/blk ",
+                n * 37 % 1000,
+                n % 128
+            );
+            page.extend_from_slice(line.as_bytes());
+            n += 1;
+        }
+        page.truncate(len);
+        page
+    }
+
+    fn noise_page(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 (x >> 32) as u8
             })
-            .collect();
-        assert_eq!(probe(&noise), Route::Raw);
-        assert!(probe(&noise[..512]) == Route::Both, "short inputs skip the probe");
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Arbitrary bytes over alphabets from one symbol (all collisions,
+        /// all matches) to 256 (no matches).
+        #[test]
+        fn lz_stream_matches_reference_on_arbitrary_bytes(
+            raw in proptest::collection::vec(any::<u8>(), 0..8192),
+            alphabet in 1u16..=256,
+        ) {
+            let data: Vec<u8> = raw.iter().map(|&b| (u16::from(b) % alphabet) as u8).collect();
+            let (new, old) = Differential::new().streams(&data);
+            prop_assert_eq!(new, old);
+        }
+
+        /// Aged deltas, several in a row through the same scratch.
+        #[test]
+        fn lz_stream_matches_reference_on_aged_deltas(
+            seed in any::<u64>(),
+            change in 1u32..60,
+            run_len in 1usize..256,
+            ages in proptest::collection::vec(1usize..=12, 1..4),
+        ) {
+            let mut m = PageMutator::new(4096, f64::from(change) / 100.0, run_len, seed);
+            let mut both = Differential::new();
+            for age in ages {
+                let (new, old) = both.streams(&aged_delta(&mut m, age));
+                prop_assert_eq!(new, old, "age {}", age);
+            }
+        }
+
+        /// The adversarial motif pages of `tests/proptest_codec.rs`: short
+        /// periods, overlapping matches, collision-prone step patterns.
+        #[test]
+        fn lz_stream_matches_reference_on_motif_pages(
+            motif in proptest::collection::vec(any::<u8>(), 1..9),
+            reps in 1usize..1500,
+            prefix in proptest::collection::vec(any::<u8>(), 0..32),
+            suffix in proptest::collection::vec(any::<u8>(), 0..32),
+        ) {
+            let mut page = prefix;
+            for _ in 0..reps {
+                page.extend_from_slice(&motif);
+                if page.len() >= 6000 {
+                    break;
+                }
+            }
+            page.extend_from_slice(&suffix);
+            let (new, old) = Differential::new().streams(&page);
+            prop_assert_eq!(new, old);
+        }
+    }
+
+    #[test]
+    fn lz_stream_matches_reference_across_the_index_width_switch() {
+        // 65 535 is the last length indexed with u16; a window-sized
+        // distance (65 535) is only reachable above it.
+        let mut both = Differential::new();
+        let mut m = PageMutator::new(4096, 0.15, 64, 14);
+        let mut deltas = Vec::new();
+        while deltas.len() < 70_000 {
+            deltas.extend_from_slice(&aged_delta(&mut m, 1 + deltas.len() / 4096 % 8));
+        }
+        let mut far = noise_page(70_000, 5);
+        far.copy_within(0..300, 65_535); // a match at exactly the window's reach
+        far.copy_within(300..600, 65_536 + 300); // and one just past it
+        for len in [65_534, 65_535, 65_536, 70_000] {
+            for (what, data) in [
+                ("deltas", &deltas),
+                ("text", &text_page(70_000, 7)),
+                ("far", &far),
+                ("zeros", &vec![0u8; 70_000]),
+            ] {
+                let (new, old) = both.streams(&data[..len]);
+                assert!(new == old, "{what} at {len} bytes: LZ stream diverged");
+                let mut back = Vec::new();
+                lz_decompress(&new, &mut back).unwrap();
+                assert!(back == data[..len], "{what} at {len} bytes: roundtrip failed");
+            }
+        }
+        // Back to a page: the narrow tables are untouched by the wide passes.
+        let page = aged_delta(&mut m, 6);
+        let (new, old) = both.streams(&page);
+        assert_eq!(new, old);
+    }
+
+    /// 256 seeded pages, 64 per probe route. The digest covers every byte
+    /// `compress` returns for them, i.e. what the engine would put on flash:
+    /// a codec change that moves it changes the format (or the selection)
+    /// and must say so.
+    #[test]
+    fn golden_digest_pins_the_on_flash_bytes() {
+        let mut corpus: Vec<(Route, Vec<u8>)> = Vec::new();
+        for k in 0..64u32 {
+            let mut m = PageMutator::new(4096, 0.15, 64, 0x14_0000 + u64::from(k));
+            corpus.push((Route::Both, aged_delta(&mut m, 4 + k as usize % 5)));
+            corpus.push((Route::RleOnly, aged_delta(&mut m, 1)));
+            corpus.push((Route::LzOnly, text_page(4096, k * 1009)));
+            corpus.push((Route::Raw, noise_page(4096, 0x9e37_79b9_7f4a_7c15 ^ u64::from(k) << 8)));
+        }
+        let mut comp = Compressor::new();
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64; // FNV-1a 64
+        let mut codecs = [0usize; 3];
+        for (route, page) in &corpus {
+            assert_eq!(probe(page), *route);
+            let out = comp.compress(page);
+            codecs[out[0] as usize] += 1;
+            for &b in (out.len() as u32).to_le_bytes().iter().chain(&out) {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            assert_eq!(decompress(&out).unwrap(), *page);
+        }
+        assert_eq!(codecs, [64, 128, 64], "raw / zero-RLE / LZ pages");
+        assert_eq!(digest, 0x9e5e_cb31_37fd_d864, "on-flash bytes moved");
     }
 }

@@ -6,7 +6,7 @@
 // "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
-use kdd_delta::codec::{compress, decompress, Compressor};
+use kdd_delta::codec::{compress, decompress, decompress_into, Compressor};
 use kdd_delta::content::PageMutator;
 use kdd_delta::xor::{xor_into, xor_pages};
 use proptest::prelude::*;
@@ -122,6 +122,22 @@ proptest! {
         }
     }
 
+    /// `decompress_into` replaces whatever the buffer held — including the
+    /// longer output of the previous call — and agrees with `decompress`.
+    #[test]
+    fn decompress_into_replaces_buffer_contents(
+        pages in proptest::collection::vec(
+            proptest::collection::vec(0u8..4, 0..4096), 1..6),
+    ) {
+        let mut buf = vec![0xAA; 17];
+        for page in &pages {
+            let c = compress(page);
+            decompress_into(&c, &mut buf).unwrap();
+            prop_assert_eq!(&buf, page);
+            prop_assert_eq!(decompress(&c).unwrap(), page.clone());
+        }
+    }
+
     /// A reused [`Compressor`] (the engine's per-instance scratch state)
     /// produces byte-identical output to a fresh one on every page of a
     /// random mixed sequence — scratch reuse must not leak state.
@@ -136,5 +152,29 @@ proptest! {
             prop_assert_eq!(&reused, &compress(page), "reuse diverged");
             prop_assert_eq!(decompress(&reused).unwrap(), page.clone());
         }
+    }
+}
+
+/// Inputs on both sides of 64 KiB, where the match finder switches from
+/// `u16` to `u32` table positions: one `Compressor` taken back and forth
+/// across the switch round-trips them all and never expands.
+#[test]
+fn codec_roundtrips_across_the_index_width_switch() {
+    let mut m = PageMutator::new(4096, 0.15, 64, 14);
+    let mut data = Vec::new();
+    while data.len() < 70_000 {
+        let base = m.initial_page();
+        let mut cur = m.mutate(&base);
+        for _ in 0..data.len() / 4096 % 6 {
+            cur = m.mutate(&cur);
+        }
+        data.extend_from_slice(&xor_pages(&base, &cur));
+    }
+    let mut comp = Compressor::new();
+    for len in [65_534, 4096, 65_535, 65_536, 4096, 70_000] {
+        let c = comp.compress(&data[..len]);
+        assert!(c.len() <= len + 1, "{len} bytes expanded to {}", c.len());
+        assert_eq!(c, compress(&data[..len]), "{len} bytes: scratch reuse changed the output");
+        assert!(decompress(&c).unwrap() == data[..len], "{len} bytes: roundtrip failed");
     }
 }

@@ -161,6 +161,7 @@ const HOT_ALLOC_TOKENS: &[&str] = &[
     "vec![0u16;",
     "vec![0u32;",
     "vec![0u64;",
+    "vec![u16::MAX;",
     "vec![u32::MAX;",
     "vec![usize::MAX;",
     ".to_vec()",

@@ -17,5 +17,6 @@ pub fn compress_once(data: &[u8]) -> usize {
     let chain = vec![u32::MAX; data.len()];
     let window = vec![0u16; 256];
     let offsets = vec![0u32; 64];
-    head.len() + chain.len() + window.len() + offsets.len()
+    let links = vec![u16::MAX; data.len()];
+    head.len() + chain.len() + window.len() + offsets.len() + links.len()
 }

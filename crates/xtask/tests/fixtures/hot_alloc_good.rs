@@ -16,19 +16,19 @@ pub fn snapshot(data: &[u8]) -> Vec<u8> {
 /// Scratch tables built once and reused across calls — the sanctioned
 /// shape for match-finder state (cf. `delta::codec::Compressor`).
 pub struct Finder {
-    head: Vec<u64>,
-    chain: Vec<u32>,
+    head: Vec<u16>,
+    chain: Vec<u16>,
 }
 
 impl Finder {
     pub fn new() -> Finder {
         // kdd-waiver(KDD006): one-time scratch construction, reused per call.
-        let head = vec![0u64; 1 << 13];
+        let head = vec![u16::MAX; 1 << 13];
         Finder { head, chain: Vec::new() }
     }
 
     pub fn find(&mut self, data: &[u8]) -> usize {
-        self.chain.resize(data.len(), u32::MAX); // grows once, then reused
+        self.chain.resize(data.len(), u16::MAX); // grows once, then reused
         self.head.len() + self.chain.len()
     }
 }

@@ -184,6 +184,7 @@ fn hot_alloc_bad_pins_every_site() {
             (Rule::HotAlloc, 17), // vec![u32::MAX; ...] (chain table)
             (Rule::HotAlloc, 18), // vec![0u16; ...]
             (Rule::HotAlloc, 19), // vec![0u32; ...]
+            (Rule::HotAlloc, 20), // vec![u16::MAX; ...] (u16 index table)
         ]
     );
     let first = report.violations.first().expect("has violations");
