@@ -14,14 +14,15 @@
 //! perfbench --label after           # record under a named run
 //! perfbench --smoke                 # fast CI variant (same schema)
 //! perfbench --validate              # check committed files only
-//! perfbench --gate                  # smoke kernels vs committed baseline
+//! perfbench --gate                  # re-timed kernels vs committed baseline
 //! ```
 //!
-//! `--gate` re-times the kernels in smoke mode and compares each entry
-//! against the **last committed run** in `BENCH_kernels.json`. Ratios are
-//! normalised by the memory-bound `xor_into_4k` reference (its drift
-//! measures the host, not the code), and any kernel more than 30% slower
-//! after normalisation fails the gate.
+//! `--gate` re-times the kernels (minimum of five 5 ms rounds per entry)
+//! and compares each entry against the **last committed run** in
+//! `BENCH_kernels.json`. Ratios are normalised by the memory-bound
+//! `xor_into_4k` reference (its drift measures the host, not the code),
+//! and a kernel more than 30% slower after normalisation in each of up
+//! to three passes fails the gate.
 //!
 //! Determinism note: page contents are fully seeded; only the timings
 //! vary run to run (the bench crate is exempt from KDD003).
@@ -189,8 +190,16 @@ fn kernel_entry(name: &str, bytes: usize, ns: f64) -> Json {
     ])
 }
 
-fn bench_kernels(smoke: bool) -> Vec<Json> {
-    let (rounds, round_ns) = if smoke { (2, 2_000_000) } else { (5, 20_000_000) };
+/// `(rounds, ns per round)` handed to [`time_ns`] for every kernel entry.
+type Rounds = (usize, u64);
+const FULL_ROUNDS: Rounds = (5, 20_000_000);
+const SMOKE_ROUNDS: Rounds = (2, 2_000_000);
+/// The gate fails CI, so its minimum has to survive a busy host: with
+/// five rounds of 5 ms one quiet round per entry is enough (≈ 0.5 s in
+/// all).
+const GATE_ROUNDS: Rounds = (5, 5_000_000);
+
+fn bench_kernels((rounds, round_ns): Rounds) -> Vec<Json> {
     let mut entries = Vec::new();
 
     // Deterministic page contents shared by all kernel benches.
@@ -480,9 +489,26 @@ const GATE_REFERENCE: &str = "xor_into_4k";
 /// A kernel more than 30% slower than baseline (normalized) fails.
 const GATE_THRESHOLD: f64 = 1.30;
 
-/// `--gate`: re-time the kernels (smoke mode) and fail if any regressed
-/// more than [`GATE_THRESHOLD`] against the last committed run, after
-/// normalising out the [`GATE_REFERENCE`] host drift.
+/// Whole re-measurements `--gate` allows itself before failing. A shared
+/// host slows down for longer than any one entry's rounds, and then the
+/// reference and the kernel it normalises are timed under different
+/// conditions. A kernel that really regressed is slow against the
+/// reference of every pass, so an entry is judged by its best pass.
+const GATE_PASSES: usize = 3;
+
+/// One kernel's timing in one gate pass.
+struct GateRow {
+    name: String,
+    base_ns: f64,
+    cur_ns: f64,
+    /// `cur_ns / base_ns` with the pass's host drift divided out.
+    norm: f64,
+}
+
+/// `--gate`: re-time the kernels ([`GATE_ROUNDS`]) and fail if any
+/// regressed more than [`GATE_THRESHOLD`] against the last committed run,
+/// after normalising out the [`GATE_REFERENCE`] host drift, in each of up
+/// to [`GATE_PASSES`] passes.
 fn run_gate(out_dir: &str) -> ! {
     let kpath = format!("{out_dir}/{KERNELS_FILE}");
     let Some(kdoc) = load_doc(&kpath) else {
@@ -494,32 +520,27 @@ fn run_gate(out_dir: &str) -> ! {
         eprintln!("gate: {kpath} has no recorded runs");
         std::process::exit(1);
     }
-    eprintln!("perfbench: gate — kernels (smoke) vs committed baseline ...");
-    let current_entries = bench_kernels(true);
-    let current = run_metrics(&current_entries, "ns_per_iter");
-    let base_of = |name: &str| baseline.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-    let ref_drift = match (
-        current.iter().find(|(n, _)| n == GATE_REFERENCE).map(|(_, v)| *v),
-        base_of(GATE_REFERENCE),
-    ) {
-        (Some(cur), Some(base)) if base > 0.0 && cur > 0.0 => cur / base,
-        _ => 1.0,
-    };
-    eprintln!("gate: reference {GATE_REFERENCE} host drift x{ref_drift:.3}");
-    let mut failed = false;
-    for (name, cur) in &current {
-        let Some(base) = base_of(name) else {
-            eprintln!("  {name:<26} (new kernel; no baseline)");
-            continue;
-        };
-        if base <= 0.0 {
-            continue;
+    eprintln!("perfbench: gate — kernels vs committed baseline ...");
+    let mut best: Vec<GateRow> = Vec::new();
+    for pass in 1..=GATE_PASSES {
+        for row in gate_pass(&run_metrics(&bench_kernels(GATE_ROUNDS), "ns_per_iter"), &baseline) {
+            match best.iter_mut().find(|b| b.name == row.name) {
+                Some(b) if b.norm <= row.norm => {}
+                Some(b) => *b = row,
+                None => best.push(row),
+            }
         }
-        let raw = cur / base;
-        let norm = raw / ref_drift;
+        let over = best.iter().filter(|b| b.norm > GATE_THRESHOLD).count();
+        if over == 0 || pass == GATE_PASSES {
+            break;
+        }
+        eprintln!("gate: {over} over threshold after pass {pass} — re-measuring");
+    }
+    let mut failed = false;
+    for GateRow { name, base_ns: base, cur_ns: cur, norm } in &best {
         let verdict = if name == GATE_REFERENCE {
             "ref"
-        } else if norm > GATE_THRESHOLD {
+        } else if *norm > GATE_THRESHOLD {
             failed = true;
             "FAIL"
         } else {
@@ -527,7 +548,7 @@ fn run_gate(out_dir: &str) -> ! {
         };
         eprintln!(
             "  {name:<26} {base:9.1} -> {cur:9.1} ns/iter  raw {:+6.1}%  norm {:+6.1}%  {verdict}",
-            (raw - 1.0) * 100.0,
+            (cur / base - 1.0) * 100.0,
             (norm - 1.0) * 100.0
         );
     }
@@ -540,6 +561,32 @@ fn run_gate(out_dir: &str) -> ! {
     }
     eprintln!("gate: ok");
     std::process::exit(0);
+}
+
+/// Normalise one pass of timings by that pass's own [`GATE_REFERENCE`]
+/// drift. Kernels without a baseline are reported and skipped.
+fn gate_pass(current: &[(String, f64)], baseline: &[(String, f64)]) -> Vec<GateRow> {
+    let base_of = |name: &str| baseline.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    let ref_drift = match (
+        current.iter().find(|(n, _)| n == GATE_REFERENCE).map(|(_, v)| *v),
+        base_of(GATE_REFERENCE),
+    ) {
+        (Some(cur), Some(base)) if base > 0.0 && cur > 0.0 => cur / base,
+        _ => 1.0,
+    };
+    eprintln!("gate: reference {GATE_REFERENCE} host drift x{ref_drift:.3}");
+    let mut rows = Vec::new();
+    for (name, cur) in current {
+        match base_of(name) {
+            Some(base) if base > 0.0 => {
+                let norm = cur / base / ref_drift;
+                rows.push(GateRow { name: name.clone(), base_ns: base, cur_ns: *cur, norm });
+            }
+            Some(_) => {}
+            None => eprintln!("  {name:<26} (new kernel; no baseline)"),
+        }
+    }
+    rows
 }
 
 fn main() {
@@ -556,7 +603,7 @@ fn main() {
     }
     let mode = if opts.smoke { "smoke" } else { "full" };
     eprintln!("perfbench: kernels ({mode}) ...");
-    let kernel_entries = bench_kernels(opts.smoke);
+    let kernel_entries = bench_kernels(if opts.smoke { SMOKE_ROUNDS } else { FULL_ROUNDS });
     let kpath = format!("{}/{KERNELS_FILE}", opts.out_dir);
     write_kernels_doc(&kpath, &opts.label, mode, kernel_entries);
     eprintln!("perfbench: obs snapshot ...");

@@ -176,7 +176,7 @@ impl CachePolicy for LeavO {
                             self.cache.set_state(slot, PageState::Dirty);
                             fx.ssd_data_writes += 1; // program the new version
                             fx += self.raid.data_write_effects();
-                            self.pending.add(row, lba);
+                            self.pending.add(row, lba, || 0); // LeavO never asks by set
                             self.push_meta(lba, &mut fx);
                         }
                         None => {

@@ -24,11 +24,12 @@ pub use wb::WriteBack;
 pub use wt::WriteThrough;
 
 use crate::effects::{AccessOutcome, Effects};
-use crate::setassoc::SetGrouping;
+use crate::setassoc::{SetAssocCache, SetGrouping};
 use crate::stats::CacheStats;
 use kdd_raid::layout::{Layout, RaidLevel};
 use kdd_trace::record::{Op, Trace};
 use kdd_util::hash::{FastMap, FastSet};
+use std::collections::hash_map::Entry;
 
 /// A caching policy in front of parity RAID.
 pub trait CachePolicy {
@@ -153,6 +154,14 @@ impl RaidModel {
     }
 }
 
+/// The cache set KDD records a pending row under: the set of the row's
+/// first page. With [`SetGrouping::ParityRow`] that is every member's
+/// set; under the set-mapping ablations it stays the one set whose
+/// NoRoom reclaims this row.
+pub fn set_of_row(cache: &SetAssocCache, layout: &Layout, row: u64) -> usize {
+    cache.set_of_lba(layout.row_first_lpn(row))
+}
+
 /// Tracks which rows have pending (delayed) parity and which pages of
 /// each row are involved — shared by LeavO and KDD. Rows are kept in
 /// least-recently-*written* order so the cleaner works coldest-first
@@ -160,7 +169,10 @@ impl RaidModel {
 /// write to a row refreshes its position.
 #[derive(Debug, Clone, Default)]
 pub struct PendingRows {
-    rows: FastMap<u64, FastSet<u64>>,
+    rows: FastMap<u64, PendingRow>,
+    /// Pending rows per cache set (indexed by set, grown on demand), so a
+    /// full set that pins no row is answered without a scan.
+    rows_in_set: Vec<u32>,
     /// Queue of (row, generation); stale generations are skipped lazily
     /// by `oldest_row` and swept by `add` once they outnumber the pending
     /// rows, so the queue's length tracks the rows pending, not the
@@ -172,16 +184,38 @@ pub struct PendingRows {
     pages: u64,
 }
 
+/// One pending row: its pending pages and the cache set a full-set
+/// reclaim finds it under, fixed when the row is created.
+#[derive(Debug, Clone)]
+struct PendingRow {
+    set: usize,
+    lbas: FastSet<u64>,
+}
+
 /// Superseded `order` entries tolerated on top of one per pending row
 /// before `add` sweeps them.
 const ORDER_SLACK: usize = 64;
 
 impl PendingRows {
     /// Record that `lba` (in `row`) has a pending parity update; refreshes
-    /// the row's recency either way.
-    pub fn add(&mut self, row: u64, lba: u64) {
-        let entry = self.rows.entry(row).or_default();
-        if entry.insert(lba) {
+    /// the row's recency either way. `set_of_row` names the cache set
+    /// [`first_row_in_set`](Self::first_row_in_set) will find the row
+    /// under; it is called only when the row is not pending yet.
+    pub fn add(&mut self, row: u64, lba: u64, set_of_row: impl FnOnce() -> usize) {
+        let entry = match self.rows.entry(row) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                let set = set_of_row();
+                if set >= self.rows_in_set.len() {
+                    self.rows_in_set.resize(set + 1, 0);
+                }
+                if let Some(n) = self.rows_in_set.get_mut(set) {
+                    *n += 1;
+                }
+                v.insert(PendingRow { set, lbas: FastSet::default() })
+            }
+        };
+        if entry.lbas.insert(lba) {
             self.pages += 1;
         }
         self.gen += 1;
@@ -216,18 +250,18 @@ impl PendingRows {
 
     /// Whether `lba` specifically is pending.
     pub fn contains(&self, row: u64, lba: u64) -> bool {
-        self.rows.get(&row).is_some_and(|s| s.contains(&lba))
+        self.rows.get(&row).is_some_and(|r| r.lbas.contains(&lba))
     }
 
     /// Remove one page from a row's pending set (e.g. it degraded to a
     /// write-through update); drops the row when it empties.
     pub fn remove(&mut self, row: u64, lba: u64) -> bool {
-        let Some(set) = self.rows.get_mut(&row) else { return false };
-        let removed = set.remove(&lba);
+        let Some(entry) = self.rows.get_mut(&row) else { return false };
+        let removed = entry.lbas.remove(&lba);
         if removed {
             self.pages -= 1;
-            if set.is_empty() {
-                self.rows.remove(&row);
+            if entry.lbas.is_empty() {
+                self.drop_row(row);
             }
         }
         removed
@@ -235,14 +269,23 @@ impl PendingRows {
 
     /// Remove a whole row, returning its pending pages.
     pub fn take_row(&mut self, row: u64) -> Vec<u64> {
-        match self.rows.remove(&row) {
-            Some(set) => {
+        match self.drop_row(row) {
+            Some(entry) => {
                 self.touch.remove(&row);
-                self.pages -= set.len() as u64;
-                set.into_iter().collect()
+                self.pages -= entry.lbas.len() as u64;
+                entry.lbas.into_iter().collect()
             }
             None => Vec::new(),
         }
+    }
+
+    /// Take `row` out of the map and out of its set's count.
+    fn drop_row(&mut self, row: u64) -> Option<PendingRow> {
+        let entry = self.rows.remove(&row)?;
+        if let Some(n) = self.rows_in_set.get_mut(entry.set) {
+            *n -= 1;
+        }
+        Some(entry)
     }
 
     /// Number of distinct pending pages.
@@ -260,11 +303,15 @@ impl PendingRows {
         self.rows.keys().copied().collect()
     }
 
-    /// The first pending row satisfying `pred`, scanning rows in the
-    /// map's iteration order (deterministic for a given history, but
-    /// *not* oldest-first) without allocating.
-    pub fn find_row(&self, mut pred: impl FnMut(u64) -> bool) -> Option<u64> {
-        self.rows.keys().copied().find(|&row| pred(row))
+    /// The first pending row recorded under cache set `set`, in the map's
+    /// iteration order (deterministic for a given history, but *not*
+    /// oldest-first). A set with no pending row — the common case when a
+    /// full set holds only DEZ pages — costs one counter read.
+    pub fn first_row_in_set(&self, set: usize) -> Option<u64> {
+        if self.rows_in_set.get(set).is_none_or(|&n| n == 0) {
+            return None;
+        }
+        self.rows.iter().find(|(_, r)| r.set == set).map(|(&row, _)| row)
     }
 }
 
@@ -312,10 +359,10 @@ mod tests {
     #[test]
     fn pending_rows_bookkeeping() {
         let mut p = PendingRows::default();
-        p.add(3, 100);
-        p.add(3, 101);
-        p.add(3, 100); // duplicate
-        p.add(9, 7);
+        p.add(3, 100, || 0);
+        p.add(3, 101, || 0);
+        p.add(3, 100, || 0); // duplicate
+        p.add(9, 7, || 0);
         assert_eq!(p.pending_pages(), 3);
         assert_eq!(p.pending_rows(), 2);
         assert!(p.contains_row(3));
@@ -337,7 +384,7 @@ mod tests {
         for i in 0..100_000u64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let row = (x >> 33) % 8;
-            p.add(row, row * 100 + i % 4);
+            p.add(row, row * 100 + i % 4, || 0);
             model.retain(|&r| r != row);
             model.push(row);
             assert!(p.order.len() <= 2 * 8 + ORDER_SLACK + 1, "order grew to {}", p.order.len());
@@ -360,15 +407,59 @@ mod tests {
         assert_eq!(p.pending_rows(), 0);
     }
 
-    #[test]
-    fn find_row_scans_pending_rows_only() {
-        let mut p = PendingRows::default();
-        for row in [4u64, 9, 17] {
-            p.add(row, row * 10);
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Against a naive row → (set, pages) model under random `add` /
+        /// `remove` / `take_row`: the NoRoom query returns the first id of
+        /// `row_ids()` recorded under that set, the per-set counts equal a
+        /// recount, and a count is zero exactly when the query is `None`.
+        #[test]
+        fn first_row_in_set_matches_naive_model(
+            ops in proptest::collection::vec((0u8..4, 0u64..12, 0u64..3), 0..200),
+        ) {
+            const SETS: usize = 4;
+            let mut p = PendingRows::default();
+            let mut model: std::collections::BTreeMap<u64, (usize, Vec<u64>)> = Default::default();
+            // A row's set is decided when it is created — here by the op
+            // index, so the same row id lands in different sets over time.
+            for (i, &(op, row, page)) in ops.iter().enumerate() {
+                let lba = row * 8 + page;
+                match op {
+                    0 | 1 => {
+                        p.add(row, lba, || i % SETS);
+                        let (_, lbas) = model.entry(row).or_insert((i % SETS, Vec::new()));
+                        if !lbas.contains(&lba) {
+                            lbas.push(lba);
+                        }
+                    }
+                    2 => {
+                        let had = model.get(&row).is_some_and(|(_, l)| l.contains(&lba));
+                        proptest::prop_assert_eq!(p.remove(row, lba), had);
+                        if had {
+                            model.get_mut(&row).unwrap().1.retain(|&l| l != lba);
+                            model.retain(|_, (_, l)| !l.is_empty());
+                        }
+                    }
+                    _ => {
+                        let mut got = p.take_row(row);
+                        got.sort_unstable();
+                        let mut want = model.remove(&row).map(|(_, l)| l).unwrap_or_default();
+                        want.sort_unstable();
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                }
+                proptest::prop_assert_eq!(p.pending_rows(), model.len());
+                let ids = p.row_ids();
+                for set in 0..SETS + 1 {
+                    let naive = ids.iter().copied().find(|r| model.get(r).is_some_and(|m| m.0 == set));
+                    proptest::prop_assert_eq!(p.first_row_in_set(set), naive);
+                    let recount = model.values().filter(|(s, _)| *s == set).count();
+                    let count = p.rows_in_set.get(set).copied().unwrap_or(0);
+                    proptest::prop_assert_eq!(count as usize, recount);
+                    proptest::prop_assert_eq!(count == 0, naive.is_none());
+                }
+            }
         }
-        p.take_row(9);
-        assert_eq!(p.find_row(|r| r == 9), None);
-        assert_eq!(p.find_row(|r| r > 4), Some(17));
-        assert_eq!(p.find_row(|_| true), p.row_ids().first().copied());
     }
 }

@@ -31,11 +31,12 @@
 use crate::config::KddConfig;
 use crate::metalog::{CommitBatch, LogEntry, MetaLog};
 use crate::staging::StagingBuffer;
+use crate::two_smallest_by_key;
 use kdd_blockdev::error::{DevError, FaultDomain};
 use kdd_blockdev::fault::FaultInjector;
 use kdd_blockdev::nvram::Nvram;
 use kdd_blockdev::ssd::SsdDevice;
-use kdd_cache::policies::PendingRows;
+use kdd_cache::policies::{set_of_row, PendingRows};
 use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
 use kdd_cache::stats::CacheStats;
 use kdd_delta::codec;
@@ -264,31 +265,6 @@ fn pack_dez_page<'a>(
         data_off += len;
     }
     refs
-}
-
-/// The two items with the smallest keys, `(smallest, runner-up)`, ties
-/// going to the item met first — exactly elements 0 and 1 of a stable
-/// `sort_by_key` over the same sequence, in one pass and no allocation.
-fn two_smallest_by_key<T: Copy>(
-    items: impl Iterator<Item = T>,
-    key: impl Fn(&T) -> u32,
-) -> Option<(T, T)> {
-    let mut best: Option<T> = None;
-    let mut second: Option<T> = None;
-    for item in items {
-        match best {
-            Some(b) if key(&item) >= key(&b) => {
-                if second.is_none_or(|s| key(&item) < key(&s)) {
-                    second = Some(item);
-                }
-            }
-            _ => {
-                second = best;
-                best = Some(item);
-            }
-        }
-    }
-    best.zip(second)
 }
 
 /// NVRAM-resident state: survives power failure.
@@ -746,6 +722,10 @@ impl KddEngine {
         Ok(())
     }
 
+    /// A slot for a new DEZ page: a free one from the set with the fewest
+    /// DEZ pages, else the slot of an evicted clean page. That victim is
+    /// the first *Clean* page in slot order, not the coldest — so the
+    /// lowest sets are the ones that fill up with DEZ pages.
     fn alloc_dez_slot(&mut self, t: &mut SimTime) -> Result<Option<u32>, EngineError> {
         if let Some(slot) = self.cache.alloc_delta_slot() {
             return Ok(Some(slot));
@@ -1160,7 +1140,7 @@ impl KddEngine {
                                 self.release_dez_ref(lba, r)?;
                             }
                             let row = self.raid.layout().row_of(lba);
-                            self.pending_rows.add(row, lba);
+                            self.add_pending(row, lba);
                             true
                         }
                         Err(RaidError::DiskFailed { .. })
@@ -1180,7 +1160,7 @@ impl KddEngine {
                     let mut rest = self.pending_rows.take_row(row);
                     rest.retain(|&l| l != lba);
                     for &l in &rest {
-                        self.pending_rows.add(row, l);
+                        self.add_pending(row, l);
                     }
                     // On a stale row the array reconstructs parity from
                     // current member data, absorbing every pending delta
@@ -1280,14 +1260,27 @@ impl KddEngine {
         }
     }
 
+    /// Mark `lba` pending in `row`; a new row is recorded under the set a
+    /// NoRoom reclaim will find it in.
+    fn add_pending(&mut self, row: u64, lba: u64) {
+        let (cache, layout) = (&self.cache, self.raid.layout());
+        self.pending_rows.add(row, lba, || set_of_row(cache, layout, row));
+    }
+
     /// Clean one pending row whose pages map to `set` — the first that
-    /// [`PendingRows::find_row`] meets, not the oldest; false when none
-    /// exists.
+    /// [`PendingRows::first_row_in_set`] meets, not the oldest; false
+    /// when none exists.
     fn clean_one_row_in_set(&mut self, set: usize, t: &mut SimTime) -> Result<bool, EngineError> {
-        let layout = self.raid.layout();
-        let row = self
-            .pending_rows
-            .find_row(|row| self.cache.set_of_lba(layout.row_first_lpn(row)) == set);
+        let row = self.pending_rows.first_row_in_set(set);
+        debug_assert_eq!(
+            row,
+            self.pending_rows.row_ids().into_iter().find(|&r| set_of_row(
+                &self.cache,
+                self.raid.layout(),
+                r
+            ) == set),
+            "recorded row sets drifted from the directory's mapping"
+        );
         match row {
             Some(row) => {
                 self.clean_row(row, t)?;
@@ -1497,7 +1490,7 @@ impl KddEngine {
                 // RMW: fold each pending page's decompressed delta.
                 let pend: Vec<u64> = self.pending_rows.take_row(row).into_iter().collect();
                 for &l in &pend {
-                    self.pending_rows.add(row, l); // peek semantics
+                    self.add_pending(row, l); // peek semantics
                 }
                 let mut deltas = Vec::new();
                 for &lba in &pend {
@@ -1659,9 +1652,10 @@ impl KddEngine {
         }
 
         // 3. Rebuild the directory, DEZ accounting and pending rows.
+        let layout = self.raid.layout();
         let grouping = kdd_cache::setassoc::SetGrouping::ParityRow {
-            chunk_pages: self.raid.layout().chunk_pages,
-            data_disks: self.raid.layout().data_disks() as u64,
+            chunk_pages: layout.chunk_pages,
+            data_disks: layout.data_disks() as u64,
         };
         let mut cache = SetAssocCache::new_grouped(config.geometry, grouping);
         let mut delta_loc: FastMap<u64, DeltaLoc> = FastMap::default();
@@ -1673,7 +1667,8 @@ impl KddEngine {
                 EntryState::Clean => cache.insert_at(e.slot, e.lba_raid, PageState::Clean),
                 EntryState::Old => {
                     cache.insert_at(e.slot, e.lba_raid, PageState::Old);
-                    pending_rows.add(self.raid.layout().row_of(e.lba_raid), e.lba_raid);
+                    let row = layout.row_of(e.lba_raid);
+                    pending_rows.add(row, e.lba_raid, || set_of_row(&cache, layout, row));
                     if let Some(r) = e.dez {
                         delta_loc.insert(e.lba_raid, DeltaLoc::Dez(r));
                         let info = dez.entry(r.slot).or_default();
@@ -1712,7 +1707,8 @@ impl KddEngine {
             if cache.state(slot) != PageState::Old {
                 cache.set_state(slot, PageState::Old);
             }
-            pending_rows.add(self.raid.layout().row_of(lba), lba);
+            let row = layout.row_of(lba);
+            pending_rows.add(row, lba, || set_of_row(&cache, layout, row));
         }
 
         // 5. Rows whose parity update was in flight when power failed are

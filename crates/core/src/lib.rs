@@ -34,3 +34,29 @@ pub use engine::{KddEngine, WriteRequest};
 pub use metalog::{CommitBatch, KeyEntry, LogEntry, MetaLog};
 pub use policy::KddPolicy;
 pub use staging::{DeltaPayload, StagingBuffer};
+
+/// The two items with the smallest keys, `(smallest, runner-up)`, ties
+/// going to the item met first — exactly elements 0 and 1 of a stable
+/// `sort_by_key` over the same sequence, in one pass and no allocation.
+/// DEZ compaction picks its merge victims with it in both implementations.
+pub(crate) fn two_smallest_by_key<T: Copy>(
+    items: impl Iterator<Item = T>,
+    key: impl Fn(&T) -> u32,
+) -> Option<(T, T)> {
+    let mut best: Option<T> = None;
+    let mut second: Option<T> = None;
+    for item in items {
+        match best {
+            Some(b) if key(&item) >= key(&b) => {
+                if second.is_none_or(|s| key(&item) < key(&s)) {
+                    second = Some(item);
+                }
+            }
+            _ => {
+                second = best;
+                best = Some(item);
+            }
+        }
+    }
+    best.zip(second)
+}
