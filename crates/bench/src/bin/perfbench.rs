@@ -27,6 +27,7 @@
 //! Determinism note: page contents are fully seeded; only the timings
 //! vary run to run (the bench crate is exempt from KDD003).
 
+// kdd-lint: allow-file(layering) -- `raid5_write_page_rmw_4k` times `RaidArray::write_page` itself, on a throwaway array of its own: there is no engine whose accounting or crash ordering the raw writes could bypass.
 // Indexing and narrowing casts here are bounds-audited (offsets from
 // length-checked parses; sizes bounded by construction). See DESIGN.md
 // "Static analysis & invariants".
@@ -40,13 +41,14 @@ use kdd_bench::perfjson::{self, obj, Json};
 use kdd_blockdev::SsdDevice;
 use kdd_cache::CacheGeometry;
 use kdd_core::{KddConfig, KddEngine};
-use kdd_delta::codec::{compress, decompress, Compressor};
+use kdd_delta::codec::{compress, decompress, xor_decoded_into, Compressor};
 use kdd_delta::content::PageMutator;
 use kdd_delta::xor::{is_all_zero, xor2_into, xor_into, xor_pages, xor_pages_into, zero_fraction};
 use kdd_obs::{Recorder, RecorderConfig};
 use kdd_raid::{gf256, Layout, RaidArray, RaidLevel};
 use kdd_sim::replay_engine;
 use kdd_trace::synth::PaperTrace;
+use kdd_util::hash::crc32;
 use kdd_util::units::SimTime;
 
 const PAGE: usize = 4096;
@@ -330,6 +332,39 @@ fn bench_kernels((rounds, round_ns): Rounds) -> Vec<Json> {
     });
     entries.push(kernel_entry("decompress_4k_aged_delta", PAGE, ns));
     eprintln!("  decompress_4k_aged_delta {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
+
+    // The read hit's combine on an *old* page: the same deltas folded into
+    // a page straight from their compressed form.
+    let mut scratch = Vec::new();
+    let ns = time_ns(rounds, round_ns, || {
+        let comp = black_box(&aged_compressed[turn % aged.len()]);
+        black_box(xor_decoded_into(comp, black_box(&mut buf), &mut scratch).is_ok());
+        turn += 1;
+    });
+    entries.push(kernel_entry("xor_decoded_into_4k_aged_delta", PAGE, ns));
+    eprintln!("  xor_decoded_into_4k_aged {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
+
+    // What every metadata-log page pays on commit and on the recovery scan.
+    let ns = time_ns(rounds, round_ns, || {
+        black_box(crc32(black_box(&p0)));
+    });
+    entries.push(kernel_entry("crc32_4k", PAGE, ns));
+    eprintln!("  crc32_4k                 {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
+
+    // The conventional small write (`P ^= D_old ^ D_new`) on a healthy
+    // RAID-5×5, rotating over 64 rows so parity and data pages change.
+    let mut array = RaidArray::new(Layout::new(RaidLevel::Raid5, 5, 16, 16 * 64), PAGE as u32);
+    let lpns: Vec<u64> = (0..64).map(|row| row * 4 + row % 4).collect();
+    for &lpn in &lpns {
+        array.write_page(lpn, &p0).expect("healthy array");
+    }
+    let ns = time_ns(rounds, round_ns, || {
+        let page = if turn / lpns.len() % 2 == 0 { &p1 } else { &p0 };
+        black_box(array.write_page(lpns[turn % lpns.len()], black_box(page)).is_ok());
+        turn += 1;
+    });
+    entries.push(kernel_entry("raid5_write_page_rmw_4k", PAGE, ns));
+    eprintln!("  raid5_write_page_rmw_4k  {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
 
     entries
 }

@@ -100,6 +100,17 @@ impl SsdDevice {
         Ok(cost.service_time(self.ftl.timings()))
     }
 
+    /// Lend a logical page for reading, with its service time: the same
+    /// device operation as [`SsdDevice::read_page`] without the copy (see
+    /// [`MemStore::page`] for when a private copy is lent instead).
+    pub fn page(&mut self, lpn: u64) -> Result<(&[u8], SimTime), DevError> {
+        if self.failed {
+            return Err(DevError::failed(FaultDomain::Ssd));
+        }
+        let time = self.ftl.read(lpn)?.service_time(self.ftl.timings());
+        Ok((self.store.page(lpn)?, time))
+    }
+
     /// Read several logical pages concurrently; the service time is the
     /// maximum over the channels involved (the SSD-internal parallelism
     /// KDD leans on to fetch data and delta together, §IV-B2).

@@ -35,6 +35,10 @@ pub struct MemStore {
     failed: bool,
     injector: Option<FaultInjector>,
     domain: FaultDomain,
+    /// What [`MemStore::page`] lends when it cannot lend a resident page:
+    /// zeros for an unwritten one, a private copy under fault injection.
+    /// Sized on first use.
+    scratch: Vec<u8>,
 }
 
 impl MemStore {
@@ -48,6 +52,7 @@ impl MemStore {
             failed: false,
             injector: None,
             domain: FaultDomain::Unknown,
+            scratch: Vec::new(),
         }
     }
 
@@ -89,6 +94,61 @@ impl MemStore {
     /// Number of pages that have ever been written (resident set).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Lend page `lpn` for reading (an unwritten page reads as zeros).
+    ///
+    /// Without a [`FaultInjector`] the resident page itself is lent and
+    /// nothing is copied. With one attached the call is
+    /// [`PageStore::read_page`] into a private buffer, so corruption and
+    /// failure outcomes, the device's op order and the injector's
+    /// `op_count` are exactly those of the copying read.
+    pub fn page(&mut self, lpn: u64) -> Result<&[u8], DevError> {
+        if self.injector.is_none() {
+            self.check(lpn)?;
+            return Ok(match self.pages.get(&lpn) {
+                Some(page) => page,
+                None => {
+                    self.scratch.clear();
+                    self.scratch.resize(self.page_size as usize, 0);
+                    &self.scratch
+                }
+            });
+        }
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.resize(self.page_size as usize, 0);
+        let read = self.read_page(lpn, &mut buf);
+        self.scratch = buf;
+        read.map(|()| self.scratch.as_slice())
+    }
+
+    /// Read-modify-write page `lpn` through `f`, in place when the page is
+    /// resident (an unwritten page starts as zeros and becomes resident).
+    ///
+    /// The same rule as [`MemStore::page`]: with a [`FaultInjector`]
+    /// attached this is [`PageStore::read_page`], `f` on a private buffer,
+    /// then [`PageStore::write_page`] — two device ops that can fail, tear
+    /// or corrupt as before.
+    pub fn update_page<R>(
+        &mut self,
+        lpn: u64,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, DevError> {
+        if self.injector.is_none() {
+            self.check(lpn)?;
+            let ps = self.page_size as usize;
+            // kdd-waiver(KDD006): the first write to a sparse page materialises it; a resident page is updated in place.
+            let page = self.pages.entry(lpn).or_insert_with(|| vec![0u8; ps].into_boxed_slice());
+            return Ok(f(page));
+        }
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.resize(self.page_size as usize, 0);
+        let done = self.read_page(lpn, &mut buf).and_then(|()| {
+            let out = f(&mut buf);
+            self.write_page(lpn, &buf).map(|()| out)
+        });
+        self.scratch = buf;
+        done
     }
 
     fn check(&self, lpn: u64) -> Result<(), DevError> {
@@ -242,6 +302,88 @@ mod tests {
         assert_eq!(buf, [9, 9, 3, 4], "torn write keeps the old suffix");
         assert_eq!(inj.counters().torn_writes, 1);
         assert_eq!(inj.op_count(), 4);
+    }
+
+    /// `page` and `update_page` against `read_page` / `write_page` on a
+    /// twin store, one call at a time; `injected` runs the borrowed side
+    /// behind an empty-plan injector (the copying path).
+    fn borrowed_access_matches_copying(injected: bool) {
+        let mut lent = MemStore::new(8, 16);
+        let mut copied = MemStore::new(8, 16);
+        let injector = FaultInjector::none();
+        if injected {
+            lent.attach_injector(injector.clone(), FaultDomain::Unknown);
+        }
+        let fold = |page: &mut [u8], tag: u8| {
+            for (b, i) in page.iter_mut().zip(0u8..) {
+                *b ^= tag.wrapping_add(i);
+            }
+        };
+        let check = |lent: &mut MemStore, copied: &MemStore, lpn: u64| {
+            let mut buf = [0u8; 16];
+            let expect = copied.read_page(lpn, &mut buf).map(|()| buf.to_vec());
+            assert_eq!(lent.page(lpn).map(<[u8]>::to_vec), expect, "page {lpn}");
+        };
+        let mut buf = [0u8; 16];
+        // Unwritten, then updated from zeros, then updated while resident.
+        check(&mut lent, &copied, 3);
+        for tag in [0x11, 0x5A] {
+            assert_eq!(lent.update_page(3, |p| fold(p, tag)), Ok(()));
+            copied.read_page(3, &mut buf).unwrap();
+            fold(&mut buf, tag);
+            copied.write_page(3, &buf).unwrap();
+            check(&mut lent, &copied, 3);
+        }
+        assert_eq!(lent.resident_pages(), copied.resident_pages());
+        // Written by the copying call, lent back; a neighbour stays zero.
+        lent.write_page(5, &[7u8; 16]).unwrap();
+        copied.write_page(5, &[7u8; 16]).unwrap();
+        check(&mut lent, &copied, 5);
+        check(&mut lent, &copied, 4);
+        // Trimmed: zeros again, and an update re-materialises it.
+        lent.trim_page(3).unwrap();
+        copied.trim_page(3).unwrap();
+        check(&mut lent, &copied, 3);
+        assert_eq!(lent.update_page(3, |p| p.fill(9)), Ok(()));
+        copied.write_page(3, &[9u8; 16]).unwrap();
+        check(&mut lent, &copied, 3);
+        // Out of range and failed devices refuse both forms, untouched.
+        check(&mut lent, &copied, 8);
+        assert!(matches!(lent.update_page(8, |_| ()), Err(DevError::OutOfRange { .. })));
+        lent.fail();
+        copied.fail();
+        check(&mut lent, &copied, 5);
+        assert_eq!(lent.update_page(5, |_| ()), Err(DevError::failed(lent.domain())));
+        // One device op per lend, two per update — or none at all.
+        assert_eq!(injector.op_count(), if injected { 15 } else { 0 });
+    }
+
+    #[test]
+    fn borrowed_access_matches_copying_in_place() {
+        borrowed_access_matches_copying(false);
+    }
+
+    #[test]
+    fn borrowed_access_matches_copying_under_an_injector() {
+        borrowed_access_matches_copying(true);
+    }
+
+    #[test]
+    fn borrowed_access_sees_injected_faults() {
+        use crate::fault::FaultPlan;
+        // op 1: corrupt read; op 3 (the write half of an update): torn
+        // after 2 bytes; op 4: transient failure of an update's read.
+        let plan = FaultPlan::new()
+            .corrupt(1, FaultDomain::Disk(1), 0, 1)
+            .torn_write(3, FaultDomain::Disk(1), 2)
+            .transient(4, FaultDomain::Disk(1));
+        let mut s = MemStore::new(8, 4);
+        s.attach_injector(FaultInjector::new(plan), FaultDomain::Disk(1));
+        s.write_page(0, &[1, 2, 3, 4]).unwrap(); // op 0
+        assert_eq!(s.page(0).unwrap(), [!1, 2, 3, 4], "the lent copy is corrupted");
+        s.update_page(0, |p| p.fill(9)).unwrap(); // ops 2 and 3
+        assert!(s.update_page(0, |p| p.fill(7)).unwrap_err().is_transient());
+        assert_eq!(s.page(0).unwrap(), [9, 9, 3, 4], "torn update keeps the old suffix");
     }
 
     #[test]

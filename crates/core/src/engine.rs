@@ -29,7 +29,7 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::config::KddConfig;
-use crate::metalog::{CommitBatch, LogEntry, MetaLog};
+use crate::metalog::{CommitBatch, LogEntry, MetaLog, PartitionTooSmall};
 use crate::staging::StagingBuffer;
 use crate::two_smallest_by_key;
 use kdd_blockdev::error::{DevError, FaultDomain};
@@ -40,7 +40,7 @@ use kdd_cache::policies::{set_of_row, PendingRows};
 use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
 use kdd_cache::stats::CacheStats;
 use kdd_delta::codec;
-use kdd_delta::xor::xor_into;
+use kdd_delta::xor::xor_pages_into;
 use kdd_obs::{Completion, HitClass, Recorder, ReqKind, Sample, Stage, StageTimes};
 use kdd_raid::array::{RaidArray, RaidCost, RaidError};
 use kdd_util::hash::{crc32_update, FastMap};
@@ -82,6 +82,12 @@ impl From<RaidError> for EngineError {
 impl From<codec::CompressError> for EngineError {
     fn from(e: codec::CompressError) -> Self {
         EngineError::Codec(e)
+    }
+}
+
+impl From<PartitionTooSmall> for EngineError {
+    fn from(e: PartitionTooSmall) -> Self {
+        EngineError::Layout(e.to_string())
     }
 }
 
@@ -240,31 +246,43 @@ struct DezInfo {
     live: u32,
 }
 
-/// Lay `count` deltas out as one DEZ page image — a `[count: u16]` header,
-/// a directory of `(lba: u64, off: u16, len: u16)` records, then the
-/// compressed payloads — and return where each delta landed. The caller
-/// has checked that they fit.
-fn pack_dez_page<'a>(
-    page: &mut [u8],
+/// One DEZ page image being laid out — a `[count: u16]` header, a
+/// directory of `(lba: u64, off: u16, len: u16)` records, then the
+/// compressed payloads — one delta at a time, each copied from wherever it
+/// currently lies. The caller has checked that all `count` of them fit.
+struct DezPacker {
+    page: Box<[u8]>,
     slot: u32,
-    count: usize,
-    deltas: impl Iterator<Item = (u64, &'a [u8])>,
-) -> Vec<(u64, DeltaRef)> {
-    page[..2].copy_from_slice(&(count as u16).to_le_bytes());
-    let mut dir_off = 2;
-    let mut data_off = 2 + count * 12;
-    let mut refs = Vec::with_capacity(count);
-    for (lba, payload) in deltas {
-        let len = payload.len();
-        page[dir_off..dir_off + 8].copy_from_slice(&lba.to_le_bytes());
-        page[dir_off + 8..dir_off + 10].copy_from_slice(&(data_off as u16).to_le_bytes());
-        page[dir_off + 10..dir_off + 12].copy_from_slice(&(len as u16).to_le_bytes());
-        page[data_off..data_off + len].copy_from_slice(payload);
-        refs.push((lba, DeltaRef { slot, off: data_off as u16, len: len as u16 }));
-        dir_off += 12;
-        data_off += len;
+    dir_off: usize,
+    data_off: usize,
+    /// Where each delta landed.
+    refs: Vec<(u64, DeltaRef)>,
+}
+
+impl DezPacker {
+    /// Start a page of `count` deltas for cache slot `slot` in the zeroed
+    /// buffer `page`.
+    fn new(mut page: Box<[u8]>, slot: u32, count: usize) -> Self {
+        page[..2].copy_from_slice(&(count as u16).to_le_bytes());
+        DezPacker {
+            page,
+            slot,
+            dir_off: 2,
+            data_off: 2 + count * 12,
+            refs: Vec::with_capacity(count),
+        }
     }
-    refs
+
+    fn push(&mut self, lba: u64, payload: &[u8]) {
+        let (dir, data, len) = (self.dir_off, self.data_off, payload.len());
+        self.page[dir..dir + 8].copy_from_slice(&lba.to_le_bytes());
+        self.page[dir + 8..dir + 10].copy_from_slice(&(data as u16).to_le_bytes());
+        self.page[dir + 10..dir + 12].copy_from_slice(&(len as u16).to_le_bytes());
+        self.page[data..data + len].copy_from_slice(payload);
+        self.refs.push((lba, DeltaRef { slot: self.slot, off: data as u16, len: len as u16 }));
+        self.dir_off += 12;
+        self.data_off += len;
+    }
 }
 
 /// NVRAM-resident state: survives power failure.
@@ -308,6 +326,9 @@ pub struct KddEngine {
     /// across write hits so the compress path allocates nothing but the
     /// compressed payload itself.
     codec: codec::Compressor,
+    /// Where an LZ-coded delta is decoded before it is folded into a page
+    /// ([`codec::xor_decoded_into`]); reused across requests.
+    decode_scratch: Vec<u8>,
     /// While true (inside [`KddEngine::write_batch`]), metalog page
     /// commits accumulate in `meta_pending` instead of being persisted
     /// per-entry; the NVRAM inflight copies keep them crash-safe until
@@ -327,6 +348,13 @@ impl KddEngine {
     /// Build an engine: the SSD's first `meta_partition_pages` form the
     /// metadata partition, the rest back the cache slots (Figure 2).
     pub fn new(config: KddConfig, ssd: SsdDevice, raid: RaidArray) -> Result<Self, EngineError> {
+        let ps = config.geometry.page_size as usize;
+        if ps < META_HDR + ENTRY_BYTES {
+            return Err(EngineError::Layout(format!(
+                "{ps}-byte pages are too small for the metadata log: a log page is a \
+                 {META_HDR}-byte header plus at least one {ENTRY_BYTES}-byte mapping entry"
+            )));
+        }
         let meta_pages = config.meta_partition_pages();
         let need = meta_pages + config.geometry.total_pages;
         if need > ssd.capacity_pages() {
@@ -345,8 +373,7 @@ impl KddEngine {
             chunk_pages: raid.layout().chunk_pages,
             data_disks: raid.layout().data_disks() as u64,
         };
-        let epp = (config.geometry.page_size as usize - META_HDR) / ENTRY_BYTES;
-        let mut metalog = MetaLog::new(meta_pages, epp);
+        let mut metalog = MetaLog::new(meta_pages, (ps - META_HDR) / ENTRY_BYTES);
         // Keep unconfirmed commits in NVRAM so recovery can redo a torn
         // tail page instead of failing on it.
         metalog.enable_inflight_tracking();
@@ -370,6 +397,7 @@ impl KddEngine {
             last_class: HitClass::ReadMiss,
             last_comp_milli: 0,
             codec: codec::Compressor::new(),
+            decode_scratch: Vec::new(),
             meta_defer: false,
             meta_pending: Vec::new(),
             cur_stages: StageTimes::new(),
@@ -605,7 +633,7 @@ impl KddEngine {
     }
 
     fn log_entry(&mut self, e: MapEntry, t: &mut SimTime) -> Result<(), EngineError> {
-        let batches = self.metalog.push(e);
+        let batches = self.metalog.push(e)?;
         self.queue_batches(batches, t)
     }
 
@@ -677,10 +705,11 @@ impl KddEngine {
                 // Fully pinned cache: the rest simply stays staged.
                 return Ok(());
             };
-            let mut page = self.pool.acquire();
-            let batch =
-                self.nv.get().staging.snapshot().take(count).map(|(lba, p)| (lba, p.as_slice()));
-            let refs = pack_dez_page(&mut page, slot, count, batch);
+            let mut packer = DezPacker::new(self.pool.acquire(), slot, count);
+            for (lba, payload) in self.nv.get().staging.snapshot().take(count) {
+                packer.push(lba, payload);
+            }
+            let DezPacker { page, refs, .. } = packer;
             let dt = self.ssd.write_page(self.slot_lpn(slot), &page)?;
             self.charge_stage(Stage::StagingCommit, dt, t);
             self.pool.release(page);
@@ -705,7 +734,7 @@ impl KddEngine {
                     dez: Some(*r),
                 });
             }
-            let batches = self.metalog.push_group(entries);
+            let batches = self.metalog.push_group(entries)?;
             self.queue_batches(batches, t)?;
             // The page's bytes become live as `delta_loc` turns to them.
             let mut live = 0u32;
@@ -751,29 +780,44 @@ impl KddEngine {
         Ok(())
     }
 
-    /// Fetch the staged or committed compressed delta for an *old* page.
-    fn read_delta(&mut self, lba: u64, t: &mut SimTime) -> Result<Vec<u8>, EngineError> {
-        match self.delta_loc.get(&lba) {
-            Some(DeltaLoc::Staged) => Ok(self
-                .nv
-                .get()
-                .staging
-                .get(lba)
-                .ok_or(EngineError::Inconsistent("staged delta index broken"))?
-                // kdd-waiver(KDD006): the compressed payload is returned to the caller by value; a copy is inherent to the API.
-                .clone()),
+    /// Run `f` over `lba`'s compressed delta where it lies — the NVRAM
+    /// staging buffer, or its DEZ page lent by the SSD (one flash read) —
+    /// together with the engine's decode scratch.
+    fn with_delta<R>(
+        &mut self,
+        lba: u64,
+        t: &mut SimTime,
+        f: impl FnOnce(&[u8], &mut Vec<u8>) -> R,
+    ) -> Result<R, EngineError> {
+        match self.delta_loc.get(&lba).copied() {
+            Some(DeltaLoc::Staged) => {
+                let staged = self.nv.get().staging.get(lba);
+                let comp = staged.ok_or(EngineError::Inconsistent("staged delta index broken"))?;
+                Ok(f(comp, &mut self.decode_scratch))
+            }
             Some(DeltaLoc::Dez(r)) => {
-                let r = *r;
-                let mut page = self.pool.acquire();
-                let dt = self.ssd.read_page(self.slot_lpn(r.slot), &mut page)?;
+                let lpn = self.slot_lpn(r.slot);
+                let (page, dt) = self.ssd.page(lpn)?;
+                let comp = page
+                    .get(r.off as usize..r.off as usize + r.len as usize)
+                    .ok_or(EngineError::Inconsistent("delta reference outside its DEZ page"))?;
+                let out = f(comp, &mut self.decode_scratch);
                 self.charge_stage(Stage::SsdRead, dt, t);
-                // kdd-waiver(KDD006): sub-page payload handed to the caller.
-                let payload = page[r.off as usize..r.off as usize + r.len as usize].to_vec();
-                self.pool.release(page);
-                Ok(payload)
+                Ok(out)
             }
             None => Err(EngineError::Inconsistent("old page has no delta")),
         }
+    }
+
+    /// XOR `lba`'s delta into `page`, straight from its compressed form.
+    fn fold_delta(
+        &mut self,
+        lba: u64,
+        page: &mut [u8],
+        t: &mut SimTime,
+    ) -> Result<(), EngineError> {
+        self.with_delta(lba, t, |comp, scratch| codec::xor_decoded_into(comp, page, scratch))??;
+        Ok(())
     }
 
     /// Current content of a cached page: for *old* pages, base ⊕ delta —
@@ -784,18 +828,16 @@ impl KddEngine {
         slot: u32,
         t: &mut SimTime,
     ) -> Result<Vec<u8>, EngineError> {
+        let lpn = self.slot_lpn(slot);
+        let (base, dt) = self.ssd.page(lpn)?;
         // kdd-waiver(KDD006): the page is returned to the caller by value.
-        let mut data = vec![0u8; self.page_size()];
-        let dt = self.ssd.read_page(self.slot_lpn(slot), &mut data)?;
+        let mut data = base.to_vec();
         self.charge_stage(Stage::SsdRead, dt, t);
         if self.cache.state(slot) == PageState::Old {
-            let comp = self.read_delta(lba, t)?;
-            let mut delta = Vec::with_capacity(data.len());
-            codec::decompress_into(&comp, &mut delta)?;
+            self.fold_delta(lba, &mut data, t)?;
             // "it takes only tens of microseconds to decompress the delta
             // and combine it with the data" (§IV-B2).
             self.charge_stage(Stage::DeltaDecode, SimTime::from_micros(20), t);
-            xor_into(&mut data, &delta);
         }
         Ok(data)
     }
@@ -1079,10 +1121,11 @@ impl KddEngine {
                 // a parity update.
                 self.last_class = HitClass::WriteHit;
                 self.cache.touch(slot);
-                let mut delta = self.pool.acquire();
-                let dt = self.ssd.read_page(self.slot_lpn(slot), &mut delta)?;
+                let mut delta = self.pool.acquire_scratch();
+                let lpn = self.slot_lpn(slot);
+                let (base, dt) = self.ssd.page(lpn)?;
+                xor_pages_into(&mut delta, base, data); // base ⊕ new
                 self.charge_stage(Stage::SsdRead, dt, &mut t);
-                xor_into(&mut delta, data); // base ⊕ new
                 let comp = self.codec.compress(&delta);
                 self.last_comp_milli = ((comp.len() * 1000) / self.page_size()) as u32;
                 self.pool.release(delta);
@@ -1395,21 +1438,19 @@ impl KddEngine {
             if 2 + (dn + sn) * 12 + db as usize + sb as usize > ps {
                 return Ok(());
             }
-            // Gather live deltas from both pages.
-            let mut deltas: Vec<(u64, Vec<u8>)> = Vec::with_capacity(dn + sn);
+            // Repack the live deltas of both pages into the destination
+            // slot, each copied once from the page it lies in. Nothing
+            // volatile moves until the merged page is on flash, so a failed
+            // write leaves `delta_loc` pointing at the two intact source
+            // pages.
+            let mut packer = DezPacker::new(self.pool.acquire(), dst, dn + sn);
             for slot in [dst, src] {
                 let lbas: Vec<u64> = self.dez[&slot].lbas.iter().copied().collect();
                 for lba in lbas {
-                    let payload = self.read_delta(lba, t)?;
-                    deltas.push((lba, payload));
+                    self.with_delta(lba, t, |comp, _| packer.push(lba, comp))?;
                 }
             }
-            // Repack into the destination slot. Nothing volatile moves
-            // until the merged page is on flash, so a failed write leaves
-            // `delta_loc` pointing at the two intact source pages.
-            let mut page = self.pool.acquire();
-            let batch = deltas.iter().map(|(lba, payload)| (*lba, payload.as_slice()));
-            let moved = pack_dez_page(&mut page, dst, deltas.len(), batch);
+            let DezPacker { page, refs: moved, .. } = packer;
             let dt = self.ssd.write_page(self.slot_lpn(dst), &page)?;
             self.charge_stage(Stage::StagingCommit, dt, t);
             self.pool.release(page);
@@ -1492,17 +1533,13 @@ impl KddEngine {
                 for &l in &pend {
                     self.add_pending(row, l); // peek semantics
                 }
-                let mut deltas = Vec::new();
+                let mut deltas = Vec::with_capacity(pend.len());
                 for &lba in &pend {
-                    let comp = self.read_delta(lba, t)?;
-                    let mut full = Vec::with_capacity(self.page_size());
-                    codec::decompress_into(&comp, &mut full)?;
-                    debug_assert_eq!(full.len(), self.page_size());
-                    let loc = self.raid.layout().locate(lba);
-                    deltas.push((loc.data_index, full));
+                    let mut full = self.pool.acquire();
+                    self.fold_delta(lba, &mut full, t)?;
+                    deltas.push((self.raid.layout().locate(lba).data_index, full));
                 }
-                let refs: Vec<(usize, &[u8])> =
-                    deltas.iter().map(|(d, v)| (*d, v.as_slice())).collect();
+                let refs: Vec<(usize, &[u8])> = deltas.iter().map(|(d, v)| (*d, &v[..])).collect();
                 let cost = match self.raid.parity_update_rmw(row, &refs) {
                     Ok(c) => c,
                     // The parity member of this row is dead, so there is
@@ -1514,6 +1551,10 @@ impl KddEngine {
                     Err(RaidError::DiskFailed { .. }) => self.raid.resync(Some(&[row]))?,
                     Err(e) => return Err(e.into()),
                 };
+                drop(refs);
+                for (_, full) in deltas {
+                    self.pool.release(full);
+                }
                 self.charge_raid(&cost);
                 self.charge_stage(Stage::ParityRmw, DISK_OP * cost.ops.len() as u64, t);
             }
@@ -1558,7 +1599,7 @@ impl KddEngine {
 
     fn flush_tail(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
         self.commit_staging(t)?;
-        let batches = self.metalog.flush();
+        let batches = self.metalog.flush()?;
         self.persist_batches(batches, t)
     }
 
@@ -1711,80 +1752,10 @@ impl KddEngine {
             pending_rows.add(row, lba, || set_of_row(&cache, layout, row));
         }
 
-        // 5. Rows whose parity update was in flight when power failed are
-        //    re-synchronised (§III-E1: "the parity of these rows is
-        //    re-synchronized"). The crash may have interrupted a member
-        //    write after its delta staging (or vice versa), so the cache
-        //    view — which is what was acknowledged — is first written back
-        //    to the members; the resync then recomputes parity over that.
-        //    This also restores the delta-RMW invariant that a cached base
-        //    equals the member content at the last parity sync.
-        //    If the array is *also* degraded (a member died before the
-        //    cut), rows with a data member on the dead disk cannot be
-        //    written back or resynced here; they stay stale — their
-        //    acknowledged data lives in the cache (base ⊕ delta), the
-        //    array refuses unsafe degraded reads of stale rows, and the
-        //    next clean/rebuild repairs them via delta-RMW.
-        let stale: Vec<u64> = self.raid.stale_rows().collect();
-        let failed = self.raid.failed_disks();
-        let mut resyncable: Vec<u64> = Vec::new();
-        for &row in &stale {
-            let degraded = self
-                .raid
-                .layout()
-                .row_lpns(row)
-                .iter()
-                .any(|&l| failed.contains(&self.raid.layout().locate(l).disk));
-            if !degraded {
-                resyncable.push(row);
-            }
-            for lba in self.raid.layout().row_lpns(row) {
-                if failed.contains(&self.raid.layout().locate(lba).disk) {
-                    continue;
-                }
-                let Some(slot) = cache.lookup(lba) else { continue };
-                // kdd-waiver(KDD006): crash-recovery replay, not a hot path.
-                let mut data = vec![0u8; ps];
-                self.ssd.read_page(self.slot_lpn(slot), &mut data)?;
-                if cache.state(slot) == PageState::Old {
-                    let comp = match delta_loc.get(&lba) {
-                        Some(DeltaLoc::Staged) => self
-                            .nv
-                            .get()
-                            .staging
-                            .get(lba)
-                            .ok_or(EngineError::Inconsistent("staged delta index broken"))?
-                            // kdd-waiver(KDD006): crash-recovery replay, not a hot path.
-                            .clone(),
-                        Some(DeltaLoc::Dez(r)) => {
-                            // kdd-waiver(KDD006): crash-recovery replay.
-                            let mut dpage = vec![0u8; ps];
-                            self.ssd.read_page(self.slot_lpn(r.slot), &mut dpage)?;
-                            // kdd-waiver(KDD006): crash-recovery replay.
-                            dpage[r.off as usize..r.off as usize + r.len as usize].to_vec()
-                        }
-                        None => {
-                            return Err(EngineError::Layout(format!(
-                                "old page {lba} has no delta after recovery"
-                            )))
-                        }
-                    };
-                    let mut delta = Vec::with_capacity(ps);
-                    codec::decompress_into(&comp, &mut delta)?;
-                    xor_into(&mut data, &delta);
-                }
-                self.raid.write_no_parity_update(lba, &data)?;
-            }
-        }
-        let mut raid = self.raid;
-        if !resyncable.is_empty() {
-            raid.resync(Some(&resyncable))?;
-        }
-
-        Ok(KddEngine {
+        let mut engine = KddEngine {
             config,
             ssd: self.ssd,
-            raid,
+            raid: self.raid,
             cache,
             nv: self.nv,
             metalog: self.metalog,
@@ -1801,10 +1772,54 @@ impl KddEngine {
             last_class: HitClass::ReadMiss,
             last_comp_milli: 0,
             codec: codec::Compressor::new(),
+            decode_scratch: Vec::new(),
             meta_defer: false,
             meta_pending: Vec::new(),
             cur_stages: StageTimes::new(),
-        })
+        };
+        engine.resync_interrupted_rows()?;
+        Ok(engine)
+    }
+
+    /// Last step of power-failure recovery: rows whose parity update was
+    /// in flight when power failed are re-synchronised (§III-E1: "the
+    /// parity of these rows is re-synchronized"). The crash may have
+    /// interrupted a member write after its delta staging (or vice versa),
+    /// so the cache view — which is what was acknowledged — is first
+    /// written back to the members; the resync then recomputes parity over
+    /// that. This also restores the delta-RMW invariant that a cached base
+    /// equals the member content at the last parity sync.
+    /// If the array is *also* degraded (a member died before the cut),
+    /// rows with a data member on the dead disk cannot be written back or
+    /// resynced here; they stay stale — their acknowledged data lives in
+    /// the cache (base ⊕ delta), the array refuses unsafe degraded reads
+    /// of stale rows, and the next clean/rebuild repairs them via
+    /// delta-RMW.
+    fn resync_interrupted_rows(&mut self) -> Result<(), EngineError> {
+        let stale: Vec<u64> = self.raid.stale_rows().collect();
+        let failed = self.raid.failed_disks();
+        let mut resyncable: Vec<u64> = Vec::new();
+        // Recovery time is not attributed to any request.
+        let mut t = SimTime::ZERO;
+        for &row in &stale {
+            let layout = self.raid.layout();
+            let mut lbas = layout.row_lpns(row);
+            let width = lbas.len();
+            lbas.retain(|&lba| !failed.contains(&layout.locate(lba).disk));
+            if lbas.len() == width {
+                resyncable.push(row);
+            }
+            for lba in lbas {
+                let Some(slot) = self.cache.lookup(lba) else { continue };
+                let data = self.read_cached(lba, slot, &mut t)?;
+                self.raid.write_no_parity_update(lba, &data)?;
+            }
+        }
+        if !resyncable.is_empty() {
+            self.raid.resync(Some(&resyncable))?;
+        }
+        self.cur_stages = StageTimes::new();
+        Ok(())
     }
 
     /// SSD failure (§III-E2): the cache is lost; the RAID re-synchronises
@@ -1890,6 +1905,31 @@ mod tests {
             page_size: PS,
         };
         KddEngine::new(KddConfig::new(g), ssd, raid).unwrap()
+    }
+
+    /// A 128-slot engine for the tests that pin most of the cache. Small
+    /// pages (512 B) shrink the metadata partition floor, so it gets a
+    /// roomier one: ~100 live mappings need 5 pages at 22 entries/page,
+    /// and 8 % of 128 slots is 10.
+    fn pressure_engine() -> KddEngine {
+        let layout = Layout::new(RaidLevel::Raid5, 5, 4, 4 * 32);
+        let raid = RaidArray::new(layout, PS);
+        let ssd = SsdDevice::with_logical_capacity((128 + 64) * PS as u64, PS, 0.1);
+        let g = CacheGeometry { total_pages: 128, ways: 8, page_size: PS };
+        let mut cfg = KddConfig::new(g);
+        cfg.meta_partition_frac = 0.08;
+        KddEngine::new(cfg, ssd, raid).unwrap()
+    }
+
+    /// Which DEZ page holds each page's delta. A write to one page can
+    /// move another page's delta between DEZ pages only through a merge
+    /// (commits move deltas from staging, cleaning drops them).
+    fn dez_slots(e: &KddEngine) -> FastMap<u64, u32> {
+        let slot = |(&lba, loc): (&u64, &DeltaLoc)| match loc {
+            DeltaLoc::Dez(r) => Some((lba, r.slot)),
+            DeltaLoc::Staged => None,
+        };
+        e.delta_loc.iter().filter_map(slot).collect()
     }
 
     fn page(tag: u64) -> Vec<u8> {
@@ -2073,16 +2113,7 @@ mod tests {
         // so pages decay to half-empty instead of being freed whole; once
         // pinned pages push past 3/4 of the cleaning trigger the compactor
         // must merge them without corrupting any delta.
-        // Small pages (512 B) shrink the metadata partition floor, so give
-        // this test a roomier one: 96 live mappings need ~5 pages at 22
-        // entries/page.
-        let layout = Layout::new(RaidLevel::Raid5, 5, 4, 4 * 32);
-        let raid = RaidArray::new(layout, PS);
-        let ssd = SsdDevice::with_logical_capacity((128 + 64) * PS as u64, PS, 0.1);
-        let g = CacheGeometry { total_pages: 128, ways: 8, page_size: PS };
-        let mut cfg = KddConfig::new(g);
-        cfg.meta_partition_frac = 0.08; // 10 pages
-        let mut e = KddEngine::new(cfg, ssd, raid).unwrap();
+        let mut e = pressure_engine();
         let lbas: Vec<u64> = (0..96u64).map(|i| (i / 8) * 16 + i % 8).collect();
         let mut versions = FastMap::default();
         for &lba in &lbas {
@@ -2090,16 +2121,6 @@ mod tests {
             e.write(lba, &p).unwrap();
             versions.insert(lba, p);
         }
-        // Which DEZ page holds each page's delta. A write to one page can
-        // move another page's delta between DEZ pages only through a merge
-        // (commits move deltas from staging, cleaning drops them).
-        let dez_slots = |e: &KddEngine| -> FastMap<u64, u32> {
-            let slot = |(&lba, loc): (&u64, &DeltaLoc)| match loc {
-                DeltaLoc::Dez(r) => Some((lba, r.slot)),
-                DeltaLoc::Staged => None,
-            };
-            e.delta_loc.iter().filter_map(slot).collect()
-        };
         let mut rng = seeded_rng(14);
         let mut merged_deltas = 0;
         let mut before = dez_slots(&e);
@@ -2131,13 +2152,7 @@ mod tests {
     #[test]
     fn dez_live_counters_match_recount_under_random_mixes() {
         for seed in [3u64, 11, 42] {
-            let layout = Layout::new(RaidLevel::Raid5, 5, 4, 4 * 32);
-            let raid = RaidArray::new(layout, PS);
-            let ssd = SsdDevice::with_logical_capacity((128 + 64) * PS as u64, PS, 0.1);
-            let g = CacheGeometry { total_pages: 128, ways: 8, page_size: PS };
-            let mut cfg = KddConfig::new(g);
-            cfg.meta_partition_frac = 0.08;
-            let mut e = KddEngine::new(cfg, ssd, raid).unwrap();
+            let mut e = pressure_engine();
             let mut rng = seeded_rng(seed);
             let mut versions: FastMap<u64, Vec<u8>> = FastMap::default();
             // Small rewrites: DEZ pages decay one delta at a time into the
@@ -2200,6 +2215,140 @@ mod tests {
             }
             assert!(dez_pages_peak >= 4 && live_peak > 0, "mix never exercised the DEZ");
         }
+    }
+
+    /// The borrowed-page paths against the copying ones they replaced: two
+    /// engines fed one seeded mix, `copied` with an empty-plan injector
+    /// attached, which makes every store hand out private copies. Reads
+    /// must return the same bytes in the same simulated time and every
+    /// counter must agree — and the mix must have reached each combine
+    /// site: reads of staged and of DEZ-resident deltas, DEZ compaction,
+    /// and both cleaner repairs.
+    #[test]
+    fn lent_and_copied_page_paths_agree() {
+        let (mut lent, mut copied) = (pressure_engine(), pressure_engine());
+        let injector = FaultInjector::none();
+        copied.attach_fault_injector(injector.clone());
+        // Eight pages per 16-page stripe group (one 8-way set each): whole
+        // parity rows {r, r+4, r+8, r+12} in the first six groups, so the
+        // cleaner can reconstruct-write them; half rows in the others.
+        let lbas: Vec<u64> = (0..96u64)
+            .map(|i| {
+                let (group, k) = (i / 8, i % 8);
+                group * 16 + if group < 6 { k % 4 * 4 + k / 4 } else { k }
+            })
+            .collect();
+        let mut versions: FastMap<u64, Vec<u8>> = FastMap::default();
+        let mut rng = seeded_rng(17);
+        let (mut staged_reads, mut dez_reads, mut merged) = (0, 0, 0);
+        let (mut rows_rebuilt, mut rows_folded) = (0, 0);
+        for step in 0..4000u32 {
+            let lba = lbas[rng.random_range(0..lbas.len())];
+            // Long stretches of traffic build the DEZ pressure compaction
+            // needs; a clean or a power cut ends each.
+            match (step % 1000, rng.random_range(0..10u32)) {
+                (0..=997, 0..=5) => {
+                    let next = match versions.get(&lba) {
+                        Some(prev) => nudged_page(prev, rng.random()),
+                        None => page(lba),
+                    };
+                    let before = dez_slots(&lent);
+                    let t = lent.write(lba, &next).unwrap();
+                    assert_eq!(copied.write(lba, &next).unwrap(), t, "step {step}: write {lba}");
+                    versions.insert(lba, next);
+                    let after = dez_slots(&lent);
+                    merged += before
+                        .iter()
+                        .filter(|&(l, s)| *l != lba && after.get(l).is_some_and(|now| now != s))
+                        .count();
+                }
+                (0..=997, _) => {
+                    match lent.delta_loc.get(&lba) {
+                        Some(DeltaLoc::Staged) => staged_reads += 1,
+                        Some(DeltaLoc::Dez(_)) => dez_reads += 1,
+                        None => {}
+                    }
+                    let got = lent.read(lba).unwrap();
+                    assert_eq!(copied.read(lba).unwrap(), got, "step {step}: read {lba}");
+                    if let Some(v) = versions.get(&lba) {
+                        assert_eq!(&got.0, v, "step {step}: lba {lba}");
+                    }
+                }
+                (998, _) => {
+                    for row in lent.pending_rows.row_ids() {
+                        let lpns = lent.raid.layout().row_lpns(row);
+                        if lpns.iter().all(|&l| lent.cache.lookup(l).is_some()) {
+                            rows_rebuilt += 1;
+                        } else {
+                            rows_folded += 1;
+                        }
+                    }
+                    let (mut ta, mut tb) = (SimTime::ZERO, SimTime::ZERO);
+                    lent.clean(&mut ta).unwrap();
+                    copied.clean(&mut tb).unwrap();
+                    assert_eq!(ta, tb, "step {step}: clean");
+                }
+                _ => {
+                    lent = lent.power_cycle().expect("recovery");
+                    copied = copied.power_cycle().expect("recovery");
+                }
+            }
+            assert_eq!(lent.stats(), copied.stats(), "step {step}");
+        }
+        assert!(
+            staged_reads > 20 && dez_reads > 20,
+            "{staged_reads} staged, {dez_reads} DEZ reads"
+        );
+        assert!(merged > 0, "compact_dez never merged a page");
+        assert!(
+            rows_rebuilt > 0 && rows_folded > 0,
+            "{rows_rebuilt} rebuilt, {rows_folded} folded"
+        );
+        assert_eq!(lent.flush().unwrap(), copied.flush().unwrap());
+        assert_eq!(lent.stats(), copied.stats());
+        let disk_counters = |e: &KddEngine| -> Vec<(u64, u64)> {
+            e.raid().stats().iter().map(|s| (s.reads, s.writes)).collect()
+        };
+        assert_eq!(disk_counters(&lent), disk_counters(&copied));
+        let (wear_a, wear_b) = (lent.ssd().endurance(), copied.ssd().endurance());
+        assert_eq!(wear_a.nand_written_bytes, wear_b.nand_written_bytes);
+        assert_eq!(wear_a.erases, wear_b.erases);
+        for row in 0..lent.raid().layout().rows() {
+            assert_eq!(lent.raid_mut().verify_row(row), Ok(true), "row {row}");
+            assert_eq!(copied.raid_mut().verify_row(row), Ok(true), "row {row}");
+        }
+        let (mut a, mut b) = (vec![0u8; PS as usize], vec![0u8; PS as usize]);
+        for lpn in 0..lent.raid().capacity_pages() {
+            lent.raid_mut().read_page(lpn, &mut a).unwrap();
+            copied.raid_mut().read_page(lpn, &mut b).unwrap();
+            assert_eq!(a, b, "member content of lpn {lpn}");
+            if let Some(v) = versions.get(&lpn) {
+                assert_eq!(&a, v, "lpn {lpn} on the array");
+            }
+        }
+        assert!(injector.op_count() > 0 && injector.counters().injected == 0);
+    }
+
+    /// A metadata partition the live mapping set outgrows fails the
+    /// request with an error; geometry that can never work is refused at
+    /// construction.
+    #[test]
+    fn metadata_partition_too_small_is_an_error_not_a_panic() {
+        // 256 slots over the 2-page floor: 2 × 22 entries.
+        let mut e = engine(256);
+        let wedged = (0..200u64).find_map(|i| e.write((i / 8) * 16 + i % 8, &page(i)).err());
+        match wedged {
+            Some(EngineError::Layout(why)) => assert!(why.contains("too small"), "{why}"),
+            other => panic!("expected a layout error, got {other:?}"),
+        }
+        // A 32-byte page holds the 14-byte log header and no entry.
+        let raid = RaidArray::new(Layout::new(RaidLevel::Raid5, 5, 4, 4 * 8), 32);
+        let ssd = SsdDevice::with_logical_capacity(128 * 32, 32, 0.1);
+        let g = CacheGeometry { total_pages: 16, ways: 4, page_size: 32 };
+        assert!(matches!(
+            KddEngine::new(KddConfig::new(g), ssd, raid),
+            Err(EngineError::Layout(_))
+        ));
     }
 
     proptest::proptest! {

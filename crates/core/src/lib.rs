@@ -31,7 +31,7 @@ pub mod staging;
 
 pub use config::KddConfig;
 pub use engine::{KddEngine, WriteRequest};
-pub use metalog::{CommitBatch, KeyEntry, LogEntry, MetaLog};
+pub use metalog::{CommitBatch, KeyEntry, LogEntry, MetaLog, PartitionTooSmall};
 pub use policy::KddPolicy;
 pub use staging::{DeltaPayload, StagingBuffer};
 

@@ -57,6 +57,28 @@ impl LogEntry for KeyEntry {
     }
 }
 
+/// The log wedged: every page the collector reclaims is still fully live,
+/// so cutting pages frees no room. The metadata partition is too small for
+/// the live mapping set and must grow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PartitionTooSmall {
+    /// Size of the partition that could not hold the mappings.
+    pub partition_pages: u64,
+}
+
+impl std::fmt::Display for PartitionTooSmall {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "metadata partition of {} pages is too small for the live mapping set \
+             (GC cannot make progress); grow the partition",
+            self.partition_pages
+        )
+    }
+}
+
+impl std::error::Error for PartitionTooSmall {}
+
 /// A page's worth of entries committed to flash: the caller must write it
 /// at partition-relative page index `slot`.
 #[derive(Debug, Clone)]
@@ -93,7 +115,7 @@ enum Latest {
 ///
 /// let mut log = MetaLog::new(8, 4); // 8-page partition, 4 entries/page
 /// for lba in 0..4u64 {
-///     let commits = log.push(KeyEntry { key: lba, tombstone: false });
+///     let commits = log.push(KeyEntry { key: lba, tombstone: false }).unwrap();
 ///     if lba == 3 {
 ///         assert_eq!(commits.len(), 1, "page filled and committed");
 ///     }
@@ -214,13 +236,14 @@ impl<E: LogEntry> MetaLog<E> {
     }
 
     /// Append an entry; returns the page commits (possibly several, when
-    /// GC reinsertion cascades) the caller must persist.
-    pub fn push(&mut self, entry: E) -> Vec<CommitBatch<E>> {
+    /// GC reinsertion cascades) the caller must persist, or
+    /// [`PartitionTooSmall`] when the log cannot make room for them.
+    pub fn push(&mut self, entry: E) -> Result<Vec<CommitBatch<E>>, PartitionTooSmall> {
         self.entries_pushed += 1;
         self.buffer_insert(entry);
         let mut out = Vec::new();
-        self.drain_full_pages(&mut out);
-        out
+        self.drain_full_pages(&mut out)?;
+        Ok(out)
     }
 
     /// Append a group of entries as one **group commit**.
@@ -235,25 +258,28 @@ impl<E: LogEntry> MetaLog<E> {
     /// returned batch is tracked until [`MetaLog::confirm`], and the
     /// entries themselves are NVRAM-durable in the buffer from the moment
     /// this returns, exactly as with `push`).
-    pub fn push_group(&mut self, entries: impl IntoIterator<Item = E>) -> Vec<CommitBatch<E>> {
+    pub fn push_group(
+        &mut self,
+        entries: impl IntoIterator<Item = E>,
+    ) -> Result<Vec<CommitBatch<E>>, PartitionTooSmall> {
         for e in entries {
             self.entries_pushed += 1;
             self.buffer_insert(e);
         }
         let mut out = Vec::new();
-        self.drain_full_pages(&mut out);
-        out
+        self.drain_full_pages(&mut out)?;
+        Ok(out)
     }
 
     /// Force-commit the buffer (shutdown / checkpoint).
-    pub fn flush(&mut self) -> Vec<CommitBatch<E>> {
+    pub fn flush(&mut self) -> Result<Vec<CommitBatch<E>>, PartitionTooSmall> {
         let mut out = Vec::new();
-        self.drain_full_pages(&mut out);
+        self.drain_full_pages(&mut out)?;
         if self.buffer_live > 0 {
             let batch: Vec<E> = self.take_buffer_entries(self.buffer_live);
             self.append_page(batch, &mut out);
         }
-        out
+        Ok(out)
     }
 
     /// The newest valid entry for `key`, if any (buffered or logged).
@@ -341,18 +367,21 @@ impl<E: LogEntry> MetaLog<E> {
         out
     }
 
-    fn drain_full_pages(&mut self, out: &mut Vec<CommitBatch<E>>) {
-        let mut guard = 0u64;
+    /// Cut full pages until less than a page is buffered. Each cut may
+    /// reclaim a head page and put its live entries back in the buffer; a
+    /// drain still going after four laps of the partition is reclaiming
+    /// nothing but live pages and never will finish.
+    fn drain_full_pages(&mut self, out: &mut Vec<CommitBatch<E>>) -> Result<(), PartitionTooSmall> {
+        let mut cuts = 0u64;
         while self.buffer_live >= self.entries_per_page {
-            guard += 1;
-            assert!(
-                guard <= self.partition_pages * 4 + 8,
-                "metadata partition too small for the live mapping set \
-                 (GC cannot make progress); grow the partition"
-            );
+            cuts += 1;
+            if cuts > self.partition_pages * 4 + 8 {
+                return Err(PartitionTooSmall { partition_pages: self.partition_pages });
+            }
             let batch = self.take_buffer_entries(self.entries_per_page);
             self.append_page(batch, out);
         }
+        Ok(())
     }
 
     fn append_page(&mut self, entries: Vec<E>, out: &mut Vec<CommitBatch<E>>) {
@@ -421,10 +450,10 @@ mod tests {
     #[test]
     fn commits_when_page_fills() {
         let mut log = MetaLog::new(8, 4);
-        assert!(log.push(key(1)).is_empty());
-        assert!(log.push(key(2)).is_empty());
-        assert!(log.push(key(3)).is_empty());
-        let commits = log.push(key(4));
+        assert!(log.push(key(1)).unwrap().is_empty());
+        assert!(log.push(key(2)).unwrap().is_empty());
+        assert!(log.push(key(3)).unwrap().is_empty());
+        let commits = log.push(key(4)).unwrap();
         assert_eq!(commits.len(), 1);
         assert_eq!(commits[0].entries.len(), 4);
         assert_eq!(commits[0].slot, 0);
@@ -436,10 +465,10 @@ mod tests {
     fn coalescing_in_buffer() {
         let mut log = MetaLog::new(8, 4);
         for _ in 0..100 {
-            assert!(log.push(key(7)).is_empty(), "same key must coalesce");
+            assert!(log.push(key(7)).unwrap().is_empty(), "same key must coalesce");
         }
         assert_eq!(log.buffered_entries(), 1);
-        let commits = log.flush();
+        let commits = log.flush().unwrap();
         assert_eq!(commits.len(), 1);
         assert_eq!(commits[0].entries.len(), 1);
     }
@@ -449,8 +478,8 @@ mod tests {
         let mut log = MetaLog::new(2, 2);
         let mut slots = Vec::new();
         for i in 0..20 {
-            for c in log.push(tomb(i * 2)).into_iter().chain(log.push(tomb(i * 2 + 1))) {
-                slots.push(c.slot);
+            for k in [i * 2, i * 2 + 1] {
+                slots.extend(log.push(tomb(k)).unwrap().iter().map(|c| c.slot));
             }
         }
         assert!(slots.iter().all(|&s| s < 2));
@@ -465,15 +494,15 @@ mod tests {
         // partition boundary so GC must reclaim heads whose entries (still
         // newest for their keys) get reinserted and rewritten.
         for k in 0..6 {
-            log.push(key(k));
+            log.push(key(k)).unwrap();
         }
         for k in 0..6 {
-            log.push(key(k)); // rewrite: newer copies further down the log
+            log.push(key(k)).unwrap(); // rewrite: newer copies further down the log
         }
         assert!(log.used_pages() <= 5);
         let before = log.pages_written();
-        log.push(key(100));
-        log.push(key(101));
+        log.push(key(100)).unwrap();
+        log.push(key(101)).unwrap();
         assert!(log.pages_written() > before);
         assert!(log.gc_reclaims() > 0);
         // Every key still recoverable.
@@ -485,12 +514,12 @@ mod tests {
     #[test]
     fn tombstones_dropped_at_head() {
         let mut log = MetaLog::new(2, 2);
-        log.push(key(1));
-        log.push(tomb(1));
+        log.push(key(1)).unwrap();
+        log.push(tomb(1)).unwrap();
         // key(1)'s alloc entry then its tombstone: after enough churn the
         // tombstone reaches the head and disappears.
         for k in 10..30 {
-            log.push(tomb(k));
+            log.push(tomb(k)).unwrap();
         }
         let live = log.recover_live();
         assert!(live.is_empty(), "tombstoned keys must not recover: {live:?}");
@@ -504,15 +533,15 @@ mod tests {
             let mut log = MetaLog::new(partition, 4);
             // 16 hot keys churned repeatedly + a stream of cold keys.
             for i in 0..2000u64 {
-                log.push(key(i % 16));
+                log.push(key(i % 16)).unwrap();
                 if i % 3 == 0 {
-                    log.push(key(1000 + i));
+                    log.push(key(1000 + i)).unwrap();
                 }
                 if i % 3 == 1 && i > 3 {
-                    log.push(tomb(1000 + i - 1));
+                    log.push(tomb(1000 + i - 1)).unwrap();
                 }
             }
-            log.flush();
+            log.flush().unwrap();
             log.pages_written()
         };
         let small = run(8);
@@ -524,12 +553,12 @@ mod tests {
     fn recovery_matches_latest_state() {
         let mut log = MetaLog::new(16, 4);
         for k in 0..40 {
-            log.push(key(k));
+            log.push(key(k)).unwrap();
         }
         for k in 0..20 {
-            log.push(tomb(k));
+            log.push(tomb(k)).unwrap();
         }
-        log.push(key(5)); // resurrect 5
+        log.push(key(5)).unwrap(); // resurrect 5
         let mut live: Vec<u64> = log.recover_live().iter().map(|e| e.key).collect();
         live.sort_unstable();
         let expect: Vec<u64> = std::iter::once(5).chain(20..40).collect();
@@ -539,12 +568,12 @@ mod tests {
     #[test]
     fn latest_entry_tracks_buffer_and_pages() {
         let mut log = MetaLog::new(8, 2);
-        log.push(key(9));
+        log.push(key(9)).unwrap();
         assert!(!log.latest_entry(9).unwrap().tombstone);
-        log.push(key(10)); // forces commit of the pair
+        log.push(key(10)).unwrap(); // forces commit of the pair
         assert_eq!(log.used_pages(), 1);
         assert_eq!(log.latest_entry(9).unwrap().key, 9);
-        log.push(tomb(9));
+        log.push(tomb(9)).unwrap();
         assert!(log.latest_entry(9).unwrap().tombstone);
         assert!(log.latest_entry(999).is_none());
     }
@@ -553,7 +582,7 @@ mod tests {
     fn counters_advance_monotonically() {
         let mut log = MetaLog::new(2, 1);
         for k in 0..10 {
-            log.push(tomb(k));
+            log.push(tomb(k)).unwrap();
         }
         let (head, tail) = log.counters();
         assert!(tail >= head);
@@ -564,8 +593,8 @@ mod tests {
     #[test]
     fn inflight_disabled_by_default() {
         let mut log = MetaLog::new(8, 2);
-        log.push(key(1));
-        log.push(key(2)); // commits a page
+        log.push(key(1)).unwrap();
+        log.push(key(2)).unwrap(); // commits a page
         assert!(log.unconfirmed().is_empty());
     }
 
@@ -573,8 +602,8 @@ mod tests {
     fn inflight_tracks_until_confirmed() {
         let mut log = MetaLog::new(8, 2);
         log.enable_inflight_tracking();
-        log.push(key(1));
-        let commits = log.push(key(2));
+        log.push(key(1)).unwrap();
+        let commits = log.push(key(2)).unwrap();
         assert_eq!(commits.len(), 1);
         assert_eq!(log.unconfirmed().len(), 1);
         assert_eq!(log.unconfirmed()[0].seq, commits[0].seq);
@@ -589,7 +618,7 @@ mod tests {
         let mut log = MetaLog::new(2, 1);
         log.enable_inflight_tracking();
         for k in 0..10 {
-            log.push(tomb(k)); // never confirmed
+            log.push(tomb(k)).unwrap(); // never confirmed
         }
         let (head, _) = log.counters();
         assert!(log.unconfirmed().iter().all(|b| b.seq >= head));
@@ -604,15 +633,15 @@ mod tests {
         // would have cut pages mid-stream and rewritten the keys.
         let mut grouped = MetaLog::new(8, 4);
         let entries: Vec<KeyEntry> = (0..32).map(|i| key(i % 4)).collect();
-        let commits = grouped.push_group(entries.clone());
+        let commits = grouped.push_group(entries.clone()).unwrap();
         assert_eq!(commits.len(), 1);
         assert_eq!(commits[0].entries.len(), 4);
         let mut single = MetaLog::new(8, 4);
         let mut single_pages = 0;
         for e in entries {
-            single_pages += single.push(e).len();
+            single_pages += single.push(e).unwrap().len();
         }
-        single.flush();
+        single.flush().unwrap();
         assert!(
             grouped.pages_written() <= single_pages as u64 + 1,
             "group commit must never write more pages"
@@ -624,7 +653,7 @@ mod tests {
     fn group_commit_spans_multiple_pages() {
         let mut log = MetaLog::new(8, 2);
         log.enable_inflight_tracking();
-        let commits = log.push_group((0..7).map(key));
+        let commits = log.push_group((0..7).map(key)).unwrap();
         assert_eq!(commits.len(), 3, "7 distinct entries over 2/page cut 3 pages");
         assert_eq!(log.buffered_entries(), 1);
         assert_eq!(log.unconfirmed().len(), 3, "every group page is inflight-tracked");
@@ -640,19 +669,18 @@ mod tests {
     #[test]
     fn empty_group_is_a_noop() {
         let mut log = MetaLog::new(8, 2);
-        assert!(log.push_group(std::iter::empty::<KeyEntry>()).is_empty());
+        assert!(log.push_group(std::iter::empty::<KeyEntry>()).unwrap().is_empty());
         assert_eq!(log.entries_pushed(), 0);
         assert_eq!(log.buffered_entries(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "too small")]
-    fn livelocked_partition_detected() {
+    fn livelocked_partition_is_an_error() {
         // 2-page partition, 1 entry/page, 4 permanently-live keys: GC can
         // never make room.
         let mut log = MetaLog::new(2, 1);
-        for i in 0..100u64 {
-            log.push(key(i % 4));
-        }
+        let wedged = (0..100u64).find_map(|i| log.push(key(i % 4)).err());
+        assert_eq!(wedged, Some(PartitionTooSmall { partition_pages: 2 }));
+        assert!(wedged.unwrap().to_string().contains("too small"));
     }
 }

@@ -26,7 +26,7 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::config::KddConfig;
-use crate::metalog::{KeyEntry, MetaLog};
+use crate::metalog::{CommitBatch, KeyEntry, MetaLog, PartitionTooSmall};
 use crate::staging::StagingBuffer;
 use crate::two_smallest_by_key;
 use kdd_cache::effects::{AccessOutcome, Effects};
@@ -42,6 +42,20 @@ use kdd_util::lru::GhostList;
 /// Synthetic slot ids for statically-partitioned DEZ pages (kept above
 /// any real directory slot).
 const FIXED_DEZ_BASE: u32 = u32::MAX / 2;
+
+/// Metadata pages a log operation wrote.
+///
+/// # Panics
+/// When the log is wedged. The counting model has no error channel, and a
+/// sweep point whose partition cannot hold the simulated cache's mappings
+/// must stop rather than report an under-counted figure.
+fn meta_pages(commits: Result<Vec<CommitBatch<KeyEntry>>, PartitionTooSmall>) -> u32 {
+    match commits {
+        Ok(batches) => batches.len() as u32,
+        // kdd-waiver(KDD001): simulation model, not an I/O path; see above.
+        Err(e) => panic!("{e}"),
+    }
+}
 
 /// One DEZ page's live contents (for the accounting simulator: sizes
 /// only).
@@ -169,18 +183,17 @@ impl KddPolicy {
     // ---- metadata ---------------------------------------------------------
 
     fn log_alloc(&mut self, lba: u64, fx: &mut Effects) {
-        fx.ssd_meta_writes +=
-            self.metalog.push(KeyEntry { key: lba, tombstone: false }).len() as u32;
-        if !self.config.nvram_batching {
-            fx.ssd_meta_writes += self.metalog.flush().len() as u32;
-        }
+        self.log(KeyEntry { key: lba, tombstone: false }, fx);
     }
 
     fn log_free(&mut self, lba: u64, fx: &mut Effects) {
-        fx.ssd_meta_writes +=
-            self.metalog.push(KeyEntry { key: lba, tombstone: true }).len() as u32;
+        self.log(KeyEntry { key: lba, tombstone: true }, fx);
+    }
+
+    fn log(&mut self, entry: KeyEntry, fx: &mut Effects) {
+        fx.ssd_meta_writes += meta_pages(self.metalog.push(entry));
         if !self.config.nvram_batching {
-            fx.ssd_meta_writes += self.metalog.flush().len() as u32;
+            fx.ssd_meta_writes += meta_pages(self.metalog.flush());
         }
     }
 
@@ -638,7 +651,7 @@ impl CachePolicy for KddPolicy {
         // Anything still staged gets committed, then the metadata buffer
         // itself is flushed.
         self.commit_staging(&mut fx);
-        fx.ssd_meta_writes += self.metalog.flush().len() as u32;
+        fx.ssd_meta_writes += meta_pages(self.metalog.flush());
         self.stats.ssd_meta_writes += fx.ssd_meta_writes as u64;
         self.stats.ssd_data_writes += fx.ssd_data_writes as u64;
         self.stats.ssd_delta_writes += fx.ssd_delta_writes as u64;

@@ -45,16 +45,16 @@ proptest! {
             match op {
                 Op::Put(k) => {
                     let k = k % keys;
-                    log.push(KeyEntry { key: k, tombstone: false });
+                    log.push(KeyEntry { key: k, tombstone: false }).unwrap();
                     model.insert(k, true);
                 }
                 Op::Del(k) => {
                     let k = k % keys;
-                    log.push(KeyEntry { key: k, tombstone: true });
+                    log.push(KeyEntry { key: k, tombstone: true }).unwrap();
                     model.remove(&k);
                 }
                 Op::Flush => {
-                    log.flush();
+                    log.flush().unwrap();
                 }
             }
             prop_assert!(log.used_pages() <= log.partition_pages());
@@ -76,15 +76,15 @@ proptest! {
         for op in &script {
             match op {
                 Op::Put(k) => {
-                    log.push(KeyEntry { key: *k, tombstone: false });
+                    log.push(KeyEntry { key: *k, tombstone: false }).unwrap();
                     model.insert(*k, false);
                 }
                 Op::Del(k) => {
-                    log.push(KeyEntry { key: *k, tombstone: true });
+                    log.push(KeyEntry { key: *k, tombstone: true }).unwrap();
                     model.insert(*k, true);
                 }
                 Op::Flush => {
-                    log.flush();
+                    log.flush().unwrap();
                 }
             }
         }
@@ -113,7 +113,7 @@ proptest! {
             // Alternate put/delete so the live set stays tiny (no
             // livelock even for 2-page partitions).
             let tomb = i % 2 == 1;
-            for c in log.push(KeyEntry { key: k, tombstone: tomb }) {
+            for c in log.push(KeyEntry { key: k, tombstone: tomb }).unwrap() {
                 prop_assert!(c.slot < partition);
                 prop_assert!(c.seq >= last_tail);
                 last_tail = c.seq;
@@ -193,21 +193,21 @@ mod torn_tail {
                     Op::Put(k) => {
                         let k = k % keys;
                         model.insert(k, true);
-                        log.push(KeyEntry { key: k, tombstone: false })
+                        log.push(KeyEntry { key: k, tombstone: false }).unwrap()
                     }
                     Op::Del(k) => {
                         let k = k % keys;
                         model.remove(&(k));
-                        log.push(KeyEntry { key: k, tombstone: true })
+                        log.push(KeyEntry { key: k, tombstone: true }).unwrap()
                     }
-                    Op::Flush => log.flush(),
+                    Op::Flush => log.flush().unwrap(),
                 }
             };
             for op in &script {
                 produced.extend(drive(&mut log, op, &mut model));
             }
             // Make sure buffered entries are on their way to flash too.
-            produced.extend(log.flush());
+            produced.extend(log.flush().unwrap());
 
             // "Persist" batches in order. The last `unconfirmed_tail`
             // batches never get confirmed; if `tear` is set, the very last

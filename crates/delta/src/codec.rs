@@ -61,6 +61,9 @@ pub enum CompressError {
     Truncated,
     /// A match referenced data before the start of the output.
     BadMatchOffset,
+    /// The stream does not decode to exactly the length of the page it
+    /// was to be folded into.
+    WrongLength,
 }
 
 impl std::fmt::Display for CompressError {
@@ -69,6 +72,7 @@ impl std::fmt::Display for CompressError {
             CompressError::BadHeader => write!(f, "unknown or missing codec header"),
             CompressError::Truncated => write!(f, "compressed stream truncated"),
             CompressError::BadMatchOffset => write!(f, "LZ match offset out of range"),
+            CompressError::WrongLength => write!(f, "decoded length differs from the page's"),
         }
     }
 }
@@ -654,6 +658,70 @@ pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), CompressErr
     Ok(())
 }
 
+/// XOR the delta encoded in `data` into `dst` without materialising it:
+/// `dst` ends up as if [`decompress_into`] had been followed by
+/// [`crate::xor::xor_into`] — the read hit's "decompress, XOR" (§III-A) in
+/// one pass over the page. Zero runs are skipped, zero-RLE literals and raw
+/// payloads are XORed in from where they lie; only an LZ stream, whose
+/// matches refer back into the decoded delta, is decoded first, into
+/// `scratch` (reused across calls, contents irrelevant).
+///
+/// Errors rather than panics on any stream that does not decode to exactly
+/// `dst.len()` bytes; `dst` may then be partly folded.
+pub fn xor_decoded_into(
+    data: &[u8],
+    dst: &mut [u8],
+    scratch: &mut Vec<u8>,
+) -> Result<(), CompressError> {
+    let (&header, payload) = data.split_first().ok_or(CompressError::BadHeader)?;
+    match header {
+        h if h == DeltaCodec::Raw as u8 => xor_checked(dst, payload),
+        h if h == DeltaCodec::ZeroRle as u8 => zero_rle_xor(payload, dst),
+        h if h == DeltaCodec::Lz as u8 => {
+            scratch.clear();
+            lz_decompress(payload, scratch)?;
+            xor_checked(dst, scratch)
+        }
+        _ => Err(CompressError::BadHeader),
+    }
+}
+
+fn xor_checked(dst: &mut [u8], delta: &[u8]) -> Result<(), CompressError> {
+    if delta.len() != dst.len() {
+        return Err(CompressError::WrongLength);
+    }
+    crate::xor::xor_into(dst, delta);
+    Ok(())
+}
+
+/// [`zero_rle_decompress`] with the output XORed into `dst` instead of
+/// appended: a zero-run token only advances the position.
+fn zero_rle_xor(mut s: &[u8], dst: &mut [u8]) -> Result<(), CompressError> {
+    let mut rest = dst;
+    while let Some((&c, tail)) = s.split_first() {
+        s = tail;
+        let n = if c >= 0x80 { (c - 0x7F) as usize } else { c as usize + 1 };
+        if n > rest.len() {
+            return Err(CompressError::WrongLength);
+        }
+        let (run, after) = rest.split_at_mut(n);
+        rest = after;
+        if c < 0x80 {
+            if s.len() < n {
+                return Err(CompressError::Truncated);
+            }
+            let (lit, tail) = s.split_at(n);
+            s = tail;
+            crate::xor::xor_into(run, lit);
+        }
+    }
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(CompressError::WrongLength)
+    }
+}
+
 /// Which codec a compressed buffer used (diagnostics / ablation).
 pub fn codec_of(data: &[u8]) -> Option<DeltaCodec> {
     match data.first()? {
@@ -1090,6 +1158,71 @@ mod tests {
             page.extend_from_slice(&suffix);
             let (new, old) = Differential::new().streams(&page);
             prop_assert_eq!(new, old);
+        }
+    }
+
+    /// `xor_decoded_into` against the two steps it fuses, on `page` as the
+    /// delta and a seeded base; then every truncation of the stream and
+    /// every other `dst` length must be an `Err`.
+    fn check_fused_fold(page: &[u8], codec: DeltaCodec, scratch: &mut Vec<u8>) {
+        let comp = compress(page);
+        assert_eq!(codec_of(&comp), Some(codec));
+        let base = noise_page(page.len(), 0xba5e);
+        let mut expect = base.clone();
+        crate::xor::xor_into(&mut expect, &decompress(&comp).unwrap());
+        let mut got = base.clone();
+        xor_decoded_into(&comp, &mut got, scratch).unwrap();
+        assert!(got == expect, "{codec:?}: fused fold differs from decompress + xor");
+        for cut in 0..comp.len() {
+            let mut dst = base.clone();
+            assert!(
+                xor_decoded_into(&comp[..cut], &mut dst, scratch).is_err(),
+                "{codec:?}: stream cut to {cut} of {} bytes was accepted",
+                comp.len()
+            );
+        }
+        for len in [0, 1, page.len() - 1, page.len() + 1, 2 * page.len()] {
+            let mut dst = vec![0x5A; len];
+            assert!(
+                xor_decoded_into(&comp, &mut dst, scratch).is_err(),
+                "{codec:?}: a {len}-byte page was accepted for a {}-byte delta",
+                page.len()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// One page per codec and case — fresh aged deltas (zero-RLE, and
+        /// LZ where it wins), periodic text (LZ) and noise (raw) — through
+        /// one scratch, as the engine uses it.
+        #[test]
+        fn xor_decoded_into_matches_decompress_then_xor(
+            seed in any::<u64>(),
+            change in 1u32..60,
+            run_len in 1usize..256,
+            age in 1usize..=12,
+        ) {
+            let mut scratch = Vec::new();
+            let mut m = PageMutator::new(4096, f64::from(change) / 100.0, run_len, seed);
+            let delta = aged_delta(&mut m, age);
+            let codec = codec_of(&compress(&delta)).unwrap();
+            check_fused_fold(&delta, codec, &mut scratch);
+            check_fused_fold(&aged_delta(&mut m, 1), DeltaCodec::ZeroRle, &mut scratch);
+            check_fused_fold(&text_page(4096, seed as u32 % 9973), DeltaCodec::Lz, &mut scratch);
+            check_fused_fold(&noise_page(4096, seed), DeltaCodec::Raw, &mut scratch);
+        }
+    }
+
+    #[test]
+    fn xor_decoded_into_rejects_bad_headers() {
+        let mut dst = [0u8; 4];
+        let mut scratch = Vec::new();
+        for bad in [&[][..], &[0xEE, 1, 2, 3, 4]] {
+            assert_eq!(
+                xor_decoded_into(bad, &mut dst, &mut scratch).unwrap_err(),
+                CompressError::BadHeader
+            );
         }
     }
 

@@ -25,7 +25,9 @@ pub mod content;
 pub mod model;
 pub mod xor;
 
-pub use codec::{compress, decompress, decompress_into, CompressError, DeltaCodec};
+pub use codec::{
+    compress, decompress, decompress_into, xor_decoded_into, CompressError, DeltaCodec,
+};
 pub use content::PageMutator;
 pub use model::{DeltaSizeModel, FixedDeltaModel, GaussianDeltaModel};
 pub use xor::{is_all_zero, xor2_into, xor_into, xor_pages, xor_pages_into, zero_fraction};

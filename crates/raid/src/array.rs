@@ -30,7 +30,7 @@ use crate::layout::{Layout, RaidLevel};
 use kdd_blockdev::error::{DevError, FaultDomain};
 use kdd_blockdev::fault::FaultInjector;
 use kdd_blockdev::store::{MemStore, PageStore};
-use kdd_delta::xor_into;
+use kdd_delta::{xor_into, xor_pages_into};
 use kdd_util::hash::FastSet;
 use kdd_util::PagePool;
 use serde::{Deserialize, Serialize};
@@ -55,12 +55,73 @@ pub struct DiskOp {
     pub kind: IoKind,
 }
 
+/// Operations a [`DiskOps`] list holds without allocating: a RAID-6
+/// small write issues six, so every per-request cost fits.
+const INLINE_OPS: usize = 8;
+
+/// A list of [`DiskOp`]s in issue order, read as a slice. The first
+/// [`INLINE_OPS`] live in the value itself; a longer list (resync,
+/// rebuild) moves to the heap.
+#[derive(Clone)]
+pub struct DiskOps {
+    inline: [DiskOp; INLINE_OPS],
+    /// Ops held in `inline`; unused once `spill` has taken over.
+    len: usize,
+    spill: Vec<DiskOp>,
+}
+
+impl Default for DiskOps {
+    fn default() -> Self {
+        let unused = DiskOp { disk: 0, disk_page: 0, kind: IoKind::Read };
+        DiskOps { inline: [unused; INLINE_OPS], len: 0, spill: Vec::new() }
+    }
+}
+
+impl DiskOps {
+    fn push(&mut self, op: DiskOp) {
+        if !self.spill.is_empty() {
+            self.spill.push(op);
+        } else if self.len < INLINE_OPS {
+            self.inline[self.len] = op;
+            self.len += 1;
+        } else {
+            self.spill.reserve(2 * INLINE_OPS);
+            self.spill.extend_from_slice(&self.inline);
+            self.spill.push(op);
+        }
+    }
+}
+
+impl std::ops::Deref for DiskOps {
+    type Target = [DiskOp];
+
+    fn deref(&self) -> &[DiskOp] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl std::fmt::Debug for DiskOps {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for DiskOps {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
 /// The member-disk operations one array request generated — the input to
 /// the timing layer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RaidCost {
     /// Operations in issue order.
-    pub ops: Vec<DiskOp>,
+    pub ops: DiskOps,
 }
 
 impl RaidCost {
@@ -80,7 +141,9 @@ impl RaidCost {
 
     /// Merge another cost into this one.
     pub fn merge(&mut self, other: RaidCost) {
-        self.ops.extend(other.ops);
+        for &op in other.ops.iter() {
+            self.ops.push(op);
+        }
     }
 }
 
@@ -269,6 +332,15 @@ impl RaidArray {
 
     // ---- raw member access with accounting -----------------------------
 
+    /// Count one completed member operation.
+    fn account(&mut self, disk: usize, disk_page: u64, kind: IoKind, cost: &mut RaidCost) {
+        match kind {
+            IoKind::Read => self.stats[disk].reads += 1,
+            IoKind::Write => self.stats[disk].writes += 1,
+        }
+        cost.push(disk, disk_page, kind);
+    }
+
     fn disk_read(
         &mut self,
         disk: usize,
@@ -277,8 +349,7 @@ impl RaidArray {
         cost: &mut RaidCost,
     ) -> Result<(), RaidError> {
         self.disks[disk].read_page(disk_page, buf)?;
-        self.stats[disk].reads += 1;
-        cost.push(disk, disk_page, IoKind::Read);
+        self.account(disk, disk_page, IoKind::Read, cost);
         Ok(())
     }
 
@@ -290,8 +361,74 @@ impl RaidArray {
         cost: &mut RaidCost,
     ) -> Result<(), RaidError> {
         self.disks[disk].write_page(disk_page, data)?;
-        self.stats[disk].writes += 1;
-        cost.push(disk, disk_page, IoKind::Write);
+        self.account(disk, disk_page, IoKind::Write, cost);
+        Ok(())
+    }
+
+    /// [`RaidArray::disk_read`] without the copy: the member lends the page
+    /// ([`MemStore::page`]).
+    fn disk_page(
+        &mut self,
+        disk: usize,
+        disk_page: u64,
+        cost: &mut RaidCost,
+    ) -> Result<&[u8], RaidError> {
+        let page = self.disks[disk].page(disk_page)?;
+        self.stats[disk].reads += 1;
+        cost.push(disk, disk_page, IoKind::Read);
+        Ok(page)
+    }
+
+    /// Read-modify-write one member page through `f` — a read then a write
+    /// of that member, in place when it can be ([`MemStore::update_page`]).
+    fn disk_update(
+        &mut self,
+        disk: usize,
+        disk_page: u64,
+        cost: &mut RaidCost,
+        f: impl FnOnce(&mut [u8]),
+    ) -> Result<(), RaidError> {
+        self.disks[disk].update_page(disk_page, f)?;
+        self.account(disk, disk_page, IoKind::Read, cost);
+        self.account(disk, disk_page, IoKind::Write, cost);
+        Ok(())
+    }
+
+    /// Read-modify-write a row's P and Q pages through one fused `f(p, q)`:
+    /// read P, read Q, write P, write Q. With a fault injector attached the
+    /// four ops run in exactly that order on pooled copies — fault plans
+    /// index the global op sequence — otherwise both pages are folded where
+    /// they lie.
+    fn disk_update_pq(
+        &mut self,
+        (pd, pp): (usize, u64),
+        (qd, qp): (usize, u64),
+        cost: &mut RaidCost,
+        f: impl FnOnce(&mut [u8], &mut [u8]),
+    ) -> Result<(), RaidError> {
+        if self.injector.is_some() {
+            let mut p = self.pool.acquire_scratch();
+            self.disk_read(pd, pp, &mut p, cost)?;
+            let mut q = self.pool.acquire_scratch();
+            self.disk_read(qd, qp, &mut q, cost)?;
+            f(&mut p, &mut q);
+            self.disk_write(pd, pp, &p, cost)?;
+            self.disk_write(qd, qp, &q, cost)?;
+            self.pool.release(p);
+            self.pool.release(q);
+            return Ok(());
+        }
+        if pd == qd {
+            return Err(RaidError::Inconsistent("P and Q of a row share a member"));
+        }
+        let (low, high) = self.disks.split_at_mut(pd.max(qd));
+        let (p_disk, q_disk) =
+            if pd < qd { (&mut low[pd], &mut high[0]) } else { (&mut high[0], &mut low[qd]) };
+        p_disk.update_page(pp, |p| q_disk.update_page(qp, |q| f(p, q)))??;
+        for kind in [IoKind::Read, IoKind::Write] {
+            self.account(pd, pp, kind, cost);
+            self.account(qd, qp, kind, cost);
+        }
         Ok(())
     }
 
@@ -356,9 +493,9 @@ impl RaidArray {
         }
 
         let target_failed = self.disks[loc.disk].is_failed();
-        let others: Vec<usize> =
-            (0..self.layout.data_disks()).filter(|&d| d != loc.data_index).collect();
-        let others_alive = others.iter().all(|&d| {
+        let dd = self.layout.data_disks();
+        let others = move || (0..dd).filter(move |&d| d != loc.data_index);
+        let others_alive = others().all(|d| {
             let disk = self.layout.data_disk(loc.stripe, d);
             !self.disks[disk].is_failed()
         });
@@ -374,7 +511,7 @@ impl RaidArray {
             !target_failed && !self.is_stale(loc.row) && (p_alive || q_loc.is_none());
         let recon_possible = others_alive;
         let rmw_reads = 1 + p_alive as usize + q_alive as usize;
-        let recon_reads = others.len();
+        let recon_reads = dd - 1;
 
         let use_rmw = match (rmw_possible, recon_possible) {
             (true, true) => rmw_reads <= recon_reads,
@@ -390,65 +527,44 @@ impl RaidArray {
         self.stale_rows.insert(loc.row);
 
         if use_rmw {
-            // Pooled buffers; error paths drop them back to the allocator,
-            // which is fine — errors are cold.
-            let mut delta = self.pool.acquire();
-            self.disk_read(loc.disk, loc.disk_page, &mut delta, &mut cost)?;
-            // delta = old ^ new
-            xor_into(&mut delta, data);
+            // `P ^= D_old ^ D_new`: the delta is formed from the lent old
+            // page in one pass and folded into the parity page(s) where
+            // they lie. The pooled buffer is dropped on the (cold) error
+            // paths.
+            let mut delta = self.pool.acquire_scratch();
+            let old = self.disk_page(loc.disk, loc.disk_page, &mut cost)?;
+            xor_pages_into(&mut delta, old, data);
+            let g = gf256::pow_g(loc.data_index);
             match (p_loc.filter(|_| p_alive), q_loc.filter(|_| q_alive)) {
-                (Some((pd, pp)), Some((qd, qp))) => {
-                    // Fused P+Q: fold the delta into both parities in one
-                    // pass (per-device op order unchanged: each sees R,W).
-                    let mut parity = self.pool.acquire();
-                    self.disk_read(pd, pp, &mut parity, &mut cost)?;
-                    let mut q = self.pool.acquire();
-                    self.disk_read(qd, qp, &mut q, &mut cost)?;
-                    gf256::mul2_slice_into(
-                        &mut parity,
-                        &mut q,
-                        &delta,
-                        gf256::pow_g(loc.data_index),
-                    );
-                    self.disk_write(pd, pp, &parity, &mut cost)?;
-                    self.disk_write(qd, qp, &q, &mut cost)?;
-                    self.pool.release(parity);
-                    self.pool.release(q);
-                }
+                (Some(p), Some(q)) => self.disk_update_pq(p, q, &mut cost, |p, q| {
+                    gf256::mul2_slice_into(p, q, &delta, g);
+                })?,
                 (Some((pd, pp)), None) => {
-                    let mut parity = self.pool.acquire();
-                    self.disk_read(pd, pp, &mut parity, &mut cost)?;
-                    xor_into(&mut parity, &delta);
-                    self.disk_write(pd, pp, &parity, &mut cost)?;
-                    self.pool.release(parity);
+                    self.disk_update(pd, pp, &mut cost, |p| xor_into(p, &delta))?;
                 }
-                (None, Some((qd, qp))) => {
-                    let mut q = self.pool.acquire();
-                    self.disk_read(qd, qp, &mut q, &mut cost)?;
-                    gf256::mul_slice_into(&mut q, &delta, gf256::pow_g(loc.data_index));
-                    self.disk_write(qd, qp, &q, &mut cost)?;
-                    self.pool.release(q);
-                }
+                (None, Some((qd, qp))) => self.disk_update(qd, qp, &mut cost, |q| {
+                    gf256::mul_slice_into(q, &delta, g);
+                })?,
                 (None, None) => {}
             }
             self.pool.release(delta);
         } else {
-            // Reconstruct-write: gather all other data, fold in new data.
+            // Reconstruct-write: fold every other data page, lent by its
+            // member, into the new data.
             let mut p = self.pool.acquire_from(data);
             let mut q = self.pool.acquire();
             if q_loc.is_some() {
                 gf256::mul_slice_into(&mut q, data, gf256::pow_g(loc.data_index));
             }
-            let mut buf = self.pool.acquire();
-            for &d in &others {
+            for d in others() {
                 let disk = self.layout.data_disk(loc.stripe, d);
-                let dp = loc.disk_page; // same offset across the row
-                self.disk_read(disk, dp, &mut buf, &mut cost)?;
+                // Same offset across the row.
+                let page = self.disk_page(disk, loc.disk_page, &mut cost)?;
                 if q_loc.is_some() {
                     // One pass per member page: P ⊕= D, Q ⊕= g^d·D.
-                    gf256::mul2_slice_into(&mut p, &mut q, &buf, gf256::pow_g(d));
+                    gf256::mul2_slice_into(&mut p, &mut q, page, gf256::pow_g(d));
                 } else {
-                    xor_into(&mut p, &buf);
+                    xor_into(&mut p, page);
                 }
             }
             if let Some((pd, pp)) = p_loc {
@@ -463,7 +579,6 @@ impl RaidArray {
             }
             self.pool.release(p);
             self.pool.release(q);
-            self.pool.release(buf);
         }
 
         if !target_failed {
@@ -561,31 +676,22 @@ impl RaidArray {
             }
         }
         match (p_target, q_target) {
-            (Some((pd, pp)), Some((qd, qp))) if !self.disks[qd].is_failed() => {
-                // Fused P+Q fold: read both parities up front, fold every
-                // delta into both in one pass, then write both. Each
-                // device still sees its original [read, write] sequence.
-                let mut p = self.pool.acquire();
-                self.disk_read(pd, pp, &mut p, &mut cost)?;
-                let mut q = self.pool.acquire();
-                self.disk_read(qd, qp, &mut q, &mut cost)?;
-                for (d, delta) in deltas {
-                    gf256::mul2_slice_into(&mut p, &mut q, delta, gf256::pow_g(*d));
-                }
-                self.disk_write(pd, pp, &p, &mut cost)?;
-                self.disk_write(qd, qp, &q, &mut cost)?;
-                self.pool.release(p);
-                self.pool.release(q);
+            (Some(p), Some(q)) if !self.disks[q.0].is_failed() => {
+                // Fused P+Q fold: every delta goes into both parities in
+                // one pass; each device still sees [read, write].
+                self.disk_update_pq(p, q, &mut cost, |p, q| {
+                    for (d, delta) in deltas {
+                        gf256::mul2_slice_into(p, q, delta, gf256::pow_g(*d));
+                    }
+                })?;
             }
             _ => {
                 if let Some((pd, pp)) = p_target {
-                    let mut p = self.pool.acquire();
-                    self.disk_read(pd, pp, &mut p, &mut cost)?;
-                    for (_, delta) in deltas {
-                        xor_into(&mut p, delta);
-                    }
-                    self.disk_write(pd, pp, &p, &mut cost)?;
-                    self.pool.release(p);
+                    self.disk_update(pd, pp, &mut cost, |p| {
+                        for (_, delta) in deltas {
+                            xor_into(p, delta);
+                        }
+                    })?;
                 }
                 if let Some((qd, _)) = q_target {
                     // Matches the pre-fusion behaviour: a failed Q disk
@@ -617,7 +723,7 @@ impl RaidArray {
                 if self.disks[loc.disk].is_failed() {
                     return Err(RaidError::DiskFailed { disk: loc.disk });
                 }
-                let mut buf = self.pool.acquire();
+                let mut buf = self.pool.acquire_scratch();
                 self.disk_read(loc.disk, loc.disk_page, &mut buf, &mut cost)?;
                 pages.push(buf);
             }
@@ -840,7 +946,7 @@ impl RaidArray {
         let lpns = self.layout.row_lpns(row);
         let mut p = self.pool.acquire();
         let mut q = self.pool.acquire();
-        let mut buf = self.pool.acquire();
+        let mut buf = self.pool.acquire_scratch();
         let mut cost = RaidCost::default();
         for (d, &lpn) in lpns.iter().enumerate() {
             let loc = self.layout.locate(lpn);
@@ -1231,6 +1337,128 @@ mod tests {
         let mut buf = vec![0u8; ps];
         a.read_page(0, &mut buf).unwrap();
         assert_eq!(buf, page(0, ps), "old data still intact (write never acked)");
+    }
+
+    /// One seeded mix of every array operation through two arrays of the
+    /// same shape: `lent` folds pages where they lie, `copied` has an
+    /// empty-plan injector attached and so takes the pooled-copy paths.
+    /// Every result (cost op list or error), every byte read, every
+    /// member's counters and every row's parity must agree.
+    fn lent_and_copied_paths_agree(mut lent: RaidArray, failed: Option<usize>) {
+        let ps = lent.page_size() as usize;
+        let mut copied = lent.clone();
+        let injector = FaultInjector::none();
+        copied.attach_injector(injector.clone());
+        if let Some(disk) = failed {
+            lent.fail_disk(disk);
+            copied.fail_disk(disk);
+        }
+        let layout = *lent.layout();
+        let mut current: Vec<Vec<u8>> = vec![vec![0u8; ps]; layout.capacity_pages() as usize];
+        let mut x = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % bound
+        };
+        let (mut rmw, mut reconstruct, mut repaired) = (0, 0, 0);
+        for step in 0..3000 {
+            let lpn = next(layout.capacity_pages());
+            let data = page(next(256) as u8, ps);
+            match next(10) {
+                0..=3 => {
+                    let (a, b) = (lent.write_page(lpn, &data), copied.write_page(lpn, &data));
+                    assert_eq!(a, b, "step {step}: write_page({lpn})");
+                    if let Ok(cost) = a {
+                        current[lpn as usize] = data;
+                        match cost.reads() {
+                            n if n == cost.writes() => rmw += 1,
+                            _ => reconstruct += 1,
+                        }
+                    }
+                }
+                4 | 5 => {
+                    // KDD's pair: data without parity, then the repair
+                    // from the delta.
+                    let a = lent.write_no_parity_update(lpn, &data);
+                    assert_eq!(a, copied.write_no_parity_update(lpn, &data), "step {step}");
+                    if a.is_err() {
+                        continue;
+                    }
+                    let mut delta = current[lpn as usize].clone();
+                    xor_into(&mut delta, &data);
+                    current[lpn as usize] = data;
+                    let loc = layout.locate(lpn);
+                    let a = lent.parity_update_rmw(loc.row, &[(loc.data_index, &delta)]);
+                    let b = copied.parity_update_rmw(loc.row, &[(loc.data_index, &delta)]);
+                    assert_eq!(a, b, "step {step}: parity_update_rmw(row {})", loc.row);
+                    repaired += usize::from(a.is_ok());
+                }
+                6 => {
+                    let row = layout.row_of(lpn);
+                    let datas: Vec<&[u8]> =
+                        layout.row_lpns(row).iter().map(|&l| &current[l as usize][..]).collect();
+                    let a = lent.parity_update_with_data(row, &datas);
+                    assert_eq!(a, copied.parity_update_with_data(row, &datas), "step {step}");
+                }
+                _ => {
+                    let (mut got_a, mut got_b) = (vec![0u8; ps], vec![0u8; ps]);
+                    let a = lent.read_page(lpn, &mut got_a);
+                    assert_eq!(a, copied.read_page(lpn, &mut got_b), "step {step}");
+                    assert_eq!(got_a, got_b, "step {step}: read_page({lpn})");
+                    if a.is_ok() {
+                        assert_eq!(got_a, current[lpn as usize], "step {step}: lpn {lpn}");
+                    }
+                }
+            }
+        }
+        assert!(rmw > 100 || failed.is_some(), "the mix made {rmw} read-modify-writes");
+        assert!(reconstruct > 0 || failed.is_none(), "no degraded reconstruct-write ran");
+        assert!(repaired > 100, "only {repaired} delta repairs ran");
+        let counters = |a: &RaidArray| -> Vec<(u64, u64)> {
+            a.stats().iter().map(|s| (s.reads, s.writes)).collect()
+        };
+        assert_eq!(counters(&lent), counters(&copied));
+        assert_eq!(lent.stale_row_count(), copied.stale_row_count());
+        assert!(injector.op_count() > 0 && injector.counters().injected == 0);
+        if failed.is_none() {
+            for row in 0..layout.rows() {
+                let consistent = !lent.is_stale(row);
+                assert_eq!(lent.verify_row(row), Ok(consistent), "row {row}");
+                assert_eq!(copied.verify_row(row), Ok(consistent), "row {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn lent_and_copied_paths_agree_r5() {
+        lent_and_copied_paths_agree(r5(), None);
+    }
+
+    #[test]
+    fn lent_and_copied_paths_agree_r6() {
+        lent_and_copied_paths_agree(r6(), None);
+    }
+
+    #[test]
+    fn lent_and_copied_paths_agree_degraded() {
+        lent_and_copied_paths_agree(r5(), Some(1));
+        lent_and_copied_paths_agree(r6(), Some(4));
+    }
+
+    #[test]
+    fn cost_op_list_spills_past_its_inline_capacity() {
+        let mut cost = RaidCost::default();
+        for n in 0..2 * INLINE_OPS {
+            cost.push(n, n as u64, if n % 2 == 0 { IoKind::Read } else { IoKind::Write });
+            assert_eq!(cost.ops.len(), n + 1);
+            assert!(cost.ops.iter().enumerate().all(|(i, op)| op.disk == i));
+        }
+        assert_eq!((cost.reads(), cost.writes()), (INLINE_OPS, INLINE_OPS));
+        let mut merged = RaidCost::default();
+        merged.push(99, 0, IoKind::Read);
+        merged.merge(cost.clone());
+        assert_eq!(merged.ops.len(), 2 * INLINE_OPS + 1);
+        assert_eq!(merged.ops[1..], cost.ops[..]);
     }
 
     #[test]

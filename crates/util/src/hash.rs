@@ -91,6 +91,40 @@ pub type FastMap<K, V> = std::collections::HashMap<K, V, FastHasherBuilder>;
 /// A `HashSet` using the fast hasher.
 pub type FastSet<K> = std::collections::HashSet<K, FastHasherBuilder>;
 
+/// The reflected IEEE 802.3 polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC32_TABLES[k][b]` is the register after byte
+/// `b` followed by `k` zero bytes, so eight input bytes fold in with eight
+/// independent lookups instead of 64 dependent shift-and-mask steps.
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0u32;
+    while b < 256 {
+        let mut r = b;
+        let mut bit = 0;
+        while bit < 8 {
+            r = (r >> 1) ^ (CRC32_POLY & (r & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b as usize] = r;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
 /// Fold `data` into a CRC-32 (IEEE 802.3) running state.
 ///
 /// `state` is the raw (pre-inverted) register; start from `!0` and finish
@@ -99,11 +133,33 @@ pub type FastSet<K> = std::collections::HashSet<K, FastHasherBuilder>;
 /// that are not contiguous in memory.
 #[inline]
 pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        state = (state >> 8) ^ t[0][((state ^ b as u32) & 0xFF) as usize];
+    }
+    state
+}
+
+/// The bit-at-a-time definition [`crc32_update`] is held to.
+#[cfg(test)]
+fn crc32_update_bitwise(mut state: u32, data: &[u8]) -> u32 {
     for &b in data {
         state ^= b as u32;
         for _ in 0..8 {
             let mask = (state & 1).wrapping_neg();
-            state = (state >> 1) ^ (0xEDB8_8320 & mask);
+            state = (state >> 1) ^ (CRC32_POLY & mask);
         }
     }
     state
@@ -166,6 +222,26 @@ mod tests {
         let data = b"keeping data and deltas";
         let split = crc32_update(crc32_update(!0, &data[..7]), &data[7..]);
         assert_eq!(!split, crc32(data));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The table-driven CRC equals the bitwise definition from any
+        /// starting register, and folding a buffer in two pieces at any
+        /// split point equals folding it whole.
+        #[test]
+        fn crc32_tables_match_bitwise_reference(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=8192),
+            start in proptest::prelude::any::<u32>(),
+        ) {
+            let whole = crc32_update_bitwise(start, &data);
+            proptest::prop_assert_eq!(crc32_update(start, &data), whole);
+            for split in 0..=data.len() {
+                let (a, b) = data.split_at(split);
+                proptest::prop_assert_eq!(crc32_update(crc32_update(start, a), b), whole);
+            }
+        }
     }
 
     #[test]

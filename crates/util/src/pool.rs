@@ -10,8 +10,10 @@
 //! Design constraints, in priority order:
 //!
 //! * **Determinism** — the pool affects *where* bytes live, never *what*
-//!   they are: [`PagePool::acquire`] always returns an all-zero page, and a
-//!   cloned pool starts with an empty free list so clones share no state.
+//!   they are: [`PagePool::acquire`] always returns an all-zero page
+//!   ([`PagePool::acquire_scratch`] skips the fill for callers that
+//!   overwrite the whole page before reading any of it), and a cloned pool
+//!   starts with an empty free list so clones share no state.
 //! * **No `unsafe`** — recycled pages are zeroed with `fill(0)`; there is
 //!   no uninitialised memory anywhere.
 //! * **Bounded** — the free list is capped; beyond the cap, released pages
@@ -55,6 +57,21 @@ impl PagePool {
             Some(mut page) => {
                 self.recycled += 1;
                 page.fill(0);
+                page
+            }
+            None => vec![0u8; self.page_size].into_boxed_slice(),
+        }
+    }
+
+    /// Take a page buffer the caller is about to overwrite completely. Its
+    /// contents are unspecified — whatever the last user left, zeros when
+    /// fresh — so nothing that is read before being written may depend on
+    /// them; in exchange a recycled page is not zero-filled first.
+    pub fn acquire_scratch(&mut self) -> Box<[u8]> {
+        self.acquired += 1;
+        match self.free.pop() {
+            Some(page) => {
+                self.recycled += 1;
                 page
             }
             None => vec![0u8; self.page_size].into_boxed_slice(),
@@ -120,6 +137,17 @@ mod tests {
         let page = pool.acquire();
         assert!(page.iter().all(|&b| b == 0), "recycled page leaked stale bytes");
         assert_eq!(pool.stats(), (2, 1));
+    }
+
+    #[test]
+    fn acquire_scratch_recycles_without_zeroing() {
+        let mut pool = PagePool::new(8);
+        assert!(pool.acquire_scratch().iter().all(|&b| b == 0), "a fresh page is zeroed");
+        let mut page = pool.acquire();
+        page.fill(0xAB);
+        pool.release(page);
+        assert_eq!(&pool.acquire_scratch()[..], &[0xAB; 8], "recycled as it was left");
+        assert_eq!(pool.stats(), (3, 1));
     }
 
     #[test]
