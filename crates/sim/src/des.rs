@@ -12,11 +12,19 @@
 //!   on the seek distance from wherever the head last landed — sequential
 //!   runs are cheap, cross-platter jumps are not.
 //!
-//! A request proceeds in phases (the read round of a read-modify-write,
-//! then the write round); a phase completes when its last member
-//! operation finishes, upon which the next phase's operations are
+//! A request proceeds in rounds (the read round of a read-modify-write,
+//! then the write round on the same member pages); a round completes when
+//! its last member operation finishes, upon which the next round is
 //! enqueued. SSD and CPU time are added at completion (the flash is two
-//! orders of magnitude faster than the disks and never queues here).
+//! orders of magnitude faster than the disks and never queues here), and
+//! only `outcome.foreground` is replayed: `outcome.background` (cleaner
+//! I/O) is not queued on the member disks, exactly as in [`crate::openloop`].
+//!
+//! Live state follows the queue depth, not the trace length: an in-flight
+//! request holds its (at most three: data, P, Q) targets inline in a slot
+//! recycled when its response is recorded, and the event heap holds at most
+//! one completion per disk. Once slots and disk FIFOs have grown to the peak
+//! backlog a request allocates nothing, and its address is decoded once.
 
 // Indexing and narrowing casts here are bounds-audited (offsets from
 // length-checked parses; sizes bounded by construction). See DESIGN.md
@@ -35,7 +43,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// One member-disk operation of one request phase.
+/// One member-disk operation of one request round.
 #[derive(Debug, Clone, Copy)]
 struct MemberOp {
     req: usize,
@@ -60,43 +68,49 @@ impl DiskSim {
         }
     }
 
+    /// Put `op` under the head at `at`; returns its completion time.
+    fn begin(&mut self, at: SimTime, op: MemberOp) -> SimTime {
+        self.busy_until = at + self.model.access(op.disk_page, 1);
+        self.current = Some(op);
+        self.busy_until
+    }
+
     /// Enqueue an op; if idle, start it and return its completion time.
     fn push(&mut self, now: SimTime, op: MemberOp) -> Option<SimTime> {
         if self.current.is_none() {
-            let service = self.model.access(op.disk_page, 1);
-            self.busy_until = now.max(self.busy_until) + service;
-            self.current = Some(op);
-            Some(self.busy_until)
-        } else {
-            self.queue.push_back(op);
-            None
+            return Some(self.begin(now.max(self.busy_until), op));
         }
+        self.queue.push_back(op);
+        None
     }
 
-    /// The current op finished; start the next one if any. Returns the
-    /// finished op and, when another was started, its completion time.
-    fn complete(&mut self, now: SimTime) -> (MemberOp, Option<SimTime>) {
-        let done = self.current.take().expect("completion without an op");
-        let next = self.queue.pop_front().map(|op| {
-            let service = self.model.access(op.disk_page, 1);
-            self.busy_until = now + service;
-            self.current = Some(op);
-            self.busy_until
-        });
-        (done, next)
+    /// The current op finished (`None` if the disk was idle); start the next
+    /// one if any and return the finished op and the next's completion time.
+    fn complete(&mut self, now: SimTime) -> Option<(MemberOp, Option<SimTime>)> {
+        let done = self.current.take()?;
+        let next = self.queue.pop_front().map(|op| self.begin(now, op));
+        Some((done, next))
     }
 }
 
-/// Per-request state across phases.
+/// A request's member-disk rounds, inline: both rounds of an RMW share one set.
+#[derive(Debug, Clone, Copy)]
+struct Phases {
+    /// Data page, then P, then Q; only the first `count` are meaningful.
+    targets: [(usize, u64); 3],
+    count: u8,
+    /// Rounds still to run, the current one included.
+    rounds_left: u8,
+}
+
+/// Per-request state across rounds.
 struct ReqState {
     arrival: SimTime,
-    /// Remaining member ops in the current phase.
-    outstanding: u32,
-    /// Phases still to run after the current one: lists of (disk, page).
-    phases: VecDeque<Vec<(usize, u64)>>,
-    /// Flash + CPU time added once all disk phases are done.
+    /// Remaining member ops in the current round.
+    outstanding: u8,
+    phases: Phases,
+    /// Flash + CPU time added once all disk rounds are done.
     ssd_cpu: SimTime,
-    done: bool,
 }
 
 /// Results of a DES replay.
@@ -116,42 +130,118 @@ pub struct DesReport {
     pub mean_queue_depth: f64,
 }
 
-/// Derive the member-disk operations a request's foreground effects imply.
-///
-/// The mapping follows the array's actual behaviour for the patterns the
+/// Derive the member-disk operations a request's foreground effects imply
+/// (`None`: it touches no disk). `capacity` is `layout.capacity_pages()`. The
+/// mapping follows the array's actual behaviour for the patterns the
 /// policies emit: a plain read touches the page's disk; a small write
 /// reads the page's disk + its parity disk(s), then writes them; a
-/// `write_no_parity_update` writes only the page's disk.
-fn phases_for(layout: &Layout, lba: u64, fx: &Effects) -> VecDeque<Vec<(usize, u64)>> {
-    let mut phases = VecDeque::new();
+/// `write_no_parity_update` writes only the page's disk. P and Q of a row
+/// sit at the data page's own `disk_page`, so one `locate` places all three.
+fn phases_for(layout: &Layout, capacity: u64, lba: u64, fx: &Effects) -> Option<Phases> {
     if fx.raid_rounds == 0 {
-        return phases;
+        return None;
     }
-    let lba = lba % layout.capacity_pages();
-    let loc = layout.locate(lba);
-    let row = layout.row_of(lba);
-    let parity = layout.parity_location(row);
-    let q = layout.q_location(row);
-    let mut targets: Vec<(usize, u64)> = vec![(loc.disk, loc.disk_page)];
-    if fx.raid_reads >= 2 || fx.raid_writes >= 2 {
-        if let Some((pd, pp)) = parity {
-            targets.push((pd, pp));
+    let loc = layout.locate(if lba >= capacity { lba % capacity } else { lba });
+    let mut phases = Phases { targets: [(loc.disk, loc.disk_page); 3], count: 1, rounds_left: 1 };
+    if fx.raid_rounds >= 2 {
+        // Read-modify-write: read round then write round on the same set.
+        phases.rounds_left = 2;
+        let members = fx.raid_reads.max(fx.raid_writes);
+        let p = if members >= 2 { layout.parity_disk(loc.stripe) } else { None };
+        let q = if members >= 3 { layout.q_disk(loc.stripe) } else { None };
+        for disk in [p, q].into_iter().flatten() {
+            phases.targets[phases.count as usize].0 = disk;
+            phases.count += 1;
         }
-        if fx.raid_reads >= 3 || fx.raid_writes >= 3 {
-            if let Some((qd, qp)) = q {
-                targets.push((qd, qp));
+    }
+    Some(phases)
+}
+
+/// Member disks, in-flight requests, pending completions and response times.
+struct Replayer {
+    disks: Vec<DiskSim>,
+    /// Request slots; `free` lists the ones whose request has finished.
+    reqs: Vec<ReqState>,
+    free: Vec<usize>,
+    /// Disk completions as (time, seq, disk): at most one per disk, since a
+    /// disk's next op starts only when its current one completes.
+    events: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    seq: u64,
+    stats: StreamingStats,
+    hist: Histogram,
+}
+
+impl Replayer {
+    fn new(layout: &Layout, page_size: u32) -> Self {
+        Replayer {
+            disks: (0..layout.disks).map(|_| DiskSim::new(layout.disk_pages, page_size)).collect(),
+            reqs: Vec::new(),
+            free: Vec::new(),
+            events: BinaryHeap::with_capacity(layout.disks),
+            seq: 0,
+            stats: StreamingStats::new(),
+            hist: Histogram::new(),
+        }
+    }
+
+    fn record(&mut self, resp: SimTime) {
+        self.stats.record(resp.as_nanos() as f64);
+        self.hist.record(resp.as_nanos());
+    }
+
+    /// Admit a request arriving at `now`, reusing a finished slot if any.
+    fn start(&mut self, now: SimTime, phases: Phases, ssd_cpu: SimTime) {
+        let state = ReqState { arrival: now, outstanding: 0, phases, ssd_cpu };
+        let id = self.free.pop().unwrap_or(self.reqs.len());
+        match self.reqs.get_mut(id) {
+            Some(slot) => *slot = state,
+            None => self.reqs.push(state),
+        }
+        self.start_round(now, id);
+    }
+
+    /// Enqueue the member ops of request `id`'s current round.
+    fn start_round(&mut self, now: SimTime, id: usize) {
+        let Phases { targets, count, .. } = self.reqs[id].phases;
+        self.reqs[id].outstanding = count;
+        for &(disk, disk_page) in &targets[..count as usize] {
+            if let Some(done_at) = self.disks[disk].push(now, MemberOp { req: id, disk_page }) {
+                self.seq += 1;
+                self.events.push(Reverse((done_at, self.seq, disk)));
             }
         }
     }
-    if fx.raid_rounds >= 2 {
-        // Read-modify-write: read round then write round on the same set.
-        phases.push_back(targets.clone());
-        phases.push_back(targets);
-    } else {
-        // Single round: either a plain read or a lone data write.
-        phases.push_back(vec![(loc.disk, loc.disk_page)]);
+
+    /// Process disk completions due by `t`, in `(time, seq, disk)` order.
+    fn drain_until(&mut self, t: SimTime) {
+        while let Some(&Reverse((when, _, disk))) = self.events.peek() {
+            if when > t {
+                break;
+            }
+            self.events.pop();
+            let Some((op, next)) = self.disks[disk].complete(when) else {
+                debug_assert!(false, "completion event for idle disk {disk}");
+                continue;
+            };
+            if let Some(done_at) = next {
+                self.seq += 1;
+                self.events.push(Reverse((done_at, self.seq, disk)));
+            }
+            let r = &mut self.reqs[op.req];
+            r.outstanding -= 1;
+            if r.outstanding > 0 {
+                continue;
+            }
+            r.phases.rounds_left -= 1;
+            if r.phases.rounds_left > 0 {
+                self.start_round(when, op.req);
+            } else {
+                let resp = when + r.ssd_cpu - r.arrival;
+                self.record(resp);
+                self.free.push(op.req);
+            }
+        }
     }
-    phases
 }
 
 /// Replay a trace with the discrete-event device model.
@@ -161,124 +251,34 @@ pub fn replay_des(
     layout: &Layout,
     model: &ServiceModel,
 ) -> DesReport {
-    let page_size = trace.page_size;
-    let mut disks: Vec<DiskSim> =
-        (0..layout.disks).map(|_| DiskSim::new(layout.disk_pages, page_size)).collect();
-    let mut reqs: Vec<ReqState> = Vec::new();
-    let mut stats = StreamingStats::new();
-    let mut hist = Histogram::new();
+    let mut sim = Replayer::new(layout, trace.page_size);
     let mut depth = StreamingStats::new();
+    let capacity = layout.capacity_pages();
 
-    // Event queue: (time, seq, disk) — disk completions only; arrivals are
-    // processed in trace order against the advancing clock.
-    let mut events: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-
-    let finish_phase_op = |reqs: &mut Vec<ReqState>,
-                           disks: &mut Vec<DiskSim>,
-                           events: &mut BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-                           seq: &mut u64,
-                           stats: &mut StreamingStats,
-                           hist: &mut Histogram,
-                           now: SimTime,
-                           op: MemberOp| {
-        let r = &mut reqs[op.req];
-        r.outstanding -= 1;
-        if r.outstanding > 0 {
-            return;
-        }
-        if let Some(next) = r.phases.pop_front() {
-            r.outstanding = next.len() as u32;
-            for (disk, page) in next {
-                if let Some(done_at) =
-                    disks[disk].push(now, MemberOp { req: op.req, disk_page: page })
-                {
-                    *seq += 1;
-                    events.push(Reverse((done_at, *seq, disk)));
-                }
-            }
-        } else if !r.done {
-            r.done = true;
-            let resp = now + r.ssd_cpu - r.arrival;
-            stats.record(resp.as_nanos() as f64);
-            hist.record(resp.as_nanos());
-        }
-    };
-
-    #[allow(unused_mut)]
-    let mut drain_until = |reqs: &mut Vec<ReqState>,
-                           disks: &mut Vec<DiskSim>,
-                           events: &mut BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-                           seq: &mut u64,
-                           stats: &mut StreamingStats,
-                           hist: &mut Histogram,
-                           t: SimTime| {
-        while let Some(&Reverse((when, _, disk))) = events.peek() {
-            if when > t {
-                break;
-            }
-            events.pop();
-            let (op, _next_started) = {
-                let d = &mut disks[disk];
-                let (op, next) = d.complete(when);
-                if let Some(done_at) = next {
-                    *seq += 1;
-                    events.push(Reverse((done_at, *seq, disk)));
-                }
-                (op, ())
-            };
-            finish_phase_op(reqs, disks, events, seq, stats, hist, when, op);
-        }
-    };
-
+    // Arrivals are processed in trace order against the advancing clock.
     for rec in &trace.records {
-        let arrival = rec.time;
-        drain_until(&mut reqs, &mut disks, &mut events, &mut seq, &mut stats, &mut hist, arrival);
-        depth.record(
-            disks.iter().map(|d| d.queue.len() + d.current.is_some() as usize).sum::<usize>()
-                as f64,
-        );
+        sim.drain_until(rec.time);
+        let queued = sim.disks.iter().map(|d| d.queue.len() + d.current.is_some() as usize);
+        depth.record(queued.sum::<usize>() as f64);
         for lba in rec.pages() {
-            let outcome = policy.access(rec.op, lba);
-            let fx = outcome.foreground;
-            let ssd_cpu = model.response_time(&Effects {
-                raid_rounds: 0,
-                raid_reads: 0,
-                raid_writes: 0,
-                ..fx
-            });
-            let phases = phases_for(layout, lba, &fx);
-            let id = reqs.len();
-            let mut state = ReqState { arrival, outstanding: 0, phases, ssd_cpu, done: false };
-            if let Some(first) = state.phases.pop_front() {
-                state.outstanding = first.len() as u32;
-                reqs.push(state);
-                for (disk, page) in first {
-                    if let Some(done_at) =
-                        disks[disk].push(arrival, MemberOp { req: id, disk_page: page })
-                    {
-                        seq += 1;
-                        events.push(Reverse((done_at, seq, disk)));
-                    }
-                }
-            } else {
+            let fx = policy.access(rec.op, lba).foreground;
+            let ssd_fx = Effects { raid_rounds: 0, raid_reads: 0, raid_writes: 0, ..fx };
+            let ssd_cpu = model.response_time(&ssd_fx);
+            match phases_for(layout, capacity, lba, &fx) {
+                Some(phases) => sim.start(rec.time, phases, ssd_cpu),
                 // Pure cache operation: completes without touching disks.
-                let resp = ssd_cpu;
-                stats.record(resp.as_nanos() as f64);
-                hist.record(resp.as_nanos());
-                state.done = true;
-                reqs.push(state);
+                None => sim.record(ssd_cpu),
             }
         }
     }
-    drain_until(&mut reqs, &mut disks, &mut events, &mut seq, &mut stats, &mut hist, SimTime::MAX);
+    sim.drain_until(SimTime::MAX);
     policy.flush();
 
     DesReport {
         policy: policy.name(),
-        requests: stats.count(),
-        mean_response: SimTime::from_nanos(stats.mean() as u64),
-        p99: SimTime::from_nanos(hist.quantile(0.99).unwrap_or(0)),
+        requests: sim.stats.count(),
+        mean_response: SimTime::from_nanos(sim.stats.mean() as u64),
+        p99: SimTime::from_nanos(sim.hist.quantile(0.99).unwrap_or(0)),
         hit_ratio: policy.stats().hit_ratio(),
         mean_queue_depth: depth.mean(),
     }
@@ -291,19 +291,22 @@ mod tests {
     use crate::openloop::replay_open_loop;
     use kdd_cache::policies::RaidModel;
     use kdd_cache::setassoc::CacheGeometry;
+    use kdd_raid::layout::RaidLevel;
     use kdd_trace::record::{Op, TraceRecord};
     use kdd_trace::synth::PaperTrace;
 
-    fn run(kind: PolicyKind, trace: &Trace, cache_pages: u64) -> DesReport {
-        let g = CacheGeometry {
+    fn geometry(cache_pages: u64) -> CacheGeometry {
+        CacheGeometry {
             total_pages: cache_pages,
             ways: 64.min(cache_pages as u32),
             page_size: 4096,
-        };
+        }
+    }
+
+    fn run(kind: PolicyKind, trace: &Trace, cache_pages: u64) -> DesReport {
         let raid = RaidModel::paper_default(trace.address_space_pages().max(1024));
-        let layout = raid.layout;
-        let mut p = build_policy(kind, g, raid, 3);
-        replay_des(p.as_mut(), trace, &layout, &ServiceModel::paper_default())
+        let mut p = build_policy(kind, geometry(cache_pages), raid, 3);
+        replay_des(p.as_mut(), trace, &raid.layout, &ServiceModel::paper_default())
     }
 
     #[test]
@@ -380,5 +383,457 @@ mod tests {
             seq.mean_response,
             scattered.mean_response
         );
+    }
+
+    fn raid6(data_pages: u64) -> RaidModel {
+        let disk_pages = (data_pages.div_ceil(4).div_ceil(16) + 1) * 16;
+        RaidModel { layout: Layout::new(RaidLevel::Raid6, 6, 16, disk_pages) }
+    }
+
+    /// Replay `trace` through the rewrite and the reference with
+    /// identically built policies; every report field and the policies'
+    /// counters must agree exactly.
+    fn assert_matches_reference(kind: PolicyKind, trace: &Trace, raid: RaidModel, what: &str) {
+        let model = ServiceModel::paper_default();
+        let mut p_new = build_policy(kind, geometry(4096), raid, 3);
+        let mut p_ref = build_policy(kind, geometry(4096), raid, 3);
+        let new = replay_des(p_new.as_mut(), trace, &raid.layout, &model);
+        let old = reference::replay_des(p_ref.as_mut(), trace, &raid.layout, &model);
+        let what = format!("{what} / {}", kind.name());
+        assert_eq!(new.policy, old.policy, "{what}");
+        assert_eq!(new.requests, old.requests, "{what}");
+        assert_eq!(new.mean_response, old.mean_response, "{what}");
+        assert_eq!(new.p99, old.p99, "{what}");
+        assert_eq!(new.hit_ratio.to_bits(), old.hit_ratio.to_bits(), "{what}");
+        assert_eq!(new.mean_queue_depth.to_bits(), old.mean_queue_depth.to_bits(), "{what}");
+        assert_eq!(p_new.stats(), p_ref.stats(), "{what}");
+        assert!(new.requests > 0, "{what}: empty replay proves nothing");
+    }
+
+    #[test]
+    fn rewrite_matches_reference_on_paper_traces_raid5_and_raid6() {
+        for paper in PaperTrace::ALL {
+            let trace = paper.generate_scaled(2000, 17);
+            let pages = trace.address_space_pages().max(1024);
+            for kind in PolicyKind::latency_set() {
+                let name = format!("{paper:?}");
+                assert_matches_reference(kind, &trace, RaidModel::paper_default(pages), &name);
+                assert_matches_reference(kind, &trace, raid6(pages), &format!("{name} RAID-6"));
+            }
+        }
+    }
+
+    #[test]
+    fn rewrite_matches_reference_on_bursts_and_multi_page_records() {
+        // One timestamp for every record: completions tie on time and only
+        // `seq` orders them.
+        let mut burst = Trace::new(4096);
+        // Multi-page records, some wrapping past the array's capacity.
+        let mut wide = Trace::new(4096);
+        for i in 0..300u64 {
+            let op = if i % 3 == 0 { Op::Read } else { Op::Write };
+            burst.records.push(TraceRecord { time: SimTime::ZERO, op, lba: i * 37 % 2048, len: 1 });
+            wide.records.push(TraceRecord {
+                time: SimTime::from_millis(i * 7),
+                op,
+                lba: i * 1031 % 9000,
+                len: 1 + (i % 5) as u32,
+            });
+        }
+        for kind in PolicyKind::latency_set() {
+            for (trace, what) in [(&burst, "burst"), (&wide, "len > 1")] {
+                assert_matches_reference(kind, trace, RaidModel::paper_default(1024), what);
+                assert_matches_reference(kind, trace, raid6(1024), &format!("{what} RAID-6"));
+            }
+        }
+    }
+
+    #[test]
+    fn rewrite_matches_reference_when_completions_tie() {
+        // Four lbas on three disks whose two rows sit half a stroke apart:
+        // service times repeat exactly, so disks complete at the same
+        // nanosecond all the time, and the order those completions are
+        // processed in (`seq`) decides which request queues first on a
+        // shared disk. Paper-sized arrays almost never tie.
+        let raid = RaidModel { layout: Layout::new(RaidLevel::Raid5, 3, 1, 2) };
+        let mut state = 18;
+        for case in 0..400 {
+            let mut burst = Trace::new(4096);
+            for _ in 0..4 + case % 12 {
+                let r = kdd_util::rng::splitmix64(&mut state);
+                let op = if r % 3 == 0 { Op::Read } else { Op::Write };
+                burst.records.push(TraceRecord {
+                    time: SimTime::ZERO,
+                    op,
+                    lba: (r >> 8) % 4,
+                    len: 1,
+                });
+            }
+            assert_matches_reference(PolicyKind::Nossd, &burst, raid, &format!("ties {case}"));
+        }
+    }
+
+    #[test]
+    fn inline_targets_equal_the_three_separate_decodes() {
+        let layouts = [
+            Layout::new(RaidLevel::Raid0, 4, 4, 4 * 6),
+            Layout::new(RaidLevel::Raid5, 5, 4, 4 * 6),
+            Layout::new(RaidLevel::Raid5, 3, 16, 16 * 3),
+            Layout::new(RaidLevel::Raid6, 6, 4, 4 * 7),
+            Layout::new(RaidLevel::Raid6, 4, 2, 2 * 5),
+        ];
+        for layout in &layouts {
+            let capacity = layout.capacity_pages();
+            // (rounds, reads, writes): everything the policies emit — plain
+            // read, lone data write, RAID-5/6 read-modify-write and
+            // reconstruct-write shapes, the cache-only request — and more.
+            for (rounds, reads, writes) in (0..=2u32)
+                .flat_map(|r| (0..=4u32).flat_map(move |rd| (0..=3u32).map(move |w| (r, rd, w))))
+            {
+                let fx = Effects {
+                    raid_rounds: rounds,
+                    raid_reads: reads,
+                    raid_writes: writes,
+                    ..Effects::default()
+                };
+                // Past the end too: lbas wrap modulo the capacity.
+                for lba in 0..capacity + 5 {
+                    let Some(got) = phases_for(layout, capacity, lba, &fx) else {
+                        assert_eq!(rounds, 0, "{layout:?} lba {lba} {fx:?}");
+                        continue;
+                    };
+                    let (loc, row) = (layout.locate(lba % capacity), layout.row_of(lba % capacity));
+                    let decoded = [
+                        Some((loc.disk, loc.disk_page)),
+                        layout.parity_location(row),
+                        layout.q_location(row),
+                    ];
+                    let members = if rounds >= 2 { reads.max(writes).max(1) } else { 1 };
+                    let want: Vec<_> =
+                        decoded.into_iter().take(members as usize).flatten().collect();
+                    assert_eq!(got.targets[..got.count as usize], want, "{layout:?} {lba} {fx:?}");
+                    assert_eq!(u32::from(got.rounds_left), rounds, "{layout:?} {lba} {fx:?}");
+                }
+            }
+        }
+    }
+
+    /// A small write on the default array: read round + write round on the
+    /// data and parity disks.
+    fn small_write(layout: &Layout, lba: u64) -> Phases {
+        let fx = Effects { raid_reads: 2, raid_writes: 2, raid_rounds: 2, ..Effects::default() };
+        phases_for(layout, layout.capacity_pages(), lba, &fx).expect("touches disks")
+    }
+
+    #[test]
+    fn slots_are_recycled_so_live_state_follows_queue_depth() {
+        let layout = RaidModel::paper_default(8192).layout;
+
+        // Spaced wider than a service time: one request in flight, one slot.
+        let mut sim = Replayer::new(&layout, 4096);
+        for i in 0..50u64 {
+            let now = SimTime::from_secs(i);
+            sim.drain_until(now);
+            sim.start(now, small_write(&layout, i * 64), SimTime::ZERO);
+            assert_eq!(sim.reqs.len(), 1, "request {i} must reuse the finished slot");
+        }
+        sim.drain_until(SimTime::MAX);
+        assert_eq!(sim.stats.count(), 50);
+
+        // The 100-write burst: at most 100 live slots, and once they have
+        // finished a second burst reuses them before the table grows.
+        let mut sim = Replayer::new(&layout, 4096);
+        for round in 0..2u64 {
+            let now = SimTime::from_secs(round * 3600);
+            sim.drain_until(now);
+            assert_eq!(sim.free.len(), sim.reqs.len(), "burst {round}: all slots returned");
+            for i in 0..100u64 {
+                sim.start(now, small_write(&layout, i * 64), SimTime::ZERO);
+            }
+            assert_eq!(sim.reqs.len(), 100, "burst {round}");
+            assert!(sim.events.len() <= layout.disks, "one pending completion per disk");
+        }
+        sim.drain_until(SimTime::MAX);
+        assert_eq!(sim.stats.count(), 200);
+        assert_eq!(sim.free.len(), 100);
+    }
+
+    #[test]
+    fn completion_for_an_idle_disk_is_not_a_panic() {
+        let mut disk = DiskSim::new(1024, 4096);
+        assert!(disk.complete(SimTime::ZERO).is_none());
+        let done_at = disk.push(SimTime::ZERO, MemberOp { req: 0, disk_page: 7 }).expect("idle");
+        let (op, next) = disk.complete(done_at).expect("one op in service");
+        assert_eq!((op.req, op.disk_page, next), (0, 7, None));
+        assert!(disk.complete(done_at).is_none(), "a duplicate completion finds nothing");
+    }
+
+    /// The replayer as it stood before the inline-state rewrite, verbatim:
+    /// per-request `VecDeque<Vec<..>>` phases, one `ReqState` per trace
+    /// request, three address decodes. The differential tests below hold
+    /// the rewrite to it bit for bit.
+    mod reference {
+        use super::super::DesReport;
+        use crate::service::ServiceModel;
+        use kdd_blockdev::hdd::HddModel;
+        use kdd_cache::effects::Effects;
+        use kdd_cache::policies::CachePolicy;
+        use kdd_raid::layout::Layout;
+        use kdd_trace::record::Trace;
+        use kdd_util::stats::{Histogram, StreamingStats};
+        use kdd_util::units::SimTime;
+        use std::cmp::Reverse;
+        use std::collections::{BinaryHeap, VecDeque};
+
+        /// One member-disk operation of one request phase.
+        #[derive(Debug, Clone, Copy)]
+        struct MemberOp {
+            req: usize,
+            disk_page: u64,
+        }
+
+        /// A member disk: FIFO queue + mechanical model.
+        struct DiskSim {
+            model: HddModel,
+            queue: VecDeque<MemberOp>,
+            busy_until: SimTime,
+            current: Option<MemberOp>,
+        }
+
+        impl DiskSim {
+            fn new(capacity_pages: u64, page_size: u32) -> Self {
+                DiskSim {
+                    model: HddModel::enterprise_7200rpm(capacity_pages, page_size),
+                    queue: VecDeque::new(),
+                    busy_until: SimTime::ZERO,
+                    current: None,
+                }
+            }
+
+            /// Enqueue an op; if idle, start it and return its completion time.
+            fn push(&mut self, now: SimTime, op: MemberOp) -> Option<SimTime> {
+                if self.current.is_none() {
+                    let service = self.model.access(op.disk_page, 1);
+                    self.busy_until = now.max(self.busy_until) + service;
+                    self.current = Some(op);
+                    Some(self.busy_until)
+                } else {
+                    self.queue.push_back(op);
+                    None
+                }
+            }
+
+            /// The current op finished; start the next one if any. Returns the
+            /// finished op and, when another was started, its completion time.
+            fn complete(&mut self, now: SimTime) -> (MemberOp, Option<SimTime>) {
+                let done = self.current.take().expect("completion without an op");
+                let next = self.queue.pop_front().map(|op| {
+                    let service = self.model.access(op.disk_page, 1);
+                    self.busy_until = now + service;
+                    self.current = Some(op);
+                    self.busy_until
+                });
+                (done, next)
+            }
+        }
+
+        /// Per-request state across phases.
+        struct ReqState {
+            arrival: SimTime,
+            /// Remaining member ops in the current phase.
+            outstanding: u32,
+            /// Phases still to run after the current one: lists of (disk, page).
+            phases: VecDeque<Vec<(usize, u64)>>,
+            /// Flash + CPU time added once all disk phases are done.
+            ssd_cpu: SimTime,
+            done: bool,
+        }
+
+        /// Derive the member-disk operations a request's foreground effects imply.
+        ///
+        /// The mapping follows the array's actual behaviour for the patterns the
+        /// policies emit: a plain read touches the page's disk; a small write
+        /// reads the page's disk + its parity disk(s), then writes them; a
+        /// `write_no_parity_update` writes only the page's disk.
+        fn phases_for(layout: &Layout, lba: u64, fx: &Effects) -> VecDeque<Vec<(usize, u64)>> {
+            let mut phases = VecDeque::new();
+            if fx.raid_rounds == 0 {
+                return phases;
+            }
+            let lba = lba % layout.capacity_pages();
+            let loc = layout.locate(lba);
+            let row = layout.row_of(lba);
+            let parity = layout.parity_location(row);
+            let q = layout.q_location(row);
+            let mut targets: Vec<(usize, u64)> = vec![(loc.disk, loc.disk_page)];
+            if fx.raid_reads >= 2 || fx.raid_writes >= 2 {
+                if let Some((pd, pp)) = parity {
+                    targets.push((pd, pp));
+                }
+                if fx.raid_reads >= 3 || fx.raid_writes >= 3 {
+                    if let Some((qd, qp)) = q {
+                        targets.push((qd, qp));
+                    }
+                }
+            }
+            if fx.raid_rounds >= 2 {
+                // Read-modify-write: read round then write round on the same set.
+                phases.push_back(targets.clone());
+                phases.push_back(targets);
+            } else {
+                // Single round: either a plain read or a lone data write.
+                phases.push_back(vec![(loc.disk, loc.disk_page)]);
+            }
+            phases
+        }
+
+        /// Replay a trace with the discrete-event device model.
+        pub(super) fn replay_des(
+            policy: &mut dyn CachePolicy,
+            trace: &Trace,
+            layout: &Layout,
+            model: &ServiceModel,
+        ) -> DesReport {
+            let page_size = trace.page_size;
+            let mut disks: Vec<DiskSim> =
+                (0..layout.disks).map(|_| DiskSim::new(layout.disk_pages, page_size)).collect();
+            let mut reqs: Vec<ReqState> = Vec::new();
+            let mut stats = StreamingStats::new();
+            let mut hist = Histogram::new();
+            let mut depth = StreamingStats::new();
+
+            // Event queue: (time, seq, disk) — disk completions only; arrivals are
+            // processed in trace order against the advancing clock.
+            let mut events: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::new();
+            let mut seq = 0u64;
+
+            let finish_phase_op = |reqs: &mut Vec<ReqState>,
+                                   disks: &mut Vec<DiskSim>,
+                                   events: &mut BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+                                   seq: &mut u64,
+                                   stats: &mut StreamingStats,
+                                   hist: &mut Histogram,
+                                   now: SimTime,
+                                   op: MemberOp| {
+                let r = &mut reqs[op.req];
+                r.outstanding -= 1;
+                if r.outstanding > 0 {
+                    return;
+                }
+                if let Some(next) = r.phases.pop_front() {
+                    r.outstanding = next.len() as u32;
+                    for (disk, page) in next {
+                        if let Some(done_at) =
+                            disks[disk].push(now, MemberOp { req: op.req, disk_page: page })
+                        {
+                            *seq += 1;
+                            events.push(Reverse((done_at, *seq, disk)));
+                        }
+                    }
+                } else if !r.done {
+                    r.done = true;
+                    let resp = now + r.ssd_cpu - r.arrival;
+                    stats.record(resp.as_nanos() as f64);
+                    hist.record(resp.as_nanos());
+                }
+            };
+
+            #[allow(unused_mut)]
+            let mut drain_until = |reqs: &mut Vec<ReqState>,
+                                   disks: &mut Vec<DiskSim>,
+                                   events: &mut BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+                                   seq: &mut u64,
+                                   stats: &mut StreamingStats,
+                                   hist: &mut Histogram,
+                                   t: SimTime| {
+                while let Some(&Reverse((when, _, disk))) = events.peek() {
+                    if when > t {
+                        break;
+                    }
+                    events.pop();
+                    let (op, _next_started) = {
+                        let d = &mut disks[disk];
+                        let (op, next) = d.complete(when);
+                        if let Some(done_at) = next {
+                            *seq += 1;
+                            events.push(Reverse((done_at, *seq, disk)));
+                        }
+                        (op, ())
+                    };
+                    finish_phase_op(reqs, disks, events, seq, stats, hist, when, op);
+                }
+            };
+
+            for rec in &trace.records {
+                let arrival = rec.time;
+                drain_until(
+                    &mut reqs,
+                    &mut disks,
+                    &mut events,
+                    &mut seq,
+                    &mut stats,
+                    &mut hist,
+                    arrival,
+                );
+                depth.record(
+                    disks
+                        .iter()
+                        .map(|d| d.queue.len() + d.current.is_some() as usize)
+                        .sum::<usize>() as f64,
+                );
+                for lba in rec.pages() {
+                    let outcome = policy.access(rec.op, lba);
+                    let fx = outcome.foreground;
+                    let ssd_cpu = model.response_time(&Effects {
+                        raid_rounds: 0,
+                        raid_reads: 0,
+                        raid_writes: 0,
+                        ..fx
+                    });
+                    let phases = phases_for(layout, lba, &fx);
+                    let id = reqs.len();
+                    let mut state =
+                        ReqState { arrival, outstanding: 0, phases, ssd_cpu, done: false };
+                    if let Some(first) = state.phases.pop_front() {
+                        state.outstanding = first.len() as u32;
+                        reqs.push(state);
+                        for (disk, page) in first {
+                            if let Some(done_at) =
+                                disks[disk].push(arrival, MemberOp { req: id, disk_page: page })
+                            {
+                                seq += 1;
+                                events.push(Reverse((done_at, seq, disk)));
+                            }
+                        }
+                    } else {
+                        // Pure cache operation: completes without touching disks.
+                        let resp = ssd_cpu;
+                        stats.record(resp.as_nanos() as f64);
+                        hist.record(resp.as_nanos());
+                        state.done = true;
+                        reqs.push(state);
+                    }
+                }
+            }
+            drain_until(
+                &mut reqs,
+                &mut disks,
+                &mut events,
+                &mut seq,
+                &mut stats,
+                &mut hist,
+                SimTime::MAX,
+            );
+            policy.flush();
+
+            DesReport {
+                policy: policy.name(),
+                requests: stats.count(),
+                mean_response: SimTime::from_nanos(stats.mean() as u64),
+                p99: SimTime::from_nanos(hist.quantile(0.99).unwrap_or(0)),
+                hit_ratio: policy.stats().hit_ratio(),
+                mean_queue_depth: depth.mean(),
+            }
+        }
     }
 }

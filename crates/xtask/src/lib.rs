@@ -149,6 +149,7 @@ pub const HOT_ALLOC_FILES: &[&str] = &[
     "crates/delta/src/xor.rs",
     "crates/delta/src/codec.rs",
     "crates/blockdev/src/store.rs",
+    "crates/sim/src/des.rs",
 ];
 
 /// Allocation tokens rule `KDD006` flags in hot-path files. Besides the

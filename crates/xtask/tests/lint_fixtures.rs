@@ -169,7 +169,7 @@ fn indexing_good_is_clean_under_pedantic() {
 #[test]
 fn hot_alloc_bad_pins_every_site() {
     // The hot-path filter keys on the rel_path, not the crate, so lint the
-    // fixture as if it were one of the six hot files.
+    // fixture as if it were one of the seven hot files.
     let src = fixture("hot_alloc_bad.rs");
     let report = lint_source("core", "crates/core/src/engine.rs", &src, Options::default());
     let mut got: Vec<(Rule, usize)> = report.violations.iter().map(|f| (f.rule, f.line)).collect();
@@ -215,6 +215,21 @@ fn hot_alloc_good_is_clean_and_honours_shorthand_waiver() {
     assert_eq!(w.rule, Rule::HotAlloc);
     assert_eq!(w.line, 26);
     assert!(w.reason.contains("one-time scratch construction"));
+}
+
+#[test]
+fn des_phases_fixture_pair_guards_the_replayer() {
+    // The discrete-event replayer joined the hot files with PR 18: the
+    // bad fixture is its old per-request `targets.clone()` phase list, the
+    // good one the inline-array shape that replaced it.
+    let lint =
+        |name| lint_source("sim", "crates/sim/src/des.rs", &fixture(name), Options::default());
+    let bad = lint("des_phases_bad.rs");
+    let got: Vec<(Rule, usize)> = bad.violations.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(got, vec![(Rule::HotAlloc, 14)], "the phase list's `targets.clone()`");
+    let good = lint("des_phases_good.rs");
+    assert_eq!(good.violations, vec![], "inline targets allocate nothing");
+    assert_eq!(good.waivers, vec![], "and need no waiver");
 }
 
 #[test]
