@@ -39,8 +39,9 @@ use std::time::Instant;
 
 use kdd_bench::perfjson::{self, obj, Json};
 use kdd_blockdev::SsdDevice;
+use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
 use kdd_cache::CacheGeometry;
-use kdd_core::{KddConfig, KddEngine};
+use kdd_core::{KddConfig, KddEngine, KeyEntry, MetaLog};
 use kdd_delta::codec::{compress, decompress, xor_decoded_into, Compressor};
 use kdd_delta::content::PageMutator;
 use kdd_delta::xor::{is_all_zero, xor2_into, xor_into, xor_pages, xor_pages_into, zero_fraction};
@@ -365,6 +366,54 @@ fn bench_kernels((rounds, round_ns): Rounds) -> Vec<Json> {
     });
     entries.push(kernel_entry("raid5_write_page_rmw_4k", PAGE, ns));
     eprintln!("  raid5_write_page_rmw_4k  {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
+
+    // A clean fill into a full 64-way set of a KDD cache under pressure:
+    // in every set 16 DEZ and 16 *old* pages are the oldest, 32 clean pages
+    // the newest, and each insert evicts the coldest clean one. MB/s
+    // counts the page the fill stands for.
+    const SETS: usize = 16;
+    let mut dir = SetAssocCache::new(
+        CacheGeometry { total_pages: SETS as u64 * 64, ways: 64, page_size: PAGE as u32 },
+        1,
+    );
+    for _ in 0..SETS * 16 {
+        dir.alloc_delta_slot().expect("empty directory");
+    }
+    let mut old_in_set = [0u32; SETS];
+    let mut next_lba = 0u64;
+    while dir.free_slots() > 0 {
+        let outcome = dir.insert(next_lba, PageState::Clean, |s| s == PageState::Clean);
+        next_lba += 1;
+        if let InsertOutcome::Inserted { slot } = outcome {
+            let old = &mut old_in_set[dir.set_of_slot(slot)];
+            if *old < 16 {
+                *old += 1;
+                dir.set_state(slot, PageState::Old);
+            }
+        }
+    }
+    assert_eq!(dir.count_state(PageState::Old) + dir.count_state(PageState::Delta), SETS * 32);
+    let ns = time_ns(rounds, round_ns, || {
+        black_box(dir.insert(black_box(next_lba), PageState::Clean, |s| s == PageState::Clean));
+        next_lba += 1;
+    });
+    entries.push(kernel_entry("setassoc_insert_evict_half_pinned", PAGE, ns));
+    eprintln!("  setassoc_insert_evict_hp {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
+
+    // The counting model's log traffic on a partition small enough that
+    // every cut reclaims a head page first: 8 pages of 186 entries
+    // (4 KiB / 22 B), 600 live keys rewritten in a scattered order, one in
+    // eight pushes a tombstone. MB/s counts the 22-byte entry.
+    let mut log: MetaLog<KeyEntry> = MetaLog::new(8, 186);
+    let mut pushed = 0u64;
+    let ns = time_ns(rounds, round_ns, || {
+        let entry =
+            KeyEntry { key: pushed.wrapping_mul(0x9e37_79b9) % 600, tombstone: pushed % 8 == 7 };
+        black_box(log.push(black_box(entry)).is_ok());
+        pushed += 1;
+    });
+    entries.push(kernel_entry("metalog_push_wrap", 22, ns));
+    eprintln!("  metalog_push_wrap        {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(22, ns));
 
     entries
 }

@@ -173,22 +173,24 @@ pub struct PendingRows {
     /// Pending rows per cache set (indexed by set, grown on demand), so a
     /// full set that pins no row is answered without a scan.
     rows_in_set: Vec<u32>,
-    /// Queue of (row, generation); stale generations are skipped lazily
-    /// by `oldest_row` and swept by `add` once they outnumber the pending
-    /// rows, so the queue's length tracks the rows pending, not the
-    /// writes served.
+    /// Queue of (row, generation); entries whose generation is not the
+    /// row's current one (superseded, or the row is gone) are skipped
+    /// lazily by `oldest_row` and swept by `add` once they outnumber the
+    /// pending rows, so the queue's length tracks the rows pending, not
+    /// the writes served.
     order: std::collections::VecDeque<(u64, u64)>,
-    /// Current generation per row (bumped on every write).
-    touch: FastMap<u64, u64>,
     gen: u64,
     pages: u64,
 }
 
-/// One pending row: its pending pages and the cache set a full-set
-/// reclaim finds it under, fixed when the row is created.
+/// One pending row: its pending pages, the cache set a full-set reclaim
+/// finds it under (fixed when the row is created) and the generation of
+/// its latest write (generations are never reused, so a row dropped and
+/// re-added cannot revive an old `order` entry).
 #[derive(Debug, Clone)]
 struct PendingRow {
     set: usize,
+    gen: u64,
     lbas: FastSet<u64>,
 }
 
@@ -212,22 +214,21 @@ impl PendingRows {
                 if let Some(n) = self.rows_in_set.get_mut(set) {
                     *n += 1;
                 }
-                v.insert(PendingRow { set, lbas: FastSet::default() })
+                v.insert(PendingRow { set, gen: 0, lbas: FastSet::default() })
             }
         };
         if entry.lbas.insert(lba) {
             self.pages += 1;
         }
         self.gen += 1;
-        self.touch.insert(row, self.gen);
+        entry.gen = self.gen;
         if self.order.len() > 2 * self.rows.len() + ORDER_SLACK {
             // Generations only grow, so an entry that is superseded now
             // stays superseded: sweeping it never changes what
             // `oldest_row` returns. At most one entry per row survives, so
             // the sweep runs once per `rows.len() + ORDER_SLACK` adds.
-            let (rows, touch) = (&self.rows, &self.touch);
-            self.order
-                .retain(|&(row, gen)| rows.contains_key(&row) && touch.get(&row) == Some(&gen));
+            let rows = &self.rows;
+            self.order.retain(|&(row, gen)| rows.get(&row).is_some_and(|r| r.gen == gen));
         }
         self.order.push_back((row, self.gen));
     }
@@ -235,7 +236,7 @@ impl PendingRows {
     /// The least-recently-written pending row, if any.
     pub fn oldest_row(&mut self) -> Option<u64> {
         while let Some(&(row, gen)) = self.order.front() {
-            if self.rows.contains_key(&row) && self.touch.get(&row) == Some(&gen) {
+            if self.rows.get(&row).is_some_and(|r| r.gen == gen) {
                 return Some(row);
             }
             self.order.pop_front(); // superseded or already taken
@@ -271,7 +272,6 @@ impl PendingRows {
     pub fn take_row(&mut self, row: u64) -> Vec<u64> {
         match self.drop_row(row) {
             Some(entry) => {
-                self.touch.remove(&row);
                 self.pages -= entry.lbas.len() as u64;
                 entry.lbas.into_iter().collect()
             }
@@ -373,6 +373,27 @@ mod tests {
         assert_eq!(got, vec![100, 101]);
         assert_eq!(p.pending_pages(), 1);
         assert!(p.take_row(3).is_empty());
+    }
+
+    #[test]
+    fn dropped_row_leaves_no_state_and_no_live_queue_entry() {
+        let mut p = PendingRows::default();
+        p.add(1, 10, || 0);
+        p.add(2, 20, || 0);
+        // `remove` of a row's last page drops the row like `take_row` does.
+        assert!(p.remove(1, 10));
+        assert_eq!(p.oldest_row(), Some(2), "row 1's queue entry died with it");
+        // Re-added, row 1 is the *youngest*: its old entry must not revive.
+        p.add(1, 11, || 0);
+        assert_eq!(p.order.iter().filter(|&&(row, _)| row == 1).count(), 1);
+        assert_eq!(p.oldest_row(), Some(2));
+        assert_eq!(p.take_row(2), vec![20]);
+        assert_eq!(p.oldest_row(), Some(1));
+        assert_eq!(p.take_row(1), vec![11]);
+        assert_eq!(p.oldest_row(), None);
+        // Nothing per-row is left behind by either way out.
+        assert!(p.rows.is_empty() && p.order.is_empty());
+        assert_eq!((p.pending_pages(), p.rows_in_set.iter().sum::<u32>()), (0, 0));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use crate::config::KddConfig;
 use crate::metalog::{CommitBatch, LogEntry, MetaLog, PartitionTooSmall};
 use crate::staging::StagingBuffer;
-use crate::two_smallest_by_key;
+use crate::{two_smallest_by_key, MergeBound, TwoSmallest};
 use kdd_blockdev::error::{DevError, FaultDomain};
 use kdd_blockdev::fault::FaultInjector;
 use kdd_blockdev::nvram::Nvram;
@@ -313,6 +313,9 @@ pub struct KddEngine {
     dez: FastMap<u32, DezInfo>,
     /// Sum of every DEZ page's `live` bytes.
     dez_live_total: u64,
+    /// What `compact_dez` can prove about its next victim scan; "unknown"
+    /// after every recovery.
+    dez_bound: MergeBound,
     pending_rows: PendingRows,
     stats: CacheStats,
     meta_pages: u64,
@@ -387,6 +390,7 @@ impl KddEngine {
             delta_loc: FastMap::default(),
             dez: FastMap::default(),
             dez_live_total: 0,
+            dez_bound: MergeBound::default(),
             pending_rows: PendingRows::default(),
             stats: CacheStats::default(),
             meta_pages,
@@ -653,6 +657,9 @@ impl KddEngine {
         if info.lbas.remove(&lba) {
             info.live -= u32::from(r.len);
             self.dez_live_total -= u64::from(r.len);
+            if !info.lbas.is_empty() {
+                self.dez_bound.lower(info.live);
+            }
         }
         if info.lbas.is_empty() {
             self.dez.remove(&r.slot);
@@ -717,6 +724,10 @@ impl KddEngine {
             let mut info = DezInfo::default();
             info.lbas.extend(refs.iter().map(|&(lba, _)| lba));
             self.dez.insert(slot, info);
+            // The page is indexed with no live bytes until its mappings are
+            // logged; an error on the way must not leave a bound that
+            // overlooks it, so the bound is "unknown" until then.
+            let mut bound = std::mem::take(&mut self.dez_bound);
             // Log the whole DEZ page's mappings as one metalog group, then
             // drop the NVRAM copies. Logging precedes every removal: if the
             // crash lands in between, recovery sees both and the staged
@@ -747,6 +758,8 @@ impl KddEngine {
                 info.live = live;
                 self.dez_live_total += u64::from(live);
             }
+            bound.lower(live);
+            self.dez_bound = bound;
         }
         Ok(())
     }
@@ -1415,6 +1428,18 @@ impl KddEngine {
         total == self.dez_live_total
     }
 
+    /// The victim scan and fit test `compact_dez` skips while its bound
+    /// rules a merge out — what the debug assertion there holds the bound
+    /// to.
+    fn scan_finds_a_merge(&self) -> bool {
+        let pages = self.dez.values().map(|info| (info.live, info.lbas.len()));
+        two_smallest_by_key(pages, |&(b, _)| b).is_some_and(
+            |TwoSmallest { pair: ((db, dn), (sb, sn)), .. }| {
+                2 + (dn + sn) * 12 + db as usize + sb as usize <= self.page_size()
+            },
+        )
+    }
+
     /// Log-structured DEZ compaction (pressure-driven, as in the
     /// accounting policy): merge the two emptiest pages — read both,
     /// repack their live deltas into the destination slot, free the
@@ -1429,13 +1454,22 @@ impl KddEngine {
             if self.dez_live_total * 100 >= self.dez.len() as u64 * ps as u64 * 85 {
                 return Ok(());
             }
+            // The bound knows payload bytes only; a merged page also holds
+            // its header and a directory record per delta, at least one a
+            // page — so the skip is sound, and conservative.
+            if self.dez_bound.rules_out_merge(2 + 2 * 12, ps as u32) {
+                debug_assert!(!self.scan_finds_a_merge(), "bound skipped a scan that merges");
+                return Ok(());
+            }
             let pages = self.dez.iter().map(|(&s, info)| (s, info.live, info.lbas.len()));
-            let Some(((dst, db, dn), (src, sb, sn))) = two_smallest_by_key(pages, |&(_, b, _)| b)
+            let Some(TwoSmallest { pair: ((dst, db, dn), (src, sb, sn)), rest }) =
+                two_smallest_by_key(pages, |&(_, b, _)| b)
             else {
                 return Ok(());
             };
             // Fit check: both payloads plus the merged directory.
             if 2 + (dn + sn) * 12 + db as usize + sb as usize > ps {
+                self.dez_bound.scanned(db, sb);
                 return Ok(());
             }
             // Repack the live deltas of both pages into the destination
@@ -1463,6 +1497,7 @@ impl KddEngine {
             }
             self.dez_live_total =
                 self.dez_live_total - u64::from(db) - u64::from(sb) + u64::from(info.live);
+            self.dez_bound.merged(info.live, rest);
             self.dez.insert(dst, info);
             // Retire the source page.
             self.dez.remove(&src);
@@ -1762,6 +1797,7 @@ impl KddEngine {
             delta_loc,
             dez,
             dez_live_total,
+            dez_bound: MergeBound::default(),
             pending_rows,
             stats: CacheStats { torn_pages_detected: torn_detected, ..CacheStats::default() },
             meta_pages,
@@ -1856,6 +1892,7 @@ impl KddEngine {
         self.delta_loc.clear();
         self.dez.clear();
         self.dez_live_total = 0;
+        self.dez_bound = MergeBound::default();
         self.pending_rows = PendingRows::default();
         Ok(())
     }
@@ -2106,6 +2143,62 @@ mod tests {
         }
     }
 
+    /// `n` small rewrites of random pages of `lbas`; returns how many
+    /// deltas a write to *another* page moved between DEZ pages, i.e. how
+    /// many a merge moved.
+    fn nudge_randomly(
+        e: &mut KddEngine,
+        lbas: &[u64],
+        versions: &mut FastMap<u64, Vec<u8>>,
+        rng: &mut impl rand::Rng,
+        n: usize,
+    ) -> usize {
+        let mut merged_deltas = 0;
+        let mut before = dez_slots(e);
+        for _ in 0..n {
+            let lba = lbas[rng.random_range(0..lbas.len())];
+            let next = nudged_page(&versions[&lba], rng.random());
+            e.write(lba, &next).unwrap();
+            versions.insert(lba, next);
+            let after = dez_slots(e);
+            merged_deltas += before
+                .iter()
+                .filter(|&(l, slot)| *l != lba && after.get(l).is_some_and(|now| now != slot))
+                .count();
+            before = after;
+        }
+        merged_deltas
+    }
+
+    /// The compaction bound is volatile: recovery rebuilds the DEZ index
+    /// from the log, so the rebuilt engine must start from "unknown", scan
+    /// again, and go on merging.
+    #[test]
+    fn compaction_bound_is_unknown_after_a_power_cycle() {
+        let mut e = pressure_engine();
+        let lbas: Vec<u64> = (0..96u64).map(|i| (i / 8) * 16 + i % 8).collect();
+        let mut versions = FastMap::default();
+        for &lba in &lbas {
+            let p = page(lba);
+            e.write(lba, &p).unwrap();
+            versions.insert(lba, p);
+        }
+        let mut rng = seeded_rng(14);
+        assert!(nudge_randomly(&mut e, &lbas, &mut versions, &mut rng, 600) > 0);
+        assert_ne!(e.dez_bound, MergeBound::default(), "compaction left no bound behind");
+        let mut e = e.power_cycle().expect("recovery");
+        assert_eq!(e.dez_bound, MergeBound::default());
+        assert!(e.dez.len() >= 4, "recovery lost the DEZ pages compaction works on");
+        // Every skip from here on is checked against the scan it replaces
+        // by the debug assertion in `compact_dez`.
+        assert!(nudge_randomly(&mut e, &lbas, &mut versions, &mut rng, 600) > 0);
+        assert!(e.dez_live_consistent());
+        for &lba in &lbas {
+            let (got, _) = e.read(lba).unwrap();
+            assert_eq!(got, versions[&lba], "lba {lba} corrupted");
+        }
+    }
+
     #[test]
     fn dez_compaction_preserves_deltas_under_pressure() {
         // Many hot pages rewritten in random order with deltas of a few
@@ -2122,20 +2215,7 @@ mod tests {
             versions.insert(lba, p);
         }
         let mut rng = seeded_rng(14);
-        let mut merged_deltas = 0;
-        let mut before = dez_slots(&e);
-        for _ in 0..600 {
-            let lba = lbas[rng.random_range(0..lbas.len())];
-            let next = nudged_page(&versions[&lba], rng.random());
-            e.write(lba, &next).unwrap();
-            versions.insert(lba, next);
-            let after = dez_slots(&e);
-            merged_deltas += before
-                .iter()
-                .filter(|&(l, slot)| *l != lba && after.get(l).is_some_and(|now| now != slot))
-                .count();
-            before = after;
-        }
+        let merged_deltas = nudge_randomly(&mut e, &lbas, &mut versions, &mut rng, 600);
         assert!(merged_deltas > 0, "the write pattern never made compact_dez merge a page");
         // Every page must still combine to its latest version.
         for &lba in &lbas {
@@ -2356,7 +2436,8 @@ mod tests {
 
         /// The one-pass victim choice equals elements 0 and 1 of the
         /// stable sort it replaced, on the same sequence, duplicate keys
-        /// included.
+        /// included — and the two keys it reports behind them are those of
+        /// elements 2 and 3.
         #[test]
         fn two_smallest_matches_stable_sort(
             keys in proptest::collection::vec(0u32..5, 0..40),
@@ -2364,7 +2445,9 @@ mod tests {
             let items: Vec<(usize, u32)> = keys.iter().copied().enumerate().collect();
             let mut sorted = items.clone();
             sorted.sort_by_key(|&(_, k)| k);
-            let expect = (sorted.len() >= 2).then(|| (sorted[0], sorted[1]));
+            let key_at = |i: usize| sorted.get(i).map(|&(_, k)| k);
+            let expect = (sorted.len() >= 2)
+                .then(|| TwoSmallest { pair: (sorted[0], sorted[1]), rest: [key_at(2), key_at(3)] });
             let got = two_smallest_by_key(items.iter().copied(), |&(_, k)| k);
             proptest::prop_assert_eq!(got, expect);
         }

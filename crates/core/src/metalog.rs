@@ -21,10 +21,22 @@
 //! `state` is *free*, written when a DAZ page is reclaimed) is valid until
 //! it reaches the head, at which point it can be dropped entirely — there
 //! is no older entry left for it to shadow.
+//!
+//! Validity is tracked by **position**. Every entry that enters the buffer
+//! takes the next absolute position (a count of buffer appends since the
+//! log was created); the buffer is a FIFO whose front sits at
+//! `buffer_base`, a page cut moves the first *n* buffered entries — and
+//! their positions — into a page that remembers where it starts, and one
+//! map holds `key → position of the newest entry`. An entry is *buffered*
+//! iff its position is `>= buffer_base` (coalescing overwrites it in
+//! place, position unchanged) and a logged entry is *valid* iff the map
+//! still names its position — so a cut, and a batch that is drained but
+//! not yet appended while GC makes room for it, need no bookkeeping at all.
 
-// Indexing here is audited: offsets come from length-checked parses or
-// module invariants. See DESIGN.md "Static analysis & invariants".
-#![allow(clippy::indexing_slicing)]
+// Indexing and narrowing casts here are audited: a position minus
+// `buffer_base` (or a page's `start`) is an offset into that in-memory
+// buffer (page). See DESIGN.md "Static analysis & invariants".
+#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use kdd_util::hash::FastMap;
 use std::collections::VecDeque;
@@ -94,16 +106,9 @@ pub struct CommitBatch<E> {
 #[derive(Debug, Clone)]
 struct MetaPage<E> {
     seq: u64,
+    /// Position of `entries[0]`; `entries[i]` sits at `start + i`.
+    start: u64,
     entries: Vec<E>,
-}
-
-/// Where a key's newest entry lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Latest {
-    /// Still in the NVRAM buffer.
-    Buffered,
-    /// In the log page with this sequence number.
-    Page(u64),
 }
 
 /// The circular log with its NVRAM staging buffer.
@@ -129,12 +134,14 @@ pub struct MetaLog<E: LogEntry> {
     entries_per_page: usize,
     head: u64,
     tail: u64,
-    /// Buffered entries in insertion order (holes from coalescing).
-    buffer: Vec<Option<E>>,
-    buffer_live: usize,
-    buffer_index: FastMap<u64, usize>,
+    /// Buffered entries, oldest first; `buffer[i]` sits at position
+    /// `buffer_base + i`.
+    buffer: VecDeque<E>,
+    /// Position of the buffer's front: the entries cut into pages so far.
+    buffer_base: u64,
     pages: VecDeque<MetaPage<E>>,
-    latest: FastMap<u64, Latest>,
+    /// Key → position of its newest entry (buffered or logged).
+    latest: FastMap<u64, u64>,
     pages_written: u64,
     entries_pushed: u64,
     gc_reclaims: u64,
@@ -161,9 +168,8 @@ impl<E: LogEntry> MetaLog<E> {
             entries_per_page,
             head: 0,
             tail: 0,
-            buffer: Vec::new(),
-            buffer_live: 0,
-            buffer_index: FastMap::default(),
+            buffer: VecDeque::new(),
+            buffer_base: 0,
             pages: VecDeque::new(),
             latest: FastMap::default(),
             pages_written: 0,
@@ -227,7 +233,7 @@ impl<E: LogEntry> MetaLog<E> {
 
     /// Entries currently staged in the NVRAM buffer.
     pub fn buffered_entries(&self) -> usize {
-        self.buffer_live
+        self.buffer.len()
     }
 
     /// NVRAM head/tail counters (what §III-E1 restores after power loss).
@@ -275,23 +281,22 @@ impl<E: LogEntry> MetaLog<E> {
     pub fn flush(&mut self) -> Result<Vec<CommitBatch<E>>, PartitionTooSmall> {
         let mut out = Vec::new();
         self.drain_full_pages(&mut out)?;
-        if self.buffer_live > 0 {
-            let batch: Vec<E> = self.take_buffer_entries(self.buffer_live);
-            self.append_page(batch, &mut out);
+        if !self.buffer.is_empty() {
+            self.cut_page(self.buffer.len(), &mut out);
         }
         Ok(out)
     }
 
     /// The newest valid entry for `key`, if any (buffered or logged).
     pub fn latest_entry(&self, key: u64) -> Option<&E> {
-        match self.latest.get(&key)? {
-            Latest::Buffered => {
-                let idx = *self.buffer_index.get(&key)?;
-                self.buffer[idx].as_ref()
-            }
-            Latest::Page(seq) => {
-                let page = self.pages.iter().find(|p| p.seq == *seq)?;
-                page.entries.iter().rev().find(|e| e.key() == key)
+        let at = *self.latest.get(&key)?;
+        match at.checked_sub(self.buffer_base) {
+            Some(i) => self.buffer.get(i as usize),
+            None => {
+                // Pages hold consecutive position ranges, oldest first.
+                let older = self.pages.partition_point(|p| p.start <= at);
+                let page = self.pages.get(older.checked_sub(1)?)?;
+                page.entries.get((at - page.start) as usize)
             }
         }
     }
@@ -300,71 +305,45 @@ impl<E: LogEntry> MetaLog<E> {
     /// flash replay during power-failure recovery (buffered entries are
     /// newer than anything on flash).
     pub fn buffered_snapshot(&self) -> Vec<E> {
-        self.buffer.iter().flatten().cloned().collect()
+        self.buffer.iter().cloned().collect()
     }
 
     /// Replay the log (head→tail) plus the NVRAM buffer into the set of
     /// live mappings — the §III-E1 power-failure recovery scan. Tombstoned
     /// keys are excluded.
     pub fn recover_live(&self) -> Vec<E> {
-        let mut live: FastMap<u64, E> = FastMap::default();
-        for page in &self.pages {
-            for e in &page.entries {
-                if e.is_tombstone() {
-                    live.remove(&e.key());
-                } else {
-                    live.insert(e.key(), e.clone());
-                }
-            }
-        }
-        for e in self.buffer.iter().flatten() {
+        let mut live: FastMap<u64, &E> = FastMap::default();
+        let logged = self.pages.iter().flat_map(|page| &page.entries);
+        for e in logged.chain(&self.buffer) {
             if e.is_tombstone() {
                 live.remove(&e.key());
             } else {
-                live.insert(e.key(), e.clone());
+                live.insert(e.key(), e);
             }
         }
-        live.into_values().collect()
+        live.into_values().cloned().collect()
     }
 
     // ---- internals -------------------------------------------------------
 
     fn buffer_insert(&mut self, entry: E) {
-        let key = entry.key();
-        if let Some(&idx) = self.buffer_index.get(&key) {
+        let end = self.buffer_base + self.buffer.len() as u64;
+        let at = self.latest.entry(entry.key()).or_insert(end);
+        if (self.buffer_base..end).contains(at) {
             // Coalesce: newest entry overwrites the buffered one.
-            if self.buffer[idx].is_some() {
-                self.buffer[idx] = Some(entry);
-                self.latest.insert(key, Latest::Buffered);
-                return;
-            }
+            self.buffer[(*at - self.buffer_base) as usize] = entry;
+        } else {
+            *at = end;
+            self.buffer.push_back(entry);
         }
-        self.buffer_index.insert(key, self.buffer.len());
-        self.buffer.push(Some(entry));
-        self.buffer_live += 1;
-        self.latest.insert(key, Latest::Buffered);
     }
 
-    fn take_buffer_entries(&mut self, n: usize) -> Vec<E> {
-        let mut out = Vec::with_capacity(n);
-        let mut kept = Vec::with_capacity(self.buffer.len());
-        for slot in self.buffer.drain(..) {
-            match slot {
-                Some(e) if out.len() < n => out.push(e),
-                other => kept.push(other),
-            }
-        }
-        // Compact: drop holes, rebuild the index.
-        self.buffer = kept.into_iter().flatten().map(Some).collect();
-        self.buffer_index.clear();
-        for (i, e) in self.buffer.iter().enumerate() {
-            // The rebuild above leaves no holes, so every slot is Some.
-            if let Some(e) = e.as_ref() {
-                self.buffer_index.insert(e.key(), i);
-            }
-        }
-        self.buffer_live = self.buffer.len();
-        out
+    /// Move the `n` oldest buffered entries into a new log page.
+    fn cut_page(&mut self, n: usize, out: &mut Vec<CommitBatch<E>>) {
+        let start = self.buffer_base;
+        let entries: Vec<E> = self.buffer.drain(..n).collect();
+        self.buffer_base += n as u64;
+        self.append_page(start, entries, out);
     }
 
     /// Cut full pages until less than a page is buffered. Each cut may
@@ -373,18 +352,17 @@ impl<E: LogEntry> MetaLog<E> {
     /// nothing but live pages and never will finish.
     fn drain_full_pages(&mut self, out: &mut Vec<CommitBatch<E>>) -> Result<(), PartitionTooSmall> {
         let mut cuts = 0u64;
-        while self.buffer_live >= self.entries_per_page {
+        while self.buffer.len() >= self.entries_per_page {
             cuts += 1;
             if cuts > self.partition_pages * 4 + 8 {
                 return Err(PartitionTooSmall { partition_pages: self.partition_pages });
             }
-            let batch = self.take_buffer_entries(self.entries_per_page);
-            self.append_page(batch, out);
+            self.cut_page(self.entries_per_page, out);
         }
         Ok(())
     }
 
-    fn append_page(&mut self, entries: Vec<E>, out: &mut Vec<CommitBatch<E>>) {
+    fn append_page(&mut self, start: u64, entries: Vec<E>, out: &mut Vec<CommitBatch<E>>) {
         // Make room first (may reinsert live head entries into the buffer).
         while self.used_pages() >= self.partition_pages {
             if !self.reclaim_head() {
@@ -393,15 +371,14 @@ impl<E: LogEntry> MetaLog<E> {
         }
         let seq = self.tail;
         self.tail += 1;
-        for e in &entries {
-            self.latest.insert(e.key(), Latest::Page(seq));
-        }
-        self.pages.push_back(MetaPage { seq, entries: entries.clone() });
+        // kdd-waiver(KDD006): one copy per page cut, not per entry: the log keeps the page for GC, the caller gets the `CommitBatch` by value.
+        self.pages.push_back(MetaPage { seq, start, entries: entries.clone() });
         self.pages_written = self.pages_written.saturating_add(1);
         let batch = CommitBatch { slot: seq % self.partition_pages, seq, entries };
         if self.track_inflight {
             // Batches GC'd past the head can no longer matter to recovery.
             self.inflight.retain(|b| b.seq >= self.head);
+            // kdd-waiver(KDD006): one copy per page cut: the NVRAM redo copy recovery heals a torn tail from.
             self.inflight.push(batch.clone());
         }
         out.push(batch);
@@ -419,9 +396,9 @@ impl<E: LogEntry> MetaLog<E> {
         debug_assert_eq!(page.seq, self.head);
         self.head += 1;
         self.gc_reclaims += 1;
-        for e in page.entries {
+        for (at, e) in (page.start..).zip(page.entries) {
             let key = e.key();
-            if self.latest.get(&key) == Some(&Latest::Page(page.seq)) {
+            if self.latest.get(&key) == Some(&at) {
                 if e.is_tombstone() {
                     // Nothing older left to shadow: drop entirely.
                     self.latest.remove(&key);
@@ -445,6 +422,467 @@ mod tests {
 
     fn tomb(k: u64) -> KeyEntry {
         KeyEntry { key: k, tombstone: true }
+    }
+
+    /// The log this module held before positions replaced the buffer index
+    /// and the `Latest` markers: the reference the differential test below
+    /// holds the rewrite to, call for call.
+    mod reference {
+        #![allow(dead_code)]
+        use super::super::{CommitBatch, LogEntry, PartitionTooSmall};
+        use kdd_util::hash::FastMap;
+        use std::collections::VecDeque;
+
+        #[derive(Debug, Clone)]
+        struct MetaPage<E> {
+            seq: u64,
+            entries: Vec<E>,
+        }
+
+        /// Where a key's newest entry lives.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Latest {
+            /// Still in the NVRAM buffer.
+            Buffered,
+            /// In the log page with this sequence number.
+            Page(u64),
+        }
+
+        /// The two-map log as it stood before positions (PR 18), verbatim.
+        #[derive(Debug, Clone)]
+        pub struct MetaLog<E: LogEntry> {
+            partition_pages: u64,
+            entries_per_page: usize,
+            head: u64,
+            tail: u64,
+            /// Buffered entries in insertion order (holes from coalescing).
+            buffer: Vec<Option<E>>,
+            buffer_live: usize,
+            buffer_index: FastMap<u64, usize>,
+            pages: VecDeque<MetaPage<E>>,
+            latest: FastMap<u64, Latest>,
+            pages_written: u64,
+            entries_pushed: u64,
+            gc_reclaims: u64,
+            /// When enabled, committed-but-unconfirmed batches are retained (an
+            /// NVRAM-resident redo list) so recovery can tolerate a torn or lost
+            /// tail page: the caller confirms each batch once the flash write
+            /// completed.
+            track_inflight: bool,
+            inflight: Vec<CommitBatch<E>>,
+        }
+
+        impl<E: LogEntry> MetaLog<E> {
+            /// Create a log over `partition_pages` flash pages, packing
+            /// `entries_per_page` entries per page.
+            ///
+            /// # Panics
+            /// Panics unless the partition holds at least 2 pages (one to write,
+            /// one to reclaim) and pages hold at least one entry.
+            pub fn new(partition_pages: u64, entries_per_page: usize) -> Self {
+                assert!(partition_pages >= 2, "metadata partition needs >= 2 pages");
+                assert!(entries_per_page >= 1);
+                MetaLog {
+                    partition_pages,
+                    entries_per_page,
+                    head: 0,
+                    tail: 0,
+                    buffer: Vec::new(),
+                    buffer_live: 0,
+                    buffer_index: FastMap::default(),
+                    pages: VecDeque::new(),
+                    latest: FastMap::default(),
+                    pages_written: 0,
+                    entries_pushed: 0,
+                    gc_reclaims: 0,
+                    track_inflight: false,
+                    inflight: Vec::new(),
+                }
+            }
+
+            /// Keep an NVRAM-resident copy of every [`CommitBatch`] until the
+            /// caller [`MetaLog::confirm`]s that the flash write completed. A crash
+            /// between commit and confirm then leaves the batch recoverable even if
+            /// the flash page is torn, corrupt, or was never written at all.
+            pub fn enable_inflight_tracking(&mut self) {
+                self.track_inflight = true;
+            }
+
+            /// Confirm that the page with sequence number `seq` is durably on
+            /// flash; drops its in-flight copy.
+            pub fn confirm(&mut self, seq: u64) {
+                self.inflight.retain(|b| b.seq != seq);
+            }
+
+            /// Committed batches not yet confirmed durable, oldest first. Recovery
+            /// consults this to decide whether a bad flash page is a tolerable torn
+            /// tail (redo from here) or real corruption (hard error).
+            pub fn unconfirmed(&self) -> &[CommitBatch<E>] {
+                &self.inflight
+            }
+
+            /// Pages in the partition.
+            pub fn partition_pages(&self) -> u64 {
+                self.partition_pages
+            }
+
+            /// Entries per page.
+            pub fn entries_per_page(&self) -> usize {
+                self.entries_per_page
+            }
+
+            /// Log pages currently in use.
+            pub fn used_pages(&self) -> u64 {
+                self.tail - self.head
+            }
+
+            /// Total metadata pages ever written (the Figure 4 numerator).
+            pub fn pages_written(&self) -> u64 {
+                self.pages_written
+            }
+
+            /// Entries pushed by the caller (excludes GC reinsertions).
+            pub fn entries_pushed(&self) -> u64 {
+                self.entries_pushed
+            }
+
+            /// Head pages reclaimed by GC.
+            pub fn gc_reclaims(&self) -> u64 {
+                self.gc_reclaims
+            }
+
+            /// Entries currently staged in the NVRAM buffer.
+            pub fn buffered_entries(&self) -> usize {
+                self.buffer_live
+            }
+
+            /// NVRAM head/tail counters (what §III-E1 restores after power loss).
+            pub fn counters(&self) -> (u64, u64) {
+                (self.head, self.tail)
+            }
+
+            /// Append an entry; returns the page commits (possibly several, when
+            /// GC reinsertion cascades) the caller must persist, or
+            /// [`PartitionTooSmall`] when the log cannot make room for them.
+            pub fn push(&mut self, entry: E) -> Result<Vec<CommitBatch<E>>, PartitionTooSmall> {
+                self.entries_pushed += 1;
+                self.buffer_insert(entry);
+                let mut out = Vec::new();
+                self.drain_full_pages(&mut out)?;
+                Ok(out)
+            }
+
+            /// Append a group of entries as one **group commit**.
+            ///
+            /// All entries enter the NVRAM buffer before any full page is cut, so
+            /// same-key entries within the group coalesce to a single buffered
+            /// entry even when an intermediate page boundary would have forced the
+            /// older copy out under entry-at-a-time [`MetaLog::push`] — a group
+            /// can therefore produce *fewer* metadata page writes than the same
+            /// entries pushed individually, never more. Returns every page commit
+            /// produced; the NVRAM inflight/confirm protocol is unchanged (each
+            /// returned batch is tracked until [`MetaLog::confirm`], and the
+            /// entries themselves are NVRAM-durable in the buffer from the moment
+            /// this returns, exactly as with `push`).
+            pub fn push_group(
+                &mut self,
+                entries: impl IntoIterator<Item = E>,
+            ) -> Result<Vec<CommitBatch<E>>, PartitionTooSmall> {
+                for e in entries {
+                    self.entries_pushed += 1;
+                    self.buffer_insert(e);
+                }
+                let mut out = Vec::new();
+                self.drain_full_pages(&mut out)?;
+                Ok(out)
+            }
+
+            /// Force-commit the buffer (shutdown / checkpoint).
+            pub fn flush(&mut self) -> Result<Vec<CommitBatch<E>>, PartitionTooSmall> {
+                let mut out = Vec::new();
+                self.drain_full_pages(&mut out)?;
+                if self.buffer_live > 0 {
+                    let batch: Vec<E> = self.take_buffer_entries(self.buffer_live);
+                    self.append_page(batch, &mut out);
+                }
+                Ok(out)
+            }
+
+            /// The newest valid entry for `key`, if any (buffered or logged).
+            pub fn latest_entry(&self, key: u64) -> Option<&E> {
+                match self.latest.get(&key)? {
+                    Latest::Buffered => {
+                        let idx = *self.buffer_index.get(&key)?;
+                        self.buffer[idx].as_ref()
+                    }
+                    Latest::Page(seq) => {
+                        let page = self.pages.iter().find(|p| p.seq == *seq)?;
+                        page.entries.iter().rev().find(|e| e.key() == key)
+                    }
+                }
+            }
+
+            /// The NVRAM buffer's entries in insertion order — applied *after* a
+            /// flash replay during power-failure recovery (buffered entries are
+            /// newer than anything on flash).
+            pub fn buffered_snapshot(&self) -> Vec<E> {
+                self.buffer.iter().flatten().cloned().collect()
+            }
+
+            /// Replay the log (head→tail) plus the NVRAM buffer into the set of
+            /// live mappings — the §III-E1 power-failure recovery scan. Tombstoned
+            /// keys are excluded.
+            pub fn recover_live(&self) -> Vec<E> {
+                let mut live: FastMap<u64, E> = FastMap::default();
+                for page in &self.pages {
+                    for e in &page.entries {
+                        if e.is_tombstone() {
+                            live.remove(&e.key());
+                        } else {
+                            live.insert(e.key(), e.clone());
+                        }
+                    }
+                }
+                for e in self.buffer.iter().flatten() {
+                    if e.is_tombstone() {
+                        live.remove(&e.key());
+                    } else {
+                        live.insert(e.key(), e.clone());
+                    }
+                }
+                live.into_values().collect()
+            }
+
+            // ---- internals -------------------------------------------------------
+
+            fn buffer_insert(&mut self, entry: E) {
+                let key = entry.key();
+                if let Some(&idx) = self.buffer_index.get(&key) {
+                    // Coalesce: newest entry overwrites the buffered one.
+                    if self.buffer[idx].is_some() {
+                        self.buffer[idx] = Some(entry);
+                        self.latest.insert(key, Latest::Buffered);
+                        return;
+                    }
+                }
+                self.buffer_index.insert(key, self.buffer.len());
+                self.buffer.push(Some(entry));
+                self.buffer_live += 1;
+                self.latest.insert(key, Latest::Buffered);
+            }
+
+            fn take_buffer_entries(&mut self, n: usize) -> Vec<E> {
+                let mut out = Vec::with_capacity(n);
+                let mut kept = Vec::with_capacity(self.buffer.len());
+                for slot in self.buffer.drain(..) {
+                    match slot {
+                        Some(e) if out.len() < n => out.push(e),
+                        other => kept.push(other),
+                    }
+                }
+                // Compact: drop holes, rebuild the index.
+                self.buffer = kept.into_iter().flatten().map(Some).collect();
+                self.buffer_index.clear();
+                for (i, e) in self.buffer.iter().enumerate() {
+                    // The rebuild above leaves no holes, so every slot is Some.
+                    if let Some(e) = e.as_ref() {
+                        self.buffer_index.insert(e.key(), i);
+                    }
+                }
+                self.buffer_live = self.buffer.len();
+                out
+            }
+
+            /// Cut full pages until less than a page is buffered. Each cut may
+            /// reclaim a head page and put its live entries back in the buffer; a
+            /// drain still going after four laps of the partition is reclaiming
+            /// nothing but live pages and never will finish.
+            fn drain_full_pages(
+                &mut self,
+                out: &mut Vec<CommitBatch<E>>,
+            ) -> Result<(), PartitionTooSmall> {
+                let mut cuts = 0u64;
+                while self.buffer_live >= self.entries_per_page {
+                    cuts += 1;
+                    if cuts > self.partition_pages * 4 + 8 {
+                        return Err(PartitionTooSmall { partition_pages: self.partition_pages });
+                    }
+                    let batch = self.take_buffer_entries(self.entries_per_page);
+                    self.append_page(batch, out);
+                }
+                Ok(())
+            }
+
+            fn append_page(&mut self, entries: Vec<E>, out: &mut Vec<CommitBatch<E>>) {
+                // Make room first (may reinsert live head entries into the buffer).
+                while self.used_pages() >= self.partition_pages {
+                    if !self.reclaim_head() {
+                        break;
+                    }
+                }
+                let seq = self.tail;
+                self.tail += 1;
+                for e in &entries {
+                    self.latest.insert(e.key(), Latest::Page(seq));
+                }
+                self.pages.push_back(MetaPage { seq, entries: entries.clone() });
+                self.pages_written = self.pages_written.saturating_add(1);
+                let batch = CommitBatch { slot: seq % self.partition_pages, seq, entries };
+                if self.track_inflight {
+                    // Batches GC'd past the head can no longer matter to recovery.
+                    self.inflight.retain(|b| b.seq >= self.head);
+                    self.inflight.push(batch.clone());
+                }
+                out.push(batch);
+            }
+
+            /// Oldest-first GC: drop dead entries, reinsert live ones. Returns
+            /// `false` when there is no head page to reclaim (an accounting bug:
+            /// `used_pages()` is counter-derived, so disagreeing with the deque
+            /// must stop the caller's loop rather than spin or panic).
+            fn reclaim_head(&mut self) -> bool {
+                let Some(page) = self.pages.pop_front() else {
+                    debug_assert!(false, "used_pages > 0 but page deque empty");
+                    return false;
+                };
+                debug_assert_eq!(page.seq, self.head);
+                self.head += 1;
+                self.gc_reclaims += 1;
+                for e in page.entries {
+                    let key = e.key();
+                    if self.latest.get(&key) == Some(&Latest::Page(page.seq)) {
+                        if e.is_tombstone() {
+                            // Nothing older left to shadow: drop entirely.
+                            self.latest.remove(&key);
+                        } else {
+                            self.buffer_insert(e);
+                        }
+                    }
+                    // Otherwise a newer entry exists elsewhere: dead, drop.
+                }
+                true
+            }
+        }
+    }
+
+    type Commits = Result<Vec<(u64, u64, Vec<KeyEntry>)>, PartitionTooSmall>;
+
+    /// `CommitBatch` has no `PartialEq`: compare batches as tuples.
+    fn tuples(batches: &[CommitBatch<KeyEntry>]) -> Vec<(u64, u64, Vec<KeyEntry>)> {
+        batches.iter().map(|b| (b.slot, b.seq, b.entries.clone())).collect()
+    }
+
+    fn commits(r: Result<Vec<CommitBatch<KeyEntry>>, PartitionTooSmall>) -> Commits {
+        r.map(|batches| tuples(&batches))
+    }
+
+    /// One scripted call against both logs.
+    #[derive(Debug, Clone)]
+    enum Call {
+        Push(KeyEntry),
+        Group(Vec<KeyEntry>),
+        Flush,
+        /// Confirm the n-th unconfirmed batch (mod their number).
+        Confirm(usize),
+    }
+
+    /// Run `script` through the position-keyed log and the two-map
+    /// reference, comparing everything either exposes after every call.
+    fn assert_logs_agree(partition: u64, epp: usize, inflight: bool, script: &[Call]) {
+        let mut log = MetaLog::new(partition, epp);
+        let mut old = reference::MetaLog::new(partition, epp);
+        if inflight {
+            log.enable_inflight_tracking();
+            old.enable_inflight_tracking();
+        }
+        let sorted = |mut live: Vec<KeyEntry>| {
+            live.sort_unstable_by_key(|e| (e.key, e.tombstone));
+            live
+        };
+        for (i, call) in script.iter().enumerate() {
+            let (got, want) = match call {
+                Call::Push(e) => (commits(log.push(*e)), commits(old.push(*e))),
+                Call::Group(g) => {
+                    (commits(log.push_group(g.clone())), commits(old.push_group(g.clone())))
+                }
+                Call::Flush => (commits(log.flush()), commits(old.flush())),
+                Call::Confirm(n) => {
+                    if let Some(b) = old.unconfirmed().get(n % old.unconfirmed().len().max(1)) {
+                        let seq = b.seq;
+                        log.confirm(seq);
+                        old.confirm(seq);
+                    }
+                    (Ok(Vec::new()), Ok(Vec::new()))
+                }
+            };
+            assert_eq!(got, want, "call {i} {call:?}: commit streams differ");
+            assert_eq!(log.buffered_snapshot(), old.buffered_snapshot(), "call {i} {call:?}");
+            assert_eq!(sorted(log.recover_live()), sorted(old.recover_live()), "call {i} {call:?}");
+            assert_eq!(log.counters(), old.counters(), "call {i}");
+            assert_eq!(log.pages_written(), old.pages_written(), "call {i}");
+            assert_eq!(log.gc_reclaims(), old.gc_reclaims(), "call {i}");
+            assert_eq!(log.entries_pushed(), old.entries_pushed(), "call {i}");
+            assert_eq!(log.buffered_entries(), old.buffered_entries(), "call {i}");
+            assert_eq!(tuples(log.unconfirmed()), tuples(old.unconfirmed()), "call {i}");
+            for k in 0..KEYS {
+                assert_eq!(log.latest_entry(k), old.latest_entry(k), "call {i}: key {k}");
+            }
+        }
+    }
+
+    /// Keys the differential scripts draw from.
+    const KEYS: u64 = 14;
+
+    #[test]
+    fn head_reclaim_sees_a_drained_batch_that_is_not_a_page_yet() {
+        // Two pages of two: [a b] [c d], then a' and e fill the buffer. The
+        // cut drains [a' e] and only then reclaims the head to make room,
+        // so while `a` and `b` are judged, a' is neither buffered nor
+        // logged: `a` must die to it, `b` must go back in the buffer alone.
+        let script: Vec<Call> = [0, 1, 2, 3, 0, 4, 1, 5, 0].map(|k| Call::Push(key(k))).into();
+        assert_logs_agree(2, 2, true, &script);
+        let mut log = MetaLog::new(2, 2);
+        for k in [0, 1, 2, 3, 0] {
+            log.push(key(k)).unwrap();
+        }
+        let cut = log.push(key(4)).unwrap();
+        assert_eq!(cut.len(), 1);
+        assert_eq!(cut[0].entries, vec![key(0), key(4)]);
+        assert_eq!(log.gc_reclaims(), 1);
+        assert_eq!(log.buffered_snapshot(), vec![key(1)], "only b survives the head page");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The position-keyed log against the two-map log it replaced:
+        /// same commit stream (`slot`, `seq`, entries), buffer, live set,
+        /// counters and in-flight list after every call, and
+        /// `PartitionTooSmall` from the same call, on partitions small
+        /// enough that nearly every cut reclaims a head page first.
+        #[test]
+        fn position_keyed_log_matches_the_two_map_log(
+            partition in 2u64..=8,
+            epp in 1usize..=4,
+            inflight in 0u8..2,
+            live_keys in 1u64..=KEYS,
+            raw in proptest::collection::vec((0u8..16, 0u64..KEYS, 0u8..10, 1usize..7), 1..300),
+        ) {
+            let entry = |k: u64, tombstone: bool| KeyEntry { key: k % live_keys, tombstone };
+            let script: Vec<Call> = raw
+                .iter()
+                .map(|&(op, k, t, n)| (op, k, t < 3, n))
+                .map(|(op, k, tombstone, n)| match op {
+                    0 => Call::Flush,
+                    1 | 2 => Call::Confirm(n),
+                    3 | 4 => Call::Group(
+                        (0..n as u64).map(|j| entry(k + j * 5, tombstone && j % 2 == 0)).collect(),
+                    ),
+                    _ => Call::Push(entry(k, tombstone)),
+                })
+                .collect();
+            assert_logs_agree(partition, epp, inflight == 1, &script);
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::config::KddConfig;
 use crate::metalog::{CommitBatch, KeyEntry, MetaLog, PartitionTooSmall};
 use crate::staging::StagingBuffer;
-use crate::two_smallest_by_key;
+use crate::{two_smallest_by_key, MergeBound, TwoSmallest};
 use kdd_cache::effects::{AccessOutcome, Effects};
 use kdd_cache::nvbuf::ENTRY_BYTES;
 use kdd_cache::policies::{set_of_row, CachePolicy, PendingRows, RaidModel};
@@ -117,6 +117,8 @@ pub struct KddPolicy {
     delta_pages: u64,
     /// Total live (valid) delta bytes across all DEZ pages.
     dez_bytes: u64,
+    /// What `compact_dez` can prove about its next victim scan.
+    dez_bound: MergeBound,
     /// LARC-style ghost list (lazy admission extension).
     ghost: Option<GhostList>,
     /// Fixed-partition mode: remaining reserved DEZ slots and the next
@@ -157,6 +159,7 @@ impl KddPolicy {
             old_pages: 0,
             delta_pages: 0,
             dez_bytes: 0,
+            dez_bound: MergeBound::default(),
             ghost: config
                 .lazy_admission
                 .then(|| GhostList::new(config.geometry.total_pages as usize)),
@@ -224,6 +227,8 @@ impl KddPolicy {
                 if page.deltas.is_empty() {
                     self.dez.remove(&slot);
                     self.free_dez_slot(slot);
+                } else {
+                    self.dez_bound.lower(page.bytes);
                 }
             }
             None => {}
@@ -270,6 +275,7 @@ impl KddPolicy {
             self.delta_loc.insert(lba, DeltaLoc::Dez(slot));
             self.log_alloc(lba, fx);
         }
+        self.dez_bound.lower(page.bytes);
         self.dez.insert(slot, page);
     }
 
@@ -282,12 +288,23 @@ impl KddPolicy {
     fn compact_dez(&mut self, fx: &mut Effects) {
         let ps = self.config.geometry.page_size as u64;
         while self.delta_pages >= 4 && self.dez_bytes * 100 < self.delta_pages * ps * 85 {
-            // The two emptiest pages.
+            // The two emptiest pages — unless what happened since the last
+            // scan already proves they cannot share a page.
+            let skip = self.dez_bound.rules_out_merge(0, ps as u32);
+            #[cfg(test)]
+            tests::note_loop_entry(skip);
+            if skip {
+                debug_assert!(!self.scan_finds_a_merge(), "bound skipped a scan that merges");
+                break;
+            }
             let pages = self.dez.iter().map(|(&s, p)| (s, p.bytes));
-            let Some(((dst, db), (src, sb))) = two_smallest_by_key(pages, |&(_, b)| b) else {
+            let Some(TwoSmallest { pair: ((dst, db), (src, sb)), rest }) =
+                two_smallest_by_key(pages, |&(_, b)| b)
+            else {
                 break; // fewer than two pages in the index: nothing to merge
             };
             if db as u64 + sb as u64 > ps {
+                self.dez_bound.scanned(db, sb);
                 break; // nothing merges; utilisation is as good as it gets
             }
             #[cfg(test)]
@@ -310,6 +327,7 @@ impl KddPolicy {
                 dpage.deltas.insert(lba, size);
                 self.delta_loc.insert(lba, DeltaLoc::Dez(dst));
             }
+            self.dez_bound.merged(dpage.bytes, rest);
             // Every delta in the merged page moved (new offsets): their
             // mapping entries are re-logged.
             let moved: Vec<u64> = self.dez[&dst].deltas.keys().copied().collect();
@@ -318,6 +336,15 @@ impl KddPolicy {
             }
             self.free_dez_slot(src);
         }
+    }
+
+    /// The scan `compact_dez` skips while its bound rules a merge out — what
+    /// the debug assertion there holds the bound to.
+    fn scan_finds_a_merge(&self) -> bool {
+        let pages = self.dez.values().map(|p| p.bytes);
+        two_smallest_by_key(pages, |&b| b).is_some_and(|TwoSmallest { pair: (db, sb), .. }| {
+            db as u64 + sb as u64 <= self.config.geometry.page_size as u64
+        })
     }
 
     /// A slot for a new DEZ page: the fixed partition's pool, else a free
@@ -682,6 +709,16 @@ mod tests {
         static MERGES_CHECKED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
     }
 
+    thread_local! {
+        /// Times `compact_dez` reached its scan on this test's thread, and
+        /// how many of those the bound let it skip.
+        static LOOP_ENTRIES: std::cell::Cell<(u32, u32)> = const { std::cell::Cell::new((0, 0)) };
+    }
+
+    pub(super) fn note_loop_entry(skipped: bool) {
+        LOOP_ENTRIES.with(|n| n.set((n.get().0 + 1, n.get().1 + u32::from(skipped))));
+    }
+
     /// Reference for `compact_dez`'s victim choice — the collect +
     /// stable sort it used before [`two_smallest_by_key`] — checked on
     /// every merge any test in this module triggers.
@@ -711,7 +748,15 @@ mod tests {
             p.access(Op::Write, lba);
         }
         let merges = MERGES_CHECKED.with(|n| n.get());
-        assert!(merges >= 100, "only {merges} merges — the mix never pressured the DEZ");
+        // 986 with a scan on every loop entry (the parent commit).
+        assert_eq!(merges, 986, "the bound must not change which merges run");
+        // Each skip was checked against the scan it replaced (the debug
+        // assertion in `compact_dez`); most entries must be skips.
+        let (entries, skipped) = LOOP_ENTRIES.with(|n| n.get());
+        assert!(
+            skipped * 10 >= entries * 7,
+            "bound skipped {skipped} of {entries} scans — under 70 %"
+        );
     }
 
     #[test]

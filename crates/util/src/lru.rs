@@ -91,6 +91,26 @@ impl LruList {
         self.len += 1;
     }
 
+    /// Link `slot` immediately on the LRU side of the linked slot `newer`
+    /// (for a caller that keeps the list sorted by its own recency stamps
+    /// and re-admits a slot at its old rank).
+    ///
+    /// # Panics
+    /// Panics if `slot` is already linked, `newer` is not, or either is out
+    /// of range.
+    pub fn insert_older(&mut self, slot: usize, newer: usize) {
+        assert!(!self.nodes[slot].linked, "slot {slot} already linked");
+        assert!(self.nodes[newer].linked, "slot {newer} not linked");
+        let next = std::mem::replace(&mut self.nodes[newer].next, slot as u32);
+        self.nodes[slot] = Node { prev: newer as u32, next, linked: true };
+        if next != NIL {
+            self.nodes[next as usize].prev = slot as u32;
+        } else {
+            self.tail = slot as u32;
+        }
+        self.len += 1;
+    }
+
     /// Unlink `slot` from the list.
     ///
     /// # Panics
@@ -262,6 +282,21 @@ mod tests {
         assert_eq!(l.iter_lru().collect::<Vec<_>>(), vec![0, 2]);
         assert!(!l.contains(1));
         assert_eq!(l.len(), 2);
+    }
+
+    #[test]
+    fn insert_older_links_behind_its_anchor() {
+        let mut l = LruList::with_capacity(5);
+        l.push_front(0);
+        l.push_front(1);
+        l.insert_older(2, 1); // between 1 and 0
+        l.insert_older(3, 0); // new LRU end
+        assert_eq!(l.iter_lru().collect::<Vec<_>>(), vec![3, 0, 2, 1]);
+        assert_eq!(l.iter_mru().collect::<Vec<_>>(), vec![1, 2, 0, 3]);
+        assert_eq!((l.back(), l.len()), (Some(3), 4));
+        l.remove(3);
+        l.remove(2);
+        assert_eq!(l.iter_lru().collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]

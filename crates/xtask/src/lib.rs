@@ -150,6 +150,7 @@ pub const HOT_ALLOC_FILES: &[&str] = &[
     "crates/delta/src/codec.rs",
     "crates/blockdev/src/store.rs",
     "crates/sim/src/des.rs",
+    "crates/core/src/metalog.rs",
 ];
 
 /// Allocation tokens rule `KDD006` flags in hot-path files. Besides the

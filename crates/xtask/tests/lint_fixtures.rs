@@ -195,7 +195,7 @@ fn hot_alloc_bad_pins_every_site() {
 #[test]
 fn hot_alloc_only_guards_hot_files() {
     let src = fixture("hot_alloc_bad.rs");
-    for rel in ["crates/core/src/metalog.rs", "hot_alloc_bad.rs"] {
+    for rel in ["crates/core/src/staging.rs", "hot_alloc_bad.rs"] {
         let report = lint_source("core", rel, &src, Options::default());
         assert_eq!(report.violations, vec![], "{rel} is not a hot-path file");
     }
@@ -230,6 +230,23 @@ fn des_phases_fixture_pair_guards_the_replayer() {
     let good = lint("des_phases_good.rs");
     assert_eq!(good.violations, vec![], "inline targets allocate nothing");
     assert_eq!(good.waivers, vec![], "and need no waiver");
+}
+
+#[test]
+fn metalog_push_fixture_pair_guards_the_log() {
+    // The metadata log joined the hot files with PR 19: a push must not
+    // copy its entry (the index holds positions), and the copy a page cut
+    // makes is the one waived allocation.
+    let lint = |name| {
+        lint_source("core", "crates/core/src/metalog.rs", &fixture(name), Options::default())
+    };
+    let bad = lint("metalog_push_bad.rs");
+    let got: Vec<(Rule, usize)> = bad.violations.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(got, vec![(Rule::HotAlloc, 15)], "the per-push `entry.clone()`");
+    let good = lint("metalog_push_good.rs");
+    assert_eq!(good.violations, vec![], "a position-keyed push allocates nothing");
+    let waived: Vec<(Rule, usize)> = good.waivers.iter().map(|w| (w.rule, w.line)).collect();
+    assert_eq!(waived, vec![(Rule::HotAlloc, 27)], "the per-cut page copy");
 }
 
 #[test]
