@@ -27,7 +27,7 @@
 //! Determinism note: page contents are fully seeded; only the timings
 //! vary run to run (the bench crate is exempt from KDD003).
 
-// kdd-lint: allow-file(layering) -- `raid5_write_page_rmw_4k` times `RaidArray::write_page` itself, on a throwaway array of its own: there is no engine whose accounting or crash ordering the raw writes could bypass.
+// kdd-lint: allow-file(layering) -- `raid5_write_page_rmw_4k` and `raid6_rebuild_row_*` time `RaidArray::write_page` and `RaidArray::rebuild` themselves, on throwaway arrays of their own: there is no engine whose accounting or crash ordering the raw calls could bypass.
 // Indexing and narrowing casts here are bounds-audited (offsets from
 // length-checked parses; sizes bounded by construction). See DESIGN.md
 // "Static analysis & invariants".
@@ -366,6 +366,29 @@ fn bench_kernels((rounds, round_ns): Rounds) -> Vec<Json> {
     });
     entries.push(kernel_entry("raid5_write_page_rmw_4k", PAGE, ns));
     eprintln!("  raid5_write_page_rmw_4k  {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
+
+    // One member of a RAID-6×6 failed and rebuilt, per row: over an array
+    // nobody wrote (every row blank — its six member ops are booked and no
+    // byte moves) and over a full one (four survivor pages folded, one
+    // page written). MB/s counts the page the row restores.
+    for (name, written) in [("raid6_rebuild_row_blank", false), ("raid6_rebuild_row_written", true)]
+    {
+        let layout = Layout::new(RaidLevel::Raid6, 6, 16, 16 * 16);
+        let mut array = RaidArray::new(layout, PAGE as u32);
+        if written {
+            for lpn in 0..layout.capacity_pages() {
+                let page = if lpn % 2 == 0 { &p0 } else { &p1 };
+                array.write_page(lpn, page).expect("healthy array");
+            }
+        }
+        let per_rebuild = time_ns(rounds, round_ns, || {
+            array.fail_disk(1);
+            black_box(array.rebuild().is_ok());
+        });
+        let ns = per_rebuild / layout.rows() as f64;
+        entries.push(kernel_entry(name, PAGE, ns));
+        eprintln!("  {name:<24} {ns:9.1} ns/row   {:8.0} MB/s", mb_per_s(PAGE, ns));
+    }
 
     // A clean fill into a full 64-way set of a KDD cache under pressure:
     // in every set 16 DEZ and 16 *old* pages are the oldest, 32 clean pages

@@ -3,10 +3,24 @@
 //! A 5-disk RAID over 1 TB drives cannot be materialised as flat buffers;
 //! [`MemStore`] keeps only pages that were ever written in a hash map and
 //! reads unwritten pages as zeros — exactly what a fresh disk returns.
+//!
+//! "Unwritten" is a property callers may rely on, not only a saving of
+//! this module: [`MemStore::is_resident`] is `false` exactly for the pages
+//! that read as zeros *because nothing is stored* (never written, trimmed,
+//! or on a replaced device), so a reader that would only XOR such a page
+//! into something — the RAID reconstruction solver — can account the read
+//! and skip the bytes. A page that was written with zeros is resident and
+//! is read like any other.
+//!
+//! Trimmed pages are parked (a bounded [`PagePool`]; beyond its cap they
+//! are freed) and handed to the next first write, so a store whose pages
+//! come and go (the SSD cache's data and DEZ slots) reuses its buffers
+//! instead of round-tripping the allocator.
 
 use crate::error::{DevError, FaultDomain};
 use crate::fault::{apply_read_outcome, apply_write_outcome, FaultInjector, IoDir, IoOutcome};
 use kdd_util::hash::FastMap;
+use kdd_util::PagePool;
 
 /// Page-granular storage of actual contents.
 pub trait PageStore {
@@ -39,6 +53,10 @@ pub struct MemStore {
     /// zeros for an unwritten one, a private copy under fault injection.
     /// Sized on first use.
     scratch: Vec<u8>,
+    /// Buffers of trimmed pages, for the next page that becomes resident.
+    /// Their old contents never show: a reused buffer is overwritten whole
+    /// or zeroed first.
+    spare: PagePool,
 }
 
 impl MemStore {
@@ -53,6 +71,7 @@ impl MemStore {
             injector: None,
             domain: FaultDomain::Unknown,
             scratch: Vec::new(),
+            spare: PagePool::new(page_size as usize),
         }
     }
 
@@ -77,7 +96,7 @@ impl MemStore {
     /// Inject a permanent device failure: all subsequent I/O errors.
     pub fn fail(&mut self) {
         self.failed = true;
-        self.pages.clear(); // a failed disk's contents are gone
+        self.drop_pages(); // a failed disk's contents are gone
     }
 
     /// Whether the device has been failed.
@@ -88,12 +107,25 @@ impl MemStore {
     /// Replace a failed device with a fresh (zeroed) one of the same shape.
     pub fn replace(&mut self) {
         self.failed = false;
+        self.drop_pages();
+    }
+
+    /// Forget every page, resident or parked.
+    fn drop_pages(&mut self) {
         self.pages.clear();
+        self.spare = PagePool::new(self.page_size as usize);
     }
 
     /// Number of pages that have ever been written (resident set).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Whether page `lpn` holds stored bytes. `false` means it reads as
+    /// zeros because it was never written (or was trimmed, or the device
+    /// was failed or replaced since) — not merely that it contains zeros.
+    pub fn is_resident(&self, lpn: u64) -> bool {
+        self.pages.contains_key(&lpn)
     }
 
     /// Lend page `lpn` for reading (an unwritten page reads as zeros).
@@ -136,9 +168,7 @@ impl MemStore {
     ) -> Result<R, DevError> {
         if self.injector.is_none() {
             self.check(lpn)?;
-            let ps = self.page_size as usize;
-            // kdd-waiver(KDD006): the first write to a sparse page materialises it; a resident page is updated in place.
-            let page = self.pages.entry(lpn).or_insert_with(|| vec![0u8; ps].into_boxed_slice());
+            let page = self.pages.entry(lpn).or_insert_with(|| self.spare.acquire());
             return Ok(f(page));
         }
         let mut buf = std::mem::take(&mut self.scratch);
@@ -192,7 +222,7 @@ impl PageStore for MemStore {
             match self.pages.get_mut(&lpn) {
                 Some(page) => page.copy_from_slice(data),
                 None => {
-                    self.pages.insert(lpn, data.into());
+                    self.pages.insert(lpn, self.spare.acquire_from(data));
                 }
             }
             return Ok(());
@@ -216,7 +246,9 @@ impl PageStore for MemStore {
         if let IoOutcome::Fail(e) = self.intercept(IoDir::Write) {
             return Err(e);
         }
-        self.pages.remove(&lpn);
+        if let Some(page) = self.pages.remove(&lpn) {
+            self.spare.release(page);
+        }
         Ok(())
     }
 }
@@ -253,6 +285,42 @@ mod tests {
         s.read_page(0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0));
         assert_eq!(s.resident_pages(), 0);
+    }
+
+    #[test]
+    fn recycled_page_never_shows_stale_bytes() {
+        let mut s = MemStore::new(4, 64);
+        let mut buf = vec![0u8; 64];
+        // Trim parks the buffer; every way a page becomes resident again
+        // must hide what it held.
+        for round in 0..3u8 {
+            s.write_page(0, &[0xA0 | round; 64]).unwrap();
+            assert!(s.is_resident(0));
+            s.trim_page(0).unwrap();
+            assert!(!s.is_resident(0));
+            assert_eq!(s.resident_pages(), 0);
+            s.read_page(0, &mut buf).unwrap();
+            assert!(buf.iter().all(|&b| b == 0), "a trimmed page reads zeros");
+            assert!(s.page(0).unwrap().iter().all(|&b| b == 0));
+            // A read-modify-write of another page starts from zeros ...
+            let seen = s.update_page(1, |p| p.to_vec()).unwrap();
+            assert!(seen.iter().all(|&b| b == 0), "round {round}: update saw stale bytes");
+            s.read_page(1, &mut buf).unwrap();
+            assert!(buf.iter().all(|&b| b == 0));
+            s.trim_page(1).unwrap();
+            // ... and a rewrite is the new bytes only.
+            s.write_page(2, &[round; 64]).unwrap();
+            s.read_page(2, &mut buf).unwrap();
+            assert_eq!(buf, [round; 64]);
+            s.trim_page(2).unwrap();
+        }
+        // A failed or replaced device keeps nothing, parked or not.
+        s.write_page(3, &[0xEE; 64]).unwrap();
+        s.trim_page(3).unwrap();
+        s.fail();
+        s.replace();
+        assert_eq!(s.update_page(3, |p| p.to_vec()).unwrap(), vec![0u8; 64]);
+        assert!(s.is_resident(3) && !s.is_resident(0));
     }
 
     #[test]

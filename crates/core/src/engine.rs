@@ -2143,6 +2143,42 @@ mod tests {
         }
     }
 
+    /// A rebuild interrupted by one transient read fault must leave the
+    /// array degraded — still reconstructing every page — not report a
+    /// half-written replacement as healthy; the retry then completes.
+    #[test]
+    fn interrupted_hdd_recovery_keeps_serving_and_retries() {
+        use kdd_blockdev::fault::FaultPlan;
+        let mut e = engine(64);
+        let mut versions: FastMap<u64, Vec<u8>> = FastMap::default();
+        for lba in 0..96u64 {
+            let p = page(lba ^ 5);
+            e.write(lba, &p).unwrap();
+            versions.insert(lba, p);
+        }
+        // Parity is brought up to date first, so the recovery below goes
+        // straight to the rebuild and the fault lands in its first rows.
+        let mut t = SimTime::ZERO;
+        e.clean(&mut t).unwrap();
+        e.attach_fault_injector(FaultInjector::new(
+            FaultPlan::new().transient(7, FaultDomain::Disk(0)),
+        ));
+        assert!(e.recover_from_hdd_failure(2).is_err());
+        assert_eq!(e.raid().failed_disks(), vec![2], "the array must stay degraded");
+        let mut buf = vec![0u8; PS as usize];
+        for (lba, v) in &versions {
+            e.raid_mut().read_page(*lba, &mut buf).unwrap();
+            assert_eq!(&buf, v, "lba {lba} after the interrupted rebuild");
+        }
+        e.recover_from_hdd_failure(2).unwrap();
+        assert!(e.raid().failed_disks().is_empty());
+        for (lba, v) in &versions {
+            e.raid_mut().read_page(*lba, &mut buf).unwrap();
+            assert_eq!(&buf, v, "lba {lba} after the retried rebuild");
+            assert_eq!(&e.read(*lba).unwrap().0, v, "lba {lba} through the engine");
+        }
+    }
+
     /// `n` small rewrites of random pages of `lbas`; returns how many
     /// deltas a write to *another* page moved between DEZ pages, i.e. how
     /// many a merge moved.

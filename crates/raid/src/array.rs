@@ -19,6 +19,19 @@
 //! ([`RaidError::StaleParity`]): that is precisely the window of
 //! vulnerability the paper says LeavO leaves open and KDD closes by
 //! updating parity before rebuild.
+//!
+//! Reconstruction (degraded reads and [`RaidArray::rebuild`]) honours the
+//! members' sparseness. A member page that is *unwritten* — not resident
+//! in its [`MemStore`], so it reads as zeros because nothing is stored —
+//! contributes nothing to an XOR or GF(2^8) sum: its read is booked in
+//! [`RaidCost`] and [`DiskStats`] like any other, and no byte is touched.
+//! A row none of whose surviving members is written solves to zeros for
+//! every lost member, which is what the replacement already reads there:
+//! such a row costs the accounting of its member I/Os and nothing else.
+//! Both shortcuts apply only while no [`FaultInjector`] is attached — the
+//! one rule that already decides whether members lend their pages — since
+//! under injection every member op is a decision point and a read may
+//! come back corrupted.
 
 // Indexing and narrowing casts here are bounds-audited (offsets from
 // length-checked parses; sizes bounded by construction). See DESIGN.md
@@ -78,6 +91,12 @@ impl Default for DiskOps {
 }
 
 impl DiskOps {
+    /// Make room for `additional` more ops at once (a rebuild knows its
+    /// count up front) instead of by doubling.
+    fn reserve(&mut self, additional: usize) {
+        self.spill.reserve(self.len + additional);
+    }
+
     fn push(&mut self, op: DiskOp) {
         if !self.spill.is_empty() {
             self.spill.push(op);
@@ -464,13 +483,24 @@ impl RaidArray {
         if self.is_stale(loc.row) {
             return Err(RaidError::StaleParity { row: loc.row });
         }
+        if buf.len() != self.page_size as usize {
+            return Err(RaidError::BadArg("buffer must be one page"));
+        }
         let failed = self.failed_disks();
-        let solved = self.solve_missing(loc.row, &failed, &mut cost)?;
-        let (_, content) = solved
-            .into_iter()
-            .find(|(m, _)| *m == RowMember::Data(loc.data_index))
+        let missing = self.missing_members(loc.row, &failed)?;
+        // The solver leaves each lost member in the buffer of its slot:
+        // the wanted page is solved straight into the caller's.
+        let wanted = missing
+            .iter()
+            .position(|m| m.is_some_and(|(m, _)| m == RowMember::Data(loc.data_index)))
             .ok_or(RaidError::TooManyFailures)?;
-        buf.copy_from_slice(&content);
+        let mut other = self.pool.acquire_scratch();
+        let out = if wanted == 0 { [&mut *buf, &mut *other] } else { [&mut *other, &mut *buf] };
+        let blank = self.solve_missing(loc.row, missing, out, &mut cost)?;
+        self.pool.release(other);
+        if blank {
+            buf.fill(0);
+        }
         Ok(cost)
     }
 
@@ -750,6 +780,10 @@ impl RaidArray {
     /// Requires no stale rows: KDD's failure handling updates all parity
     /// *before* triggering rebuild (§III-E2). Errors with
     /// [`RaidError::StaleParity`] otherwise.
+    ///
+    /// A rebuild that fails part-way leaves the members failed, as they
+    /// were: the array stays degraded and keeps reconstructing reads, and
+    /// a retry starts again from row 0.
     pub fn rebuild(&mut self) -> Result<RaidCost, RaidError> {
         self.check_failures()?;
         if let Some(&row) = self.stale_rows.iter().next() {
@@ -767,27 +801,43 @@ impl RaidArray {
                 inj.on_replace(FaultDomain::Disk(d as u32));
             }
         }
-        let mut cost = RaidCost::default();
-        // Reconstruct row by row; the replacement disks are zero-filled so
-        // we re-derive their content from the survivors.
-        for row in 0..self.layout.rows() {
-            let solved = self.solve_missing(row, &failed, &mut cost)?;
-            let stripe = self.layout.stripe_of_row(row);
-            let dp = self.row_disk_page(row);
-            for (member, content) in solved {
-                let disk =
-                    match member {
-                        RowMember::Data(d) => self.layout.data_disk(stripe, d),
-                        RowMember::P => self.layout.parity_disk(stripe).ok_or(
-                            RaidError::Inconsistent("P member solved on parity-less layout"),
-                        )?,
-                        RowMember::Q => self.layout.q_disk(stripe).ok_or(
-                            RaidError::Inconsistent("Q member solved on non-RAID-6 layout"),
-                        )?,
-                    };
-                self.disk_write(disk, dp, &content, &mut cost)?;
+        let rebuilt = self.rebuild_rows(&failed);
+        if rebuilt.is_err() {
+            // A half-written replacement must not pass for a member: the
+            // rows not reached yet would read back as zeros.
+            for &d in &failed {
+                self.disks[d].fail();
             }
         }
+        rebuilt
+    }
+
+    /// Reconstruct every row's share of the (just replaced) `failed`
+    /// members from the survivors.
+    fn rebuild_rows(&mut self, failed: &[usize]) -> Result<RaidCost, RaidError> {
+        let rows = self.layout.rows();
+        let mut cost = RaidCost::default();
+        // A row's ops: a read per surviving data member, a parity read per
+        // lost one, a write per lost member.
+        cost.ops.reserve(rows as usize * (self.layout.data_disks() + failed.len()));
+        let mut first = self.pool.acquire_scratch();
+        let mut second = self.pool.acquire_scratch();
+        for row in 0..rows {
+            let dp = self.row_disk_page(row);
+            let missing = self.missing_members(row, failed)?;
+            let blank = self.solve_missing(row, missing, [&mut first, &mut second], &mut cost)?;
+            for (lost, content) in missing.iter().zip([&first, &second]) {
+                let Some((_, disk)) = *lost else { continue };
+                if blank {
+                    // Zeros, which the fresh replacement already reads.
+                    self.account(disk, dp, IoKind::Write, &mut cost);
+                } else {
+                    self.disk_write(disk, dp, content, &mut cost)?;
+                }
+            }
+        }
+        self.pool.release(first);
+        self.pool.release(second);
         Ok(cost)
     }
 
@@ -798,146 +848,156 @@ impl RaidArray {
 
     // ---- reconstruction core ----------------------------------------------
 
-    /// Solve for the contents of every row member whose disk is in
-    /// `excluded`, reading only surviving members. Handles every single-
-    /// and double-erasure case RAID-6 tolerates.
+    /// The members of `row` that live on the `excluded` disks, each with
+    /// its disk, in the order they are solved and written back: data by
+    /// index, then P, then Q.
+    fn missing_members(&self, row: u64, excluded: &[usize]) -> Result<Missing, RaidError> {
+        let stripe = self.layout.stripe_of_row(row);
+        let data = (0..self.layout.data_disks())
+            .map(|d| (RowMember::Data(d), Some(self.layout.data_disk(stripe, d))));
+        let parity = [
+            (RowMember::P, self.layout.parity_disk(stripe)),
+            (RowMember::Q, self.layout.q_disk(stripe)),
+        ];
+        let mut lost = data
+            .chain(parity)
+            .filter_map(|(m, disk)| disk.filter(|d| excluded.contains(d)).map(|disk| (m, disk)));
+        let missing = [lost.next(), lost.next()];
+        match lost.next() {
+            // RAID-6 solves two erasures, no level more.
+            Some(_) => Err(RaidError::TooManyFailures),
+            None => Ok(missing),
+        }
+    }
+
+    /// One surviving member's read during reconstruction: booked, lent
+    /// ([`RaidArray::disk_page`]) and handed to `fold`. An unwritten page
+    /// would fold zeros, so it is booked and nothing else — unless an
+    /// injector is attached, under which every read is carried out (it is
+    /// a fault decision point, and may come back corrupted).
+    fn fold_member(
+        &mut self,
+        disk: usize,
+        disk_page: u64,
+        cost: &mut RaidCost,
+        fold: impl FnOnce(&[u8]),
+    ) -> Result<(), RaidError> {
+        if self.injector.is_none() && !self.disks[disk].is_resident(disk_page) {
+            self.account(disk, disk_page, IoKind::Read, cost);
+        } else {
+            fold(self.disk_page(disk, disk_page, cost)?);
+        }
+        Ok(())
+    }
+
+    /// Solve `row` for its `missing` members from the surviving ones,
+    /// leaving member `i` in `out[i]`. Handles every single- and
+    /// double-erasure case RAID-6 tolerates.
+    ///
+    /// The survivors are read in a fixed order — data by index, then P,
+    /// then Q, each only if the solution needs it — and folded one at a
+    /// time into two running sums held in `out`: `a`, the plain XOR, and
+    /// `b`, the `g^d`-weighted one.
+    ///
+    /// Returns `true`, with `out` untouched, for a *blank* row: no
+    /// surviving member is written, so every missing member is zeros and
+    /// only the reads are booked (never with an injector attached; see
+    /// [`RaidArray::fold_member`]).
     fn solve_missing(
         &mut self,
         row: u64,
-        excluded: &[usize],
+        missing: Missing,
+        [first, second]: [&mut [u8]; 2],
         cost: &mut RaidCost,
-    ) -> Result<Vec<(RowMember, Vec<u8>)>, RaidError> {
-        let ps = self.page_size as usize;
+    ) -> Result<bool, RaidError> {
         let stripe = self.layout.stripe_of_row(row);
         let dp = self.row_disk_page(row);
-        let dd = self.layout.data_disks();
-        let is_excluded = |disk: usize| excluded.contains(&disk);
-
-        let missing_data: Vec<usize> =
-            (0..dd).filter(|&d| is_excluded(self.layout.data_disk(stripe, d))).collect();
-        let p_disk = self.layout.parity_disk(stripe);
-        let q_disk = self.layout.q_disk(stripe);
-        let p_missing = p_disk.is_some_and(is_excluded);
-        let q_missing = q_disk.is_some_and(is_excluded);
-        if missing_data.is_empty() && !p_missing && !q_missing {
-            return Ok(Vec::new());
-        }
-
-        // Read every surviving data member once.
-        let mut data: Vec<Option<Vec<u8>>> = vec![None; dd];
-        #[allow(clippy::needless_range_loop)]
-        for d in 0..dd {
-            if !missing_data.contains(&d) {
-                let disk = self.layout.data_disk(stripe, d);
-                // kdd-waiver(KDD006): degraded-mode reconstruction; survivor pages outlive the solver.
-                let mut buf = vec![0u8; ps];
-                self.disk_read(disk, dp, &mut buf, cost)?;
-                data[d] = Some(buf);
-            }
-        }
-        let read_parity = |this: &mut Self,
-                           loc: Option<(usize, u64)>,
-                           cost: &mut RaidCost|
-         -> Result<Vec<u8>, RaidError> {
-            let (pd, pp) = loc.ok_or(RaidError::TooManyFailures)?;
-            // kdd-waiver(KDD006): degraded-mode reconstruction; the parity page is returned by value.
-            let mut buf = vec![0u8; ps];
-            this.disk_read(pd, pp, &mut buf, cost)?;
-            Ok(buf)
-        };
-
-        // Recover missing data members first.
-        match missing_data.len() {
-            0 => {}
-            1 => {
-                let x = missing_data[0];
-                if !p_missing && p_disk.is_some() {
-                    // D_x = P ⊕ Σ_{d≠x} D_d
-                    let mut out = read_parity(self, self.layout.parity_location(row), cost)?;
-                    for (_d, page) in data.iter().enumerate().filter(|(d, _)| *d != x) {
-                        let page = page
-                            .as_ref()
-                            .ok_or(RaidError::Inconsistent("survivor page not read"))?;
-                        xor_into(&mut out, page);
-                    }
-                    data[x] = Some(out);
-                } else if !q_missing && q_disk.is_some() {
-                    // D_x = (Q ⊕ Σ_{d≠x} g^d·D_d) / g^x
-                    let mut acc = read_parity(self, self.layout.q_location(row), cost)?;
-                    for (d, page) in data.iter().enumerate().filter(|(d, _)| *d != x) {
-                        let page = page
-                            .as_ref()
-                            .ok_or(RaidError::Inconsistent("survivor page not read"))?;
-                        gf256::mul_slice_into(&mut acc, page, gf256::pow_g(d));
-                    }
-                    // kdd-waiver(KDD006): degraded-mode reconstruction; the solved page is handed back by value.
-                    let mut out = vec![0u8; ps];
-                    gf256::mul_slice_into(&mut out, &acc, gf256::inv(gf256::pow_g(x)));
-                    data[x] = Some(out);
-                } else {
-                    return Err(RaidError::TooManyFailures);
-                }
-            }
-            2 => {
-                if p_missing || q_missing {
-                    return Err(RaidError::TooManyFailures);
-                }
-                let (x, y) = (missing_data[0], missing_data[1]);
-                // a = P ⊕ Σ survivors = D_x ⊕ D_y
-                // b = Q ⊕ Σ g^d survivors = g^x·D_x ⊕ g^y·D_y
-                let mut a = read_parity(self, self.layout.parity_location(row), cost)?;
-                let mut b = read_parity(self, self.layout.q_location(row), cost)?;
-                for (d, page) in data.iter().enumerate().filter(|(d, _)| *d != x && *d != y) {
-                    let page =
-                        page.as_ref().ok_or(RaidError::Inconsistent("survivor page not read"))?;
-                    gf256::mul2_slice_into(&mut a, &mut b, page, gf256::pow_g(d));
-                }
-                // D_x = (b ⊕ g^y·a) / (g^x ⊕ g^y); D_y = a ⊕ D_x
-                let gx = gf256::pow_g(x);
-                let gy = gf256::pow_g(y);
-                let mut num = b;
-                gf256::mul_slice_into(&mut num, &a, gy);
-                // kdd-waiver(KDD006): degraded-mode reconstruction; the solved page is handed back by value.
-                let mut dx = vec![0u8; ps];
-                gf256::mul_slice_into(&mut dx, &num, gf256::inv(gx ^ gy));
-                let mut dy = a;
-                xor_into(&mut dy, &dx);
-                data[x] = Some(dx);
-                data[y] = Some(dy);
-            }
+        let lost = |m: RowMember| missing.iter().flatten().any(|&(lost, _)| lost == m);
+        let mut lost_data = missing.iter().flatten().filter_map(|&(m, _)| match m {
+            RowMember::Data(d) => Some(d),
+            _ => None,
+        });
+        let (x, y) = (lost_data.next(), lost_data.next());
+        let (p_lost, q_lost) = (lost(RowMember::P), lost(RowMember::Q));
+        let p_loc = self.layout.parity_location(row).filter(|_| !p_lost);
+        let q_loc = self.layout.q_location(row).filter(|_| !q_lost);
+        // Lost data is solved from P when there is one, from Q otherwise,
+        // from both when two pages are gone; lost parity is recomputed.
+        let (read_p, read_q) = match (x, y, p_loc, q_loc) {
+            (None, ..) => (None, None),
+            (Some(_), None, Some(p), _) => (Some(p), None),
+            (Some(_), None, None, Some(q)) => (None, Some(q)),
+            (Some(_), Some(_), Some(p), Some(q)) => (Some(p), Some(q)),
             _ => return Err(RaidError::TooManyFailures),
+        };
+        let (sum_a, sum_b) = (p_lost || read_p.is_some(), q_lost || read_q.is_some());
+        if !sum_a && !sum_b {
+            return Ok(false); // nothing is missing
+        }
+        // `b` ends up holding the first missing member when that is data
+        // solved through Q, or Q itself; `a` in every other case.
+        let b_first = read_q.is_some() || matches!(missing[0], Some((RowMember::Q, _)));
+        let (a, b) = if b_first { (second, first) } else { (first, second) };
+
+        let blank = self.injector.is_none()
+            && !(0..self.disks.len()).any(|disk| {
+                self.disks[disk].is_resident(dp) && !missing.iter().flatten().any(|l| l.1 == disk)
+            });
+        if !blank {
+            if sum_a {
+                a.fill(0);
+            }
+            if sum_b {
+                b.fill(0);
+            }
+        }
+        for d in (0..self.layout.data_disks()).filter(|&d| Some(d) != x && Some(d) != y) {
+            let disk = self.layout.data_disk(stripe, d);
+            self.fold_member(disk, dp, cost, |page| match (sum_a, sum_b) {
+                // One pass per member page: a ⊕= D, b ⊕= g^d·D.
+                (true, true) => gf256::mul2_slice_into(a, b, page, gf256::pow_g(d)),
+                (true, false) => xor_into(a, page),
+                _ => gf256::mul_slice_into(b, page, gf256::pow_g(d)),
+            })?;
+        }
+        if let Some((pd, pp)) = read_p {
+            self.fold_member(pd, pp, cost, |p| xor_into(a, p))?;
+        }
+        if let Some((qd, qp)) = read_q {
+            self.fold_member(qd, qp, cost, |q| xor_into(b, q))?;
+        }
+        if blank {
+            return Ok(true);
         }
 
-        // With all data known, recompute any missing parity.
-        let mut out = Vec::new();
-        for d in missing_data {
-            let page = data
-                .get(d)
-                // kdd-waiver(KDD006): degraded-mode reconstruction; the recovered page is returned by value.
-                .and_then(|p| p.clone())
-                .ok_or(RaidError::Inconsistent("solver left a data member unsolved"))?;
-            out.push((RowMember::Data(d), page));
-        }
-        if p_missing {
-            // kdd-waiver(KDD006): degraded-mode reconstruction; the rebuilt parity is returned by value.
-            let mut p = vec![0u8; ps];
-            for page in data.iter().flatten() {
-                xor_into(&mut p, page);
+        // a = P ⊕ Σ D_d and b = Q ⊕ Σ g^d·D_d over the surviving d, for
+        // whichever of P and Q was read.
+        match (x, y, read_p.is_some()) {
+            (Some(x), Some(y), _) => {
+                // a = D_x ⊕ D_y, b = g^x·D_x ⊕ g^y·D_y, so
+                // D_x = (b ⊕ g^y·a) / (g^x ⊕ g^y); D_y = a ⊕ D_x
+                let (gx, gy) = (gf256::pow_g(x), gf256::pow_g(y));
+                gf256::mul_slice_into(b, a, gy);
+                gf256::scale_slice(b, gf256::inv(gx ^ gy));
+                xor_into(a, b);
             }
-            out.push((RowMember::P, p));
-        }
-        if q_missing {
-            // kdd-waiver(KDD006): degraded-mode reconstruction; the rebuilt parity is returned by value.
-            let mut q = vec![0u8; ps];
-            for (d, page) in data.iter().enumerate() {
-                let page = page
-                    .as_ref()
-                    .ok_or(RaidError::Inconsistent("solver left a data member unsolved"))?;
-                gf256::mul_slice_into(&mut q, page, gf256::pow_g(d));
+            (Some(x), None, true) => {
+                // D_x = a; a lost Q still lacks its term: Q = b ⊕ g^x·D_x
+                if q_lost {
+                    gf256::mul_slice_into(b, a, gf256::pow_g(x));
+                }
             }
-            out.push((RowMember::Q, q));
+            (Some(x), None, false) => {
+                // D_x = b / g^x; a lost P still lacks it: P = a ⊕ D_x
+                gf256::scale_slice(b, gf256::inv(gf256::pow_g(x)));
+                if p_lost {
+                    xor_into(a, b);
+                }
+            }
+            // Only parity is lost: the sums over all data are P and Q.
+            (None, ..) => {}
         }
-        Ok(out)
+        Ok(false)
     }
 
     /// Verify parity consistency of one row (tests/diagnostics). Stale
@@ -981,6 +1041,10 @@ enum RowMember {
     P,
     Q,
 }
+
+/// The members of one row lost with their disks (at most two can be
+/// solved for), each with the disk it lives on.
+type Missing = [Option<(RowMember, usize)>; 2];
 
 #[cfg(test)]
 mod tests {
@@ -1445,6 +1509,255 @@ mod tests {
         lent_and_copied_paths_agree(r6(), Some(4));
     }
 
+    // ---- the sparse-aware solver against the copying one ------------------
+
+    /// How much of an array the differential runs write before failing
+    /// members.
+    #[derive(Debug, Clone, Copy)]
+    enum Fill {
+        Empty,
+        /// About 15 % of the pages, scattered.
+        Sparse,
+        /// One data member of every row, a different one row by row.
+        OnePerRow,
+        Full,
+    }
+
+    /// Write `fill`'s pages through `write_page` (so parity is consistent)
+    /// and return what every logical page now reads as.
+    fn filled(a: &mut RaidArray, fill: Fill) -> Vec<Vec<u8>> {
+        let ps = a.page_size() as usize;
+        let layout = *a.layout();
+        let mut x = 0x2545_f491_u64;
+        let mut model = vec![vec![0u8; ps]; layout.capacity_pages() as usize];
+        for lpn in 0..layout.capacity_pages() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let row = layout.row_of(lpn);
+            let write = match fill {
+                Fill::Empty => false,
+                Fill::Sparse => (x >> 33) % 100 < 15,
+                Fill::OnePerRow => layout.row_lpns(row)[row as usize % layout.row_width()] == lpn,
+                Fill::Full => true,
+            };
+            if write {
+                model[lpn as usize] = page((x >> 40) as u8, ps);
+                a.write_page(lpn, &model[lpn as usize]).unwrap();
+            }
+        }
+        model
+    }
+
+    /// Every page of every member, and the members' counters.
+    fn members(a: &RaidArray) -> (Vec<Vec<u8>>, Vec<(u64, u64)>) {
+        let mut buf = vec![0u8; a.page_size() as usize];
+        let pages = a
+            .disks
+            .iter()
+            .flat_map(|d| (0..a.layout.disk_pages).map(move |p| (d, p)))
+            .map(|(d, p)| {
+                d.read_page(p, &mut buf).unwrap();
+                buf.clone()
+            })
+            .collect();
+        (pages, a.stats().iter().map(|s| (s.reads, s.writes)).collect())
+    }
+
+    /// Fail `failed` on three copies of `base` — the solver, the reference
+    /// solver, and the solver behind an empty-plan injector (which forces
+    /// the copying lend and forbids every shortcut) — then read every page
+    /// degraded and rebuild: each call's op list, every byte read, every
+    /// member's counters and contents must agree, parity must verify, and
+    /// the sparse rebuild must have materialised only the rows that hold
+    /// something.
+    fn solver_matches_reference(base: &RaidArray, model: &[Vec<u8>], failed: &[usize]) {
+        let ps = base.page_size() as usize;
+        let layout = *base.layout();
+        let what = format!("{:?} failed {failed:?}", layout.level);
+        let written_rows = (0..layout.rows())
+            .filter(|&row| {
+                (0..layout.disks).any(|d| !failed.contains(&d) && base.disks[d].is_resident(row))
+            })
+            .count();
+        let mut new = base.clone();
+        let mut old = base.clone();
+        let mut copied = base.clone();
+        let injector = FaultInjector::new(kdd_blockdev::fault::FaultPlan::new());
+        copied.attach_injector(injector.clone());
+        for &d in failed {
+            new.fail_disk(d);
+            old.fail_disk(d);
+            copied.fail_disk(d);
+        }
+
+        let (mut got, mut want, mut lent) = (vec![0xAAu8; ps], vec![0xBBu8; ps], vec![0xCCu8; ps]);
+        for lpn in 0..layout.capacity_pages() {
+            let cost = new.read_page(lpn, &mut got);
+            assert_eq!(cost, old.reference_read_page(lpn, &mut want), "{what}: read_page({lpn})");
+            assert_eq!(cost, copied.read_page(lpn, &mut lent), "{what}: copied read_page({lpn})");
+            assert!(cost.is_ok(), "{what}: read_page({lpn}) = {cost:?}");
+            assert_eq!(got, model[lpn as usize], "{what}: lpn {lpn}");
+            assert_eq!((&want, &lent), (&got, &got), "{what}: lpn {lpn}");
+        }
+
+        let cost = new.rebuild();
+        assert!(cost.is_ok(), "{what}: rebuild = {cost:?}");
+        assert_eq!(cost, old.reference_rebuild(), "{what}: rebuild ops");
+        assert_eq!(cost, copied.rebuild(), "{what}: copied rebuild ops");
+        let ops = cost.unwrap().ops.len();
+        assert_eq!(ops, layout.rows() as usize * (layout.data_disks() + failed.len()), "{what}");
+        assert!(injector.op_count() as usize >= ops && injector.counters().injected == 0);
+
+        assert_eq!(members(&new), members(&old), "{what}: members after rebuild");
+        assert_eq!(members(&new), members(&copied), "{what}: copied members after rebuild");
+        for row in 0..layout.rows() {
+            assert_eq!(new.verify_row(row), Ok(true), "{what}: row {row}");
+        }
+        for lpn in 0..layout.capacity_pages() {
+            new.read_page(lpn, &mut got).unwrap();
+            assert_eq!(got, model[lpn as usize], "{what}: lpn {lpn} after rebuild");
+        }
+        for &d in failed {
+            assert_eq!(new.disks[d].resident_pages(), written_rows, "{what}: disk {d}");
+            assert_eq!(old.disks[d].resident_pages(), layout.rows() as usize);
+            assert_eq!(copied.disks[d].resident_pages(), layout.rows() as usize);
+        }
+    }
+
+    const FILLS: [Fill; 4] = [Fill::Empty, Fill::Sparse, Fill::OnePerRow, Fill::Full];
+
+    #[test]
+    fn solver_matches_reference_single_failure() {
+        // Eight stripes: every member holds data, P and (RAID-6) Q of
+        // different stripes, so each failure meets each kind of row.
+        for fill in FILLS {
+            for make in [r5, r6] {
+                let mut base = make();
+                let model = filled(&mut base, fill);
+                for d in 0..base.layout().disks {
+                    solver_matches_reference(&base, &model, &[d]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn solver_matches_reference_double_failure() {
+        let layout = *r6().layout();
+        // Which two members of a row a pair of disks takes out.
+        let mut kinds = std::collections::BTreeSet::new();
+        for fill in FILLS {
+            let mut base = r6();
+            let model = filled(&mut base, fill);
+            for f1 in 0..layout.disks {
+                for f2 in f1 + 1..layout.disks {
+                    solver_matches_reference(&base, &model, &[f1, f2]);
+                    for row in 0..layout.rows() {
+                        let missing = base.missing_members(row, &[f1, f2]).unwrap();
+                        kinds.insert(missing.map(|m| match m.unwrap().0 {
+                            RowMember::Data(_) => 'D',
+                            RowMember::P => 'P',
+                            RowMember::Q => 'Q',
+                        }));
+                    }
+                }
+            }
+        }
+        let all = [['D', 'D'], ['D', 'P'], ['D', 'Q'], ['P', 'Q']];
+        assert_eq!(kinds.into_iter().collect::<Vec<_>>(), all);
+    }
+
+    /// Real faults — a corrupted survivor read, a transient error, a
+    /// second member dropping out mid-sequence, a corrupted read and a
+    /// torn write inside the rebuild — hit the solver and the reference
+    /// at the same device ops with the same outcomes, and leave the same
+    /// bytes and the same op count behind.
+    #[test]
+    fn solver_matches_reference_under_injected_faults() {
+        use kdd_blockdev::fault::FaultPlan;
+        let ps = 256;
+        let mut base = r6();
+        filled(&mut base, Fill::Sparse);
+        let reads = base.capacity_pages();
+        let plan = || {
+            FaultPlan::new()
+                .corrupt(3, FaultDomain::Disk(0), 5, 9)
+                .transient(40, FaultDomain::Disk(2))
+                .drop_device(150, FaultDomain::Disk(4))
+                .corrupt(250, FaultDomain::Disk(3), 0, 16)
+                .torn_write(300, FaultDomain::Disk(1), 100)
+        };
+        let (mut new, mut old) = (base.clone(), base.clone());
+        let (inj_new, inj_old) = (FaultInjector::new(plan()), FaultInjector::new(plan()));
+        new.attach_injector(inj_new.clone());
+        old.attach_injector(inj_old.clone());
+        new.fail_disk(1);
+        old.fail_disk(1);
+        let (mut got, mut want) = (vec![0u8; ps], vec![0u8; ps]);
+        let mut errors = 0;
+        for lpn in 0..reads {
+            let cost = new.read_page(lpn, &mut got);
+            assert_eq!(cost, old.reference_read_page(lpn, &mut want), "read_page({lpn})");
+            errors += usize::from(cost.is_err());
+            if cost.is_ok() {
+                assert_eq!(got, want, "lpn {lpn}");
+            }
+            assert_eq!(inj_new.op_count(), inj_old.op_count(), "after read_page({lpn})");
+        }
+        // The transient fault fails one read; member 4 drops out under a
+        // survivor read of another, which fails too (the next one absorbs
+        // the drop and solves for two).
+        assert_eq!(errors, 2);
+        assert_eq!(new.failed_disks(), vec![1, 4]);
+        assert!(inj_new.op_count() < 250, "the last two faults belong to the rebuild");
+        let cost = new.rebuild();
+        assert_eq!(cost, old.reference_rebuild());
+        assert!(cost.is_ok(), "rebuild = {cost:?}");
+        assert_eq!(inj_new.events(), inj_old.events());
+        assert_eq!(inj_new.events().len(), 5, "every planned fault fired");
+        assert_eq!(inj_new.op_count(), inj_old.op_count());
+        assert_eq!(members(&new), members(&old));
+    }
+
+    /// §III-E2's rebuild must not half-finish silently: an error part-way
+    /// leaves the array degraded (reads keep reconstructing), and the
+    /// retry rebuilds every row.
+    #[test]
+    fn interrupted_rebuild_stays_degraded_and_retries_from_row_zero() {
+        use kdd_blockdev::fault::FaultPlan;
+        let ps = 256;
+        let mut a = r5();
+        let model = filled(&mut a, Fill::Full);
+        a.fail_disk(2);
+        // One transient read fault on a survivor, a few rows in.
+        a.attach_injector(FaultInjector::new(FaultPlan::new().transient(7, FaultDomain::Disk(0))));
+        let err = a.rebuild().unwrap_err();
+        assert!(matches!(&err, RaidError::Dev(e) if e.is_transient()), "{err:?}");
+        assert_eq!(a.failed_disks(), vec![2], "a half-written replacement is not a member");
+        let mut buf = vec![0u8; ps];
+        for lpn in 0..a.capacity_pages() {
+            a.read_page(lpn, &mut buf).unwrap();
+            assert_eq!(buf, model[lpn as usize], "degraded lpn {lpn} after the failed rebuild");
+        }
+        let cost = a.rebuild().unwrap();
+        assert_eq!(cost.ops.len(), a.layout().rows() as usize * 5, "the retry covers every row");
+        assert!(a.failed_disks().is_empty());
+        for lpn in 0..a.capacity_pages() {
+            a.read_page(lpn, &mut buf).unwrap();
+            assert_eq!(buf, model[lpn as usize], "lpn {lpn} after the retry");
+        }
+        for row in 0..a.layout().rows() {
+            assert_eq!(a.verify_row(row), Ok(true), "row {row}");
+        }
+    }
+
+    #[test]
+    fn degraded_read_rejects_a_wrong_sized_buffer() {
+        let mut a = r5();
+        a.fail_disk(a.layout().locate(0).disk);
+        let mut short = vec![0u8; 100];
+        assert!(matches!(a.read_page(0, &mut short), Err(RaidError::BadArg(_))));
+    }
+
     #[test]
     fn cost_op_list_spills_past_its_inline_capacity() {
         let mut cost = RaidCost::default();
@@ -1468,5 +1781,236 @@ mod tests {
         a.write_page(0, &page(1, 256)).unwrap();
         let after: u64 = a.stats().iter().map(|s| s.writes).sum();
         assert!(after > before);
+    }
+
+    /// The reconstruction core as it stood before it learnt that members
+    /// are sparse: every survivor copied into a fresh page, every row
+    /// solved over whatever was read (zeros included) and written out.
+    /// Kept as the differential reference for the accumulating solver —
+    /// same reads in the same order, same bytes — not as a second path.
+    mod reference {
+        use super::super::*;
+
+        impl RaidArray {
+            /// [`RaidArray::read_page`] as it was.
+            pub(in super::super) fn reference_read_page(
+                &mut self,
+                lpn: u64,
+                buf: &mut [u8],
+            ) -> Result<RaidCost, RaidError> {
+                self.check_failures()?;
+                let loc = self.layout.locate(lpn);
+                let mut cost = RaidCost::default();
+                if !self.disks[loc.disk].is_failed() {
+                    match self.disk_read(loc.disk, loc.disk_page, buf, &mut cost) {
+                        Ok(()) => return Ok(cost),
+                        Err(RaidError::Dev(e))
+                            if matches!(e, DevError::Failed { .. }) && !e.is_transient() =>
+                        {
+                            self.check_failures()?;
+                            if !self.disks[loc.disk].is_failed() {
+                                return Err(RaidError::Dev(e));
+                            }
+                        }
+                        Err(e) => return Err(e),
+                    }
+                }
+                if self.layout.level == RaidLevel::Raid0 {
+                    return Err(RaidError::TooManyFailures);
+                }
+                if self.is_stale(loc.row) {
+                    return Err(RaidError::StaleParity { row: loc.row });
+                }
+                let failed = self.failed_disks();
+                let solved = self.reference_solve_missing(loc.row, &failed, &mut cost)?;
+                let (_, content) = solved
+                    .into_iter()
+                    .find(|(m, _)| *m == RowMember::Data(loc.data_index))
+                    .ok_or(RaidError::TooManyFailures)?;
+                buf.copy_from_slice(&content);
+                Ok(cost)
+            }
+
+            /// [`RaidArray::rebuild`] as it was: every row solved and written,
+            /// the replacements healthy from the start (so without the re-fail
+            /// on an error exit).
+            pub(in super::super) fn reference_rebuild(&mut self) -> Result<RaidCost, RaidError> {
+                self.check_failures()?;
+                if let Some(&row) = self.stale_rows.iter().next() {
+                    return Err(RaidError::StaleParity { row });
+                }
+                let failed = self.failed_disks();
+                if failed.is_empty() {
+                    return Ok(RaidCost::default());
+                }
+                for &d in &failed {
+                    self.disks[d].replace();
+                    if let Some(inj) = &self.injector {
+                        // A drop is cured by the replacement; a persistent fault
+                        // immediately re-fails the new disk on its next absorb.
+                        inj.on_replace(FaultDomain::Disk(d as u32));
+                    }
+                }
+                let mut cost = RaidCost::default();
+                // Reconstruct row by row; the replacement disks are zero-filled so
+                // we re-derive their content from the survivors.
+                for row in 0..self.layout.rows() {
+                    let solved = self.reference_solve_missing(row, &failed, &mut cost)?;
+                    let stripe = self.layout.stripe_of_row(row);
+                    let dp = self.row_disk_page(row);
+                    for (member, content) in solved {
+                        let disk = match member {
+                            RowMember::Data(d) => self.layout.data_disk(stripe, d),
+                            RowMember::P => self.layout.parity_disk(stripe).ok_or(
+                                RaidError::Inconsistent("P member solved on parity-less layout"),
+                            )?,
+                            RowMember::Q => self.layout.q_disk(stripe).ok_or(
+                                RaidError::Inconsistent("Q member solved on non-RAID-6 layout"),
+                            )?,
+                        };
+                        self.disk_write(disk, dp, &content, &mut cost)?;
+                    }
+                }
+                Ok(cost)
+            }
+
+            /// Solve for the contents of every row member whose disk is in
+            /// `excluded`, reading only surviving members. Handles every single-
+            /// and double-erasure case RAID-6 tolerates.
+            fn reference_solve_missing(
+                &mut self,
+                row: u64,
+                excluded: &[usize],
+                cost: &mut RaidCost,
+            ) -> Result<Vec<(RowMember, Vec<u8>)>, RaidError> {
+                let ps = self.page_size as usize;
+                let stripe = self.layout.stripe_of_row(row);
+                let dp = self.row_disk_page(row);
+                let dd = self.layout.data_disks();
+                let is_excluded = |disk: usize| excluded.contains(&disk);
+
+                let missing_data: Vec<usize> =
+                    (0..dd).filter(|&d| is_excluded(self.layout.data_disk(stripe, d))).collect();
+                let p_disk = self.layout.parity_disk(stripe);
+                let q_disk = self.layout.q_disk(stripe);
+                let p_missing = p_disk.is_some_and(is_excluded);
+                let q_missing = q_disk.is_some_and(is_excluded);
+                if missing_data.is_empty() && !p_missing && !q_missing {
+                    return Ok(Vec::new());
+                }
+
+                // Read every surviving data member once.
+                let mut data: Vec<Option<Vec<u8>>> = vec![None; dd];
+                #[allow(clippy::needless_range_loop)]
+                for d in 0..dd {
+                    if !missing_data.contains(&d) {
+                        let disk = self.layout.data_disk(stripe, d);
+                        let mut buf = vec![0u8; ps];
+                        self.disk_read(disk, dp, &mut buf, cost)?;
+                        data[d] = Some(buf);
+                    }
+                }
+                let read_parity = |this: &mut Self,
+                                   loc: Option<(usize, u64)>,
+                                   cost: &mut RaidCost|
+                 -> Result<Vec<u8>, RaidError> {
+                    let (pd, pp) = loc.ok_or(RaidError::TooManyFailures)?;
+                    let mut buf = vec![0u8; ps];
+                    this.disk_read(pd, pp, &mut buf, cost)?;
+                    Ok(buf)
+                };
+
+                // Recover missing data members first.
+                match missing_data.len() {
+                    0 => {}
+                    1 => {
+                        let x = missing_data[0];
+                        if !p_missing && p_disk.is_some() {
+                            // D_x = P ⊕ Σ_{d≠x} D_d
+                            let mut out =
+                                read_parity(self, self.layout.parity_location(row), cost)?;
+                            for (_d, page) in data.iter().enumerate().filter(|(d, _)| *d != x) {
+                                let page = page
+                                    .as_ref()
+                                    .ok_or(RaidError::Inconsistent("survivor page not read"))?;
+                                xor_into(&mut out, page);
+                            }
+                            data[x] = Some(out);
+                        } else if !q_missing && q_disk.is_some() {
+                            // D_x = (Q ⊕ Σ_{d≠x} g^d·D_d) / g^x
+                            let mut acc = read_parity(self, self.layout.q_location(row), cost)?;
+                            for (d, page) in data.iter().enumerate().filter(|(d, _)| *d != x) {
+                                let page = page
+                                    .as_ref()
+                                    .ok_or(RaidError::Inconsistent("survivor page not read"))?;
+                                gf256::mul_slice_into(&mut acc, page, gf256::pow_g(d));
+                            }
+                            let mut out = vec![0u8; ps];
+                            gf256::mul_slice_into(&mut out, &acc, gf256::inv(gf256::pow_g(x)));
+                            data[x] = Some(out);
+                        } else {
+                            return Err(RaidError::TooManyFailures);
+                        }
+                    }
+                    2 => {
+                        if p_missing || q_missing {
+                            return Err(RaidError::TooManyFailures);
+                        }
+                        let (x, y) = (missing_data[0], missing_data[1]);
+                        // a = P ⊕ Σ survivors = D_x ⊕ D_y
+                        // b = Q ⊕ Σ g^d survivors = g^x·D_x ⊕ g^y·D_y
+                        let mut a = read_parity(self, self.layout.parity_location(row), cost)?;
+                        let mut b = read_parity(self, self.layout.q_location(row), cost)?;
+                        for (d, page) in data.iter().enumerate().filter(|(d, _)| *d != x && *d != y)
+                        {
+                            let page = page
+                                .as_ref()
+                                .ok_or(RaidError::Inconsistent("survivor page not read"))?;
+                            gf256::mul2_slice_into(&mut a, &mut b, page, gf256::pow_g(d));
+                        }
+                        // D_x = (b ⊕ g^y·a) / (g^x ⊕ g^y); D_y = a ⊕ D_x
+                        let gx = gf256::pow_g(x);
+                        let gy = gf256::pow_g(y);
+                        let mut num = b;
+                        gf256::mul_slice_into(&mut num, &a, gy);
+                        let mut dx = vec![0u8; ps];
+                        gf256::mul_slice_into(&mut dx, &num, gf256::inv(gx ^ gy));
+                        let mut dy = a;
+                        xor_into(&mut dy, &dx);
+                        data[x] = Some(dx);
+                        data[y] = Some(dy);
+                    }
+                    _ => return Err(RaidError::TooManyFailures),
+                }
+
+                // With all data known, recompute any missing parity.
+                let mut out = Vec::new();
+                for d in missing_data {
+                    let page = data
+                        .get(d)
+                        .and_then(|p| p.clone())
+                        .ok_or(RaidError::Inconsistent("solver left a data member unsolved"))?;
+                    out.push((RowMember::Data(d), page));
+                }
+                if p_missing {
+                    let mut p = vec![0u8; ps];
+                    for page in data.iter().flatten() {
+                        xor_into(&mut p, page);
+                    }
+                    out.push((RowMember::P, p));
+                }
+                if q_missing {
+                    let mut q = vec![0u8; ps];
+                    for (d, page) in data.iter().enumerate() {
+                        let page = page
+                            .as_ref()
+                            .ok_or(RaidError::Inconsistent("solver left a data member unsolved"))?;
+                        gf256::mul_slice_into(&mut q, page, gf256::pow_g(d));
+                    }
+                    out.push((RowMember::Q, q));
+                }
+                Ok(out)
+            }
+        }
     }
 }

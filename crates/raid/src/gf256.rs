@@ -364,6 +364,15 @@ pub fn mul_slice_into(dst: &mut [u8], src: &[u8], c: u8) {
     dispatch_coeff!(c, chain_const_pw!(src, dst), nibble_slice_into(dst, src, c));
 }
 
+/// `dst[i] = c · dst[i]` — the division that ends a reconstruction through
+/// Q (`c` is an inverse, so never one of the specialised coefficients).
+pub(crate) fn scale_slice(dst: &mut [u8], c: u8) {
+    let (lo, hi) = nibble_tables(c);
+    for d in dst {
+        *d = lo[(*d & 0xF) as usize] ^ hi[(*d >> 4) as usize];
+    }
+}
+
 /// Fused P+Q accumulate: `p[i] ^= src[i]` and `q[i] ^= c · src[i]` in a
 /// single pass over `src` — the RAID-6 stripe update and
 /// `parity_update_rmw` read each page once instead of twice.
@@ -454,6 +463,16 @@ mod tests {
                 *e ^= mul(c, *s);
             }
             assert_eq!(dst, expect, "c = {c:#x}");
+        }
+    }
+
+    #[test]
+    fn scale_slice_matches_scalar() {
+        let src: Vec<u8> = (0..=255u8).collect();
+        for c in [0u8, 1, 2, 0x1D, 0x8E, 0xFF] {
+            let mut dst = src.clone();
+            scale_slice(&mut dst, c);
+            assert!(dst.iter().zip(&src).all(|(&d, &s)| d == mul(c, s)), "c = {c:#x}");
         }
     }
 
