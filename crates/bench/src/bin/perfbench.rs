@@ -2,7 +2,7 @@
 //!
 //! Measures the raw kernels (GF(2^8) bulk multiply, XOR delta, delta
 //! codec) in ns/iter and MB/s and merges the results into
-//! `BENCH_kernels.json` (schema: EXPERIMENTS.md "Perf trajectory"), so the
+//! `BENCH_kernels.json` (schema: PERF.md "Harnesses, gate and file schema"), so the
 //! committed file preserves the before/after trajectory across
 //! optimisation PRs; it finishes in seconds, so CI runs it on every push
 //! (`--smoke`). It also regenerates the committed `OBS_engine.json`
@@ -161,11 +161,15 @@ fn class_page_incompressible() -> Vec<u8> {
 /// Deltas as the engine's write hits produce them: the replay driver's
 /// `PageMutator(4096, 0.15, 64)` against a cached base 4–8 rewrites old.
 /// About a third of such a delta is zero — under the probe's 0.75 cut for
-/// the RLE-only route, so `compress` runs both passes on it. (A delta one
-/// mutation old, like `compress_4k_delta`'s, is 90 % zero and never
-/// reaches the match finder.) Sixteen pages in rotation, so the timing is
-/// not one page's branch history replayed.
-fn aged_deltas() -> Vec<Vec<u8>> {
+/// the near-all-zero class, so its 4-grams are sampled: fresh bytes between
+/// zero runs do not repeat and `compress` runs the RLE pass alone. (A delta
+/// one mutation old, like `compress_4k_delta`'s, is 90 % zero and is never
+/// sampled.) With `text_edit` the newest rewrite also re-encodes one
+/// 16-byte field in every record of half the page (the benchmark's `Mixed`
+/// recipe): that half is periodic, the samples see it, and both passes
+/// still run. Sixteen pages in rotation, so the timing is not one page's
+/// branch history replayed.
+fn aged_deltas(text_edit: bool) -> Vec<Vec<u8>> {
     (0..16u64)
         .map(|k| {
             let mut mutator = PageMutator::new(PAGE, 0.15, 64, 14 + k);
@@ -174,12 +178,20 @@ fn aged_deltas() -> Vec<Vec<u8>> {
             for _ in 1..4 + k % 5 {
                 cur = mutator.mutate(&cur);
             }
+            if text_edit {
+                let mut field = [0u8; 16];
+                field[..8]
+                    .copy_from_slice(&(k + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes());
+                field[8..]
+                    .copy_from_slice(&(k + 17).wrapping_mul(0xc2b2_ae3d_27d4_eb4f).to_le_bytes());
+                let half = (k % 2) as usize * (PAGE / 2);
+                for (i, b) in cur[half..half + PAGE / 2].iter_mut().enumerate() {
+                    *b ^= field[i % 16] | 1; // never zero: the field did change
+                }
+            }
             let delta = xor_pages(&base, &cur);
             let zf = zero_fraction(&delta);
-            assert!(
-                zf > 1.0 / 16.0 && zf < 0.75,
-                "aged delta {k} leaves the both-passes route: {zf}"
-            );
+            assert!(zf > 1.0 / 16.0 && zf < 0.75, "aged delta {k} leaves the sampled class: {zf}");
             delta
         })
         .collect()
@@ -316,15 +328,20 @@ fn bench_kernels((rounds, round_ns): Rounds) -> Vec<Json> {
     entries.push(kernel_entry("decompress_4k_delta", PAGE, ns));
     eprintln!("  decompress_4k_delta      {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
 
-    // The codec path the engine actually runs (see `aged_deltas`).
-    let aged = aged_deltas();
+    // The codec path the engine actually runs (see `aged_deltas`), and the
+    // class of it on which both passes still race.
+    let aged = aged_deltas(false);
     let mut turn = 0;
-    let ns = time_ns(rounds, round_ns, || {
-        black_box(comp.compress(black_box(&aged[turn % aged.len()])));
-        turn += 1;
-    });
-    entries.push(kernel_entry("compress_4k_aged_delta", PAGE, ns));
-    eprintln!("  compress_4k_aged_delta   {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
+    for (name, deltas) in
+        [("compress_4k_aged_delta", &aged), ("compress_4k_aged_text_delta", &aged_deltas(true))]
+    {
+        let ns = time_ns(rounds, round_ns, || {
+            black_box(comp.compress(black_box(&deltas[turn % deltas.len()])));
+            turn += 1;
+        });
+        entries.push(kernel_entry(name, PAGE, ns));
+        eprintln!("  {name:<27} {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
+    }
 
     let aged_compressed: Vec<Vec<u8>> = aged.iter().map(|d| comp.compress(d)).collect();
     let ns = time_ns(rounds, round_ns, || {

@@ -4,7 +4,7 @@
 //! observability snapshots and the BENCH_*.json trajectory files share
 //! one deterministic renderer; this module keeps the perfbench schema:
 //! the `kdd-perfbench/v1` stamp, document validation, and run merging.
-//! See EXPERIMENTS.md "Perf trajectory" for the schema.
+//! See PERF.md "Harnesses, gate and file schema" for the schema.
 
 pub use kdd_obs::json::{obj, parse, Json};
 

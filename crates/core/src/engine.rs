@@ -1756,9 +1756,6 @@ impl KddEngine {
                 EntryState::Free => {}
             }
         }
-        for &slot in dez.keys() {
-            cache.occupy_delta_at(slot);
-        }
         // 4. Deltas still in the NVRAM staging buffer supersede DEZ copies
         //    and imply the page is old with pending parity.
         let staged: Vec<u64> = self.nv.get().staging.snapshot().map(|(l, _)| l).collect();
@@ -1785,6 +1782,13 @@ impl KddEngine {
             }
             let row = layout.row_of(lba);
             pending_rows.add(row, lba, || set_of_row(&cache, layout, row));
+        }
+        // A DEZ page whose every delta was re-staged had been released
+        // before the cut — its slot may hold a clean page by now — while the
+        // log still carries the superseded references until the next commit.
+        dez.retain(|_, info| !info.lbas.is_empty());
+        for &slot in dez.keys() {
+            cache.occupy_delta_at(slot);
         }
 
         let mut engine = KddEngine {
@@ -1848,11 +1852,13 @@ impl KddEngine {
             for lba in lbas {
                 let Some(slot) = self.cache.lookup(lba) else { continue };
                 let data = self.read_cached(lba, slot, &mut t)?;
-                self.raid.write_no_parity_update(lba, &data)?;
+                let cost = self.raid.write_no_parity_update(lba, &data)?;
+                self.charge_raid(&cost);
             }
         }
         if !resyncable.is_empty() {
-            self.raid.resync(Some(&resyncable))?;
+            let cost = self.raid.resync(Some(&resyncable))?;
+            self.charge_raid(&cost);
         }
         self.cur_stages = StageTimes::new();
         Ok(())
