@@ -343,6 +343,17 @@ fn bench_kernels((rounds, round_ns): Rounds) -> Vec<Json> {
         eprintln!("  {name:<27} {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
     }
 
+    // The same deltas the way the engine compresses them, into a reused
+    // buffer: what `compress_4k_aged_delta` adds is the exact-size copy.
+    let mut out = Vec::with_capacity(PAGE + 1);
+    let ns = time_ns(rounds, round_ns, || {
+        comp.compress_into(black_box(&aged[turn % aged.len()]), &mut out);
+        black_box(&out);
+        turn += 1;
+    });
+    entries.push(kernel_entry("compress_into_4k_aged_delta", PAGE, ns));
+    eprintln!("  compress_into_4k_aged_delta {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
+
     let aged_compressed: Vec<Vec<u8>> = aged.iter().map(|d| comp.compress(d)).collect();
     let ns = time_ns(rounds, round_ns, || {
         black_box(decompress(black_box(&aged_compressed[turn % aged.len()])).ok());

@@ -71,8 +71,7 @@ impl LeavO {
         for row in self.pending.row_ids() {
             // Reconstruct-write only if *every* data page of the row is in
             // cache with current content.
-            let reconstruct =
-                self.raid.row_lpns(row).iter().all(|&l| self.cache.lookup(l).is_some());
+            let reconstruct = self.raid.row_lpns(row).all(|l| self.cache.lookup(l).is_some());
             fx += self.raid.parity_update_effects(reconstruct);
             self.stats.parity_updates += 1;
             for lba in self.pending.take_row(row) {

@@ -149,7 +149,7 @@ impl RaidModel {
     }
 
     /// The logical pages a row protects.
-    pub fn row_lpns(&self, row: u64) -> Vec<u64> {
+    pub fn row_lpns(&self, row: u64) -> impl ExactSizeIterator<Item = u64> {
         self.layout.row_lpns(row)
     }
 }
@@ -270,12 +270,18 @@ impl PendingRows {
 
     /// Remove a whole row, returning its pending pages.
     pub fn take_row(&mut self, row: u64) -> Vec<u64> {
-        match self.drop_row(row) {
-            Some(entry) => {
-                self.pages -= entry.lbas.len() as u64;
-                entry.lbas.into_iter().collect()
-            }
-            None => Vec::new(),
+        let mut lbas = Vec::new();
+        self.take_row_into(row, &mut lbas);
+        lbas
+    }
+
+    /// [`take_row`](Self::take_row) into `lbas`, replacing its contents:
+    /// the same pages in the same (set-iteration) order.
+    pub fn take_row_into(&mut self, row: u64, lbas: &mut Vec<u64>) {
+        lbas.clear();
+        if let Some(entry) = self.drop_row(row) {
+            self.pages -= entry.lbas.len() as u64;
+            lbas.extend(entry.lbas);
         }
     }
 

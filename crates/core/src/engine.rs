@@ -30,7 +30,7 @@
 
 use crate::config::KddConfig;
 use crate::metalog::{CommitBatch, LogEntry, MetaLog, PartitionTooSmall};
-use crate::staging::StagingBuffer;
+use crate::staging::{PayloadPool, StagingBuffer};
 use crate::{two_smallest_by_key, MergeBound, TwoSmallest};
 use kdd_blockdev::error::{DevError, FaultDomain};
 use kdd_blockdev::fault::FaultInjector;
@@ -261,16 +261,11 @@ struct DezPacker {
 
 impl DezPacker {
     /// Start a page of `count` deltas for cache slot `slot` in the zeroed
-    /// buffer `page`.
-    fn new(mut page: Box<[u8]>, slot: u32, count: usize) -> Self {
+    /// buffer `page`, listing them in the (emptied) `refs`.
+    fn new(mut page: Box<[u8]>, slot: u32, count: usize, mut refs: Vec<(u64, DeltaRef)>) -> Self {
         page[..2].copy_from_slice(&(count as u16).to_le_bytes());
-        DezPacker {
-            page,
-            slot,
-            dir_off: 2,
-            data_off: 2 + count * 12,
-            refs: Vec::with_capacity(count),
-        }
+        refs.clear();
+        DezPacker { page, slot, dir_off: 2, data_off: 2 + count * 12, refs }
     }
 
     fn push(&mut self, lba: u64, payload: &[u8]) {
@@ -289,6 +284,18 @@ impl DezPacker {
 #[derive(Debug, Clone)]
 struct NvState {
     staging: StagingBuffer<Vec<u8>>,
+}
+
+/// Vectors the commit, compaction and cleaning paths borrow
+/// (`mem::take`, fill, put back empty) instead of allocating per call.
+#[derive(Default)]
+struct Scratch {
+    refs: Vec<(u64, DeltaRef)>,
+    entries: Vec<MapEntry>,
+    lbas: Vec<u64>,
+    /// Pooled pages: a row's current data, and `(data index, delta)` pairs.
+    row_pages: Vec<Box<[u8]>>,
+    deltas: Vec<(usize, Box<[u8]>)>,
 }
 
 /// One logical page write inside a batched submission
@@ -326,9 +333,11 @@ pub struct KddEngine {
     last_class: HitClass,
     last_comp_milli: u32,
     /// Persistent delta compressor: the match-finder scratch is reused
-    /// across write hits so the compress path allocates nothing but the
-    /// compressed payload itself.
+    /// across write hits, and the compressed payload lands in a buffer of
+    /// `payloads`, so the compress path allocates nothing.
     codec: codec::Compressor,
+    payloads: PayloadPool,
+    scratch: Scratch,
     /// Where an LZ-coded delta is decoded before it is folded into a page
     /// ([`codec::xor_decoded_into`]); reused across requests.
     decode_scratch: Vec<u8>,
@@ -401,6 +410,8 @@ impl KddEngine {
             last_class: HitClass::ReadMiss,
             last_comp_milli: 0,
             codec: codec::Compressor::new(),
+            payloads: PayloadPool::new(ps + 1),
+            scratch: Scratch::default(),
             decode_scratch: Vec::new(),
             meta_defer: false,
             meta_pending: Vec::new(),
@@ -571,6 +582,12 @@ impl KddEngine {
         self.nv.get().staging.len()
     }
 
+    /// `(acquired, recycled)` of the delta payload buffers: the difference
+    /// is the buffers ever allocated, constant once the engine is warm.
+    pub fn payload_buffer_stats(&self) -> (u64, u64) {
+        self.payloads.stats()
+    }
+
     /// Cache-page size in bytes (every request payload must match it).
     pub fn page_size(&self) -> usize {
         self.config.geometry.page_size as usize
@@ -671,9 +688,7 @@ impl KddEngine {
 
     fn invalidate_delta(&mut self, lba: u64) -> Result<(), EngineError> {
         match self.delta_loc.remove(&lba) {
-            Some(DeltaLoc::Staged) => {
-                self.nv.get_mut().staging.remove(lba);
-            }
+            Some(DeltaLoc::Staged) => self.payloads.release(self.nv.get_mut().staging.remove(lba)),
             Some(DeltaLoc::Dez(r)) => self.release_dez_ref(lba, r)?,
             None => {}
         }
@@ -712,7 +727,8 @@ impl KddEngine {
                 // Fully pinned cache: the rest simply stays staged.
                 return Ok(());
             };
-            let mut packer = DezPacker::new(self.pool.acquire(), slot, count);
+            let refs = std::mem::take(&mut self.scratch.refs);
+            let mut packer = DezPacker::new(self.pool.acquire(), slot, count, refs);
             for (lba, payload) in self.nv.get().staging.snapshot().take(count) {
                 packer.push(lba, payload);
             }
@@ -732,7 +748,7 @@ impl KddEngine {
             // drop the NVRAM copies. Logging precedes every removal: if the
             // crash lands in between, recovery sees both and the staged
             // copies (same bytes) simply supersede the DEZ references.
-            let mut entries = Vec::with_capacity(refs.len());
+            let mut entries = std::mem::take(&mut self.scratch.entries);
             for (lba, r) in &refs {
                 let slot_of = self
                     .cache
@@ -745,15 +761,17 @@ impl KddEngine {
                     dez: Some(*r),
                 });
             }
-            let batches = self.metalog.push_group(entries)?;
+            let batches = self.metalog.push_group(entries.drain(..))?;
+            self.scratch.entries = entries;
             self.queue_batches(batches, t)?;
             // The page's bytes become live as `delta_loc` turns to them.
             let mut live = 0u32;
-            for (lba, r) in refs {
-                self.nv.get_mut().staging.remove(lba);
+            for &(lba, r) in &refs {
+                self.payloads.release(self.nv.get_mut().staging.remove(lba));
                 self.delta_loc.insert(lba, DeltaLoc::Dez(r));
                 live += u32::from(r.len);
             }
+            self.scratch.refs = refs;
             if let Some(info) = self.dez.get_mut(&slot) {
                 info.live = live;
                 self.dez_live_total += u64::from(live);
@@ -834,25 +852,39 @@ impl KddEngine {
     }
 
     /// Current content of a cached page: for *old* pages, base ⊕ delta —
-    /// §III-A's read-hit combine.
-    fn read_cached(
+    /// §III-A's read-hit combine. `copy` makes the base the caller's own.
+    fn read_cached<B: AsMut<[u8]>>(
         &mut self,
         lba: u64,
         slot: u32,
         t: &mut SimTime,
-    ) -> Result<Vec<u8>, EngineError> {
+        copy: impl FnOnce(&[u8]) -> B,
+    ) -> Result<B, EngineError> {
         let lpn = self.slot_lpn(slot);
         let (base, dt) = self.ssd.page(lpn)?;
-        // kdd-waiver(KDD006): the page is returned to the caller by value.
-        let mut data = base.to_vec();
+        let mut data = copy(base);
         self.charge_stage(Stage::SsdRead, dt, t);
         if self.cache.state(slot) == PageState::Old {
-            self.fold_delta(lba, &mut data, t)?;
+            self.fold_delta(lba, data.as_mut(), t)?;
             // "it takes only tens of microseconds to decompress the delta
             // and combine it with the data" (§IV-B2).
             self.charge_stage(Stage::DeltaDecode, SimTime::from_micros(20), t);
         }
         Ok(data)
+    }
+
+    /// [`KddEngine::read_cached`] into a page of the pool.
+    fn read_cached_pooled(
+        &mut self,
+        lba: u64,
+        slot: u32,
+        t: &mut SimTime,
+    ) -> Result<Box<[u8]>, EngineError> {
+        let mut page = self.pool.acquire_scratch();
+        self.read_cached(lba, slot, t, |base| {
+            page.copy_from_slice(base);
+            page
+        })
     }
 
     // ---- public I/O -------------------------------------------------------
@@ -1052,6 +1084,10 @@ impl KddEngine {
     }
 
     fn write_dispatch(&mut self, lba: u64, data: &[u8]) -> Result<SimTime, EngineError> {
+        let ps = self.page_size();
+        if data.len() != ps {
+            return Err(EngineError::Layout(format!("{}-byte write, {ps}-byte pages", data.len())));
+        }
         if self.mode == EngineMode::PassThrough {
             return self.raid_write(lba, data);
         }
@@ -1107,7 +1143,8 @@ impl KddEngine {
             Some(slot) => {
                 self.cache.touch(slot);
                 self.stats.ssd_reads += 1;
-                (true, self.read_cached(lba, slot, &mut t)?)
+                // kdd-waiver(KDD006): the page is returned to the caller by value.
+                (true, self.read_cached(lba, slot, &mut t, |base| base.to_vec())?)
             }
             None => {
                 // kdd-waiver(KDD006): the page is the read's return value.
@@ -1124,7 +1161,6 @@ impl KddEngine {
     }
 
     fn write_inner(&mut self, lba: u64, data: &[u8]) -> Result<SimTime, EngineError> {
-        assert_eq!(data.len(), self.page_size(), "writes are page-granular");
         self.cur_stages = StageTimes::new();
         let mut t = SimTime::ZERO;
         self.last_comp_milli = 0;
@@ -1139,7 +1175,8 @@ impl KddEngine {
                 let (base, dt) = self.ssd.page(lpn)?;
                 xor_pages_into(&mut delta, base, data); // base ⊕ new
                 self.charge_stage(Stage::SsdRead, dt, &mut t);
-                let comp = self.codec.compress(&delta);
+                let mut comp = self.payloads.acquire();
+                self.codec.compress_into(&delta, &mut comp);
                 self.last_comp_milli = ((comp.len() * 1000) / self.page_size()) as u32;
                 self.pool.release(delta);
                 // Compression CPU cost.
@@ -1159,6 +1196,7 @@ impl KddEngine {
                 // path needs the cached base (reads combine base ⊕ delta),
                 // so when the base is gone, finish as a conventional miss.
                 let Some(slot) = self.cache.lookup(lba) else {
+                    self.payloads.release(Some(comp));
                     self.write_conventional_miss(lba, data, &mut t)?;
                     self.bump(false, false);
                     return Ok(t);
@@ -1191,7 +1229,8 @@ impl KddEngine {
                             // committed copy, so at every instant one valid
                             // delta exists.
                             let old_loc = self.delta_loc.insert(lba, DeltaLoc::Staged);
-                            self.nv.get_mut().staging.insert(lba, comp);
+                            let staged = std::mem::take(&mut comp);
+                            self.payloads.release(self.nv.get_mut().staging.insert(lba, staged));
                             if let Some(DeltaLoc::Dez(r)) = old_loc {
                                 self.release_dez_ref(lba, r)?;
                             }
@@ -1212,12 +1251,15 @@ impl KddEngine {
                     // page from the pending set first (its delta is gone),
                     // resolve any *other* pending deltas of the row, then
                     // write through.
+                    self.payloads.release(Some(comp));
                     let row = self.raid.layout().row_of(lba);
-                    let mut rest = self.pending_rows.take_row(row);
+                    let mut rest = std::mem::take(&mut self.scratch.lbas);
+                    self.pending_rows.take_row_into(row, &mut rest);
                     rest.retain(|&l| l != lba);
                     for &l in &rest {
                         self.add_pending(row, l);
                     }
+                    self.scratch.lbas = rest;
                     // On a stale row the array reconstructs parity from
                     // current member data, absorbing every pending delta
                     // of the row — clean_row afterwards only reclaims
@@ -1477,13 +1519,17 @@ impl KddEngine {
             // volatile moves until the merged page is on flash, so a failed
             // write leaves `delta_loc` pointing at the two intact source
             // pages.
-            let mut packer = DezPacker::new(self.pool.acquire(), dst, dn + sn);
+            let refs = std::mem::take(&mut self.scratch.refs);
+            let mut packer = DezPacker::new(self.pool.acquire(), dst, dn + sn, refs);
+            let mut lbas = std::mem::take(&mut self.scratch.lbas);
             for slot in [dst, src] {
-                let lbas: Vec<u64> = self.dez[&slot].lbas.iter().copied().collect();
-                for lba in lbas {
+                lbas.clear();
+                lbas.extend(self.dez[&slot].lbas.iter().copied());
+                for &lba in &lbas {
                     self.with_delta(lba, t, |comp, _| packer.push(lba, comp))?;
                 }
             }
+            self.scratch.lbas = lbas;
             let DezPacker { page, refs: moved, .. } = packer;
             let dt = self.ssd.write_page(self.slot_lpn(dst), &page)?;
             self.charge_stage(Stage::StagingCommit, dt, t);
@@ -1504,7 +1550,7 @@ impl KddEngine {
             self.ssd.trim_page(self.slot_lpn(src))?;
             self.cache.free_slot(src);
             // Re-log the moved mappings (offsets changed).
-            for (lba, r) in moved {
+            for &(lba, r) in &moved {
                 let slot_of = self
                     .cache
                     .lookup(lba)
@@ -1514,6 +1560,7 @@ impl KddEngine {
                     t,
                 )?;
             }
+            self.scratch.refs = moved;
         }
     }
 
@@ -1546,36 +1593,40 @@ impl KddEngine {
             return Ok(());
         }
         if self.raid.is_stale(row) {
-            let lpns = self.raid.layout().row_lpns(row);
-            let all_cached = lpns.iter().all(|&l| self.cache.lookup(l).is_some());
+            let mut lpns = self.raid.layout().row_lpns(row);
+            let all_cached = lpns.all(|l| self.cache.lookup(l).is_some());
             if all_cached {
                 // Reconstruct-write from cached current versions.
-                let mut datas = Vec::with_capacity(lpns.len());
-                for &l in &lpns {
+                let mut datas = std::mem::take(&mut self.scratch.row_pages);
+                for l in self.raid.layout().row_lpns(row) {
                     let slot = self
                         .cache
                         .lookup(l)
                         .ok_or(EngineError::Inconsistent("row member vanished from cache"))?;
-                    datas.push(self.read_cached(l, slot, t)?);
+                    datas.push(self.read_cached_pooled(l, slot, t)?);
                 }
-                let refs: Vec<&[u8]> = datas.iter().map(|d| d.as_slice()).collect();
-                let cost = self.raid.parity_update_with_data(row, &refs)?;
+                let cost = self.raid.parity_update_with_data(row, &datas)?;
+                for page in datas.drain(..) {
+                    self.pool.release(page);
+                }
+                self.scratch.row_pages = datas;
                 self.charge_raid(&cost);
                 self.charge_stage(Stage::ParityRmw, DISK_OP * cost.writes() as u64, t);
             } else {
                 // RMW: fold each pending page's decompressed delta.
-                let pend: Vec<u64> = self.pending_rows.take_row(row).into_iter().collect();
+                let mut pend = std::mem::take(&mut self.scratch.lbas);
+                self.pending_rows.take_row_into(row, &mut pend);
                 for &l in &pend {
                     self.add_pending(row, l); // peek semantics
                 }
-                let mut deltas = Vec::with_capacity(pend.len());
+                let mut deltas = std::mem::take(&mut self.scratch.deltas);
                 for &lba in &pend {
                     let mut full = self.pool.acquire();
                     self.fold_delta(lba, &mut full, t)?;
                     deltas.push((self.raid.layout().locate(lba).data_index, full));
                 }
-                let refs: Vec<(usize, &[u8])> = deltas.iter().map(|(d, v)| (*d, &v[..])).collect();
-                let cost = match self.raid.parity_update_rmw(row, &refs) {
+                self.scratch.lbas = pend;
+                let cost = match self.raid.parity_update_rmw(row, &deltas) {
                     Ok(c) => c,
                     // The parity member of this row is dead, so there is
                     // nothing to fold deltas into. Resync instead: it
@@ -1586,10 +1637,10 @@ impl KddEngine {
                     Err(RaidError::DiskFailed { .. }) => self.raid.resync(Some(&[row]))?,
                     Err(e) => return Err(e.into()),
                 };
-                drop(refs);
-                for (_, full) in deltas {
+                for (_, full) in deltas.drain(..) {
                     self.pool.release(full);
                 }
+                self.scratch.deltas = deltas;
                 self.charge_raid(&cost);
                 self.charge_stage(Stage::ParityRmw, DISK_OP * cost.ops.len() as u64, t);
             }
@@ -1599,7 +1650,9 @@ impl KddEngine {
         // scheme"). The tombstone is logged *before* anything is trimmed,
         // so a crash mid-reclaim can only leak flash pages, never leave
         // the log pointing at reclaimed ones.
-        for lba in self.pending_rows.take_row(row) {
+        let mut pend = std::mem::take(&mut self.scratch.lbas);
+        self.pending_rows.take_row_into(row, &mut pend);
+        for &lba in &pend {
             if let Some(slot) = self.cache.lookup(lba) {
                 debug_assert_eq!(self.cache.state(slot), PageState::Old);
                 self.log_entry(
@@ -1613,6 +1666,7 @@ impl KddEngine {
                 self.invalidate_delta(lba)?;
             }
         }
+        self.scratch.lbas = pend;
         Ok(())
     }
 
@@ -1698,7 +1752,7 @@ impl KddEngine {
                 // kdd-waiver(KDD006): crash-recovery replay, not a hot path.
                 heal.push(batch.clone());
                 // kdd-waiver(KDD006): crash-recovery replay, not a hot path.
-                batch.entries.clone()
+                batch.entries.to_vec()
             } else {
                 return Err(EngineError::Layout(format!(
                     "metadata page {slot} (seq {seq}) torn or corrupt with no in-flight copy"
@@ -1812,6 +1866,8 @@ impl KddEngine {
             last_class: HitClass::ReadMiss,
             last_comp_milli: 0,
             codec: codec::Compressor::new(),
+            payloads: PayloadPool::new(ps + 1),
+            scratch: Scratch::default(),
             decode_scratch: Vec::new(),
             meta_defer: false,
             meta_pending: Vec::new(),
@@ -1842,17 +1898,16 @@ impl KddEngine {
         // Recovery time is not attributed to any request.
         let mut t = SimTime::ZERO;
         for &row in &stale {
-            let layout = self.raid.layout();
-            let mut lbas = layout.row_lpns(row);
-            let width = lbas.len();
-            lbas.retain(|&lba| !failed.contains(&layout.locate(lba).disk));
-            if lbas.len() == width {
+            let layout = *self.raid.layout();
+            let alive = |lba: &u64| !failed.contains(&layout.locate(*lba).disk);
+            if layout.row_lpns(row).all(|lba| alive(&lba)) {
                 resyncable.push(row);
             }
-            for lba in lbas {
+            for lba in layout.row_lpns(row).filter(alive) {
                 let Some(slot) = self.cache.lookup(lba) else { continue };
-                let data = self.read_cached(lba, slot, &mut t)?;
+                let data = self.read_cached_pooled(lba, slot, &mut t)?;
                 let cost = self.raid.write_no_parity_update(lba, &data)?;
+                self.pool.release(data);
                 self.charge_raid(&cost);
             }
         }
@@ -1935,6 +1990,8 @@ mod tests {
     use kdd_raid::layout::{Layout, RaidLevel};
     use kdd_util::rng::seeded_rng;
     use rand::RngExt;
+
+    mod write_path;
 
     const PS: u32 = 512;
 
@@ -2398,8 +2455,8 @@ mod tests {
                 }
                 (998, _) => {
                     for row in lent.pending_rows.row_ids() {
-                        let lpns = lent.raid.layout().row_lpns(row);
-                        if lpns.iter().all(|&l| lent.cache.lookup(l).is_some()) {
+                        let mut lpns = lent.raid.layout().row_lpns(row);
+                        if lpns.all(|l| lent.cache.lookup(l).is_some()) {
                             rows_rebuilt += 1;
                         } else {
                             rows_folded += 1;

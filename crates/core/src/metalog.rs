@@ -40,6 +40,7 @@
 
 use kdd_util::hash::FastMap;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// An entry the log can store.
 pub trait LogEntry: Clone {
@@ -99,8 +100,9 @@ pub struct CommitBatch<E> {
     pub slot: u64,
     /// Monotonic page sequence number.
     pub seq: u64,
-    /// The entries to serialise into the page.
-    pub entries: Vec<E>,
+    /// The entries to serialise into the page. They exist once: the log's
+    /// own page and the in-flight redo copy share them with this batch.
+    pub entries: Arc<[E]>,
 }
 
 #[derive(Debug, Clone)]
@@ -108,7 +110,7 @@ struct MetaPage<E> {
     seq: u64,
     /// Position of `entries[0]`; `entries[i]` sits at `start + i`.
     start: u64,
-    entries: Vec<E>,
+    entries: Arc<[E]>,
 }
 
 /// The circular log with its NVRAM staging buffer.
@@ -313,7 +315,7 @@ impl<E: LogEntry> MetaLog<E> {
     /// keys are excluded.
     pub fn recover_live(&self) -> Vec<E> {
         let mut live: FastMap<u64, &E> = FastMap::default();
-        let logged = self.pages.iter().flat_map(|page| &page.entries);
+        let logged = self.pages.iter().flat_map(|page| page.entries.iter());
         for e in logged.chain(&self.buffer) {
             if e.is_tombstone() {
                 live.remove(&e.key());
@@ -341,7 +343,9 @@ impl<E: LogEntry> MetaLog<E> {
     /// Move the `n` oldest buffered entries into a new log page.
     fn cut_page(&mut self, n: usize, out: &mut Vec<CommitBatch<E>>) {
         let start = self.buffer_base;
-        let entries: Vec<E> = self.buffer.drain(..n).collect();
+        // (An exact-length iterator: the slice is allocated once.)
+        let entries: Arc<[E]> = self.buffer.iter().take(n).cloned().collect();
+        self.buffer.drain(..n);
         self.buffer_base += n as u64;
         self.append_page(start, entries, out);
     }
@@ -362,7 +366,7 @@ impl<E: LogEntry> MetaLog<E> {
         Ok(())
     }
 
-    fn append_page(&mut self, start: u64, entries: Vec<E>, out: &mut Vec<CommitBatch<E>>) {
+    fn append_page(&mut self, start: u64, entries: Arc<[E]>, out: &mut Vec<CommitBatch<E>>) {
         // Make room first (may reinsert live head entries into the buffer).
         while self.used_pages() >= self.partition_pages {
             if !self.reclaim_head() {
@@ -371,15 +375,13 @@ impl<E: LogEntry> MetaLog<E> {
         }
         let seq = self.tail;
         self.tail += 1;
-        // kdd-waiver(KDD006): one copy per page cut, not per entry: the log keeps the page for GC, the caller gets the `CommitBatch` by value.
-        self.pages.push_back(MetaPage { seq, start, entries: entries.clone() });
+        self.pages.push_back(MetaPage { seq, start, entries: Arc::clone(&entries) });
         self.pages_written = self.pages_written.saturating_add(1);
         let batch = CommitBatch { slot: seq % self.partition_pages, seq, entries };
         if self.track_inflight {
             // Batches GC'd past the head can no longer matter to recovery.
             self.inflight.retain(|b| b.seq >= self.head);
-            // kdd-waiver(KDD006): one copy per page cut: the NVRAM redo copy recovery heals a torn tail from.
-            self.inflight.push(batch.clone());
+            self.inflight.push(CommitBatch { entries: Arc::clone(&batch.entries), ..batch });
         }
         out.push(batch);
     }
@@ -396,7 +398,7 @@ impl<E: LogEntry> MetaLog<E> {
         debug_assert_eq!(page.seq, self.head);
         self.head += 1;
         self.gc_reclaims += 1;
-        for (at, e) in (page.start..).zip(page.entries) {
+        for (at, e) in (page.start..).zip(page.entries.iter().cloned()) {
             let key = e.key();
             if self.latest.get(&key) == Some(&at) {
                 if e.is_tombstone() {
@@ -727,7 +729,8 @@ mod tests {
                 }
                 self.pages.push_back(MetaPage { seq, entries: entries.clone() });
                 self.pages_written = self.pages_written.saturating_add(1);
-                let batch = CommitBatch { slot: seq % self.partition_pages, seq, entries };
+                let batch =
+                    CommitBatch { slot: seq % self.partition_pages, seq, entries: entries.into() };
                 if self.track_inflight {
                     // Batches GC'd past the head can no longer matter to recovery.
                     self.inflight.retain(|b| b.seq >= self.head);
@@ -769,7 +772,7 @@ mod tests {
 
     /// `CommitBatch` has no `PartialEq`: compare batches as tuples.
     fn tuples(batches: &[CommitBatch<KeyEntry>]) -> Vec<(u64, u64, Vec<KeyEntry>)> {
-        batches.iter().map(|b| (b.slot, b.seq, b.entries.clone())).collect()
+        batches.iter().map(|b| (b.slot, b.seq, b.entries.to_vec())).collect()
     }
 
     fn commits(r: Result<Vec<CommitBatch<KeyEntry>>, PartitionTooSmall>) -> Commits {
@@ -847,7 +850,7 @@ mod tests {
         }
         let cut = log.push(key(4)).unwrap();
         assert_eq!(cut.len(), 1);
-        assert_eq!(cut[0].entries, vec![key(0), key(4)]);
+        assert_eq!(cut[0].entries[..], [key(0), key(4)]);
         assert_eq!(log.gc_reclaims(), 1);
         assert_eq!(log.buffered_snapshot(), vec![key(1)], "only b survives the head page");
     }

@@ -425,13 +425,12 @@ impl KddPolicy {
     fn clean_row(&mut self, row: u64) -> Effects {
         let mut fx = Effects::default();
         {
-            let lpns = self.raid.row_lpns(row);
             // Reconstruct-write only when every data page of the row is in
             // SSD (clean or old+delta).
-            let reconstruct = lpns.iter().all(|&l| self.cache.lookup(l).is_some());
+            let reconstruct = self.raid.row_lpns(row).all(|l| self.cache.lookup(l).is_some());
             if reconstruct {
                 // Read the row's pages from SSD to XOR (cheap, parallel).
-                fx.ssd_reads += lpns.len() as u32;
+                fx.ssd_reads += self.raid.layout.row_width() as u32;
                 fx.ssd_read_rounds += 1;
             }
             fx += self.raid.parity_update_effects(reconstruct);

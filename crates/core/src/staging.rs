@@ -18,6 +18,7 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use kdd_util::hash::FastMap;
+use kdd_util::pool::DEFAULT_POOL_CAP;
 
 /// A payload with a known staged size.
 pub trait DeltaPayload {
@@ -102,15 +103,15 @@ impl<P: DeltaPayload> StagingBuffer<P> {
     }
 
     /// Stage a delta; a previous delta for the same key is replaced
-    /// (write coalescing).
+    /// (write coalescing) and handed back.
     ///
     /// # Panics
     /// Panics if the payload does not fit — callers must
     /// [`StagingBuffer::fits`]-check and drain first, or the payload alone
     /// exceeds the buffer.
-    pub fn insert(&mut self, key: u64, payload: P) {
+    pub fn insert(&mut self, key: u64, payload: P) -> Option<P> {
         assert!(payload.nbytes() <= self.capacity_bytes, "delta larger than the staging buffer");
-        self.remove(key);
+        let replaced = self.remove(key);
         assert!(
             self.used_bytes + payload.nbytes() <= self.capacity_bytes,
             "staging buffer overflow: drain before inserting"
@@ -118,6 +119,7 @@ impl<P: DeltaPayload> StagingBuffer<P> {
         self.used_bytes += payload.nbytes();
         self.index.insert(key, self.fifo.len());
         self.fifo.push(Some((key, payload)));
+        replaced
     }
 
     /// Drop the staged delta for `key` (invalidation), returning it.
@@ -158,6 +160,54 @@ impl<P: DeltaPayload> StagingBuffer<P> {
     }
 }
 
+/// Bounded free list of the buffers real delta payloads live in. A write hit
+/// pops one (room for the codec's worst case), compresses into it and stages
+/// it; whoever takes a payload out of the [`StagingBuffer`] pushes it back.
+/// A buffer with less room — the exact-size copies NVRAM restores after a
+/// power cycle — is dropped, so a recycled buffer never has to grow.
+#[derive(Debug)]
+pub struct PayloadPool {
+    capacity: usize,
+    free: Vec<Vec<u8>>,
+    acquired: u64,
+    recycled: u64,
+}
+
+impl PayloadPool {
+    /// A pool of buffers with room for `capacity` bytes each.
+    pub fn new(capacity: usize) -> Self {
+        PayloadPool { capacity, free: Vec::new(), acquired: 0, recycled: 0 }
+    }
+
+    /// A buffer to compress into, recycled — as its last user left it — when
+    /// one is waiting.
+    pub fn acquire(&mut self) -> Vec<u8> {
+        self.acquired += 1;
+        let recycled = self.free.pop().inspect(|_| self.recycled += 1);
+        recycled.unwrap_or_else(|| Vec::with_capacity(self.capacity))
+    }
+
+    /// Take back the payloads that left the staging buffer.
+    pub fn release(&mut self, payloads: impl IntoIterator<Item = Vec<u8>>) {
+        for buf in payloads {
+            if buf.capacity() >= self.capacity && self.free.len() < DEFAULT_POOL_CAP {
+                self.free.push(buf);
+            }
+        }
+    }
+
+    /// Buffers currently waiting on the free list.
+    pub fn free_len(&self) -> usize {
+        self.free.len()
+    }
+
+    /// `(total acquires, acquires served from the free list)`, as
+    /// [`kdd_util::PagePool::stats`].
+    pub fn stats(&self) -> (u64, u64) {
+        (self.acquired, self.recycled)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,11 +228,27 @@ mod tests {
     #[test]
     fn coalescing_replaces_in_place() {
         let mut s: StagingBuffer<u32> = StagingBuffer::new(1000);
-        s.insert(7, 400);
-        s.insert(7, 600); // newer delta replaces
+        assert_eq!(s.insert(7, 400), None);
+        assert_eq!(s.insert(7, 600), Some(400), "the newer delta replaces, the older comes back");
         assert_eq!(s.len(), 1);
         assert_eq!(s.used_bytes(), 600);
         assert_eq!(s.get(7), Some(&600));
+    }
+
+    #[test]
+    fn payload_pool_recycles_roomy_buffers_only() {
+        let mut pool = PayloadPool::new(9);
+        let mut buf = pool.acquire();
+        assert!(buf.capacity() >= 9 && buf.is_empty());
+        buf.extend_from_slice(b"delta");
+        // An exact-size copy has no room for the next delta: dropped.
+        pool.release([buf.clone(), buf]);
+        assert_eq!(pool.free_len(), 1);
+        assert_eq!(pool.acquire().capacity(), 9);
+        assert_eq!(pool.stats(), (2, 1));
+        // Bounded: what the free list cannot hold is dropped too.
+        pool.release((0..2 * DEFAULT_POOL_CAP).map(|_| Vec::with_capacity(9)));
+        assert_eq!(pool.free_len(), DEFAULT_POOL_CAP);
     }
 
     #[test]

@@ -66,6 +66,38 @@ proptest! {
         prop_assert_eq!(live, expect);
     }
 
+    /// A page's entries are shared by the log's own page, the in-flight
+    /// redo copy and the batch handed to the caller. Reclaiming the page —
+    /// GC puts its live entries back in the buffer, where newer ones
+    /// overwrite them — must leave a batch the caller still holds as it was
+    /// cut.
+    #[test]
+    fn held_batch_is_unaffected_by_reclaim_of_its_page(
+        partition in 4u64..12,
+        epp in 1usize..6,
+        script in proptest::collection::vec(ops(16), 1..300),
+    ) {
+        let keys = ((partition * epp as u64) / 2).clamp(1, 16);
+        let mut log = MetaLog::new(partition, epp);
+        log.enable_inflight_tracking();
+        let mut held = Vec::new();
+        for op in &script {
+            let batches = match op {
+                Op::Put(k) => log.push(KeyEntry { key: k % keys, tombstone: false }).unwrap(),
+                Op::Del(k) => log.push(KeyEntry { key: k % keys, tombstone: true }).unwrap(),
+                Op::Flush => log.flush().unwrap(),
+            };
+            for batch in batches {
+                let as_cut = batch.entries.to_vec();
+                held.push((batch, as_cut));
+            }
+            let (head, _) = log.counters();
+            for (batch, as_cut) in &held {
+                prop_assert_eq!(&batch.entries[..], &as_cut[..], "seq {} (head {})", batch.seq, head);
+            }
+        }
+    }
+
     /// `latest_entry` always reflects the newest push for each key.
     #[test]
     fn latest_entry_is_newest(
@@ -152,7 +184,7 @@ mod torn_tail {
                 _ => {
                     let healed = log.unconfirmed().iter().find(|b| b.seq == seq);
                     match healed {
-                        Some(b) => b.entries.clone(),
+                        Some(b) => b.entries.to_vec(),
                         None => return Err(format!("seq {seq} torn with no in-flight copy")),
                     }
                 }
@@ -217,7 +249,7 @@ mod torn_tail {
             for (i, batch) in produced.iter().enumerate() {
                 let torn = tear == 1 && unconfirmed_tail > 0 && i == produced.len() - 1;
                 if !torn {
-                    flash.insert(batch.slot, (batch.seq, batch.entries.clone()));
+                    flash.insert(batch.slot, (batch.seq, batch.entries.to_vec()));
                 }
                 if i < confirm_upto {
                     log.confirm(batch.seq);

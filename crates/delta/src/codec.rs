@@ -17,7 +17,8 @@
 //! Because compression runs on *every* write hit, the entry point is a
 //! stateful [`Compressor`] that owns all match-finder scratch (head table +
 //! chain links + candidate output buffers) so steady-state compression
-//! performs exactly one allocation: the returned buffer. The tables hold
+//! into a caller's buffer ([`Compressor::compress_into`]) allocates nothing,
+//! and [`Compressor::compress`] only the buffer it returns. The tables hold
 //! `u16` positions for anything below 64 KiB — 16 KiB + 8 KiB for a 4 KiB
 //! page, resident in L1d next to the page — and are reset by refilling the
 //! head table at the start of each pass. (They used to be a 64 KiB
@@ -500,8 +501,8 @@ impl<P: TablePos> MatchFinder<P> {
 // ---- Compressor ----------------------------------------------------------
 
 /// Stateful compressor owning all match-finder scratch, so steady-state
-/// [`Compressor::compress`] performs exactly one allocation (the returned
-/// buffer).
+/// [`Compressor::compress_into`] allocates nothing and
+/// [`Compressor::compress`] exactly once (the returned buffer).
 ///
 /// The scratch for a 4 KiB page is a 16 KiB head table plus 8 KiB of chain
 /// links (`u16` positions), small enough to stay in L1d next to the page
@@ -513,8 +514,9 @@ impl<P: TablePos> MatchFinder<P> {
 pub struct Compressor {
     narrow: MatchFinder<u16>,
     wide: MatchFinder<u32>,
-    /// Encoding scratch: each pass builds its candidate here.
-    rle_buf: Vec<u8>,
+    /// Where [`Compressor::compress`] encodes before it copies out.
+    out_buf: Vec<u8>,
+    /// The race's LZ candidate.
     lz_buf: Vec<u8>,
 }
 
@@ -532,56 +534,63 @@ impl Compressor {
                 chain: Vec::new(),
             },
             wide: MatchFinder { head: Vec::new(), chain: Vec::new() },
-            rle_buf: Vec::new(),
+            out_buf: Vec::new(),
             lz_buf: Vec::new(),
         }
     }
 
     /// Compress a delta, choosing the smallest of {raw, zero-RLE, LZ}.
     /// Output format and worst case (`data.len() + 1` bytes) are identical
-    /// to the stateless [`compress`].
+    /// to the stateless [`compress`]. The returned buffer is exact-size: it
+    /// lives on wherever the caller keeps it.
     pub fn compress(&mut self, data: &[u8]) -> Vec<u8> {
-        let route = probe(data);
-        if route == Route::Raw {
-            return raw_copy(data);
-        }
-        // Every route encodes into the scratch buffers and copies out an
-        // exact-size `Vec`: the returned buffer lives on in the cache, and a
-        // guessed capacity would either be grown by doubling or never filled.
-        let mut rle = std::mem::take(&mut self.rle_buf);
-        let mut lz = std::mem::take(&mut self.lz_buf);
-        if route != Route::LzOnly {
-            rle.clear();
-            rle.push(DeltaCodec::ZeroRle as u8);
-            zero_rle_compress(data, &mut rle);
-        }
-        if route != Route::RleOnly {
-            lz.clear();
-            lz.push(DeltaCodec::Lz as u8);
-            self.lz_compress(data, &mut lz);
-        }
-        let best = match route {
-            Route::RleOnly => &rle,
-            Route::LzOnly => &lz,
-            _ if rle.len() <= lz.len() => &rle,
-            _ => &lz,
-        };
-        // Never expand: anything longer than the input is stored raw.
-        let out = if best.len() > data.len() {
-            raw_copy(data)
-        } else {
-            let mut out = Vec::with_capacity(best.len());
-            out.extend_from_slice(best);
-            out
-        };
-        self.rle_buf = rle;
-        self.lz_buf = lz;
+        let mut buf = std::mem::take(&mut self.out_buf);
+        self.compress_into(data, &mut buf);
+        let out = Vec::from(buf.as_slice());
+        self.out_buf = buf;
         out
+    }
+
+    /// [`Compressor::compress`] into `out`, replacing its contents and
+    /// reusing its capacity: with `data.len() + 1` bytes of it, a page whose
+    /// zero-RLE or LZ encoding does not expand allocates nothing.
+    pub fn compress_into(&mut self, data: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        match probe(data) {
+            Route::Raw => {}
+            Route::LzOnly => {
+                out.push(DeltaCodec::Lz as u8);
+                self.lz_compress(data, out);
+            }
+            route => {
+                out.push(DeltaCodec::ZeroRle as u8);
+                zero_rle_compress(data, out);
+                if route == Route::Both {
+                    let mut lz = std::mem::take(&mut self.lz_buf);
+                    lz.clear();
+                    lz.push(DeltaCodec::Lz as u8);
+                    self.lz_compress(data, &mut lz);
+                    // RLE keeps a tie.
+                    if lz.len() < out.len() {
+                        out.clear();
+                        out.extend_from_slice(&lz);
+                    }
+                    self.lz_buf = lz;
+                }
+            }
+        }
+        // Never expand: anything longer than the input is stored raw, as is
+        // a page the probe routed past both encoders.
+        if out.is_empty() || out.len() > data.len() {
+            out.clear();
+            out.push(DeltaCodec::Raw as u8);
+            out.extend_from_slice(data);
+        }
     }
 
     /// Run the LZ pass with the narrowest index type that holds
     /// `data.len()`, the finder's "no position". Kept out of line so that
-    /// [`Compressor::compress`] on the RLE-only route does not carry the
+    /// [`Compressor::compress_into`] on the RLE-only route does not carry the
     /// match finder's registers and spills (≈ 8 % of an aged delta).
     #[inline(never)]
     fn lz_compress(&mut self, data: &[u8], out: &mut Vec<u8>) {
@@ -597,14 +606,6 @@ impl Default for Compressor {
     fn default() -> Self {
         Compressor::new()
     }
-}
-
-/// Raw fallback: header byte + verbatim copy.
-fn raw_copy(data: &[u8]) -> Vec<u8> {
-    let mut raw = Vec::with_capacity(data.len() + 1);
-    raw.push(DeltaCodec::Raw as u8);
-    raw.extend_from_slice(data);
-    raw
 }
 
 fn lz_decompress(mut s: &[u8], out: &mut Vec<u8>) -> Result<(), CompressError> {
@@ -1275,6 +1276,7 @@ mod tests {
         let mut far = noise_page(70_000, 5);
         far.copy_within(0..300, 65_535); // a match at exactly the window's reach
         far.copy_within(300..600, 65_536 + 300); // and one just past it
+        let mut comp = Compressor::new();
         for len in [65_534, 65_535, 65_536, 70_000] {
             for (what, data) in [
                 ("deltas", &deltas),
@@ -1287,6 +1289,7 @@ mod tests {
                 let mut back = Vec::new();
                 lz_decompress(&new, &mut back).unwrap();
                 assert!(back == data[..len], "{what} at {len} bytes: roundtrip failed");
+                check_routed(&mut comp, &data[..len]);
             }
         }
         // Back to a page: the narrow tables are untouched by the wide passes.
@@ -1343,7 +1346,7 @@ mod tests {
         Compressor::new().lz_compress(page, &mut lz);
         let best = if rle.len() <= lz.len() { rle } else { lz };
         if best.len() > page.len() {
-            raw_copy(page)
+            [&[DeltaCodec::Raw as u8], page].concat()
         } else {
             best
         }
@@ -1353,8 +1356,21 @@ mod tests {
     /// both decoders give the page back, and outside the zero-free class
     /// (≤ 1/16 zero, where raw or LZ alone is the older shortcut) the output
     /// is no larger than RLE alone — raw if RLE would expand — makes it.
+    /// And `compress_into` is `compress`: whatever `out` held and however
+    /// much room it had, it ends up with the bytes both `compress`es return.
     fn check_routed(comp: &mut Compressor, page: &[u8]) -> Vec<u8> {
         let out = comp.compress(page);
+        assert!(out == compress(page), "stateless compress differs");
+        assert!(out.capacity() == out.len(), "compress must return an exact-size buffer");
+        let dirty = |capacity: usize| {
+            let mut buf = Vec::with_capacity(capacity);
+            buf.extend_from_slice(&noise_page(capacity.min(97), 0xd127));
+            buf
+        };
+        for mut into in [Vec::new(), dirty(page.len() + 1), dirty(3 * page.len() + 64), dirty(3)] {
+            comp.compress_into(page, &mut into);
+            assert!(into == out, "compress_into differs from compress");
+        }
         assert!(decompress(&out).unwrap() == page, "roundtrip failed");
         let base = noise_page(page.len(), 0xba5e);
         let mut folded = base.clone();
@@ -1369,6 +1385,33 @@ mod tests {
         }
         assert!(out.len() <= page.len() + 1);
         out
+    }
+
+    /// The race's tie-break is on flash: where both encodings come out
+    /// equally long, the page keeps its RLE one.
+    #[test]
+    fn race_keeps_rle_on_a_tie() {
+        let mut ties = 0;
+        for repeat in 4..16 {
+            // Distinct literals, a zero run that costs LZ three bytes more
+            // than RLE, then a `repeat`-byte copy only LZ can use.
+            let mut page: Vec<u8> = (1..=20).collect();
+            page.extend_from_slice(&[0; 10]);
+            page.extend(101..=110);
+            page.extend_from_within(2..2 + repeat);
+            page.extend(121..=130);
+            let mut rle = vec![DeltaCodec::ZeroRle as u8];
+            zero_rle_compress(&page, &mut rle);
+            let mut lz = vec![DeltaCodec::Lz as u8];
+            Compressor::new().lz_compress(&page, &mut lz);
+            let out = check_routed(&mut Compressor::new(), &page);
+            assert!(out == best_of_all(&page), "{repeat}-byte repeat: not the smallest");
+            if rle.len() == lz.len() && rle.len() <= page.len() {
+                ties += 1;
+                assert!(out == rle, "{repeat}-byte repeat: the tie went to LZ");
+            }
+        }
+        assert!(ties > 0, "no input tied");
     }
 
     /// The benchmark's `Mixed` content recipe (`benchmark/src/inputs.rs`):

@@ -341,7 +341,7 @@ impl RaidArray {
 
     fn check_failures(&mut self) -> Result<(), RaidError> {
         self.absorb_faults();
-        let failed = self.failed_disks().len();
+        let failed = self.disks.iter().filter(|d| d.is_failed()).count();
         if failed > self.layout.level.parity_count() {
             Err(RaidError::TooManyFailures)
         } else {
@@ -648,14 +648,14 @@ impl RaidArray {
     pub fn parity_update_with_data(
         &mut self,
         row: u64,
-        data: &[&[u8]],
+        data: &[impl AsRef<[u8]>],
     ) -> Result<RaidCost, RaidError> {
         self.check_failures()?;
         if data.len() != self.layout.row_width() {
             return Err(RaidError::BadArg("need every data page of the row"));
         }
         let ps = self.page_size as usize;
-        if data.iter().any(|d| d.len() != ps) {
+        if data.iter().any(|d| d.as_ref().len() != ps) {
             return Err(RaidError::BadArg("data pages must be page-sized"));
         }
         let mut cost = RaidCost::default();
@@ -665,9 +665,9 @@ impl RaidArray {
         for (d, page) in data.iter().enumerate() {
             if q_target.is_some() {
                 // One pass per member: P ⊕= D, Q ⊕= g^d·D.
-                gf256::mul2_slice_into(&mut p, &mut q, page, gf256::pow_g(d));
+                gf256::mul2_slice_into(&mut p, &mut q, page.as_ref(), gf256::pow_g(d));
             } else {
-                xor_into(&mut p, page);
+                xor_into(&mut p, page.as_ref());
             }
         }
         if let Some((pd, pp)) = self.layout.parity_location(row) {
@@ -690,11 +690,11 @@ impl RaidArray {
     pub fn parity_update_rmw(
         &mut self,
         row: u64,
-        deltas: &[(usize, &[u8])],
+        deltas: &[(usize, impl AsRef<[u8]>)],
     ) -> Result<RaidCost, RaidError> {
         self.check_failures()?;
         let ps = self.page_size as usize;
-        if deltas.iter().any(|(d, buf)| *d >= self.layout.row_width() || buf.len() != ps) {
+        if deltas.iter().any(|(d, buf)| *d >= self.layout.row_width() || buf.as_ref().len() != ps) {
             return Err(RaidError::BadArg("delta index or size out of range"));
         }
         let mut cost = RaidCost::default();
@@ -711,7 +711,7 @@ impl RaidArray {
                 // one pass; each device still sees [read, write].
                 self.disk_update_pq(p, q, &mut cost, |p, q| {
                     for (d, delta) in deltas {
-                        gf256::mul2_slice_into(p, q, delta, gf256::pow_g(*d));
+                        gf256::mul2_slice_into(p, q, delta.as_ref(), gf256::pow_g(*d));
                     }
                 })?;
             }
@@ -719,7 +719,7 @@ impl RaidArray {
                 if let Some((pd, pp)) = p_target {
                     self.disk_update(pd, pp, &mut cost, |p| {
                         for (_, delta) in deltas {
-                            xor_into(p, delta);
+                            xor_into(p, delta.as_ref());
                         }
                     })?;
                 }
@@ -745,10 +745,9 @@ impl RaidArray {
             None => self.stale_rows.iter().copied().collect(),
         };
         let mut cost = RaidCost::default();
+        let mut pages: Vec<Box<[u8]>> = Vec::with_capacity(self.layout.row_width());
         for row in targets {
-            let lpns = self.layout.row_lpns(row);
-            let mut pages: Vec<Box<[u8]>> = Vec::with_capacity(lpns.len());
-            for &lpn in &lpns {
+            for lpn in self.layout.row_lpns(row) {
                 let loc = self.layout.locate(lpn);
                 if self.disks[loc.disk].is_failed() {
                     return Err(RaidError::DiskFailed { disk: loc.disk });
@@ -757,10 +756,8 @@ impl RaidArray {
                 self.disk_read(loc.disk, loc.disk_page, &mut buf, &mut cost)?;
                 pages.push(buf);
             }
-            let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_ref()).collect();
-            let sub = self.parity_update_with_data(row, &refs)?;
-            drop(refs);
-            for page in pages {
+            let sub = self.parity_update_with_data(row, &pages)?;
+            for page in pages.drain(..) {
                 self.pool.release(page);
             }
             cost.merge(sub);
@@ -1003,12 +1000,11 @@ impl RaidArray {
     /// Verify parity consistency of one row (tests/diagnostics). Stale
     /// rows are expected to fail verification.
     pub fn verify_row(&mut self, row: u64) -> Result<bool, RaidError> {
-        let lpns = self.layout.row_lpns(row);
         let mut p = self.pool.acquire();
         let mut q = self.pool.acquire();
         let mut buf = self.pool.acquire_scratch();
         let mut cost = RaidCost::default();
-        for (d, &lpn) in lpns.iter().enumerate() {
+        for (d, lpn) in self.layout.row_lpns(row).enumerate() {
             let loc = self.layout.locate(lpn);
             self.disk_read(loc.disk, loc.disk_page, &mut buf, &mut cost)?;
             gf256::mul2_slice_into(&mut p, &mut q, &buf, gf256::pow_g(d));
@@ -1175,7 +1171,7 @@ mod tests {
         let mut a = r5();
         let ps = 256;
         let row = a.layout().row_of(0);
-        let lpns = a.layout().row_lpns(row);
+        let lpns: Vec<u64> = a.layout().row_lpns(row).collect();
         for (i, &lpn) in lpns.iter().enumerate() {
             a.write_page(lpn, &page(i as u8, ps)).unwrap();
         }
@@ -1198,7 +1194,7 @@ mod tests {
         let mut a = r5();
         let ps = 256;
         let row = a.layout().row_of(0);
-        let lpns = a.layout().row_lpns(row);
+        let lpns: Vec<u64> = a.layout().row_lpns(row).collect();
         for (i, &lpn) in lpns.iter().enumerate() {
             a.write_page(lpn, &page(i as u8, ps)).unwrap();
         }
@@ -1218,7 +1214,7 @@ mod tests {
         let mut a = r6();
         let ps = 256;
         let row = a.layout().row_of(0);
-        let lpns = a.layout().row_lpns(row);
+        let lpns: Vec<u64> = a.layout().row_lpns(row).collect();
         for (i, &lpn) in lpns.iter().enumerate() {
             a.write_page(lpn, &page(i as u8, ps)).unwrap();
         }
@@ -1260,7 +1256,7 @@ mod tests {
         let row = a.layout().row_of(0);
         // Fail a *different* disk in the same row: reconstruction would
         // use the stale parity and return garbage — the array refuses.
-        let victim_lpn = a.layout().row_lpns(row)[1];
+        let victim_lpn = a.layout().row_lpns(row).nth(1).unwrap();
         let victim_disk = a.layout().locate(victim_lpn).disk;
         a.fail_disk(victim_disk);
         let mut buf = vec![0u8; ps];
@@ -1279,7 +1275,7 @@ mod tests {
         assert!(matches!(a.rebuild(), Err(RaidError::StaleParity { .. })));
         // KDD's §III-E2 sequence: parity_update first, then rebuild.
         let row = a.layout().row_of(3);
-        let lpns = a.layout().row_lpns(row);
+        let lpns: Vec<u64> = a.layout().row_lpns(row).collect();
         let datas: Vec<Vec<u8>> =
             lpns.iter().map(|&l| if l == 3 { page(0xDD, ps) } else { page(l as u8, ps) }).collect();
         let refs: Vec<&[u8]> = datas.iter().map(|d| d.as_slice()).collect();
@@ -1460,7 +1456,7 @@ mod tests {
                 6 => {
                     let row = layout.row_of(lpn);
                     let datas: Vec<&[u8]> =
-                        layout.row_lpns(row).iter().map(|&l| &current[l as usize][..]).collect();
+                        layout.row_lpns(row).map(|l| &current[l as usize][..]).collect();
                     let a = lent.parity_update_with_data(row, &datas);
                     assert_eq!(a, copied.parity_update_with_data(row, &datas), "step {step}");
                 }
@@ -1536,7 +1532,9 @@ mod tests {
             let write = match fill {
                 Fill::Empty => false,
                 Fill::Sparse => (x >> 33) % 100 < 15,
-                Fill::OnePerRow => layout.row_lpns(row)[row as usize % layout.row_width()] == lpn,
+                Fill::OnePerRow => {
+                    layout.row_lpns(row).nth(row as usize % layout.row_width()) == Some(lpn)
+                }
                 Fill::Full => true,
             };
             if write {

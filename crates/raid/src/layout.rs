@@ -188,16 +188,14 @@ impl Layout {
     }
 
     /// The logical pages protected by parity row `row`, in data-index
-    /// order.
-    pub fn row_lpns(&self, row: u64) -> Vec<u64> {
-        let stripe = row / self.chunk_pages;
-        let offset = row % self.chunk_pages;
-        let dd = self.data_disks() as u64;
-        (0..dd).map(|d| (stripe * dd + d) * self.chunk_pages + offset).collect()
+    /// order: one chunk apart, from [`Layout::row_first_lpn`] on.
+    pub fn row_lpns(&self, row: u64) -> impl ExactSizeIterator<Item = u64> {
+        let (first, chunk) = (self.row_first_lpn(row), self.chunk_pages);
+        (0..self.data_disks()).map(move |d| first + d as u64 * chunk)
     }
 
-    /// First logical page of parity row `row` — `row_lpns(row)[0]` without
-    /// the allocation, for scans that only need the row's cache set.
+    /// First logical page of parity row `row`, for scans that only need the
+    /// row's cache set.
     pub fn row_first_lpn(&self, row: u64) -> u64 {
         let stripe = row / self.chunk_pages;
         let offset = row % self.chunk_pages;
@@ -284,8 +282,8 @@ mod tests {
     fn row_lpns_roundtrip() {
         for l in [l5(), Layout::new(RaidLevel::Raid6, 6, 8, 8 * 10)] {
             for row in 0..l.rows() {
-                let lpns = l.row_lpns(row);
-                assert_eq!(lpns.len(), l.row_width());
+                let lpns: Vec<u64> = l.row_lpns(row).collect();
+                assert_eq!(l.row_lpns(row).len(), l.row_width());
                 assert_eq!(lpns.first(), Some(&l.row_first_lpn(row)));
                 for &lpn in &lpns {
                     assert_eq!(l.row_of(lpn), row, "lpn {lpn} row mismatch");
@@ -303,7 +301,7 @@ mod tests {
     fn row_members_on_distinct_disks() {
         let l = l5();
         for row in 0..64 {
-            let mut disks: Vec<usize> = l.row_lpns(row).iter().map(|&p| l.locate(p).disk).collect();
+            let mut disks: Vec<usize> = l.row_lpns(row).map(|p| l.locate(p).disk).collect();
             if let Some((pd, _)) = l.parity_location(row) {
                 disks.push(pd);
             }

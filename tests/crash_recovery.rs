@@ -101,7 +101,7 @@ fn stale_parity_window_is_detected_not_silently_corrupted() {
     assert!(engine.raid().is_stale(row));
 
     // Disk holding a *different* member of the row dies before resync.
-    let peer_lba = engine.raid().layout().row_lpns(row)[1];
+    let peer_lba = engine.raid().layout().row_lpns(row).nth(1).expect("a second member");
     let peer_disk = engine.raid().layout().locate(peer_lba).disk;
     engine.raid_mut().fail_disk(peer_disk);
     let mut buf = vec![0u8; PAGE as usize];
