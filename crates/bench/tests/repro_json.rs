@@ -1,36 +1,67 @@
-//! `repro --json` writes real JSON, in the layout of the committed
-//! `results/repro_scale100.json`.
+//! The committed artefacts are what the binaries print today, byte for
+//! byte: `results/repro_scale100.{txt,json}` (every table and figure) and
+//! `OBS_engine.json` (the engine's observability snapshot).
 
-use kdd_obs::json::{parse, Json};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
+fn committed(file: &str) -> Vec<u8> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+fn scratch(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("{name}-{}", std::process::id()))
+}
+
+/// Equal bytes, or the first line that differs (the files run to 200 KB).
+fn assert_same(what: &str, got: &[u8], want: &[u8]) {
+    if got == want {
+        return;
+    }
+    let (got, want) = (String::from_utf8_lossy(got), String::from_utf8_lossy(want));
+    let line = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+    let line = line.unwrap_or(got.lines().count().min(want.lines().count()));
+    panic!(
+        "{what} differs from the committed file at line {}:\n  got  {:?}\n  want {:?}",
+        line + 1,
+        got.lines().nth(line),
+        want.lines().nth(line)
+    );
+}
+
+/// `repro all --scale 100 --seed 42`, text and JSON. (It keeps the name it
+/// had when it compared the four table1 rows alone — a subset of this.)
 #[test]
 fn table1_json_parses_and_matches_the_committed_rows() {
-    let out = std::env::temp_dir().join(format!("repro-table1-{}.json", std::process::id()));
+    let out = scratch("repro-all.json");
     let run = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["table1", "--scale", "100", "--seed", "42", "--json"])
+        .args(["all", "--scale", "100", "--seed", "42", "--json"])
         .arg(&out)
         .output()
         .expect("run repro");
     assert!(run.status.success(), "repro failed: {}", String::from_utf8_lossy(&run.stderr));
-    let text = std::fs::read_to_string(&out).expect("read repro output");
+    let json = std::fs::read_to_string(&out).expect("read repro output");
     if let Err(e) = std::fs::remove_file(&out) {
         eprintln!("tempfile cleanup failed ({}): {e}", out.display());
     }
-    let rows = parse(&text).expect("repro --json output is not JSON");
+    kdd_obs::json::parse(&json).expect("repro --json output is not JSON");
+    assert_same("repro's text output", &run.stdout, &committed("results/repro_scale100.txt"));
+    assert_same("repro --json", json.as_bytes(), &committed("results/repro_scale100.json"));
+}
 
-    let committed_path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/repro_scale100.json");
-    let committed = std::fs::read_to_string(&committed_path).expect("read committed results");
-    let committed = parse(&committed).expect("committed results are not JSON");
-    let table1: Vec<Json> = committed
-        .as_arr()
-        .expect("committed results are an array")
-        .iter()
-        .filter(|row| row.get("experiment").and_then(Json::as_str) == Some("table1"))
-        .cloned()
-        .collect();
-    assert_eq!(table1.len(), 4, "one table1 row per paper trace");
-    assert_eq!(rows, Json::Arr(table1));
+#[test]
+fn perfbench_smoke_snapshot_is_byte_identical_to_the_committed_one() {
+    let dir = scratch("perfbench-smoke");
+    let run = Command::new(env!("CARGO_BIN_EXE_perfbench"))
+        .args(["--smoke", "--out-dir"])
+        .arg(&dir)
+        .output()
+        .expect("run perfbench");
+    assert!(run.status.success(), "perfbench failed: {}", String::from_utf8_lossy(&run.stderr));
+    let snapshot = std::fs::read(dir.join("OBS_engine.json")).expect("read the smoke snapshot");
+    if let Err(e) = std::fs::remove_dir_all(&dir) {
+        eprintln!("tempdir cleanup failed ({}): {e}", dir.display());
+    }
+    assert_same("perfbench --smoke's OBS_engine.json", &snapshot, &committed("OBS_engine.json"));
 }

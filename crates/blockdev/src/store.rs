@@ -228,7 +228,7 @@ impl PageStore for MemStore {
             return Ok(());
         }
         let outcome = self.intercept(IoDir::Write);
-        // kdd-waiver(KDD006): torn-write emulation needs the pre-image; this
+        // Torn-write emulation needs the pre-image; this
         // runs only under fault injection, never on the hot path.
         let mut previous = vec![0u8; self.page_size as usize];
         if let Some(old) = self.pages.get(&lpn) {

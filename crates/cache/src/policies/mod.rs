@@ -142,10 +142,7 @@ impl RaidModel {
     /// The cache-set grouping §III-B prescribes: co-locate the pages the
     /// cleaner reclaims together (one parity row per group).
     pub fn set_grouping(&self) -> SetGrouping {
-        SetGrouping::ParityRow {
-            chunk_pages: self.layout.chunk_pages,
-            data_disks: self.layout.data_disks() as u64,
-        }
+        SetGrouping::parity_rows(&self.layout)
     }
 
     /// The logical pages a row protects.
@@ -309,15 +306,23 @@ impl PendingRows {
         self.rows.keys().copied().collect()
     }
 
-    /// The first pending row recorded under cache set `set`, in the map's
-    /// iteration order (deterministic for a given history, but *not*
-    /// oldest-first). A set with no pending row — the common case when a
-    /// full set holds only DEZ pages — costs one counter read.
-    pub fn first_row_in_set(&self, set: usize) -> Option<u64> {
-        if self.rows_in_set.get(set).is_none_or(|&n| n == 0) {
-            return None;
-        }
-        self.rows.iter().find(|(_, r)| r.set == set).map(|(&row, _)| row)
+    /// The row a NoRoom reclaim of cache set `set` cleans: the first pending
+    /// row recorded under it, in the map's iteration order (deterministic
+    /// for a given history, but *not* oldest-first). A set with no pending
+    /// row — the common case when a full set holds only DEZ pages — costs
+    /// one counter read. `set_of_row` is the directory's current mapping,
+    /// which debug builds hold the recorded sets to.
+    pub fn first_row_in_set(&self, set: usize, set_of_row: impl Fn(u64) -> usize) -> Option<u64> {
+        let row = match self.rows_in_set.get(set) {
+            None | Some(0) => None,
+            Some(_) => self.rows.iter().find(|(_, r)| r.set == set).map(|(&row, _)| row),
+        };
+        debug_assert_eq!(
+            row,
+            self.rows.keys().copied().find(|&r| set_of_row(r) == set),
+            "recorded row sets drifted from the directory's mapping"
+        );
+        row
     }
 }
 
@@ -480,7 +485,7 @@ mod tests {
                 let ids = p.row_ids();
                 for set in 0..SETS + 1 {
                     let naive = ids.iter().copied().find(|r| model.get(r).is_some_and(|m| m.0 == set));
-                    proptest::prop_assert_eq!(p.first_row_in_set(set), naive);
+                    proptest::prop_assert_eq!(p.first_row_in_set(set, |r| model.get(&r).map_or(SETS, |m| m.0)), naive);
                     let recount = model.values().filter(|(s, _)| *s == set).count();
                     let count = p.rows_in_set.get(set).copied().unwrap_or(0);
                     proptest::prop_assert_eq!(count as usize, recount);

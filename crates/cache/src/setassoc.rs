@@ -35,6 +35,7 @@
 // "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
+use kdd_raid::layout::Layout;
 use kdd_util::hash::{mix64, FastMap};
 use kdd_util::lru::LruList;
 use serde::{Deserialize, Serialize};
@@ -89,6 +90,14 @@ pub enum SetGrouping {
 }
 
 impl SetGrouping {
+    /// The grouping §III-B prescribes over `layout`: one parity row a group.
+    pub fn parity_rows(layout: &Layout) -> Self {
+        SetGrouping::ParityRow {
+            chunk_pages: layout.chunk_pages,
+            data_disks: layout.data_disks() as u64,
+        }
+    }
+
     /// The grouping key for an LBA (hashed to pick the set).
     #[inline]
     pub fn key(&self, lba: u64) -> u64 {
@@ -468,6 +477,16 @@ impl SetAssocCache {
             .enumerate()
             .filter(|&(_i, &t)| t != TAG_NONE)
             .map(|(i, &t)| (i as u32, t, self.states[i]))
+    }
+
+    /// The page a DEZ allocation evicts when no slot is free (§III-D: clean
+    /// pages are always sacrificeable — the data is on RAID): the first
+    /// *Clean* page in slot order, not the coldest, so the lowest sets are
+    /// the ones that fill up with DEZ pages. `(slot, lba)`.
+    pub fn dez_victim(&self) -> Option<(u32, u64)> {
+        self.iter_mapped()
+            .find(|&(_, _, s)| s == PageState::Clean)
+            .map(|(slot, lba, _)| (slot, lba))
     }
 
     /// Free slots remaining (whole cache).

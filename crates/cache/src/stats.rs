@@ -5,7 +5,7 @@
 //! from [`CacheStats`], which policies update once per access from the
 //! [`AccessOutcome`](crate::effects::AccessOutcome).
 
-use crate::effects::AccessOutcome;
+use crate::effects::{AccessOutcome, Effects};
 use kdd_obs::frac;
 use kdd_util::units::ByteSize;
 use serde::{Deserialize, Serialize};
@@ -61,13 +61,7 @@ impl CacheStats {
             (false, true) => self.write_hits += 1,
             (false, false) => self.write_misses += 1,
         }
-        let t = outcome.total();
-        self.ssd_data_writes += t.ssd_data_writes as u64;
-        self.ssd_delta_writes += t.ssd_delta_writes as u64;
-        self.ssd_meta_writes += t.ssd_meta_writes as u64;
-        self.ssd_reads += t.ssd_reads as u64;
-        self.raid_reads += t.raid_reads as u64;
-        self.raid_writes += t.raid_writes as u64;
+        *self += outcome.total();
     }
 
     /// All requests seen.
@@ -125,6 +119,18 @@ impl CacheStats {
             fault_fallbacks: self.fault_fallbacks,
             torn_pages_detected: self.torn_pages_detected,
         }
+    }
+}
+
+/// Fold counted device operations into the traffic counters.
+impl std::ops::AddAssign<Effects> for CacheStats {
+    fn add_assign(&mut self, fx: Effects) {
+        self.ssd_data_writes += fx.ssd_data_writes as u64;
+        self.ssd_delta_writes += fx.ssd_delta_writes as u64;
+        self.ssd_meta_writes += fx.ssd_meta_writes as u64;
+        self.ssd_reads += fx.ssd_reads as u64;
+        self.raid_reads += fx.raid_reads as u64;
+        self.raid_writes += fx.raid_writes as u64;
     }
 }
 

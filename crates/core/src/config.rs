@@ -70,6 +70,20 @@ impl KddConfig {
     pub fn clean_trigger_slots(&self) -> u64 {
         ((self.geometry.total_pages as f64 * self.clean_threshold) as u64).max(4)
     }
+
+    /// Pinned (*old* + *delta*) slots at which space pressure starts to
+    /// build, ¾ of the trigger: from here on every write hit first squeezes
+    /// fragmentation out of the DEZ (cheap, and it keeps the delta path).
+    pub fn compact_pressure_slots(&self) -> u64 {
+        (3 * self.clean_trigger_slots()).div_ceil(4)
+    }
+
+    /// Where a triggered cleaning stops, ⅞ of the trigger: just under it,
+    /// so only the longest-stale rows are reclaimed and recently written
+    /// hot pages keep their deltas.
+    pub fn clean_low_water_slots(&self) -> u64 {
+        self.clean_trigger_slots() * 7 / 8
+    }
 }
 
 #[cfg(test)]

@@ -31,13 +31,13 @@
 use crate::config::KddConfig;
 use crate::metalog::{CommitBatch, LogEntry, MetaLog, PartitionTooSmall};
 use crate::staging::{PayloadPool, StagingBuffer};
-use crate::{two_smallest_by_key, MergeBound, TwoSmallest};
+use crate::{plan_merge, Merge, MergeBound};
 use kdd_blockdev::error::{DevError, FaultDomain};
 use kdd_blockdev::fault::FaultInjector;
 use kdd_blockdev::nvram::Nvram;
 use kdd_blockdev::ssd::SsdDevice;
 use kdd_cache::policies::{set_of_row, PendingRows};
-use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
+use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache, SetGrouping};
 use kdd_cache::stats::CacheStats;
 use kdd_delta::codec;
 use kdd_delta::xor::xor_pages_into;
@@ -161,6 +161,18 @@ const META_HDR: usize = 14;
 /// CRC-32 of a metadata page, skipping the CRC field itself.
 fn meta_page_crc(page: &[u8]) -> u32 {
     !crc32_update(crc32_update(!0, &page[..10]), &page[META_HDR..])
+}
+
+/// Fold logged `entries`, oldest first, into the mapping they describe: a
+/// tombstone removes its key, anything else (re)places it.
+fn replay(map: &mut FastMap<u64, MapEntry>, entries: Vec<MapEntry>) {
+    for e in entries {
+        if e.is_tombstone() {
+            map.remove(&e.key());
+        } else {
+            map.insert(e.key(), e);
+        }
+    }
 }
 
 /// How the engine is currently serving I/O.
@@ -360,41 +372,71 @@ impl KddEngine {
     /// Build an engine: the SSD's first `meta_partition_pages` form the
     /// metadata partition, the rest back the cache slots (Figure 2).
     pub fn new(config: KddConfig, ssd: SsdDevice, raid: RaidArray) -> Result<Self, EngineError> {
-        let ps = config.geometry.page_size as usize;
+        let geometry = config.geometry;
+        let ps = geometry.page_size as usize;
         if ps < META_HDR + ENTRY_BYTES {
             return Err(EngineError::Layout(format!(
                 "{ps}-byte pages are too small for the metadata log: a log page is a \
                  {META_HDR}-byte header plus at least one {ENTRY_BYTES}-byte mapping entry"
             )));
         }
-        let meta_pages = config.meta_partition_pages();
-        let need = meta_pages + config.geometry.total_pages;
-        if need > ssd.capacity_pages() {
+        if geometry.ways == 0 || u64::from(geometry.ways) > geometry.total_pages {
             return Err(EngineError::Layout(format!(
-                "SSD has {} pages; need {need} (meta {meta_pages} + cache {})",
-                ssd.capacity_pages(),
-                config.geometry.total_pages
+                "{} ways cannot divide a cache of {} pages into sets",
+                geometry.ways, geometry.total_pages
             )));
         }
-        if config.geometry.page_size != ssd.page_size()
-            || config.geometry.page_size != raid.page_size()
-        {
+        // The directory rounds to whole sets, so it can hold fewer slots
+        // than `total_pages` — never more.
+        let meta_pages = config.meta_partition_pages();
+        let slots = geometry.sets() as u64 * u64::from(geometry.ways);
+        if meta_pages + slots > ssd.capacity_pages() {
+            return Err(EngineError::Layout(format!(
+                "SSD has {} pages; need {} (meta {meta_pages} + cache {slots})",
+                ssd.capacity_pages(),
+                meta_pages + slots
+            )));
+        }
+        if geometry.page_size != ssd.page_size() || geometry.page_size != raid.page_size() {
             return Err(EngineError::Layout("page sizes must match across devices".into()));
         }
-        let grouping = kdd_cache::setassoc::SetGrouping::ParityRow {
-            chunk_pages: raid.layout().chunk_pages,
-            data_disks: raid.layout().data_disks() as u64,
-        };
-        let mut metalog = MetaLog::new(meta_pages, (ps - META_HDR) / ENTRY_BYTES);
-        // Keep unconfirmed commits in NVRAM so recovery can redo a torn
-        // tail page instead of failing on it.
+        let nv = Nvram::new(
+            NvState { staging: StagingBuffer::new(config.staging_bytes) },
+            config.staging_bytes as u64 * 2,
+        );
+        let cache = Self::empty_cache(&config, &raid);
+        Ok(Self::assemble(config, ssd, raid, cache, nv, Self::empty_metalog(&config)))
+    }
+
+    /// An empty directory whose sets follow `raid`'s parity rows (§III-B).
+    fn empty_cache(config: &KddConfig, raid: &RaidArray) -> SetAssocCache {
+        SetAssocCache::new_grouped(config.geometry, SetGrouping::parity_rows(raid.layout()))
+    }
+
+    /// An empty metadata log over `config`'s partition. Unconfirmed commits
+    /// stay in NVRAM so recovery can redo a torn tail page instead of
+    /// failing on it.
+    fn empty_metalog(config: &KddConfig) -> MetaLog<MapEntry> {
+        let entries_per_page = (config.geometry.page_size as usize - META_HDR) / ENTRY_BYTES;
+        let mut metalog = MetaLog::new(config.meta_partition_pages(), entries_per_page);
         metalog.enable_inflight_tracking();
-        Ok(KddEngine {
-            cache: SetAssocCache::new_grouped(config.geometry, grouping),
-            nv: Nvram::new(
-                NvState { staging: StagingBuffer::new(config.staging_bytes) },
-                config.staging_bytes as u64 * 2,
-            ),
+        metalog
+    }
+
+    /// The one place an engine is put together: around the given devices,
+    /// directory, NVRAM and log, every volatile structure starts empty.
+    fn assemble(
+        config: KddConfig,
+        ssd: SsdDevice,
+        raid: RaidArray,
+        cache: SetAssocCache,
+        nv: Nvram<NvState>,
+        metalog: MetaLog<MapEntry>,
+    ) -> Self {
+        let ps = config.geometry.page_size as usize;
+        KddEngine {
+            cache,
+            nv,
             metalog,
             delta_loc: FastMap::default(),
             dez: FastMap::default(),
@@ -402,10 +444,10 @@ impl KddEngine {
             dez_bound: MergeBound::default(),
             pending_rows: PendingRows::default(),
             stats: CacheStats::default(),
-            meta_pages,
+            meta_pages: config.meta_partition_pages(),
             injector: None,
             mode: EngineMode::Normal,
-            pool: PagePool::new(config.geometry.page_size as usize),
+            pool: PagePool::new(ps),
             recorder: Recorder::disabled(),
             last_class: HitClass::ReadMiss,
             last_comp_milli: 0,
@@ -419,15 +461,13 @@ impl KddEngine {
             config,
             ssd,
             raid,
-        })
+        }
     }
 
     /// Route every SSD and RAID-member I/O through `injector`, and let the
     /// engine consult it for retry/fallback decisions.
     pub fn attach_fault_injector(&mut self, injector: FaultInjector) {
-        // kdd-waiver(KDD006): one-time attach; FaultInjector is an Arc handle, clone is a refcount bump.
         self.ssd.attach_injector(injector.clone());
-        // kdd-waiver(KDD006): one-time attach; FaultInjector is an Arc handle, clone is a refcount bump.
         self.raid.attach_injector(injector.clone());
         self.injector = Some(injector);
     }
@@ -501,16 +541,28 @@ impl KddEngine {
         self.cur_stages.add(stage, dt);
     }
 
-    /// Record finished background work (cleaner pass, group-commit
-    /// flush, failure recovery) as a first-class span on the ring.
-    fn note_background(&mut self, stage: Stage, dur: SimTime, used: StageTimes) {
-        if dur == SimTime::ZERO && used.is_zero() {
-            return;
-        }
-        if self.recorder.record_background(stage, dur, used) {
+    /// Run background work (cleaner pass, group-commit flush, failure
+    /// recovery) against its own stage accumulator, isolated from any
+    /// in-flight request's, and record it — failed or not — as a
+    /// first-class span of `stage` on the ring.
+    fn background(
+        &mut self,
+        stage: Stage,
+        t: &mut SimTime,
+        work: impl FnOnce(&mut Self, &mut SimTime) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        let saved = std::mem::take(&mut self.cur_stages);
+        let t0 = *t;
+        let result = work(self, t);
+        let used = std::mem::replace(&mut self.cur_stages, saved);
+        let dur = t.saturating_sub(t0);
+        if (dur != SimTime::ZERO || !used.is_zero())
+            && self.recorder.record_background(stage, dur, used)
+        {
             let s = self.sample_now();
             self.recorder.push_sample(s);
         }
+        result
     }
 
     /// Span emission with explicit before/after stats: batched submissions
@@ -658,6 +710,30 @@ impl KddEngine {
         self.queue_batches(batches, t)
     }
 
+    /// Log the tombstone of `lba`'s mapping to `slot`.
+    fn log_free(&mut self, lba: u64, slot: u32, t: &mut SimTime) -> Result<(), EngineError> {
+        self.log_entry(MapEntry { lba_raid: lba, slot, state: EntryState::Free, dez: None }, t)
+    }
+
+    /// The mapping of the *old* page `lba` whose delta was committed at `r`.
+    fn old_entry(&self, lba: u64, r: DeltaRef) -> Result<MapEntry, EngineError> {
+        let slot =
+            self.cache.lookup(lba).ok_or(EngineError::Inconsistent("old page must be cached"))?;
+        Ok(MapEntry { lba_raid: lba, slot, state: EntryState::Old, dez: Some(r) })
+    }
+
+    /// Drop the cached page of `lba` at `slot` together with its delta. The
+    /// tombstone is logged *before* anything is trimmed, so a crash in
+    /// between can only leak flash pages — recovery never maps a reclaimed
+    /// one.
+    fn reclaim(&mut self, lba: u64, slot: u32, t: &mut SimTime) -> Result<(), EngineError> {
+        self.log_free(lba, slot, t)?;
+        self.invalidate_delta(lba)?;
+        self.ssd.trim_page(self.slot_lpn(slot))?;
+        self.cache.free_slot(slot);
+        Ok(())
+    }
+
     // ---- delta plumbing ---------------------------------------------------
 
     /// Drop `lba`'s membership in the DEZ page `r` points into, trimming
@@ -743,23 +819,15 @@ impl KddEngine {
             // The page is indexed with no live bytes until its mappings are
             // logged; an error on the way must not leave a bound that
             // overlooks it, so the bound is "unknown" until then.
-            let mut bound = std::mem::take(&mut self.dez_bound);
+            let mut bound = self.dez_bound;
+            self.dez_bound = bound.unknown();
             // Log the whole DEZ page's mappings as one metalog group, then
             // drop the NVRAM copies. Logging precedes every removal: if the
             // crash lands in between, recovery sees both and the staged
             // copies (same bytes) simply supersede the DEZ references.
             let mut entries = std::mem::take(&mut self.scratch.entries);
-            for (lba, r) in &refs {
-                let slot_of = self
-                    .cache
-                    .lookup(*lba)
-                    .ok_or(EngineError::Inconsistent("old page must be cached"))?;
-                entries.push(MapEntry {
-                    lba_raid: *lba,
-                    slot: slot_of,
-                    state: EntryState::Old,
-                    dez: Some(*r),
-                });
+            for &(lba, r) in &refs {
+                entries.push(self.old_entry(lba, r)?);
             }
             let batches = self.metalog.push_group(entries.drain(..))?;
             self.scratch.entries = entries;
@@ -783,32 +851,15 @@ impl KddEngine {
     }
 
     /// A slot for a new DEZ page: a free one from the set with the fewest
-    /// DEZ pages, else the slot of an evicted clean page. That victim is
-    /// the first *Clean* page in slot order, not the coldest — so the
-    /// lowest sets are the ones that fill up with DEZ pages.
+    /// DEZ pages, else the slot of the evicted [`SetAssocCache::dez_victim`].
     fn alloc_dez_slot(&mut self, t: &mut SimTime) -> Result<Option<u32>, EngineError> {
         if let Some(slot) = self.cache.alloc_delta_slot() {
             return Ok(Some(slot));
         }
-        let victim = self
-            .cache
-            .iter_mapped()
-            .find(|&(_, _, s)| s == PageState::Clean)
-            .map(|(slot, lba, _)| (slot, lba));
-        if let Some((slot, lba)) = victim {
-            self.evict_clean(slot, lba, t)?;
-            return Ok(self.cache.alloc_delta_slot());
-        }
-        Ok(None)
-    }
-
-    fn evict_clean(&mut self, slot: u32, lba: u64, t: &mut SimTime) -> Result<(), EngineError> {
-        // Tombstone first: recovery must never map a trimmed page.
-        self.log_entry(MapEntry { lba_raid: lba, slot, state: EntryState::Free, dez: None }, t)?;
-        self.ssd.trim_page(self.slot_lpn(slot))?;
-        self.cache.free_slot(slot);
+        let Some((slot, lba)) = self.cache.dez_victim() else { return Ok(None) };
+        self.reclaim(lba, slot, t)?; // clean: it has no delta to drop
         self.stats.evictions += 1;
-        Ok(())
+        Ok(self.cache.alloc_delta_slot())
     }
 
     /// Run `f` over `lba`'s compressed delta where it lies — the NVRAM
@@ -952,27 +1003,49 @@ impl KddEngine {
     }
 
     fn read_dispatch(&mut self, lba: u64) -> Result<(Vec<u8>, SimTime), EngineError> {
-        if self.mode == EngineMode::PassThrough {
-            return self.raid_read(lba);
+        self.check_lba(lba)?;
+        self.dispatch(|e| e.read_inner(lba), |e| e.raid_read(lba))
+    }
+
+    /// Request addresses arrive from outside the program: one past the
+    /// array is refused here, before anything moves.
+    fn check_lba(&self, lba: u64) -> Result<(), EngineError> {
+        let pages = self.raid.capacity_pages();
+        if lba >= pages {
+            return Err(EngineError::Layout(format!("page {lba} of a {pages}-page array")));
         }
-        match self.read_inner(lba) {
-            Ok(out) => Ok(out),
-            Err(e) => {
-                self.stats.faults_observed += 1;
-                if Self::retryable(&e) || Self::disk_persistent(&e) {
-                    self.stats.fault_retries += 1;
-                    self.read_inner(lba)
-                } else if Self::ssd_persistent(&e) {
-                    self.ssd_fault_fallback()?;
-                    if self.mode == EngineMode::PassThrough {
-                        self.raid_read(lba)
-                    } else {
-                        self.read_inner(lba)
-                    }
-                } else {
-                    Err(e)
-                }
+        Ok(())
+    }
+
+    /// The fault ladder every request climbs: `pass` straight to the array
+    /// in pass-through mode, else `attempt` through the cache — retried
+    /// once after a transient fault or a member death, and after a
+    /// persistent SSD fault once more through whatever the fallback left.
+    fn dispatch<R>(
+        &mut self,
+        attempt: impl Fn(&mut Self) -> Result<R, EngineError>,
+        pass: impl Fn(&mut Self) -> Result<R, EngineError>,
+    ) -> Result<R, EngineError> {
+        if self.mode == EngineMode::PassThrough {
+            return pass(self);
+        }
+        let e = match attempt(self) {
+            Ok(out) => return Ok(out),
+            Err(e) => e,
+        };
+        self.stats.faults_observed += 1;
+        if Self::retryable(&e) || Self::disk_persistent(&e) {
+            self.stats.fault_retries += 1;
+            attempt(self)
+        } else if Self::ssd_persistent(&e) {
+            self.ssd_fault_fallback()?;
+            if self.mode == EngineMode::PassThrough {
+                pass(self)
+            } else {
+                attempt(self)
             }
+        } else {
+            Err(e)
         }
     }
 
@@ -1088,41 +1161,27 @@ impl KddEngine {
         if data.len() != ps {
             return Err(EngineError::Layout(format!("{}-byte write, {ps}-byte pages", data.len())));
         }
-        if self.mode == EngineMode::PassThrough {
-            return self.raid_write(lba, data);
-        }
-        match self.write_inner(lba, data) {
-            Ok(t) => Ok(t),
-            Err(e) => {
-                self.stats.faults_observed += 1;
-                if Self::retryable(&e) || Self::disk_persistent(&e) {
-                    self.stats.fault_retries += 1;
-                    self.write_inner(lba, data)
-                } else if Self::ssd_persistent(&e) {
-                    self.ssd_fault_fallback()?;
-                    if self.mode == EngineMode::PassThrough {
-                        self.raid_write(lba, data)
-                    } else {
-                        self.write_inner(lba, data)
-                    }
-                } else {
-                    Err(e)
-                }
-            }
-        }
+        self.check_lba(lba)?;
+        self.dispatch(|e| e.write_inner(lba, data), |e| e.raid_write(lba, data))
     }
 
     /// Pass-through read straight from the RAID array.
     fn raid_read(&mut self, lba: u64) -> Result<(Vec<u8>, SimTime), EngineError> {
         self.cur_stages = StageTimes::new();
         let mut t = SimTime::ZERO;
-        // kdd-waiver(KDD006): the page is returned to the caller by value.
+        let buf = self.read_array(lba, &mut t)?;
+        self.bump(true, false);
+        Ok((buf, t))
+    }
+
+    /// One page from the array, costed, in a buffer that is the read's
+    /// return value.
+    fn read_array(&mut self, lba: u64, t: &mut SimTime) -> Result<Vec<u8>, EngineError> {
         let mut buf = vec![0u8; self.page_size()];
         let cost = self.raid.read_page(lba, &mut buf)?;
         self.charge_raid(&cost);
-        self.bump(true, false);
-        self.charge_stage(Stage::RaidRead, DISK_OP * cost.reads().max(1) as u64, &mut t);
-        Ok((buf, t))
+        self.charge_stage(Stage::RaidRead, DISK_OP * cost.reads().max(1) as u64, t);
+        Ok(buf)
     }
 
     /// Pass-through write straight to the RAID array (full parity update).
@@ -1143,15 +1202,10 @@ impl KddEngine {
             Some(slot) => {
                 self.cache.touch(slot);
                 self.stats.ssd_reads += 1;
-                // kdd-waiver(KDD006): the page is returned to the caller by value.
                 (true, self.read_cached(lba, slot, &mut t, |base| base.to_vec())?)
             }
             None => {
-                // kdd-waiver(KDD006): the page is the read's return value.
-                let mut buf = vec![0u8; self.page_size()];
-                let cost = self.raid.read_page(lba, &mut buf)?;
-                self.charge_raid(&cost);
-                self.charge_stage(Stage::RaidRead, DISK_OP * cost.reads().max(1) as u64, &mut t);
+                let buf = self.read_array(lba, &mut t)?;
                 self.fill_clean(lba, &buf, &mut t)?;
                 (false, buf)
             }
@@ -1272,17 +1326,11 @@ impl KddEngine {
                         DISK_OP * 2 * cost.writes().max(1) as u64,
                         &mut t,
                     );
-                    // Tombstone the old mapping before reclaiming its
-                    // flash copies, then re-insert the new version clean.
-                    // A crash in between leaves the lba uncached with the
-                    // data already safe on RAID.
-                    self.log_entry(
-                        MapEntry { lba_raid: lba, slot, state: EntryState::Free, dez: None },
-                        &mut t,
-                    )?;
-                    self.invalidate_delta(lba)?;
-                    self.ssd.trim_page(self.slot_lpn(slot))?;
-                    self.cache.free_slot(slot);
+                    // Reclaim the old mapping and its flash copies, then
+                    // re-insert the new version clean. A crash in between
+                    // leaves the lba uncached with the data already safe
+                    // on RAID.
+                    self.reclaim(lba, slot, &mut t)?;
                     self.fill_clean(lba, data, &mut t)?;
                     self.clean_row(row, &mut t)?;
                 }
@@ -1319,32 +1367,13 @@ impl KddEngine {
     }
 
     fn fill_clean(&mut self, lba: u64, data: &[u8], t: &mut SimTime) -> Result<(), EngineError> {
-        loop {
+        let slot = loop {
             match self.cache.insert(lba, PageState::Clean, |s| s == PageState::Clean) {
-                InsertOutcome::Inserted { slot } => {
-                    let dt = self.ssd.write_page(self.slot_lpn(slot), data)?;
-                    self.charge_stage(Stage::SsdWrite, dt, t);
-                    self.stats.ssd_data_writes += 1;
-                    self.log_entry(
-                        MapEntry { lba_raid: lba, slot, state: EntryState::Clean, dez: None },
-                        t,
-                    )?;
-                    return Ok(());
-                }
+                InsertOutcome::Inserted { slot } => break slot,
                 InsertOutcome::Evicted { slot, victim_lba, .. } => {
                     self.stats.evictions += 1;
-                    self.log_entry(
-                        MapEntry { lba_raid: victim_lba, slot, state: EntryState::Free, dez: None },
-                        t,
-                    )?;
-                    let dt = self.ssd.write_page(self.slot_lpn(slot), data)?;
-                    self.charge_stage(Stage::SsdWrite, dt, t);
-                    self.stats.ssd_data_writes += 1;
-                    self.log_entry(
-                        MapEntry { lba_raid: lba, slot, state: EntryState::Clean, dez: None },
-                        t,
-                    )?;
-                    return Ok(());
+                    self.log_free(victim_lba, slot, t)?;
+                    break slot;
                 }
                 InsertOutcome::NoRoom => {
                     // Unpin one pending row of this set and retry; bypass
@@ -1355,7 +1384,11 @@ impl KddEngine {
                     }
                 }
             }
-        }
+        };
+        let dt = self.ssd.write_page(self.slot_lpn(slot), data)?;
+        self.charge_stage(Stage::SsdWrite, dt, t);
+        self.stats.ssd_data_writes += 1;
+        self.log_entry(MapEntry { lba_raid: lba, slot, state: EntryState::Clean, dez: None }, t)
     }
 
     /// Mark `lba` pending in `row`; a new row is recorded under the set a
@@ -1365,27 +1398,14 @@ impl KddEngine {
         self.pending_rows.add(row, lba, || set_of_row(cache, layout, row));
     }
 
-    /// Clean one pending row whose pages map to `set` — the first that
-    /// [`PendingRows::first_row_in_set`] meets, not the oldest; false
-    /// when none exists.
+    /// Clean the pending row [`PendingRows::first_row_in_set`] names for
+    /// `set`; false when none exists.
     fn clean_one_row_in_set(&mut self, set: usize, t: &mut SimTime) -> Result<bool, EngineError> {
-        let row = self.pending_rows.first_row_in_set(set);
-        debug_assert_eq!(
-            row,
-            self.pending_rows.row_ids().into_iter().find(|&r| set_of_row(
-                &self.cache,
-                self.raid.layout(),
-                r
-            ) == set),
-            "recorded row sets drifted from the directory's mapping"
-        );
-        match row {
-            Some(row) => {
-                self.clean_row(row, t)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        let (cache, layout) = (&self.cache, self.raid.layout());
+        let row = self.pending_rows.first_row_in_set(set, |r| set_of_row(cache, layout, r));
+        let Some(row) = row else { return Ok(false) };
+        self.clean_row(row, t)?;
+        Ok(true)
     }
 
     fn bump(&mut self, is_read: bool, hit: bool) {
@@ -1414,16 +1434,16 @@ impl KddEngine {
         self.stats.raid_writes += cost.writes() as u64;
     }
 
+    /// Slots the cleaner alone can release: *old* pages and DEZ pages.
+    fn pinned(&self) -> u64 {
+        (self.cache.count_state(PageState::Old) + self.cache.count_state(PageState::Delta)) as u64
+    }
+
     fn maybe_clean(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        let trigger = self.config.clean_trigger_slots();
-        let pinned =
-            self.cache.count_state(PageState::Old) + self.cache.count_state(PageState::Delta);
-        if pinned as u64 * 4 >= trigger * 3 {
+        if self.pinned() >= self.config.compact_pressure_slots() {
             self.compact_dez(t)?;
         }
-        let pinned =
-            self.cache.count_state(PageState::Old) + self.cache.count_state(PageState::Delta);
-        if pinned as u64 >= trigger {
+        if self.pinned() >= self.config.clean_trigger_slots() {
             self.clean_some(t)?;
         }
         Ok(())
@@ -1433,13 +1453,8 @@ impl KddEngine {
     /// stopping just under the trigger so recently-written hot pages keep
     /// their delta path (mirrors the accounting policy).
     fn clean_some(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        let low = self.config.clean_trigger_slots() * 7 / 8;
-        loop {
-            let pinned = (self.cache.count_state(PageState::Old)
-                + self.cache.count_state(PageState::Delta)) as u64;
-            if pinned <= low {
-                break;
-            }
+        let low = self.config.clean_low_water_slots();
+        while self.pinned() > low {
             let Some(row) = self.pending_rows.oldest_row() else { break };
             self.clean_row(row, t)?;
         }
@@ -1470,57 +1485,32 @@ impl KddEngine {
         total == self.dez_live_total
     }
 
-    /// The victim scan and fit test `compact_dez` skips while its bound
-    /// rules a merge out — what the debug assertion there holds the bound
-    /// to.
-    fn scan_finds_a_merge(&self) -> bool {
-        let pages = self.dez.values().map(|info| (info.live, info.lbas.len()));
-        two_smallest_by_key(pages, |&(b, _)| b).is_some_and(
-            |TwoSmallest { pair: ((db, dn), (sb, sn)), .. }| {
-                2 + (dn + sn) * 12 + db as usize + sb as usize <= self.page_size()
-            },
-        )
-    }
-
     /// Log-structured DEZ compaction (pressure-driven, as in the
-    /// accounting policy): merge the two emptiest pages — read both,
-    /// repack their live deltas into the destination slot, free the
-    /// source — while utilisation is under 85 % and a merge fits.
+    /// accounting policy): while [`plan_merge`] finds the two emptiest
+    /// pages to fit in one, read both, repack their live deltas into the
+    /// destination slot and free the source.
     fn compact_dez(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        let ps = self.page_size();
         loop {
-            if self.dez.len() < 4 {
-                return Ok(());
-            }
             debug_assert!(self.dez_live_consistent(), "DEZ live-byte counters drifted");
-            if self.dez_live_total * 100 >= self.dez.len() as u64 * ps as u64 * 85 {
-                return Ok(());
-            }
-            // The bound knows payload bytes only; a merged page also holds
-            // its header and a directory record per delta, at least one a
-            // page — so the skip is sound, and conservative.
-            if self.dez_bound.rules_out_merge(2 + 2 * 12, ps as u32) {
-                debug_assert!(!self.scan_finds_a_merge(), "bound skipped a scan that merges");
-                return Ok(());
-            }
-            let pages = self.dez.iter().map(|(&s, info)| (s, info.live, info.lbas.len()));
-            let Some(TwoSmallest { pair: ((dst, db, dn), (src, sb, sn)), rest }) =
-                two_smallest_by_key(pages, |&(_, b, _)| b)
-            else {
+            // A merged page holds its header and a directory record per
+            // delta on top of the payloads.
+            let Some(Merge { dst, src, live, deltas, rest }) = plan_merge(
+                self.dez.len() as u64,
+                self.dez_live_total,
+                self.config.geometry.page_size,
+                (2, 12),
+                &mut self.dez_bound,
+                self.dez.iter().map(|(&slot, info)| (slot, info.live, info.lbas.len())),
+            ) else {
                 return Ok(());
             };
-            // Fit check: both payloads plus the merged directory.
-            if 2 + (dn + sn) * 12 + db as usize + sb as usize > ps {
-                self.dez_bound.scanned(db, sb);
-                return Ok(());
-            }
             // Repack the live deltas of both pages into the destination
             // slot, each copied once from the page it lies in. Nothing
             // volatile moves until the merged page is on flash, so a failed
             // write leaves `delta_loc` pointing at the two intact source
             // pages.
             let refs = std::mem::take(&mut self.scratch.refs);
-            let mut packer = DezPacker::new(self.pool.acquire(), dst, dn + sn, refs);
+            let mut packer = DezPacker::new(self.pool.acquire(), dst, deltas, refs);
             let mut lbas = std::mem::take(&mut self.scratch.lbas);
             for slot in [dst, src] {
                 lbas.clear();
@@ -1541,8 +1531,7 @@ impl KddEngine {
                 info.lbas.insert(lba);
                 info.live += u32::from(r.len);
             }
-            self.dez_live_total =
-                self.dez_live_total - u64::from(db) - u64::from(sb) + u64::from(info.live);
+            self.dez_live_total = self.dez_live_total - u64::from(live) + u64::from(info.live);
             self.dez_bound.merged(info.live, rest);
             self.dez.insert(dst, info);
             // Retire the source page.
@@ -1551,14 +1540,8 @@ impl KddEngine {
             self.cache.free_slot(src);
             // Re-log the moved mappings (offsets changed).
             for &(lba, r) in &moved {
-                let slot_of = self
-                    .cache
-                    .lookup(lba)
-                    .ok_or(EngineError::Inconsistent("old page must be cached"))?;
-                self.log_entry(
-                    MapEntry { lba_raid: lba, slot: slot_of, state: EntryState::Old, dez: Some(r) },
-                    t,
-                )?;
+                let entry = self.old_entry(lba, r)?;
+                self.log_entry(entry, t)?;
             }
             self.scratch.refs = moved;
         }
@@ -1570,12 +1553,7 @@ impl KddEngine {
     /// a first-class background span (`cleaner_pass`) with its own stage
     /// breakdown, isolated from any in-flight request's accumulator.
     pub fn clean(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        let saved = std::mem::take(&mut self.cur_stages);
-        let t0 = *t;
-        let result = self.clean_pass(t);
-        let used = std::mem::replace(&mut self.cur_stages, saved);
-        self.note_background(Stage::CleanerPass, t.saturating_sub(t0), used);
-        result
+        self.background(Stage::CleanerPass, t, Self::clean_pass)
     }
 
     fn clean_pass(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
@@ -1647,21 +1625,13 @@ impl KddEngine {
             self.stats.parity_updates += 1;
         }
         // Reclaim: free old pages, invalidate deltas (§III-D's "second
-        // scheme"). The tombstone is logged *before* anything is trimmed,
-        // so a crash mid-reclaim can only leak flash pages, never leave
-        // the log pointing at reclaimed ones.
+        // scheme").
         let mut pend = std::mem::take(&mut self.scratch.lbas);
         self.pending_rows.take_row_into(row, &mut pend);
         for &lba in &pend {
             if let Some(slot) = self.cache.lookup(lba) {
                 debug_assert_eq!(self.cache.state(slot), PageState::Old);
-                self.log_entry(
-                    MapEntry { lba_raid: lba, slot, state: EntryState::Free, dez: None },
-                    t,
-                )?;
-                self.invalidate_delta(lba)?;
-                self.ssd.trim_page(self.slot_lpn(slot))?;
-                self.cache.free_slot(slot);
+                self.reclaim(lba, slot, t)?;
             } else {
                 self.invalidate_delta(lba)?;
             }
@@ -1677,12 +1647,7 @@ impl KddEngine {
     pub fn flush(&mut self) -> Result<SimTime, EngineError> {
         let mut t = SimTime::ZERO;
         self.clean(&mut t)?;
-        let saved = std::mem::take(&mut self.cur_stages);
-        let t0 = t;
-        let result = self.flush_tail(&mut t);
-        let used = std::mem::replace(&mut self.cur_stages, saved);
-        self.note_background(Stage::GroupCommitFlush, t.saturating_sub(t0), used);
-        result?;
+        self.background(Stage::GroupCommitFlush, &mut t, Self::flush_tail)?;
         Ok(t)
     }
 
@@ -1716,14 +1681,12 @@ impl KddEngine {
         //    never confirmed durable; anything else is real corruption.
         let (head, tail) = self.metalog.counters();
         let inflight: FastMap<u64, CommitBatch<MapEntry>> =
-            // kdd-waiver(KDD006): crash-recovery replay, not a hot path.
             self.metalog.unconfirmed().iter().map(|b| (b.seq, b.clone())).collect();
         let mut torn_detected = 0u64;
         let mut heal: Vec<CommitBatch<MapEntry>> = Vec::new();
         let mut recovered: FastMap<u64, MapEntry> = FastMap::default();
         for seq in head..tail {
             let slot = seq % meta_pages;
-            // kdd-waiver(KDD006): crash-recovery replay, not a hot path.
             let mut page = vec![0u8; ps];
             let valid = match self.ssd.read_page(slot, &mut page) {
                 // A page too short for its header is as torn as a bad CRC.
@@ -1749,22 +1712,14 @@ impl KddEngine {
                     .ok_or_else(|| EngineError::Layout("corrupt metadata entry".into()))?
             } else if let Some(batch) = inflight.get(&seq) {
                 torn_detected += 1;
-                // kdd-waiver(KDD006): crash-recovery replay, not a hot path.
                 heal.push(batch.clone());
-                // kdd-waiver(KDD006): crash-recovery replay, not a hot path.
                 batch.entries.to_vec()
             } else {
                 return Err(EngineError::Layout(format!(
                     "metadata page {slot} (seq {seq}) torn or corrupt with no in-flight copy"
                 )));
             };
-            for e in entries {
-                if e.is_tombstone() {
-                    recovered.remove(&e.key());
-                } else {
-                    recovered.insert(e.key(), e);
-                }
-            }
+            replay(&mut recovered, entries);
         }
         // Redo the torn/lost pages from NVRAM so the flash log is whole
         // again before normal operation resumes.
@@ -1773,21 +1728,11 @@ impl KddEngine {
             self.persist_batches(heal, &mut t)?;
         }
         // 2. Apply the NVRAM metadata buffer (newer than anything logged).
-        for e in self.metalog.buffered_snapshot() {
-            if e.is_tombstone() {
-                recovered.remove(&e.key());
-            } else {
-                recovered.insert(e.key(), e);
-            }
-        }
+        replay(&mut recovered, self.metalog.buffered_snapshot());
 
         // 3. Rebuild the directory, DEZ accounting and pending rows.
         let layout = self.raid.layout();
-        let grouping = kdd_cache::setassoc::SetGrouping::ParityRow {
-            chunk_pages: layout.chunk_pages,
-            data_disks: layout.data_disks() as u64,
-        };
-        let mut cache = SetAssocCache::new_grouped(config.geometry, grouping);
+        let mut cache = Self::empty_cache(&config, &self.raid);
         let mut delta_loc: FastMap<u64, DeltaLoc> = FastMap::default();
         let mut dez: FastMap<u32, DezInfo> = FastMap::default();
         let mut dez_live_total = 0u64;
@@ -1845,34 +1790,17 @@ impl KddEngine {
             cache.occupy_delta_at(slot);
         }
 
-        let mut engine = KddEngine {
-            config,
-            ssd: self.ssd,
-            raid: self.raid,
-            cache,
-            nv: self.nv,
-            metalog: self.metalog,
-            delta_loc,
-            dez,
-            dez_live_total,
-            dez_bound: MergeBound::default(),
-            pending_rows,
-            stats: CacheStats { torn_pages_detected: torn_detected, ..CacheStats::default() },
-            meta_pages,
-            injector: self.injector,
-            mode: self.mode,
-            pool: PagePool::new(ps),
-            recorder: self.recorder,
-            last_class: HitClass::ReadMiss,
-            last_comp_milli: 0,
-            codec: codec::Compressor::new(),
-            payloads: PayloadPool::new(ps + 1),
-            scratch: Scratch::default(),
-            decode_scratch: Vec::new(),
-            meta_defer: false,
-            meta_pending: Vec::new(),
-            cur_stages: StageTimes::new(),
-        };
+        // Around the devices, NVRAM and log that survived and the directory
+        // just recovered; only what recovery computed differs from new.
+        let mut engine = Self::assemble(config, self.ssd, self.raid, cache, self.nv, self.metalog);
+        engine.delta_loc = delta_loc;
+        engine.dez = dez;
+        engine.dez_live_total = dez_live_total;
+        engine.pending_rows = pending_rows;
+        engine.stats.torn_pages_detected = torn_detected;
+        engine.injector = self.injector;
+        engine.mode = self.mode;
+        engine.recorder = self.recorder;
         engine.resync_interrupted_rows()?;
         Ok(engine)
     }
@@ -1924,12 +1852,8 @@ impl KddEngine {
     /// dispatched to RAID), and a fresh SSD comes up empty. No data loss:
     /// RPO 0.
     pub fn recover_from_ssd_failure(&mut self) -> Result<SimTime, EngineError> {
-        let saved = std::mem::take(&mut self.cur_stages);
         let mut t = SimTime::ZERO;
-        let result = self.rebuild_after_ssd_loss(&mut t);
-        let used = std::mem::replace(&mut self.cur_stages, saved);
-        self.note_background(Stage::RaidReconstruct, t, used);
-        result?;
+        self.background(Stage::RaidReconstruct, &mut t, Self::rebuild_after_ssd_loss)?;
         Ok(t)
     }
 
@@ -1939,14 +1863,9 @@ impl KddEngine {
         self.charge_raid(&cost);
         self.charge_stage(Stage::RaidReconstruct, DISK_OP * cost.ops.len() as u64, t);
         self.ssd.replace();
-        let grouping = kdd_cache::setassoc::SetGrouping::ParityRow {
-            chunk_pages: self.raid.layout().chunk_pages,
-            data_disks: self.raid.layout().data_disks() as u64,
-        };
-        self.cache = SetAssocCache::new_grouped(self.config.geometry, grouping);
+        self.cache = Self::empty_cache(&self.config, &self.raid);
         self.nv.get_mut().staging.drain();
-        self.metalog = MetaLog::new(self.meta_pages, (self.page_size() - META_HDR) / ENTRY_BYTES);
-        self.metalog.enable_inflight_tracking();
+        self.metalog = Self::empty_metalog(&self.config);
         // Any pages parked by an in-flight batch belonged to the lost
         // cache's log; the fresh SSD starts from an empty mapping.
         self.meta_pending.clear();
@@ -1965,12 +1884,7 @@ impl KddEngine {
         let mut t = SimTime::ZERO;
         self.raid.fail_disk(disk);
         self.clean(&mut t)?;
-        let saved = std::mem::take(&mut self.cur_stages);
-        let t0 = t;
-        let result = self.rebuild_failed_disk(&mut t);
-        let used = std::mem::replace(&mut self.cur_stages, saved);
-        self.note_background(Stage::RaidReconstruct, t.saturating_sub(t0), used);
-        result?;
+        self.background(Stage::RaidReconstruct, &mut t, Self::rebuild_failed_disk)?;
         Ok(t)
     }
 
@@ -1986,6 +1900,7 @@ impl KddEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{two_smallest_by_key, TwoSmallest};
     use kdd_cache::setassoc::CacheGeometry;
     use kdd_raid::layout::{Layout, RaidLevel};
     use kdd_util::rng::seeded_rng;
@@ -2575,6 +2490,27 @@ mod tests {
             KddEngine::new(KddConfig::new(g), ssd, raid),
             Err(EngineError::Layout(_))
         ));
+    }
+
+    /// A directory needs at least one whole set, and every slot it has
+    /// must exist on the SSD; a last partial set is simply not used.
+    #[test]
+    fn impossible_geometry_rejected() {
+        let build = |total_pages: u64, ways: u32, ssd_pages: u64| {
+            let raid = RaidArray::new(Layout::new(RaidLevel::Raid5, 5, 4, 4 * 8), PS);
+            let ssd = SsdDevice::with_logical_capacity(ssd_pages * PS as u64, PS, 0.1);
+            let g = CacheGeometry { total_pages, ways, page_size: PS };
+            KddEngine::new(KddConfig::new(g), ssd, raid)
+        };
+        assert!(matches!(build(64, 0, 128), Err(EngineError::Layout(_))), "no ways");
+        assert!(matches!(build(16, 64, 128), Err(EngineError::Layout(_))), "ways > pages");
+        for (total_pages, ways) in [(100, 8), (200, 50), (64, 64)] {
+            let e = build(total_pages, ways, 256).expect("a partial last set is fine");
+            assert!(e.cache.slots() as u64 <= total_pages);
+        }
+        // The capacity check counts the 57 × 64 slots the directory has.
+        let e = build(3700, 64, 1).expect("3648 slots and the log fit the smallest SSD");
+        assert!(e.ssd().capacity_pages() < e.meta_pages + 3700, "total_pages alone must not");
     }
 
     #[test]

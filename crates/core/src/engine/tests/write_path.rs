@@ -1,5 +1,6 @@
-//! Write-path contracts: a wrong-sized payload is an error, and the buffer
-//! a delta is compressed into always finds its way back to the free list.
+//! Write-path contracts: a wrong-sized payload or an address past the array
+//! is an error, and the buffer a delta is compressed into always finds its
+//! way back to the free list.
 
 use super::*;
 
@@ -184,8 +185,9 @@ fn recovered_payloads_are_dropped_not_recycled() {
 }
 
 /// Aim 3: bad input never panics the I/O path. A payload that is not one
-/// page is refused before any counter, staged delta or log entry moves, in
-/// both modes and anywhere in a batch.
+/// page, or a request for a page past the array, is refused before any
+/// counter, staged delta or log entry moves, in both modes and anywhere in
+/// a batch.
 #[test]
 fn wrong_sized_payload_is_an_error_and_moves_nothing() {
     let mut e = engine(64);
@@ -209,6 +211,12 @@ fn wrong_sized_payload_is_an_error_and_moves_nothing() {
         }
         assert_eq!(snapshot(&e), before, "{} bytes", bad.len());
     }
+    let cap = e.raid().capacity_pages();
+    for lba in [cap, cap + 7, u64::MAX] {
+        assert!(matches!(e.write(lba, &p0), Err(EngineError::Layout(_))), "write {lba}");
+        assert!(matches!(e.read(lba), Err(EngineError::Layout(_))), "read {lba}");
+        assert_eq!(snapshot(&e), before, "page {lba}");
+    }
     // Mid-batch: the prefix is served and flushed, the rest not attempted.
     let p1 = page(2);
     let batch = [
@@ -220,6 +228,15 @@ fn wrong_sized_payload_is_an_error_and_moves_nothing() {
     assert_eq!(e.stats().write_misses, before.0.write_misses + 1);
     assert!(e.cache.lookup(20).is_some() && e.cache.lookup(22).is_none());
     assert!(!e.meta_defer && e.meta_pending.is_empty(), "the group flush must still run");
+    let batch = [
+        WriteRequest { lba: 30, data: &p1 },
+        WriteRequest { lba: cap, data: &p1 },
+        WriteRequest { lba: 31, data: &p1 },
+    ];
+    assert!(matches!(e.write_batch(&batch), Err(EngineError::Layout(_))));
+    assert_eq!(e.stats().write_misses, before.0.write_misses + 2);
+    assert!(e.cache.lookup(30).is_some() && e.cache.lookup(31).is_none());
+    assert!(!e.meta_defer && e.meta_pending.is_empty(), "the group flush must still run");
     // A valid write goes through afterwards, in pass-through mode too.
     let p2 = similar_page(&p0, 2);
     e.write(10, &p2).unwrap();
@@ -227,6 +244,8 @@ fn wrong_sized_payload_is_an_error_and_moves_nothing() {
     e.mode = EngineMode::PassThrough;
     let before = snapshot(&e);
     assert!(matches!(e.write(10, &long), Err(EngineError::Layout(_))));
+    assert!(matches!(e.write(cap, &p0), Err(EngineError::Layout(_))));
+    assert!(matches!(e.read(cap), Err(EngineError::Layout(_))));
     assert_eq!(snapshot(&e), before);
     e.write(10, &p0).unwrap();
     assert_eq!(e.read(10).unwrap().0, p0);

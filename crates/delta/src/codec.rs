@@ -527,7 +527,7 @@ impl Compressor {
     pub fn new() -> Self {
         Compressor {
             narrow: MatchFinder {
-                // kdd-waiver(KDD006): one-time scratch construction; every
+                // One-time scratch construction; every
                 // subsequent compress() reuses these buffers allocation-free
                 // (the fill value is irrelevant: each pass refills the table).
                 head: vec![u16::MAX; 1 << HASH_BITS],

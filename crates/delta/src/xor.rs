@@ -97,7 +97,6 @@ pub fn xor_pages_into(out: &mut [u8], old: &[u8], new: &[u8]) {
 /// # Panics
 /// Panics if lengths differ.
 pub fn xor_pages(old: &[u8], new: &[u8]) -> Vec<u8> {
-    // kdd-waiver(KDD006): allocating convenience wrapper; hot paths use `xor_pages_into`.
     let mut out = old.to_vec();
     xor_into(&mut out, new);
     out

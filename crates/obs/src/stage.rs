@@ -12,7 +12,7 @@
 //!
 //! Accumulation is integer-only (KDD007) and the accumulator is a flat
 //! `Copy` array, so instrumenting a hot path costs a bounds-checked add
-//! and no allocation (KDD006).
+//! and no allocation.
 
 use crate::json::Json;
 use kdd_util::SimTime;

@@ -280,7 +280,6 @@ impl RaidArray {
     /// itself as [`FaultDomain::Disk`]`(i)`.
     pub fn attach_injector(&mut self, injector: FaultInjector) {
         for (i, disk) in self.disks.iter_mut().enumerate() {
-            // kdd-waiver(KDD006): one-time attach; FaultInjector is an Arc handle, clone is a refcount bump.
             disk.attach_injector(injector.clone(), FaultDomain::Disk(i as u32));
         }
         self.injector = Some(injector);
@@ -290,7 +289,6 @@ impl RaidArray {
     /// subsequent operations take the degraded paths. Called at every public
     /// entry point; cheap when no injector is attached.
     fn absorb_faults(&mut self) {
-        // kdd-waiver(KDD006): FaultInjector is an Arc handle; clone is a refcount bump, not a page copy.
         let Some(inj) = self.injector.clone() else { return };
         for d in 0..self.disks.len() {
             if !self.disks[d].is_failed() && inj.is_dead(FaultDomain::Disk(d as u32)) {
@@ -740,7 +738,6 @@ impl RaidArray {
     pub fn resync(&mut self, rows: Option<&[u64]>) -> Result<RaidCost, RaidError> {
         self.check_failures()?;
         let targets: Vec<u64> = match rows {
-            // kdd-waiver(KDD006): row-id list copied once per resync call, not per page.
             Some(r) => r.to_vec(),
             None => self.stale_rows.iter().copied().collect(),
         };

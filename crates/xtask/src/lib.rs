@@ -38,7 +38,6 @@
 //! | `KDD003` | `determinism` | wall-clock time, `thread_rng`, and default-hasher `HashMap`/`HashSet` outside `bench`/`cli` |
 //! | `KDD004` | `stale-parity` | `write_no_parity_update` call sites in modules that never repair or register stale parity |
 //! | `KDD005` | `indexing-slicing` | unchecked slice indexing in the I/O-path crates without an audited `#![allow(clippy::indexing_slicing)]` header (pedantic, `--pedantic` only) |
-//! | `KDD006` | `hot-alloc` | per-op allocations (`vec![0u8; …]`, `.to_vec()`, `.clone()`) in the hot-path files — use the `PagePool` |
 //! | `KDD007` | `obs-determinism` | wall-clock time and float accumulation in `crates/obs` or any file that registers metrics |
 //! | `KDD008` | `concurrency-readiness` | `Rc<…>`, `RefCell`, `Cell<…>`, `static mut`, `thread_local!`, and raw `*mut` state in the crates the sharded engine will run N-way |
 //! | `KDD009` | `error-discard` | `let _ = …;` and `….ok();` applied to `Result`-returning I/O-path calls (resolved through the call graph) |
@@ -54,10 +53,10 @@
 //! ```
 //!
 //! An equivalent shorthand names the rule by ID with the reason after a
-//! colon (the conventional spelling for `KDD006`):
+//! colon:
 //!
 //! ```text
-//! // kdd-waiver(KDD006): page is returned to the caller by value
+//! // kdd-waiver(KDD001): simulation model, not an I/O path
 //! ```
 //!
 //! A file-scope waiver covers every violation of one rule in the file:
@@ -139,37 +138,6 @@ const PANIC_TOKENS: &[&str] =
 const NONDETERMINISM_TOKENS: &[&str] =
     &["Instant::now", "SystemTime", "std::time::", "thread_rng", "rand::random"];
 
-/// Files whose per-op code paths are hot enough that page-sized allocations
-/// are a measured throughput cost (rule `KDD006`): these must recycle
-/// buffers through `kdd_util::PagePool` or carry a written waiver.
-pub const HOT_ALLOC_FILES: &[&str] = &[
-    "crates/core/src/engine.rs",
-    "crates/raid/src/array.rs",
-    "crates/cache/src/setassoc.rs",
-    "crates/delta/src/xor.rs",
-    "crates/delta/src/codec.rs",
-    "crates/blockdev/src/store.rs",
-    "crates/sim/src/des.rs",
-    "crates/core/src/metalog.rs",
-];
-
-/// Allocation tokens rule `KDD006` flags in hot-path files. Besides the
-/// classic page-buffer shapes, the codec's scratch tables (`u16`/`u32`/
-/// `u64` word vectors, sentinel-filled index tables) count: a hash-chain
-/// match finder that rebuilt its tables per call would dominate the
-/// compress cost, so scratch must live in a reused `Compressor`.
-const HOT_ALLOC_TOKENS: &[&str] = &[
-    "vec![0u8;",
-    "vec![0u16;",
-    "vec![0u32;",
-    "vec![0u64;",
-    "vec![u16::MAX;",
-    "vec![u32::MAX;",
-    "vec![usize::MAX;",
-    ".to_vec()",
-    ".clone()",
-];
-
 /// Metric-registration calls: a file containing one of these feeds the
 /// observability registry and falls under rule `KDD007` wherever it lives.
 const OBS_REGISTER_TOKENS: &[&str] = &[".register_counter(", ".register_gauge(", ".register_hist"];
@@ -227,8 +195,6 @@ pub enum Rule {
     StaleParity,
     /// `KDD005` — unchecked slice indexing (pedantic).
     IndexingSlicing,
-    /// `KDD006` — per-op allocation on a hot-path file.
-    HotAlloc,
     /// `KDD007` — nondeterministic construct in observability code.
     ObsDeterminism,
     /// `KDD008` — `Send`-hostile state in a shard-ready crate.
@@ -249,7 +215,6 @@ const ALL_RULES: &[Rule] = &[
     Rule::Determinism,
     Rule::StaleParity,
     Rule::IndexingSlicing,
-    Rule::HotAlloc,
     Rule::ObsDeterminism,
     Rule::ConcurrencyReadiness,
     Rule::ErrorDiscard,
@@ -267,7 +232,6 @@ impl Rule {
             Rule::Determinism => "KDD003",
             Rule::StaleParity => "KDD004",
             Rule::IndexingSlicing => "KDD005",
-            Rule::HotAlloc => "KDD006",
             Rule::ObsDeterminism => "KDD007",
             Rule::ConcurrencyReadiness => "KDD008",
             Rule::ErrorDiscard => "KDD009",
@@ -285,7 +249,6 @@ impl Rule {
             Rule::Determinism => "determinism",
             Rule::StaleParity => "stale-parity",
             Rule::IndexingSlicing => "indexing-slicing",
-            Rule::HotAlloc => "hot-alloc",
             Rule::ObsDeterminism => "obs-determinism",
             Rule::ConcurrencyReadiness => "concurrency-readiness",
             Rule::ErrorDiscard => "error-discard",
@@ -524,7 +487,7 @@ fn parse_waivers(raw: &str) -> Vec<Waiver> {
         out.push(Waiver { rule: None, reason: None, file_scope: false, rule_text: String::new() });
         rest = after;
     }
-    // Shorthand form: `kdd-waiver(KDD006): reason`.
+    // Shorthand form: `kdd-waiver(KDD001): reason`.
     let mut rest = raw;
     while let Some(pos) = rest.find("kdd-waiver(") {
         let args = &rest[pos + "kdd-waiver(".len()..];
@@ -751,7 +714,6 @@ fn run_line_rules(fl: &FileLint<'_>, opts: Options, report: &mut Report) {
     let panic_free = PANIC_FREE_CRATES.contains(&crate_name);
     let layering_restricted = LAYERING_RESTRICTED_CRATES.contains(&crate_name);
     let determinism_checked = !NONDETERMINISM_ALLOWED_CRATES.contains(&crate_name);
-    let hot_alloc_checked = HOT_ALLOC_FILES.iter().any(|f| fa.rel.ends_with(f));
     // KDD007 governs the obs crate itself plus any file that registers
     // metrics, wherever it lives — even in crates otherwise allowed to
     // read ambient state (`bench`, `cli`).
@@ -806,22 +768,6 @@ fn run_line_rules(fl: &FileLint<'_>, opts: Options, report: &mut Report) {
                              (go through `KddEngine`/`KddPolicy`)",
                             tok.trim_matches(|c| c == '.' || c == '('),
                             crate_name
-                        ),
-                    );
-                }
-            }
-        }
-        if hot_alloc_checked {
-            for tok in HOT_ALLOC_TOKENS {
-                if code.contains(tok) {
-                    fl.emit(
-                        report,
-                        Rule::HotAlloc,
-                        i,
-                        format!(
-                            "`{tok}` allocates per operation on a hot-path file: \
-                             recycle a buffer through `kdd_util::PagePool` or waive \
-                             with `// kdd-waiver(KDD006): <why this alloc is sound>`"
                         ),
                     );
                 }

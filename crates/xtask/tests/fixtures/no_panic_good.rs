@@ -35,3 +35,8 @@ pub fn waived(b: &[u8]) -> u64 {
     // kdd-lint: allow(no-panic) -- caller checked b.len() >= 8 one frame up
     u64::from_le_bytes(b[..8].try_into().unwrap())
 }
+
+pub fn waived_by_id(b: &[u8]) -> u64 {
+    // kdd-waiver(KDD001): the shorthand form; same check one frame up
+    u64::from_le_bytes(b[..8].try_into().unwrap())
+}

@@ -53,11 +53,14 @@ fn no_panic_good_is_clean_and_honours_waiver() {
     let src = fixture("no_panic_good.rs");
     let report = lint_source("core", "no_panic_good.rs", &src, Options::default());
     assert_eq!(report.violations, vec![], "good fixture must be clean");
-    assert_eq!(report.waivers.len(), 1, "one waiver honoured");
+    assert_eq!(report.waivers.len(), 2, "both spellings honoured");
     let w = &report.waivers[0];
     assert_eq!(w.rule, Rule::NoPanic);
     assert_eq!(w.line, 36);
     assert!(w.reason.contains("caller checked"));
+    let w = &report.waivers[1];
+    assert_eq!((w.rule, w.line), (Rule::NoPanic, 41));
+    assert!(w.reason.contains("the shorthand form"));
 }
 
 #[test]
@@ -164,89 +167,6 @@ fn indexing_pedantic_only() {
 fn indexing_good_is_clean_under_pedantic() {
     let got = findings("raid", "indexing_good.rs", Options { pedantic: true });
     assert_eq!(got, vec![]);
-}
-
-#[test]
-fn hot_alloc_bad_pins_every_site() {
-    // The hot-path filter keys on the rel_path, not the crate, so lint the
-    // fixture as if it were one of the seven hot files.
-    let src = fixture("hot_alloc_bad.rs");
-    let report = lint_source("core", "crates/core/src/engine.rs", &src, Options::default());
-    let mut got: Vec<(Rule, usize)> = report.violations.iter().map(|f| (f.rule, f.line)).collect();
-    got.sort_by_key(|(r, l)| (*l, *r));
-    assert_eq!(
-        got,
-        vec![
-            (Rule::HotAlloc, 5),  // vec![0u8; ...]
-            (Rule::HotAlloc, 7),  // .to_vec()
-            (Rule::HotAlloc, 8),  // .clone()
-            (Rule::HotAlloc, 16), // vec![0u64; ...] (match-finder head table)
-            (Rule::HotAlloc, 17), // vec![u32::MAX; ...] (chain table)
-            (Rule::HotAlloc, 18), // vec![0u16; ...]
-            (Rule::HotAlloc, 19), // vec![0u32; ...]
-            (Rule::HotAlloc, 20), // vec![u16::MAX; ...] (u16 index table)
-        ]
-    );
-    let first = report.violations.first().expect("has violations");
-    assert_eq!(first.rule.code(), "KDD006");
-    assert_eq!(first.rule.name(), "hot-alloc");
-}
-
-#[test]
-fn hot_alloc_only_guards_hot_files() {
-    let src = fixture("hot_alloc_bad.rs");
-    for rel in ["crates/core/src/staging.rs", "hot_alloc_bad.rs"] {
-        let report = lint_source("core", rel, &src, Options::default());
-        assert_eq!(report.violations, vec![], "{rel} is not a hot-path file");
-    }
-}
-
-#[test]
-fn hot_alloc_good_is_clean_and_honours_shorthand_waiver() {
-    let src = fixture("hot_alloc_good.rs");
-    let report = lint_source("core", "crates/raid/src/array.rs", &src, Options::default());
-    assert_eq!(report.violations, vec![], "pooled + waived fixture must be clean");
-    assert_eq!(report.waivers.len(), 2, "both shorthand waivers honoured");
-    let w = &report.waivers[0];
-    assert_eq!(w.rule, Rule::HotAlloc);
-    assert_eq!(w.line, 13);
-    assert!(w.reason.contains("returned to the caller"));
-    let w = &report.waivers[1];
-    assert_eq!(w.rule, Rule::HotAlloc);
-    assert_eq!(w.line, 26);
-    assert!(w.reason.contains("one-time scratch construction"));
-}
-
-#[test]
-fn des_phases_fixture_pair_guards_the_replayer() {
-    // The discrete-event replayer joined the hot files with PR 18: the
-    // bad fixture is its old per-request `targets.clone()` phase list, the
-    // good one the inline-array shape that replaced it.
-    let lint =
-        |name| lint_source("sim", "crates/sim/src/des.rs", &fixture(name), Options::default());
-    let bad = lint("des_phases_bad.rs");
-    let got: Vec<(Rule, usize)> = bad.violations.iter().map(|f| (f.rule, f.line)).collect();
-    assert_eq!(got, vec![(Rule::HotAlloc, 14)], "the phase list's `targets.clone()`");
-    let good = lint("des_phases_good.rs");
-    assert_eq!(good.violations, vec![], "inline targets allocate nothing");
-    assert_eq!(good.waivers, vec![], "and need no waiver");
-}
-
-#[test]
-fn metalog_push_fixture_pair_guards_the_log() {
-    // The metadata log joined the hot files with PR 19: a push must not
-    // copy its entry (the index holds positions), and the copy a page cut
-    // makes is the one waived allocation.
-    let lint = |name| {
-        lint_source("core", "crates/core/src/metalog.rs", &fixture(name), Options::default())
-    };
-    let bad = lint("metalog_push_bad.rs");
-    let got: Vec<(Rule, usize)> = bad.violations.iter().map(|f| (f.rule, f.line)).collect();
-    assert_eq!(got, vec![(Rule::HotAlloc, 15)], "the per-push `entry.clone()`");
-    let good = lint("metalog_push_good.rs");
-    assert_eq!(good.violations, vec![], "a position-keyed push allocates nothing");
-    let waived: Vec<(Rule, usize)> = good.waivers.iter().map(|w| (w.rule, w.line)).collect();
-    assert_eq!(waived, vec![(Rule::HotAlloc, 27)], "the per-cut page copy");
 }
 
 #[test]
@@ -545,7 +465,6 @@ fn rule_codes_are_stable() {
         (Rule::Determinism, "KDD003", "determinism"),
         (Rule::StaleParity, "KDD004", "stale-parity"),
         (Rule::IndexingSlicing, "KDD005", "indexing-slicing"),
-        (Rule::HotAlloc, "KDD006", "hot-alloc"),
         (Rule::ObsDeterminism, "KDD007", "obs-determinism"),
         (Rule::ConcurrencyReadiness, "KDD008", "concurrency-readiness"),
         (Rule::ErrorDiscard, "KDD009", "error-discard"),
