@@ -73,18 +73,29 @@ impl Opts {
                 "--format" => o.format = Some(take("format")?),
                 "--policy" => o.policy = Some(take("policy")?),
                 "--scale" => {
-                    o.scale = take("scale")?.parse().map_err(|e| format!("bad --scale: {e}"))?
+                    o.scale = take("scale")?.parse().map_err(|e| format!("bad --scale: {e}"))?;
+                    if o.scale == 0 {
+                        return Err("--scale must be at least 1".into());
+                    }
                 }
                 "--seed" => {
                     o.seed = take("seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?
                 }
                 "--cache-frac" => {
-                    o.cache_frac =
-                        take("cache-frac")?.parse().map_err(|e| format!("bad --cache-frac: {e}"))?
+                    o.cache_frac = take("cache-frac")?
+                        .parse()
+                        .map_err(|e| format!("bad --cache-frac: {e}"))?;
+                    // Written so that NaN fails it too.
+                    if !(o.cache_frac > 0.0 && o.cache_frac <= 1.0) {
+                        return Err("--cache-frac must be in (0, 1]".into());
+                    }
                 }
                 "--read-rate" => {
                     o.read_rate =
-                        take("read-rate")?.parse().map_err(|e| format!("bad --read-rate: {e}"))?
+                        take("read-rate")?.parse().map_err(|e| format!("bad --read-rate: {e}"))?;
+                    if !(0.0..=1.0).contains(&o.read_rate) {
+                        return Err("--read-rate must be in [0, 1]".into());
+                    }
                 }
                 "--json" => o.json = true,
                 "--ring-capacity" => {
@@ -755,6 +766,25 @@ mod tests {
         assert!(Opts::parse(&s(&["--bogus", "1"])).is_err());
         assert!(Opts::parse(&s(&["--scale"])).is_err());
         assert!(Opts::parse(&s(&["--scale", "x"])).is_err());
+    }
+
+    /// Numbers the library calls below would otherwise `assert!` on
+    /// (`--scale 0`, `--read-rate 2`) or silently clamp (`--cache-frac 0`).
+    #[test]
+    fn out_of_range_numbers_are_usage_errors() {
+        for (flag, bad, good) in [
+            ("--scale", &["0", "-1"][..], &["1", "4096"][..]),
+            ("--read-rate", &["2", "-0.1", "nan", "inf"], &["0", "0.25", "1"]),
+            ("--cache-frac", &["0", "-1", "1.5", "nan", "inf"], &["0.01", "1"]),
+        ] {
+            for value in bad {
+                let err = Opts::parse(&s(&[flag, value])).unwrap_err();
+                assert!(err.contains(flag), "{flag} {value}: {err}");
+            }
+            for value in good {
+                assert!(Opts::parse(&s(&[flag, value])).is_ok(), "{flag} {value}");
+            }
+        }
     }
 
     #[test]

@@ -56,20 +56,20 @@ fn usage() {
 
 commands:
   gen-trace   generate a synthetic paper trace and write it to disk
-              --workload fin1|fin2|hm0|web0  --scale N
+              --workload fin1|fin2|hm0|web0  --scale N (at least 1)
               --format spc|msr  --out FILE
   stats       Table-I statistics of a trace file
               --format spc|msr  <FILE>  [--json]
   sim         trace-driven cache simulation (hit ratio, SSD traffic)
               --workload ...|--in FILE --format ...  --scale N
               --policy nossd|wt|wa|wb|leavo|kdd-50|kdd-25|kdd-12|all
-              --cache-frac F (of unique pages; default 0.15)
+              --cache-frac F in (0, 1] (of unique pages; default 0.15)
   replay      open-loop latency replay (Figure 9 style)
               same selectors as sim
               --obs FILE write a kdd-obs snapshot (single --policy only;
               --ring-capacity N --sample-interval-ms N tune the recorder)
   fio         closed-loop Zipf load (Figures 10/11 style)
-              --read-rate F  --scale N  --policy ...
+              --read-rate F in [0, 1]  --scale N  --policy ...
               --obs FILE as in replay
   faults      fault-injection drill on the full engine (RPO-0 check)
               --plan \"ssd@120:transient,disk1@50:drop,any@900:power\"

@@ -53,21 +53,18 @@ impl PageMutator {
     }
 
     /// Produce an initial page: textual-record-like content (mixed entropy,
-    /// resembles OLTP rows more than pure random bytes).
+    /// resembles OLTP rows more than pure random bytes). Records are
+    /// `rec{id:08x}|bal={bal:012};`, the last one cut at the page end.
     pub fn initial_page(&mut self) -> Vec<u8> {
-        let mut page = vec![0u8; self.page_size];
-        let mut off = 0;
+        let mut page = Vec::with_capacity(self.page_size);
+        let mut buf = [0u8; RECORD_MAX];
         let mut row = 0u64;
-        while off < self.page_size {
-            let field = format!(
-                "rec{:08x}|bal={:012};",
-                row ^ self.rng.random::<u32>() as u64,
-                self.rng.random_range(0u64..1_000_000_000)
-            );
-            let bytes = field.as_bytes();
-            let n = bytes.len().min(self.page_size - off);
-            page[off..off + n].copy_from_slice(&bytes[..n]);
-            off += n;
+        while page.len() < self.page_size {
+            let id = row ^ u64::from(self.rng.random::<u32>());
+            let bal = self.rng.random_range(0..BAL_END);
+            let record = write_record(&mut buf, id, bal);
+            let n = record.len().min(self.page_size - page.len());
+            page.extend_from_slice(&record[..n]);
             row += 1;
         }
         page
@@ -102,11 +99,52 @@ impl PageMutator {
     }
 }
 
+/// A record's balance is drawn below this; the twelve digits of `{:012}`
+/// hold it without widening.
+const BAL_END: u64 = 1_000_000_000;
+const _: () = assert!(BAL_END <= 1_000_000_000_000);
+
+/// Longest record: `rec`, sixteen hex digits, `|bal=`, twelve decimal
+/// digits, `;`.
+const RECORD_MAX: usize = 3 + 16 + 5 + 12 + 1;
+
+/// Write `rec{id:08x}|bal={bal:012};` right-aligned into `buf` and return
+/// it. The balance and the id's low eight digits sit at fixed offsets; an
+/// id above 32 bits grows to the left, a digit per nibble, as `{:08x}` does.
+fn write_record(buf: &mut [u8; RECORD_MAX], id: u64, bal: u64) -> &[u8] {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    const ID_END: usize = 3 + 16;
+    let mut start = ID_END - 8;
+    for (nibble, d) in buf[start..ID_END].iter_mut().rev().enumerate() {
+        *d = HEX[(id >> (4 * nibble)) as usize & 15];
+    }
+    let mut high = id >> 32;
+    while high != 0 {
+        start -= 1;
+        buf[start] = HEX[high as usize & 15];
+        high >>= 4;
+    }
+    start -= 3;
+    buf[start..start + 3].copy_from_slice(b"rec");
+    buf[ID_END..ID_END + 5].copy_from_slice(b"|bal=");
+    let mut rest = bal;
+    for pair in buf[ID_END + 5..RECORD_MAX - 1].chunks_exact_mut(2).rev() {
+        let two = (rest % 100) as u8;
+        pair[0] = b'0' + two / 10;
+        pair[1] = b'0' + two % 10;
+        rest /= 100;
+    }
+    buf[RECORD_MAX - 1] = b';';
+    &buf[start..]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::compress;
     use crate::xor::xor_pages;
+    use kdd_util::hash::crc32_update;
+    use proptest::prelude::*;
 
     #[test]
     fn mutation_changes_about_requested_fraction() {
@@ -153,6 +191,93 @@ mod tests {
         let a2 = m2.initial_page();
         assert_eq!(a1, a2);
         assert_eq!(m1.mutate(&a1), m2.mutate(&a2));
+    }
+
+    /// One record as its format string defines it: with the loop below, the
+    /// specification `initial_page` is held to, not a frozen copy of old code.
+    fn spec_record(id: u64, bal: u64) -> String {
+        format!("rec{id:08x}|bal={bal:012};")
+    }
+
+    /// What `initial_page` must produce, drawn from `spec`'s own generator.
+    fn model_initial_page(spec: &mut PageMutator) -> Vec<u8> {
+        let mut page = Vec::new();
+        let mut row = 0u64;
+        while page.len() < spec.page_size {
+            let id = row ^ u64::from(spec.rng.random::<u32>());
+            let bal = spec.rng.random_range(0u64..1_000_000_000);
+            page.extend_from_slice(spec_record(id, bal).as_bytes());
+            row += 1;
+        }
+        page.truncate(spec.page_size);
+        page
+    }
+
+    /// `row ^ id` passes 32 bits only on a page of 2^32 records, which no
+    /// caller of `initial_page` can build, so the widening of `{:08x}` is
+    /// checked on the record writer itself.
+    #[test]
+    fn record_widens_past_eight_hex_digits_as_the_format_string_does() {
+        let mut buf = [0u8; RECORD_MAX];
+        for id in [0, 1, 0xffff_ffff, 0x1_0000_0000, 0x1234_5678_9abc, u64::MAX] {
+            for bal in [0, 9, 10, 99, 100, 123_456_789, BAL_END - 1] {
+                assert_eq!(write_record(&mut buf, id, bal), spec_record(id, bal).as_bytes());
+            }
+        }
+    }
+
+    /// Several first-write pages from one mutator, a `mutate` after each so
+    /// the generator state is compared too.
+    fn assert_matches_model(page_size: usize, seed: u64) {
+        let mut m = PageMutator::new(page_size, 0.15, 64, seed);
+        let mut spec = PageMutator::new(page_size, 0.15, 64, seed);
+        for n in 0..4 {
+            let page = m.initial_page();
+            let at = format!("size {page_size} seed {seed} page {n}");
+            assert_eq!(page, model_initial_page(&mut spec), "{at}");
+            assert_eq!(m.mutate(&page), spec.mutate(&page), "{at}");
+        }
+    }
+
+    #[test]
+    fn initial_page_matches_its_format_string() {
+        for page_size in [1, 7, 28, 29, 30, 512, 1000, 4096, 8192] {
+            for seed in 0..32 {
+                assert_matches_model(page_size, seed);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn initial_page_matches_its_format_string_at_any_size(
+            page_size in 1usize..20_000,
+            seed in any::<u64>(),
+        ) {
+            assert_matches_model(page_size, seed);
+        }
+    }
+
+    /// CRC-32 over a first-write page and three chained rewrites.
+    fn stream_digest(mut m: PageMutator) -> u32 {
+        let mut page = m.initial_page();
+        let mut state = crc32_update(!0, &page);
+        for _ in 0..3 {
+            page = m.mutate(&page);
+            state = crc32_update(state, &page);
+        }
+        !state
+    }
+
+    /// Every engine-backed artefact (`OBS_engine.json`, the replay digest,
+    /// the `benchmark/` counts) is downstream of these bytes; the literals
+    /// were computed from the `format!` body this file had before PR 24.
+    #[test]
+    fn content_stream_digests_are_pinned() {
+        // The benchmark and `replay_engine` shape, then the crash rigs'.
+        assert_eq!(stream_digest(PageMutator::new(4096, 0.15, 64, 42)), 0xf943_2410);
+        assert_eq!(stream_digest(PageMutator::new(512, 0.15, 16, 5)), 0xb795_29b1);
     }
 
     #[test]
