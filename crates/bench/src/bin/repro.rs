@@ -9,6 +9,10 @@
 //! Scale divides the Table I workload sizes (and the FIO volume);
 //! `--scale 1` is the paper's full workload.
 
+// The per-experiment wall time on stderr is host timing, so this binary
+// opts out of the `clippy.toml` wall-clock ban.
+#![allow(clippy::disallowed_methods)]
+
 use kdd_bench::{
     ablation_admission, ablation_desmodel, ablation_metalog, ablation_raid6, ablation_reclaim,
     ablation_setmap, ablation_zoning, fig10, fig11, fig4, fig5, fig6, fig7, fig8, fig9, print_rows,

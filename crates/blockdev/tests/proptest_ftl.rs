@@ -11,7 +11,7 @@ use kdd_blockdev::flash::{FlashGeometry, FlashTimings};
 use kdd_blockdev::ftl::Ftl;
 use kdd_blockdev::ssd::SsdDevice;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -47,7 +47,7 @@ proptest! {
     fn ftl_matches_model(script in proptest::collection::vec(ops(256), 1..400)) {
         let mut ftl = Ftl::new(small_geometry(), FlashTimings::mlc_default(), 0.25);
         let lpns = ftl.logical_pages();
-        let mut model: HashMap<u64, ()> = HashMap::new();
+        let mut model: BTreeMap<u64, ()> = BTreeMap::new();
         for op in &script {
             match op {
                 Op::Write(l) => {
@@ -86,7 +86,7 @@ proptest! {
         let mut ssd = SsdDevice::new(small_geometry(), FlashTimings::mlc_default(), 0.25);
         let lpns = ssd.capacity_pages().min(64);
         let ps = ssd.page_size() as usize;
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         let mut stamp = 0u8;
         for op in &script {
             match op {

@@ -8,7 +8,7 @@
 
 use kdd_cache::setassoc::{CacheGeometry, InsertOutcome, PageState, SetAssocCache, SetGrouping};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -140,7 +140,7 @@ proptest! {
         let g = CacheGeometry { total_pages: total, ways, page_size: 4096 };
         let mut cache = SetAssocCache::new_grouped(g, SetGrouping::Pages(1));
         // Model: lba -> state, plus per-set occupancy counts.
-        let mut model: HashMap<u64, PageState> = HashMap::new();
+        let mut model: BTreeMap<u64, PageState> = BTreeMap::new();
         let mut delta_slots: Vec<u32> = Vec::new();
 
         for op in &script {

@@ -373,6 +373,24 @@ impl KddEngine {
     /// metadata partition, the rest back the cache slots (Figure 2).
     pub fn new(config: KddConfig, ssd: SsdDevice, raid: RaidArray) -> Result<Self, EngineError> {
         let geometry = config.geometry;
+        // The ablation knobs are `KddPolicy`'s alone: the engine runs the
+        // paper's scheme, so a config asking for another is refused.
+        let paper = KddConfig::new(geometry);
+        let ablation = [
+            ("stripe_aligned_sets", config.stripe_aligned_sets != paper.stripe_aligned_sets),
+            ("nvram_batching", config.nvram_batching != paper.nvram_batching),
+            ("reclaim_as_clean", config.reclaim_as_clean != paper.reclaim_as_clean),
+            ("fixed_dez_fraction", config.fixed_dez_fraction != paper.fixed_dez_fraction),
+            ("lazy_admission", config.lazy_admission != paper.lazy_admission),
+        ]
+        .into_iter()
+        .find_map(|(field, moved)| moved.then_some(field));
+        if let Some(field) = ablation {
+            return Err(EngineError::Layout(format!(
+                "`KddConfig::{field}` is a `KddPolicy` ablation; `KddEngine` accepts only \
+                 its `KddConfig::new` value"
+            )));
+        }
         let ps = geometry.page_size as usize;
         if ps < META_HDR + ENTRY_BYTES {
             return Err(EngineError::Layout(format!(
@@ -2511,6 +2529,28 @@ mod tests {
         // The capacity check counts the 57 × 64 slots the directory has.
         let e = build(3700, 64, 1).expect("3648 slots and the log fit the smallest SSD");
         assert!(e.ssd().capacity_pages() < e.meta_pages + 3700, "total_pages alone must not");
+    }
+
+    /// The engine runs the paper's scheme only: each `KddPolicy` ablation
+    /// knob moved off its default is refused, by name, not ignored.
+    #[test]
+    fn policy_ablation_knobs_are_rejected_by_name() {
+        let paper = KddConfig::new(CacheGeometry { total_pages: 64, ways: 8, page_size: PS });
+        let knobs = [
+            ("stripe_aligned_sets", KddConfig { stripe_aligned_sets: false, ..paper }),
+            ("nvram_batching", KddConfig { nvram_batching: false, ..paper }),
+            ("reclaim_as_clean", KddConfig { reclaim_as_clean: true, ..paper }),
+            ("fixed_dez_fraction", KddConfig { fixed_dez_fraction: Some(0.10), ..paper }),
+            ("lazy_admission", KddConfig { lazy_admission: true, ..paper }),
+        ];
+        for (field, cfg) in knobs {
+            let raid = RaidArray::new(Layout::new(RaidLevel::Raid5, 5, 4, 4 * 8), PS);
+            let ssd = SsdDevice::with_logical_capacity(128 * PS as u64, PS, 0.1);
+            match KddEngine::new(cfg, ssd, raid) {
+                Err(EngineError::Layout(why)) => assert!(why.contains(field), "{field}: {why}"),
+                other => panic!("{field}: expected a layout error, got {:?}", other.err()),
+            }
+        }
     }
 
     #[test]

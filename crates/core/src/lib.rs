@@ -218,6 +218,15 @@ pub(crate) fn plan_merge(
     Some(Merge { dst, src, live: db + sb, deltas: dn + sn, rest })
 }
 
+// A sharded engine will run both implementations N-way, one per thread,
+// so their state must stay `Send`: an `Rc` (or anything else that is not)
+// anywhere inside fails the build here with E0277.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<KddEngine>();
+    assert_send::<KddPolicy>();
+};
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::indexing_slicing, clippy::cast_possible_truncation)]

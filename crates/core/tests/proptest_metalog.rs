@@ -1,5 +1,5 @@
 //! Model-based property tests: the circular metadata log against a plain
-//! `HashMap` reference, under arbitrary insert/tombstone interleavings
+//! `BTreeMap` reference, under arbitrary insert/tombstone interleavings
 //! and partition sizes.
 
 // Indexing here is audited: offsets come from length-checked parses or
@@ -8,7 +8,7 @@
 
 use kdd_core::metalog::{KeyEntry, LogEntry, MetaLog};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -40,7 +40,7 @@ proptest! {
         // (detected) livelock regime.
         let keys = ((partition * epp as u64) / 2).clamp(1, 24);
         let mut log = MetaLog::new(partition, epp);
-        let mut model: HashMap<u64, bool> = HashMap::new();
+        let mut model: BTreeMap<u64, bool> = BTreeMap::new();
         for op in &script {
             match op {
                 Op::Put(k) => {
@@ -104,7 +104,7 @@ proptest! {
         script in proptest::collection::vec(ops(12), 1..120),
     ) {
         let mut log = MetaLog::new(16, 4);
-        let mut model: HashMap<u64, bool> = HashMap::new(); // key -> tombstoned?
+        let mut model: BTreeMap<u64, bool> = BTreeMap::new(); // key -> tombstoned?
         for op in &script {
             match op {
                 Op::Put(k) => {
@@ -169,11 +169,11 @@ mod torn_tail {
 
     fn recover(
         log: &MetaLog<KeyEntry>,
-        flash: &HashMap<u64, (u64, Vec<KeyEntry>)>,
+        flash: &BTreeMap<u64, (u64, Vec<KeyEntry>)>,
         partition: u64,
     ) -> Result<Vec<u64>, String> {
         let (head, tail) = log.counters();
-        let mut state: HashMap<u64, bool> = HashMap::new();
+        let mut state: BTreeMap<u64, bool> = BTreeMap::new();
         for seq in head..tail {
             let slot = seq % partition;
             // A flash page is valid for this window position only if it
@@ -218,9 +218,9 @@ mod torn_tail {
             let keys = ((partition * epp as u64) / 2).clamp(1, 16);
             let mut log = MetaLog::new(partition, epp);
             log.enable_inflight_tracking();
-            let mut model: HashMap<u64, bool> = HashMap::new();
+            let mut model: BTreeMap<u64, bool> = BTreeMap::new();
             let mut produced: Vec<CommitBatch<KeyEntry>> = Vec::new();
-            let drive = |log: &mut MetaLog<KeyEntry>, op: &Op, model: &mut HashMap<u64, bool>| {
+            let drive = |log: &mut MetaLog<KeyEntry>, op: &Op, model: &mut BTreeMap<u64, bool>| {
                 match op {
                     Op::Put(k) => {
                         let k = k % keys;
@@ -245,7 +245,7 @@ mod torn_tail {
             // batches never get confirmed; if `tear` is set, the very last
             // of those never reaches flash at all (torn page).
             let confirm_upto = produced.len().saturating_sub(unconfirmed_tail);
-            let mut flash: HashMap<u64, (u64, Vec<KeyEntry>)> = HashMap::new();
+            let mut flash: BTreeMap<u64, (u64, Vec<KeyEntry>)> = BTreeMap::new();
             for (i, batch) in produced.iter().enumerate() {
                 let torn = tear == 1 && unconfirmed_tail > 0 && i == produced.len() - 1;
                 if !torn {

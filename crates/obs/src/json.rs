@@ -5,8 +5,7 @@
 //! here, the `kdd-perfbench/v1` trajectory file in `kdd-bench`) go
 //! through this module: objects, arrays, strings, f64 numbers and
 //! booleans — exactly the subset those schemas use. Objects render from a
-//! `BTreeMap`, so the same document always serialises to the same bytes
-//! (KDD003 determinism).
+//! `BTreeMap`, so the same document always serialises to the same bytes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -26,11 +26,12 @@
 //! defaults to a no-op sink: when disabled, each call is one branch on an
 //! `Option`, so instrumented hot paths keep their perf trajectory.
 //!
-//! Determinism rules (KDD003/KDD007): the recorder never reads a wall
-//! clock — all timestamps are simulated time supplied by the caller —
-//! and all accumulation is integer-only, with floats derived once at
-//! export via [`frac`]. Two seeded replays therefore produce
-//! byte-identical snapshots.
+//! Determinism rules: the recorder never reads a wall clock — all
+//! timestamps are simulated time supplied by the caller, and the root
+//! `clippy.toml` bans `Instant::now`/`SystemTime::now` — and all
+//! accumulation is integer-only, with floats derived once at export via
+//! [`frac`]. Two seeded replays therefore produce byte-identical
+//! snapshots, which the tier-1 `OBS_engine.json` pin checks.
 
 pub mod diff;
 pub mod json;
@@ -47,7 +48,7 @@ pub use recorder::{Recorder, RecorderConfig};
 pub use registry::{CounterId, GaugeId, HistId, Log2Hist, Registry};
 pub use ring::{BackgroundSpan, Completion, HitClass, ReqKind, SpanBody, SpanEvent, SpanRing};
 pub use snapshot::{validate_snapshot, CacheCounters, Sample};
-pub use stage::{Stage, StageGuard, StageTimes};
+pub use stage::{Stage, StageTimes};
 pub use trace::trace_events;
 
 /// Schema identifier stamped into every snapshot document.

@@ -8,14 +8,15 @@
 //! take down an I/O path.
 //!
 //! All time here is *simulated* time supplied by the instrumented
-//! component; the recorder never reads a clock itself (KDD003/KDD007).
+//! component; the recorder never reads a clock itself (`clippy.toml`
+//! bans wall-clock reads).
 
 use crate::frac;
 use crate::json::{obj, Json};
 use crate::registry::{CounterId, GaugeId, HistId, Log2Hist, Registry};
 use crate::ring::{BackgroundSpan, Completion, ReqKind, SpanBody, SpanEvent, SpanRing};
 use crate::snapshot::{CacheCounters, Sample};
-use crate::stage::{Stage, StageGuard, StageTimes};
+use crate::stage::{Stage, StageTimes};
 use kdd_util::SimTime;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -271,22 +272,6 @@ impl Recorder {
         core.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Stage guard: attribute every advance of `clock` inside the guarded
-    /// scope to `stage` in `times`. Pure accumulator arithmetic — cheap
-    /// whether or not the recorder is enabled, so instrumented components
-    /// can wrap hot paths unconditionally and hand the accumulated
-    /// [`StageTimes`] to [`Recorder::record`] (inside a
-    /// [`Completion`]) or [`Recorder::record_background`] when the
-    /// request completes.
-    pub fn stage<'a>(
-        &self,
-        stage: Stage,
-        clock: &'a mut SimTime,
-        times: &'a mut StageTimes,
-    ) -> StageGuard<'a> {
-        times.guard(stage, clock)
-    }
-
     /// Record a completion using the recorder's internal simulated clock:
     /// the request enters at the current clock and exits `service` later.
     /// Returns true when a periodic sample is due (call
@@ -472,18 +457,5 @@ mod tests {
         let counters = doc.get("totals").and_then(|t| t.get("counters")).expect("counters");
         assert_eq!(counters.get("obs.requests").and_then(Json::as_f64), Some(1.0));
         assert_eq!(counters.get("obs.background_spans").and_then(Json::as_f64), Some(1.0));
-    }
-
-    #[test]
-    fn recorder_stage_guard_accumulates_into_times() {
-        let r = Recorder::disabled();
-        let mut times = StageTimes::new();
-        let mut t = SimTime::ZERO;
-        {
-            let mut g = r.stage(Stage::MetalogCommit, &mut t, &mut times);
-            *g.clock() += SimTime::from_micros(8);
-        }
-        assert_eq!(times.get(Stage::MetalogCommit), 8_000);
-        assert_eq!(t, SimTime::from_micros(8));
     }
 }

@@ -4,11 +4,11 @@
 //! updated through copyable integer ids, so the hot path never hashes or
 //! allocates a `String`. Export walks the metric tables into a
 //! `BTreeMap`-backed [`Json`] object, which keeps the rendered bytes
-//! stable regardless of registration order (KDD003).
+//! stable regardless of registration order.
 //!
 //! All accumulation is integer-only; floating point appears only in
 //! derived ratios computed at export time (see [`crate::frac`]), so
-//! replays cannot diverge through float summation order (KDD007).
+//! replays cannot diverge through float summation order.
 
 use crate::json::Json;
 use std::collections::BTreeMap;

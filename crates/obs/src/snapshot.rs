@@ -3,9 +3,9 @@
 //! A [`Sample`] is an all-integer point-in-time reading of the stack —
 //! cache traffic, SSD endurance, stale-parity backlog, metadata-log
 //! occupancy — keyed on *simulated* time so seeded replays produce
-//! byte-identical timeseries (KDD003). Derived ratios (write
+//! byte-identical timeseries. Derived ratios (write
 //! amplification, hit ratio, occupancy) are computed only at export via
-//! [`crate::frac`], never accumulated in floating point (KDD007).
+//! [`crate::frac`], never accumulated in floating point.
 
 use crate::frac;
 use crate::json::{obj, Json};

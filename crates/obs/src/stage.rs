@@ -10,7 +10,7 @@
 //! exceeds its service time, because every stage charge is a discrete
 //! increment of the same simulated clock.
 //!
-//! Accumulation is integer-only (KDD007) and the accumulator is a flat
+//! Accumulation is integer-only and the accumulator is a flat
 //! `Copy` array, so instrumenting a hot path costs a bounds-checked add
 //! and no allocation.
 
@@ -188,45 +188,6 @@ impl StageTimes {
             .collect();
         Json::Obj(map)
     }
-
-    /// Guard that attributes every advance of `clock` inside its scope to
-    /// `stage` — see [`StageGuard`].
-    pub fn guard<'a>(&'a mut self, stage: Stage, clock: &'a mut SimTime) -> StageGuard<'a> {
-        let start = *clock;
-        StageGuard { stage, start, clock, times: self }
-    }
-}
-
-/// Scope guard charging simulated-time advances to one stage.
-///
-/// Created by [`StageTimes::guard`] (or [`crate::Recorder::stage`]): it
-/// snapshots the clock on entry, hands the clock back out through
-/// [`StageGuard::clock`], and on drop charges whatever the scope added
-/// to the clock to its stage. Purely arithmetic — cheap enough to wrap
-/// hot paths even when the recorder is disabled.
-#[derive(Debug)]
-pub struct StageGuard<'a> {
-    stage: Stage,
-    start: SimTime,
-    clock: &'a mut SimTime,
-    times: &'a mut StageTimes,
-}
-
-impl StageGuard<'_> {
-    /// The simulated clock being watched; advance it as usual inside the
-    /// guarded scope.
-    pub fn clock(&mut self) -> &mut SimTime {
-        self.clock
-    }
-}
-
-impl Drop for StageGuard<'_> {
-    fn drop(&mut self) {
-        let dt = self.clock.saturating_sub(self.start);
-        if dt > SimTime::ZERO {
-            self.times.add(self.stage, dt);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -261,23 +222,5 @@ mod tests {
         let doc = a.export();
         assert_eq!(doc.get("delta_encode").and_then(Json::as_f64), Some(60_000.0));
         assert!(doc.get("cache_lookup").is_none(), "zero stages are not exported");
-    }
-
-    #[test]
-    fn guard_charges_clock_advances_to_its_stage() {
-        let mut times = StageTimes::new();
-        let mut t = SimTime::from_micros(5);
-        {
-            let mut g = times.guard(Stage::SsdRead, &mut t);
-            *g.clock() += SimTime::from_micros(7);
-        }
-        {
-            // A scope that does not advance the clock charges nothing.
-            let mut g = times.guard(Stage::RaidRead, &mut t);
-            let _ = g.clock();
-        }
-        assert_eq!(t, SimTime::from_micros(12));
-        assert_eq!(times.get(Stage::SsdRead), 7_000);
-        assert_eq!(times.get(Stage::RaidRead), 0);
     }
 }

@@ -12,7 +12,7 @@
 //! The export is a pure function of the snapshot document: events are
 //! ordered per track by timestamp (ties broken by ring order), and all
 //! numbers derive from the integer nanosecond stamps, so the rendered
-//! bytes are deterministic (KDD003).
+//! bytes are deterministic.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //! [Perfetto]: https://ui.perfetto.dev

@@ -269,7 +269,7 @@ mod tests {
     #[test]
     fn locate_is_injective_per_disk() {
         let l = l5();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for lpn in 0..l.capacity_pages() {
             let loc = l.locate(lpn);
             assert!(loc.disk < l.disks);

@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn zipf_concentrates_accesses() {
         let mut w = FioWorkload::new(FioConfig::paper(0.0).scaled(1024), 4);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         while let Some((_, lba)) = w.next_request() {
             *counts.entry(lba).or_insert(0u64) += 1;
         }
@@ -190,7 +190,7 @@ mod tests {
     fn working_set_bounded_but_covered() {
         let cfg = FioConfig::paper(0.5).scaled(8192);
         let mut w = FioWorkload::new(cfg, 5);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         while let Some((_, lba)) = w.next_request() {
             seen.insert(lba);
         }

@@ -409,7 +409,7 @@ mod tests {
         // The most popular pages should absorb a disproportionate share of
         // re-references — otherwise there is no cacheable locality.
         let t = PaperTrace::Fin1.generate_scaled(200, 9);
-        let mut counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        let mut counts: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         for r in &t.records {
             *counts.entry(r.lba).or_default() += 1;
         }

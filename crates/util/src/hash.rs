@@ -86,9 +86,11 @@ impl std::hash::BuildHasher for FastHasherBuilder {
 }
 
 /// A `HashMap` keyed with the fast hasher; the workhorse map of the caches.
+#[allow(clippy::disallowed_types, reason = "a fixed hasher iterates in the same order every run")]
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastHasherBuilder>;
 
 /// A `HashSet` using the fast hasher.
+#[allow(clippy::disallowed_types, reason = "a fixed hasher iterates in the same order every run")]
 pub type FastSet<K> = std::collections::HashSet<K, FastHasherBuilder>;
 
 /// The reflected IEEE 802.3 polynomial.
@@ -180,7 +182,7 @@ mod tests {
     fn mix64_is_bijective_on_sample() {
         // Bijectivity can't be tested exhaustively; check no collisions on a
         // dense range, which is the pattern cache-set indexing sees.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..100_000u64 {
             assert!(seen.insert(mix64(i)), "collision at {i}");
         }

@@ -1,13 +1,18 @@
 //! `kdd-lint`: a dependency-free static-analysis engine over the KDD
 //! workspace.
 //!
-//! The compiler cannot see the invariants KDD's correctness story rests on:
-//! stale parity left by `write_no_parity_update` must be registered for the
-//! cleaner, seeded fault replay is only sound if every code path is
-//! deterministic, endurance counters must survive years of compressed wear
-//! without overflowing, and the I/O path must degrade through typed errors
-//! rather than panicking mid-stripe. This crate enforces those rules
-//! mechanically on every PR (`cargo run -p xtask -- lint`).
+//! Some invariants KDD's correctness story rests on are invisible to the
+//! compiler and to clippy: the I/O path must degrade through typed errors
+//! rather than panicking mid-stripe, only the engine may write the raw
+//! substrate, its `Result`s must not be dropped, endurance counters must
+//! survive years of compressed wear without overflowing, and the metric
+//! names in code must match the committed snapshot. This crate enforces
+//! those rules mechanically on every PR (`cargo run -p xtask -- lint`).
+//! What a type-aware checker can see is left to one: the root
+//! `clippy.toml` bans wall-clock reads and default-hasher maps,
+//! `clippy::indexing_slicing` audits indexing, and a `const` assertion in
+//! `kdd-core` keeps the engine `Send` (DESIGN.md "Static analysis &
+//! invariants").
 //!
 //! ## Architecture
 //!
@@ -32,14 +37,9 @@
 //!
 //! | ID | Name | What it forbids |
 //! |---|---|---|
-//! | `KDD000` | `waiver` | malformed waiver comments (missing `-- <reason>`) |
+//! | `KDD000` | `waiver` | malformed waiver comments (missing `-- <reason>`, or naming no current rule) |
 //! | `KDD001` | `no-panic` | `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the I/O-path crates |
 //! | `KDD002` | `layering` | raw device/array writes from `sim`, `bench`, `cli`, or `trace` — direct tokens *and* indirect call chains that reach the substrate without passing through the engine |
-//! | `KDD003` | `determinism` | wall-clock time, `thread_rng`, and default-hasher `HashMap`/`HashSet` outside `bench`/`cli` |
-//! | `KDD004` | `stale-parity` | `write_no_parity_update` call sites in modules that never repair or register stale parity |
-//! | `KDD005` | `indexing-slicing` | unchecked slice indexing in the I/O-path crates without an audited `#![allow(clippy::indexing_slicing)]` header (pedantic, `--pedantic` only) |
-//! | `KDD007` | `obs-determinism` | wall-clock time and float accumulation in `crates/obs` or any file that registers metrics |
-//! | `KDD008` | `concurrency-readiness` | `Rc<…>`, `RefCell`, `Cell<…>`, `static mut`, `thread_local!`, and raw `*mut` state in the crates the sharded engine will run N-way |
 //! | `KDD009` | `error-discard` | `let _ = …;` and `….ok();` applied to `Result`-returning I/O-path calls (resolved through the call graph) |
 //! | `KDD010` | `counter-arithmetic` | narrowing `as` casts and unchecked `+`/`+=` on endurance counters (erase counts, WAF accumulators, stale-row counters) |
 //! | `KDD011` | `obs-schema` | drift between metric/span names registered in code and the committed `OBS_engine.json` snapshot |
@@ -65,14 +65,11 @@
 //! // kdd-lint: allow-file(counter-arithmetic) -- counters here are test doubles
 //! ```
 //!
-//! For `KDD005` only, an audited `#![allow(clippy::indexing_slicing)]`
-//! header — the workspace's established spelling, with the audit note in
-//! the comment directly above it — acts as a file-scope waiver.
-//!
 //! The inline waiver applies to code on the same line, or — when the
 //! comment stands alone — to the next line with code on it. A waiver
 //! without ` -- <reason>` (or, for the shorthand, without text after the
-//! colon) is itself a violation (`KDD000`).
+//! colon) is itself a violation (`KDD000`), and so is one naming a rule
+//! that does not exist — a retired one included.
 //!
 //! Comments and string literals are scrubbed before matching, `#[cfg(test)]`
 //! / `#[test]` regions are excluded by brace tracking, and doc-test
@@ -94,20 +91,11 @@ use callgraph::{AnalyzedFile, CallGraph, SANCTIONED_CRATES, STD_FALLIBLE_FNS};
 use kdd_obs::{json, Json};
 use lex::{Lexed, TokKind};
 
-/// Crates whose non-test code must never panic (rule `KDD001`, `KDD005`).
+/// Crates whose non-test code must never panic (rule `KDD001`).
 pub const PANIC_FREE_CRATES: &[&str] = &["blockdev", "raid", "core", "cache", "delta", "obs"];
 
 /// Crates that must not issue raw device/array writes (rule `KDD002`).
 pub const LAYERING_RESTRICTED_CRATES: &[&str] = &["sim", "bench", "cli", "trace"];
-
-/// Crates allowed to read wall-clock time and use default hashers (`KDD003`).
-pub const NONDETERMINISM_ALLOWED_CRATES: &[&str] = &["bench", "cli", "xtask"];
-
-/// Crates the sharded multi-tenant engine will run N-way: their state must
-/// be `Send`-ready, so single-thread-only ownership/interior-mutability
-/// constructs are forbidden (rule `KDD008`).
-pub const CONCURRENCY_READY_CRATES: &[&str] =
-    &["core", "cache", "raid", "blockdev", "delta", "obs"];
 
 /// Crates whose `Result`-returning APIs must never be silently discarded
 /// (rule `KDD009` resolves discards against fns defined here).
@@ -134,41 +122,9 @@ const RAW_WRITE_TOKENS: &[&str] = &[
 const PANIC_TOKENS: &[&str] =
     &[".unwrap()", ".expect(", "panic!", "unreachable!", "todo!", "unimplemented!"];
 
-/// Wall-clock / ambient-randomness tokens (rule `KDD003`).
-const NONDETERMINISM_TOKENS: &[&str] =
-    &["Instant::now", "SystemTime", "std::time::", "thread_rng", "rand::random"];
-
-/// Metric-registration calls: a file containing one of these feeds the
-/// observability registry and falls under rule `KDD007` wherever it lives.
-const OBS_REGISTER_TOKENS: &[&str] = &[".register_counter(", ".register_gauge(", ".register_hist"];
-
 /// Registration method names rule `KDD011` extracts metric names from.
 const OBS_REGISTER_METHODS: &[(&str, &str)] =
     &[("register_counter", "counters"), ("register_gauge", "gauges"), ("register_hist", "hists")];
-
-/// Wall-clock tokens rule `KDD007` forbids in observability code. Snapshots
-/// are keyed on `SimTime`; an ambient timestamp would differ across replays.
-const OBS_WALLCLOCK_TOKENS: &[&str] = &["Instant::now", "SystemTime", "std::time::"];
-
-/// Float-accumulation tokens rule `KDD007` flags in observability code:
-/// summation order and rounding drift make accumulated floats unstable
-/// across refactors, so metrics accumulate in integers (`u64` counters,
-/// milli-units) and convert to `f64` only at export.
-const OBS_FLOAT_HAZARD_TOKENS: &[&str] =
-    &[".sum::<f32>()", ".sum::<f64>()", ".fold(0.0", ".fold(0f32", ".fold(0f64"];
-
-/// Tokens that prove a module repairs or registers stale parity (`KDD004`).
-const STALE_REPAIR_TOKENS: &[&str] = &[
-    ".parity_update_with_data(",
-    ".parity_update_rmw(",
-    ".resync(",
-    ".stale_rows(",
-    ".is_stale(",
-    "mark_stale",
-];
-
-/// Single-thread-only constructs rule `KDD008` forbids by identifier.
-const SEND_HOSTILE_IDENTS: &[&str] = &["Rc", "RefCell", "Cell"];
 
 /// Identifier substrings that mark an endurance counter (rule `KDD010`):
 /// erase counts, WAF accumulators, stale-row counters, wear statistics.
@@ -189,16 +145,6 @@ pub enum Rule {
     NoPanic,
     /// `KDD002` — raw device write (direct or reachable) from a restricted layer.
     Layering,
-    /// `KDD003` — nondeterministic construct outside `bench`/`cli`.
-    Determinism,
-    /// `KDD004` — unpaired `write_no_parity_update` call site.
-    StaleParity,
-    /// `KDD005` — unchecked slice indexing (pedantic).
-    IndexingSlicing,
-    /// `KDD007` — nondeterministic construct in observability code.
-    ObsDeterminism,
-    /// `KDD008` — `Send`-hostile state in a shard-ready crate.
-    ConcurrencyReadiness,
     /// `KDD009` — silently discarded `Result` from an I/O-path API.
     ErrorDiscard,
     /// `KDD010` — unchecked arithmetic or narrowing cast on an endurance counter.
@@ -212,11 +158,6 @@ const ALL_RULES: &[Rule] = &[
     Rule::Waiver,
     Rule::NoPanic,
     Rule::Layering,
-    Rule::Determinism,
-    Rule::StaleParity,
-    Rule::IndexingSlicing,
-    Rule::ObsDeterminism,
-    Rule::ConcurrencyReadiness,
     Rule::ErrorDiscard,
     Rule::CounterArithmetic,
     Rule::ObsSchema,
@@ -229,11 +170,6 @@ impl Rule {
             Rule::Waiver => "KDD000",
             Rule::NoPanic => "KDD001",
             Rule::Layering => "KDD002",
-            Rule::Determinism => "KDD003",
-            Rule::StaleParity => "KDD004",
-            Rule::IndexingSlicing => "KDD005",
-            Rule::ObsDeterminism => "KDD007",
-            Rule::ConcurrencyReadiness => "KDD008",
             Rule::ErrorDiscard => "KDD009",
             Rule::CounterArithmetic => "KDD010",
             Rule::ObsSchema => "KDD011",
@@ -246,11 +182,6 @@ impl Rule {
             Rule::Waiver => "waiver",
             Rule::NoPanic => "no-panic",
             Rule::Layering => "layering",
-            Rule::Determinism => "determinism",
-            Rule::StaleParity => "stale-parity",
-            Rule::IndexingSlicing => "indexing-slicing",
-            Rule::ObsDeterminism => "obs-determinism",
-            Rule::ConcurrencyReadiness => "concurrency-readiness",
             Rule::ErrorDiscard => "error-discard",
             Rule::CounterArithmetic => "counter-arithmetic",
             Rule::ObsSchema => "obs-schema",
@@ -302,15 +233,6 @@ pub struct WaiverUse {
     pub line: usize,
     /// The written reason after `--`.
     pub reason: String,
-}
-
-/// Linter options.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Options {
-    /// Also run the pedantic `KDD005` indexing rule. Files carrying the
-    /// audited `#![allow(clippy::indexing_slicing)]` header are
-    /// file-waived; everything else must justify each site.
-    pub pedantic: bool,
 }
 
 /// Result of linting: violations plus the waivers that were honoured.
@@ -533,33 +455,6 @@ fn find_ident_token(code: &str, pat: &str) -> Option<usize> {
     None
 }
 
-/// Does the line use `HashMap`/`HashSet` with the *default* hasher? Lines
-/// naming an explicit `BuildHasher`/`FastHasherBuilder` third parameter are
-/// the sanctioned way to use them.
-fn default_hasher_use(code: &str) -> Option<&'static str> {
-    ["HashMap", "HashSet"].into_iter().find(|ident| {
-        find_ident_token(code, ident).is_some()
-            && !code.contains("HasherBuilder")
-            && !code.contains("BuildHasher")
-            && !code.contains("FastMap")
-            && !code.contains("FastSet")
-    })
-}
-
-/// Pedantic: a `[` directly after an identifier, `)`, or `]` is an index
-/// expression that can panic. Attribute lines are skipped.
-fn has_index_expr(code: &str) -> bool {
-    if code.trim_start().starts_with('#') {
-        return false;
-    }
-    let chars: Vec<char> = code.chars().collect();
-    chars.windows(2).any(|w| {
-        // kdd-lint: allow(indexing-slicing) -- windows(2) guarantees len 2
-        let (a, b) = (w[0], w[1]);
-        b == '[' && (a.is_alphanumeric() || a == '_' || a == ')' || a == ']')
-    })
-}
-
 /// Index of the `;` ending the statement starting at token `from`.
 fn statement_end(toks: &[lex::Tok], from: usize) -> usize {
     let mut depth: i64 = 0;
@@ -646,25 +541,6 @@ impl<'a> FileLint<'a> {
                 }
             }
         }
-        // The workspace's audited clippy allow header doubles as a KDD005
-        // file waiver: the audit note is the comment directly above it.
-        for (i, code) in fa.code.iter().enumerate() {
-            if code.contains("#![allow(") && code.contains("indexing_slicing") {
-                let mut note = Vec::new();
-                for j in (i.saturating_sub(4)..i).rev() {
-                    let c = fa.comment[j].trim();
-                    let stripped = c.trim_start_matches('/').trim_start_matches('!').trim();
-                    if stripped.is_empty() {
-                        break;
-                    }
-                    note.push(stripped.to_string());
-                }
-                if !note.is_empty() {
-                    note.reverse();
-                    file_waived.push((Rule::IndexingSlicing, note.join(" ")));
-                }
-            }
-        }
         FileLint { fa, waived, file_waived }
     }
 
@@ -707,20 +583,13 @@ impl<'a> FileLint<'a> {
 // Rule passes
 // ---------------------------------------------------------------------------
 
-/// Line rules: the KDD001–KDD007 family over the rendered code view.
-fn run_line_rules(fl: &FileLint<'_>, opts: Options, report: &mut Report) {
+/// Line rules: `KDD001` and the direct half of `KDD002` over the rendered
+/// code view.
+fn run_line_rules(fl: &FileLint<'_>, report: &mut Report) {
     let fa = fl.fa;
     let crate_name = fa.krate.as_str();
     let panic_free = PANIC_FREE_CRATES.contains(&crate_name);
     let layering_restricted = LAYERING_RESTRICTED_CRATES.contains(&crate_name);
-    let determinism_checked = !NONDETERMINISM_ALLOWED_CRATES.contains(&crate_name);
-    // KDD007 governs the obs crate itself plus any file that registers
-    // metrics, wherever it lives — even in crates otherwise allowed to
-    // read ambient state (`bench`, `cli`).
-    let obs_checked = fa.rel.contains("crates/obs/")
-        || fa.code.iter().enumerate().any(|(i, code)| {
-            !fa.in_test[i] && OBS_REGISTER_TOKENS.iter().any(|t| code.contains(t))
-        });
 
     for (i, code) in fa.code.iter().enumerate() {
         if fa.in_test[i] || code.trim().is_empty() {
@@ -742,18 +611,6 @@ fn run_line_rules(fl: &FileLint<'_>, opts: Options, report: &mut Report) {
                     );
                 }
             }
-            if opts.pedantic && has_index_expr(code) {
-                fl.emit(
-                    report,
-                    Rule::IndexingSlicing,
-                    i,
-                    format!(
-                        "unchecked slice index in panic-free crate `{crate_name}`: \
-                         use `.get()`/`.get_mut()`, prove bounds with a slice pattern, \
-                         or carry the audited `#![allow(clippy::indexing_slicing)]` header"
-                    ),
-                );
-            }
         }
         if layering_restricted {
             for tok in RAW_WRITE_TOKENS {
@@ -773,102 +630,17 @@ fn run_line_rules(fl: &FileLint<'_>, opts: Options, report: &mut Report) {
                 }
             }
         }
-        if determinism_checked {
-            for tok in NONDETERMINISM_TOKENS {
-                if find_ident_token(code, tok).is_some() {
-                    fl.emit(
-                        report,
-                        Rule::Determinism,
-                        i,
-                        format!(
-                            "`{tok}` breaks seeded replay: use `util::rng::seeded_rng` \
-                             / `SimTime` instead (only `bench`/`cli` may read ambient state)"
-                        ),
-                    );
-                    break; // one wall-clock finding per line is enough
-                }
-            }
-            if let Some(ident) = default_hasher_use(code) {
-                fl.emit(
-                    report,
-                    Rule::Determinism,
-                    i,
-                    format!(
-                        "`{ident}` with the default `RandomState` hasher iterates in a \
-                         different order every run: use `BTreeMap`/`BTreeSet` or \
-                         `util::hash::FastMap`/`FastSet`"
-                    ),
-                );
-            }
-        }
-        if obs_checked {
-            for tok in OBS_WALLCLOCK_TOKENS {
-                if find_ident_token(code, tok).is_some() {
-                    fl.emit(
-                        report,
-                        Rule::ObsDeterminism,
-                        i,
-                        format!(
-                            "`{tok}` in observability code: snapshots are keyed on \
-                             `SimTime` and must be byte-identical across seeded \
-                             replays — never stamp events with wall-clock time"
-                        ),
-                    );
-                    break; // one wall-clock finding per line is enough
-                }
-            }
-            for tok in OBS_FLOAT_HAZARD_TOKENS {
-                if code.contains(tok) {
-                    fl.emit(
-                        report,
-                        Rule::ObsDeterminism,
-                        i,
-                        format!(
-                            "`{tok}` accumulates floats in observability code: \
-                             rounding drift makes metrics unstable — accumulate in \
-                             integer units and convert to `f64` only at export"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // KDD004: every module calling `write_no_parity_update` must also repair
-    // or register stale parity (the defining crate `raid` is exempt).
-    if crate_name != "raid" {
-        let repairs = fa.code.iter().enumerate().any(|(i, code)| {
-            !fa.in_test[i] && STALE_REPAIR_TOKENS.iter().any(|t| code.contains(t))
-        });
-        if !repairs {
-            for (i, code) in fa.code.iter().enumerate() {
-                if !fa.in_test[i] && code.contains(".write_no_parity_update(") {
-                    fl.emit(
-                        report,
-                        Rule::StaleParity,
-                        i,
-                        "`write_no_parity_update` leaves stale parity, but this module \
-                         never calls `parity_update_*`/`resync` or registers the stale \
-                         stripe: pair it with repair logic or waive with a reason"
-                            .to_string(),
-                    );
-                }
-            }
-        }
     }
 }
 
-/// Token rules: `KDD008` (concurrency readiness) and `KDD010` (counter
-/// arithmetic) over the real token stream.
+/// Token rule: `KDD010` (counter arithmetic) over the real token stream.
 fn run_token_rules(fl: &FileLint<'_>, report: &mut Report) {
     let fa = fl.fa;
     let toks = &fa.lexed.toks;
-    let concurrency = CONCURRENCY_READY_CRATES.contains(&fa.krate.as_str());
-    let counters = COUNTER_CRATES.contains(&fa.krate.as_str());
-    if !concurrency && !counters {
+    if !COUNTER_CRATES.contains(&fa.krate.as_str()) {
         return;
     }
-    // Per-line "has checked/saturating arithmetic" marker for KDD010.
+    // Per-line "has checked/saturating arithmetic" marker.
     let mut line_checked: BTreeSet<usize> = BTreeSet::new();
     for t in toks {
         if t.kind == TokKind::Ident
@@ -879,137 +651,75 @@ fn run_token_rules(fl: &FileLint<'_>, report: &mut Report) {
     }
     for (k, t) in toks.iter().enumerate() {
         let line_idx = t.line.saturating_sub(1);
-        if fa.in_test.get(line_idx).copied().unwrap_or(false) {
+        if t.kind != TokKind::Ident || fa.in_test.get(line_idx).copied().unwrap_or(false) {
             continue;
         }
-        if concurrency && t.kind == TokKind::Ident {
-            let is_punct = |i: usize, p: &str| {
-                toks.get(i).is_some_and(|x| x.kind == TokKind::Punct && x.text == p)
-            };
-            let is_ident = |i: usize, p: &str| {
-                toks.get(i).is_some_and(|x| x.kind == TokKind::Ident && x.text == p)
-            };
-            if SEND_HOSTILE_IDENTS.contains(&t.text.as_str()) {
-                fl.emit(
-                    report,
-                    Rule::ConcurrencyReadiness,
-                    line_idx,
-                    format!(
-                        "`{}` is single-thread-only state in shard-ready crate `{}`: \
-                         the sharded engine runs this crate N-way — use owned state, \
-                         `Arc`, or atomics",
-                        t.text, fa.krate
-                    ),
-                );
-            } else if t.text == "static" && is_ident(k + 1, "mut") {
-                fl.emit(
-                    report,
-                    Rule::ConcurrencyReadiness,
-                    line_idx,
-                    format!(
-                        "`static mut` in shard-ready crate `{}`: global mutable state \
-                         cannot be sharded — thread it through the engine instead",
-                        fa.krate
-                    ),
-                );
-            } else if t.text == "thread_local" && is_punct(k + 1, "!") {
-                fl.emit(
-                    report,
-                    Rule::ConcurrencyReadiness,
-                    line_idx,
-                    format!(
-                        "`thread_local!` in shard-ready crate `{}`: per-thread state \
-                         breaks shard migration and deterministic replay",
-                        fa.krate
-                    ),
-                );
-            }
+        let lower = t.text.to_ascii_lowercase();
+        if !COUNTER_NAME_HINTS.iter().any(|h| lower.contains(h)) {
+            continue;
         }
-        if concurrency
-            && t.kind == TokKind::Punct
-            && t.text == "*"
-            && toks.get(k + 1).is_some_and(|x| x.kind == TokKind::Ident && x.text == "mut")
+        // Narrowing cast: `counter [()…] as <narrow>`.
+        let mut j = k + 1;
+        while toks
+            .get(j)
+            .is_some_and(|x| x.kind == TokKind::Punct && (x.text == ")" || x.text == "("))
         {
-            fl.emit(
-                report,
-                Rule::ConcurrencyReadiness,
-                line_idx,
-                format!(
-                    "raw `*mut` state in shard-ready crate `{}`: raw pointers carry \
-                     no ownership story across shards — use owned buffers or indices",
-                    fa.krate
-                ),
-            );
+            j += 1;
         }
-        if counters && t.kind == TokKind::Ident {
-            let lower = t.text.to_ascii_lowercase();
-            if !COUNTER_NAME_HINTS.iter().any(|h| lower.contains(h)) {
-                continue;
-            }
-            // Narrowing cast: `counter [()…] as <narrow>`.
-            let mut j = k + 1;
-            while toks
-                .get(j)
-                .is_some_and(|x| x.kind == TokKind::Punct && (x.text == ")" || x.text == "("))
+        if toks.get(j).is_some_and(|x| x.kind == TokKind::Ident && x.text == "as") {
+            if let Some(ty) =
+                toks.get(j + 1).filter(|x| NARROWING_CAST_TARGETS.contains(&x.text.as_str()))
             {
-                j += 1;
-            }
-            if toks.get(j).is_some_and(|x| x.kind == TokKind::Ident && x.text == "as") {
-                if let Some(ty) =
-                    toks.get(j + 1).filter(|x| NARROWING_CAST_TARGETS.contains(&x.text.as_str()))
-                {
-                    fl.emit(
-                        report,
-                        Rule::CounterArithmetic,
-                        line_idx,
-                        format!(
-                            "narrowing cast `as {}` on endurance counter `{}`: \
-                             compressed-wear campaigns overflow narrow types — keep \
-                             counters in `u64` (or waive with a measured bound)",
-                            ty.text, t.text
-                        ),
-                    );
-                }
-            }
-            if line_checked.contains(&t.line) {
-                continue;
-            }
-            // Unchecked accumulation *into* the counter: `counter += …` or
-            // `counter = counter + …`. A counter merely read inside a sum
-            // (`total + c`, `rate * c`) cannot overflow the counter itself.
-            let compound =
-                toks.get(k + 1).is_some_and(|x| x.kind == TokKind::Punct && x.text == "+=");
-            let self_assign =
-                toks.get(k + 1).is_some_and(|x| x.kind == TokKind::Punct && x.text == "+") && {
-                    // Walk back over `recv.` qualifiers to the `=`, then
-                    // require the assignment target to be the same counter.
-                    let mut p = k;
-                    while p >= 2
-                        && toks[p - 1].kind == TokKind::Punct
-                        && toks[p - 1].text == "."
-                        && toks[p - 2].kind == TokKind::Ident
-                    {
-                        p -= 2;
-                    }
-                    p >= 2
-                        && toks[p - 1].kind == TokKind::Punct
-                        && toks[p - 1].text == "="
-                        && toks[p - 2].kind == TokKind::Ident
-                        && toks[p - 2].text == t.text
-                };
-            if compound || self_assign {
                 fl.emit(
                     report,
                     Rule::CounterArithmetic,
                     line_idx,
                     format!(
-                        "unchecked `+` accumulation on endurance counter `{}`: years \
-                         of compressed wear overflow silently in release builds — use \
-                         `checked_add`/`saturating_add` or waive with a reason",
-                        t.text
+                        "narrowing cast `as {}` on endurance counter `{}`: \
+                         compressed-wear campaigns overflow narrow types — keep \
+                         counters in `u64` (or waive with a measured bound)",
+                        ty.text, t.text
                     ),
                 );
             }
+        }
+        if line_checked.contains(&t.line) {
+            continue;
+        }
+        // Unchecked accumulation *into* the counter: `counter += …` or
+        // `counter = counter + …`. A counter merely read inside a sum
+        // (`total + c`, `rate * c`) cannot overflow the counter itself.
+        let compound = toks.get(k + 1).is_some_and(|x| x.kind == TokKind::Punct && x.text == "+=");
+        let self_assign =
+            toks.get(k + 1).is_some_and(|x| x.kind == TokKind::Punct && x.text == "+") && {
+                // Walk back over `recv.` qualifiers to the `=`, then
+                // require the assignment target to be the same counter.
+                let mut p = k;
+                while p >= 2
+                    && toks[p - 1].kind == TokKind::Punct
+                    && toks[p - 1].text == "."
+                    && toks[p - 2].kind == TokKind::Ident
+                {
+                    p -= 2;
+                }
+                p >= 2
+                    && toks[p - 1].kind == TokKind::Punct
+                    && toks[p - 1].text == "="
+                    && toks[p - 2].kind == TokKind::Ident
+                    && toks[p - 2].text == t.text
+            };
+        if compound || self_assign {
+            fl.emit(
+                report,
+                Rule::CounterArithmetic,
+                line_idx,
+                format!(
+                    "unchecked `+` accumulation on endurance counter `{}`: years \
+                     of compressed wear overflow silently in release builds — use \
+                     `checked_add`/`saturating_add` or waive with a reason",
+                    t.text
+                ),
+            );
         }
     }
 }
@@ -1412,13 +1122,13 @@ pub fn check_obs_schema(names: &ObsNames, doc: &Json, doc_path: &str) -> Vec<Vio
 /// graph — so fixtures exercise exactly the code the workspace walk runs.
 /// Cross-file resolution (e.g. `KddEngine::flush` from `cli`) and the
 /// `KDD011` snapshot cross-check only happen under [`lint_workspace`].
-pub fn lint_source(crate_name: &str, rel_path: &str, src: &str, opts: Options) -> Report {
+pub fn lint_source(crate_name: &str, rel_path: &str, src: &str) -> Report {
     let (fa, af) = analyse(crate_name, rel_path, src);
     let graph = CallGraph::build(std::slice::from_ref(&af));
     let reach = graph.raw_reachability();
     let mut report = Report::default();
     let fl = FileLint::new(&fa, &mut report);
-    run_line_rules(&fl, opts, &mut report);
+    run_line_rules(&fl, &mut report);
     run_token_rules(&fl, &mut report);
     run_graph_rules(&fl, &graph, &reach, &mut report);
     sort_dedup(&mut report);
@@ -1447,7 +1157,7 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 ///
 /// `tests/`, `benches/`, `examples/`, and `vendor/` are out of scope: rules
 /// govern the shipped I/O paths, and test code is free to `unwrap`.
-pub fn lint_workspace(root: &Path, opts: Options) -> std::io::Result<Report> {
+pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
@@ -1486,7 +1196,7 @@ pub fn lint_workspace(root: &Path, opts: Options) -> std::io::Result<Report> {
     let mut obs_names = ObsNames::default();
     for (fa, af) in fas.iter().zip(&afs) {
         let fl = FileLint::new(fa, &mut report);
-        run_line_rules(&fl, opts, &mut report);
+        run_line_rules(&fl, &mut report);
         run_token_rules(&fl, &mut report);
         run_graph_rules(&fl, &graph, &reach, &mut report);
         collect_obs_names(fa, af, &mut obs_names);

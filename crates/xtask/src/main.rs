@@ -3,14 +3,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::{lint_workspace, Options};
+use xtask::lint_workspace;
 
 const USAGE: &str = "\
 xtask — KDD workspace automation
 
 USAGE:
-    cargo run -p xtask -- lint [--root <path>] [--pedantic] [--quiet]
-                               [--json | --github]
+    cargo run -p xtask -- lint [--root <path>] [--quiet] [--json | --github]
 
 COMMANDS:
     lint    Run kdd-lint over every crate's src/ tree. Exits 1 on any
@@ -19,7 +18,6 @@ COMMANDS:
 
 OPTIONS:
     --root <path>   Workspace root (default: nearest ancestor with Cargo.toml)
-    --pedantic      Also run KDD005 (unchecked slice indexing)
     --quiet         Suppress the honoured-waiver listing
     --json          Emit the kdd-lint/v1 machine-readable report on stdout
     --github        Emit findings in the problem-matcher format CI turns
@@ -60,13 +58,11 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     }
-    let mut opts = Options::default();
     let mut root = None;
     let mut quiet = false;
     let mut format = Format::Text;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--pedantic" => opts.pedantic = true,
             "--quiet" => quiet = true,
             "--json" => format = Format::Json,
             "--github" => format = Format::Github,
@@ -89,7 +85,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let report = match lint_workspace(&root, opts) {
+    let report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("kdd-lint: I/O error walking {}: {e}", root.display());

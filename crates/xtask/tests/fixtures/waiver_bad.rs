@@ -11,6 +11,13 @@ pub fn unknown_rule(b: &[u8]) -> u64 {
 }
 
 pub fn wrong_rule() {
-    // kdd-lint: allow(determinism) -- waives a rule this line does not hit
+    // kdd-lint: allow(layering) -- waives a rule this line does not hit
     panic!("still a violation"); // line 15: KDD001 not covered by that waiver
+}
+
+pub fn retired_rules(v: &[u8]) -> u8 {
+    // kdd-lint: allow(indexing-slicing) -- line 19: KDD005 is retired (clippy checks this)
+    let first = v[0];
+    // kdd-waiver(KDD008): line 21: retired (a const `Send` assertion checks this)
+    first
 }

@@ -73,7 +73,7 @@ fn policies_rank_consistently_on_a_paper_trace() {
     };
     let raid = RaidModel::paper_default(trace.address_space_pages().max(1024));
 
-    let mut results = std::collections::HashMap::new();
+    let mut results = std::collections::BTreeMap::new();
     for kind in PolicyKind::figure_set() {
         let mut p = build_policy(kind, geometry, raid, 11);
         p.run_trace(&trace);
@@ -166,7 +166,7 @@ fn ssd_wear_reflects_policy_choice_end_to_end() {
         // 8 LBAs per 64-page stripe group so every hot page stays
         // cacheable (16 sets x 16 ways; worst case two groups share a set).
         let lbas: Vec<u64> = (0..64u64).map(|i| (i / 8) * 64 + i % 8).collect();
-        let mut vs: std::collections::HashMap<u64, Vec<u8>> =
+        let mut vs: std::collections::BTreeMap<u64, Vec<u8>> =
             lbas.iter().map(|&l| (l, m.initial_page())).collect();
         for &lba in &lbas {
             engine.write(lba, &vs[&lba]).unwrap();

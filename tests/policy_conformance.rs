@@ -209,7 +209,7 @@ fn stats_severity_of_leavo_space_overhead() {
 mod degraded {
     use super::PAGE;
     use kdd::prelude::*;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::{BTreeMap, BTreeSet};
 
     enum Baseline {
         Nossd,
@@ -223,9 +223,9 @@ mod degraded {
         kind: Baseline,
         ssd: SsdDevice,
         raid: RaidArray,
-        map: HashMap<u64, u64>, // lba -> ssd lpn (latest version)
+        map: BTreeMap<u64, u64>, // lba -> ssd lpn (latest version)
         next_lpn: u64,
-        dirty: HashSet<u64>,
+        dirty: BTreeSet<u64>,
     }
 
     impl DataPath {
@@ -235,9 +235,9 @@ mod degraded {
                 kind,
                 ssd: SsdDevice::with_logical_capacity(4096 * PAGE as u64, PAGE, 0.07),
                 raid: RaidArray::new(layout, PAGE),
-                map: HashMap::new(),
+                map: BTreeMap::new(),
                 next_lpn: 0,
-                dirty: HashSet::new(),
+                dirty: BTreeSet::new(),
             }
         }
 
@@ -302,8 +302,7 @@ mod degraded {
         /// Destage dirty pages so a *member* failure cannot meet stale
         /// parity (the write-back policies' recovery obligation).
         fn sync(&mut self) {
-            let dirty: Vec<u64> = self.dirty.drain().collect();
-            for lba in dirty {
+            for lba in std::mem::take(&mut self.dirty) {
                 let lpn = self.map[&lba];
                 let mut buf = vec![0u8; PAGE as usize];
                 self.ssd.read_page(lpn, &mut buf).unwrap();
@@ -320,7 +319,7 @@ mod degraded {
         for kind in [Baseline::Nossd, Baseline::Wt, Baseline::Wb, Baseline::Wa, Baseline::LeavO] {
             for failed_disk in 0..5usize {
                 let mut path = DataPath::new(kind_clone(&kind));
-                let mut reference: HashMap<u64, Vec<u8>> = HashMap::new();
+                let mut reference: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
                 let mut rng = kdd::util::rng::seeded_rng(42 + failed_disk as u64);
                 use rand::RngExt;
                 for i in 0..200u64 {
@@ -384,7 +383,7 @@ mod degraded {
             );
             engine.attach_fault_injector(injector);
 
-            let mut reference: HashMap<u64, Vec<u8>> = HashMap::new();
+            let mut reference: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
             let mut rng = kdd::util::rng::seeded_rng(1000 + failed_disk as u64);
             use rand::RngExt;
             for i in 0..250u64 {
