@@ -44,6 +44,9 @@ use kdd_util::units::SimTime;
 #[derive(Debug, Clone)]
 pub struct SsdDevice {
     ftl: Ftl,
+    /// The over-provisioning fraction the device was built with; a
+    /// replacement is built from it, not from the rounded logical size.
+    op_fraction: f64,
     store: MemStore,
     failed: bool,
     injector: Option<FaultInjector>,
@@ -59,14 +62,14 @@ impl SsdDevice {
         let geometry = FlashGeometry::fit_capacity(physical, page_size);
         let ftl = Ftl::new(geometry, FlashTimings::mlc_default(), op_fraction);
         let store = MemStore::new(ftl.logical_pages(), page_size);
-        SsdDevice { ftl, store, failed: false, injector: None }
+        SsdDevice { ftl, op_fraction, store, failed: false, injector: None }
     }
 
     /// Create from explicit geometry/timings.
     pub fn new(geometry: FlashGeometry, timings: FlashTimings, op_fraction: f64) -> Self {
         let ftl = Ftl::new(geometry, timings, op_fraction);
         let store = MemStore::new(ftl.logical_pages(), geometry.page_size);
-        SsdDevice { ftl, store, failed: false, injector: None }
+        SsdDevice { ftl, op_fraction, store, failed: false, injector: None }
     }
 
     /// Logical pages available to the cache layer.
@@ -170,11 +173,7 @@ impl SsdDevice {
 
     /// Swap in a fresh replacement device of identical shape.
     pub fn replace(&mut self) {
-        let geometry = *self.ftl.geometry();
-        let timings = *self.ftl.timings();
-        // Recompute the original OP fraction from the exposed capacity.
-        let op = 1.0 - self.ftl.logical_pages() as f64 / geometry.total_pages() as f64;
-        self.ftl = Ftl::new(geometry, timings, op.clamp(0.02, 0.5));
+        self.ftl = Ftl::new(*self.ftl.geometry(), *self.ftl.timings(), self.op_fraction);
         self.store.replace();
         self.failed = false;
         if let Some(inj) = &self.injector {
@@ -259,6 +258,34 @@ mod tests {
         assert!(!d.is_failed());
         assert!(!d.is_mapped(0), "replacement must be empty");
         assert_eq!(d.endurance().host_written_bytes, 0, "fresh wear counters");
+    }
+
+    /// A spare is exactly as large as the device it replaces. Recomputing
+    /// the OP fraction from the truncated logical size lost a page on 22
+    /// of these geometries (8 × 71 × 128 at OP 0.2: 58 163 → 58 162).
+    #[test]
+    fn replacement_keeps_the_logical_size() {
+        let timings = FlashTimings::mlc_default();
+        let mut short = Vec::new();
+        for blocks_per_die in 4..400 {
+            let geometry = FlashGeometry {
+                channels: 8,
+                dies_per_channel: 1,
+                blocks_per_die,
+                pages_per_block: 128,
+                page_size: 512,
+            };
+            for op in [0.05, 0.07, 0.1, 0.2, 0.25, 0.3] {
+                let mut d = SsdDevice::new(geometry, timings, op);
+                let before = d.capacity_pages();
+                d.fail();
+                d.replace();
+                if d.capacity_pages() != before {
+                    short.push((blocks_per_die, op, before, d.capacity_pages()));
+                }
+            }
+        }
+        assert!(short.is_empty(), "{} spares changed size: {short:?}", short.len());
     }
 
     #[test]

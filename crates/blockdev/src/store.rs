@@ -12,15 +12,68 @@
 //! and skip the bytes. A page that was written with zeros is resident and
 //! is read like any other.
 //!
-//! Trimmed pages are parked (a bounded [`PagePool`]; beyond its cap they
-//! are freed) and handed to the next first write, so a store whose pages
-//! come and go (the SSD cache's data and DEZ slots) reuses its buffers
-//! instead of round-tripping the allocator.
+//! Page bytes live in a slab carved `SLAB_PAGES` (16) pages to a chunk; a
+//! trimmed page's slot is handed to the next page that becomes resident.
+//! A store whose pages come and go (the SSD cache) stops calling the
+//! allocator once warm, one that only grows (a RAID member) calls it once
+//! per chunk, and no slab outgrows the most pages ever resident at once by
+//! a whole chunk.
 
 use crate::error::{DevError, FaultDomain};
 use crate::fault::{apply_read_outcome, apply_write_outcome, FaultInjector, IoDir, IoOutcome};
 use kdd_util::hash::FastMap;
-use kdd_util::PagePool;
+
+/// Pages per slab chunk.
+const SLAB_PAGES: usize = 16;
+
+/// Page slots carved from fixed-size chunks, with a free list of the slots
+/// whose pages were trimmed. Slot `s` is page `s % SLAB_PAGES` of chunk
+/// `s / SLAB_PAGES`.
+#[derive(Debug, Clone)]
+struct Slab {
+    page_size: usize,
+    chunks: Vec<Box<[u8]>>,
+    /// Slots ever handed out: each is resident or on `free`.
+    carved: u32,
+    /// Slots of trimmed pages. Their old contents never show: a reused slot
+    /// is overwritten whole or zeroed first.
+    free: Vec<u32>,
+}
+
+// Every slot below `carved` lies inside `chunks`.
+#[allow(clippy::indexing_slicing)]
+impl Slab {
+    fn new(page_size: usize) -> Self {
+        Slab { page_size, chunks: Vec::new(), carved: 0, free: Vec::new() }
+    }
+
+    /// A slot for a page becoming resident: a freed one when there is one
+    /// (zeroed first when `zero`), else the next never-used one, which is
+    /// zero already.
+    fn carve(&mut self, zero: bool) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            if zero {
+                self.page_mut(slot).fill(0);
+            }
+            return slot;
+        }
+        if self.carved as usize == self.chunks.len() * SLAB_PAGES {
+            self.chunks.push(vec![0u8; SLAB_PAGES * self.page_size].into_boxed_slice());
+        }
+        self.carved += 1;
+        self.carved - 1
+    }
+
+    fn page(&self, slot: u32) -> &[u8] {
+        let at = slot as usize % SLAB_PAGES * self.page_size;
+        &self.chunks[slot as usize / SLAB_PAGES][at..at + self.page_size]
+    }
+
+    fn page_mut(&mut self, slot: u32) -> &mut [u8] {
+        let at = slot as usize % SLAB_PAGES * self.page_size;
+        &mut self.chunks[slot as usize / SLAB_PAGES][at..at + self.page_size]
+    }
+}
 
 /// Page-granular storage of actual contents.
 pub trait PageStore {
@@ -45,7 +98,9 @@ pub trait PageStore {
 pub struct MemStore {
     page_size: u32,
     capacity_pages: u64,
-    pages: FastMap<u64, Box<[u8]>>,
+    /// Each resident page's slot in `slab`.
+    pages: FastMap<u64, u32>,
+    slab: Slab,
     failed: bool,
     injector: Option<FaultInjector>,
     domain: FaultDomain,
@@ -53,10 +108,6 @@ pub struct MemStore {
     /// zeros for an unwritten one, a private copy under fault injection.
     /// Sized on first use.
     scratch: Vec<u8>,
-    /// Buffers of trimmed pages, for the next page that becomes resident.
-    /// Their old contents never show: a reused buffer is overwritten whole
-    /// or zeroed first.
-    spare: PagePool,
 }
 
 impl MemStore {
@@ -67,11 +118,11 @@ impl MemStore {
             page_size,
             capacity_pages,
             pages: FastMap::default(),
+            slab: Slab::new(page_size as usize),
             failed: false,
             injector: None,
             domain: FaultDomain::Unknown,
             scratch: Vec::new(),
-            spare: PagePool::new(page_size as usize),
         }
     }
 
@@ -110,15 +161,21 @@ impl MemStore {
         self.drop_pages();
     }
 
-    /// Forget every page, resident or parked.
+    /// Forget every page, resident or freed, and the slab holding them.
     fn drop_pages(&mut self) {
         self.pages.clear();
-        self.spare = PagePool::new(self.page_size as usize);
+        self.slab = Slab::new(self.page_size as usize);
     }
 
     /// Number of pages that have ever been written (resident set).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
+    }
+
+    /// `lpn`'s slot, carving one if the page is not resident (see
+    /// [`Slab::carve`] for `zero`).
+    fn resident_slot(&mut self, lpn: u64, zero: bool) -> u32 {
+        *self.pages.entry(lpn).or_insert_with(|| self.slab.carve(zero))
     }
 
     /// Whether page `lpn` holds stored bytes. `false` means it reads as
@@ -139,7 +196,7 @@ impl MemStore {
         if self.injector.is_none() {
             self.check(lpn)?;
             return Ok(match self.pages.get(&lpn) {
-                Some(page) => page,
+                Some(&slot) => self.slab.page(slot),
                 None => {
                     self.scratch.clear();
                     self.scratch.resize(self.page_size as usize, 0);
@@ -168,8 +225,8 @@ impl MemStore {
     ) -> Result<R, DevError> {
         if self.injector.is_none() {
             self.check(lpn)?;
-            let page = self.pages.entry(lpn).or_insert_with(|| self.spare.acquire());
-            return Ok(f(page));
+            let slot = self.resident_slot(lpn, true);
+            return Ok(f(self.slab.page_mut(slot)));
         }
         let mut buf = std::mem::take(&mut self.scratch);
         buf.resize(self.page_size as usize, 0);
@@ -206,7 +263,7 @@ impl PageStore for MemStore {
         assert_eq!(buf.len(), self.page_size as usize, "buffer/page size mismatch");
         let outcome = self.intercept(IoDir::Read);
         match self.pages.get(&lpn) {
-            Some(data) => buf.copy_from_slice(data),
+            Some(&slot) => buf.copy_from_slice(self.slab.page(slot)),
             None => buf.fill(0),
         }
         apply_read_outcome(outcome, buf)
@@ -217,27 +274,22 @@ impl PageStore for MemStore {
         assert_eq!(data.len(), self.page_size as usize, "buffer/page size mismatch");
         if self.injector.is_none() {
             // Fast path: without an injector no write can be torn or failed,
-            // so the previous-content snapshot is unnecessary and a resident
-            // page can be overwritten in place (no allocation at all).
-            match self.pages.get_mut(&lpn) {
-                Some(page) => page.copy_from_slice(data),
-                None => {
-                    self.pages.insert(lpn, self.spare.acquire_from(data));
-                }
-            }
+            // so the previous-content snapshot is unnecessary and the page
+            // is overwritten in place.
+            let slot = self.resident_slot(lpn, false);
+            self.slab.page_mut(slot).copy_from_slice(data);
             return Ok(());
         }
         let outcome = self.intercept(IoDir::Write);
         // Torn-write emulation needs the pre-image; this
         // runs only under fault injection, never on the hot path.
         let mut previous = vec![0u8; self.page_size as usize];
-        if let Some(old) = self.pages.get(&lpn) {
-            previous.copy_from_slice(old);
+        if let Some(&slot) = self.pages.get(&lpn) {
+            previous.copy_from_slice(self.slab.page(slot));
         }
-        match apply_write_outcome(outcome, data, &previous)? {
-            Some(mangled) => self.pages.insert(lpn, mangled.into_boxed_slice()),
-            None => self.pages.insert(lpn, data.into()),
-        };
+        let mangled = apply_write_outcome(outcome, data, &previous)?;
+        let slot = self.resident_slot(lpn, false);
+        self.slab.page_mut(slot).copy_from_slice(mangled.as_deref().unwrap_or(data));
         Ok(())
     }
 
@@ -246,8 +298,8 @@ impl PageStore for MemStore {
         if let IoOutcome::Fail(e) = self.intercept(IoDir::Write) {
             return Err(e);
         }
-        if let Some(page) = self.pages.remove(&lpn) {
-            self.spare.release(page);
+        if let Some(slot) = self.pages.remove(&lpn) {
+            self.slab.free.push(slot);
         }
         Ok(())
     }
@@ -452,6 +504,167 @@ mod tests {
         s.update_page(0, |p| p.fill(9)).unwrap(); // ops 2 and 3
         assert!(s.update_page(0, |p| p.fill(7)).unwrap_err().is_transient());
         assert_eq!(s.page(0).unwrap(), [9, 9, 3, 4], "torn update keeps the old suffix");
+    }
+
+    /// Chunks `s`'s slab has carved.
+    fn slab_chunks(s: &MemStore) -> usize {
+        s.slab.chunks.len()
+    }
+
+    /// Cycling `k` pages through write/trim rounds reuses their slots: the
+    /// slab never carves more than the `⌈k/16⌉` chunks one round needs.
+    #[test]
+    fn slab_stays_bounded_under_churn() {
+        for k in [1u64, 15, 16, 17, 40] {
+            let mut s = MemStore::new(64, 8);
+            for round in 0..50u8 {
+                let lpns = (0..k).map(|i| (u64::from(round) * 5 + i) % 64);
+                for lpn in lpns.clone() {
+                    if lpn % 2 == 0 {
+                        s.write_page(lpn, &[round; 8]).unwrap();
+                    } else {
+                        s.update_page(lpn, |p| p.fill(round)).unwrap();
+                    }
+                }
+                assert_eq!(s.resident_pages() as u64, k);
+                for lpn in lpns {
+                    s.trim_page(lpn).unwrap();
+                }
+                let chunks = slab_chunks(&s) as u64;
+                assert!(chunks <= k.div_ceil(SLAB_PAGES as u64), "k {k} round {round}: {chunks}");
+            }
+        }
+    }
+
+    /// One step of [`store_matches_a_map_model`].
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Write(u64, u8),
+        Update(u64, u8),
+        Page(u64),
+        Read(u64),
+        Trim(u64),
+        Fail,
+        Replace,
+    }
+
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        // Two pages past the end, so out-of-range refusals come up too.
+        let lpn = || 0u64..MODEL_PAGES + 2;
+        prop_oneof![
+            6 => (lpn(), any::<u8>()).prop_map(|(l, b)| Op::Write(l, b)),
+            6 => (lpn(), any::<u8>()).prop_map(|(l, b)| Op::Update(l, b)),
+            3 => lpn().prop_map(Op::Page),
+            3 => lpn().prop_map(Op::Read),
+            6 => lpn().prop_map(Op::Trim),
+            1 => Just(Op::Fail),
+            1 => Just(Op::Replace),
+        ]
+    }
+
+    const MODEL_PAGES: u64 = 40;
+    const MODEL_PS: u32 = 8;
+
+    /// `ops` against a `BTreeMap` of the resident pages: every result,
+    /// every page's contents, `is_resident` and `resident_pages` agree
+    /// after each step.
+    fn check_against_model(ops: &[Op], injected: bool) {
+        use std::collections::BTreeMap;
+        let mut s = MemStore::new(MODEL_PAGES, MODEL_PS);
+        if injected {
+            s.attach_injector(FaultInjector::none(), FaultDomain::Disk(2));
+        }
+        let domain = s.domain();
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut failed = false;
+        let zeros = vec![0u8; MODEL_PS as usize];
+        let pattern =
+            |b: u8| -> Vec<u8> { (0u8..).take(MODEL_PS as usize).map(|i| b ^ i).collect() };
+        for (step, &op) in ops.iter().enumerate() {
+            let refusal = |lpn: u64| {
+                if failed {
+                    Err(DevError::failed(domain))
+                } else if lpn >= MODEL_PAGES {
+                    Err(DevError::OutOfRange { lpn, capacity: MODEL_PAGES })
+                } else {
+                    Ok(())
+                }
+            };
+            let current = |model: &BTreeMap<u64, Vec<u8>>, lpn| {
+                model.get(&lpn).cloned().unwrap_or_else(|| zeros.clone())
+            };
+            match op {
+                Op::Write(lpn, b) => {
+                    let expect = refusal(lpn);
+                    assert_eq!(s.write_page(lpn, &pattern(b)), expect, "step {step}: {op:?}");
+                    if expect.is_ok() {
+                        model.insert(lpn, pattern(b));
+                    }
+                }
+                Op::Update(lpn, b) => {
+                    let expect = refusal(lpn).map(|()| current(&model, lpn));
+                    let got = s.update_page(lpn, |p| {
+                        let seen = p.to_vec();
+                        p.iter_mut().zip(pattern(b)).for_each(|(x, y)| *x ^= y);
+                        seen
+                    });
+                    assert_eq!(got, expect, "step {step}: {op:?}");
+                    if let Ok(mut page) = expect {
+                        page.iter_mut().zip(pattern(b)).for_each(|(x, y)| *x ^= y);
+                        model.insert(lpn, page);
+                    }
+                }
+                Op::Page(lpn) => {
+                    let expect = refusal(lpn).map(|()| current(&model, lpn));
+                    assert_eq!(s.page(lpn).map(<[u8]>::to_vec), expect, "step {step}: {op:?}");
+                }
+                Op::Read(lpn) => {
+                    let mut buf = vec![0xA5u8; MODEL_PS as usize];
+                    let expect = refusal(lpn).map(|()| current(&model, lpn));
+                    let got = s.read_page(lpn, &mut buf).map(|()| buf);
+                    assert_eq!(got, expect, "step {step}: {op:?}");
+                }
+                Op::Trim(lpn) => {
+                    let expect = refusal(lpn);
+                    assert_eq!(s.trim_page(lpn), expect, "step {step}: {op:?}");
+                    model.remove(&lpn);
+                }
+                Op::Fail => {
+                    s.fail();
+                    (failed, model) = (true, BTreeMap::new());
+                }
+                Op::Replace => {
+                    s.replace();
+                    (failed, model) = (false, BTreeMap::new());
+                }
+            }
+            assert_eq!(s.resident_pages(), model.len(), "step {step}: {op:?}");
+            let mut buf = vec![0u8; MODEL_PS as usize];
+            for lpn in 0..MODEL_PAGES {
+                assert_eq!(s.is_resident(lpn), model.contains_key(&lpn), "step {step} lpn {lpn}");
+                if !failed {
+                    s.read_page(lpn, &mut buf).unwrap();
+                    assert_eq!(buf, current(&model, lpn), "step {step} lpn {lpn}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn store_matches_a_map_model(ops in proptest::collection::vec(op(), 1..300)) {
+            check_against_model(&ops, false);
+        }
+
+        #[test]
+        fn store_matches_a_map_model_under_an_injector(
+            ops in proptest::collection::vec(op(), 1..300),
+        ) {
+            check_against_model(&ops, true);
+        }
     }
 
     #[test]

@@ -359,6 +359,8 @@ pub struct KddEngine {
     /// the group flush confirms them.
     meta_defer: bool,
     meta_pending: Vec<CommitBatch<MapEntry>>,
+    /// The completion times [`KddEngine::write_batch`] lends out.
+    batch_times: Vec<SimTime>,
     /// Stage-time accumulator for the request currently being dispatched
     /// (`kdd-obs/v2` latency attribution). Reset at the start of every
     /// dispatch attempt so retries report only the acknowledged attempt,
@@ -475,6 +477,7 @@ impl KddEngine {
             decode_scratch: Vec::new(),
             meta_defer: false,
             meta_pending: Vec::new(),
+            batch_times: Vec::new(),
             cur_stages: StageTimes::new(),
             config,
             ssd,
@@ -672,7 +675,7 @@ impl KddEngine {
 
     fn persist_batches(
         &mut self,
-        batches: Vec<CommitBatch<MapEntry>>,
+        batches: impl IntoIterator<Item = CommitBatch<MapEntry>>,
         t: &mut SimTime,
     ) -> Result<(), EngineError> {
         for batch in batches {
@@ -715,12 +718,12 @@ impl KddEngine {
 
     /// Write every parked metalog page to flash — the group-commit flush
     /// ending a batched submission.
+    /// The parking buffer is drained in place and kept, capacity and all.
     fn flush_group(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        if self.meta_pending.is_empty() {
-            return Ok(());
-        }
-        let batches = std::mem::take(&mut self.meta_pending);
-        self.persist_batches(batches, t)
+        let mut pending = std::mem::take(&mut self.meta_pending);
+        let done = self.persist_batches(pending.drain(..), t);
+        self.meta_pending = pending;
+        done
     }
 
     fn log_entry(&mut self, e: MapEntry, t: &mut SimTime) -> Result<(), EngineError> {
@@ -1085,7 +1088,9 @@ impl KddEngine {
     /// batch, so one flash write can cover mapping updates from many
     /// requests. Returns the per-request simulated service times; the
     /// group flush's cost is charged to the final request (it is the
-    /// batch's "fsync").
+    /// batch's "fsync"). The slice is lent from a buffer the engine refills
+    /// on every call, so a batch costs no allocation; it is valid until the
+    /// next `&mut` call on the engine.
     ///
     /// Crash safety is unchanged: entries are NVRAM-durable from the
     /// moment their request is acknowledged (metalog buffer + inflight
@@ -1094,7 +1099,7 @@ impl KddEngine {
     /// On error the group flush still runs for the already-dispatched
     /// prefix before the error is surfaced; requests after the failing one
     /// are not attempted.
-    pub fn write_batch(&mut self, reqs: &[WriteRequest<'_>]) -> Result<Vec<SimTime>, EngineError> {
+    pub fn write_batch(&mut self, reqs: &[WriteRequest<'_>]) -> Result<&[SimTime], EngineError> {
         struct PendingSpan {
             lba: u64,
             before: CacheStats,
@@ -1104,7 +1109,7 @@ impl KddEngine {
             stages: StageTimes,
         }
         let observing = self.recorder.is_enabled();
-        let mut times: Vec<SimTime> = Vec::with_capacity(reqs.len());
+        self.batch_times.clear();
         let mut spans: Vec<PendingSpan> =
             Vec::with_capacity(if observing { reqs.len() } else { 0 });
         self.meta_defer = true;
@@ -1113,7 +1118,7 @@ impl KddEngine {
             let before = self.stats;
             match self.write_dispatch(r.lba, r.data) {
                 Ok(t) => {
-                    times.push(t);
+                    self.batch_times.push(t);
                     if observing {
                         let class = if self.mode == EngineMode::PassThrough {
                             HitClass::PassThrough
@@ -1148,7 +1153,7 @@ impl KddEngine {
             return Err(e);
         }
         flush?;
-        if let Some(last) = times.last_mut() {
+        if let Some(last) = self.batch_times.last_mut() {
             *last += tg;
         }
         if let Some(last) = spans.last_mut() {
@@ -1158,6 +1163,8 @@ impl KddEngine {
             last.after = self.stats;
             last.stages.merge(&flush_stages);
         }
+        // Spans are emitted through `&mut self`: the times step out meanwhile.
+        let times = std::mem::take(&mut self.batch_times);
         for (s, t) in spans.iter().zip(times.iter()) {
             let (before, after) = (s.before, s.after);
             self.observe_span(
@@ -1171,7 +1178,8 @@ impl KddEngine {
                 s.stages,
             );
         }
-        Ok(times)
+        self.batch_times = times;
+        Ok(&self.batch_times)
     }
 
     fn write_dispatch(&mut self, lba: u64, data: &[u8]) -> Result<SimTime, EngineError> {

@@ -184,6 +184,37 @@ fn recovered_payloads_are_dropped_not_recycled() {
     assert_conserved(&e, "writes after recovery");
 }
 
+/// `write_batch` lends its completion times from a buffer it refills: each
+/// slice holds exactly its own batch's times, whatever the previous call
+/// left there — a longer batch, or a batch that failed part way. The twin
+/// submits an empty batch before each one, so its buffer's history
+/// differs while its simulated state does not.
+#[test]
+fn lent_batch_times_carry_no_stale_entries() {
+    let (mut e, mut twin) = (engine(64), engine(64));
+    let pages: Vec<Vec<u8>> = (0..16).map(page).collect();
+    let bad = vec![0u8; PS as usize - 1];
+    let reqs = |lbas: std::ops::Range<usize>| -> Vec<WriteRequest<'_>> {
+        lbas.map(|i| WriteRequest { lba: i as u64, data: &pages[i] }).collect()
+    };
+    let mut wrong = reqs(11..13);
+    wrong[1].data = &bad;
+    for (n, batch) in [reqs(0..8), reqs(8..11), wrong, reqs(13..15)].iter().enumerate() {
+        assert!(twin.write_batch(&[]).unwrap().is_empty(), "batch {n}: the empty batch");
+        let expect = twin.write_batch(batch).map(<[SimTime]>::to_vec);
+        let got = e.write_batch(batch).map(<[SimTime]>::to_vec);
+        if n == 2 {
+            assert!(matches!(got, Err(EngineError::Layout(_))), "batch {n}: {got:?}");
+            assert!(matches!(expect, Err(EngineError::Layout(_))), "twin batch {n}");
+            continue;
+        }
+        let (got, expect) = (got.unwrap(), expect.unwrap());
+        assert_eq!(got.len(), batch.len(), "batch {n}: {got:?}");
+        assert_eq!(got, expect, "batch {n}");
+    }
+    assert_eq!(e.stats(), twin.stats());
+}
+
 /// Aim 3: bad input never panics the I/O path. A payload that is not one
 /// page, or a request for a page past the array, is refused before any
 /// counter, staged delta or log entry moves, in both modes and anywhere in

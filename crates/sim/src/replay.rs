@@ -102,7 +102,7 @@ impl<'e> EngineDriver<'e> {
         let reqs: Vec<WriteRequest<'_>> =
             self.pending.iter().map(|(lba, data)| WriteRequest { lba: *lba, data }).collect();
         for t in self.engine.write_batch(&reqs)? {
-            self.device_time += t;
+            self.device_time += *t;
         }
         self.write_batches += 1;
         self.ops += self.pending.len() as u64;
