@@ -65,3 +65,13 @@ fn perfbench_smoke_snapshot_is_byte_identical_to_the_committed_one() {
     }
     assert_same("perfbench --smoke's OBS_engine.json", &snapshot, &committed("OBS_engine.json"));
 }
+
+/// The committed snapshot is a valid document stamped with the schema the
+/// workspace exports, so the byte pin above compares like with like.
+#[test]
+fn committed_obs_snapshot_validates_at_the_current_schema() {
+    let text = String::from_utf8(committed("OBS_engine.json")).expect("OBS_engine.json is UTF-8");
+    let doc = kdd_obs::json::parse(&text).expect("OBS_engine.json parses");
+    assert_eq!(kdd_obs::validate_snapshot(&doc), Vec::<String>::new());
+    assert_eq!(doc.get("schema").and_then(kdd_obs::Json::as_str), Some(kdd_obs::SCHEMA));
+}

@@ -82,11 +82,6 @@ impl SsdDevice {
         self.store.page_size()
     }
 
-    /// Number of independent flash channels (read parallelism).
-    pub fn channels(&self) -> u32 {
-        self.ftl.geometry().channels
-    }
-
     /// Route every page I/O through `injector` as [`FaultDomain::Ssd`].
     pub fn attach_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector.clone());
@@ -112,28 +107,6 @@ impl SsdDevice {
         }
         let time = self.ftl.read(lpn)?.service_time(self.ftl.timings());
         Ok((self.store.page(lpn)?, time))
-    }
-
-    /// Read several logical pages concurrently; the service time is the
-    /// maximum over the channels involved (the SSD-internal parallelism
-    /// KDD leans on to fetch data and delta together, §IV-B2).
-    pub fn read_pages_parallel(
-        &self,
-        lpns: &[u64],
-        bufs: &mut [Vec<u8>],
-    ) -> Result<SimTime, DevError> {
-        assert_eq!(lpns.len(), bufs.len());
-        if self.failed {
-            return Err(DevError::failed(FaultDomain::Ssd));
-        }
-        let t = self.ftl.timings();
-        let mut per_channel = vec![SimTime::ZERO; self.channels() as usize];
-        for (&lpn, buf) in lpns.iter().zip(bufs.iter_mut()) {
-            let cost = self.ftl.read(lpn)?;
-            self.store.read_page(lpn, buf)?;
-            per_channel[cost.channel as usize] += cost.service_time(t);
-        }
-        Ok(per_channel.into_iter().max().unwrap_or(SimTime::ZERO))
     }
 
     /// Write a logical page; returns its service time (including any GC).
@@ -222,28 +195,6 @@ mod tests {
         let tr = d.read_page(10, &mut buf).unwrap();
         assert_eq!(buf, data);
         assert!(tw > tr, "program {tw} should cost more than read {tr}");
-    }
-
-    #[test]
-    fn parallel_read_cheaper_than_serial() {
-        let mut d = small_ssd();
-        let data = vec![1u8; 4096];
-        // Write enough pages to touch several channels.
-        for lpn in 0..64 {
-            d.write_page(lpn, &data).unwrap();
-        }
-        let lpns: Vec<u64> = (0..8).collect();
-        let mut bufs = vec![vec![0u8; 4096]; 8];
-        let t_par = d.read_pages_parallel(&lpns, &mut bufs).unwrap();
-        let mut t_ser = SimTime::ZERO;
-        for &lpn in &lpns {
-            let mut b = vec![0u8; 4096];
-            t_ser += d.read_page(lpn, &mut b).unwrap();
-        }
-        assert!(t_par < t_ser, "parallel {t_par} vs serial {t_ser}");
-        for b in &bufs {
-            assert_eq!(b, &data);
-        }
     }
 
     #[test]

@@ -1,17 +1,12 @@
-//! NVRAM-backed metadata buffer shared by the persistent policies.
+//! NVRAM-backed metadata buffer of the LeavO baseline.
 //!
 //! §IV-A1: "For fair comparisons, the NVRAM buffer is employed in all of
 //! the algorithms." Mapping entries accumulate in NVRAM; when a page's
 //! worth is buffered, the batch is committed to flash as one metadata-page
-//! write. KDD additionally *coalesces* entries (a newer entry for the same
-//! DAZ page overwrites the buffered one, §III-C); LeavO appends entries
-//! uncoalesced.
+//! write. LeavO appends entries uncoalesced; KDD's coalescing buffer
+//! (a newer entry for the same DAZ page overwrites the buffered one,
+//! §III-C) is `kdd_core::MetaLog`.
 
-// Narrowing casts here are bounded by construction (page sizes, slot
-// counts). See DESIGN.md "Static analysis & invariants".
-#![allow(clippy::cast_possible_truncation)]
-
-use kdd_util::hash::FastMap;
 use serde::{Deserialize, Serialize};
 
 /// Bytes per persistent mapping entry on flash: two 4-byte LBAs, a 1-byte
@@ -23,27 +18,18 @@ pub const ENTRY_BYTES: u32 = 12;
 /// An NVRAM metadata buffer committing page-sized batches to flash.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MetadataBuffer {
-    /// Whether same-key entries overwrite in place (KDD) or append (LeavO).
-    coalesce: bool,
     entries_per_page: u32,
-    /// Buffered entries: key → generation (for coalescing); when not
-    /// coalescing, the count alone matters.
-    buffered: FastMap<u64, u64>,
-    uncoalesced_count: u32,
-    generation: u64,
+    buffered: u32,
     /// Metadata pages committed to flash so far.
     pages_committed: u64,
 }
 
 impl MetadataBuffer {
     /// Create a buffer batching entries into `page_size`-byte pages.
-    pub fn new(page_size: u32, coalesce: bool) -> Self {
+    pub fn new(page_size: u32) -> Self {
         MetadataBuffer {
-            coalesce,
             entries_per_page: (page_size / ENTRY_BYTES).max(1),
-            buffered: FastMap::default(),
-            uncoalesced_count: 0,
-            generation: 0,
+            buffered: 0,
             pages_committed: 0,
         }
     }
@@ -55,11 +41,7 @@ impl MetadataBuffer {
 
     /// Entries currently buffered.
     pub fn buffered_entries(&self) -> u32 {
-        if self.coalesce {
-            self.buffered.len() as u32
-        } else {
-            self.uncoalesced_count
-        }
+        self.buffered
     }
 
     /// Metadata pages committed so far.
@@ -67,16 +49,11 @@ impl MetadataBuffer {
         self.pages_committed
     }
 
-    /// Record a mapping update for `key`; returns the number of metadata
-    /// pages flushed to flash as a result (0 or 1).
-    pub fn push(&mut self, key: u64) -> u32 {
-        self.generation += 1;
-        if self.coalesce {
-            self.buffered.insert(key, self.generation);
-        } else {
-            self.uncoalesced_count += 1;
-        }
-        if self.buffered_entries() >= self.entries_per_page {
+    /// Record one mapping update; returns the number of metadata pages
+    /// flushed to flash as a result (0 or 1).
+    pub fn push(&mut self) -> u32 {
+        self.buffered += 1;
+        if self.buffered >= self.entries_per_page {
             self.flush()
         } else {
             0
@@ -86,14 +63,13 @@ impl MetadataBuffer {
     /// Force-commit whatever is buffered (e.g. at shutdown); returns pages
     /// written.
     pub fn flush(&mut self) -> u32 {
-        let n = self.buffered_entries();
+        let n = self.buffered;
         if n == 0 {
             return 0;
         }
         let pages = n.div_ceil(self.entries_per_page);
-        self.buffered.clear();
-        self.uncoalesced_count = 0;
-        self.pages_committed += pages as u64;
+        self.buffered = 0;
+        self.pages_committed += u64::from(pages);
         pages
     }
 }
@@ -104,46 +80,21 @@ mod tests {
 
     #[test]
     fn appending_buffer_flushes_per_page() {
-        let mut b = MetadataBuffer::new(4096, false);
+        let mut b = MetadataBuffer::new(4096);
         let epp = b.entries_per_page();
         assert_eq!(epp, 341);
         let mut pages = 0;
-        for i in 0..(epp * 3) as u64 {
-            pages += b.push(i % 5); // duplicate keys do NOT coalesce
+        for _ in 0..epp * 3 {
+            pages += b.push();
         }
         assert_eq!(pages, 3);
         assert_eq!(b.pages_committed(), 3);
     }
 
     #[test]
-    fn coalescing_buffer_dedups_keys() {
-        let mut b = MetadataBuffer::new(4096, true);
-        let mut pages = 0;
-        for _ in 0..10_000 {
-            pages += b.push(7); // same page updated over and over
-        }
-        assert_eq!(pages, 0, "coalesced updates never fill the buffer");
-        assert_eq!(b.buffered_entries(), 1);
-        assert_eq!(b.flush(), 1);
-        assert_eq!(b.flush(), 0, "already empty");
-    }
-
-    #[test]
-    fn coalescing_still_flushes_on_distinct_keys() {
-        let mut b = MetadataBuffer::new(4096, true);
-        let epp = b.entries_per_page() as u64;
-        let mut pages = 0;
-        for k in 0..epp {
-            pages += b.push(k);
-        }
-        assert_eq!(pages, 1);
-        assert_eq!(b.buffered_entries(), 0);
-    }
-
-    #[test]
     fn tiny_pages_still_hold_one_entry() {
-        let mut b = MetadataBuffer::new(8, false);
+        let mut b = MetadataBuffer::new(8);
         assert_eq!(b.entries_per_page(), 1);
-        assert_eq!(b.push(0), 1);
+        assert_eq!(b.push(), 1);
     }
 }

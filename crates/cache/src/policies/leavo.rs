@@ -52,7 +52,7 @@ impl LeavO {
         LeavO {
             cache: SetAssocCache::new_grouped(geometry, grouping),
             raid,
-            meta: MetadataBuffer::new(geometry.page_size, false),
+            meta: MetadataBuffer::new(geometry.page_size),
             pending: PendingRows::default(),
             old_versions: FastMap::default(),
             stats: CacheStats::default(),
@@ -60,8 +60,8 @@ impl LeavO {
         }
     }
 
-    fn push_meta(&mut self, key: u64, fx: &mut Effects) {
-        fx.ssd_meta_writes += self.meta.push(key);
+    fn push_meta(&mut self, fx: &mut Effects) {
+        fx.ssd_meta_writes += self.meta.push();
     }
 
     /// Repair all pending rows, freeing old versions and unpinning the
@@ -77,7 +77,7 @@ impl LeavO {
             for lba in self.pending.take_row(row) {
                 if let Some(old_slot) = self.old_versions.remove(&lba) {
                     self.cache.free_slot(old_slot);
-                    self.push_meta(lba.wrapping_add(1 << 62), &mut fx);
+                    self.push_meta(&mut fx);
                 }
                 if let Some(slot) = self.cache.lookup(lba) {
                     if self.cache.state(slot) == PageState::Dirty {
@@ -109,9 +109,9 @@ impl LeavO {
         for attempt in 0..2 {
             match self.cache.insert(lba, state, |s| s == PageState::Clean) {
                 InsertOutcome::Inserted { .. } => return true,
-                InsertOutcome::Evicted { victim_lba, .. } => {
+                InsertOutcome::Evicted { .. } => {
                     self.stats.evictions += 1;
-                    self.push_meta(victim_lba, fx);
+                    self.push_meta(fx);
                     return true;
                 }
                 InsertOutcome::NoRoom => {
@@ -146,7 +146,7 @@ impl CachePolicy for LeavO {
                 fx += self.raid.read_effects();
                 if self.insert_or_bypass(lba, PageState::Clean, &mut fx, &mut bg) {
                     fx.ssd_data_writes += 1;
-                    self.push_meta(lba, &mut fx);
+                    self.push_meta(&mut fx);
                 }
                 false
             }
@@ -158,7 +158,7 @@ impl CachePolicy for LeavO {
                     self.cache.touch(slot);
                     fx.ssd_data_writes += 1;
                     fx += self.raid.data_write_effects();
-                    self.push_meta(lba, &mut fx);
+                    self.push_meta(&mut fx);
                 } else {
                     // First delayed write since the last parity update: the
                     // old copy stays on flash (no I/O), the new version is
@@ -176,7 +176,7 @@ impl CachePolicy for LeavO {
                             fx.ssd_data_writes += 1; // program the new version
                             fx += self.raid.data_write_effects();
                             self.pending.add(row, lba, || 0); // LeavO never asks by set
-                            self.push_meta(lba, &mut fx);
+                            self.push_meta(&mut fx);
                         }
                         None => {
                             // No room to retain a version: degrade to a
@@ -184,7 +184,7 @@ impl CachePolicy for LeavO {
                             self.cache.touch(slot);
                             fx.ssd_data_writes += 1;
                             fx += self.raid.small_write_effects();
-                            self.push_meta(lba, &mut fx);
+                            self.push_meta(&mut fx);
                         }
                     }
                     self.maybe_clean(&mut bg);
@@ -195,7 +195,7 @@ impl CachePolicy for LeavO {
                 // Conventional write miss: cache it and update parity.
                 if self.insert_or_bypass(lba, PageState::Clean, &mut fx, &mut bg) {
                     fx.ssd_data_writes += 1;
-                    self.push_meta(lba, &mut fx);
+                    self.push_meta(&mut fx);
                 }
                 fx += self.raid.small_write_effects();
                 false

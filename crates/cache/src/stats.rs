@@ -95,7 +95,7 @@ impl CacheStats {
         frac(self.ssd_meta_writes, self.ssd_writes_pages())
     }
 
-    /// Export the counters for the observability registry. `kdd-obs`
+    /// Export the counters for the observability recorder. `kdd-obs`
     /// sits below this crate in the dependency graph, so the totals cross
     /// over through its mirror struct; the accessors above stay the thin
     /// views experiments already use.

@@ -19,8 +19,6 @@ pub struct KddConfig {
     /// Metadata partition size as a fraction of the SSD's page count
     /// (Figure 4 sweeps 0.39 %–0.98 %; the paper settles on 0.59 %).
     pub meta_partition_frac: f64,
-    /// NVRAM staging-buffer capacity in bytes (one flash page by default).
-    pub staging_bytes: u32,
     /// Map pages of the same parity stripe to the same cache set (§III-B's
     /// spatial-locality optimisation). Ablation: off → per-page hashing.
     ///
@@ -62,7 +60,6 @@ impl KddConfig {
             geometry,
             clean_threshold: 0.90,
             meta_partition_frac: 0.0059,
-            staging_bytes: geometry.page_size,
             stripe_aligned_sets: true,
             nvram_batching: true,
             reclaim_as_clean: false,
@@ -105,7 +102,6 @@ mod tests {
         let g = CacheGeometry { total_pages: 262_144, ways: 64, page_size: 4096 };
         let c = KddConfig::new(g);
         assert!((c.meta_partition_frac - 0.0059).abs() < 1e-12);
-        assert_eq!(c.staging_bytes, 4096);
         // 0.59% of 262144 pages ≈ 1546 pages.
         assert_eq!(c.meta_partition_pages(), 1546);
         assert_eq!(c.clean_trigger_slots(), 235_929);

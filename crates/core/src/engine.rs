@@ -421,8 +421,8 @@ impl KddEngine {
             return Err(EngineError::Layout("page sizes must match across devices".into()));
         }
         let nv = Nvram::new(
-            NvState { staging: StagingBuffer::new(config.staging_bytes) },
-            config.staging_bytes as u64 * 2,
+            NvState { staging: StagingBuffer::new(geometry.page_size) },
+            u64::from(geometry.page_size) * 2,
         );
         let cache = Self::empty_cache(&config, &raid);
         Ok(Self::assemble(config, ssd, raid, cache, nv, Self::empty_metalog(&config)))

@@ -149,7 +149,7 @@ impl KddPolicy {
             cache: SetAssocCache::new_grouped(geometry, grouping),
             raid,
             model,
-            staging: StagingBuffer::new(config.staging_bytes),
+            staging: StagingBuffer::new(config.geometry.page_size),
             metalog: MetaLog::new(config.meta_partition_pages(), epp),
             pending: PendingRows::default(),
             delta_loc: FastMap::default(),

@@ -3,11 +3,13 @@
 //! The paper's claims are quantitative (SSD write traffic saved, erase
 //! cycles avoided, stale-parity cleaning kept off the critical path), so
 //! the stack needs a single place where those numbers are collected and
-//! exported. This crate provides three pieces:
+//! exported. This crate provides these pieces:
 //!
-//! * [`registry`] — typed counters/gauges/[`Log2Hist`] histograms keyed
-//!   by `&'static str` (no `String` allocation on hot paths), exported in
-//!   `BTreeMap` order for byte-stable output;
+//! * [`recorder`] — the [`Recorder`] handle, which exports the snapshot's
+//!   `totals` straight from the final [`Sample`]'s fields and its own
+//!   counters, naming each metric once; [`Json`] objects are
+//!   `BTreeMap`-backed, so the rendered key order is byte-stable;
+//! * [`registry`] — the [`Log2Hist`] power-of-two histogram;
 //! * [`ring`] — structured I/O lifecycle spans ([`Completion`] →
 //!   [`SpanEvent`]) and first-class background spans captured into a
 //!   bounded [`SpanRing`];
@@ -45,7 +47,7 @@ pub mod trace;
 pub use diff::{diff_snapshots, DiffEntry, DiffOptions, DiffReport};
 pub use json::Json;
 pub use recorder::{Recorder, RecorderConfig};
-pub use registry::{CounterId, GaugeId, HistId, Log2Hist, Registry};
+pub use registry::Log2Hist;
 pub use ring::{BackgroundSpan, Completion, HitClass, ReqKind, SpanBody, SpanEvent, SpanRing};
 pub use snapshot::{validate_snapshot, CacheCounters, Sample};
 pub use stage::{Stage, StageTimes};

@@ -3,8 +3,8 @@
 //! A recorder is either *disabled* — the default, a `None` inside, so
 //! every call is a branch and an immediate return — or *enabled*, a
 //! shared handle (`Arc<Mutex<..>>`, mirroring `FaultInjector`) over the
-//! metrics registry, span ring, per-stage latency histograms and sample
-//! timeseries. The mutex is poison-recovering: observability must never
+//! span ring, the recorder's own counters and latency histograms, and the
+//! sample timeseries. The mutex is poison-recovering: observability must never
 //! take down an I/O path.
 //!
 //! All time here is *simulated* time supplied by the instrumented
@@ -13,9 +13,9 @@
 
 use crate::frac;
 use crate::json::{obj, Json};
-use crate::registry::{CounterId, GaugeId, HistId, Log2Hist, Registry};
+use crate::registry::Log2Hist;
 use crate::ring::{BackgroundSpan, Completion, ReqKind, SpanBody, SpanEvent, SpanRing};
-use crate::snapshot::{CacheCounters, Sample};
+use crate::snapshot::Sample;
 use crate::stage::{Stage, StageTimes};
 use kdd_util::SimTime;
 use std::collections::BTreeMap;
@@ -36,90 +36,14 @@ impl Default for RecorderConfig {
     }
 }
 
-/// Pre-registered ids for every metric the stack emits, so hot-path
-/// updates are index stores with no key lookup.
-#[derive(Debug, Clone, Copy)]
-struct Ids {
-    // Counters mirrored from CacheStats.
-    read_hits: CounterId,
-    read_misses: CounterId,
-    write_hits: CounterId,
-    write_misses: CounterId,
-    evictions: CounterId,
-    cleanings: CounterId,
-    parity_updates: CounterId,
-    ssd_reads: CounterId,
-    ssd_data_writes: CounterId,
-    ssd_delta_writes: CounterId,
-    ssd_meta_writes: CounterId,
-    raid_reads: CounterId,
-    raid_writes: CounterId,
-    faults_observed: CounterId,
-    fault_retries: CounterId,
-    fault_fallbacks: CounterId,
-    torn_pages: CounterId,
-    // Recorder-owned counters.
-    requests: CounterId,
-    background_spans: CounterId,
-    // Gauges refreshed from the latest sample.
-    backlog_rows: GaugeId,
-    stale_rows: GaugeId,
-    staged_deltas: GaugeId,
-    metalog_pages_used: GaugeId,
-    metalog_pages_total: GaugeId,
-    erases: GaugeId,
-    max_erase: GaugeId,
-    host_written_bytes: GaugeId,
-    nand_written_bytes: GaugeId,
-    // Histograms.
-    lat_read_ns: HistId,
-    lat_write_ns: HistId,
-    comp_milli: HistId,
-}
-
-impl Ids {
-    fn register(r: &mut Registry) -> Ids {
-        Ids {
-            read_hits: r.register_counter("cache.read_hits"),
-            read_misses: r.register_counter("cache.read_misses"),
-            write_hits: r.register_counter("cache.write_hits"),
-            write_misses: r.register_counter("cache.write_misses"),
-            evictions: r.register_counter("cache.evictions"),
-            cleanings: r.register_counter("cleaner.cleanings"),
-            parity_updates: r.register_counter("cleaner.parity_updates"),
-            ssd_reads: r.register_counter("ssd.reads"),
-            ssd_data_writes: r.register_counter("ssd.data_writes"),
-            ssd_delta_writes: r.register_counter("ssd.delta_writes"),
-            ssd_meta_writes: r.register_counter("ssd.meta_writes"),
-            raid_reads: r.register_counter("raid.reads"),
-            raid_writes: r.register_counter("raid.writes"),
-            faults_observed: r.register_counter("faults.observed"),
-            fault_retries: r.register_counter("faults.retries"),
-            fault_fallbacks: r.register_counter("faults.fallbacks"),
-            torn_pages: r.register_counter("recovery.torn_pages"),
-            requests: r.register_counter("obs.requests"),
-            background_spans: r.register_counter("obs.background_spans"),
-            backlog_rows: r.register_gauge("cleaner.backlog_rows"),
-            stale_rows: r.register_gauge("raid.stale_rows"),
-            staged_deltas: r.register_gauge("nvram.staged_deltas"),
-            metalog_pages_used: r.register_gauge("metalog.pages_used"),
-            metalog_pages_total: r.register_gauge("metalog.pages_total"),
-            erases: r.register_gauge("ssd.erases"),
-            max_erase: r.register_gauge("ssd.max_erase"),
-            host_written_bytes: r.register_gauge("ssd.host_written_bytes"),
-            nand_written_bytes: r.register_gauge("ssd.nand_written_bytes"),
-            lat_read_ns: r.register_hist("lat.read_ns"),
-            lat_write_ns: r.register_hist("lat.write_ns"),
-            comp_milli: r.register_hist("delta.comp_milli"),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct ObsCore {
-    registry: Registry,
-    ids: Ids,
     ring: SpanRing,
+    requests: u64,
+    background_spans: u64,
+    lat_read_ns: Log2Hist,
+    lat_write_ns: Log2Hist,
+    comp_milli: Log2Hist,
     /// Per-stage latency histograms indexed by [`Stage::index`]: one
     /// observation per span that charged the stage, in nanoseconds.
     stage_hists: Vec<Log2Hist>,
@@ -141,13 +65,13 @@ impl ObsCore {
 
     fn note(&mut self, c: Completion, enter: SimTime, exit: SimTime) -> bool {
         self.seq += 1;
-        self.registry.add(self.ids.requests, 1);
+        self.requests += 1;
         match c.kind {
-            ReqKind::Read => self.registry.observe(self.ids.lat_read_ns, c.service.as_nanos()),
-            ReqKind::Write => self.registry.observe(self.ids.lat_write_ns, c.service.as_nanos()),
+            ReqKind::Read => self.lat_read_ns.observe(c.service.as_nanos()),
+            ReqKind::Write => self.lat_write_ns.observe(c.service.as_nanos()),
         }
         if c.comp_milli > 0 {
-            self.registry.observe(self.ids.comp_milli, u64::from(c.comp_milli));
+            self.comp_milli.observe(u64::from(c.comp_milli));
         }
         self.observe_stages(&c.stages);
         self.ring.push(SpanEvent { seq: self.seq, enter, exit, body: SpanBody::Request(c) });
@@ -156,7 +80,7 @@ impl ObsCore {
 
     fn note_background(&mut self, b: BackgroundSpan, enter: SimTime, exit: SimTime) -> bool {
         self.seq += 1;
-        self.registry.add(self.ids.background_spans, 1);
+        self.background_spans += 1;
         // The wrapper itself is an observation of its own stage; the
         // inner breakdown lands in the per-stage histograms too.
         if let Some(h) = self.stage_hists.get_mut(b.stage.index()) {
@@ -167,51 +91,61 @@ impl ObsCore {
         self.now >= self.next_sample
     }
 
-    fn sync_cache(&mut self, c: &CacheCounters) {
-        let ids = self.ids;
-        let r = &mut self.registry;
-        r.set_counter(ids.read_hits, c.read_hits);
-        r.set_counter(ids.read_misses, c.read_misses);
-        r.set_counter(ids.write_hits, c.write_hits);
-        r.set_counter(ids.write_misses, c.write_misses);
-        r.set_counter(ids.evictions, c.evictions);
-        r.set_counter(ids.cleanings, c.cleanings);
-        r.set_counter(ids.parity_updates, c.parity_updates);
-        r.set_counter(ids.ssd_reads, c.ssd_reads);
-        r.set_counter(ids.ssd_data_writes, c.ssd_data_writes);
-        r.set_counter(ids.ssd_delta_writes, c.ssd_delta_writes);
-        r.set_counter(ids.ssd_meta_writes, c.ssd_meta_writes);
-        r.set_counter(ids.raid_reads, c.raid_reads);
-        r.set_counter(ids.raid_writes, c.raid_writes);
-        r.set_counter(ids.faults_observed, c.faults_observed);
-        r.set_counter(ids.fault_retries, c.fault_retries);
-        r.set_counter(ids.fault_fallbacks, c.fault_fallbacks);
-        r.set_counter(ids.torn_pages, c.torn_pages_detected);
-    }
-
-    fn refresh_gauges(&mut self, s: &Sample) {
-        let to_i64 = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        let ids = self.ids;
-        let r = &mut self.registry;
-        r.set_gauge(ids.backlog_rows, to_i64(s.backlog_rows));
-        r.set_gauge(ids.stale_rows, to_i64(s.stale_rows));
-        r.set_gauge(ids.staged_deltas, to_i64(s.staged_deltas));
-        r.set_gauge(ids.metalog_pages_used, to_i64(s.metalog_pages_used));
-        r.set_gauge(ids.metalog_pages_total, to_i64(s.metalog_pages_total));
-        r.set_gauge(ids.erases, to_i64(s.erases));
-        r.set_gauge(ids.max_erase, to_i64(s.max_erase));
-        r.set_gauge(ids.host_written_bytes, to_i64(s.host_written_bytes));
-        r.set_gauge(ids.nand_written_bytes, to_i64(s.nand_written_bytes));
-    }
-
-    fn derived(&self, fin: &Sample) -> Json {
+    /// The `totals` table. Cache counters, gauges and derived ratios are
+    /// read from the final sample; this function is the one place each
+    /// metric is named.
+    fn totals(&self, fin: &Sample) -> Json {
         let c = &fin.cache;
-        obj(vec![
+        let n = |v: u64| Json::Num(v as f64);
+        let counters = obj(vec![
+            ("cache.read_hits", n(c.read_hits)),
+            ("cache.read_misses", n(c.read_misses)),
+            ("cache.write_hits", n(c.write_hits)),
+            ("cache.write_misses", n(c.write_misses)),
+            ("cache.evictions", n(c.evictions)),
+            ("cleaner.cleanings", n(c.cleanings)),
+            ("cleaner.parity_updates", n(c.parity_updates)),
+            ("ssd.reads", n(c.ssd_reads)),
+            ("ssd.data_writes", n(c.ssd_data_writes)),
+            ("ssd.delta_writes", n(c.ssd_delta_writes)),
+            ("ssd.meta_writes", n(c.ssd_meta_writes)),
+            ("raid.reads", n(c.raid_reads)),
+            ("raid.writes", n(c.raid_writes)),
+            ("faults.observed", n(c.faults_observed)),
+            ("faults.retries", n(c.fault_retries)),
+            ("faults.fallbacks", n(c.fault_fallbacks)),
+            ("recovery.torn_pages", n(c.torn_pages_detected)),
+            ("obs.requests", n(self.requests)),
+            ("obs.background_spans", n(self.background_spans)),
+        ]);
+        let gauges = obj(vec![
+            ("cleaner.backlog_rows", n(fin.backlog_rows)),
+            ("raid.stale_rows", n(fin.stale_rows)),
+            ("nvram.staged_deltas", n(fin.staged_deltas)),
+            ("metalog.pages_used", n(fin.metalog_pages_used)),
+            ("metalog.pages_total", n(fin.metalog_pages_total)),
+            ("ssd.erases", n(fin.erases)),
+            ("ssd.max_erase", n(fin.max_erase)),
+            ("ssd.host_written_bytes", n(fin.host_written_bytes)),
+            ("ssd.nand_written_bytes", n(fin.nand_written_bytes)),
+        ]);
+        let hists = obj(vec![
+            ("lat.read_ns", self.lat_read_ns.export()),
+            ("lat.write_ns", self.lat_write_ns.export()),
+            ("delta.comp_milli", self.comp_milli.export()),
+        ]);
+        let derived = obj(vec![
             ("cache.hit_ratio", Json::Num(frac(c.hits(), c.requests()))),
             ("cache.read_hit_ratio", Json::Num(frac(c.read_hits, c.read_hits + c.read_misses))),
             ("cache.metadata_fraction", Json::Num(frac(c.ssd_meta_writes, c.ssd_writes_pages()))),
             ("ssd.waf", Json::Num(frac(fin.nand_written_bytes, fin.host_written_bytes))),
             ("metalog.occupancy", Json::Num(frac(fin.metalog_pages_used, fin.metalog_pages_total))),
+        ]);
+        obj(vec![
+            ("counters", counters),
+            ("gauges", gauges),
+            ("hists", hists),
+            ("derived", derived),
         ])
     }
 
@@ -247,12 +181,13 @@ impl Recorder {
     /// An enabled recorder with the given sampling/ring configuration.
     pub fn new(config: RecorderConfig) -> Recorder {
         let interval = SimTime(config.sample_interval.0.max(1));
-        let mut registry = Registry::new();
-        let ids = Ids::register(&mut registry);
         let core = ObsCore {
-            registry,
-            ids,
             ring: SpanRing::new(config.ring_capacity),
+            requests: 0,
+            background_spans: 0,
+            lat_read_ns: Log2Hist::new(),
+            lat_write_ns: Log2Hist::new(),
+            comp_milli: Log2Hist::new(),
             stage_hists: vec![Log2Hist::new(); Stage::COUNT],
             samples: Vec::new(),
             interval,
@@ -318,44 +253,25 @@ impl Recorder {
         g.next_sample = SimTime(g.now.0.saturating_add(g.interval.0));
     }
 
-    /// True when the simulated clock has passed the next sample point.
-    pub fn sample_due(&self) -> bool {
-        let Some(core) = &self.inner else { return false };
-        let g = Self::lock(core);
-        g.now >= g.next_sample
-    }
-
     /// Current simulated time as seen by the recorder.
     pub fn now(&self) -> SimTime {
         let Some(core) = &self.inner else { return SimTime::ZERO };
         Self::lock(core).now
     }
 
-    /// Mirror the cache-layer counter totals into the registry.
-    pub fn sync_cache(&self, c: &CacheCounters) {
-        let Some(core) = &self.inner else { return };
-        Self::lock(core).sync_cache(c);
-    }
-
     /// Export the full `kdd-obs/v2` snapshot. `fin` is the final sample
-    /// (always appended to the timeseries and used to refresh gauges and
-    /// derived ratios); `wear` is the per-block erase-count histogram.
+    /// (always appended to the timeseries, and the source of the cache
+    /// counters, gauges and derived ratios in `totals`); `wear` is the per-block erase-count histogram.
     /// Returns `None` on a disabled recorder. Idempotent: exporting twice
     /// with the same `fin` yields byte-identical documents.
     pub fn export(&self, fin: &Sample, wear: &Log2Hist) -> Option<Json> {
         let core = self.inner.as_ref()?;
-        let mut g = Self::lock(core);
-        g.sync_cache(&fin.cache);
-        g.refresh_gauges(fin);
-        let mut totals = g.registry.export();
-        if let Json::Obj(map) = &mut totals {
-            map.insert("derived".to_string(), g.derived(fin));
-        }
+        let g = Self::lock(core);
         let mut timeseries: Vec<Json> = g.samples.iter().map(Sample::export).collect();
         timeseries.push(fin.export());
         Some(obj(vec![
             ("schema", Json::Str(crate::SCHEMA.to_string())),
-            ("totals", totals),
+            ("totals", g.totals(fin)),
             ("stages", g.export_stages()),
             ("timeseries", Json::Arr(timeseries)),
             ("wear", wear.export()),
@@ -368,7 +284,7 @@ impl Recorder {
 mod tests {
     use super::*;
     use crate::ring::HitClass;
-    use crate::snapshot::validate_snapshot;
+    use crate::snapshot::{validate_snapshot, CacheCounters};
 
     fn completion(lba: u64, service: SimTime) -> Completion {
         Completion::new(ReqKind::Write, lba, HitClass::WriteHitDelta, service)
@@ -380,7 +296,6 @@ mod tests {
         assert!(!r.is_enabled());
         assert!(!r.record(completion(1, SimTime(100))));
         assert!(!r.record_background(Stage::CleanerPass, SimTime(50), StageTimes::new()));
-        assert!(!r.sample_due());
         assert!(r.export(&Sample::default(), &Log2Hist::new()).is_none());
     }
 
@@ -394,7 +309,7 @@ mod tests {
         assert!(r.record(completion(1, SimTime::from_micros(2))));
         let s = Sample { at: r.now(), ..Sample::default() };
         r.push_sample(s);
-        assert!(!r.sample_due(), "push_sample reschedules");
+        assert!(!r.record(completion(2, SimTime(1))), "push_sample reschedules");
     }
 
     #[test]

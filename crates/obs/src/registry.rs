@@ -1,29 +1,12 @@
-//! Typed metrics registry with static keys.
-//!
-//! Metrics are registered once (usually at `Recorder` construction) and
-//! updated through copyable integer ids, so the hot path never hashes or
-//! allocates a `String`. Export walks the metric tables into a
-//! `BTreeMap`-backed [`Json`] object, which keeps the rendered bytes
-//! stable regardless of registration order.
+//! [`Log2Hist`], the power-of-two histogram behind every distribution
+//! `kdd-obs` exports: request latencies, compression ratios, per-stage
+//! times and the SSD wear histogram.
 //!
 //! All accumulation is integer-only; floating point appears only in
 //! derived ratios computed at export time (see [`crate::frac`]), so
 //! replays cannot diverge through float summation order.
 
 use crate::json::Json;
-use std::collections::BTreeMap;
-
-/// Handle to a registered monotonic counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge (a point-in-time level, may go down).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a registered log2-bucket histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistId(usize);
 
 /// A power-of-two bucketed histogram over `u64` observations.
 ///
@@ -119,109 +102,6 @@ impl Log2Hist {
     }
 }
 
-/// The metric tables. Ids index into the vectors, so updates are a bounds
-/// check plus an integer store.
-#[derive(Debug, Default, Clone)]
-pub struct Registry {
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, i64)>,
-    hists: Vec<(&'static str, Log2Hist)>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register (or look up) a counter under a static key.
-    pub fn register_counter(&mut self, key: &'static str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(k, _)| *k == key) {
-            return CounterId(i);
-        }
-        self.counters.push((key, 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Register (or look up) a gauge under a static key.
-    pub fn register_gauge(&mut self, key: &'static str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(k, _)| *k == key) {
-            return GaugeId(i);
-        }
-        self.gauges.push((key, 0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Register (or look up) a histogram under a static key.
-    pub fn register_hist(&mut self, key: &'static str) -> HistId {
-        if let Some(i) = self.hists.iter().position(|(k, _)| *k == key) {
-            return HistId(i);
-        }
-        self.hists.push((key, Log2Hist::new()));
-        HistId(self.hists.len() - 1)
-    }
-
-    /// Add `delta` to a counter.
-    pub fn add(&mut self, id: CounterId, delta: u64) {
-        if let Some((_, v)) = self.counters.get_mut(id.0) {
-            *v = v.saturating_add(delta);
-        }
-    }
-
-    /// Overwrite a counter with an externally accumulated total (used to
-    /// mirror `CacheStats`-style structs into the registry).
-    pub fn set_counter(&mut self, id: CounterId, value: u64) {
-        if let Some((_, v)) = self.counters.get_mut(id.0) {
-            *v = value;
-        }
-    }
-
-    /// Current value of a counter (0 for a foreign id).
-    pub fn counter(&self, id: CounterId) -> u64 {
-        self.counters.get(id.0).map(|(_, v)| *v).unwrap_or(0)
-    }
-
-    /// Set a gauge to a level.
-    pub fn set_gauge(&mut self, id: GaugeId, value: i64) {
-        if let Some((_, v)) = self.gauges.get_mut(id.0) {
-            *v = value;
-        }
-    }
-
-    /// Current value of a gauge (0 for a foreign id).
-    pub fn gauge(&self, id: GaugeId) -> i64 {
-        self.gauges.get(id.0).map(|(_, v)| *v).unwrap_or(0)
-    }
-
-    /// Record an observation into a histogram.
-    pub fn observe(&mut self, id: HistId, v: u64) {
-        if let Some((_, h)) = self.hists.get_mut(id.0) {
-            h.observe(v);
-        }
-    }
-
-    /// Read access to a histogram.
-    pub fn hist(&self, id: HistId) -> Option<&Log2Hist> {
-        self.hists.get(id.0).map(|(_, h)| h)
-    }
-
-    /// Export every metric as `{counters: {...}, gauges: {...},
-    /// hists: {...}}`, keys sorted by the `BTreeMap`.
-    pub fn export(&self) -> Json {
-        let counters: BTreeMap<String, Json> =
-            self.counters.iter().map(|(k, v)| ((*k).to_string(), Json::Num(*v as f64))).collect();
-        let gauges: BTreeMap<String, Json> =
-            self.gauges.iter().map(|(k, v)| ((*k).to_string(), Json::Num(*v as f64))).collect();
-        let hists: BTreeMap<String, Json> =
-            self.hists.iter().map(|(k, h)| ((*k).to_string(), h.export())).collect();
-        crate::json::obj(vec![
-            ("counters", Json::Obj(counters)),
-            ("gauges", Json::Obj(gauges)),
-            ("hists", Json::Obj(hists)),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,35 +145,5 @@ mod tests {
         let doc = h.export();
         let buckets = doc.get("buckets").and_then(Json::as_arr).expect("buckets");
         assert_eq!(buckets.len(), 4, "only non-empty buckets exported");
-    }
-
-    #[test]
-    fn registry_ids_are_stable_and_dedup_by_key() {
-        let mut r = Registry::new();
-        let a = r.register_counter("x.a");
-        let b = r.register_counter("x.b");
-        let a2 = r.register_counter("x.a");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        r.add(a, 2);
-        r.add(a, 3);
-        r.set_counter(b, 7);
-        assert_eq!(r.counter(a), 5);
-        assert_eq!(r.counter(b), 7);
-        let g = r.register_gauge("g.level");
-        r.set_gauge(g, -4);
-        assert_eq!(r.gauge(g), -4);
-    }
-
-    #[test]
-    fn export_orders_keys_lexicographically() {
-        let mut r = Registry::new();
-        r.register_counter("z.last");
-        r.register_counter("a.first");
-        let doc = r.export();
-        let text = doc.render();
-        let a = text.find("a.first").expect("a.first");
-        let z = text.find("z.last").expect("z.last");
-        assert!(a < z, "BTreeMap export must sort keys");
     }
 }

@@ -15,7 +15,7 @@ use kdd_util::SimTime;
 ///
 /// `kdd-obs` sits below the cache crate in the dependency graph, so the
 /// cache exports its totals through this struct (see
-/// `CacheStats::counters()`) instead of the registry depending on the
+/// `CacheStats::counters()`) instead of the recorder depending on the
 /// cache types.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[allow(missing_docs)] // field names match CacheStats one-to-one

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 /// also name first-class *background* spans (work done outside any one
 /// request: explicit cleaner passes, deferred metalog group flushes,
 /// recovery). [`Stage::as_str`] names are part of the `kdd-obs/v2`
-/// schema and cross-checked by the KDD011 lint.
+/// schema, pinned by the committed `OBS_engine.json`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// Cache index probe. Charged zero simulated time by the current

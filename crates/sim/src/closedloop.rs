@@ -81,7 +81,6 @@ pub fn run_closed_loop_observed(
         ready.push(Reverse(done));
     }
     policy.flush();
-    recorder.sync_cache(&policy.stats().counters());
     ClosedLoopReport {
         policy: policy.name(),
         requests: server.requests(),

@@ -182,7 +182,6 @@ pub fn replay_open_loop_observed(
         }
     }
     policy.flush(); // background work; not part of response time
-    recorder.sync_cache(&policy.stats().counters());
     OpenLoopReport {
         policy: policy.name(),
         requests: server.requests(),

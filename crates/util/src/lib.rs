@@ -3,7 +3,7 @@
 //! This crate holds the small, dependency-light building blocks every other
 //! crate in the workspace leans on:
 //!
-//! * [`stats`] — streaming mean/variance, latency histograms, ratio counters;
+//! * [`stats`] — streaming mean/variance and latency histograms;
 //! * [`sampler`] — Zipf and (clamped) Gaussian samplers implemented from the
 //!   formulas the paper cites, so the statistical models are auditable;
 //! * [`lru`] — an intrusive, slab-backed LRU list used by the set-associative
@@ -28,5 +28,5 @@ pub use hash::mix64;
 pub use pool::PagePool;
 pub use rng::seeded_rng;
 pub use sampler::{ClampedGaussian, Gaussian, Zipf};
-pub use stats::{Histogram, RatioCounter, StreamingStats};
+pub use stats::{Histogram, StreamingStats};
 pub use units::{ByteSize, SimTime, KIB, MIB};

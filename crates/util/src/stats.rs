@@ -112,60 +112,6 @@ impl StreamingStats {
     }
 }
 
-/// A hit/total ratio counter (hit ratio, metadata fraction, ...).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct RatioCounter {
-    hits: u64,
-    total: u64,
-}
-
-impl RatioCounter {
-    /// Record one event, hit or miss.
-    #[inline]
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        self.hits += hit as u64;
-    }
-
-    /// Add `n` hits out of `n` events.
-    #[inline]
-    pub fn add_hits(&mut self, n: u64) {
-        self.hits += n;
-        self.total += n;
-    }
-
-    /// Add `n` misses out of `n` events.
-    #[inline]
-    pub fn add_misses(&mut self, n: u64) {
-        self.total += n;
-    }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Events so far.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// hits/total, 0 when empty.
-    pub fn ratio(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-
-    /// Merge another counter.
-    pub fn merge(&mut self, other: &RatioCounter) {
-        self.hits += other.hits;
-        self.total += other.total;
-    }
-}
-
 /// Log-bucketed histogram for latency percentiles.
 ///
 /// Values are bucketed with ~4.2 % relative resolution (16 sub-buckets per
@@ -315,21 +261,6 @@ mod tests {
         let empty = StreamingStats::new();
         a.merge(&empty);
         assert_eq!(a.count(), 1);
-    }
-
-    #[test]
-    fn ratio_counter_basics() {
-        let mut r = RatioCounter::default();
-        assert_eq!(r.ratio(), 0.0);
-        r.record(true);
-        r.record(false);
-        r.record(true);
-        r.record(true);
-        assert_eq!(r.hits(), 3);
-        assert_eq!(r.total(), 4);
-        assert!((r.ratio() - 0.75).abs() < 1e-12);
-        r.add_misses(4);
-        assert!((r.ratio() - 0.375).abs() < 1e-12);
     }
 
     #[test]

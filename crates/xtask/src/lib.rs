@@ -4,10 +4,10 @@
 //! Some invariants KDD's correctness story rests on are invisible to the
 //! compiler and to clippy: the I/O path must degrade through typed errors
 //! rather than panicking mid-stripe, only the engine may write the raw
-//! substrate, its `Result`s must not be dropped, endurance counters must
-//! survive years of compressed wear without overflowing, and the metric
-//! names in code must match the committed snapshot. This crate enforces
-//! those rules mechanically on every PR (`cargo run -p xtask -- lint`).
+//! substrate, its `Result`s must not be dropped, and endurance counters
+//! must survive years of compressed wear without overflowing. This crate
+//! enforces those rules mechanically on every PR (`cargo run -p xtask --
+//! lint`).
 //! What a type-aware checker can see is left to one: the root
 //! `clippy.toml` bans wall-clock reads and default-hasher maps,
 //! `clippy::indexing_slicing` audits indexing, and a `const` assertion in
@@ -29,9 +29,7 @@
 //!    nodes with conservatively-resolved call edges, raw-write
 //!    reachability, and the fallible-API set.
 //! 4. **Rules** — line rules run over the rendered code/comment views;
-//!    symbol rules (`KDD002` indirect, `KDD009`) run over the graph;
-//!    `KDD011` cross-checks the token stream against the committed
-//!    `kdd-obs/v2` snapshot.
+//!    symbol rules (`KDD002` indirect, `KDD009`) run over the graph.
 //!
 //! ## Rules
 //!
@@ -42,7 +40,6 @@
 //! | `KDD002` | `layering` | raw device/array writes from `sim`, `bench`, `cli`, or `trace` — direct tokens *and* indirect call chains that reach the substrate without passing through the engine |
 //! | `KDD009` | `error-discard` | `let _ = …;` and `….ok();` applied to `Result`-returning I/O-path calls (resolved through the call graph) |
 //! | `KDD010` | `counter-arithmetic` | narrowing `as` casts and unchecked `+`/`+=` on endurance counters (erase counts, WAF accumulators, stale-row counters) |
-//! | `KDD011` | `obs-schema` | drift between metric/span names registered in code and the committed `OBS_engine.json` snapshot |
 //!
 //! ## Waivers
 //!
@@ -122,10 +119,6 @@ const RAW_WRITE_TOKENS: &[&str] = &[
 const PANIC_TOKENS: &[&str] =
     &[".unwrap()", ".expect(", "panic!", "unreachable!", "todo!", "unimplemented!"];
 
-/// Registration method names rule `KDD011` extracts metric names from.
-const OBS_REGISTER_METHODS: &[(&str, &str)] =
-    &[("register_counter", "counters"), ("register_gauge", "gauges"), ("register_hist", "hists")];
-
 /// Identifier substrings that mark an endurance counter (rule `KDD010`):
 /// erase counts, WAF accumulators, stale-row counters, wear statistics.
 const COUNTER_NAME_HINTS: &[&str] =
@@ -149,19 +142,11 @@ pub enum Rule {
     ErrorDiscard,
     /// `KDD010` — unchecked arithmetic or narrowing cast on an endurance counter.
     CounterArithmetic,
-    /// `KDD011` — drift between registered obs names and the committed snapshot.
-    ObsSchema,
 }
 
 /// Every rule, in ID order.
-const ALL_RULES: &[Rule] = &[
-    Rule::Waiver,
-    Rule::NoPanic,
-    Rule::Layering,
-    Rule::ErrorDiscard,
-    Rule::CounterArithmetic,
-    Rule::ObsSchema,
-];
+const ALL_RULES: &[Rule] =
+    &[Rule::Waiver, Rule::NoPanic, Rule::Layering, Rule::ErrorDiscard, Rule::CounterArithmetic];
 
 impl Rule {
     /// Stable rule ID, e.g. `KDD001`.
@@ -172,7 +157,6 @@ impl Rule {
             Rule::Layering => "KDD002",
             Rule::ErrorDiscard => "KDD009",
             Rule::CounterArithmetic => "KDD010",
-            Rule::ObsSchema => "KDD011",
         }
     }
 
@@ -184,7 +168,6 @@ impl Rule {
             Rule::Layering => "layering",
             Rule::ErrorDiscard => "error-discard",
             Rule::CounterArithmetic => "counter-arithmetic",
-            Rule::ObsSchema => "obs-schema",
         }
     }
 
@@ -884,235 +867,6 @@ fn run_graph_rules(
 }
 
 // ---------------------------------------------------------------------------
-// KDD011: obs schema drift
-// ---------------------------------------------------------------------------
-
-/// A metric name registered in code, with its location.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegisteredName {
-    /// Metric key, e.g. `ssd.erases`.
-    pub name: String,
-    /// Registering file.
-    pub file: String,
-    /// 1-based line of the registration call.
-    pub line: usize,
-}
-
-/// Everything the token stream says the observability layer exports.
-#[derive(Debug, Default)]
-pub struct ObsNames {
-    /// `register_counter` names.
-    pub counters: Vec<RegisteredName>,
-    /// `register_gauge` names.
-    pub gauges: Vec<RegisteredName>,
-    /// `register_hist` names.
-    pub hists: Vec<RegisteredName>,
-    /// Span classes declared by `as_str` in `crates/obs`.
-    pub span_classes: Vec<String>,
-    /// Stage names declared by `Stage::as_str` (the `kdd-obs/v2` latency
-    /// attribution taxonomy).
-    pub stages: Vec<String>,
-}
-
-impl ObsNames {
-    /// The registration list for a totals table name.
-    fn table(&self, table: &str) -> &[RegisteredName] {
-        match table {
-            "counters" => &self.counters,
-            "gauges" => &self.gauges,
-            _ => &self.hists,
-        }
-    }
-}
-
-/// Extract registered metric names and declared span classes from one
-/// analysed file, appending into `names`.
-fn collect_obs_names(fa: &FileAnalysis, af: &AnalyzedFile, names: &mut ObsNames) {
-    let toks = &fa.lexed.toks;
-    for (k, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let Some((_, table)) = OBS_REGISTER_METHODS.iter().find(|(m, _)| *m == t.text) else {
-            continue;
-        };
-        if fa.in_test.get(t.line.saturating_sub(1)).copied().unwrap_or(false) {
-            continue;
-        }
-        let is_open = toks.get(k + 1).is_some_and(|x| x.kind == TokKind::Punct && x.text == "(");
-        let Some(arg) = toks.get(k + 2).filter(|x| x.kind == TokKind::Str && is_open) else {
-            continue;
-        };
-        let rec = RegisteredName { name: arg.text.clone(), file: fa.rel.clone(), line: t.line };
-        match *table {
-            "counters" => names.counters.push(rec),
-            "gauges" => names.gauges.push(rec),
-            _ => names.hists.push(rec),
-        }
-    }
-    // Span classes: string literals inside `fn as_str` bodies in crates/obs.
-    // `Stage::as_str` additionally feeds the stage taxonomy, cross-checked
-    // against the v2 snapshot's `stages` table.
-    if fa.rel.contains("crates/obs/") {
-        for f in &af.items.fns {
-            if f.name != "as_str" {
-                continue;
-            }
-            let is_stage = f.owner.as_deref() == Some("Stage");
-            let (start, end) = f.body;
-            for t in toks.get(start..end.min(toks.len())).unwrap_or(&[]) {
-                if t.kind == TokKind::Str && !t.text.is_empty() {
-                    names.span_classes.push(t.text.clone());
-                    if is_stage {
-                        names.stages.push(t.text.clone());
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Cross-check registered names against the committed `kdd-obs`
-/// snapshot document (`OBS_engine.json`). Exposed for fixture tests.
-pub fn check_obs_schema(names: &ObsNames, doc: &Json, doc_path: &str) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for problem in kdd_obs::validate_snapshot(doc) {
-        out.push(Violation {
-            rule: Rule::ObsSchema,
-            file: doc_path.to_string(),
-            line: 1,
-            message: format!("committed snapshot fails kdd-obs validation: {problem}"),
-        });
-    }
-    // The committed baseline must carry the schema the workspace exports:
-    // a stale v1 baseline would silently skip every v2-only cross-check.
-    let doc_schema = doc.get("schema").and_then(Json::as_str);
-    let is_current = doc_schema == Some(kdd_obs::SCHEMA);
-    if let Some(s) = doc_schema {
-        if !is_current {
-            out.push(Violation {
-                rule: Rule::ObsSchema,
-                file: doc_path.to_string(),
-                line: 1,
-                message: format!(
-                    "committed snapshot is `{s}` but the workspace exports `{}`: \
-                     regenerate {doc_path} (`perfbench`)",
-                    kdd_obs::SCHEMA
-                ),
-            });
-        }
-    }
-    for table in ["counters", "gauges", "hists"] {
-        let doc_keys: BTreeSet<&str> = doc
-            .get("totals")
-            .and_then(|t| t.get(table))
-            .and_then(|j| match j {
-                Json::Obj(m) => Some(m.keys().map(String::as_str).collect()),
-                _ => None,
-            })
-            .unwrap_or_default();
-        let registered = names.table(table);
-        for r in registered {
-            if !doc_keys.contains(r.name.as_str()) {
-                out.push(Violation {
-                    rule: Rule::ObsSchema,
-                    file: r.file.clone(),
-                    line: r.line,
-                    message: format!(
-                        "metric `{}` is registered here but missing from {doc_path} \
-                         totals.{table}: regenerate the committed snapshot \
-                         (`perfbench`) or remove the registration",
-                        r.name
-                    ),
-                });
-            }
-        }
-        let reg_set: BTreeSet<&str> = registered.iter().map(|r| r.name.as_str()).collect();
-        for key in doc_keys {
-            if !reg_set.contains(key) {
-                out.push(Violation {
-                    rule: Rule::ObsSchema,
-                    file: doc_path.to_string(),
-                    line: 1,
-                    message: format!(
-                        "metric `{key}` appears in {doc_path} totals.{table} but no \
-                         non-test code registers it: stale export — regenerate the \
-                         snapshot or restore the metric"
-                    ),
-                });
-            }
-        }
-    }
-    // v2: the snapshot's `stages` table and the Stage taxonomy must match
-    // in BOTH directions — the table always exports every stage, so a
-    // missing key means a renamed/removed stage with a stale baseline,
-    // and an extra key means a stale export of a dropped stage.
-    if is_current && !names.stages.is_empty() {
-        let declared: BTreeSet<&str> = names.stages.iter().map(String::as_str).collect();
-        let doc_stages: BTreeSet<&str> = doc
-            .get("stages")
-            .and_then(|j| match j {
-                Json::Obj(m) => Some(m.keys().map(String::as_str).collect()),
-                _ => None,
-            })
-            .unwrap_or_default();
-        for s in &declared {
-            if !doc_stages.contains(s) {
-                out.push(Violation {
-                    rule: Rule::ObsSchema,
-                    file: doc_path.to_string(),
-                    line: 1,
-                    message: format!(
-                        "stage `{s}` is declared by Stage::as_str but missing from \
-                         {doc_path} stages: regenerate the committed snapshot \
-                         (`perfbench`) or remove the stage"
-                    ),
-                });
-            }
-        }
-        for s in doc_stages {
-            if !declared.contains(s) {
-                out.push(Violation {
-                    rule: Rule::ObsSchema,
-                    file: doc_path.to_string(),
-                    line: 1,
-                    message: format!(
-                        "stage `{s}` appears in {doc_path} stages but is not declared \
-                         by Stage::as_str: stale export — regenerate the snapshot or \
-                         restore the stage"
-                    ),
-                });
-            }
-        }
-    }
-    // Exported span classes must be declared (the reverse is fine: not
-    // every class occurs in every run).
-    if !names.span_classes.is_empty() {
-        let declared: BTreeSet<&str> = names.span_classes.iter().map(String::as_str).collect();
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        if let Some(events) = doc.get("spans").and_then(|s| s.get("events")).and_then(Json::as_arr)
-        {
-            for ev in events {
-                if let Some(class) = ev.get("class").and_then(Json::as_str) {
-                    if !declared.contains(class) && seen.insert(class.to_string()) {
-                        out.push(Violation {
-                            rule: Rule::ObsSchema,
-                            file: doc_path.to_string(),
-                            line: 1,
-                            message: format!(
-                                "span class `{class}` is exported in {doc_path} but \
-                                 not declared by any `as_str` in crates/obs"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
@@ -1120,8 +874,8 @@ pub fn check_obs_schema(names: &ObsNames, doc: &Json, doc_path: &str) -> Vec<Vio
 ///
 /// Runs the full pipeline — lexer, item extraction, a single-file call
 /// graph — so fixtures exercise exactly the code the workspace walk runs.
-/// Cross-file resolution (e.g. `KddEngine::flush` from `cli`) and the
-/// `KDD011` snapshot cross-check only happen under [`lint_workspace`].
+/// Cross-file resolution (e.g. `KddEngine::flush` from `cli`) only
+/// happens under [`lint_workspace`].
 pub fn lint_source(crate_name: &str, rel_path: &str, src: &str) -> Report {
     let (fa, af) = analyse(crate_name, rel_path, src);
     let graph = CallGraph::build(std::slice::from_ref(&af));
@@ -1193,32 +947,11 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     // Workspace graph over every analysed file.
     let graph = CallGraph::build(&afs);
     let reach = graph.raw_reachability();
-    let mut obs_names = ObsNames::default();
-    for (fa, af) in fas.iter().zip(&afs) {
+    for fa in &fas {
         let fl = FileLint::new(fa, &mut report);
         run_line_rules(&fl, &mut report);
         run_token_rules(&fl, &mut report);
         run_graph_rules(&fl, &graph, &reach, &mut report);
-        collect_obs_names(fa, af, &mut obs_names);
-    }
-    // KDD011: the committed snapshot must agree with the code.
-    let obs_doc_path = "OBS_engine.json";
-    match std::fs::read_to_string(root.join(obs_doc_path)) {
-        Ok(text) => match json::parse(&text) {
-            Ok(doc) => report.violations.extend(check_obs_schema(&obs_names, &doc, obs_doc_path)),
-            Err(e) => report.violations.push(Violation {
-                rule: Rule::ObsSchema,
-                file: obs_doc_path.to_string(),
-                line: 1,
-                message: format!("committed snapshot does not parse: {e}"),
-            }),
-        },
-        Err(e) => report.violations.push(Violation {
-            rule: Rule::ObsSchema,
-            file: obs_doc_path.to_string(),
-            line: 1,
-            message: format!("committed snapshot missing ({e}): run perfbench to regenerate it"),
-        }),
     }
     sort_dedup(&mut report);
     Ok(report)

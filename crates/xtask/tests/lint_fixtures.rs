@@ -209,88 +209,6 @@ fn layering_indirect_good_engine_chain_is_clean() {
 }
 
 #[test]
-fn obs_schema_drift_is_flagged_both_directions() {
-    use xtask::{check_obs_schema, ObsNames, RegisteredName};
-    let doc_text = r#"{
-        "schema": "kdd-obs/v2",
-        "totals": {
-            "counters": {"cache.read_hits": 1},
-            "gauges": {},
-            "hists": {},
-            "derived": {}
-        },
-        "stages": {
-            "delta_encode": {"count": 1, "sum": 30000, "max": 30000, "buckets": [[16384, 1]]}
-        },
-        "timeseries": [{"t": 0}],
-        "wear": {},
-        "spans": {"pushed": 1, "dropped": 0, "events": [{"class": "hit_clean"}]}
-    }"#;
-    let doc = kdd_obs::json::parse(doc_text).expect("doc parses");
-    let reg = |name: &str, line: usize| RegisteredName {
-        name: name.to_string(),
-        file: "crates/obs/src/recorder.rs".to_string(),
-        line,
-    };
-    let base_names = || {
-        let mut names = ObsNames::default();
-        names.counters.push(reg("cache.read_hits", 80));
-        names.span_classes.push("hit_clean".to_string());
-        names.span_classes.push("delta_encode".to_string());
-        names.stages.push("delta_encode".to_string());
-        names
-    };
-
-    // Case 1: registered in code but absent from the committed snapshot —
-    // pinned to the registration's file:line.
-    let mut names = base_names();
-    names.counters.push(reg("cache.phantom_hits", 81));
-    let found = check_obs_schema(&names, &doc, "OBS_engine.json");
-    assert_eq!(found.len(), 1, "exactly the drifted metric: {found:?}");
-    assert_eq!(found[0].rule.code(), "KDD011");
-    assert_eq!(found[0].rule.name(), "obs-schema");
-    assert_eq!(found[0].file, "crates/obs/src/recorder.rs");
-    assert_eq!(found[0].line, 81);
-    assert!(found[0].message.contains("cache.phantom_hits"));
-
-    // Case 2: exported in the snapshot but no longer registered anywhere.
-    let mut names = base_names();
-    names.counters.clear();
-    let found = check_obs_schema(&names, &doc, "OBS_engine.json");
-    assert_eq!(found.len(), 1, "stale export flagged: {found:?}");
-    assert_eq!(found[0].rule, Rule::ObsSchema);
-    assert_eq!(found[0].file, "OBS_engine.json");
-    assert!(found[0].message.contains("cache.read_hits"));
-
-    // Case 3: an exported span class no `as_str` declares.
-    let mut names = base_names();
-    names.span_classes.retain(|c| c != "hit_clean");
-    let found = check_obs_schema(&names, &doc, "OBS_engine.json");
-    assert_eq!(found.len(), 1, "undeclared span class flagged: {found:?}");
-    assert!(found[0].message.contains("hit_clean"));
-
-    // Case 4: stage taxonomy drift, both directions at once — a declared
-    // stage missing from the table AND a table key no Stage declares.
-    let mut names = base_names();
-    names.stages = vec!["parity_rmw".to_string()];
-    names.span_classes.push("parity_rmw".to_string());
-    let found = check_obs_schema(&names, &doc, "OBS_engine.json");
-    assert_eq!(found.len(), 2, "both stage directions flagged: {found:?}");
-    assert!(found.iter().any(|v| v.message.contains("`parity_rmw` is declared")));
-    assert!(found.iter().any(|v| v.message.contains("`delta_encode` appears")));
-
-    // Case 5: a committed baseline still on the previous schema version
-    // must be called out (and the v2-only checks are skipped, not failed).
-    let v1 = kdd_obs::json::parse(&doc_text.replace("kdd-obs/v2", "kdd-obs/v1")).expect("v1 doc");
-    let found = check_obs_schema(&base_names(), &v1, "OBS_engine.json");
-    assert_eq!(found.len(), 1, "stale schema flagged once: {found:?}");
-    assert!(found[0].message.contains("regenerate"), "{}", found[0].message);
-
-    // Agreement in both directions is clean.
-    assert_eq!(check_obs_schema(&base_names(), &doc, "OBS_engine.json"), vec![]);
-}
-
-#[test]
 fn json_report_is_stable_and_machine_readable() {
     let src = fixture("error_discard_bad.rs");
     let report = lint_source("core", "error_discard_bad.rs", &src);
@@ -313,7 +231,6 @@ fn rule_codes_are_stable() {
         (Rule::Layering, "KDD002", "layering"),
         (Rule::ErrorDiscard, "KDD009", "error-discard"),
         (Rule::CounterArithmetic, "KDD010", "counter-arithmetic"),
-        (Rule::ObsSchema, "KDD011", "obs-schema"),
     ] {
         assert_eq!(rule.code(), code);
         assert_eq!(rule.name(), name);
@@ -321,6 +238,7 @@ fn rule_codes_are_stable() {
         assert_eq!(Rule::parse(name), Some(rule), "parse by name");
     }
     assert_eq!(Rule::parse("no-such-rule"), None);
+    assert_eq!(Rule::parse("KDD011"), None, "retired rules no longer parse");
 }
 
 #[test]

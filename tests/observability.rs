@@ -211,6 +211,37 @@ fn stage_times_are_conserved_across_all_paper_traces() {
     }
 }
 
+/// Key set of one `totals` table.
+fn totals_keys(doc: &Json, table: &str) -> Vec<String> {
+    let Some(Json::Obj(map)) = doc.get("totals").and_then(|t| t.get(table)) else {
+        panic!("totals.{table} is not an object");
+    };
+    map.keys().cloned().collect()
+}
+
+/// The byte pin covers the engine's snapshot only; the counting models
+/// export through the same recorder and must name the same metrics.
+#[test]
+fn counting_path_exports_the_committed_metric_names() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../OBS_engine.json");
+    let text = std::fs::read_to_string(path).expect("read the committed OBS_engine.json");
+    let committed = kdd::obs::json::parse(&text).expect("committed snapshot parses");
+
+    let trace = PaperTrace::Fin1.generate_scaled(800, 11);
+    let geometry = CacheGeometry { total_pages: 256, ways: 16, page_size: PAGE };
+    let raid = RaidModel::paper_default(trace.address_space_pages().max(1024));
+    let mut policy = build_policy(PolicyKind::Kdd(0.25), geometry, raid, 11);
+    let recorder =
+        Recorder::new(RecorderConfig { sample_interval: SimTime::from_secs(1), ring_capacity: 64 });
+    let model = ServiceModel::paper_default();
+    kdd::sim::replay_open_loop_observed(policy.as_mut(), &trace, &model, 5, 1, &recorder);
+    let doc = kdd::sim::obs_snapshot_policy(policy.as_ref(), &recorder).expect("recorder enabled");
+
+    for table in ["counters", "gauges", "hists", "derived"] {
+        assert_eq!(totals_keys(&doc, table), totals_keys(&committed, table), "totals.{table}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
