@@ -27,13 +27,19 @@
 //! vary run to run (host timing is this binary's job, so it opts out of
 //! the `clippy.toml` wall-clock ban).
 
-// kdd-lint: allow-file(layering) -- `raid5_write_page_rmw_4k` and `raid6_rebuild_row_*` time `RaidArray::write_page` and `RaidArray::rebuild` themselves, on throwaway arrays of their own: there is no engine whose accounting or crash ordering the raw calls could bypass.
 // Indexing and narrowing casts here are bounds-audited (offsets from
 // length-checked parses; sizes bounded by construction). See DESIGN.md
 // "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 #![allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "host timing is this binary's job, so it reads the wall clock; and \
+              `raid5_write_page_rmw_4k` and `raid6_rebuild_row_*` time \
+              `RaidArray::write_page` and `RaidArray::rebuild` themselves, on \
+              throwaway arrays of their own, so there is no engine whose \
+              accounting or crash ordering the raw calls could bypass"
+)]
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -55,6 +55,7 @@ impl Row {
 /// `f64`, always with a fraction or exponent (`100.0`, `9.93`,
 /// `0.19219176115975312`); non-finite values have no JSON form and
 /// become `null`.
+#[expect(clippy::let_underscore_must_use, reason = "fmt::Write into a String cannot fail")]
 fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v:?}");
@@ -63,6 +64,7 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+#[expect(clippy::let_underscore_must_use, reason = "fmt::Write into a String cannot fail")]
 fn write_str_field(out: &mut String, key: &str, value: &str) {
     let _ = write!(out, "    \"{key}\": ");
     write_str(out, value);

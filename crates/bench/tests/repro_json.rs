@@ -1,6 +1,7 @@
 //! The committed artefacts are what the binaries print today, byte for
 //! byte: `results/repro_scale100.{txt,json}` (every table and figure) and
-//! `OBS_engine.json` (the engine's observability snapshot).
+//! `OBS_engine.json` (the engine's observability snapshot). The crate
+//! `clippy.toml` files keep every ban of the root one.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -74,4 +75,26 @@ fn committed_obs_snapshot_validates_at_the_current_schema() {
     let doc = kdd_obs::json::parse(&text).expect("OBS_engine.json parses");
     assert_eq!(kdd_obs::validate_snapshot(&doc), Vec::<String>::new());
     assert_eq!(doc.get("schema").and_then(kdd_obs::Json::as_str), Some(kdd_obs::SCHEMA));
+}
+
+/// Clippy reads only the nearest `clippy.toml`, so each crate file that
+/// adds the layering ban must also repeat every ban of the root file.
+#[test]
+fn crate_clippy_tomls_repeat_every_root_ban() {
+    let bans = |file: &str| -> Vec<String> {
+        let text = String::from_utf8(committed(file)).expect("clippy.toml is UTF-8");
+        text.split("path = \"")
+            .skip(1)
+            .filter_map(|rest| rest.split('"').next())
+            .map(String::from)
+            .collect()
+    };
+    let root = bans("clippy.toml");
+    assert!(!root.is_empty(), "the root clippy.toml bans nothing");
+    for krate in ["sim", "cli", "bench"] {
+        let file = format!("crates/{krate}/clippy.toml");
+        let own = bans(&file);
+        let missing: Vec<_> = root.iter().filter(|ban| !own.contains(ban)).collect();
+        assert!(missing.is_empty(), "{file} lacks the root bans {missing:?}");
+    }
 }

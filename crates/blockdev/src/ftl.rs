@@ -551,6 +551,50 @@ mod tests {
         );
     }
 
+    /// Fills the device, then overwrites every third page until a write
+    /// relocates live pages (GC ran and its victim still held valid data)
+    /// or the device gives up; returns whether a relocation happened.
+    fn churn_until_relocation(f: &mut Ftl) -> bool {
+        for lpn in 0..f.logical_pages() {
+            f.write(lpn).unwrap();
+        }
+        for i in 0..f.logical_pages() * 8 {
+            match f.write((i * 3) % f.logical_pages()) {
+                Ok(cost) if cost.pages_read > 0 => return true,
+                Ok(_) => {}
+                Err(_) => return false,
+            }
+        }
+        false
+    }
+
+    /// The endurance counters saturate instead of wrapping (or panicking:
+    /// tests run with overflow checks on).
+    #[test]
+    fn erase_counts_saturate() {
+        let mut f = small_ftl();
+        for blk in &mut f.blocks {
+            blk.erase_count = u32::MAX;
+        }
+        f.erases = u64::MAX;
+        // A victim erased at `u32::MAX` is past any rating, so it retires,
+        // and the device may wear out before anything is relocated.
+        churn_until_relocation(&mut f);
+        assert!(f.blocks.iter().any(|b| b.state == BlockState::Retired), "GC never erased");
+        assert!(f.erase_counts().all(|ec| ec == u32::MAX));
+        assert_eq!(f.erases, u64::MAX);
+    }
+
+    #[test]
+    fn page_counters_saturate() {
+        let mut f = small_ftl();
+        f.host_pages_written = u64::MAX;
+        f.nand_pages_written = u64::MAX;
+        assert!(churn_until_relocation(&mut f), "GC never relocated a page");
+        assert_eq!(f.host_pages_written, u64::MAX);
+        assert_eq!(f.nand_pages_written, u64::MAX);
+    }
+
     #[test]
     fn out_of_range_lpn() {
         let mut f = small_ftl();

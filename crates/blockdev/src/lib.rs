@@ -20,6 +20,16 @@
 //!   recovery tests.
 
 #![warn(missing_docs)]
+// No unwinding outside tests: the I/O path fails through typed errors,
+// never mid-stripe (DESIGN.md "Static analysis & invariants").
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod error;
 pub mod fault;

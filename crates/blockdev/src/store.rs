@@ -672,6 +672,7 @@ mod tests {
     fn wrong_buffer_size_panics() {
         let s = MemStore::new(4, 64);
         let mut buf = vec![0u8; 32];
+        #[expect(clippy::let_underscore_must_use, reason = "the call panics before it returns")]
         let _ = s.read_page(0, &mut buf);
     }
 }

@@ -21,6 +21,16 @@
 //! response times (Figures 9–11).
 
 #![warn(missing_docs)]
+// No unwinding outside tests: the I/O path fails through typed errors,
+// never mid-stripe (DESIGN.md "Static analysis & invariants").
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod effects;
 pub mod nvbuf;

@@ -40,6 +40,16 @@
 //! log), [`staging`] (the NVRAM delta staging buffer), [`config`].
 
 #![warn(missing_docs)]
+// No unwinding outside tests: the I/O path fails through typed errors,
+// never mid-stripe (DESIGN.md "Static analysis & invariants").
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod config;
 pub mod engine;

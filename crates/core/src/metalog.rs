@@ -902,6 +902,16 @@ mod tests {
         assert_eq!(log.used_pages(), 1);
     }
 
+    /// The page counter saturates instead of wrapping (or panicking: tests
+    /// run with overflow checks on).
+    #[test]
+    fn pages_written_saturates() {
+        let mut log = MetaLog::new(8, 1);
+        log.pages_written = u64::MAX;
+        assert_eq!(log.push(key(1)).unwrap().len(), 1);
+        assert_eq!(log.pages_written(), u64::MAX);
+    }
+
     #[test]
     fn coalescing_in_buffer() {
         let mut log = MetaLog::new(8, 4);

@@ -49,10 +49,10 @@ const FIXED_DEZ_BASE: u32 = u32::MAX / 2;
 /// When the log is wedged. The counting model has no error channel, and a
 /// sweep point whose partition cannot hold the simulated cache's mappings
 /// must stop rather than report an under-counted figure.
+#[expect(clippy::panic, reason = "simulation model, not an I/O path; see above")]
 fn meta_pages(commits: Result<Vec<CommitBatch<KeyEntry>>, PartitionTooSmall>) -> u32 {
     match commits {
         Ok(batches) => batches.len() as u32,
-        // kdd-waiver(KDD001): simulation model, not an I/O path; see above.
         Err(e) => panic!("{e}"),
     }
 }

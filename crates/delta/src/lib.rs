@@ -19,6 +19,16 @@
 //!   average equaling 50%, 25%, and 12%").
 
 #![warn(missing_docs)]
+// No unwinding outside tests: the I/O path fails through typed errors,
+// never mid-stripe (DESIGN.md "Static analysis & invariants").
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod codec;
 pub mod content;

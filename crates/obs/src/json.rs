@@ -76,6 +76,7 @@ impl Json {
         out
     }
 
+    #[expect(clippy::let_underscore_must_use, reason = "fmt::Write into a String cannot fail")]
     fn write(&self, out: &mut String, indent: usize) {
         let pad = "  ".repeat(indent);
         let pad_in = "  ".repeat(indent + 1);
@@ -126,6 +127,7 @@ impl Json {
     }
 }
 
+#[expect(clippy::let_underscore_must_use, reason = "fmt::Write into a String cannot fail")]
 fn write_num(out: &mut String, n: f64) {
     if n.fract() == 0.0 && n.abs() < 1e15 {
         // The range check above keeps the cast exact.
@@ -138,6 +140,7 @@ fn write_num(out: &mut String, n: f64) {
 
 /// Append `s` to `out` as a quoted JSON string, escaping quotes,
 /// backslashes and control characters.
+#[expect(clippy::let_underscore_must_use, reason = "fmt::Write into a String cannot fail")]
 pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {

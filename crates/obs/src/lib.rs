@@ -35,6 +35,17 @@
 //! [`frac`]. Two seeded replays therefore produce byte-identical
 //! snapshots, which the tier-1 `OBS_engine.json` pin checks.
 
+// No unwinding outside tests: the I/O path fails through typed errors,
+// never mid-stripe (DESIGN.md "Static analysis & invariants").
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod diff;
 pub mod json;
 pub mod recorder;

@@ -66,12 +66,6 @@ impl ServiceModel {
         }
     }
 
-    /// Number of member-disk service slots this request needs (for the
-    /// queueing simulators): one slot per RAID round.
-    pub fn raid_rounds(&self, fx: &Effects) -> u32 {
-        fx.raid_rounds
-    }
-
     /// Stage attribution of [`Self::response_time`]: the same cost
     /// terms, charged to the `kdd-obs/v2` stage taxonomy, so the
     /// counting-model simulators emit the same span breakdowns the

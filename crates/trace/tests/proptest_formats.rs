@@ -69,7 +69,9 @@ proptest! {
     /// Arbitrary garbage never panics the parsers — it errors or parses.
     #[test]
     fn parsers_are_total(junk in proptest::collection::vec(any::<u8>(), 0..500)) {
+        #[expect(clippy::let_underscore_must_use, reason = "an error is as good as a parse here")]
         let _ = spc::parse(std::io::Cursor::new(&junk), 4096);
+        #[expect(clippy::let_underscore_must_use, reason = "an error is as good as a parse here")]
         let _ = msr::parse(std::io::Cursor::new(&junk), 4096, None);
     }
 

@@ -243,6 +243,7 @@ fn exhaustive_power_loss_sweep_has_zero_acked_loss() {
         let inflight = sweep_workload(&mut engine, &mut acked).err();
         if inflight.is_none() {
             // The cut landed in flush (or never fired): force it there.
+            #[expect(clippy::let_underscore_must_use, reason = "the power cut may fail it")]
             let _ = engine.flush();
         }
         assert!(
@@ -332,6 +333,7 @@ fn exhaustive_power_loss_sweep_over_group_commits_has_zero_acked_loss() {
         let torn = batched_sweep_workload(&mut engine, &mut acked).err();
         if torn.is_none() {
             // The cut landed in flush (or never fired): force it there.
+            #[expect(clippy::let_underscore_must_use, reason = "the power cut may fail it")]
             let _ = engine.flush();
         }
         assert!(
@@ -519,6 +521,7 @@ fn persistent_ssd_fault_falls_back_to_pass_through() {
     let mut acked = std::collections::BTreeMap::new();
     // The workload may observe the fault on the exact faulted op, but the
     // engine's fallback keeps the public API available.
+    #[expect(clippy::let_underscore_must_use, reason = "the faulted op may fail")]
     let _ = sweep_workload(&mut engine, &mut acked);
     assert!(injector.is_dead(FaultDomain::Ssd), "persistent fault survives replacement");
     assert_eq!(engine.mode(), EngineMode::PassThrough);
