@@ -422,46 +422,41 @@ impl FaultInjector {
     }
 }
 
-/// Apply an [`IoOutcome`] to a write payload given the page's previous
-/// contents. Returns the bytes that actually reach the medium, or the error.
+/// Land a write of `data` on `page`, the medium's current bytes, in place:
+/// a torn write replaces only the valid prefix, a corrupted one is flipped
+/// after the copy, a failed one leaves `page` untouched and is the error.
 pub fn apply_write_outcome(
     outcome: IoOutcome,
     data: &[u8],
-    previous: &[u8],
-) -> Result<Option<Vec<u8>>, DevError> {
-    match outcome {
-        IoOutcome::Proceed => Ok(None),
-        IoOutcome::Fail(e) => Err(e),
-        IoOutcome::Torn { valid_bytes } => {
-            let cut = valid_bytes.min(data.len());
-            let mut page = previous.to_vec();
-            page[..cut].copy_from_slice(&data[..cut]);
-            Ok(Some(page))
-        }
-        IoOutcome::Corrupt { offset, len } => {
-            let mut page = data.to_vec();
-            let start = offset.min(page.len());
-            let end = offset.saturating_add(len).min(page.len());
-            for b in &mut page[start..end] {
-                *b ^= 0xFF;
-            }
-            Ok(Some(page))
-        }
-    }
+    page: &mut [u8],
+) -> Result<(), DevError> {
+    let cut = match outcome {
+        IoOutcome::Fail(e) => return Err(e),
+        IoOutcome::Torn { valid_bytes } => valid_bytes.min(data.len()),
+        _ => data.len(),
+    };
+    page[..cut].copy_from_slice(&data[..cut]);
+    corrupt(&outcome, page);
+    Ok(())
 }
 
 /// Apply an [`IoOutcome`] to a freshly-read buffer (corruption only).
 pub fn apply_read_outcome(outcome: IoOutcome, buf: &mut [u8]) -> Result<(), DevError> {
-    match outcome {
-        IoOutcome::Proceed | IoOutcome::Torn { .. } => Ok(()),
-        IoOutcome::Fail(e) => Err(e),
-        IoOutcome::Corrupt { offset, len } => {
-            let start = offset.min(buf.len());
-            let end = offset.saturating_add(len).min(buf.len());
-            for b in &mut buf[start..end] {
-                *b ^= 0xFF;
-            }
-            Ok(())
+    if let IoOutcome::Fail(e) = outcome {
+        return Err(e);
+    }
+    corrupt(&outcome, buf);
+    Ok(())
+}
+
+/// Flip the bytes an [`IoOutcome::Corrupt`] names; any other outcome
+/// leaves `buf` alone.
+pub(crate) fn corrupt(outcome: &IoOutcome, buf: &mut [u8]) {
+    if let IoOutcome::Corrupt { offset, len } = *outcome {
+        let start = offset.min(buf.len());
+        let end = offset.saturating_add(len).min(buf.len());
+        for b in &mut buf[start..end] {
+            *b ^= 0xFF;
         }
     }
 }
@@ -537,21 +532,17 @@ mod tests {
     #[test]
     fn torn_write_keeps_old_suffix() {
         let out = IoOutcome::Torn { valid_bytes: 3 };
-        let page =
-            apply_write_outcome(out, &[9, 9, 9, 9, 9, 9], &[1, 2, 3, 4, 5, 6]).unwrap().unwrap();
-        assert_eq!(page, vec![9, 9, 9, 4, 5, 6]);
+        let mut page = [1, 2, 3, 4, 5, 6];
+        apply_write_outcome(out, &[9, 9, 9, 9, 9, 9], &mut page).unwrap();
+        assert_eq!(page, [9, 9, 9, 4, 5, 6]);
     }
 
     #[test]
     fn corrupt_flips_requested_range() {
-        let page = apply_write_outcome(
-            IoOutcome::Corrupt { offset: 1, len: 2 },
-            &[0, 0, 0, 0],
-            &[0, 0, 0, 0],
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(page, vec![0, 0xFF, 0xFF, 0]);
+        let mut page = [7u8; 4];
+        apply_write_outcome(IoOutcome::Corrupt { offset: 1, len: 2 }, &[0, 0, 0, 0], &mut page)
+            .unwrap();
+        assert_eq!(page, [0, 0xFF, 0xFF, 0]);
 
         let mut buf = [0u8; 4];
         apply_read_outcome(IoOutcome::Corrupt { offset: 2, len: 10 }, &mut buf).unwrap();

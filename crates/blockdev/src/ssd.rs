@@ -48,8 +48,6 @@ pub struct SsdDevice {
     /// replacement is built from it, not from the rounded logical size.
     op_fraction: f64,
     store: MemStore,
-    failed: bool,
-    injector: Option<FaultInjector>,
 }
 
 impl SsdDevice {
@@ -62,14 +60,14 @@ impl SsdDevice {
         let geometry = FlashGeometry::fit_capacity(physical, page_size);
         let ftl = Ftl::new(geometry, FlashTimings::mlc_default(), op_fraction);
         let store = MemStore::new(ftl.logical_pages(), page_size);
-        SsdDevice { ftl, op_fraction, store, failed: false, injector: None }
+        SsdDevice { ftl, op_fraction, store }
     }
 
     /// Create from explicit geometry/timings.
     pub fn new(geometry: FlashGeometry, timings: FlashTimings, op_fraction: f64) -> Self {
         let ftl = Ftl::new(geometry, timings, op_fraction);
         let store = MemStore::new(ftl.logical_pages(), geometry.page_size);
-        SsdDevice { ftl, op_fraction, store, failed: false, injector: None }
+        SsdDevice { ftl, op_fraction, store }
     }
 
     /// Logical pages available to the cache layer.
@@ -84,13 +82,12 @@ impl SsdDevice {
 
     /// Route every page I/O through `injector` as [`FaultDomain::Ssd`].
     pub fn attach_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector.clone());
         self.store.attach_injector(injector, FaultDomain::Ssd);
     }
 
     /// Read a logical page; returns its service time.
     pub fn read_page(&self, lpn: u64, buf: &mut [u8]) -> Result<SimTime, DevError> {
-        if self.failed {
+        if self.store.is_failed() {
             return Err(DevError::failed(FaultDomain::Ssd));
         }
         let cost = self.ftl.read(lpn)?;
@@ -102,7 +99,7 @@ impl SsdDevice {
     /// device operation as [`SsdDevice::read_page`] without the copy (see
     /// [`MemStore::page`] for when a private copy is lent instead).
     pub fn page(&mut self, lpn: u64) -> Result<(&[u8], SimTime), DevError> {
-        if self.failed {
+        if self.store.is_failed() {
             return Err(DevError::failed(FaultDomain::Ssd));
         }
         let time = self.ftl.read(lpn)?.service_time(self.ftl.timings());
@@ -111,7 +108,7 @@ impl SsdDevice {
 
     /// Write a logical page; returns its service time (including any GC).
     pub fn write_page(&mut self, lpn: u64, data: &[u8]) -> Result<SimTime, DevError> {
-        if self.failed {
+        if self.store.is_failed() {
             return Err(DevError::failed(FaultDomain::Ssd));
         }
         let cost = self.ftl.write(lpn)?;
@@ -121,7 +118,7 @@ impl SsdDevice {
 
     /// Discard a logical page (cache eviction) — free for the flash.
     pub fn trim_page(&mut self, lpn: u64) -> Result<(), DevError> {
-        if self.failed {
+        if self.store.is_failed() {
             return Err(DevError::failed(FaultDomain::Ssd));
         }
         self.ftl.trim(lpn)?;
@@ -130,29 +127,24 @@ impl SsdDevice {
 
     /// Whether a logical page currently holds data.
     pub fn is_mapped(&self, lpn: u64) -> bool {
-        !self.failed && self.ftl.is_mapped(lpn)
+        !self.store.is_failed() && self.ftl.is_mapped(lpn)
     }
 
     /// Inject an SSD failure: contents lost, all I/O errors until replaced.
     pub fn fail(&mut self) {
-        self.failed = true;
         self.store.fail();
     }
 
     /// Whether the device is failed.
     pub fn is_failed(&self) -> bool {
-        self.failed
+        self.store.is_failed()
     }
 
-    /// Swap in a fresh replacement device of identical shape.
+    /// Swap in a fresh replacement device of identical shape (see
+    /// [`MemStore::replace`] for what the injector makes of it).
     pub fn replace(&mut self) {
         self.ftl = Ftl::new(*self.ftl.geometry(), *self.ftl.timings(), self.op_fraction);
         self.store.replace();
-        self.failed = false;
-        if let Some(inj) = &self.injector {
-            // A drop is cured by the spare; a persistent fault is not.
-            inj.on_replace(FaultDomain::Ssd);
-        }
     }
 
     /// Endurance snapshot (wear, WAF, projected lifetime).

@@ -5,12 +5,18 @@
 //! reads unwritten pages as zeros — exactly what a fresh disk returns.
 //!
 //! "Unwritten" is a property callers may rely on, not only a saving of
-//! this module: [`MemStore::is_resident`] is `false` exactly for the pages
-//! that read as zeros *because nothing is stored* (never written, trimmed,
-//! or on a replaced device), so a reader that would only XOR such a page
-//! into something — the RAID reconstruction solver — can account the read
-//! and skip the bytes. A page that was written with zeros is resident and
-//! is read like any other.
+//! this module: [`MemStore::lend`] answers `None` exactly for a page that
+//! reads as zeros *because nothing is stored* (never written, trimmed, or
+//! on a replaced device) and whose read the injector let proceed, so a
+//! reader that would only XOR such a page into something — the RAID
+//! reconstruction solver — can account the read and skip the bytes. A
+//! page that was written with zeros is resident and is read like any other.
+//!
+//! Every op draws one [`IoOutcome`] ([`IoOutcome::Proceed`] without a
+//! [`FaultInjector`]), applied in place on the page: a torn write copies its
+//! valid prefix, a corruption flips bytes after the copy. A private copy is
+//! made only where the medium must not change: a corrupted lend, or an
+//! update whose write fails or tears.
 //!
 //! Page bytes live in a slab carved `SLAB_PAGES` (16) pages to a chunk; a
 //! trimmed page's slot is handed to the next page that becomes resident.
@@ -20,7 +26,9 @@
 //! a whole chunk.
 
 use crate::error::{DevError, FaultDomain};
-use crate::fault::{apply_read_outcome, apply_write_outcome, FaultInjector, IoDir, IoOutcome};
+use crate::fault::{
+    apply_read_outcome, apply_write_outcome, corrupt, FaultInjector, IoDir, IoOutcome,
+};
 use kdd_util::hash::FastMap;
 
 /// Pages per slab chunk.
@@ -104,9 +112,9 @@ pub struct MemStore {
     failed: bool,
     injector: Option<FaultInjector>,
     domain: FaultDomain,
-    /// What [`MemStore::page`] lends when it cannot lend a resident page:
-    /// zeros for an unwritten one, a private copy under fault injection.
-    /// Sized on first use.
+    /// The private copy of a page an op must not lend or fold in place:
+    /// zeros [`MemStore::page`] lends for an unwritten page, a corrupted
+    /// read, an update whose write fails or tears. Sized on first use.
     scratch: Vec<u8>,
 }
 
@@ -144,6 +152,16 @@ impl MemStore {
         }
     }
 
+    /// Issue one op on page `lpn`: refused if the device is failed or `lpn`
+    /// is out of range, else it draws its outcome. A failed op is the error.
+    pub fn issue(&self, lpn: u64, dir: IoDir) -> Result<IoOutcome, DevError> {
+        self.check(lpn)?;
+        match self.intercept(dir) {
+            IoOutcome::Fail(e) => Err(e),
+            outcome => Ok(outcome),
+        }
+    }
+
     /// Inject a permanent device failure: all subsequent I/O errors.
     pub fn fail(&mut self) {
         self.failed = true;
@@ -155,10 +173,23 @@ impl MemStore {
         self.failed
     }
 
+    /// Fail the device if the injector has declared its domain dead (an
+    /// injected drop or persistent fault).
+    pub fn absorb_faults(&mut self) {
+        if !self.failed && self.injector.as_ref().is_some_and(|inj| inj.is_dead(self.domain)) {
+            self.fail();
+        }
+    }
+
     /// Replace a failed device with a fresh (zeroed) one of the same shape.
+    /// The injector hears of it: a drop is cured by the spare, a persistent
+    /// fault is not and fails it again at the next [`MemStore::absorb_faults`].
     pub fn replace(&mut self) {
         self.failed = false;
         self.drop_pages();
+        if let Some(inj) = &self.injector {
+            inj.on_replace(self.domain);
+        }
     }
 
     /// Forget every page, resident or freed, and the slab holding them.
@@ -185,57 +216,94 @@ impl MemStore {
         self.pages.contains_key(&lpn)
     }
 
-    /// Lend page `lpn` for reading (an unwritten page reads as zeros).
-    ///
-    /// Without a [`FaultInjector`] the resident page itself is lent and
-    /// nothing is copied. With one attached the call is
-    /// [`PageStore::read_page`] into a private buffer, so corruption and
-    /// failure outcomes, the device's op order and the injector's
-    /// `op_count` are exactly those of the copying read.
-    pub fn page(&mut self, lpn: u64) -> Result<&[u8], DevError> {
-        if self.injector.is_none() {
-            self.check(lpn)?;
-            return Ok(match self.pages.get(&lpn) {
-                Some(&slot) => self.slab.page(slot),
-                None => {
-                    self.scratch.clear();
-                    self.scratch.resize(self.page_size as usize, 0);
-                    &self.scratch
-                }
-            });
+    /// Copy page `lpn`, or zeros if it is unwritten, into the scratch page.
+    fn copy_out(&mut self, lpn: u64) -> &mut [u8] {
+        self.scratch.resize(self.page_size as usize, 0);
+        match self.pages.get(&lpn) {
+            Some(&slot) => self.scratch.copy_from_slice(self.slab.page(slot)),
+            None => self.scratch.fill(0),
         }
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.resize(self.page_size as usize, 0);
-        let read = self.read_page(lpn, &mut buf);
-        self.scratch = buf;
-        read.map(|()| self.scratch.as_slice())
+        &mut self.scratch
     }
 
-    /// Read-modify-write page `lpn` through `f`, in place when the page is
-    /// resident (an unwritten page starts as zeros and becomes resident).
-    ///
-    /// The same rule as [`MemStore::page`]: with a [`FaultInjector`]
-    /// attached this is [`PageStore::read_page`], `f` on a private buffer,
-    /// then [`PageStore::write_page`] — two device ops that can fail, tear
-    /// or corrupt as before.
+    /// Lend page `lpn` for reading: one read op, nothing copied unless the
+    /// read is corrupted (then a corrupted private copy is lent). `None`
+    /// means the page is unwritten and the read went through: it reads as
+    /// zeros, which a caller that only XORs it into something may skip.
+    pub fn lend(&mut self, lpn: u64) -> Result<Option<&[u8]>, DevError> {
+        self.lend_or_zeros(lpn, false)
+    }
+
+    /// [`MemStore::lend`], an unwritten page lent as zeros.
+    pub fn page(&mut self, lpn: u64) -> Result<&[u8], DevError> {
+        Ok(self.lend_or_zeros(lpn, true)?.unwrap_or_default())
+    }
+
+    fn lend_or_zeros(&mut self, lpn: u64, zeros: bool) -> Result<Option<&[u8]>, DevError> {
+        let outcome = self.issue(lpn, IoDir::Read)?;
+        let corrupted = matches!(outcome, IoOutcome::Corrupt { .. });
+        Ok(match self.pages.get(&lpn) {
+            Some(&slot) if !corrupted => Some(self.slab.page(slot)),
+            None if !corrupted && !zeros => None,
+            _ => {
+                let page = self.copy_out(lpn);
+                corrupt(&outcome, page);
+                Some(page)
+            }
+        })
+    }
+
+    /// Read-modify-write page `lpn` through `f`: a read, then a write, in
+    /// place unless the write fails or tears (an unwritten page starts as
+    /// zeros and becomes resident). `f` sees what the read returned.
     pub fn update_page<R>(
         &mut self,
         lpn: u64,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R, DevError> {
-        if self.injector.is_none() {
-            self.check(lpn)?;
-            let slot = self.resident_slot(lpn, true);
-            return Ok(f(self.slab.page_mut(slot)));
+        let read = self.issue(lpn, IoDir::Read)?;
+        let write = self.issue(lpn, IoDir::Write);
+        self.update_issued(lpn, &read, write, f)
+    }
+
+    /// [`MemStore::update_page`] once its `read` and its `write` have been
+    /// issued ([`MemStore::issue`]).
+    pub fn update_issued<R>(
+        &mut self,
+        lpn: u64,
+        read: &IoOutcome,
+        write: Result<IoOutcome, DevError>,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, DevError> {
+        let page = match write {
+            Ok(IoOutcome::Proceed | IoOutcome::Corrupt { .. }) => {
+                let slot = self.resident_slot(lpn, true);
+                self.slab.page_mut(slot)
+            }
+            _ => self.copy_out(lpn),
+        };
+        corrupt(read, page);
+        let out = f(page);
+        let outcome = write?;
+        let slot = self.resident_slot(lpn, true);
+        match outcome {
+            IoOutcome::Torn { .. } => {
+                apply_write_outcome(outcome, &self.scratch, self.slab.page_mut(slot))?;
+            }
+            // `f` folded in place: only a corruption is left to apply.
+            _ => corrupt(&outcome, self.slab.page_mut(slot)),
         }
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.resize(self.page_size as usize, 0);
-        let done = self.read_page(lpn, &mut buf).and_then(|()| {
-            let out = f(&mut buf);
-            self.write_page(lpn, &buf).map(|()| out)
-        });
-        self.scratch = buf;
-        done
+        Ok(out)
+    }
+
+    /// Write zeros to page `lpn`. An unwritten page reads as zeros already,
+    /// so it stays unwritten unless the write is corrupted.
+    pub fn write_zeros(&mut self, lpn: u64) -> Result<(), DevError> {
+        let outcome = self.issue(lpn, IoDir::Write)?;
+        if self.is_resident(lpn) || matches!(outcome, IoOutcome::Corrupt { .. }) {
+            self.update_issued(lpn, &IoOutcome::Proceed, Ok(outcome), |page| page.fill(0))?;
+        }
+        Ok(())
     }
 
     fn check(&self, lpn: u64) -> Result<(), DevError> {
@@ -270,34 +338,15 @@ impl PageStore for MemStore {
     }
 
     fn write_page(&mut self, lpn: u64, data: &[u8]) -> Result<(), DevError> {
-        self.check(lpn)?;
+        let outcome = self.issue(lpn, IoDir::Write)?;
         assert_eq!(data.len(), self.page_size as usize, "buffer/page size mismatch");
-        if self.injector.is_none() {
-            // Fast path: without an injector no write can be torn or failed,
-            // so the previous-content snapshot is unnecessary and the page
-            // is overwritten in place.
-            let slot = self.resident_slot(lpn, false);
-            self.slab.page_mut(slot).copy_from_slice(data);
-            return Ok(());
-        }
-        let outcome = self.intercept(IoDir::Write);
-        // Torn-write emulation needs the pre-image; this
-        // runs only under fault injection, never on the hot path.
-        let mut previous = vec![0u8; self.page_size as usize];
-        if let Some(&slot) = self.pages.get(&lpn) {
-            previous.copy_from_slice(self.slab.page(slot));
-        }
-        let mangled = apply_write_outcome(outcome, data, &previous)?;
-        let slot = self.resident_slot(lpn, false);
-        self.slab.page_mut(slot).copy_from_slice(mangled.as_deref().unwrap_or(data));
-        Ok(())
+        // A torn write keeps the old suffix: zeros on an unwritten page.
+        let slot = self.resident_slot(lpn, matches!(outcome, IoOutcome::Torn { .. }));
+        apply_write_outcome(outcome, data, self.slab.page_mut(slot))
     }
 
     fn trim_page(&mut self, lpn: u64) -> Result<(), DevError> {
-        self.check(lpn)?;
-        if let IoOutcome::Fail(e) = self.intercept(IoDir::Write) {
-            return Err(e);
-        }
+        self.issue(lpn, IoDir::Write)?;
         if let Some(slot) = self.pages.remove(&lpn) {
             self.slab.free.push(slot);
         }
@@ -426,7 +475,8 @@ mod tests {
 
     /// `page` and `update_page` against `read_page` / `write_page` on a
     /// twin store, one call at a time; `injected` runs the borrowed side
-    /// behind an empty-plan injector (the copying path).
+    /// behind an empty-plan injector, which must change nothing but the
+    /// op count.
     fn borrowed_access_matches_copying(injected: bool) {
         let mut lent = MemStore::new(8, 16);
         let mut copied = MemStore::new(8, 16);
@@ -541,6 +591,7 @@ mod tests {
     enum Op {
         Write(u64, u8),
         Update(u64, u8),
+        Zeros(u64),
         Page(u64),
         Read(u64),
         Trim(u64),
@@ -555,6 +606,7 @@ mod tests {
         prop_oneof![
             6 => (lpn(), any::<u8>()).prop_map(|(l, b)| Op::Write(l, b)),
             6 => (lpn(), any::<u8>()).prop_map(|(l, b)| Op::Update(l, b)),
+            2 => lpn().prop_map(Op::Zeros),
             3 => lpn().prop_map(Op::Page),
             3 => lpn().prop_map(Op::Read),
             6 => lpn().prop_map(Op::Trim),
@@ -563,17 +615,42 @@ mod tests {
         ]
     }
 
+    /// Up to a dozen transient, torn and corrupt faults on the model
+    /// store's domain, armed over the first few hundred ops.
+    fn fault_plan() -> impl proptest::strategy::Strategy<Value = crate::fault::FaultPlan> {
+        use crate::fault::FaultPlan;
+        use proptest::prelude::*;
+        let spec = (0u64..400, 0u8..3, 0..=MODEL_PS, 1..=MODEL_PS);
+        proptest::collection::vec(spec, 0..12).prop_map(|specs| {
+            specs.into_iter().fold(FaultPlan::new(), |plan, (at, kind, x, len)| match kind {
+                0 => plan.transient(at, MODEL_DOMAIN),
+                1 => plan.torn_write(at, MODEL_DOMAIN, x),
+                _ => plan.corrupt(at, MODEL_DOMAIN, x, len),
+            })
+        })
+    }
+
     const MODEL_PAGES: u64 = 40;
     const MODEL_PS: u32 = 8;
+    const MODEL_DOMAIN: FaultDomain = FaultDomain::Disk(2);
 
-    /// `ops` against a `BTreeMap` of the resident pages: every result,
-    /// every page's contents, `is_resident` and `resident_pages` agree
-    /// after each step.
-    fn check_against_model(ops: &[Op], injected: bool) {
+    /// Page `lpn`'s stored bytes, read without issuing an op.
+    fn stored(s: &MemStore, lpn: u64) -> Vec<u8> {
+        let zeros = || vec![0; s.page_size as usize];
+        s.pages.get(&lpn).map_or_else(zeros, |&slot| s.slab.page(slot).to_vec())
+    }
+
+    /// `ops` against a `BTreeMap` of the resident pages, behind an injector
+    /// running `plan` if there is one: every result, every page's contents,
+    /// `is_resident` and `resident_pages` agree after each step. The model
+    /// folds in each fault the step's op drew, from the injector's events.
+    fn check_against_model(ops: &[Op], plan: Option<crate::fault::FaultPlan>) {
+        use crate::fault::{FaultEvent, FaultKind};
         use std::collections::BTreeMap;
         let mut s = MemStore::new(MODEL_PAGES, MODEL_PS);
-        if injected {
-            s.attach_injector(FaultInjector::none(), FaultDomain::Disk(2));
+        let injector = plan.map(FaultInjector::new);
+        if let Some(inj) = &injector {
+            s.attach_injector(inj.clone(), MODEL_DOMAIN);
         }
         let domain = s.domain();
         let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
@@ -581,6 +658,27 @@ mod tests {
         let zeros = vec![0u8; MODEL_PS as usize];
         let pattern =
             |b: u8| -> Vec<u8> { (0u8..).take(MODEL_PS as usize).map(|i| b ^ i).collect() };
+        let flip = |mut page: Vec<u8>, offset: u32, len: u32| {
+            page.iter_mut().skip(offset as usize).take(len as usize).for_each(|b| *b ^= 0xFF);
+            page
+        };
+        // What a read of `page` returns under `fault`.
+        let seen = |fault: Option<FaultKind>, page: Vec<u8>| match fault {
+            Some(FaultKind::TransientIo) => Err(DevError::transient(domain)),
+            Some(FaultKind::CorruptPage { offset, len }) => Ok(flip(page, offset, len)),
+            _ => Ok(page),
+        };
+        // What the medium holds once `new` is written over `old` under `fault`.
+        let landed = |fault: Option<FaultKind>, new: Vec<u8>, mut old: Vec<u8>| match fault {
+            Some(FaultKind::TransientIo) => Err(DevError::transient(domain)),
+            Some(FaultKind::TornWrite { valid_bytes }) => {
+                old.iter_mut().zip(new).take(valid_bytes as usize).for_each(|(o, n)| *o = n);
+                Ok(old)
+            }
+            Some(FaultKind::CorruptPage { offset, len }) => Ok(flip(new, offset, len)),
+            _ => Ok(new),
+        };
+        let mut drawn = 0;
         for (step, &op) in ops.iter().enumerate() {
             let refusal = |lpn: u64| {
                 if failed {
@@ -594,41 +692,75 @@ mod tests {
             let current = |model: &BTreeMap<u64, Vec<u8>>, lpn| {
                 model.get(&lpn).cloned().unwrap_or_else(|| zeros.clone())
             };
+            // The fault this step's op of direction `dir` drew, if any;
+            // asked once the op has run.
+            let events = || injector.as_ref().map(FaultInjector::events).unwrap_or_default();
+            let fault = |dir: IoDir| {
+                events().into_iter().skip(drawn).find(|e: &FaultEvent| e.dir == dir).map(|e| e.kind)
+            };
             match op {
                 Op::Write(lpn, b) => {
-                    let expect = refusal(lpn);
-                    assert_eq!(s.write_page(lpn, &pattern(b)), expect, "step {step}: {op:?}");
-                    if expect.is_ok() {
-                        model.insert(lpn, pattern(b));
+                    let got = s.write_page(lpn, &pattern(b));
+                    let expect = refusal(lpn).and_then(|()| {
+                        landed(fault(IoDir::Write), pattern(b), current(&model, lpn))
+                    });
+                    assert_eq!(got, expect.clone().map(drop), "step {step}: {op:?}");
+                    if let Ok(page) = expect {
+                        model.insert(lpn, page);
                     }
                 }
                 Op::Update(lpn, b) => {
-                    let expect = refusal(lpn).map(|()| current(&model, lpn));
                     let got = s.update_page(lpn, |p| {
                         let seen = p.to_vec();
                         p.iter_mut().zip(pattern(b)).for_each(|(x, y)| *x ^= y);
                         seen
                     });
-                    assert_eq!(got, expect, "step {step}: {op:?}");
-                    if let Ok(mut page) = expect {
+                    let read =
+                        refusal(lpn).and_then(|()| seen(fault(IoDir::Read), current(&model, lpn)));
+                    let write = read.clone().and_then(|mut page| {
                         page.iter_mut().zip(pattern(b)).for_each(|(x, y)| *x ^= y);
+                        landed(fault(IoDir::Write), page, current(&model, lpn))
+                    });
+                    assert_eq!(got, write.clone().and(read), "step {step}: {op:?}");
+                    if let Ok(page) = write {
+                        model.insert(lpn, page);
+                    }
+                }
+                Op::Zeros(lpn) => {
+                    let got = s.write_zeros(lpn);
+                    let fault = fault(IoDir::Write);
+                    let expect = refusal(lpn)
+                        .and_then(|()| landed(fault, zeros.clone(), current(&model, lpn)));
+                    assert_eq!(got, expect.clone().map(drop), "step {step}: {op:?}");
+                    // An unwritten page stays so unless the write is corrupted.
+                    let corrupted = matches!(fault, Some(FaultKind::CorruptPage { .. }));
+                    if let Some(page) =
+                        expect.ok().filter(|_| corrupted || model.contains_key(&lpn))
+                    {
                         model.insert(lpn, page);
                     }
                 }
                 Op::Page(lpn) => {
-                    let expect = refusal(lpn).map(|()| current(&model, lpn));
-                    assert_eq!(s.page(lpn).map(<[u8]>::to_vec), expect, "step {step}: {op:?}");
+                    let got = s.page(lpn).map(<[u8]>::to_vec);
+                    let expect =
+                        refusal(lpn).and_then(|()| seen(fault(IoDir::Read), current(&model, lpn)));
+                    assert_eq!(got, expect, "step {step}: {op:?}");
                 }
                 Op::Read(lpn) => {
                     let mut buf = vec![0xA5u8; MODEL_PS as usize];
-                    let expect = refusal(lpn).map(|()| current(&model, lpn));
                     let got = s.read_page(lpn, &mut buf).map(|()| buf);
+                    let expect =
+                        refusal(lpn).and_then(|()| seen(fault(IoDir::Read), current(&model, lpn)));
                     assert_eq!(got, expect, "step {step}: {op:?}");
                 }
                 Op::Trim(lpn) => {
-                    let expect = refusal(lpn);
-                    assert_eq!(s.trim_page(lpn), expect, "step {step}: {op:?}");
-                    model.remove(&lpn);
+                    let got = s.trim_page(lpn);
+                    // Only a failure stops a trim.
+                    let expect = refusal(lpn).and_then(|()| seen(fault(IoDir::Write), Vec::new()));
+                    assert_eq!(got, expect.clone().map(drop), "step {step}: {op:?}");
+                    if expect.is_ok() {
+                        model.remove(&lpn);
+                    }
                 }
                 Op::Fail => {
                     s.fail();
@@ -639,14 +771,11 @@ mod tests {
                     (failed, model) = (false, BTreeMap::new());
                 }
             }
+            drawn = events().len();
             assert_eq!(s.resident_pages(), model.len(), "step {step}: {op:?}");
-            let mut buf = vec![0u8; MODEL_PS as usize];
             for lpn in 0..MODEL_PAGES {
                 assert_eq!(s.is_resident(lpn), model.contains_key(&lpn), "step {step} lpn {lpn}");
-                if !failed {
-                    s.read_page(lpn, &mut buf).unwrap();
-                    assert_eq!(buf, current(&model, lpn), "step {step} lpn {lpn}");
-                }
+                assert_eq!(stored(&s, lpn), current(&model, lpn), "step {step} lpn {lpn}");
             }
         }
     }
@@ -656,14 +785,15 @@ mod tests {
 
         #[test]
         fn store_matches_a_map_model(ops in proptest::collection::vec(op(), 1..300)) {
-            check_against_model(&ops, false);
+            check_against_model(&ops, None);
         }
 
         #[test]
         fn store_matches_a_map_model_under_an_injector(
             ops in proptest::collection::vec(op(), 1..300),
+            plan in fault_plan(),
         ) {
-            check_against_model(&ops, true);
+            check_against_model(&ops, Some(plan));
         }
     }
 

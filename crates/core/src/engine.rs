@@ -2337,9 +2337,9 @@ mod tests {
         }
     }
 
-    /// The borrowed-page paths against the copying ones they replaced: two
-    /// engines fed one seeded mix, `copied` with an empty-plan injector
-    /// attached, which makes every store hand out private copies. Reads
+    /// Two engines fed one seeded mix, `copied` with an empty-plan injector
+    /// attached, which draws an outcome for every store op and must change
+    /// nothing else (the name predates the single lend path). Reads
     /// must return the same bytes in the same simulated time and every
     /// counter must agree — and the mix must have reached each combine
     /// site: reads of staged and of DEZ-resident deltas, DEZ compaction,

@@ -21,17 +21,13 @@
 //! updating parity before rebuild.
 //!
 //! Reconstruction (degraded reads and [`RaidArray::rebuild`]) honours the
-//! members' sparseness. A member page that is *unwritten* — not resident
-//! in its [`MemStore`], so it reads as zeros because nothing is stored —
-//! contributes nothing to an XOR or GF(2^8) sum: its read is booked in
-//! [`RaidCost`] and [`DiskStats`] like any other, and no byte is touched.
-//! A row none of whose surviving members is written solves to zeros for
-//! every lost member, which is what the replacement already reads there:
-//! such a row costs the accounting of its member I/Os and nothing else.
-//! Both shortcuts apply only while no [`FaultInjector`] is attached — the
-//! one rule that already decides whether members lend their pages — since
-//! under injection every member op is a decision point and a read may
-//! come back corrupted.
+//! members' sparseness. A member page [`MemStore::lend`] reports
+//! *unwritten* — it reads as zeros because nothing is stored — contributes
+//! nothing to an XOR or GF(2^8) sum: its read is booked in [`RaidCost`]
+//! and [`DiskStats`] like any other, and no byte is touched. A row none of
+//! whose surviving members folded any bytes solves to zeros for every
+//! lost member, which is what the replacement already reads there: such a
+//! row costs the accounting of its member I/Os and nothing else.
 
 // Indexing and narrowing casts here are bounds-audited (offsets from
 // length-checked parses; sizes bounded by construction). See DESIGN.md
@@ -41,7 +37,7 @@
 use crate::gf256;
 use crate::layout::{Layout, RaidLevel};
 use kdd_blockdev::error::{DevError, FaultDomain};
-use kdd_blockdev::fault::FaultInjector;
+use kdd_blockdev::fault::{FaultInjector, IoDir};
 use kdd_blockdev::store::{MemStore, PageStore};
 use kdd_delta::{xor_into, xor_pages_into};
 use kdd_util::hash::FastSet;
@@ -256,7 +252,6 @@ pub struct RaidArray {
     disks: Vec<MemStore>,
     stale_rows: FastSet<u64>,
     stats: Vec<DiskStats>,
-    injector: Option<FaultInjector>,
     pool: PagePool,
 }
 
@@ -271,7 +266,6 @@ impl RaidArray {
             disks,
             stale_rows: FastSet::default(),
             stats: vec![DiskStats::default(); layout.disks],
-            injector: None,
             pool: PagePool::new(page_size as usize),
         }
     }
@@ -281,19 +275,6 @@ impl RaidArray {
     pub fn attach_injector(&mut self, injector: FaultInjector) {
         for (i, disk) in self.disks.iter_mut().enumerate() {
             disk.attach_injector(injector.clone(), FaultDomain::Disk(i as u32));
-        }
-        self.injector = Some(injector);
-    }
-
-    /// Fold injector-declared device drops into the array's failure state so
-    /// subsequent operations take the degraded paths. Called at every public
-    /// entry point; cheap when no injector is attached.
-    fn absorb_faults(&mut self) {
-        let Some(inj) = self.injector.clone() else { return };
-        for d in 0..self.disks.len() {
-            if !self.disks[d].is_failed() && inj.is_dead(FaultDomain::Disk(d as u32)) {
-                self.disks[d].fail();
-            }
         }
     }
 
@@ -337,8 +318,11 @@ impl RaidArray {
         (0..self.disks.len()).filter(|&d| self.disks[d].is_failed()).collect()
     }
 
+    /// Fold injector-declared member deaths into the array's failure state
+    /// (so the degraded paths take over), then refuse more failures than
+    /// the level tolerates. Called at every public entry point.
     fn check_failures(&mut self) -> Result<(), RaidError> {
-        self.absorb_faults();
+        self.disks.iter_mut().for_each(MemStore::absorb_faults);
         let failed = self.disks.iter().filter(|d| d.is_failed()).count();
         if failed > self.layout.level.parity_count() {
             Err(RaidError::TooManyFailures)
@@ -382,15 +366,15 @@ impl RaidArray {
         Ok(())
     }
 
-    /// [`RaidArray::disk_read`] without the copy: the member lends the page
-    /// ([`MemStore::page`]).
+    /// [`RaidArray::disk_read`] without the copy: the member lends the page,
+    /// `None` for an unwritten one that reads as zeros ([`MemStore::lend`]).
     fn disk_page(
         &mut self,
         disk: usize,
         disk_page: u64,
         cost: &mut RaidCost,
-    ) -> Result<&[u8], RaidError> {
-        let page = self.disks[disk].page(disk_page)?;
+    ) -> Result<Option<&[u8]>, RaidError> {
+        let page = self.disks[disk].lend(disk_page)?;
         self.stats[disk].reads += 1;
         cost.push(disk, disk_page, IoKind::Read);
         Ok(page)
@@ -411,11 +395,11 @@ impl RaidArray {
         Ok(())
     }
 
-    /// Read-modify-write a row's P and Q pages through one fused `f(p, q)`:
-    /// read P, read Q, write P, write Q. With a fault injector attached the
-    /// four ops run in exactly that order on pooled copies — fault plans
-    /// index the global op sequence — otherwise both pages are folded where
-    /// they lie.
+    /// Read-modify-write a row's P and Q pages through one fused `f(p, q)`,
+    /// each folded where it lies unless its write fails or tears
+    /// ([`MemStore::update_issued`]). The ops are issued as four separate
+    /// ones would be — read P, read Q, write P, write Q, the order a fault
+    /// plan indexes — each booked once it completes; a failure ends them.
     fn disk_update_pq(
         &mut self,
         (pd, pp): (usize, u64),
@@ -423,29 +407,24 @@ impl RaidArray {
         cost: &mut RaidCost,
         f: impl FnOnce(&mut [u8], &mut [u8]),
     ) -> Result<(), RaidError> {
-        if self.injector.is_some() {
-            let mut p = self.pool.acquire_scratch();
-            self.disk_read(pd, pp, &mut p, cost)?;
-            let mut q = self.pool.acquire_scratch();
-            self.disk_read(qd, qp, &mut q, cost)?;
-            f(&mut p, &mut q);
-            self.disk_write(pd, pp, &p, cost)?;
-            self.disk_write(qd, qp, &q, cost)?;
-            self.pool.release(p);
-            self.pool.release(q);
-            return Ok(());
-        }
         if pd == qd {
             return Err(RaidError::Inconsistent("P and Q of a row share a member"));
         }
+        let p_read = self.disks[pd].issue(pp, IoDir::Read)?;
+        self.account(pd, pp, IoKind::Read, cost);
+        let q_read = self.disks[qd].issue(qp, IoDir::Read)?;
+        self.account(qd, qp, IoKind::Read, cost);
+        let p_write = Ok(self.disks[pd].issue(pp, IoDir::Write)?);
+        let q_write = self.disks[qd].issue(qp, IoDir::Write);
         let (low, high) = self.disks.split_at_mut(pd.max(qd));
         let (p_disk, q_disk) =
             if pd < qd { (&mut low[pd], &mut high[0]) } else { (&mut high[0], &mut low[qd]) };
-        p_disk.update_page(pp, |p| q_disk.update_page(qp, |q| f(p, q)))??;
-        for kind in [IoKind::Read, IoKind::Write] {
-            self.account(pd, pp, kind, cost);
-            self.account(qd, qp, kind, cost);
-        }
+        let q_landed = p_disk.update_issued(pp, &p_read, p_write, |p| {
+            q_disk.update_issued(qp, &q_read, q_write, |q| f(p, q))
+        })?;
+        self.account(pd, pp, IoKind::Write, cost);
+        q_landed?;
+        self.account(qd, qp, IoKind::Write, cost);
         Ok(())
     }
 
@@ -560,8 +539,10 @@ impl RaidArray {
             // they lie. The pooled buffer is dropped on the (cold) error
             // paths.
             let mut delta = self.pool.acquire_scratch();
-            let old = self.disk_page(loc.disk, loc.disk_page, &mut cost)?;
-            xor_pages_into(&mut delta, old, data);
+            match self.disk_page(loc.disk, loc.disk_page, &mut cost)? {
+                Some(old) => xor_pages_into(&mut delta, old, data),
+                None => delta.copy_from_slice(data),
+            }
             let g = gf256::pow_g(loc.data_index);
             match (p_loc.filter(|_| p_alive), q_loc.filter(|_| q_alive)) {
                 (Some(p), Some(q)) => self.disk_update_pq(p, q, &mut cost, |p, q| {
@@ -577,8 +558,8 @@ impl RaidArray {
             }
             self.pool.release(delta);
         } else {
-            // Reconstruct-write: fold every other data page, lent by its
-            // member, into the new data.
+            // Reconstruct-write: fold every other written data page, lent
+            // by its member, into the new data.
             let mut p = self.pool.acquire_from(data);
             let mut q = self.pool.acquire();
             if q_loc.is_some() {
@@ -587,7 +568,7 @@ impl RaidArray {
             for d in others() {
                 let disk = self.layout.data_disk(loc.stripe, d);
                 // Same offset across the row.
-                let page = self.disk_page(disk, loc.disk_page, &mut cost)?;
+                let Some(page) = self.disk_page(disk, loc.disk_page, &mut cost)? else { continue };
                 if q_loc.is_some() {
                     // One pass per member page: P ⊕= D, Q ⊕= g^d·D.
                     gf256::mul2_slice_into(&mut p, &mut q, page, gf256::pow_g(d));
@@ -789,11 +770,6 @@ impl RaidArray {
         }
         for &d in &failed {
             self.disks[d].replace();
-            if let Some(inj) = &self.injector {
-                // A drop is cured by the replacement; a persistent fault
-                // immediately re-fails the new disk on its next absorb.
-                inj.on_replace(FaultDomain::Disk(d as u32));
-            }
         }
         let rebuilt = self.rebuild_rows(&failed);
         if rebuilt.is_err() {
@@ -823,7 +799,9 @@ impl RaidArray {
             for (lost, content) in missing.iter().zip([&first, &second]) {
                 let Some((_, disk)) = *lost else { continue };
                 if blank {
-                    // Zeros, which the fresh replacement already reads.
+                    // Zeros, which the fresh replacement already reads:
+                    // the write is issued and stores bytes only if corrupted.
+                    self.disks[disk].write_zeros(dp)?;
                     self.account(disk, dp, IoKind::Write, &mut cost);
                 } else {
                     self.disk_write(disk, dp, content, &mut cost)?;
@@ -864,26 +842,6 @@ impl RaidArray {
         }
     }
 
-    /// One surviving member's read during reconstruction: booked, lent
-    /// ([`RaidArray::disk_page`]) and handed to `fold`. An unwritten page
-    /// would fold zeros, so it is booked and nothing else — unless an
-    /// injector is attached, under which every read is carried out (it is
-    /// a fault decision point, and may come back corrupted).
-    fn fold_member(
-        &mut self,
-        disk: usize,
-        disk_page: u64,
-        cost: &mut RaidCost,
-        fold: impl FnOnce(&[u8]),
-    ) -> Result<(), RaidError> {
-        if self.injector.is_none() && !self.disks[disk].is_resident(disk_page) {
-            self.account(disk, disk_page, IoKind::Read, cost);
-        } else {
-            fold(self.disk_page(disk, disk_page, cost)?);
-        }
-        Ok(())
-    }
-
     /// Solve `row` for its `missing` members from the surviving ones,
     /// leaving member `i` in `out[i]`. Handles every single- and
     /// double-erasure case RAID-6 tolerates.
@@ -891,12 +849,12 @@ impl RaidArray {
     /// The survivors are read in a fixed order — data by index, then P,
     /// then Q, each only if the solution needs it — and folded one at a
     /// time into two running sums held in `out`: `a`, the plain XOR, and
-    /// `b`, the `g^d`-weighted one.
+    /// `b`, the `g^d`-weighted one. A survivor lent as unwritten
+    /// ([`RaidArray::disk_page`]) would fold zeros: its read is booked and
+    /// nothing else.
     ///
-    /// Returns `true`, with `out` untouched, for a *blank* row: no
-    /// surviving member is written, so every missing member is zeros and
-    /// only the reads are booked (never with an injector attached; see
-    /// [`RaidArray::fold_member`]).
+    /// Returns `true`, with `out` untouched, for a *blank* row: no survivor
+    /// folded any bytes, so every missing member is zeros.
     fn solve_missing(
         &mut self,
         row: u64,
@@ -933,32 +891,33 @@ impl RaidArray {
         let b_first = read_q.is_some() || matches!(missing[0], Some((RowMember::Q, _)));
         let (a, b) = if b_first { (second, first) } else { (first, second) };
 
-        let blank = self.injector.is_none()
-            && !(0..self.disks.len()).any(|disk| {
-                self.disks[disk].is_resident(dp) && !missing.iter().flatten().any(|l| l.1 == disk)
-            });
-        if !blank {
-            if sum_a {
-                a.fill(0);
+        let layout = self.layout;
+        let survivors = (0..layout.data_disks())
+            .filter(|&d| Some(d) != x && Some(d) != y)
+            .map(|d| (RowMember::Data(d), layout.data_disk(stripe, d), dp))
+            .chain(read_p.map(|(pd, pp)| (RowMember::P, pd, pp)))
+            .chain(read_q.map(|(qd, qp)| (RowMember::Q, qd, qp)));
+        let mut blank = true;
+        for (member, disk, disk_page) in survivors {
+            let Some(page) = self.disk_page(disk, disk_page, cost)? else { continue };
+            if std::mem::take(&mut blank) {
+                // The first bytes folded: the sums start from zeros.
+                if sum_a {
+                    a.fill(0);
+                }
+                if sum_b {
+                    b.fill(0);
+                }
             }
-            if sum_b {
-                b.fill(0);
-            }
-        }
-        for d in (0..self.layout.data_disks()).filter(|&d| Some(d) != x && Some(d) != y) {
-            let disk = self.layout.data_disk(stripe, d);
-            self.fold_member(disk, dp, cost, |page| match (sum_a, sum_b) {
+            match (member, sum_a, sum_b) {
                 // One pass per member page: a ⊕= D, b ⊕= g^d·D.
-                (true, true) => gf256::mul2_slice_into(a, b, page, gf256::pow_g(d)),
-                (true, false) => xor_into(a, page),
-                _ => gf256::mul_slice_into(b, page, gf256::pow_g(d)),
-            })?;
-        }
-        if let Some((pd, pp)) = read_p {
-            self.fold_member(pd, pp, cost, |p| xor_into(a, p))?;
-        }
-        if let Some((qd, qp)) = read_q {
-            self.fold_member(qd, qp, cost, |q| xor_into(b, q))?;
+                (RowMember::Data(d), true, true) => {
+                    gf256::mul2_slice_into(a, b, page, gf256::pow_g(d));
+                }
+                (RowMember::Data(_), true, false) | (RowMember::P, ..) => xor_into(a, page),
+                (RowMember::Data(d), ..) => gf256::mul_slice_into(b, page, gf256::pow_g(d)),
+                (RowMember::Q, ..) => xor_into(b, page),
+            }
         }
         if blank {
             return Ok(true);
@@ -1397,9 +1356,9 @@ mod tests {
     }
 
     /// One seeded mix of every array operation through two arrays of the
-    /// same shape: `lent` folds pages where they lie, `copied` has an
-    /// empty-plan injector attached and so takes the pooled-copy paths.
-    /// Every result (cost op list or error), every byte read, every
+    /// same shape: `lent` has no injector, `copied` an empty-plan one that
+    /// draws an outcome for every member op (the names predate the single
+    /// lend-and-skip path both now take). Every result (cost op list or error), every byte read, every
     /// member's counters and every row's parity must agree.
     fn lent_and_copied_paths_agree(mut lent: RaidArray, failed: Option<usize>) {
         let ps = lent.page_size() as usize;
@@ -1502,6 +1461,154 @@ mod tests {
         lent_and_copied_paths_agree(r6(), Some(4));
     }
 
+    /// The fused P+Q update issues its ops as four separate ones would be —
+    /// read P, read Q, write P, write Q — and a transient, torn or corrupt
+    /// fault on each of them in turn stops it, books its ops and leaves P,
+    /// Q and the data exactly as that sequence does: a RAID-6 small write
+    /// (data read first, data write last) and a delta repair.
+    #[test]
+    fn fused_pq_update_keeps_its_op_order_under_faults() {
+        use kdd_blockdev::fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
+        let ps = 256;
+        let mut base = r6();
+        let layout = *base.layout();
+        let row = layout.row_of(0);
+        for lpn in layout.row_lpns(row) {
+            base.write_page(lpn, &page(lpn as u8, ps)).unwrap();
+        }
+        let (pd, pp) = layout.parity_location(row).unwrap();
+        let (qd, qp) = layout.q_location(row).unwrap();
+        let data = layout.locate(0);
+        let new = page(0x5A, ps);
+        let mut delta = page(0, ps);
+        xor_into(&mut delta, &new);
+        // A member page, read once the op count has been checked.
+        let stored = |a: &RaidArray, disk: usize, p: u64| {
+            let mut buf = vec![0u8; ps];
+            a.disks[disk].read_page(p, &mut buf).unwrap();
+            buf
+        };
+        let stats = |a: &RaidArray| -> Vec<(u64, u64)> {
+            a.stats().iter().map(|s| (s.reads, s.writes)).collect()
+        };
+        let flip = |mut v: Vec<u8>| {
+            v[3..73].iter_mut().for_each(|b| *b ^= 0xFF);
+            v
+        };
+        let torn = |new: Vec<u8>, mut old: Vec<u8>| {
+            old[..100].copy_from_slice(&new[..100]);
+            old
+        };
+        for repair in [false, true] {
+            let mut start = base.clone();
+            if repair {
+                start.write_no_parity_update(0, &new).unwrap();
+            }
+            let call = |a: &mut RaidArray| {
+                if repair {
+                    a.parity_update_rmw(row, &[(data.data_index, &delta)])
+                } else {
+                    a.write_page(0, &new)
+                }
+            };
+            let mut done = start.clone();
+            let want = call(&mut done).unwrap();
+            let (p_old, q_old) = (stored(&start, pd, pp), stored(&start, qd, qp));
+            let (p_new, q_new) = (stored(&done, pd, pp), stored(&done, qd, qp));
+            assert!(p_new != p_old && q_new != q_old);
+            let booked = |ops: &[DiskOp]| {
+                let mut s = stats(&start);
+                for op in ops {
+                    match op.kind {
+                        IoKind::Read => s[op.disk].0 += 1,
+                        IoKind::Write => s[op.disk].1 += 1,
+                    }
+                }
+                s
+            };
+            assert_eq!(booked(&want.ops), stats(&done));
+
+            // A zero-length corruption on every op records the order and
+            // changes no byte.
+            let mut a = start.clone();
+            let every_op = (0..want.ops.len() as u64)
+                .fold(FaultPlan::new(), |plan, at| plan.corrupt(at, FaultDomain::Unknown, 0, 0));
+            let inj = FaultInjector::new(every_op);
+            a.attach_injector(inj.clone());
+            assert_eq!(call(&mut a), Ok(want.clone()));
+            let order: Vec<(FaultDomain, IoDir)> =
+                inj.events().iter().map(|e| (e.device, e.dir)).collect();
+            let (p_dev, q_dev) = (FaultDomain::Disk(pd as u32), FaultDomain::Disk(qd as u32));
+            let first = usize::from(!repair);
+            assert_eq!(
+                order[first..first + 4],
+                [
+                    (p_dev, IoDir::Read),
+                    (q_dev, IoDir::Read),
+                    (p_dev, IoDir::Write),
+                    (q_dev, IoDir::Write)
+                ]
+            );
+            let from_cost = want.ops.iter().map(|op| {
+                let dir = if op.kind == IoKind::Read { IoDir::Read } else { IoDir::Write };
+                (FaultDomain::Disk(op.disk as u32), dir)
+            });
+            assert_eq!(
+                order,
+                from_cost.collect::<Vec<_>>(),
+                "the cost lists the ops in issue order"
+            );
+            assert_eq!(members(&a), members(&done));
+
+            for k in 0..4 {
+                let at = first + k;
+                let (device, dir) = order[at];
+                let on_p = device == p_dev;
+                let mut kinds =
+                    vec![FaultKind::TransientIo, FaultKind::CorruptPage { offset: 3, len: 70 }];
+                if dir == IoDir::Write {
+                    kinds.push(FaultKind::TornWrite { valid_bytes: 100 });
+                }
+                for kind in kinds {
+                    let what = format!("repair {repair}: {kind:?} on op {at} ({device:?} {dir:?})");
+                    let spec = FaultSpec { at_op: at as u64, device, dir: Some(dir), kind };
+                    let inj = FaultInjector::new(FaultPlan { specs: vec![spec] });
+                    let mut a = start.clone();
+                    a.attach_injector(inj.clone());
+                    let got = call(&mut a);
+                    assert_eq!(
+                        inj.events(),
+                        [FaultEvent { op: at as u64, device, dir, kind }],
+                        "{what}"
+                    );
+                    let failed = kind == FaultKind::TransientIo;
+                    let ops = if failed { at + 1 } else { want.ops.len() };
+                    assert_eq!(inj.op_count(), ops as u64, "{what}");
+                    if failed {
+                        assert_eq!(got, Err(RaidError::Dev(DevError::transient(device))), "{what}");
+                        assert_eq!(stats(&a), booked(&want.ops[..at]), "{what}");
+                    } else {
+                        assert_eq!(got, Ok(want.clone()), "{what}");
+                        assert_eq!(stats(&a), stats(&done), "{what}");
+                    }
+                    // Only a failed write of Q leaves P written.
+                    let mangle = |new: Vec<u8>, old: Vec<u8>, this: bool| match kind {
+                        FaultKind::TransientIo if k != 3 || this => old,
+                        FaultKind::CorruptPage { .. } if this => flip(new),
+                        FaultKind::TornWrite { .. } if this => torn(new, old),
+                        _ => new,
+                    };
+                    let p_want = mangle(p_new.clone(), p_old.clone(), on_p);
+                    let q_want = mangle(q_new.clone(), q_old.clone(), !on_p);
+                    assert_eq!(stored(&a, pd, pp), p_want, "{what}: P");
+                    assert_eq!(stored(&a, qd, qp), q_want, "{what}: Q");
+                    let data_want = if failed && !repair { page(0, ps) } else { new.clone() };
+                    assert_eq!(stored(&a, data.disk, data.disk_page), data_want, "{what}: data");
+                }
+            }
+        }
+    }
+
     // ---- the sparse-aware solver against the copying one ------------------
 
     /// How much of an array the differential runs write before failing
@@ -1558,12 +1665,11 @@ mod tests {
     }
 
     /// Fail `failed` on three copies of `base` — the solver, the reference
-    /// solver, and the solver behind an empty-plan injector (which forces
-    /// the copying lend and forbids every shortcut) — then read every page
-    /// degraded and rebuild: each call's op list, every byte read, every
-    /// member's counters and contents must agree, parity must verify, and
-    /// the sparse rebuild must have materialised only the rows that hold
-    /// something.
+    /// solver, and the solver behind an empty-plan injector (every op drawn,
+    /// every shortcut still taken) — then read every page degraded and
+    /// rebuild: each call's op list, every byte read, every member's
+    /// counters and contents must agree, parity must verify, and the sparse
+    /// rebuild must have materialised only the rows that hold something.
     fn solver_matches_reference(base: &RaidArray, model: &[Vec<u8>], failed: &[usize]) {
         let ps = base.page_size() as usize;
         let layout = *base.layout();
@@ -1614,7 +1720,7 @@ mod tests {
         for &d in failed {
             assert_eq!(new.disks[d].resident_pages(), written_rows, "{what}: disk {d}");
             assert_eq!(old.disks[d].resident_pages(), layout.rows() as usize);
-            assert_eq!(copied.disks[d].resident_pages(), layout.rows() as usize);
+            assert_eq!(copied.disks[d].resident_pages(), written_rows, "{what}: copied disk {d}");
         }
     }
 
@@ -1662,24 +1768,32 @@ mod tests {
     }
 
     /// Real faults — a corrupted survivor read, a transient error, a
-    /// second member dropping out mid-sequence, a corrupted read and a
-    /// torn write inside the rebuild — hit the solver and the reference
-    /// at the same device ops with the same outcomes, and leave the same
-    /// bytes and the same op count behind.
+    /// second member dropping out mid-sequence, a corrupted read, a torn
+    /// write and a corrupted write of a blank row inside the rebuild — hit
+    /// the solver and the reference at the same device ops with the same
+    /// outcomes, and leave the same bytes and the same op count behind.
     #[test]
     fn solver_matches_reference_under_injected_faults() {
-        use kdd_blockdev::fault::FaultPlan;
+        use kdd_blockdev::fault::{FaultKind, FaultPlan, FaultSpec};
         let ps = 256;
         let mut base = r6();
         filled(&mut base, Fill::Sparse);
         let reads = base.capacity_pages();
+        let blank_write = FaultSpec {
+            at_op: 290,
+            device: FaultDomain::Disk(4),
+            dir: Some(IoDir::Write),
+            kind: FaultKind::CorruptPage { offset: 8, len: 8 },
+        };
         let plan = || {
-            FaultPlan::new()
+            let mut plan = FaultPlan::new()
                 .corrupt(3, FaultDomain::Disk(0), 5, 9)
                 .transient(40, FaultDomain::Disk(2))
                 .drop_device(150, FaultDomain::Disk(4))
                 .corrupt(250, FaultDomain::Disk(3), 0, 16)
-                .torn_write(300, FaultDomain::Disk(1), 100)
+                .torn_write(300, FaultDomain::Disk(1), 100);
+            plan.specs.push(blank_write);
+            plan
         };
         let (mut new, mut old) = (base.clone(), base.clone());
         let (inj_new, inj_old) = (FaultInjector::new(plan()), FaultInjector::new(plan()));
@@ -1708,9 +1822,24 @@ mod tests {
         assert_eq!(cost, old.reference_rebuild());
         assert!(cost.is_ok(), "rebuild = {cost:?}");
         assert_eq!(inj_new.events(), inj_old.events());
-        assert_eq!(inj_new.events().len(), 5, "every planned fault fired");
+        assert_eq!(inj_new.events().len(), 6, "every planned fault fired");
         assert_eq!(inj_new.op_count(), inj_old.op_count());
         assert_eq!(members(&new), members(&old));
+        // The corrupted write landed on a row no survivor had written: the
+        // replacement stores the mangled zeros there.
+        let mut mangled = vec![0u8; ps];
+        mangled[8..16].fill(0xFF);
+        let mut buf = vec![0u8; ps];
+        let rows: Vec<u64> = (0..base.layout().rows())
+            .filter(|&row| {
+                new.disks[4].read_page(new.row_disk_page(row), &mut buf).unwrap();
+                buf == mangled
+            })
+            .collect();
+        let blank = |row: u64| {
+            [0, 2, 3, 5].iter().all(|&d| !base.disks[d].is_resident(base.row_disk_page(row)))
+        };
+        assert!(rows.len() == 1 && blank(rows[0]), "mangled rows {rows:?}");
     }
 
     /// §III-E2's rebuild must not half-finish silently: an error part-way
@@ -1840,11 +1969,6 @@ mod tests {
                 }
                 for &d in &failed {
                     self.disks[d].replace();
-                    if let Some(inj) = &self.injector {
-                        // A drop is cured by the replacement; a persistent fault
-                        // immediately re-fails the new disk on its next absorb.
-                        inj.on_replace(FaultDomain::Disk(d as u32));
-                    }
                 }
                 let mut cost = RaidCost::default();
                 // Reconstruct row by row; the replacement disks are zero-filled so
