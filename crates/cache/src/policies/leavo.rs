@@ -40,6 +40,8 @@ pub struct LeavO {
     pending: PendingRows,
     /// lba → slot holding its retained old version.
     old_versions: FastMap<u64, u32>,
+    /// Pages of the row `clean_all` is repairing, reused across rows.
+    scratch_lbas: Vec<u64>,
     stats: CacheStats,
     clean_trigger_slots: u64,
 }
@@ -55,6 +57,7 @@ impl LeavO {
             meta: MetadataBuffer::new(geometry.page_size),
             pending: PendingRows::default(),
             old_versions: FastMap::default(),
+            scratch_lbas: Vec::new(),
             stats: CacheStats::default(),
             clean_trigger_slots,
         }
@@ -68,13 +71,15 @@ impl LeavO {
     /// current copies. Returns the work performed.
     fn clean_all(&mut self) -> Effects {
         let mut fx = Effects::default();
+        let mut lbas = std::mem::take(&mut self.scratch_lbas);
         for row in self.pending.row_ids() {
             // Reconstruct-write only if *every* data page of the row is in
             // cache with current content.
             let reconstruct = self.raid.row_lpns(row).all(|l| self.cache.lookup(l).is_some());
             fx += self.raid.parity_update_effects(reconstruct);
             self.stats.parity_updates += 1;
-            for lba in self.pending.take_row(row) {
+            self.pending.take_row_into(row, &mut lbas);
+            for &lba in &lbas {
                 if let Some(old_slot) = self.old_versions.remove(&lba) {
                     self.cache.free_slot(old_slot);
                     self.push_meta(&mut fx);
@@ -86,6 +91,7 @@ impl LeavO {
                 }
             }
         }
+        self.scratch_lbas = lbas;
         self.stats.cleanings += 1;
         fx
     }

@@ -28,7 +28,7 @@ use crate::setassoc::{SetAssocCache, SetGrouping};
 use crate::stats::CacheStats;
 use kdd_raid::layout::{Layout, RaidLevel};
 use kdd_trace::record::{Op, Trace};
-use kdd_util::hash::{FastMap, FastSet};
+use kdd_util::hash::{FastMap, FastSet, SpareTables};
 use std::collections::hash_map::Entry;
 
 /// A caching policy in front of parity RAID.
@@ -178,6 +178,8 @@ pub struct PendingRows {
     order: std::collections::VecDeque<(u64, u64)>,
     gen: u64,
     pages: u64,
+    /// Sets of dropped rows, taken again by `add`.
+    spare: SpareTables<FastSet<u64>>,
 }
 
 /// One pending row: its pending pages, the cache set a full-set reclaim
@@ -211,7 +213,7 @@ impl PendingRows {
                 if let Some(n) = self.rows_in_set.get_mut(set) {
                     *n += 1;
                 }
-                v.insert(PendingRow { set, gen: 0, lbas: FastSet::default() })
+                v.insert(PendingRow { set, gen: 0, lbas: self.spare.take() })
             }
         };
         if entry.lbas.insert(lba) {
@@ -259,36 +261,23 @@ impl PendingRows {
         if removed {
             self.pages -= 1;
             if entry.lbas.is_empty() {
-                self.drop_row(row);
+                self.take_row_into(row, &mut Vec::new()); // no page left to collect
             }
         }
         removed
     }
 
-    /// Remove a whole row, returning its pending pages.
-    pub fn take_row(&mut self, row: u64) -> Vec<u64> {
-        let mut lbas = Vec::new();
-        self.take_row_into(row, &mut lbas);
-        lbas
-    }
-
-    /// [`take_row`](Self::take_row) into `lbas`, replacing its contents:
-    /// the same pages in the same (set-iteration) order.
+    /// Remove a whole row: `lbas` is replaced by its pending pages, in the
+    /// order its set iterates them. The emptied set is kept for `add`.
     pub fn take_row_into(&mut self, row: u64, lbas: &mut Vec<u64>) {
         lbas.clear();
-        if let Some(entry) = self.drop_row(row) {
-            self.pages -= entry.lbas.len() as u64;
-            lbas.extend(entry.lbas);
-        }
-    }
-
-    /// Take `row` out of the map and out of its set's count.
-    fn drop_row(&mut self, row: u64) -> Option<PendingRow> {
-        let entry = self.rows.remove(&row)?;
+        let Some(mut entry) = self.rows.remove(&row) else { return };
         if let Some(n) = self.rows_in_set.get_mut(entry.set) {
             *n -= 1;
         }
-        Some(entry)
+        self.pages -= entry.lbas.len() as u64;
+        lbas.extend(entry.lbas.drain());
+        self.spare.give(entry.lbas);
     }
 
     /// Number of distinct pending pages.
@@ -329,6 +318,38 @@ impl PendingRows {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `take_row_into` into a dirty vector: it must replace the contents.
+    fn take(p: &mut PendingRows, row: u64) -> Vec<u64> {
+        let mut lbas = vec![u64::MAX];
+        p.take_row_into(row, &mut lbas);
+        lbas
+    }
+
+    /// Emptied row sets go back on the free list and out again for the next
+    /// row, so spares plus live rows never exceed the peak number of live
+    /// rows. (A set that remove/insert churn grew past its first allocation
+    /// is dropped instead.)
+    #[test]
+    fn emptied_row_sets_are_reused() {
+        let mut p = PendingRows::default();
+        let (mut lbas, mut peak) = (Vec::new(), 0);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (row, lba) = ((x >> 33) % 12, (x >> 40) % 3);
+            match (x >> 50) % 4 {
+                0 => p.take_row_into(row, &mut lbas),
+                1 => {
+                    p.remove(row, row * 8 + lba);
+                }
+                _ => p.add(row, row * 8 + lba, || 0),
+            }
+            peak = peak.max(p.pending_rows());
+            assert!(p.spare.len() + p.pending_rows() <= peak, "allocated while a set was spare");
+        }
+        assert!(!p.spare.is_empty(), "emptied sets are kept for the next row");
+    }
 
     #[test]
     fn paper_default_is_5disk_raid5() {
@@ -379,11 +400,11 @@ mod tests {
         assert!(p.contains_row(3));
         assert!(p.contains(3, 101));
         assert!(!p.contains(3, 999));
-        let mut got = p.take_row(3);
+        let mut got = take(&mut p, 3);
         got.sort_unstable();
         assert_eq!(got, vec![100, 101]);
         assert_eq!(p.pending_pages(), 1);
-        assert!(p.take_row(3).is_empty());
+        assert!(take(&mut p, 3).is_empty());
     }
 
     #[test]
@@ -391,16 +412,16 @@ mod tests {
         let mut p = PendingRows::default();
         p.add(1, 10, || 0);
         p.add(2, 20, || 0);
-        // `remove` of a row's last page drops the row like `take_row` does.
+        // `remove` of a row's last page drops the row like `take_row_into` does.
         assert!(p.remove(1, 10));
         assert_eq!(p.oldest_row(), Some(2), "row 1's queue entry died with it");
         // Re-added, row 1 is the *youngest*: its old entry must not revive.
         p.add(1, 11, || 0);
         assert_eq!(p.order.iter().filter(|&&(row, _)| row == 1).count(), 1);
         assert_eq!(p.oldest_row(), Some(2));
-        assert_eq!(p.take_row(2), vec![20]);
+        assert_eq!(take(&mut p, 2), vec![20]);
         assert_eq!(p.oldest_row(), Some(1));
-        assert_eq!(p.take_row(1), vec![11]);
+        assert_eq!(take(&mut p, 1), vec![11]);
         assert_eq!(p.oldest_row(), None);
         // Nothing per-row is left behind by either way out.
         assert!(p.rows.is_empty() && p.order.is_empty());
@@ -425,7 +446,7 @@ mod tests {
                 for _ in 0..(x >> 40) % 9 {
                     assert_eq!(p.oldest_row(), model.first().copied());
                     if let Some(row) = p.oldest_row() {
-                        p.take_row(row);
+                        take(&mut p, row);
                         model.remove(0);
                     }
                 }
@@ -433,7 +454,7 @@ mod tests {
         }
         while let Some(row) = p.oldest_row() {
             assert_eq!(row, model.remove(0));
-            p.take_row(row);
+            take(&mut p, row);
         }
         assert!(model.is_empty());
         assert_eq!(p.pending_rows(), 0);
@@ -443,7 +464,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// Against a naive row → (set, pages) model under random `add` /
-        /// `remove` / `take_row`: the NoRoom query returns the first id of
+        /// `remove` / `take_row_into`: the NoRoom query returns the first id of
         /// `row_ids()` recorded under that set, the per-set counts equal a
         /// recount, and a count is zero exactly when the query is `None`.
         #[test]
@@ -474,7 +495,7 @@ mod tests {
                         }
                     }
                     _ => {
-                        let mut got = p.take_row(row);
+                        let mut got = take(&mut p,row);
                         got.sort_unstable();
                         let mut want = model.remove(&row).map(|(_, l)| l).unwrap_or_default();
                         want.sort_unstable();

@@ -43,7 +43,7 @@ use kdd_delta::codec;
 use kdd_delta::xor::xor_pages_into;
 use kdd_obs::{Completion, HitClass, Recorder, ReqKind, Sample, Stage, StageTimes};
 use kdd_raid::array::{RaidArray, RaidCost, RaidError};
-use kdd_util::hash::{crc32_update, FastMap};
+use kdd_util::hash::{crc32_update, FastMap, FastSet, SpareTables};
 use kdd_util::units::SimTime;
 use kdd_util::PagePool;
 
@@ -251,7 +251,7 @@ enum DeltaLoc {
 /// holds.
 #[derive(Debug, Clone, Default)]
 struct DezInfo {
-    lbas: kdd_util::hash::FastSet<u64>,
+    lbas: FastSet<u64>,
     /// Compressed bytes of the deltas in `lbas` that `delta_loc` still
     /// places in this page (a running counter; see
     /// [`KddEngine::dez_live_consistent`]).
@@ -299,9 +299,11 @@ struct NvState {
 }
 
 /// Vectors the commit, compaction and cleaning paths borrow
-/// (`mem::take`, fill, put back empty) instead of allocating per call.
+/// (`mem::take`, fill, put back empty) instead of allocating per call, and
+/// the emptied `DezInfo.lbas` sets they take again.
 #[derive(Default)]
 struct Scratch {
+    lba_sets: SpareTables<FastSet<u64>>,
     refs: Vec<(u64, DeltaRef)>,
     entries: Vec<MapEntry>,
     lbas: Vec<u64>,
@@ -776,7 +778,9 @@ impl KddEngine {
             }
         }
         if info.lbas.is_empty() {
-            self.dez.remove(&r.slot);
+            if let Some(info) = self.dez.remove(&r.slot) {
+                self.scratch.lba_sets.give(info.lbas);
+            }
             self.ssd.trim_page(self.slot_lpn(r.slot))?;
             self.cache.free_slot(r.slot);
         }
@@ -834,7 +838,7 @@ impl KddEngine {
             self.charge_stage(Stage::StagingCommit, dt, t);
             self.pool.release(page);
             self.stats.ssd_delta_writes += 1;
-            let mut info = DezInfo::default();
+            let mut info = DezInfo { lbas: self.scratch.lba_sets.take(), live: 0 };
             info.lbas.extend(refs.iter().map(|&(lba, _)| lba));
             self.dez.insert(slot, info);
             // The page is indexed with no live bytes until its mappings are
@@ -1551,7 +1555,7 @@ impl KddEngine {
             self.charge_stage(Stage::StagingCommit, dt, t);
             self.pool.release(page);
             self.stats.ssd_delta_writes += 1;
-            let mut info = DezInfo::default();
+            let mut info = DezInfo { lbas: self.scratch.lba_sets.take(), live: 0 };
             for &(lba, r) in &moved {
                 self.delta_loc.insert(lba, DeltaLoc::Dez(r));
                 info.lbas.insert(lba);
@@ -1559,9 +1563,10 @@ impl KddEngine {
             }
             self.dez_live_total = self.dez_live_total - u64::from(live) + u64::from(info.live);
             self.dez_bound.merged(info.live, rest);
-            self.dez.insert(dst, info);
-            // Retire the source page.
-            self.dez.remove(&src);
+            // The merged page replaces `dst`'s record; the source retires.
+            for old in [self.dez.insert(dst, info), self.dez.remove(&src)].into_iter().flatten() {
+                self.scratch.lba_sets.give(old.lbas);
+            }
             self.ssd.trim_page(self.slot_lpn(src))?;
             self.cache.free_slot(src);
             // Re-log the moved mappings (offsets changed).

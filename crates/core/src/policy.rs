@@ -36,7 +36,7 @@ use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
 use kdd_cache::stats::CacheStats;
 use kdd_delta::model::DeltaSizeModel;
 use kdd_trace::record::Op;
-use kdd_util::hash::FastMap;
+use kdd_util::hash::{FastMap, SpareTables};
 use kdd_util::lru::GhostList;
 
 /// Synthetic slot ids for statically-partitioned DEZ pages (kept above
@@ -59,7 +59,7 @@ fn meta_pages(commits: Result<Vec<CommitBatch<KeyEntry>>, PartitionTooSmall>) ->
 
 /// One DEZ page's live contents (for the accounting simulator: sizes
 /// only).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct DezPage {
     deltas: FastMap<u64, u32>,
     bytes: u32,
@@ -111,6 +111,10 @@ pub struct KddPolicy {
     delta_loc: FastMap<u64, DeltaLoc>,
     /// DEZ slot → its still-valid deltas (lba → compressed size).
     dez: FastMap<u32, DezPage>,
+    /// Emptied `DezPage.deltas` maps, taken again by `commit_staging`.
+    spare_deltas: SpareTables<FastMap<u64, u32>>,
+    /// Pages `compact_dez` re-logs and `clean_row` reclaims, reused.
+    scratch_lbas: Vec<u64>,
     stats: CacheStats,
     config: KddConfig,
     old_pages: u64,
@@ -154,6 +158,8 @@ impl KddPolicy {
             pending: PendingRows::default(),
             delta_loc: FastMap::default(),
             dez: FastMap::default(),
+            spare_deltas: SpareTables::default(),
+            scratch_lbas: Vec::new(),
             stats: CacheStats::default(),
             config,
             old_pages: 0,
@@ -225,7 +231,9 @@ impl KddPolicy {
                 // "the DEZ page cannot be freed until the valid count
                 // reaches zero" — and then it is.
                 if page.deltas.is_empty() {
-                    self.dez.remove(&slot);
+                    if let Some(page) = self.dez.remove(&slot) {
+                        self.spare_deltas.give(page.deltas);
+                    }
                     self.free_dez_slot(slot);
                 } else {
                     self.dez_bound.lower(page.bytes);
@@ -264,7 +272,7 @@ impl KddPolicy {
         };
         let drained = self.staging.drain();
         debug_assert!(!drained.is_empty());
-        let mut page = DezPage::default();
+        let mut page = DezPage { deltas: self.spare_deltas.take(), bytes: 0 };
         fx.ssd_delta_writes += 1;
         // Mapping entries for the affected old pages are logged only now
         // (§III-C): the (lba_dez, off, len) tuple is finally known.
@@ -297,7 +305,7 @@ impl KddPolicy {
         ) {
             // Both keys were just sampled from `dez`, so the lookups hold
             // unless the index is corrupt — then stop compacting.
-            let Some(spage) = self.dez.remove(&src) else {
+            let Some(mut spage) = self.dez.remove(&src) else {
                 debug_assert!(false, "DEZ index corrupt: src page vanished");
                 break;
             };
@@ -308,7 +316,7 @@ impl KddPolicy {
                 self.dez.insert(src, spage); // undo: keep the live deltas reachable
                 break;
             };
-            for (lba, size) in spage.deltas {
+            for (lba, size) in spage.deltas.drain() {
                 dpage.bytes += size;
                 dpage.deltas.insert(lba, size);
                 self.delta_loc.insert(lba, DeltaLoc::Dez(dst));
@@ -316,10 +324,14 @@ impl KddPolicy {
             self.dez_bound.merged(dpage.bytes, rest);
             // Every delta in the merged page moved (new offsets): their
             // mapping entries are re-logged.
-            let moved: Vec<u64> = self.dez[&dst].deltas.keys().copied().collect();
-            for lba in moved {
+            let mut moved = std::mem::take(&mut self.scratch_lbas);
+            moved.clear();
+            moved.extend(dpage.deltas.keys().copied());
+            self.spare_deltas.give(spage.deltas);
+            for &lba in &moved {
                 self.log_alloc(lba, fx);
             }
+            self.scratch_lbas = moved;
             self.free_dez_slot(src);
         }
     }
@@ -405,7 +417,9 @@ impl KddPolicy {
             }
             fx += self.raid.parity_update_effects(reconstruct);
             self.stats.parity_updates += 1;
-            for lba in self.pending.take_row(row) {
+            let mut lbas = std::mem::take(&mut self.scratch_lbas);
+            self.pending.take_row_into(row, &mut lbas);
+            for &lba in &lbas {
                 // Decompress this page's delta (from NVRAM or DEZ).
                 if let Some(DeltaLoc::Dez(_)) = self.delta_loc.get(&lba) {
                     if !reconstruct {
@@ -435,6 +449,7 @@ impl KddPolicy {
                     }
                 }
             }
+            self.scratch_lbas = lbas;
         }
         fx
     }

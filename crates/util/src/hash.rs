@@ -93,6 +93,94 @@ pub type FastMap<K, V> = std::collections::HashMap<K, V, FastHasherBuilder>;
 #[allow(clippy::disallowed_types, reason = "a fixed hasher iterates in the same order every run")]
 pub type FastSet<K> = std::collections::HashSet<K, FastHasherBuilder>;
 
+/// A table [`SpareTables`] recycles: a [`FastSet`] or a [`FastMap`].
+pub trait Table: Default {
+    /// Entries it holds before it must grow.
+    fn capacity(&self) -> usize;
+    /// Drop every entry, keeping the buckets.
+    fn clear(&mut self);
+    /// Insert the default key (and value).
+    fn insert_default(&mut self);
+}
+
+impl<K: Default + Eq + std::hash::Hash> Table for FastSet<K> {
+    fn capacity(&self) -> usize {
+        self.capacity()
+    }
+    fn clear(&mut self) {
+        self.clear();
+    }
+    fn insert_default(&mut self) {
+        self.insert(K::default());
+    }
+}
+
+impl<K: Default + Eq + std::hash::Hash, V: Default> Table for FastMap<K, V> {
+    fn capacity(&self) -> usize {
+        self.capacity()
+    }
+    fn clear(&mut self) {
+        self.clear();
+    }
+    fn insert_default(&mut self) {
+        self.insert(K::default(), V::default());
+    }
+}
+
+/// Empty tables kept for reuse, each iterating exactly like a fresh table
+/// under any later history. Iteration order depends on the bucket count,
+/// so only a table that never grew past the allocation a fresh table makes
+/// on its first insert is kept: cleared, it is that fresh table just before
+/// the insert lands. A grown table is dropped.
+#[derive(Debug)]
+pub struct SpareTables<T> {
+    free: Vec<T>,
+    /// `capacity()` of a fresh table after one insert.
+    smallest: usize,
+}
+
+impl<T: Table> Default for SpareTables<T> {
+    fn default() -> Self {
+        let mut fresh = T::default();
+        fresh.insert_default();
+        SpareTables { free: Vec::new(), smallest: fresh.capacity() }
+    }
+}
+
+impl<T: Table> SpareTables<T> {
+    /// An empty table: a spare one, else `T::default()`.
+    pub fn take(&mut self) -> T {
+        self.free.pop().unwrap_or_default()
+    }
+
+    /// Keep `table`, cleared, if it is still at the smallest size; drop it
+    /// if it grew.
+    pub fn give(&mut self, mut table: T) {
+        if table.capacity() == self.smallest {
+            table.clear();
+            self.free.push(table);
+        }
+    }
+
+    /// Tables waiting to be taken.
+    pub fn len(&self) -> usize {
+        self.free.len()
+    }
+
+    /// Whether no table is waiting.
+    pub fn is_empty(&self) -> bool {
+        self.free.is_empty()
+    }
+}
+
+/// Clones start with an empty free list, as [`PagePool`](crate::PagePool)
+/// clones do: reuse in one never depends on activity in another.
+impl<T: Table> Clone for SpareTables<T> {
+    fn clone(&self) -> Self {
+        SpareTables { free: Vec::new(), smallest: self.smallest }
+    }
+}
+
 /// The reflected IEEE 802.3 polynomial.
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
