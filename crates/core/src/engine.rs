@@ -701,25 +701,20 @@ impl KddEngine {
         Ok(())
     }
 
-    /// Persist page commits now, or park them for the group flush while a
-    /// batched submission is in flight. Deferred batches stay crash-safe:
-    /// their entries live in the metalog's NVRAM buffer/inflight list until
+    /// Persist the page commits parked in `meta_pending` now, or leave them
+    /// for the group flush while a batched submission is in flight.
+    /// Deferred batches stay crash-safe: their entries live in the
+    /// metalog's NVRAM buffer/inflight list until
     /// [`KddEngine::flush_group`] confirms the flash writes.
-    fn queue_batches(
-        &mut self,
-        batches: Vec<CommitBatch<MapEntry>>,
-        t: &mut SimTime,
-    ) -> Result<(), EngineError> {
+    fn queue_batches(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
         if self.meta_defer {
-            self.meta_pending.extend(batches);
-            Ok(())
-        } else {
-            self.persist_batches(batches, t)
+            return Ok(());
         }
+        self.flush_group(t)
     }
 
     /// Write every parked metalog page to flash — the group-commit flush
-    /// ending a batched submission.
+    /// ending a batched submission, or at once outside one.
     /// The parking buffer is drained in place and kept, capacity and all.
     fn flush_group(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
         let mut pending = std::mem::take(&mut self.meta_pending);
@@ -729,8 +724,8 @@ impl KddEngine {
     }
 
     fn log_entry(&mut self, e: MapEntry, t: &mut SimTime) -> Result<(), EngineError> {
-        let batches = self.metalog.push(e)?;
-        self.queue_batches(batches, t)
+        self.meta_pending.extend(self.metalog.push(e)?);
+        self.queue_batches(t)
     }
 
     /// Log the tombstone of `lba`'s mapping to `slot`.
@@ -854,9 +849,9 @@ impl KddEngine {
             for &(lba, r) in &refs {
                 entries.push(self.old_entry(lba, r)?);
             }
-            let batches = self.metalog.push_group(entries.drain(..))?;
+            self.meta_pending.extend(self.metalog.push_group(entries.drain(..))?);
             self.scratch.entries = entries;
-            self.queue_batches(batches, t)?;
+            self.queue_batches(t)?;
             // The page's bytes become live as `delta_loc` turns to them.
             let mut live = 0u32;
             for &(lba, r) in &refs {
@@ -1684,8 +1679,8 @@ impl KddEngine {
 
     fn flush_tail(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
         self.commit_staging(t)?;
-        let batches = self.metalog.flush()?;
-        self.persist_batches(batches, t)
+        self.meta_pending.extend(self.metalog.flush()?);
+        self.queue_batches(t)
     }
 
     // ---- failure handling (§III-E) ----------------------------------------
@@ -1895,7 +1890,7 @@ impl KddEngine {
         self.charge_stage(Stage::RaidReconstruct, DISK_OP * cost.ops.len() as u64, t);
         self.ssd.replace();
         self.cache = Self::empty_cache(&self.config, &self.raid);
-        self.nv.get_mut().staging.drain();
+        self.payloads.release(self.nv.get_mut().staging.drain().map(|(_, payload)| payload));
         self.metalog = Self::empty_metalog(&self.config);
         // Any pages parked by an in-flight batch belonged to the lost
         // cache's log; the fresh SSD starts from an empty mapping.

@@ -184,6 +184,28 @@ fn recovered_payloads_are_dropped_not_recycled() {
     assert_conserved(&e, "writes after recovery");
 }
 
+/// Losing the SSD loses the staged deltas with the rest of the cache (the
+/// RAID already holds their data); their buffers go back to the free list.
+#[test]
+fn ssd_loss_recycles_staged_payloads() {
+    let mut e = engine(64);
+    let mut versions = FastMap::default();
+    for lba in (0..5u64).map(|i| 16 * i) {
+        e.write(lba, &page(lba)).unwrap();
+        let next = nudged_page(&page(lba), 1 + lba as u8);
+        e.write(lba, &next).unwrap();
+        versions.insert(lba, next);
+    }
+    assert_eq!(e.staged_deltas(), 5);
+    assert_conserved(&e, "staging");
+    e.recover_from_ssd_failure().unwrap();
+    assert_eq!((e.staged_deltas(), e.payloads.free_len()), (0, 5));
+    assert_conserved(&e, "SSD loss");
+    for (lba, version) in &versions {
+        assert_eq!(&e.read(*lba).unwrap().0, version, "lba {lba}");
+    }
+}
+
 /// `write_batch` lends its completion times from a buffer it refills: each
 /// slice holds exactly its own batch's times, whatever the previous call
 /// left there — a longer batch, or a batch that failed part way. The twin

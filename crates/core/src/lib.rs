@@ -59,7 +59,7 @@ pub mod staging;
 
 pub use config::KddConfig;
 pub use engine::{KddEngine, WriteRequest};
-pub use metalog::{CommitBatch, KeyEntry, LogEntry, MetaLog, PartitionTooSmall};
+pub use metalog::{CommitBatch, Commits, KeyEntry, LogEntry, MetaLog, PartitionTooSmall};
 pub use policy::KddPolicy;
 pub use staging::{DeltaPayload, StagingBuffer};
 

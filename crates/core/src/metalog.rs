@@ -92,6 +92,10 @@ impl std::fmt::Display for PartitionTooSmall {
 
 impl std::error::Error for PartitionTooSmall {}
 
+/// The page commits one call produced, lent from a vector the log keeps:
+/// dropping it, consumed or not, leaves that vector empty for the next call.
+pub type Commits<'a, E> = std::vec::Drain<'a, CommitBatch<E>>;
+
 /// A page's worth of entries committed to flash: the caller must write it
 /// at partition-relative page index `slot`.
 #[derive(Debug, Clone)]
@@ -111,6 +115,17 @@ struct MetaPage<E> {
     /// Position of `entries[0]`; `entries[i]` sits at `start + i`.
     start: u64,
     entries: Arc<[E]>,
+}
+
+/// A reclaimed head page's slice that nothing else holds, for the next full
+/// cut to write over instead of allocating one. A clone starts without it.
+#[derive(Debug)]
+struct SparePage<E>(Option<Arc<[E]>>);
+
+impl<E> Clone for SparePage<E> {
+    fn clone(&self) -> Self {
+        SparePage(None)
+    }
 }
 
 /// The circular log with its NVRAM staging buffer.
@@ -153,6 +168,9 @@ pub struct MetaLog<E: LogEntry> {
     /// completed.
     track_inflight: bool,
     inflight: Vec<CommitBatch<E>>,
+    /// The current call's page commits; empty between calls.
+    commits: Vec<CommitBatch<E>>,
+    spare: SparePage<E>,
 }
 
 impl<E: LogEntry> MetaLog<E> {
@@ -179,6 +197,8 @@ impl<E: LogEntry> MetaLog<E> {
             gc_reclaims: 0,
             track_inflight: false,
             inflight: Vec::new(),
+            commits: Vec::new(),
+            spare: SparePage(None),
         }
     }
 
@@ -243,15 +263,14 @@ impl<E: LogEntry> MetaLog<E> {
         (self.head, self.tail)
     }
 
-    /// Append an entry; returns the page commits (possibly several, when
-    /// GC reinsertion cascades) the caller must persist, or
+    /// Append an entry; lends the page commits (possibly several, when
+    /// GC reinsertion cascades) the caller must persist, or returns
     /// [`PartitionTooSmall`] when the log cannot make room for them.
-    pub fn push(&mut self, entry: E) -> Result<Vec<CommitBatch<E>>, PartitionTooSmall> {
+    pub fn push(&mut self, entry: E) -> Result<Commits<'_, E>, PartitionTooSmall> {
         self.entries_pushed += 1;
         self.buffer_insert(entry);
-        let mut out = Vec::new();
-        self.drain_full_pages(&mut out)?;
-        Ok(out)
+        self.drain_full_pages()?;
+        Ok(self.commits.drain(..))
     }
 
     /// Append a group of entries as one **group commit**.
@@ -261,32 +280,30 @@ impl<E: LogEntry> MetaLog<E> {
     /// entry even when an intermediate page boundary would have forced the
     /// older copy out under entry-at-a-time [`MetaLog::push`] — a group
     /// can therefore produce *fewer* metadata page writes than the same
-    /// entries pushed individually, never more. Returns every page commit
+    /// entries pushed individually, never more. Lends every page commit
     /// produced; the NVRAM inflight/confirm protocol is unchanged (each
-    /// returned batch is tracked until [`MetaLog::confirm`], and the
+    /// lent batch is tracked until [`MetaLog::confirm`], and the
     /// entries themselves are NVRAM-durable in the buffer from the moment
     /// this returns, exactly as with `push`).
     pub fn push_group(
         &mut self,
         entries: impl IntoIterator<Item = E>,
-    ) -> Result<Vec<CommitBatch<E>>, PartitionTooSmall> {
+    ) -> Result<Commits<'_, E>, PartitionTooSmall> {
         for e in entries {
             self.entries_pushed += 1;
             self.buffer_insert(e);
         }
-        let mut out = Vec::new();
-        self.drain_full_pages(&mut out)?;
-        Ok(out)
+        self.drain_full_pages()?;
+        Ok(self.commits.drain(..))
     }
 
     /// Force-commit the buffer (shutdown / checkpoint).
-    pub fn flush(&mut self) -> Result<Vec<CommitBatch<E>>, PartitionTooSmall> {
-        let mut out = Vec::new();
-        self.drain_full_pages(&mut out)?;
+    pub fn flush(&mut self) -> Result<Commits<'_, E>, PartitionTooSmall> {
+        self.drain_full_pages()?;
         if !self.buffer.is_empty() {
-            self.cut_page(self.buffer.len(), &mut out);
+            self.cut_page(self.buffer.len());
         }
-        Ok(out)
+        Ok(self.commits.drain(..))
     }
 
     /// The newest valid entry for `key`, if any (buffered or logged).
@@ -341,32 +358,44 @@ impl<E: LogEntry> MetaLog<E> {
     }
 
     /// Move the `n` oldest buffered entries into a new log page.
-    fn cut_page(&mut self, n: usize, out: &mut Vec<CommitBatch<E>>) {
+    fn cut_page(&mut self, n: usize) {
         let start = self.buffer_base;
-        // (An exact-length iterator: the slice is allocated once.)
-        let entries: Arc<[E]> = self.buffer.iter().take(n).cloned().collect();
+        // (An exact-length iterator: a new slice is allocated once.)
+        let entries =
+            self.refill_spare(n).unwrap_or_else(|| self.buffer.iter().take(n).cloned().collect());
         self.buffer.drain(..n);
         self.buffer_base += n as u64;
-        self.append_page(start, entries, out);
+        self.append_page(start, entries);
+    }
+
+    /// The spare page refilled with the `n` oldest buffered entries, when
+    /// they fill a page and nothing else holds the spare.
+    fn refill_spare(&mut self, n: usize) -> Option<Arc<[E]>> {
+        let mut page = self.spare.0.take_if(|_| n == self.entries_per_page)?;
+        let slots = Arc::get_mut(&mut page)?;
+        slots.iter_mut().zip(&self.buffer).for_each(|(slot, e)| slot.clone_from(e));
+        Some(page)
     }
 
     /// Cut full pages until less than a page is buffered. Each cut may
     /// reclaim a head page and put its live entries back in the buffer; a
     /// drain still going after four laps of the partition is reclaiming
-    /// nothing but live pages and never will finish.
-    fn drain_full_pages(&mut self, out: &mut Vec<CommitBatch<E>>) -> Result<(), PartitionTooSmall> {
+    /// nothing but live pages and never will finish; the pages it cut go
+    /// with its error.
+    fn drain_full_pages(&mut self) -> Result<(), PartitionTooSmall> {
         let mut cuts = 0u64;
         while self.buffer.len() >= self.entries_per_page {
             cuts += 1;
             if cuts > self.partition_pages * 4 + 8 {
+                self.commits.clear();
                 return Err(PartitionTooSmall { partition_pages: self.partition_pages });
             }
-            self.cut_page(self.entries_per_page, out);
+            self.cut_page(self.entries_per_page);
         }
         Ok(())
     }
 
-    fn append_page(&mut self, start: u64, entries: Arc<[E]>, out: &mut Vec<CommitBatch<E>>) {
+    fn append_page(&mut self, start: u64, entries: Arc<[E]>) {
         // Make room first (may reinsert live head entries into the buffer).
         while self.used_pages() >= self.partition_pages {
             if !self.reclaim_head() {
@@ -383,7 +412,7 @@ impl<E: LogEntry> MetaLog<E> {
             self.inflight.retain(|b| b.seq >= self.head);
             self.inflight.push(CommitBatch { entries: Arc::clone(&batch.entries), ..batch });
         }
-        out.push(batch);
+        self.commits.push(batch);
     }
 
     /// Oldest-first GC: drop dead entries, reinsert live ones. Returns
@@ -409,6 +438,12 @@ impl<E: LogEntry> MetaLog<E> {
                 }
             }
             // Otherwise a newer entry exists elsewhere: dead, drop.
+        }
+        // A full page's slice that no batch or in-flight copy still holds
+        // is kept for the next full cut.
+        let mut entries = page.entries;
+        if entries.len() == self.entries_per_page && Arc::get_mut(&mut entries).is_some() {
+            self.spare = SparePage(Some(entries));
         }
         true
     }
@@ -768,15 +803,18 @@ mod tests {
         }
     }
 
-    type Commits = Result<Vec<(u64, u64, Vec<KeyEntry>)>, PartitionTooSmall>;
+    type Stream = Result<Vec<(u64, u64, Vec<KeyEntry>)>, PartitionTooSmall>;
 
     /// `CommitBatch` has no `PartialEq`: compare batches as tuples.
     fn tuples(batches: &[CommitBatch<KeyEntry>]) -> Vec<(u64, u64, Vec<KeyEntry>)> {
         batches.iter().map(|b| (b.slot, b.seq, b.entries.to_vec())).collect()
     }
 
-    fn commits(r: Result<Vec<CommitBatch<KeyEntry>>, PartitionTooSmall>) -> Commits {
-        r.map(|batches| tuples(&batches))
+    fn commits<I>(r: Result<I, PartitionTooSmall>) -> Stream
+    where
+        I: IntoIterator<Item = CommitBatch<KeyEntry>>,
+    {
+        r.map(|batches| batches.into_iter().map(|b| (b.slot, b.seq, b.entries.to_vec())).collect())
     }
 
     /// One scripted call against both logs.
@@ -848,7 +886,7 @@ mod tests {
         for k in [0, 1, 2, 3, 0] {
             log.push(key(k)).unwrap();
         }
-        let cut = log.push(key(4)).unwrap();
+        let cut: Vec<_> = log.push(key(4)).unwrap().collect();
         assert_eq!(cut.len(), 1);
         assert_eq!(cut[0].entries[..], [key(0), key(4)]);
         assert_eq!(log.gc_reclaims(), 1);
@@ -891,10 +929,10 @@ mod tests {
     #[test]
     fn commits_when_page_fills() {
         let mut log = MetaLog::new(8, 4);
-        assert!(log.push(key(1)).unwrap().is_empty());
-        assert!(log.push(key(2)).unwrap().is_empty());
-        assert!(log.push(key(3)).unwrap().is_empty());
-        let commits = log.push(key(4)).unwrap();
+        for k in 1..=3 {
+            assert_eq!(log.push(key(k)).unwrap().len(), 0);
+        }
+        let commits: Vec<_> = log.push(key(4)).unwrap().collect();
         assert_eq!(commits.len(), 1);
         assert_eq!(commits[0].entries.len(), 4);
         assert_eq!(commits[0].slot, 0);
@@ -916,10 +954,10 @@ mod tests {
     fn coalescing_in_buffer() {
         let mut log = MetaLog::new(8, 4);
         for _ in 0..100 {
-            assert!(log.push(key(7)).unwrap().is_empty(), "same key must coalesce");
+            assert_eq!(log.push(key(7)).unwrap().len(), 0, "same key must coalesce");
         }
         assert_eq!(log.buffered_entries(), 1);
-        let commits = log.flush().unwrap();
+        let commits: Vec<_> = log.flush().unwrap().collect();
         assert_eq!(commits.len(), 1);
         assert_eq!(commits[0].entries.len(), 1);
     }
@@ -930,7 +968,7 @@ mod tests {
         let mut slots = Vec::new();
         for i in 0..20 {
             for k in [i * 2, i * 2 + 1] {
-                slots.extend(log.push(tomb(k)).unwrap().iter().map(|c| c.slot));
+                slots.extend(log.push(tomb(k)).unwrap().map(|c| c.slot));
             }
         }
         assert!(slots.iter().all(|&s| s < 2));
@@ -1054,7 +1092,7 @@ mod tests {
         let mut log = MetaLog::new(8, 2);
         log.enable_inflight_tracking();
         log.push(key(1)).unwrap();
-        let commits = log.push(key(2)).unwrap();
+        let commits: Vec<_> = log.push(key(2)).unwrap().collect();
         assert_eq!(commits.len(), 1);
         assert_eq!(log.unconfirmed().len(), 1);
         assert_eq!(log.unconfirmed()[0].seq, commits[0].seq);
@@ -1084,7 +1122,7 @@ mod tests {
         // would have cut pages mid-stream and rewritten the keys.
         let mut grouped = MetaLog::new(8, 4);
         let entries: Vec<KeyEntry> = (0..32).map(|i| key(i % 4)).collect();
-        let commits = grouped.push_group(entries.clone()).unwrap();
+        let commits: Vec<_> = grouped.push_group(entries.clone()).unwrap().collect();
         assert_eq!(commits.len(), 1);
         assert_eq!(commits[0].entries.len(), 4);
         let mut single = MetaLog::new(8, 4);
@@ -1104,7 +1142,7 @@ mod tests {
     fn group_commit_spans_multiple_pages() {
         let mut log = MetaLog::new(8, 2);
         log.enable_inflight_tracking();
-        let commits = log.push_group((0..7).map(key)).unwrap();
+        let commits: Vec<_> = log.push_group((0..7).map(key)).unwrap().collect();
         assert_eq!(commits.len(), 3, "7 distinct entries over 2/page cut 3 pages");
         assert_eq!(log.buffered_entries(), 1);
         assert_eq!(log.unconfirmed().len(), 3, "every group page is inflight-tracked");
@@ -1120,7 +1158,7 @@ mod tests {
     #[test]
     fn empty_group_is_a_noop() {
         let mut log = MetaLog::new(8, 2);
-        assert!(log.push_group(std::iter::empty::<KeyEntry>()).unwrap().is_empty());
+        assert_eq!(log.push_group(std::iter::empty::<KeyEntry>()).unwrap().len(), 0);
         assert_eq!(log.entries_pushed(), 0);
         assert_eq!(log.buffered_entries(), 0);
     }
@@ -1133,5 +1171,59 @@ mod tests {
         let wedged = (0..100u64).find_map(|i| log.push(key(i % 4)).err());
         assert_eq!(wedged, Some(PartitionTooSmall { partition_pages: 2 }));
         assert!(wedged.unwrap().to_string().contains("too small"));
+    }
+
+    /// A reclaimed full head page that nothing holds is written over by
+    /// the next full cut; a held page or a partial one is never kept.
+    #[test]
+    fn reclaimed_head_page_is_reused_only_when_unheld() {
+        let mut log = MetaLog::new(2, 2);
+        log.enable_inflight_tracking();
+        let mut cut = |keys: &[u64], flush: bool| {
+            let group = log.push_group(keys.iter().map(|&k| tomb(k))).unwrap().collect();
+            let batches: Vec<_> = if flush { log.flush().unwrap().collect() } else { group };
+            for b in &batches {
+                log.confirm(b.seq);
+            }
+            let spare = log.spare.0.as_ref().map(|p| Arc::as_ptr(p).cast::<KeyEntry>());
+            (batches.into_iter().next(), spare)
+        };
+        let at = |b: &Option<CommitBatch<KeyEntry>>| b.as_ref().map(|b| b.entries.as_ptr());
+        let a = at(&cut(&[0, 1], false).0);
+        let (b, _) = cut(&[2, 3], false);
+        let (_, spare) = cut(&[4, 5], false);
+        assert_eq!(spare, a, "unheld page A kept once reclaimed");
+        let (d, spare) = cut(&[6, 7], false);
+        assert_eq!(at(&d), a, "the next full cut writes over A");
+        assert_eq!(spare, None, "page B is still held");
+        drop(d);
+        let (_, spare) = cut(&[8], true);
+        assert!(spare.is_some(), "page C kept");
+        let (_, spare) = cut(&[9, 10], false);
+        assert_eq!(spare, a, "page D, A's slice, kept again");
+        let (_, spare) = cut(&[11, 12], false);
+        assert_eq!(spare, None, "the partial page E is dropped");
+        assert_eq!(b.map(|b| b.entries.to_vec()), Some(vec![tomb(2), tomb(3)]));
+    }
+
+    /// The pages a failed call cut go with its error: a later call lends
+    /// exactly the pages it cut itself, whose sequence numbers are the tail
+    /// counter's advance over that call.
+    #[test]
+    fn failed_call_leaves_no_batch_for_the_next_one() {
+        let mut log = MetaLog::new(2, 1);
+        let wedged = (0..100u64).find_map(|i| log.push(key(i % 4)).err());
+        assert!(wedged.is_some() && log.commits.is_empty());
+        let mut lent = 0;
+        for k in 0..4 {
+            let (_, tail) = log.counters();
+            let seqs: Vec<u64> = match log.push(tomb(k)) {
+                Ok(commits) => commits.map(|b| b.seq).collect(),
+                Err(_) => continue,
+            };
+            assert_eq!(seqs, (tail..log.counters().1).collect::<Vec<u64>>(), "tombstone {k}");
+            lent += seqs.len();
+        }
+        assert!(lent > 0, "the tombstones never unwedged the log");
     }
 }

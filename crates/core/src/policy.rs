@@ -26,7 +26,7 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::config::KddConfig;
-use crate::metalog::{CommitBatch, KeyEntry, MetaLog, PartitionTooSmall};
+use crate::metalog::{Commits, KeyEntry, MetaLog, PartitionTooSmall};
 use crate::staging::StagingBuffer;
 use crate::{plan_merge, Merge, MergeBound};
 use kdd_cache::effects::{AccessOutcome, Effects};
@@ -43,14 +43,14 @@ use kdd_util::lru::GhostList;
 /// any real directory slot).
 const FIXED_DEZ_BASE: u32 = u32::MAX / 2;
 
-/// Metadata pages a log operation wrote.
+/// Metadata pages a log operation lent.
 ///
 /// # Panics
 /// When the log is wedged. The counting model has no error channel, and a
 /// sweep point whose partition cannot hold the simulated cache's mappings
 /// must stop rather than report an under-counted figure.
 #[expect(clippy::panic, reason = "simulation model, not an I/O path; see above")]
-fn meta_pages(commits: Result<Vec<CommitBatch<KeyEntry>>, PartitionTooSmall>) -> u32 {
+fn meta_pages(commits: Result<Commits<'_, KeyEntry>, PartitionTooSmall>) -> u32 {
     match commits {
         Ok(batches) => batches.len() as u32,
         Err(e) => panic!("{e}"),
@@ -115,6 +115,8 @@ pub struct KddPolicy {
     spare_deltas: SpareTables<FastMap<u64, u32>>,
     /// Pages `compact_dez` re-logs and `clean_row` reclaims, reused.
     scratch_lbas: Vec<u64>,
+    /// The deltas `commit_staging` drains, reused.
+    scratch_staged: Vec<(u64, u32)>,
     stats: CacheStats,
     config: KddConfig,
     old_pages: u64,
@@ -160,6 +162,7 @@ impl KddPolicy {
             dez: FastMap::default(),
             spare_deltas: SpareTables::default(),
             scratch_lbas: Vec::new(),
+            scratch_staged: Vec::new(),
             stats: CacheStats::default(),
             config,
             old_pages: 0,
@@ -270,19 +273,21 @@ impl KddPolicy {
                 return;
             }
         };
-        let drained = self.staging.drain();
+        let mut drained = std::mem::take(&mut self.scratch_staged);
+        drained.extend(self.staging.drain());
         debug_assert!(!drained.is_empty());
         let mut page = DezPage { deltas: self.spare_deltas.take(), bytes: 0 };
         fx.ssd_delta_writes += 1;
         // Mapping entries for the affected old pages are logged only now
         // (§III-C): the (lba_dez, off, len) tuple is finally known.
-        for (lba, size) in drained {
+        for (lba, size) in drained.drain(..) {
             page.bytes += size;
             self.dez_bytes += size as u64;
             page.deltas.insert(lba, size);
             self.delta_loc.insert(lba, DeltaLoc::Dez(slot));
             self.log_alloc(lba, fx);
         }
+        self.scratch_staged = drained;
         self.dez_bound.lower(page.bytes);
         self.dez.insert(slot, page);
     }

@@ -151,12 +151,12 @@ impl<P: DeltaPayload> StagingBuffer<P> {
     }
 
     /// Drain every staged delta in FIFO order — the commit that packs them
-    /// into one DEZ page.
-    pub fn drain(&mut self) -> Vec<(u64, P)> {
-        let out: Vec<(u64, P)> = self.fifo.drain(..).flatten().collect();
+    /// into one DEZ page. The buffer is empty as soon as this returns, even
+    /// if the iterator is dropped unconsumed.
+    pub fn drain(&mut self) -> impl Iterator<Item = (u64, P)> + '_ {
         self.index.clear();
         self.used_bytes = 0;
-        out
+        self.fifo.drain(..).flatten()
     }
 }
 
@@ -267,11 +267,28 @@ mod tests {
         s.insert(2, 30);
         s.remove(1);
         s.insert(4, 40);
-        let drained = s.drain();
+        let drained: Vec<(u64, u32)> = s.drain().collect();
         let keys: Vec<u64> = drained.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![3, 2, 4]);
         assert!(s.is_empty());
         assert_eq!(s.used_bytes(), 0);
+    }
+
+    #[test]
+    fn drain_dropped_unconsumed_still_empties_the_buffer() {
+        let mut s: StagingBuffer<Vec<u8>> = StagingBuffer::new(4096);
+        s.insert(3, vec![1; 10]);
+        s.insert(1, vec![2; 20]);
+        s.remove(3);
+        s.insert(2, vec![3; 30]);
+        drop(s.drain());
+        assert!(s.is_empty());
+        assert_eq!(s.used_bytes(), 0);
+        assert_eq!(s.snapshot().count(), 0);
+        assert!(s.get(1).is_none() && s.get(2).is_none());
+        s.insert(2, vec![4; 40]);
+        assert_eq!(s.get(2).map(Vec::len), Some(40), "a key staged afterwards is found");
+        assert_eq!(s.snapshot().map(|(k, _)| k).collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
@@ -335,7 +352,7 @@ mod tests {
                 proptest::prop_assert_eq!(s.get(key), newest);
                 proptest::prop_assert_eq!(s.used_bytes(), model.iter().map(|e| e.1).sum::<u32>());
             }
-            proptest::prop_assert_eq!(s.drain(), model);
+            proptest::prop_assert_eq!(s.drain().collect::<Vec<_>>(), model);
             proptest::prop_assert!(s.is_empty() && s.fifo.is_empty());
         }
     }

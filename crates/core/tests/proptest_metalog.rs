@@ -69,27 +69,36 @@ proptest! {
     /// A page's entries are shared by the log's own page, the in-flight
     /// redo copy and the batch handed to the caller. Reclaiming the page —
     /// GC puts its live entries back in the buffer, where newer ones
-    /// overwrite them — must leave a batch the caller still holds as it was
-    /// cut.
+    /// overwrite them, and a later cut may write over the reclaimed slice
+    /// once nothing holds it — must leave a batch the caller still holds as
+    /// it was cut. Every batch is confirmed, as the engine does once it is
+    /// on flash; a seeded subset is held and the rest dropped, so held and
+    /// recycled pages interleave.
     #[test]
     fn held_batch_is_unaffected_by_reclaim_of_its_page(
         partition in 4u64..12,
         epp in 1usize..6,
         script in proptest::collection::vec(ops(16), 1..300),
+        hold in any::<u64>(),
     ) {
         let keys = ((partition * epp as u64) / 2).clamp(1, 16);
         let mut log = MetaLog::new(partition, epp);
         log.enable_inflight_tracking();
         let mut held = Vec::new();
+        let mut lent = 0u32;
         for op in &script {
-            let batches = match op {
-                Op::Put(k) => log.push(KeyEntry { key: k % keys, tombstone: false }).unwrap(),
-                Op::Del(k) => log.push(KeyEntry { key: k % keys, tombstone: true }).unwrap(),
-                Op::Flush => log.flush().unwrap(),
+            let batches: Vec<_> = match op {
+                Op::Put(k) => log.push(KeyEntry { key: k % keys, tombstone: false }).unwrap().collect(),
+                Op::Del(k) => log.push(KeyEntry { key: k % keys, tombstone: true }).unwrap().collect(),
+                Op::Flush => log.flush().unwrap().collect(),
             };
             for batch in batches {
-                let as_cut = batch.entries.to_vec();
-                held.push((batch, as_cut));
+                log.confirm(batch.seq);
+                lent += 1;
+                if hold.rotate_left(lent) & 1 == 1 {
+                    let as_cut = batch.entries.to_vec();
+                    held.push((batch, as_cut));
+                }
             }
             let (head, _) = log.counters();
             for (batch, as_cut) in &held {
@@ -221,19 +230,20 @@ mod torn_tail {
             let mut model: BTreeMap<u64, bool> = BTreeMap::new();
             let mut produced: Vec<CommitBatch<KeyEntry>> = Vec::new();
             let drive = |log: &mut MetaLog<KeyEntry>, op: &Op, model: &mut BTreeMap<u64, bool>| {
-                match op {
+                let commits = match op {
                     Op::Put(k) => {
                         let k = k % keys;
                         model.insert(k, true);
-                        log.push(KeyEntry { key: k, tombstone: false }).unwrap()
+                        log.push(KeyEntry { key: k, tombstone: false })
                     }
                     Op::Del(k) => {
                         let k = k % keys;
                         model.remove(&(k));
-                        log.push(KeyEntry { key: k, tombstone: true }).unwrap()
+                        log.push(KeyEntry { key: k, tombstone: true })
                     }
-                    Op::Flush => log.flush().unwrap(),
-                }
+                    Op::Flush => log.flush(),
+                };
+                commits.unwrap().collect::<Vec<_>>()
             };
             for op in &script {
                 produced.extend(drive(&mut log, op, &mut model));
