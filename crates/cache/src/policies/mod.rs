@@ -28,7 +28,7 @@ use crate::setassoc::{SetAssocCache, SetGrouping};
 use crate::stats::CacheStats;
 use kdd_raid::layout::{Layout, RaidLevel};
 use kdd_trace::record::{Op, Trace};
-use kdd_util::hash::{FastMap, FastSet, SpareTables};
+use kdd_util::hash::{FastMap, FastSet, Recycled, SpareTables};
 use std::collections::hash_map::Entry;
 
 /// A caching policy in front of parity RAID.
@@ -178,7 +178,7 @@ pub struct PendingRows {
     order: std::collections::VecDeque<(u64, u64)>,
     gen: u64,
     pages: u64,
-    /// Sets of dropped rows, taken again by `add`.
+    /// Sets of dropped rows, which every row's set grows into.
     spare: SpareTables<FastSet<u64>>,
 }
 
@@ -190,7 +190,7 @@ pub struct PendingRows {
 struct PendingRow {
     set: usize,
     gen: u64,
-    lbas: FastSet<u64>,
+    lbas: Recycled<FastSet<u64>>,
 }
 
 /// Superseded `order` entries tolerated on top of one per pending row
@@ -213,10 +213,10 @@ impl PendingRows {
                 if let Some(n) = self.rows_in_set.get_mut(set) {
                     *n += 1;
                 }
-                v.insert(PendingRow { set, gen: 0, lbas: self.spare.take() })
+                v.insert(PendingRow { set, gen: 0, lbas: Recycled::default() })
             }
         };
-        if entry.lbas.insert(lba) {
+        if entry.lbas.insert(&mut self.spare, lba) {
             self.pages += 1;
         }
         self.gen += 1;
@@ -326,16 +326,25 @@ mod tests {
         lbas
     }
 
-    /// Emptied row sets go back on the free list and out again for the next
-    /// row, so spares plus live rows never exceed the peak number of live
-    /// rows. (A set that remove/insert churn grew past its first allocation
-    /// is dropped instead.)
+    /// Emptied row sets go back on the free list, and a row's set that
+    /// grows takes one of the size it needs: no set is allocated while a
+    /// spare of that size waits, so per size, spares plus live sets never
+    /// exceed the peak number of live sets. Re-adding a pending page to a
+    /// full 3-page set grows it to 8 buckets, as std's insert does.
     #[test]
     fn emptied_row_sets_are_reused() {
+        const SIZES: [usize; 2] = [4, 8];
+        // Per size: live sets and spare sets.
+        let counts = |p: &PendingRows| {
+            SIZES.map(|b| {
+                (p.rows.values().filter(|r| r.lbas.buckets() == b).count(), p.spare.spares(b))
+            })
+        };
         let mut p = PendingRows::default();
-        let (mut lbas, mut peak) = (Vec::new(), 0);
+        let (mut lbas, mut peak) = (Vec::new(), [0; 2]);
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for _ in 0..20_000 {
+            let before = counts(&p);
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let (row, lba) = ((x >> 33) % 12, (x >> 40) % 3);
             match (x >> 50) % 4 {
@@ -345,9 +354,24 @@ mod tests {
                 }
                 _ => p.add(row, row * 8 + lba, || 0),
             }
-            peak = peak.max(p.pending_rows());
-            assert!(p.spare.len() + p.pending_rows() <= peak, "allocated while a set was spare");
+            assert!(p.rows.values().all(|r| SIZES.contains(&r.lbas.buckets())));
+            let after = counts(&p);
+            for ((b, peak), ((live0, spare0), (live1, spare1))) in
+                SIZES.into_iter().zip(&mut peak).zip(before.into_iter().zip(after))
+            {
+                *peak = (*peak).max(live1);
+                if spare0 > 0 {
+                    assert_eq!(
+                        live1 + spare1,
+                        live0 + spare0,
+                        "allocated a {b}-bucket set while one was spare"
+                    );
+                }
+                assert!(live1 + spare1 <= *peak, "more {b}-bucket sets than were ever live");
+            }
         }
+        let [_, grown] = peak;
+        assert!(grown > 0, "some set grew");
         assert!(!p.spare.is_empty(), "emptied sets are kept for the next row");
     }
 

@@ -43,7 +43,7 @@ use kdd_delta::codec;
 use kdd_delta::xor::xor_pages_into;
 use kdd_obs::{Completion, HitClass, Recorder, ReqKind, Sample, Stage, StageTimes};
 use kdd_raid::array::{RaidArray, RaidCost, RaidError};
-use kdd_util::hash::{crc32_update, FastMap, FastSet, SpareTables};
+use kdd_util::hash::{crc32_update, FastMap, FastSet, Recycled, SpareTables};
 use kdd_util::units::SimTime;
 use kdd_util::PagePool;
 
@@ -251,7 +251,7 @@ enum DeltaLoc {
 /// holds.
 #[derive(Debug, Clone, Default)]
 struct DezInfo {
-    lbas: FastSet<u64>,
+    lbas: Recycled<FastSet<u64>>,
     /// Compressed bytes of the deltas in `lbas` that `delta_loc` still
     /// places in this page (a running counter; see
     /// [`KddEngine::dez_live_consistent`]).
@@ -300,7 +300,7 @@ struct NvState {
 
 /// Vectors the commit, compaction and cleaning paths borrow
 /// (`mem::take`, fill, put back empty) instead of allocating per call, and
-/// the emptied `DezInfo.lbas` sets they take again.
+/// the emptied `DezInfo.lbas` sets every `DezInfo.lbas` grows into.
 #[derive(Default)]
 struct Scratch {
     lba_sets: SpareTables<FastSet<u64>>,
@@ -833,8 +833,8 @@ impl KddEngine {
             self.charge_stage(Stage::StagingCommit, dt, t);
             self.pool.release(page);
             self.stats.ssd_delta_writes += 1;
-            let mut info = DezInfo { lbas: self.scratch.lba_sets.take(), live: 0 };
-            info.lbas.extend(refs.iter().map(|&(lba, _)| lba));
+            let mut info = DezInfo::default();
+            info.lbas.extend(&mut self.scratch.lba_sets, refs.iter().map(|&(lba, _)| lba));
             self.dez.insert(slot, info);
             // The page is indexed with no live bytes until its mappings are
             // logged; an error on the way must not leave a bound that
@@ -1550,10 +1550,10 @@ impl KddEngine {
             self.charge_stage(Stage::StagingCommit, dt, t);
             self.pool.release(page);
             self.stats.ssd_delta_writes += 1;
-            let mut info = DezInfo { lbas: self.scratch.lba_sets.take(), live: 0 };
+            let mut info = DezInfo::default();
             for &(lba, r) in &moved {
                 self.delta_loc.insert(lba, DeltaLoc::Dez(r));
-                info.lbas.insert(lba);
+                info.lbas.insert(&mut self.scratch.lba_sets, lba);
                 info.live += u32::from(r.len);
             }
             self.dez_live_total = self.dez_live_total - u64::from(live) + u64::from(info.live);
@@ -1773,7 +1773,7 @@ impl KddEngine {
                     if let Some(r) = e.dez {
                         delta_loc.insert(e.lba_raid, DeltaLoc::Dez(r));
                         let info = dez.entry(r.slot).or_default();
-                        info.lbas.insert(e.lba_raid);
+                        info.lbas.insert(&mut self.scratch.lba_sets, e.lba_raid);
                         info.live += u32::from(r.len);
                         dez_live_total += u64::from(r.len);
                     }

@@ -36,7 +36,7 @@ use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
 use kdd_cache::stats::CacheStats;
 use kdd_delta::model::DeltaSizeModel;
 use kdd_trace::record::Op;
-use kdd_util::hash::{FastMap, SpareTables};
+use kdd_util::hash::{FastMap, Recycled, SpareTables};
 use kdd_util::lru::GhostList;
 
 /// Synthetic slot ids for statically-partitioned DEZ pages (kept above
@@ -61,7 +61,7 @@ fn meta_pages(commits: Result<Commits<'_, KeyEntry>, PartitionTooSmall>) -> u32 
 /// only).
 #[derive(Debug, Clone)]
 struct DezPage {
-    deltas: FastMap<u64, u32>,
+    deltas: Recycled<FastMap<u64, u32>>,
     bytes: u32,
 }
 
@@ -111,7 +111,8 @@ pub struct KddPolicy {
     delta_loc: FastMap<u64, DeltaLoc>,
     /// DEZ slot → its still-valid deltas (lba → compressed size).
     dez: FastMap<u32, DezPage>,
-    /// Emptied `DezPage.deltas` maps, taken again by `commit_staging`.
+    /// Emptied `DezPage.deltas` maps, which every `DezPage.deltas` grows
+    /// into.
     spare_deltas: SpareTables<FastMap<u64, u32>>,
     /// Pages `compact_dez` re-logs and `clean_row` reclaims, reused.
     scratch_lbas: Vec<u64>,
@@ -276,14 +277,14 @@ impl KddPolicy {
         let mut drained = std::mem::take(&mut self.scratch_staged);
         drained.extend(self.staging.drain());
         debug_assert!(!drained.is_empty());
-        let mut page = DezPage { deltas: self.spare_deltas.take(), bytes: 0 };
+        let mut page = DezPage { deltas: Recycled::default(), bytes: 0 };
         fx.ssd_delta_writes += 1;
         // Mapping entries for the affected old pages are logged only now
         // (§III-C): the (lba_dez, off, len) tuple is finally known.
         for (lba, size) in drained.drain(..) {
             page.bytes += size;
             self.dez_bytes += size as u64;
-            page.deltas.insert(lba, size);
+            page.deltas.insert(&mut self.spare_deltas, (lba, size));
             self.delta_loc.insert(lba, DeltaLoc::Dez(slot));
             self.log_alloc(lba, fx);
         }
@@ -323,7 +324,7 @@ impl KddPolicy {
             };
             for (lba, size) in spage.deltas.drain() {
                 dpage.bytes += size;
-                dpage.deltas.insert(lba, size);
+                dpage.deltas.insert(&mut self.spare_deltas, (lba, size));
                 self.delta_loc.insert(lba, DeltaLoc::Dez(dst));
             }
             self.dez_bound.merged(dpage.bytes, rest);

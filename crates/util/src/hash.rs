@@ -95,89 +95,280 @@ pub type FastSet<K> = std::collections::HashSet<K, FastHasherBuilder>;
 
 /// A table [`SpareTables`] recycles: a [`FastSet`] or a [`FastMap`].
 pub trait Table: Default {
-    /// Entries it holds before it must grow.
+    /// What one insert adds: a key, or a key and its value.
+    type Entry;
+    /// An empty table with room for `capacity` entries.
+    fn with_capacity(capacity: usize) -> Self;
+    /// Entries held.
+    fn len(&self) -> usize;
+    /// Whether no entry is held.
+    fn is_empty(&self) -> bool;
+    /// Entries it holds before it must grow or rehash.
     fn capacity(&self) -> usize;
+    /// std's `reserve`.
+    fn reserve(&mut self, additional: usize);
+    /// Insert `entry`; whether its key was new.
+    fn insert_entry(&mut self, entry: Self::Entry) -> bool;
+    /// Drop every entry and tombstone, keeping the buckets. (`clear` keeps
+    /// the tombstones of a table whose entries are all removed already.)
+    fn reset(&mut self);
+    /// Move every entry of `from` into `self` in `from`'s iteration order,
+    /// resetting `from`.
+    fn refill(&mut self, from: &mut Self);
+}
+
+impl<K: Eq + std::hash::Hash> Table for FastSet<K> {
+    type Entry = K;
+    fn with_capacity(capacity: usize) -> Self {
+        Self::with_capacity_and_hasher(capacity, FastHasherBuilder)
+    }
+    fn len(&self) -> usize {
+        self.len()
+    }
+    fn is_empty(&self) -> bool {
+        self.is_empty()
+    }
+    fn capacity(&self) -> usize {
+        self.capacity()
+    }
+    fn reserve(&mut self, additional: usize) {
+        self.reserve(additional);
+    }
+    fn insert_entry(&mut self, key: K) -> bool {
+        self.insert(key)
+    }
+    fn reset(&mut self) {
+        drop(self.drain());
+    }
+    fn refill(&mut self, from: &mut Self) {
+        self.extend(from.drain());
+    }
+}
+
+impl<K: Eq + std::hash::Hash, V> Table for FastMap<K, V> {
+    type Entry = (K, V);
+    fn with_capacity(capacity: usize) -> Self {
+        Self::with_capacity_and_hasher(capacity, FastHasherBuilder)
+    }
+    fn len(&self) -> usize {
+        self.len()
+    }
+    fn is_empty(&self) -> bool {
+        self.is_empty()
+    }
+    fn capacity(&self) -> usize {
+        self.capacity()
+    }
+    fn reserve(&mut self, additional: usize) {
+        self.reserve(additional);
+    }
+    fn insert_entry(&mut self, (key, value): (K, V)) -> bool {
+        self.insert(key, value).is_none()
+    }
+    fn reset(&mut self) {
+        drop(self.drain());
+    }
+    fn refill(&mut self, from: &mut Self) {
+        self.extend(from.drain());
+    }
+}
+
+/// Entries a table of `buckets` buckets holds with no tombstone (hashbrown's
+/// `bucket_mask_to_capacity`).
+fn full_cap(buckets: usize) -> usize {
+    if buckets < 8 {
+        buckets.saturating_sub(1)
+    } else {
+        buckets / 8 * 7
+    }
+}
+
+/// Buckets std allocates to hold `capacity` entries (hashbrown's
+/// `capacity_to_buckets`); `with_capacity(full_cap(b))` allocates `b`.
+fn cap_to_buckets(capacity: usize) -> usize {
+    if capacity < 4 {
+        4
+    } else if capacity < 8 {
+        8
+    } else {
+        (capacity * 8 / 7).next_power_of_two()
+    }
+}
+
+/// A table that grows through a [`SpareTables`] free list, iterating under
+/// any history exactly as a plain std table with that history would.
+///
+/// It records its bucket count: once removals leave tombstones,
+/// `capacity()` no longer tells it. Reads go through `Deref`; inserts go
+/// through [`insert`](Self::insert) and [`extend`](Self::extend), which
+/// take the free list. There is no `DerefMut`, so no insert can grow the
+/// table behind the free list and leave the count stale. A clone keeps the
+/// count: std's clone copies the layout.
+#[derive(Debug, Clone, Default)]
+pub struct Recycled<T> {
+    table: T,
+    /// 0 until the first insert allocates.
+    buckets: usize,
+}
+
+impl<T> std::ops::Deref for Recycled<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.table
+    }
+}
+
+impl<T: Table> Recycled<T> {
+    /// The bucket count std would have given this table (0 before its
+    /// first insert).
+    pub fn buckets(&self) -> usize {
+        self.buckets
+    }
+
+    /// Insert `entry`, growing through `spare` where std's insert would
+    /// grow; whether its key was new.
+    pub fn insert(&mut self, spare: &mut SpareTables<T>, entry: T::Entry) -> bool {
+        // std's insert reserves room for one entry before it looks the key
+        // up, so it grows a full table even for a present key.
+        spare.reserve(self, 1);
+        self.table.insert_entry(entry)
+    }
+
+    /// Insert every entry, reserving up front as std's `extend` does: the
+    /// iterator's lower size hint on an empty table, half of it otherwise.
+    pub fn extend(
+        &mut self,
+        spare: &mut SpareTables<T>,
+        entries: impl IntoIterator<Item = T::Entry>,
+    ) {
+        let entries = entries.into_iter();
+        let hint = entries.size_hint().0;
+        spare.reserve(self, if self.table.is_empty() { hint } else { hint.div_ceil(2) });
+        for entry in entries {
+            self.insert(spare, entry);
+        }
+    }
+}
+
+impl<K: Eq + std::hash::Hash> Recycled<FastSet<K>> {
+    /// Remove `key`; whether it was present.
+    pub fn remove(&mut self, key: &K) -> bool {
+        self.table.remove(key)
+    }
+
+    /// Take every key, in iteration order, keeping the buckets.
+    pub fn drain(&mut self) -> std::collections::hash_set::Drain<'_, K> {
+        self.table.drain()
+    }
+
+    /// Drop every key, keeping the buckets.
+    pub fn clear(&mut self) {
+        self.table.clear();
+    }
+}
+
+impl<K: Eq + std::hash::Hash, V> Recycled<FastMap<K, V>> {
+    /// Remove `key`, returning its value.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.table.remove(key)
+    }
+
+    /// Take every entry, in iteration order, keeping the buckets.
+    pub fn drain(&mut self) -> std::collections::hash_map::Drain<'_, K, V> {
+        self.table.drain()
+    }
+
     /// Drop every entry, keeping the buckets.
-    fn clear(&mut self);
-    /// Insert the default key (and value).
-    fn insert_default(&mut self);
-}
-
-impl<K: Default + Eq + std::hash::Hash> Table for FastSet<K> {
-    fn capacity(&self) -> usize {
-        self.capacity()
-    }
-    fn clear(&mut self) {
-        self.clear();
-    }
-    fn insert_default(&mut self) {
-        self.insert(K::default());
+    pub fn clear(&mut self) {
+        self.table.clear();
     }
 }
 
-impl<K: Default + Eq + std::hash::Hash, V: Default> Table for FastMap<K, V> {
-    fn capacity(&self) -> usize {
-        self.capacity()
-    }
-    fn clear(&mut self) {
-        self.clear();
-    }
-    fn insert_default(&mut self) {
-        self.insert(K::default(), V::default());
-    }
-}
-
-/// Empty tables kept for reuse, each iterating exactly like a fresh table
-/// under any later history. Iteration order depends on the bucket count,
-/// so only a table that never grew past the allocation a fresh table makes
-/// on its first insert is kept: cleared, it is that fresh table just before
-/// the insert lands. A grown table is dropped.
+/// Emptied tables of every bucket count, and the growth step of each
+/// [`Recycled`] table that draws on them.
+///
+/// A table's layout depends on its bucket count and on its history since
+/// it was last resized. When std resizes, it places the old table's
+/// entries into fresh buckets in the old table's iteration order.
+/// So when a table must grow, the free list does the same: it picks the
+/// bucket count std would pick, takes an emptied table of that count (or
+/// allocates one only when none waits), refills it in the old table's
+/// iteration order and keeps the old table. The result is laid out exactly
+/// as std's own resize would lay it out. A rehash in place (tombstones
+/// taking up half the room) keeps the buckets and is left to std.
 #[derive(Debug)]
 pub struct SpareTables<T> {
-    free: Vec<T>,
-    /// `capacity()` of a fresh table after one insert.
-    smallest: usize,
+    /// `free[n]`: emptied tables of `1 << n` buckets.
+    free: Vec<Vec<T>>,
 }
 
-impl<T: Table> Default for SpareTables<T> {
+impl<T> Default for SpareTables<T> {
     fn default() -> Self {
-        let mut fresh = T::default();
-        fresh.insert_default();
-        SpareTables { free: Vec::new(), smallest: fresh.capacity() }
+        SpareTables { free: Vec::new() }
     }
 }
 
 impl<T: Table> SpareTables<T> {
-    /// An empty table: a spare one, else `T::default()`.
-    pub fn take(&mut self) -> T {
-        self.free.pop().unwrap_or_default()
+    /// Keep `table`'s buckets, emptied, for a later growth step to that
+    /// size.
+    pub fn give(&mut self, table: Recycled<T>) {
+        let Recycled { mut table, buckets } = table;
+        table.reset();
+        self.keep(table, buckets);
     }
 
-    /// Keep `table`, cleared, if it is still at the smallest size; drop it
-    /// if it grew.
-    pub fn give(&mut self, mut table: T) {
-        if table.capacity() == self.smallest {
-            table.clear();
-            self.free.push(table);
-        }
+    /// Tables of `buckets` buckets waiting.
+    pub fn spares(&self, buckets: usize) -> usize {
+        self.free.get(buckets.trailing_zeros() as usize).map_or(0, Vec::len)
     }
 
-    /// Tables waiting to be taken.
+    /// Tables waiting, of any size.
     pub fn len(&self) -> usize {
-        self.free.len()
+        self.free.iter().map(Vec::len).sum()
     }
 
     /// Whether no table is waiting.
     pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
+        self.free.iter().all(Vec::is_empty)
+    }
+
+    /// Keep an emptied, tombstone-free table of `buckets` buckets.
+    fn keep(&mut self, table: T, buckets: usize) {
+        if buckets == 0 {
+            return; // never allocated
+        }
+        let n = buckets.trailing_zeros() as usize;
+        if self.free.len() <= n {
+            self.free.resize_with(n + 1, Vec::new);
+        }
+        self.free[n].push(table);
+    }
+
+    /// std's `reserve(additional)` on `t`, with any resize done here.
+    fn reserve(&mut self, t: &mut Recycled<T>, additional: usize) {
+        let (len, full) = (t.table.len(), full_cap(t.buckets));
+        if additional > t.table.capacity() - len && len + additional > full / 2 {
+            let buckets = cap_to_buckets((len + additional).max(full + 1));
+            let mut grown = self
+                .free
+                .get_mut(buckets.trailing_zeros() as usize)
+                .and_then(Vec::pop)
+                .unwrap_or_else(|| T::with_capacity(full_cap(buckets)));
+            debug_assert_eq!(grown.capacity(), full_cap(buckets), "std's sizing rules moved");
+            grown.refill(&mut t.table);
+            let old = std::mem::replace(&mut t.table, grown);
+            self.keep(old, std::mem::replace(&mut t.buckets, buckets));
+        }
+        // What is left is std's own: nothing, or a rehash in place.
+        t.table.reserve(additional);
     }
 }
 
 /// Clones start with an empty free list, as [`PagePool`](crate::PagePool)
 /// clones do: reuse in one never depends on activity in another.
-impl<T: Table> Clone for SpareTables<T> {
+impl<T> Clone for SpareTables<T> {
     fn clone(&self) -> Self {
-        SpareTables { free: Vec::new(), smallest: self.smallest }
+        SpareTables::default()
     }
 }
 
@@ -301,6 +492,76 @@ mod tests {
         for i in 0..1000 {
             assert_eq!(m.get(&i), Some(&(i * 3)));
         }
+    }
+
+    /// The std (hashbrown) rules `SpareTables` reproduces. If a toolchain
+    /// changes them, this fails first, by name, rather than the figure pins.
+    #[test]
+    fn std_growth_rules_are_the_ones_spare_tables_encodes() {
+        // Successive inserts walk the full capacities of 4, 8, 16, ... buckets.
+        let mut set = FastSet::<u64>::default();
+        let mut caps = Vec::new();
+        for key in 0..113 {
+            set.insert(key);
+            if caps.last() != Some(&set.capacity()) {
+                caps.push(set.capacity());
+            }
+        }
+        assert_eq!(caps, [3, 7, 14, 28, 56, 112, 224]);
+        let buckets: Vec<usize> = (2..9).map(|n| 1 << n).collect();
+        assert_eq!(caps, buckets.iter().map(|&b| full_cap(b)).collect::<Vec<_>>());
+        for &b in &buckets {
+            let table = FastSet::<u64>::with_capacity(full_cap(b));
+            assert_eq!(table.capacity(), full_cap(b), "with_capacity(full_cap({b}))");
+        }
+        for c in 1..=224 {
+            let table = FastSet::<u64>::with_capacity(c);
+            assert_eq!(table.capacity(), full_cap(cap_to_buckets(c)), "with_capacity({c})");
+        }
+
+        // An insert reserves room before it looks its key up: a full table
+        // grows even when the key is present.
+        let mut set = FastSet::<u64>::default();
+        set.extend([1, 2, 3]);
+        assert_eq!(set.capacity(), 3);
+        set.insert(2);
+        assert_eq!(set.capacity(), 7, "insert of a present key at full capacity");
+
+        // Churn a 32-bucket set at 13 keys until tombstones take up all
+        // spare room: 14 keys fit in half of `full_cap(32)`, so the next
+        // insert rehashes in place (capacity 28) instead of growing (56).
+        let mut set = FastSet::<u64>::with_capacity(full_cap(32));
+        let mut keys: std::collections::VecDeque<u64> = (1000..1028).collect();
+        set.extend(keys.iter().copied());
+        for key in keys.drain(..15) {
+            set.remove(&key);
+        }
+        let mut next = 1028;
+        while set.capacity() > set.len() {
+            assert!(next < 2000, "no tombstone build-up");
+            if let Some(old) = keys.pop_front() {
+                set.remove(&old);
+            }
+            set.insert(next);
+            keys.push_back(next);
+            next += 1;
+        }
+        assert_eq!((set.len(), set.capacity()), (13, 13));
+
+        // `clear` keeps the tombstones of a table whose keys are all
+        // removed; `drain` drops them, so `Table::reset` drains.
+        let mut emptied = set.clone();
+        for key in &keys {
+            emptied.remove(key);
+        }
+        let mut cleared = emptied.clone();
+        cleared.clear();
+        assert!(cleared.capacity() < full_cap(32), "clear of an emptied table");
+        emptied.reset();
+        assert_eq!(emptied.capacity(), full_cap(32), "drain");
+
+        set.insert(next);
+        assert_eq!(set.capacity(), 28, "rehash in place, not a resize");
     }
 
     #[test]
