@@ -94,17 +94,6 @@ impl FlashTimings {
             rated_pe_cycles: 7_500,
         }
     }
-
-    /// SLC-like timings (fast, high endurance) for ablations.
-    pub fn slc_default() -> Self {
-        FlashTimings {
-            read_page: SimTime::from_micros(25),
-            program_page: SimTime::from_micros(250),
-            erase_block: SimTime::from_micros(1_500),
-            xfer_page: SimTime::from_micros(20),
-            rated_pe_cycles: 100_000,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,13 +136,5 @@ mod tests {
             seen[g.channel_of_block(b) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn mlc_slower_than_slc() {
-        let mlc = FlashTimings::mlc_default();
-        let slc = FlashTimings::slc_default();
-        assert!(mlc.program_page > slc.program_page);
-        assert!(mlc.rated_pe_cycles < slc.rated_pe_cycles);
     }
 }

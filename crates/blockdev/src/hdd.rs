@@ -110,12 +110,6 @@ impl HddModel {
     pub fn sequential(&self, len_pages: u64) -> SimTime {
         self.transfer_time(len_pages * self.page_size as u64)
     }
-
-    /// Peek the cost of an access without moving the head.
-    pub fn peek_access(&self, lpn: u64, len_pages: u64) -> SimTime {
-        let mut copy = self.clone();
-        copy.access(lpn, len_pages)
-    }
 }
 
 #[cfg(test)]
@@ -172,17 +166,5 @@ mod tests {
         let t1 = m.sequential(1);
         let t64 = m.sequential(64);
         assert!(t64 > t1 * 32, "transfer not scaling: {t1} vs {t64}");
-    }
-
-    #[test]
-    fn peek_does_not_move_head() {
-        let mut m = model();
-        m.access(0, 1);
-        let p1 = m.peek_access(900_000, 1);
-        let p2 = m.peek_access(900_000, 1);
-        assert_eq!(p1, p2);
-        // Real access then changes state.
-        m.access(900_000, 1);
-        assert!(m.peek_access(900_000, 1) < p1);
     }
 }

@@ -76,12 +76,6 @@ impl<T> Nvram<T> {
     pub fn get_mut(&mut self) -> &mut T {
         &mut self.state
     }
-
-    /// Simulate a power failure: NVRAM content *survives*; this simply
-    /// hands the state back so a recovering instance can adopt it.
-    pub fn into_surviving_state(self) -> T {
-        self.state
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +107,6 @@ mod tests {
     fn state_survives_power_failure() {
         let mut nv = Nvram::new(vec![1u8, 2, 3], 64);
         nv.get_mut().push(4);
-        let survived = nv.into_surviving_state();
-        assert_eq!(survived, vec![1, 2, 3, 4]);
+        assert_eq!(nv.get(), &vec![1, 2, 3, 4]);
     }
 }

@@ -20,18 +20,12 @@ pub const ENTRY_BYTES: u32 = 12;
 pub struct MetadataBuffer {
     entries_per_page: u32,
     buffered: u32,
-    /// Metadata pages committed to flash so far.
-    pages_committed: u64,
 }
 
 impl MetadataBuffer {
     /// Create a buffer batching entries into `page_size`-byte pages.
     pub fn new(page_size: u32) -> Self {
-        MetadataBuffer {
-            entries_per_page: (page_size / ENTRY_BYTES).max(1),
-            buffered: 0,
-            pages_committed: 0,
-        }
+        MetadataBuffer { entries_per_page: (page_size / ENTRY_BYTES).max(1), buffered: 0 }
     }
 
     /// Entries that fit one metadata page.
@@ -42,11 +36,6 @@ impl MetadataBuffer {
     /// Entries currently buffered.
     pub fn buffered_entries(&self) -> u32 {
         self.buffered
-    }
-
-    /// Metadata pages committed so far.
-    pub fn pages_committed(&self) -> u64 {
-        self.pages_committed
     }
 
     /// Record one mapping update; returns the number of metadata pages
@@ -69,7 +58,6 @@ impl MetadataBuffer {
         }
         let pages = n.div_ceil(self.entries_per_page);
         self.buffered = 0;
-        self.pages_committed += u64::from(pages);
         pages
     }
 }
@@ -88,7 +76,6 @@ mod tests {
             pages += b.push();
         }
         assert_eq!(pages, 3);
-        assert_eq!(b.pages_committed(), 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The cache-policy trait and its baseline implementations.
 //!
 //! Each policy is an accounting machine over the shared
-//! [`SetAssocCache`](crate::setassoc::SetAssocCache) directory: it tracks
+//! [`SetAssocCache`] directory: it tracks
 //! exactly which pages are cached in which state, and reports the device
 //! operations each request implies. The RAID side is costed through
 //! [`RaidModel`], which knows the array geometry (so a "small write" costs
@@ -28,7 +28,7 @@ use crate::setassoc::{SetAssocCache, SetGrouping};
 use crate::stats::CacheStats;
 use kdd_raid::layout::{Layout, RaidLevel};
 use kdd_trace::record::{Op, Trace};
-use kdd_util::hash::{FastMap, FastSet, Recycled, SpareTables};
+use kdd_util::hash::{FastMap, RecycledSet, SpareSets};
 use std::collections::hash_map::Entry;
 
 /// A caching policy in front of parity RAID.
@@ -134,11 +134,6 @@ impl RaidModel {
         self.layout.row_of(lba % self.layout.capacity_pages())
     }
 
-    /// Parity stripe of a page (chunk-granular width in pages).
-    pub fn stripe_pages(&self) -> u64 {
-        self.layout.chunk_pages * self.layout.data_disks() as u64
-    }
-
     /// The cache-set grouping §III-B prescribes: co-locate the pages the
     /// cleaner reclaims together (one parity row per group).
     pub fn set_grouping(&self) -> SetGrouping {
@@ -179,7 +174,7 @@ pub struct PendingRows {
     gen: u64,
     pages: u64,
     /// Sets of dropped rows, which every row's set grows into.
-    spare: SpareTables<FastSet<u64>>,
+    spare: SpareSets,
 }
 
 /// One pending row: its pending pages, the cache set a full-set reclaim
@@ -190,7 +185,7 @@ pub struct PendingRows {
 struct PendingRow {
     set: usize,
     gen: u64,
-    lbas: Recycled<FastSet<u64>>,
+    lbas: RecycledSet,
 }
 
 /// Superseded `order` entries tolerated on top of one per pending row
@@ -213,7 +208,7 @@ impl PendingRows {
                 if let Some(n) = self.rows_in_set.get_mut(set) {
                     *n += 1;
                 }
-                v.insert(PendingRow { set, gen: 0, lbas: Recycled::default() })
+                v.insert(PendingRow { set, gen: 0, lbas: RecycledSet::default() })
             }
         };
         if entry.lbas.insert(&mut self.spare, lba) {
@@ -381,7 +376,6 @@ mod tests {
         assert_eq!(m.layout.disks, 5);
         assert_eq!(m.layout.level, RaidLevel::Raid5);
         assert!(m.layout.capacity_pages() >= 1_000_000);
-        assert_eq!(m.stripe_pages(), 64);
     }
 
     #[test]

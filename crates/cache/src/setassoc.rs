@@ -123,13 +123,6 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
-    /// Geometry from a byte capacity (ways defaults to 64, clamped so at
-    /// least one set exists).
-    pub fn from_bytes(capacity_bytes: u64, page_size: u32) -> Self {
-        let total_pages = (capacity_bytes / page_size as u64).max(1);
-        CacheGeometry { total_pages, ways: 64.min(total_pages as u32).max(1), page_size }
-    }
-
     /// Number of sets.
     pub fn sets(&self) -> usize {
         (self.total_pages / self.ways as u64).max(1) as usize
@@ -1102,14 +1095,6 @@ mod tests {
         let mut v: Vec<(u64, PageState)> = c.iter_mapped().map(|(_, l, s)| (l, s)).collect();
         v.sort();
         assert_eq!(v, vec![(3, PageState::Clean), (9, PageState::Old)]);
-    }
-
-    #[test]
-    fn geometry_from_bytes() {
-        let g = CacheGeometry::from_bytes(1 << 30, 4096);
-        assert_eq!(g.total_pages, 262_144);
-        assert_eq!(g.ways, 64);
-        assert_eq!(g.sets(), 4096);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Figures 5/7 plot hit ratios; Figures 6/8/11 plot SSD write traffic;
 //! Figure 4 plots the metadata fraction of that traffic. All are derived
 //! from [`CacheStats`], which policies update once per access from the
-//! [`AccessOutcome`](crate::effects::AccessOutcome).
+//! [`AccessOutcome`].
 
 use crate::effects::{AccessOutcome, Effects};
 use kdd_obs::frac;

@@ -29,9 +29,9 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::config::KddConfig;
+use crate::dez::DezIndex;
 use crate::metalog::{CommitBatch, LogEntry, MetaLog, PartitionTooSmall};
 use crate::staging::{PayloadPool, StagingBuffer};
-use crate::{plan_merge, Merge, MergeBound};
 use kdd_blockdev::error::{DevError, FaultDomain};
 use kdd_blockdev::fault::FaultInjector;
 use kdd_blockdev::nvram::Nvram;
@@ -43,7 +43,7 @@ use kdd_delta::codec;
 use kdd_delta::xor::xor_pages_into;
 use kdd_obs::{Completion, HitClass, Recorder, ReqKind, Sample, Stage, StageTimes};
 use kdd_raid::array::{RaidArray, RaidCost, RaidError};
-use kdd_util::hash::{crc32_update, FastMap, FastSet, Recycled, SpareTables};
+use kdd_util::hash::{crc32_update, FastMap};
 use kdd_util::units::SimTime;
 use kdd_util::PagePool;
 
@@ -158,6 +158,10 @@ const ENTRY_BYTES: usize = 22;
 /// page is detected during the recovery scan rather than silently decoded.
 const META_HDR: usize = 14;
 
+/// The largest page whose DEZ directory can address every byte: a delta's
+/// `off` and `len` are `u16`s ([`DeltaRef`], [`DezPacker`]).
+const DEZ_MAX_PAGE: usize = 1 << 16;
+
 /// CRC-32 of a metadata page, skipping the CRC field itself.
 fn meta_page_crc(page: &[u8]) -> u32 {
     !crc32_update(crc32_update(!0, &page[..10]), &page[META_HDR..])
@@ -247,17 +251,6 @@ enum DeltaLoc {
     Dez(DeltaRef),
 }
 
-/// In-memory descriptor of one DEZ page: the pages whose valid delta it
-/// holds.
-#[derive(Debug, Clone, Default)]
-struct DezInfo {
-    lbas: Recycled<FastSet<u64>>,
-    /// Compressed bytes of the deltas in `lbas` that `delta_loc` still
-    /// places in this page (a running counter; see
-    /// [`KddEngine::dez_live_consistent`]).
-    live: u32,
-}
-
 /// One DEZ page image being laid out — a `[count: u16]` header, a
 /// directory of `(lba: u64, off: u16, len: u16)` records, then the
 /// compressed payloads — one delta at a time, each copied from wherever it
@@ -299,11 +292,9 @@ struct NvState {
 }
 
 /// Vectors the commit, compaction and cleaning paths borrow
-/// (`mem::take`, fill, put back empty) instead of allocating per call, and
-/// the emptied `DezInfo.lbas` sets every `DezInfo.lbas` grows into.
+/// (`mem::take`, fill, put back empty) instead of allocating per call.
 #[derive(Default)]
 struct Scratch {
-    lba_sets: SpareTables<FastSet<u64>>,
     refs: Vec<(u64, DeltaRef)>,
     entries: Vec<MapEntry>,
     lbas: Vec<u64>,
@@ -331,12 +322,9 @@ pub struct KddEngine {
     nv: Nvram<NvState>,
     metalog: MetaLog<MapEntry>,
     delta_loc: FastMap<u64, DeltaLoc>,
-    dez: FastMap<u32, DezInfo>,
-    /// Sum of every DEZ page's `live` bytes.
-    dez_live_total: u64,
-    /// What `compact_dez` can prove about its next victim scan; "unknown"
-    /// after every recovery.
-    dez_bound: MergeBound,
+    /// DEZ slot → the pages whose delta it holds; a page's live bytes are
+    /// those of its deltas `delta_loc` still places in it.
+    dez: DezIndex,
     pending_rows: PendingRows,
     stats: CacheStats,
     meta_pages: u64,
@@ -402,6 +390,12 @@ impl KddEngine {
                  {META_HDR}-byte header plus at least one {ENTRY_BYTES}-byte mapping entry"
             )));
         }
+        if ps > DEZ_MAX_PAGE {
+            return Err(EngineError::Layout(format!(
+                "{ps}-byte pages are too large for the DEZ: a delta's offset and length in \
+                 a DEZ page are 16-bit, so pages hold at most {DEZ_MAX_PAGE} bytes"
+            )));
+        }
         if geometry.ways == 0 || u64::from(geometry.ways) > geometry.total_pages {
             return Err(EngineError::Layout(format!(
                 "{} ways cannot divide a cache of {} pages into sets",
@@ -461,9 +455,7 @@ impl KddEngine {
             nv,
             metalog,
             delta_loc: FastMap::default(),
-            dez: FastMap::default(),
-            dez_live_total: 0,
-            dez_bound: MergeBound::default(),
+            dez: DezIndex::default(),
             pending_rows: PendingRows::default(),
             stats: CacheStats::default(),
             meta_pages: config.meta_partition_pages(),
@@ -757,25 +749,9 @@ impl KddEngine {
     /// Drop `lba`'s membership in the DEZ page `r` points into, trimming
     /// the page once its last live delta is gone.
     fn release_dez_ref(&mut self, lba: u64, r: DeltaRef) -> Result<(), EngineError> {
-        let Some(info) = self.dez.get_mut(&r.slot) else {
-            // Accounting says the ref exists but the page record is gone:
-            // nothing to release. Flag in debug, degrade to a no-op here.
-            debug_assert!(false, "DEZ accounting broken");
-            return Ok(());
-        };
-        // The caller has just moved `lba`'s `delta_loc` off `r`; if the
-        // page listed it, those bytes were live until now.
-        if info.lbas.remove(&lba) {
-            info.live -= u32::from(r.len);
-            self.dez_live_total -= u64::from(r.len);
-            if !info.lbas.is_empty() {
-                self.dez_bound.lower(info.live);
-            }
-        }
-        if info.lbas.is_empty() {
-            if let Some(info) = self.dez.remove(&r.slot) {
-                self.scratch.lba_sets.give(info.lbas);
-            }
+        // The caller has just moved `lba`'s `delta_loc` off `r`: those
+        // bytes were live until now.
+        if self.dez.release(r.slot, lba, u32::from(r.len)) {
             self.ssd.trim_page(self.slot_lpn(r.slot))?;
             self.cache.free_slot(r.slot);
         }
@@ -833,14 +809,9 @@ impl KddEngine {
             self.charge_stage(Stage::StagingCommit, dt, t);
             self.pool.release(page);
             self.stats.ssd_delta_writes += 1;
-            let mut info = DezInfo::default();
-            info.lbas.extend(&mut self.scratch.lba_sets, refs.iter().map(|&(lba, _)| lba));
-            self.dez.insert(slot, info);
             // The page is indexed with no live bytes until its mappings are
-            // logged; an error on the way must not leave a bound that
-            // overlooks it, so the bound is "unknown" until then.
-            let mut bound = self.dez_bound;
-            self.dez_bound = bound.unknown();
+            // logged.
+            let listed = self.dez.list(slot, refs.iter().map(|&(lba, _)| lba));
             // Log the whole DEZ page's mappings as one metalog group, then
             // drop the NVRAM copies. Logging precedes every removal: if the
             // crash lands in between, recovery sees both and the staged
@@ -860,12 +831,7 @@ impl KddEngine {
                 live += u32::from(r.len);
             }
             self.scratch.refs = refs;
-            if let Some(info) = self.dez.get_mut(&slot) {
-                info.live = live;
-                self.dez_live_total += u64::from(live);
-            }
-            bound.lower(live);
-            self.dez_bound = bound;
+            self.dez.go_live(listed, live);
         }
         Ok(())
     }
@@ -1487,59 +1453,39 @@ impl KddEngine {
         Ok(())
     }
 
-    /// The slow definition the running counters must equal: every page's
-    /// `live` is the bytes of the deltas it lists that `delta_loc` still
-    /// places in it, and `dez_live_total` is their sum. Debug assertions
-    /// and tests only.
+    /// The DEZ index's recount against `delta_loc`. Debug assertions and
+    /// tests only.
     fn dez_live_consistent(&self) -> bool {
-        let mut total = 0u64;
-        for (&slot, info) in &self.dez {
-            let live: u32 = info
-                .lbas
-                .iter()
-                .map(|lba| match self.delta_loc.get(lba) {
-                    Some(DeltaLoc::Dez(r)) if r.slot == slot => u32::from(r.len),
-                    _ => 0,
-                })
-                .sum();
-            if live != info.live {
-                return false;
-            }
-            total += u64::from(live);
-        }
-        total == self.dez_live_total
+        self.dez.recount(|slot, lba| match self.delta_loc.get(&lba) {
+            Some(DeltaLoc::Dez(r)) if r.slot == slot => u32::from(r.len),
+            _ => 0,
+        })
     }
 
     /// Log-structured DEZ compaction (pressure-driven, as in the
-    /// accounting policy): while [`plan_merge`] finds the two emptiest
-    /// pages to fit in one, read both, repack their live deltas into the
-    /// destination slot and free the source.
+    /// accounting policy): while the index plans a merge of the two
+    /// emptiest pages into one, read both, repack their live deltas into
+    /// the destination slot and free the source.
     fn compact_dez(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
         loop {
             debug_assert!(self.dez_live_consistent(), "DEZ live-byte counters drifted");
             // A merged page holds its header and a directory record per
             // delta on top of the payloads.
-            let Some(Merge { dst, src, live, deltas, rest }) = plan_merge(
-                self.dez.len() as u64,
-                self.dez_live_total,
-                self.config.geometry.page_size,
-                (2, 12),
-                &mut self.dez_bound,
-                self.dez.iter().map(|(&slot, info)| (slot, info.live, info.lbas.len())),
-            ) else {
+            let Some(merge) = self.dez.next_merge(self.config.geometry.page_size, (2, 12)) else {
                 return Ok(());
             };
+            let (dst, src) = (merge.dst, merge.src);
             // Repack the live deltas of both pages into the destination
             // slot, each copied once from the page it lies in. Nothing
             // volatile moves until the merged page is on flash, so a failed
             // write leaves `delta_loc` pointing at the two intact source
             // pages.
             let refs = std::mem::take(&mut self.scratch.refs);
-            let mut packer = DezPacker::new(self.pool.acquire(), dst, deltas, refs);
+            let mut packer = DezPacker::new(self.pool.acquire(), dst, merge.deltas, refs);
             let mut lbas = std::mem::take(&mut self.scratch.lbas);
             for slot in [dst, src] {
                 lbas.clear();
-                lbas.extend(self.dez[&slot].lbas.iter().copied());
+                lbas.extend(self.dez.lbas(slot));
                 for &lba in &lbas {
                     self.with_delta(lba, t, |comp, _| packer.push(lba, comp))?;
                 }
@@ -1550,18 +1496,11 @@ impl KddEngine {
             self.charge_stage(Stage::StagingCommit, dt, t);
             self.pool.release(page);
             self.stats.ssd_delta_writes += 1;
-            let mut info = DezInfo::default();
             for &(lba, r) in &moved {
                 self.delta_loc.insert(lba, DeltaLoc::Dez(r));
-                info.lbas.insert(&mut self.scratch.lba_sets, lba);
-                info.live += u32::from(r.len);
             }
-            self.dez_live_total = self.dez_live_total - u64::from(live) + u64::from(info.live);
-            self.dez_bound.merged(info.live, rest);
             // The merged page replaces `dst`'s record; the source retires.
-            for old in [self.dez.insert(dst, info), self.dez.remove(&src)].into_iter().flatten() {
-                self.scratch.lba_sets.give(old.lbas);
-            }
+            self.dez.replace_merged(&merge, moved.iter().map(|&(lba, r)| (lba, u32::from(r.len))));
             self.ssd.trim_page(self.slot_lpn(src))?;
             self.cache.free_slot(src);
             // Re-log the moved mappings (offsets changed).
@@ -1760,8 +1699,7 @@ impl KddEngine {
         let layout = self.raid.layout();
         let mut cache = Self::empty_cache(&config, &self.raid);
         let mut delta_loc: FastMap<u64, DeltaLoc> = FastMap::default();
-        let mut dez: FastMap<u32, DezInfo> = FastMap::default();
-        let mut dez_live_total = 0u64;
+        let mut dez = std::mem::take(&mut self.dez).emptied();
         let mut pending_rows = PendingRows::default();
         for e in recovered.values() {
             match e.state {
@@ -1772,10 +1710,7 @@ impl KddEngine {
                     pending_rows.add(row, e.lba_raid, || set_of_row(&cache, layout, row));
                     if let Some(r) = e.dez {
                         delta_loc.insert(e.lba_raid, DeltaLoc::Dez(r));
-                        let info = dez.entry(r.slot).or_default();
-                        info.lbas.insert(&mut self.scratch.lba_sets, e.lba_raid);
-                        info.live += u32::from(r.len);
-                        dez_live_total += u64::from(r.len);
+                        dez.add(r.slot, e.lba_raid, u32::from(r.len));
                     }
                 }
                 EntryState::Free => {}
@@ -1793,13 +1728,12 @@ impl KddEngine {
                 self.nv.get_mut().staging.remove(lba);
                 continue;
             };
+            // A DEZ page whose every delta is re-staged had been released
+            // before the cut (its slot may hold a clean page by now) while
+            // the log still carries the superseded references until the
+            // next commit: it leaves the index here.
             if let Some(DeltaLoc::Dez(r)) = delta_loc.get(&lba).copied() {
-                if let Some(info) = dez.get_mut(&r.slot) {
-                    if info.lbas.remove(&lba) {
-                        info.live -= u32::from(r.len);
-                        dez_live_total -= u64::from(r.len);
-                    }
-                }
+                dez.release(r.slot, lba, u32::from(r.len));
             }
             delta_loc.insert(lba, DeltaLoc::Staged);
             if cache.state(slot) != PageState::Old {
@@ -1808,11 +1742,7 @@ impl KddEngine {
             let row = layout.row_of(lba);
             pending_rows.add(row, lba, || set_of_row(&cache, layout, row));
         }
-        // A DEZ page whose every delta was re-staged had been released
-        // before the cut — its slot may hold a clean page by now — while the
-        // log still carries the superseded references until the next commit.
-        dez.retain(|_, info| !info.lbas.is_empty());
-        for &slot in dez.keys() {
+        for slot in dez.slots() {
             cache.occupy_delta_at(slot);
         }
 
@@ -1821,7 +1751,6 @@ impl KddEngine {
         let mut engine = Self::assemble(config, self.ssd, self.raid, cache, self.nv, self.metalog);
         engine.delta_loc = delta_loc;
         engine.dez = dez;
-        engine.dez_live_total = dez_live_total;
         engine.pending_rows = pending_rows;
         engine.stats.torn_pages_detected = torn_detected;
         engine.injector = self.injector;
@@ -1897,8 +1826,6 @@ impl KddEngine {
         self.meta_pending.clear();
         self.delta_loc.clear();
         self.dez.clear();
-        self.dez_live_total = 0;
-        self.dez_bound = MergeBound::default();
         self.pending_rows = PendingRows::default();
         Ok(())
     }
@@ -1926,7 +1853,7 @@ impl KddEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{two_smallest_by_key, TwoSmallest};
+    use crate::{two_smallest_by_key, MergeBound, TwoSmallest};
     use kdd_cache::setassoc::CacheGeometry;
     use kdd_raid::layout::{Layout, RaidLevel};
     use kdd_util::rng::seeded_rng;
@@ -2225,9 +2152,9 @@ mod tests {
         }
         let mut rng = seeded_rng(14);
         assert!(nudge_randomly(&mut e, &lbas, &mut versions, &mut rng, 600) > 0);
-        assert_ne!(e.dez_bound, MergeBound::default(), "compaction left no bound behind");
+        assert_ne!(e.dez.bound(), MergeBound::default(), "compaction left no bound behind");
         let mut e = e.power_cycle().expect("recovery");
-        assert_eq!(e.dez_bound, MergeBound::default());
+        assert_eq!(e.dez.bound(), MergeBound::default());
         assert!(e.dez.len() >= 4, "recovery lost the DEZ pages compaction works on");
         // Every skip from here on is checked against the scan it replaces
         // by the debug assertion in `compact_dez`.
@@ -2285,7 +2212,7 @@ mod tests {
                 versions.insert(lba, next.clone());
                 next
             };
-            let (mut dez_pages_peak, mut live_peak) = (0usize, 0u64);
+            let (mut dez_pages_peak, mut live_peak) = (0u64, 0u64);
             for step in 0..6000u32 {
                 // 8 LBAs per 16-page stripe group, 104 in all: the hot set
                 // fits the 8-way sets and pins most of the cache.
@@ -2331,7 +2258,7 @@ mod tests {
                 }
                 assert!(e.dez_live_consistent(), "seed {seed} step {step}");
                 dez_pages_peak = dez_pages_peak.max(e.dez.len());
-                live_peak = live_peak.max(e.dez_live_total);
+                live_peak = live_peak.max(e.dez.live_total());
             }
             assert!(dez_pages_peak >= 4 && live_peak > 0, "mix never exercised the DEZ");
         }
@@ -2533,6 +2460,18 @@ mod tests {
         for (total_pages, ways) in [(100, 8), (200, 50), (64, 64)] {
             let e = build(total_pages, ways, 256).expect("a partial last set is fine");
             assert!(e.cache.slots() as u64 <= total_pages);
+        }
+        // DEZ offsets and lengths are 16-bit: 64 KiB pages are the largest.
+        let build_paged = |page_size: u32| {
+            let raid = RaidArray::new(Layout::new(RaidLevel::Raid5, 5, 4, 4 * 8), page_size);
+            let ssd = SsdDevice::with_logical_capacity(256 * u64::from(page_size), page_size, 0.1);
+            let g = CacheGeometry { total_pages: 64, ways: 8, page_size };
+            KddEngine::new(KddConfig::new(g), ssd, raid)
+        };
+        assert!(build_paged(65_536).is_ok(), "64 KiB pages");
+        match build_paged(131_072) {
+            Err(EngineError::Layout(msg)) => assert!(msg.contains("16-bit"), "{msg}"),
+            other => panic!("128 KiB pages accepted: {:?}", other.err()),
         }
         // The capacity check counts the 57 × 64 slots the directory has.
         let e = build(3700, 64, 1).expect("3648 slots and the log fit the smallest SSD");

@@ -19,22 +19,25 @@
 //!   a serialised metadata log, and full §III-E failure recovery (power
 //!   loss, SSD loss, HDD loss).
 //!
-//! **One definition, used by both:** the compaction planner (`plan_merge`
-//! with its `MergeBound`, here in the crate root: pressure test, victim
-//! scan, fit test), the cleaning governor (the trigger, ¾ compaction
-//! pressure and ⅞ low-water thresholds of [`KddConfig`]), the NoRoom
-//! reclaim's row choice and the pending-row order
+//! **One definition, used by both:** the DEZ index (`dez::DezIndex`: each
+//! page's delta set of one recycled type, its live bytes and their total,
+//! the compaction bound — lowered when a page is new or shrinks, exact
+//! after a merge, "unknown" while the engine logs a fresh page and after
+//! recovery — and the release of an emptied page), the compaction planner
+//! (`plan_merge` with its `MergeBound`, here in the crate root: pressure
+//! test, victim scan, fit test), the cleaning governor (the trigger, ¾
+//! compaction pressure and ⅞ low-water thresholds of [`KddConfig`]), the
+//! NoRoom reclaim's row choice and the pending-row order
 //! ([`kdd_cache::policies::PendingRows`]), the DEZ victim rule and the
 //! directory ([`kdd_cache::setassoc::SetAssocCache`]), the circular log
 //! ([`MetaLog`]) and the NVRAM staging buffer ([`StagingBuffer`]).
 //!
-//! **Still written twice:** the per-page containers (the DEZ index and
-//! each DEZ page's delta set — their hash iteration order decides DEZ
-//! packing and log order, so they wait for one specified order, ROADMAP
-//! item 2c), how a commit packs staged deltas into pages, `clean_row`,
-//! and `alloc_dez_slot`, where the two copies *diverge*: the policy
-//! compacts before it evicts a clean page, the engine evicts straight
-//! away.
+//! **Still written twice:** how a commit packs staged deltas into pages
+//! and how a merge is carried out (each copy's history decides the hash
+//! order of the DEZ index and its sets, and so DEZ packing and log order;
+//! one specified order waits for ROADMAP item 2c), `clean_row`, and
+//! `alloc_dez_slot`, where the two copies *diverge*: the policy compacts
+//! before it evicts a clean page, the engine evicts straight away.
 //!
 //! Supporting machinery: [`metalog`] (the circular persistent metadata
 //! log), [`staging`] (the NVRAM delta staging buffer), [`config`].
@@ -52,6 +55,7 @@
 )]
 
 pub mod config;
+mod dez;
 pub mod engine;
 pub mod metalog;
 pub mod policy;

@@ -161,7 +161,6 @@ pub struct MetaLog<E: LogEntry> {
     latest: FastMap<u64, u64>,
     pages_written: u64,
     entries_pushed: u64,
-    gc_reclaims: u64,
     /// When enabled, committed-but-unconfirmed batches are retained (an
     /// NVRAM-resident redo list) so recovery can tolerate a torn or lost
     /// tail page: the caller confirms each batch once the flash write
@@ -194,7 +193,6 @@ impl<E: LogEntry> MetaLog<E> {
             latest: FastMap::default(),
             pages_written: 0,
             entries_pushed: 0,
-            gc_reclaims: 0,
             track_inflight: false,
             inflight: Vec::new(),
             commits: Vec::new(),
@@ -246,11 +244,6 @@ impl<E: LogEntry> MetaLog<E> {
     /// Entries pushed by the caller (excludes GC reinsertions).
     pub fn entries_pushed(&self) -> u64 {
         self.entries_pushed
-    }
-
-    /// Head pages reclaimed by GC.
-    pub fn gc_reclaims(&self) -> u64 {
-        self.gc_reclaims
     }
 
     /// Entries currently staged in the NVRAM buffer.
@@ -426,7 +419,6 @@ impl<E: LogEntry> MetaLog<E> {
         };
         debug_assert_eq!(page.seq, self.head);
         self.head += 1;
-        self.gc_reclaims += 1;
         for (at, e) in (page.start..).zip(page.entries.iter().cloned()) {
             let key = e.key();
             if self.latest.get(&key) == Some(&at) {
@@ -500,7 +492,6 @@ mod tests {
             latest: FastMap<u64, Latest>,
             pages_written: u64,
             entries_pushed: u64,
-            gc_reclaims: u64,
             /// When enabled, committed-but-unconfirmed batches are retained (an
             /// NVRAM-resident redo list) so recovery can tolerate a torn or lost
             /// tail page: the caller confirms each batch once the flash write
@@ -531,7 +522,6 @@ mod tests {
                     latest: FastMap::default(),
                     pages_written: 0,
                     entries_pushed: 0,
-                    gc_reclaims: 0,
                     track_inflight: false,
                     inflight: Vec::new(),
                 }
@@ -581,11 +571,6 @@ mod tests {
             /// Entries pushed by the caller (excludes GC reinsertions).
             pub fn entries_pushed(&self) -> u64 {
                 self.entries_pushed
-            }
-
-            /// Head pages reclaimed by GC.
-            pub fn gc_reclaims(&self) -> u64 {
-                self.gc_reclaims
             }
 
             /// Entries currently staged in the NVRAM buffer.
@@ -785,7 +770,6 @@ mod tests {
                 };
                 debug_assert_eq!(page.seq, self.head);
                 self.head += 1;
-                self.gc_reclaims += 1;
                 for e in page.entries {
                     let key = e.key();
                     if self.latest.get(&key) == Some(&Latest::Page(page.seq)) {
@@ -861,7 +845,6 @@ mod tests {
             assert_eq!(sorted(log.recover_live()), sorted(old.recover_live()), "call {i} {call:?}");
             assert_eq!(log.counters(), old.counters(), "call {i}");
             assert_eq!(log.pages_written(), old.pages_written(), "call {i}");
-            assert_eq!(log.gc_reclaims(), old.gc_reclaims(), "call {i}");
             assert_eq!(log.entries_pushed(), old.entries_pushed(), "call {i}");
             assert_eq!(log.buffered_entries(), old.buffered_entries(), "call {i}");
             assert_eq!(tuples(log.unconfirmed()), tuples(old.unconfirmed()), "call {i}");
@@ -889,7 +872,7 @@ mod tests {
         let cut: Vec<_> = log.push(key(4)).unwrap().collect();
         assert_eq!(cut.len(), 1);
         assert_eq!(cut[0].entries[..], [key(0), key(4)]);
-        assert_eq!(log.gc_reclaims(), 1);
+        assert_eq!(log.counters().0, 1, "one head page reclaimed");
         assert_eq!(log.buffered_snapshot(), vec![key(1)], "only b survives the head page");
     }
 
@@ -993,7 +976,7 @@ mod tests {
         log.push(key(100)).unwrap();
         log.push(key(101)).unwrap();
         assert!(log.pages_written() > before);
-        assert!(log.gc_reclaims() > 0);
+        assert!(log.counters().0 > 0, "GC reclaimed a head page");
         // Every key still recoverable.
         let mut live: Vec<u64> = log.recover_live().iter().map(|e| e.key).collect();
         live.sort_unstable();

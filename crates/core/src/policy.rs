@@ -26,9 +26,9 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::config::KddConfig;
+use crate::dez::DezIndex;
 use crate::metalog::{Commits, KeyEntry, MetaLog, PartitionTooSmall};
 use crate::staging::StagingBuffer;
-use crate::{plan_merge, Merge, MergeBound};
 use kdd_cache::effects::{AccessOutcome, Effects};
 use kdd_cache::nvbuf::ENTRY_BYTES;
 use kdd_cache::policies::{set_of_row, CachePolicy, PendingRows, RaidModel};
@@ -36,7 +36,7 @@ use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
 use kdd_cache::stats::CacheStats;
 use kdd_delta::model::DeltaSizeModel;
 use kdd_trace::record::Op;
-use kdd_util::hash::{FastMap, Recycled, SpareTables};
+use kdd_util::hash::FastMap;
 use kdd_util::lru::GhostList;
 
 /// Synthetic slot ids for statically-partitioned DEZ pages (kept above
@@ -57,21 +57,13 @@ fn meta_pages(commits: Result<Commits<'_, KeyEntry>, PartitionTooSmall>) -> u32 
     }
 }
 
-/// One DEZ page's live contents (for the accounting simulator: sizes
-/// only).
-#[derive(Debug, Clone)]
-struct DezPage {
-    deltas: Recycled<FastMap<u64, u32>>,
-    bytes: u32,
-}
-
 /// Where a page's current delta lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DeltaLoc {
     /// Still in the NVRAM staging buffer.
     Staged,
-    /// Packed into the DEZ page at this slot.
-    Dez(u32),
+    /// Packed into the DEZ page at `slot`, `len` compressed bytes.
+    Dez { slot: u32, len: u32 },
 }
 
 /// The KDD cache-management policy (accounting mode).
@@ -109,11 +101,8 @@ pub struct KddPolicy {
     pending: PendingRows,
     /// lba → current delta location (exists iff the page is *old*).
     delta_loc: FastMap<u64, DeltaLoc>,
-    /// DEZ slot → its still-valid deltas (lba → compressed size).
-    dez: FastMap<u32, DezPage>,
-    /// Emptied `DezPage.deltas` maps, which every `DezPage.deltas` grows
-    /// into.
-    spare_deltas: SpareTables<FastMap<u64, u32>>,
+    /// DEZ slot → its still-valid deltas.
+    dez: DezIndex,
     /// Pages `compact_dez` re-logs and `clean_row` reclaims, reused.
     scratch_lbas: Vec<u64>,
     /// The deltas `commit_staging` drains, reused.
@@ -121,11 +110,6 @@ pub struct KddPolicy {
     stats: CacheStats,
     config: KddConfig,
     old_pages: u64,
-    delta_pages: u64,
-    /// Total live (valid) delta bytes across all DEZ pages.
-    dez_bytes: u64,
-    /// What `compact_dez` can prove about its next victim scan.
-    dez_bound: MergeBound,
     /// LARC-style ghost list (lazy admission extension).
     ghost: Option<GhostList>,
     /// Fixed-partition mode: remaining reserved DEZ slots and the next
@@ -160,16 +144,12 @@ impl KddPolicy {
             metalog: MetaLog::new(config.meta_partition_pages(), epp),
             pending: PendingRows::default(),
             delta_loc: FastMap::default(),
-            dez: FastMap::default(),
-            spare_deltas: SpareTables::default(),
+            dez: DezIndex::default(),
             scratch_lbas: Vec::new(),
             scratch_staged: Vec::new(),
             stats: CacheStats::default(),
             config,
             old_pages: 0,
-            delta_pages: 0,
-            dez_bytes: 0,
-            dez_bound: MergeBound::default(),
             ghost: config
                 .lazy_admission
                 .then(|| GhostList::new(config.geometry.total_pages as usize)),
@@ -185,12 +165,7 @@ impl KddPolicy {
 
     /// DEZ pages currently allocated.
     pub fn delta_pages(&self) -> u64 {
-        self.delta_pages
-    }
-
-    /// Metadata-log snapshot (pages written, GC reclaims).
-    pub fn metalog_pages_written(&self) -> u64 {
-        self.metalog.pages_written()
+        self.dez.len()
     }
 
     // ---- metadata ---------------------------------------------------------
@@ -218,29 +193,10 @@ impl KddPolicy {
             Some(DeltaLoc::Staged) => {
                 self.staging.remove(lba);
             }
-            Some(DeltaLoc::Dez(slot)) => {
-                // A missing page or delta entry is an accounting bug; skip
-                // the invalidation (the mapping is already gone) rather
-                // than panicking mid-write.
-                let Some(page) = self.dez.get_mut(&slot) else {
-                    debug_assert!(false, "DEZ accounting broken");
-                    return;
-                };
-                let Some(size) = page.deltas.remove(&lba) else {
-                    debug_assert!(false, "delta index broken");
-                    return;
-                };
-                page.bytes -= size;
-                self.dez_bytes -= size as u64;
-                // "the DEZ page cannot be freed until the valid count
-                // reaches zero" — and then it is.
-                if page.deltas.is_empty() {
-                    if let Some(page) = self.dez.remove(&slot) {
-                        self.spare_deltas.give(page.deltas);
-                    }
+            Some(DeltaLoc::Dez { slot, len }) => {
+                let emptied = self.dez.release(slot, lba, len);
+                if emptied {
                     self.free_dez_slot(slot);
-                } else {
-                    self.dez_bound.lower(page.bytes);
                 }
             }
             None => {}
@@ -253,7 +209,6 @@ impl KddPolicy {
         } else {
             self.cache.free_slot(slot);
         }
-        self.delta_pages -= 1;
     }
 
     /// Pack the staged deltas into one DEZ page and commit it. The commit
@@ -277,20 +232,16 @@ impl KddPolicy {
         let mut drained = std::mem::take(&mut self.scratch_staged);
         drained.extend(self.staging.drain());
         debug_assert!(!drained.is_empty());
-        let mut page = DezPage { deltas: Recycled::default(), bytes: 0 };
         fx.ssd_delta_writes += 1;
         // Mapping entries for the affected old pages are logged only now
         // (§III-C): the (lba_dez, off, len) tuple is finally known.
-        for (lba, size) in drained.drain(..) {
-            page.bytes += size;
-            self.dez_bytes += size as u64;
-            page.deltas.insert(&mut self.spare_deltas, (lba, size));
-            self.delta_loc.insert(lba, DeltaLoc::Dez(slot));
+        for (lba, len) in drained.drain(..) {
+            self.dez.add(slot, lba, len);
+            self.delta_loc.insert(lba, DeltaLoc::Dez { slot, len });
             self.log_alloc(lba, fx);
         }
         self.scratch_staged = drained;
-        self.dez_bound.lower(page.bytes);
-        self.dez.insert(slot, page);
+        self.dez.seal(slot);
     }
 
     /// Log-structured DEZ garbage collection: rewrites invalidate deltas
@@ -301,44 +252,31 @@ impl KddPolicy {
     /// free the other) buys back a cache slot.
     fn compact_dez(&mut self, fx: &mut Effects) {
         let ps = self.config.geometry.page_size;
-        while let Some(Merge { dst, src, rest, .. }) = plan_merge(
-            self.delta_pages,
-            self.dez_bytes,
-            ps,
-            (0, 0),
-            &mut self.dez_bound,
-            self.dez.iter().map(|(&slot, page)| (slot, page.bytes, page.deltas.len())),
-        ) {
-            // Both keys were just sampled from `dez`, so the lookups hold
-            // unless the index is corrupt — then stop compacting.
-            let Some(mut spage) = self.dez.remove(&src) else {
-                debug_assert!(false, "DEZ index corrupt: src page vanished");
-                break;
-            };
+        while let Some(merge) = self.dez.next_merge(ps, (0, 0)) {
             fx.ssd_reads += 2; // read both victims
             fx.ssd_delta_writes += 1; // rewrite the merged page
-            let Some(dpage) = self.dez.get_mut(&dst) else {
-                debug_assert!(false, "DEZ index corrupt: dst page vanished");
-                self.dez.insert(src, spage); // undo: keep the live deltas reachable
-                break;
+
+            // The source's deltas move into the destination in place, each
+            // keeping its size.
+            let delta_loc = &mut self.delta_loc;
+            let repoint = |lba| {
+                if let Some(&DeltaLoc::Dez { len, .. }) = delta_loc.get(&lba) {
+                    delta_loc.insert(lba, DeltaLoc::Dez { slot: merge.dst, len });
+                }
             };
-            for (lba, size) in spage.deltas.drain() {
-                dpage.bytes += size;
-                dpage.deltas.insert(&mut self.spare_deltas, (lba, size));
-                self.delta_loc.insert(lba, DeltaLoc::Dez(dst));
-            }
-            self.dez_bound.merged(dpage.bytes, rest);
+            let Some(merged) = self.dez.drain_merge(&merge, repoint) else {
+                break; // the index is corrupt: stop compacting
+            };
             // Every delta in the merged page moved (new offsets): their
             // mapping entries are re-logged.
             let mut moved = std::mem::take(&mut self.scratch_lbas);
             moved.clear();
-            moved.extend(dpage.deltas.keys().copied());
-            self.spare_deltas.give(spage.deltas);
+            moved.extend(merged);
             for &lba in &moved {
                 self.log_alloc(lba, fx);
             }
             self.scratch_lbas = moved;
-            self.free_dez_slot(src);
+            self.free_dez_slot(merge.src);
         }
     }
 
@@ -353,7 +291,6 @@ impl KddPolicy {
             }
             if self.fixed_dez_free > 0 {
                 self.fixed_dez_free -= 1;
-                self.delta_pages += 1;
                 let id = self.next_fixed_dez_id;
                 self.next_fixed_dez_id = self.next_fixed_dez_id.wrapping_add(1).max(FIXED_DEZ_BASE);
                 return Some(id);
@@ -361,12 +298,10 @@ impl KddPolicy {
             return None; // the static partition is full — that's the point
         }
         if let Some(slot) = self.cache.alloc_delta_slot() {
-            self.delta_pages += 1;
             return Some(slot);
         }
         self.compact_dez(fx);
         if let Some(slot) = self.cache.alloc_delta_slot() {
-            self.delta_pages += 1;
             return Some(slot);
         }
         // No free slot anywhere: evict a clean page to make room.
@@ -374,10 +309,7 @@ impl KddPolicy {
             self.cache.free_slot(slot);
             self.stats.evictions += 1;
             self.log_free(lba, fx);
-            if let Some(slot) = self.cache.alloc_delta_slot() {
-                self.delta_pages += 1;
-                return Some(slot);
-            }
+            return self.cache.alloc_delta_slot();
         }
         None
     }
@@ -401,7 +333,7 @@ impl KddPolicy {
     fn clean_some(&mut self) -> Effects {
         let mut fx = Effects::default();
         let low = self.config.clean_low_water_slots();
-        while self.old_pages + self.delta_pages > low {
+        while self.old_pages + self.dez.len() > low {
             let Some(row) = self.pending.oldest_row() else { break };
             fx += self.clean_row(row);
         }
@@ -427,7 +359,7 @@ impl KddPolicy {
             self.pending.take_row_into(row, &mut lbas);
             for &lba in &lbas {
                 // Decompress this page's delta (from NVRAM or DEZ).
-                if let Some(DeltaLoc::Dez(_)) = self.delta_loc.get(&lba) {
+                if let Some(DeltaLoc::Dez { .. }) = self.delta_loc.get(&lba) {
                     if !reconstruct {
                         fx.ssd_reads += 1;
                     }
@@ -480,10 +412,10 @@ impl KddPolicy {
     fn maybe_clean(&mut self, bg: &mut Effects) {
         // Space pressure builds: first squeeze fragmentation out of the
         // DEZ, then clean rows.
-        if self.old_pages + self.delta_pages >= self.config.compact_pressure_slots() {
+        if self.old_pages + self.dez.len() >= self.config.compact_pressure_slots() {
             self.compact_dez(bg);
         }
-        if self.old_pages + self.delta_pages >= self.config.clean_trigger_slots() {
+        if self.old_pages + self.dez.len() >= self.config.clean_trigger_slots() {
             *bg += self.clean_some();
         }
     }
@@ -542,7 +474,7 @@ impl CachePolicy for KddPolicy {
                         // Combine old data + latest delta. Data and delta
                         // are fetched concurrently over distinct channels.
                         match self.delta_loc.get(&lba) {
-                            Some(DeltaLoc::Dez(_)) => {
+                            Some(DeltaLoc::Dez { .. }) => {
                                 fx.ssd_reads += 2;
                                 fx.ssd_read_rounds += 1;
                             }
@@ -687,20 +619,55 @@ mod tests {
         // The victims of every merge are held to the stable sort by
         // `plan_merge`'s own tests; here, that the bound changes no decision:
         // 986 merges, as with a scan on every loop entry (before PR 19).
-        let MergeBound { entries, skips, merges, .. } = p.dez_bound;
+        let crate::MergeBound { entries, skips, merges, .. } = p.dez.bound();
         assert_eq!(merges, 986, "the bound must not change which merges run");
         // Each skip was checked against the scan it replaced (the debug
         // assertion in `plan_merge`); most entries must be skips.
         assert!(skips * 10 >= entries * 7, "bound skipped {skips} of {entries} scans — under 70 %");
     }
 
+    /// The engine's live-byte recount, on the counting copy: seeded random
+    /// read/write mixes with Gaussian delta sizes, under the paper's
+    /// configuration, a fixed DEZ partition and reclaim-as-clean. After
+    /// every access each DEZ page's live bytes are the sizes of the deltas
+    /// `delta_loc` places in it, and the total their sum; `flush` empties
+    /// the index.
     #[test]
-    fn compaction_survives_a_page_count_ahead_of_the_index() {
-        let mut p = kdd(64, 0.25);
-        p.delta_pages = 4; // counter drift: four pages claimed, none indexed
-        let mut fx = Effects::default();
-        p.compact_dez(&mut fx);
-        assert_eq!(fx, Effects::default(), "nothing to merge, nothing charged");
+    fn dez_live_counters_match_recount_under_random_mixes() {
+        let g = CacheGeometry { total_pages: 128, ways: 8, page_size: 4096 };
+        let mut fixed = KddConfig::new(g);
+        fixed.fixed_dez_fraction = Some(0.10);
+        let mut as_clean = KddConfig::new(g);
+        as_clean.reclaim_as_clean = true;
+        for (config, seed) in [KddConfig::new(g), fixed, as_clean].into_iter().zip(1u64..) {
+            let model = Box::new(GaussianDeltaModel::new(0.25, seed));
+            let mut p = KddPolicy::new(config, RaidModel::paper_default(100_000), model);
+            let consistent = |p: &KddPolicy| {
+                p.dez.recount(|slot, lba| match p.delta_loc.get(&lba) {
+                    Some(&DeltaLoc::Dez { slot: at, len }) if at == slot => len,
+                    _ => 0,
+                })
+            };
+            let (mut merged, mut pages_peak) = (0, 0);
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            for step in 0..6_000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let r = x >> 33;
+                let lba = if r % 4 == 0 { (r >> 2) % 1024 } else { (r >> 2) % 96 };
+                let op = if r % 5 == 0 { Op::Read } else { Op::Write };
+                p.access(op, lba);
+                assert!(consistent(&p), "seed {seed} step {step}");
+                pages_peak = pages_peak.max(p.delta_pages());
+                merged = p.dez.bound().merges;
+            }
+            assert!(
+                pages_peak >= 4 && merged > 0,
+                "seed {seed}: {pages_peak} pages, {merged} merges"
+            );
+            p.flush();
+            assert!(consistent(&p));
+            assert_eq!((p.delta_pages(), p.dez.live_total()), (0, 0), "seed {seed}");
+        }
     }
 
     #[test]
@@ -822,7 +789,7 @@ mod tests {
         p.flush();
         let frac = p.stats().metadata_fraction();
         assert!(frac < 0.05, "metadata fraction too high: {frac}");
-        assert!(p.metalog_pages_written() > 0);
+        assert!(p.stats().ssd_meta_writes > 0);
     }
 
     #[test]

@@ -47,16 +47,6 @@ impl GaussianDeltaModel {
             rng: seeded_rng(seed),
         }
     }
-
-    /// The three content-locality levels evaluated in the paper:
-    /// low (50 %), medium (25 %), high (12 %).
-    pub fn paper_levels(seed: u64) -> [GaussianDeltaModel; 3] {
-        [
-            GaussianDeltaModel::new(0.50, seed),
-            GaussianDeltaModel::new(0.25, seed),
-            GaussianDeltaModel::new(0.12, seed),
-        ]
-    }
 }
 
 impl DeltaSizeModel for GaussianDeltaModel {
@@ -125,13 +115,6 @@ mod tests {
         assert_eq!(m.delta_size(4096), 1024);
         assert_eq!(m.delta_size(4096), 1024);
         assert_eq!(m.mean_ratio(), 0.25);
-    }
-
-    #[test]
-    fn paper_levels_ordering() {
-        let [low, med, high] = GaussianDeltaModel::paper_levels(1);
-        assert!(low.mean_ratio() > med.mean_ratio());
-        assert!(med.mean_ratio() > high.mean_ratio());
     }
 
     #[test]

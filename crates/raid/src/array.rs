@@ -68,8 +68,8 @@ pub struct DiskOp {
 /// small write issues six, so every per-request cost fits.
 const INLINE_OPS: usize = 8;
 
-/// A list of [`DiskOp`]s in issue order, read as a slice. The first
-/// [`INLINE_OPS`] live in the value itself; a longer list (resync,
+/// A list of [`DiskOp`]s in issue order, read as a slice. The first eight
+/// (`INLINE_OPS`) live in the value itself; a longer list (resync,
 /// rebuild) moves to the heap.
 #[derive(Clone)]
 pub struct DiskOps {

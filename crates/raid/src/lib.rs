@@ -7,7 +7,7 @@
 //! * [`gf256`] — the Galois-field arithmetic behind RAID-6's Q parity;
 //! * [`layout`] — left-symmetric striping, parity placement, and the
 //!   parity-row geometry KDD's cleaner operates on;
-//! * [`array`] — a content-holding RAID-0/5/6 array with conventional
+//! * [`array`](mod@array) — a content-holding RAID-0/5/6 array with conventional
 //!   reads/writes, degraded operation, rebuild, resync, **and** the two
 //!   interfaces the paper adds for delayed parity maintenance:
 //!   `write_no_parity_update` and `parity_update` (both reconstruct-write

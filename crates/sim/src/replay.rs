@@ -5,9 +5,9 @@
 //! needs the same three things: write contents that are *mutations* of the
 //! page's previous version (so the delta path is exercised), writes
 //! submitted as group commits through [`KddEngine::write_batch`], and
-//! reads checked against the last acknowledged version. [`EngineDriver`]
-//! owns that loop once; [`replay_engine`] feeds it a trace, one group
-//! commit per write record.
+//! reads checked against the last acknowledged version. `EngineDriver`
+//! (crate-private) owns that loop; [`replay_engine`] feeds it a trace, one
+//! group commit per write record.
 
 use kdd_core::engine::{EngineError, KddEngine, WriteRequest};
 use kdd_delta::content::PageMutator;

@@ -25,12 +25,6 @@ pub fn mix64(mut x: u64) -> u64 {
     x
 }
 
-/// Combine two 64-bit values into one hash (used for (disk, lba) keys).
-#[inline]
-pub fn mix64_pair(a: u64, b: u64) -> u64 {
-    mix64(a ^ mix64(b).rotate_left(32))
-}
-
 /// A `std::hash::Hasher` wrapper around [`mix64`] for integer-keyed maps.
 ///
 /// Only suitable for keys that feed at most 16 bytes; it folds everything
@@ -93,86 +87,6 @@ pub type FastMap<K, V> = std::collections::HashMap<K, V, FastHasherBuilder>;
 #[allow(clippy::disallowed_types, reason = "a fixed hasher iterates in the same order every run")]
 pub type FastSet<K> = std::collections::HashSet<K, FastHasherBuilder>;
 
-/// A table [`SpareTables`] recycles: a [`FastSet`] or a [`FastMap`].
-pub trait Table: Default {
-    /// What one insert adds: a key, or a key and its value.
-    type Entry;
-    /// An empty table with room for `capacity` entries.
-    fn with_capacity(capacity: usize) -> Self;
-    /// Entries held.
-    fn len(&self) -> usize;
-    /// Whether no entry is held.
-    fn is_empty(&self) -> bool;
-    /// Entries it holds before it must grow or rehash.
-    fn capacity(&self) -> usize;
-    /// std's `reserve`.
-    fn reserve(&mut self, additional: usize);
-    /// Insert `entry`; whether its key was new.
-    fn insert_entry(&mut self, entry: Self::Entry) -> bool;
-    /// Drop every entry and tombstone, keeping the buckets. (`clear` keeps
-    /// the tombstones of a table whose entries are all removed already.)
-    fn reset(&mut self);
-    /// Move every entry of `from` into `self` in `from`'s iteration order,
-    /// resetting `from`.
-    fn refill(&mut self, from: &mut Self);
-}
-
-impl<K: Eq + std::hash::Hash> Table for FastSet<K> {
-    type Entry = K;
-    fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_hasher(capacity, FastHasherBuilder)
-    }
-    fn len(&self) -> usize {
-        self.len()
-    }
-    fn is_empty(&self) -> bool {
-        self.is_empty()
-    }
-    fn capacity(&self) -> usize {
-        self.capacity()
-    }
-    fn reserve(&mut self, additional: usize) {
-        self.reserve(additional);
-    }
-    fn insert_entry(&mut self, key: K) -> bool {
-        self.insert(key)
-    }
-    fn reset(&mut self) {
-        drop(self.drain());
-    }
-    fn refill(&mut self, from: &mut Self) {
-        self.extend(from.drain());
-    }
-}
-
-impl<K: Eq + std::hash::Hash, V> Table for FastMap<K, V> {
-    type Entry = (K, V);
-    fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_hasher(capacity, FastHasherBuilder)
-    }
-    fn len(&self) -> usize {
-        self.len()
-    }
-    fn is_empty(&self) -> bool {
-        self.is_empty()
-    }
-    fn capacity(&self) -> usize {
-        self.capacity()
-    }
-    fn reserve(&mut self, additional: usize) {
-        self.reserve(additional);
-    }
-    fn insert_entry(&mut self, (key, value): (K, V)) -> bool {
-        self.insert(key, value).is_none()
-    }
-    fn reset(&mut self) {
-        drop(self.drain());
-    }
-    fn refill(&mut self, from: &mut Self) {
-        self.extend(from.drain());
-    }
-}
-
 /// Entries a table of `buckets` buckets holds with no tombstone (hashbrown's
 /// `bucket_mask_to_capacity`).
 fn full_cap(buckets: usize) -> usize {
@@ -195,145 +109,118 @@ fn cap_to_buckets(capacity: usize) -> usize {
     }
 }
 
-/// A table that grows through a [`SpareTables`] free list, iterating under
-/// any history exactly as a plain std table with that history would.
+/// A [`FastSet<u64>`] that grows through a [`SpareSets`] free list,
+/// iterating under any history exactly as a plain std set with that history
+/// would.
 ///
 /// It records its bucket count: once removals leave tombstones,
 /// `capacity()` no longer tells it. Reads go through `Deref`; inserts go
 /// through [`insert`](Self::insert) and [`extend`](Self::extend), which
 /// take the free list. There is no `DerefMut`, so no insert can grow the
-/// table behind the free list and leave the count stale. A clone keeps the
+/// set behind the free list and leave the count stale. A clone keeps the
 /// count: std's clone copies the layout.
 #[derive(Debug, Clone, Default)]
-pub struct Recycled<T> {
-    table: T,
+pub struct RecycledSet {
+    set: FastSet<u64>,
     /// 0 until the first insert allocates.
     buckets: usize,
 }
 
-impl<T> std::ops::Deref for Recycled<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.table
+impl std::ops::Deref for RecycledSet {
+    type Target = FastSet<u64>;
+    fn deref(&self) -> &FastSet<u64> {
+        &self.set
     }
 }
 
-impl<T: Table> Recycled<T> {
-    /// The bucket count std would have given this table (0 before its
-    /// first insert).
+impl RecycledSet {
+    /// The bucket count std would have given this set (0 before its first
+    /// insert).
     pub fn buckets(&self) -> usize {
         self.buckets
     }
 
-    /// Insert `entry`, growing through `spare` where std's insert would
-    /// grow; whether its key was new.
-    pub fn insert(&mut self, spare: &mut SpareTables<T>, entry: T::Entry) -> bool {
-        // std's insert reserves room for one entry before it looks the key
-        // up, so it grows a full table even for a present key.
+    /// Insert `key`, growing through `spare` where std's insert would grow;
+    /// whether it was new.
+    pub fn insert(&mut self, spare: &mut SpareSets, key: u64) -> bool {
+        // std's insert reserves room for one key before it looks the key
+        // up, so it grows a full set even for a present key.
         spare.reserve(self, 1);
-        self.table.insert_entry(entry)
+        self.set.insert(key)
     }
 
-    /// Insert every entry, reserving up front as std's `extend` does: the
-    /// iterator's lower size hint on an empty table, half of it otherwise.
-    pub fn extend(
-        &mut self,
-        spare: &mut SpareTables<T>,
-        entries: impl IntoIterator<Item = T::Entry>,
-    ) {
-        let entries = entries.into_iter();
-        let hint = entries.size_hint().0;
-        spare.reserve(self, if self.table.is_empty() { hint } else { hint.div_ceil(2) });
-        for entry in entries {
-            self.insert(spare, entry);
+    /// Insert every key, reserving up front as std's `extend` does: the
+    /// iterator's lower size hint on an empty set, half of it otherwise.
+    pub fn extend(&mut self, spare: &mut SpareSets, keys: impl IntoIterator<Item = u64>) {
+        let keys = keys.into_iter();
+        let hint = keys.size_hint().0;
+        spare.reserve(self, if self.set.is_empty() { hint } else { hint.div_ceil(2) });
+        for key in keys {
+            self.insert(spare, key);
         }
     }
-}
 
-impl<K: Eq + std::hash::Hash> Recycled<FastSet<K>> {
     /// Remove `key`; whether it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.table.remove(key)
+    pub fn remove(&mut self, key: &u64) -> bool {
+        self.set.remove(key)
     }
 
     /// Take every key, in iteration order, keeping the buckets.
-    pub fn drain(&mut self) -> std::collections::hash_set::Drain<'_, K> {
-        self.table.drain()
+    pub fn drain(&mut self) -> std::collections::hash_set::Drain<'_, u64> {
+        self.set.drain()
     }
 
     /// Drop every key, keeping the buckets.
     pub fn clear(&mut self) {
-        self.table.clear();
+        self.set.clear();
     }
 }
 
-impl<K: Eq + std::hash::Hash, V> Recycled<FastMap<K, V>> {
-    /// Remove `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.table.remove(key)
-    }
-
-    /// Take every entry, in iteration order, keeping the buckets.
-    pub fn drain(&mut self) -> std::collections::hash_map::Drain<'_, K, V> {
-        self.table.drain()
-    }
-
-    /// Drop every entry, keeping the buckets.
-    pub fn clear(&mut self) {
-        self.table.clear();
-    }
-}
-
-/// Emptied tables of every bucket count, and the growth step of each
-/// [`Recycled`] table that draws on them.
+/// Emptied sets of every bucket count, and the growth step of each
+/// [`RecycledSet`] that draws on them.
 ///
-/// A table's layout depends on its bucket count and on its history since
-/// it was last resized. When std resizes, it places the old table's
-/// entries into fresh buckets in the old table's iteration order.
-/// So when a table must grow, the free list does the same: it picks the
-/// bucket count std would pick, takes an emptied table of that count (or
-/// allocates one only when none waits), refills it in the old table's
-/// iteration order and keeps the old table. The result is laid out exactly
-/// as std's own resize would lay it out. A rehash in place (tombstones
-/// taking up half the room) keeps the buckets and is left to std.
-#[derive(Debug)]
-pub struct SpareTables<T> {
-    /// `free[n]`: emptied tables of `1 << n` buckets.
-    free: Vec<Vec<T>>,
+/// A set's layout depends on its bucket count and on its history since it
+/// was last resized. When std resizes, it places the old set's keys into
+/// fresh buckets in the old set's iteration order. So when a set must
+/// grow, the free list does the same: it picks the bucket count std would
+/// pick, takes an emptied set of that count (or allocates one only when
+/// none waits), refills it in the old set's iteration order and keeps the
+/// old set. The result is laid out exactly as std's own resize would lay it
+/// out. A rehash in place (tombstones taking up half the room) keeps the
+/// buckets and is left to std.
+#[derive(Debug, Default)]
+pub struct SpareSets {
+    /// `free[n]`: emptied sets of `1 << n` buckets.
+    free: Vec<Vec<FastSet<u64>>>,
 }
 
-impl<T> Default for SpareTables<T> {
-    fn default() -> Self {
-        SpareTables { free: Vec::new() }
-    }
-}
-
-impl<T: Table> SpareTables<T> {
-    /// Keep `table`'s buckets, emptied, for a later growth step to that
-    /// size.
-    pub fn give(&mut self, table: Recycled<T>) {
-        let Recycled { mut table, buckets } = table;
-        table.reset();
-        self.keep(table, buckets);
+impl SpareSets {
+    /// Keep `set`'s buckets, emptied, for a later growth step to that size.
+    pub fn give(&mut self, set: RecycledSet) {
+        let RecycledSet { mut set, buckets } = set;
+        // `drain`, not `clear`: std's `clear` keeps the tombstones of a set
+        // whose keys were all removed already.
+        drop(set.drain());
+        self.keep(set, buckets);
     }
 
-    /// Tables of `buckets` buckets waiting.
+    /// Sets of `buckets` buckets waiting.
     pub fn spares(&self, buckets: usize) -> usize {
         self.free.get(buckets.trailing_zeros() as usize).map_or(0, Vec::len)
     }
 
-    /// Tables waiting, of any size.
+    /// Sets waiting, of any size.
     pub fn len(&self) -> usize {
         self.free.iter().map(Vec::len).sum()
     }
 
-    /// Whether no table is waiting.
+    /// Whether no set is waiting.
     pub fn is_empty(&self) -> bool {
         self.free.iter().all(Vec::is_empty)
     }
 
-    /// Keep an emptied, tombstone-free table of `buckets` buckets.
-    fn keep(&mut self, table: T, buckets: usize) {
+    /// Keep an emptied, tombstone-free set of `buckets` buckets.
+    fn keep(&mut self, set: FastSet<u64>, buckets: usize) {
         if buckets == 0 {
             return; // never allocated
         }
@@ -341,34 +228,36 @@ impl<T: Table> SpareTables<T> {
         if self.free.len() <= n {
             self.free.resize_with(n + 1, Vec::new);
         }
-        self.free[n].push(table);
+        self.free[n].push(set);
     }
 
     /// std's `reserve(additional)` on `t`, with any resize done here.
-    fn reserve(&mut self, t: &mut Recycled<T>, additional: usize) {
-        let (len, full) = (t.table.len(), full_cap(t.buckets));
-        if additional > t.table.capacity() - len && len + additional > full / 2 {
+    fn reserve(&mut self, t: &mut RecycledSet, additional: usize) {
+        let (len, full) = (t.set.len(), full_cap(t.buckets));
+        if additional > t.set.capacity() - len && len + additional > full / 2 {
             let buckets = cap_to_buckets((len + additional).max(full + 1));
             let mut grown = self
                 .free
                 .get_mut(buckets.trailing_zeros() as usize)
                 .and_then(Vec::pop)
-                .unwrap_or_else(|| T::with_capacity(full_cap(buckets)));
+                .unwrap_or_else(|| {
+                    FastSet::with_capacity_and_hasher(full_cap(buckets), FastHasherBuilder)
+                });
             debug_assert_eq!(grown.capacity(), full_cap(buckets), "std's sizing rules moved");
-            grown.refill(&mut t.table);
-            let old = std::mem::replace(&mut t.table, grown);
+            grown.extend(t.set.drain());
+            let old = std::mem::replace(&mut t.set, grown);
             self.keep(old, std::mem::replace(&mut t.buckets, buckets));
         }
         // What is left is std's own: nothing, or a rehash in place.
-        t.table.reserve(additional);
+        t.set.reserve(additional);
     }
 }
 
 /// Clones start with an empty free list, as [`PagePool`](crate::PagePool)
 /// clones do: reuse in one never depends on activity in another.
-impl<T> Clone for SpareTables<T> {
+impl Clone for SpareSets {
     fn clone(&self) -> Self {
-        SpareTables::default()
+        SpareSets::default()
     }
 }
 
@@ -479,11 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_hash_differs_by_order() {
-        assert_ne!(mix64_pair(1, 2), mix64_pair(2, 1));
-    }
-
-    #[test]
     fn fast_map_roundtrip() {
         let mut m: FastMap<u64, u64> = FastMap::default();
         for i in 0..1000 {
@@ -494,7 +378,7 @@ mod tests {
         }
     }
 
-    /// The std (hashbrown) rules `SpareTables` reproduces. If a toolchain
+    /// The std (hashbrown) rules `SpareSets` reproduces. If a toolchain
     /// changes them, this fails first, by name, rather than the figure pins.
     #[test]
     fn std_growth_rules_are_the_ones_spare_tables_encodes() {
@@ -511,11 +395,11 @@ mod tests {
         let buckets: Vec<usize> = (2..9).map(|n| 1 << n).collect();
         assert_eq!(caps, buckets.iter().map(|&b| full_cap(b)).collect::<Vec<_>>());
         for &b in &buckets {
-            let table = FastSet::<u64>::with_capacity(full_cap(b));
+            let table = FastSet::<u64>::with_capacity_and_hasher(full_cap(b), FastHasherBuilder);
             assert_eq!(table.capacity(), full_cap(b), "with_capacity(full_cap({b}))");
         }
         for c in 1..=224 {
-            let table = FastSet::<u64>::with_capacity(c);
+            let table = FastSet::<u64>::with_capacity_and_hasher(c, FastHasherBuilder);
             assert_eq!(table.capacity(), full_cap(cap_to_buckets(c)), "with_capacity({c})");
         }
 
@@ -530,7 +414,7 @@ mod tests {
         // Churn a 32-bucket set at 13 keys until tombstones take up all
         // spare room: 14 keys fit in half of `full_cap(32)`, so the next
         // insert rehashes in place (capacity 28) instead of growing (56).
-        let mut set = FastSet::<u64>::with_capacity(full_cap(32));
+        let mut set = FastSet::with_capacity_and_hasher(full_cap(32), FastHasherBuilder);
         let mut keys: std::collections::VecDeque<u64> = (1000..1028).collect();
         set.extend(keys.iter().copied());
         for key in keys.drain(..15) {
@@ -548,8 +432,8 @@ mod tests {
         }
         assert_eq!((set.len(), set.capacity()), (13, 13));
 
-        // `clear` keeps the tombstones of a table whose keys are all
-        // removed; `drain` drops them, so `Table::reset` drains.
+        // `clear` keeps the tombstones of a set whose keys are all
+        // removed; `drain` drops them, so `SpareSets::give` drains.
         let mut emptied = set.clone();
         for key in &keys {
             emptied.remove(key);
@@ -557,7 +441,7 @@ mod tests {
         let mut cleared = emptied.clone();
         cleared.clear();
         assert!(cleared.capacity() < full_cap(32), "clear of an emptied table");
-        emptied.reset();
+        drop(emptied.drain());
         assert_eq!(emptied.capacity(), full_cap(32), "drain");
 
         set.insert(next);

@@ -1,21 +1,20 @@
-//! Model test: tables that share one [`SpareTables`] and grow through it
-//! iterate, and report `capacity()`, exactly like plain std tables given
-//! the same history, at every bucket count and with tombstones; and a
-//! table is allocated only when no spare of the bucket count it needs is
-//! waiting.
+//! Model test: sets that share one [`SpareSets`] and grow through it
+//! iterate, and report `capacity()`, exactly like plain std sets given the
+//! same history, at every bucket count and with tombstones; and a set is
+//! allocated only when no spare of the bucket count it needs is waiting.
 
 // Indexing here is audited: per-class arrays are indexed by bucket-count
-// classes below `CLASSES`, and tables by indices below `TABLES`.
+// classes below `CLASSES`, and sets by indices below `TABLES`.
 #![allow(clippy::indexing_slicing)]
 
-use kdd_util::hash::{FastMap, FastSet, Recycled, SpareTables, Table};
+use kdd_util::hash::{FastSet, RecycledSet, SpareSets};
 use kdd_util::seeded_rng;
 use rand::RngExt;
 
 /// Inserts, removals and extends draw keys below this, so they alone take
 /// a table to 256 buckets; fill and churn steps add fresh keys above it.
 const KEYS: u64 = 160;
-/// Tables sharing one free list.
+/// Sets sharing one free list.
 const TABLES: usize = 8;
 /// Bucket counts are powers of two below `1 << CLASSES`.
 const CLASSES: usize = 16;
@@ -75,89 +74,9 @@ fn random_steps(rng: &mut impl RngExt) -> Vec<Step> {
     vec![step]
 }
 
-/// The operations whose form differs between a set and a map.
-trait Model: Table + Clone {
-    fn entry(key: u64) -> Self::Entry;
-    /// Keys in iteration order.
-    fn order(&self) -> Vec<u64>;
-    fn plain_insert(&mut self, key: u64);
-    fn plain_extend(&mut self, keys: impl Iterator<Item = u64>);
-    fn plain_remove(&mut self, key: u64);
-    fn plain_drain(&mut self);
-    fn plain_clear(&mut self);
-    fn recycled_remove(t: &mut Recycled<Self>, key: u64);
-    fn recycled_drain(t: &mut Recycled<Self>);
-    fn recycled_clear(t: &mut Recycled<Self>);
-}
-
-impl Model for FastSet<u64> {
-    fn entry(key: u64) -> u64 {
-        key
-    }
-    fn order(&self) -> Vec<u64> {
-        self.iter().copied().collect()
-    }
-    fn plain_insert(&mut self, key: u64) {
-        self.insert(key);
-    }
-    fn plain_extend(&mut self, keys: impl Iterator<Item = u64>) {
-        self.extend(keys);
-    }
-    fn plain_remove(&mut self, key: u64) {
-        self.remove(&key);
-    }
-    fn plain_drain(&mut self) {
-        self.drain().for_each(drop);
-    }
-    fn plain_clear(&mut self) {
-        self.clear();
-    }
-    fn recycled_remove(t: &mut Recycled<Self>, key: u64) {
-        t.remove(&key);
-    }
-    fn recycled_drain(t: &mut Recycled<Self>) {
-        t.drain().for_each(drop);
-    }
-    fn recycled_clear(t: &mut Recycled<Self>) {
-        t.clear();
-    }
-}
-
-fn value(key: u64) -> u32 {
-    u32::try_from(key).unwrap_or(u32::MAX)
-}
-
-impl Model for FastMap<u64, u32> {
-    fn entry(key: u64) -> (u64, u32) {
-        (key, value(key))
-    }
-    fn order(&self) -> Vec<u64> {
-        self.keys().copied().collect()
-    }
-    fn plain_insert(&mut self, key: u64) {
-        self.insert(key, value(key));
-    }
-    fn plain_extend(&mut self, keys: impl Iterator<Item = u64>) {
-        self.extend(keys.map(|k| (k, value(k))));
-    }
-    fn plain_remove(&mut self, key: u64) {
-        self.remove(&key);
-    }
-    fn plain_drain(&mut self) {
-        self.drain().for_each(drop);
-    }
-    fn plain_clear(&mut self) {
-        self.clear();
-    }
-    fn recycled_remove(t: &mut Recycled<Self>, key: u64) {
-        t.remove(&key);
-    }
-    fn recycled_drain(t: &mut Recycled<Self>) {
-        t.drain().for_each(drop);
-    }
-    fn recycled_clear(t: &mut Recycled<Self>) {
-        t.clear();
-    }
+/// Keys in iteration order.
+fn order(set: &FastSet<u64>) -> Vec<u64> {
+    set.iter().copied().collect()
 }
 
 /// The size-hint behaviour `Step::Extend` asks for, identical on both sides.
@@ -184,12 +103,12 @@ struct Coverage {
     grew_on_present_key: usize,
 }
 
-/// `TABLES` recycled tables on one free list, each beside a plain std
-/// table given the same history.
-struct Group<T: Model> {
-    spare: SpareTables<T>,
-    recycled: Vec<Recycled<T>>,
-    plain: Vec<T>,
+/// `TABLES` recycled sets on one free list, each beside a plain std set
+/// given the same history.
+struct Group {
+    spare: SpareSets,
+    recycled: Vec<RecycledSet>,
+    plain: Vec<FastSet<u64>>,
     /// Per bucket-count class: most tables live at once, counting a
     /// class a growing table may pass through mid-step.
     peak: [usize; CLASSES],
@@ -199,12 +118,12 @@ fn class(buckets: usize) -> Option<usize> {
     (buckets > 0).then(|| buckets.trailing_zeros() as usize)
 }
 
-impl<T: Model> Group<T> {
+impl Group {
     fn new() -> Self {
         Group {
-            spare: SpareTables::default(),
-            recycled: vec![Recycled::default(); TABLES],
-            plain: vec![T::default(); TABLES],
+            spare: SpareSets::default(),
+            recycled: vec![RecycledSet::default(); TABLES],
+            plain: vec![FastSet::default(); TABLES],
             peak: [0; CLASSES],
         }
     }
@@ -226,53 +145,53 @@ impl<T: Model> Group<T> {
         let (t, p, spare) = (&mut self.recycled[i], &mut self.plain[i], &mut self.spare);
         match step {
             Step::Insert(k) => {
-                t.insert(spare, T::entry(*k));
-                p.plain_insert(*k);
+                t.insert(spare, *k);
+                p.insert(*k);
             }
             Step::InsertPresent(at) => {
-                let order = p.order();
+                let order = order(p);
                 let k = if order.is_empty() { 0 } else { order[at % order.len()] };
-                t.insert(spare, T::entry(k));
-                p.plain_insert(k);
+                t.insert(spare, k);
+                p.insert(k);
             }
             Step::Remove(k) => {
-                T::recycled_remove(t, *k);
-                p.plain_remove(*k);
+                t.remove(k);
+                p.remove(k);
             }
             Step::Extend { keys, exact } => {
-                t.extend(spare, keys_of(keys, *exact).map(T::entry));
-                p.plain_extend(keys_of(keys, *exact));
+                t.extend(spare, keys_of(keys, *exact));
+                p.extend(keys_of(keys, *exact));
             }
             Step::FillThenThin(first) => {
                 let full = p.capacity();
                 for k in (*first..).take(full.saturating_sub(p.len())) {
-                    t.insert(spare, T::entry(k));
-                    p.plain_insert(k);
+                    t.insert(spare, k);
+                    p.insert(k);
                 }
-                for k in p.order().into_iter().take((p.len() + 1).saturating_sub(full / 2)) {
-                    T::recycled_remove(t, k);
-                    p.plain_remove(k);
+                for k in order(p).into_iter().take((p.len() + 1).saturating_sub(full / 2)) {
+                    t.remove(&k);
+                    p.remove(&k);
                 }
             }
             Step::Churn(k) => {
-                if let Some(&first) = p.order().first() {
-                    T::recycled_remove(t, first);
-                    p.plain_remove(first);
+                if let Some(&first) = order(p).first() {
+                    t.remove(&first);
+                    p.remove(&first);
                 }
-                t.insert(spare, T::entry(*k));
-                p.plain_insert(*k);
+                t.insert(spare, *k);
+                p.insert(*k);
             }
             Step::Drain => {
-                T::recycled_drain(t);
-                p.plain_drain();
+                t.drain().for_each(drop);
+                p.drain().for_each(drop);
             }
             Step::Clear => {
-                T::recycled_clear(t);
-                p.plain_clear();
+                t.clear();
+                p.clear();
             }
             Step::GiveBack => {
                 spare.give(std::mem::take(t));
-                *p = T::default();
+                *p = FastSet::default();
             }
         }
     }
@@ -289,7 +208,7 @@ impl<T: Model> Group<T> {
         self.apply(i, step);
 
         let (t, p) = (&self.recycled[i], &self.plain[i]);
-        assert_eq!(t.order(), p.order(), "table {i} after {step:?}");
+        assert_eq!(order(t), order(p), "table {i} after {step:?}");
         assert_eq!(t.capacity(), p.capacity(), "table {i} after {step:?}");
 
         let grown = t.buckets();
@@ -330,11 +249,11 @@ impl<T: Model> Group<T> {
 /// Run `rounds` seeded histories of `steps` steps over a fresh group each,
 /// then check they reached 256 buckets, rehashed in place, grew on a
 /// present key and served a growth step to every size from a spare.
-fn seeded_histories<T: Model>(seed: u64, rounds: u64, steps: usize) {
+fn seeded_histories(seed: u64, rounds: u64, steps: usize) {
     let mut seen = Coverage::default();
     for round in 0..rounds {
         let mut rng = seeded_rng(seed ^ round);
-        let mut group = Group::<T>::new();
+        let mut group = Group::new();
         for _ in 0..steps {
             let i = rng.random_range(0..TABLES);
             for step in random_steps(&mut rng) {
@@ -352,12 +271,7 @@ fn seeded_histories<T: Model>(seed: u64, rounds: u64, steps: usize) {
 
 #[test]
 fn recycled_set_iterates_like_a_fresh_one() {
-    seeded_histories::<FastSet<u64>>(0x5e7, 300, 400);
-}
-
-#[test]
-fn recycled_map_iterates_like_a_fresh_one() {
-    seeded_histories::<FastMap<u64, u32>>(0x3a9, 300, 400);
+    seeded_histories(0x5e7, 300, 400);
 }
 
 /// A grown table given back is kept for growth steps to its own size
@@ -365,8 +279,8 @@ fn recycled_map_iterates_like_a_fresh_one() {
 /// growing past 7 keys takes it.
 #[test]
 fn grown_table_is_kept_for_its_own_size() {
-    let mut spare = SpareTables::<FastSet<u64>>::default();
-    let mut grown = Recycled::<FastSet<u64>>::default();
+    let mut spare = SpareSets::default();
+    let mut grown = RecycledSet::default();
     for key in 100..104 {
         grown.insert(&mut spare, key);
     }
@@ -374,20 +288,20 @@ fn grown_table_is_kept_for_its_own_size() {
     spare.give(grown);
     assert_eq!((spare.spares(4), spare.spares(8)), (1, 1));
 
-    let mut fresh = Recycled::<FastSet<u64>>::default();
+    let mut fresh = RecycledSet::default();
     fresh.insert(&mut spare, 1);
     assert_eq!((fresh.buckets(), spare.spares(4), spare.spares(8)), (4, 0, 1));
     fresh.extend(&mut spare, 2..=7);
     assert_eq!((fresh.buckets(), spare.spares(4), spare.spares(8)), (8, 1, 0));
 }
 
-/// A clone shares no spare tables with its original.
+/// A clone shares no spare sets with its original.
 #[test]
 fn clone_starts_empty() {
-    let mut spare = SpareTables::<FastMap<u64, u32>>::default();
-    let mut table = Recycled::<FastMap<u64, u32>>::default();
-    table.insert(&mut spare, (1, 1));
-    spare.give(table);
+    let mut spare = SpareSets::default();
+    let mut set = RecycledSet::default();
+    set.insert(&mut spare, 1);
+    spare.give(set);
     assert_eq!(spare.len(), 1);
     assert!(spare.clone().is_empty());
 }
