@@ -70,11 +70,17 @@ pub struct Layout {
 }
 
 impl Layout {
+    /// Most member disks a layout may have: every member id fits a `u16`
+    /// below `u16::MAX`, which the discrete-event replayer keeps as "no
+    /// such member".
+    pub const MAX_DISKS: usize = 65_535;
+
     /// Create a layout; validates the shape.
     ///
     /// # Panics
-    /// Panics if there are too few disks for the level, `chunk_pages` is
-    /// zero, or `disk_pages` is not a multiple of `chunk_pages`.
+    /// Panics if there are too few disks for the level or more than
+    /// [`Layout::MAX_DISKS`], `chunk_pages` is zero, or `disk_pages` is not
+    /// a multiple of `chunk_pages`.
     pub fn new(level: RaidLevel, disks: usize, chunk_pages: u64, disk_pages: u64) -> Self {
         let min_disks = match level {
             RaidLevel::Raid0 => 2,
@@ -82,6 +88,7 @@ impl Layout {
             RaidLevel::Raid6 => 4,
         };
         assert!(disks >= min_disks, "{level:?} needs at least {min_disks} disks");
+        assert!(disks <= Self::MAX_DISKS, "at most {} member disks", Self::MAX_DISKS);
         assert!(chunk_pages > 0, "chunk must hold at least one page");
         assert!(disk_pages > 0 && disk_pages % chunk_pages == 0, "disk size must be whole chunks");
         Layout { level, disks, chunk_pages, disk_pages }
@@ -333,5 +340,12 @@ mod tests {
     #[should_panic(expected = "at least")]
     fn too_few_disks_rejected() {
         Layout::new(RaidLevel::Raid6, 3, 8, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535 member disks")]
+    fn more_members_than_a_u16_id_holds_rejected() {
+        assert_eq!(Layout::new(RaidLevel::Raid5, Layout::MAX_DISKS, 1, 1).disks, 65_535);
+        Layout::new(RaidLevel::Raid5, Layout::MAX_DISKS + 1, 1, 1);
     }
 }

@@ -20,16 +20,20 @@
 //! only `outcome.foreground` is replayed: `outcome.background` (cleaner
 //! I/O) is not queued on the member disks, exactly as in [`crate::openloop`].
 //!
-//! Live state follows the queue depth, not the trace length: an in-flight
-//! request holds its (at most three: data, P, Q) targets inline in a slot
-//! recycled when its response is recorded, and the event heap holds at most
-//! one completion per disk. Once slots and disk FIFOs have grown to the peak
-//! backlog a request allocates nothing, and its address is decoded once.
+//! Live state follows the queue depth, not the trace length. An in-flight
+//! request holds one 32-byte `Slot`: arrival, SSD/CPU time, the one
+//! `disk_page` its data, P and Q share, and its member ids as `u16`s. Each
+//! queued member op is a 4-byte slot id in its disk's FIFO, and a finished
+//! slot's id waits in a 4-byte free-list entry: at most 64 bytes per
+//! in-flight request with every table's growth slack counted, which a test
+//! holds on a Fin1 backlog of 24 007 requests. Slots are recycled when
+//! their response is recorded, and the event heap holds at most one
+//! completion per disk. Once slots and FIFOs have grown to the peak backlog
+//! a request allocates nothing, and its address is decoded once.
 
-// Indexing and narrowing casts here are bounds-audited (offsets from
-// length-checked parses; sizes bounded by construction). See DESIGN.md
-// "Static analysis & invariants".
-#![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
+// Indexing here is bounds-audited: slot ids come from the slot table's own
+// length, member ids from `Layout::locate`. Every narrowing is a `try_from`.
+#![allow(clippy::indexing_slicing)]
 
 use crate::service::ServiceModel;
 use kdd_blockdev::hdd::HddModel;
@@ -43,19 +47,48 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// One member-disk operation of one request round.
+/// A P or Q member a request does not touch. [`Layout::new`] keeps every
+/// real member id below it.
+const ABSENT: u16 = u16::MAX;
+const _: () = assert!(Layout::MAX_DISKS == ABSENT as usize);
+
+/// One in-flight request across its rounds: both rounds of a
+/// read-modify-write touch the same members at the same `disk_page`.
 #[derive(Debug, Clone, Copy)]
-struct MemberOp {
-    req: usize,
+struct Slot {
+    arrival: SimTime,
+    /// Flash + CPU time added once all disk rounds are done.
+    ssd_cpu: SimTime,
+    /// The data page's offset on its disk; P and Q of its row sit at the
+    /// same offset on theirs.
     disk_page: u64,
+    /// Data, P and Q member disks; a member the request skips is [`ABSENT`],
+    /// and only trailing members are ever absent.
+    members: [u16; 3],
+    /// Rounds still to run, the current one included.
+    rounds_left: u8,
+    /// Member ops of the current round still outstanding.
+    outstanding: u8,
 }
 
-/// A member disk: FIFO queue + mechanical model.
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+
+impl Slot {
+    /// The member disks each round touches: data, then P and Q if present.
+    fn disks(&self) -> impl Iterator<Item = usize> {
+        self.members.into_iter().take_while(|&m| m != ABSENT).map(usize::from)
+    }
+}
+
+/// A member disk: FIFO of slot ids + mechanical model.
 struct DiskSim {
     model: HddModel,
-    queue: VecDeque<MemberOp>,
+    /// Requests with an op queued here, oldest first. An op's page is its
+    /// slot's `disk_page`, read when the op reaches the head.
+    queue: VecDeque<u32>,
     busy_until: SimTime,
-    current: Option<MemberOp>,
+    /// The request whose op is under the head.
+    current: Option<u32>,
 }
 
 impl DiskSim {
@@ -68,49 +101,33 @@ impl DiskSim {
         }
     }
 
-    /// Put `op` under the head at `at`; returns its completion time.
-    fn begin(&mut self, at: SimTime, op: MemberOp) -> SimTime {
-        self.busy_until = at + self.model.access(op.disk_page, 1);
-        self.current = Some(op);
+    /// Put request `id`'s op on `disk_page` under the head at `at`; returns
+    /// its completion time.
+    fn begin(&mut self, at: SimTime, id: u32, disk_page: u64) -> SimTime {
+        self.busy_until = at + self.model.access(disk_page, 1);
+        self.current = Some(id);
         self.busy_until
     }
 
-    /// Enqueue an op; if idle, start it and return its completion time.
-    fn push(&mut self, now: SimTime, op: MemberOp) -> Option<SimTime> {
+    /// Enqueue request `id`'s op; if idle, start it and return its
+    /// completion time.
+    fn push(&mut self, now: SimTime, id: u32, disk_page: u64) -> Option<SimTime> {
         if self.current.is_none() {
-            return Some(self.begin(now.max(self.busy_until), op));
+            return Some(self.begin(now.max(self.busy_until), id, disk_page));
         }
-        self.queue.push_back(op);
+        self.queue.push_back(id);
         None
     }
 
     /// The current op finished (`None` if the disk was idle); start the next
-    /// one if any and return the finished op and the next's completion time.
-    fn complete(&mut self, now: SimTime) -> Option<(MemberOp, Option<SimTime>)> {
+    /// one if any, at its slot's `disk_page`, and return the finished
+    /// request's id and the next op's completion time.
+    fn complete(&mut self, now: SimTime, slots: &[Slot]) -> Option<(u32, Option<SimTime>)> {
         let done = self.current.take()?;
-        let next = self.queue.pop_front().map(|op| self.begin(now, op));
+        let next =
+            self.queue.pop_front().map(|id| self.begin(now, id, slots[id as usize].disk_page));
         Some((done, next))
     }
-}
-
-/// A request's member-disk rounds, inline: both rounds of an RMW share one set.
-#[derive(Debug, Clone, Copy)]
-struct Phases {
-    /// Data page, then P, then Q; only the first `count` are meaningful.
-    targets: [(usize, u64); 3],
-    count: u8,
-    /// Rounds still to run, the current one included.
-    rounds_left: u8,
-}
-
-/// Per-request state across rounds.
-struct ReqState {
-    arrival: SimTime,
-    /// Remaining member ops in the current round.
-    outstanding: u8,
-    phases: Phases,
-    /// Flash + CPU time added once all disk rounds are done.
-    ssd_cpu: SimTime,
 }
 
 /// Results of a DES replay.
@@ -130,39 +147,55 @@ pub struct DesReport {
     pub mean_queue_depth: f64,
 }
 
+/// `disk` as a [`Slot`] member id; `None` only for a layout with more than
+/// [`Layout::MAX_DISKS`] members, which [`Layout::new`] refuses.
+fn member_id(disk: usize) -> Option<u16> {
+    let id = u16::try_from(disk).ok().filter(|&id| id != ABSENT);
+    debug_assert!(id.is_some(), "member {disk} past Layout::MAX_DISKS");
+    id
+}
+
 /// Derive the member-disk operations a request's foreground effects imply
-/// (`None`: it touches no disk). `capacity` is `layout.capacity_pages()`. The
-/// mapping follows the array's actual behaviour for the patterns the
-/// policies emit: a plain read touches the page's disk; a small write
-/// reads the page's disk + its parity disk(s), then writes them; a
-/// `write_no_parity_update` writes only the page's disk. P and Q of a row
-/// sit at the data page's own `disk_page`, so one `locate` places all three.
-fn phases_for(layout: &Layout, capacity: u64, lba: u64, fx: &Effects) -> Option<Phases> {
+/// (`None`: it touches no disk), as a slot with zero arrival and SSD/CPU
+/// time. `capacity` is `layout.capacity_pages()`. The mapping follows the
+/// array's actual behaviour for the patterns the policies emit: a plain read
+/// touches the page's disk; a small write reads the page's disk + its parity
+/// disk(s), then writes them; a `write_no_parity_update` writes only the
+/// page's disk. P and Q of a row sit at the data page's own `disk_page`, so
+/// one `locate` places all three.
+fn phases_for(layout: &Layout, capacity: u64, lba: u64, fx: &Effects) -> Option<Slot> {
     if fx.raid_rounds == 0 {
         return None;
     }
     let loc = layout.locate(if lba >= capacity { lba % capacity } else { lba });
-    let mut phases = Phases { targets: [(loc.disk, loc.disk_page); 3], count: 1, rounds_left: 1 };
+    let mut slot = Slot {
+        arrival: SimTime::ZERO,
+        ssd_cpu: SimTime::ZERO,
+        disk_page: loc.disk_page,
+        members: [member_id(loc.disk)?, ABSENT, ABSENT],
+        rounds_left: 1,
+        outstanding: 0,
+    };
     if fx.raid_rounds >= 2 {
         // Read-modify-write: read round then write round on the same set.
-        phases.rounds_left = 2;
+        slot.rounds_left = 2;
         let members = fx.raid_reads.max(fx.raid_writes);
         let p = if members >= 2 { layout.parity_disk(loc.stripe) } else { None };
         let q = if members >= 3 { layout.q_disk(loc.stripe) } else { None };
-        for disk in [p, q].into_iter().flatten() {
-            phases.targets[phases.count as usize].0 = disk;
-            phases.count += 1;
+        for (member, disk) in slot.members[1..].iter_mut().zip([p, q].into_iter().flatten()) {
+            *member = member_id(disk)?;
         }
     }
-    Some(phases)
+    Some(slot)
 }
 
 /// Member disks, in-flight requests, pending completions and response times.
 struct Replayer {
     disks: Vec<DiskSim>,
-    /// Request slots; `free` lists the ones whose request has finished.
-    reqs: Vec<ReqState>,
-    free: Vec<usize>,
+    /// Request slots, indexed by `u32` id; `free` lists the ones whose
+    /// request has finished.
+    reqs: Vec<Slot>,
+    free: Vec<u32>,
     /// Disk completions as (time, seq, disk): at most one per disk, since a
     /// disk's next op starts only when its current one completes.
     events: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
@@ -189,27 +222,39 @@ impl Replayer {
         self.hist.record(resp.as_nanos());
     }
 
-    /// Admit a request arriving at `now`, reusing a finished slot if any.
-    fn start(&mut self, now: SimTime, phases: Phases, ssd_cpu: SimTime) {
-        let state = ReqState { arrival: now, outstanding: 0, phases, ssd_cpu };
-        let id = self.free.pop().unwrap_or(self.reqs.len());
-        match self.reqs.get_mut(id) {
-            Some(slot) => *slot = state,
-            None => self.reqs.push(state),
-        }
-        self.start_round(now, id);
+    /// Admit request `slot`, which arrives at `slot.arrival`, reusing a
+    /// finished slot if any. A request past `u32::MAX` live slots (beyond
+    /// 128 GiB of them) has no id; it is served as if it touched no disk.
+    fn start(&mut self, slot: Slot) {
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.reqs[id as usize] = slot;
+                id
+            }
+            None => {
+                let Ok(id) = u32::try_from(self.reqs.len()) else {
+                    debug_assert!(false, "more than u32::MAX requests in flight");
+                    return self.record(slot.ssd_cpu);
+                };
+                self.reqs.push(slot);
+                id
+            }
+        };
+        self.start_round(slot.arrival, id);
     }
 
     /// Enqueue the member ops of request `id`'s current round.
-    fn start_round(&mut self, now: SimTime, id: usize) {
-        let Phases { targets, count, .. } = self.reqs[id].phases;
-        self.reqs[id].outstanding = count;
-        for &(disk, disk_page) in &targets[..count as usize] {
-            if let Some(done_at) = self.disks[disk].push(now, MemberOp { req: id, disk_page }) {
+    fn start_round(&mut self, now: SimTime, id: u32) {
+        let slot = self.reqs[id as usize];
+        let mut outstanding = 0;
+        for disk in slot.disks() {
+            outstanding += 1;
+            if let Some(done_at) = self.disks[disk].push(now, id, slot.disk_page) {
                 self.seq += 1;
                 self.events.push(Reverse((done_at, self.seq, disk)));
             }
         }
+        self.reqs[id as usize].outstanding = outstanding;
     }
 
     /// Process disk completions due by `t`, in `(time, seq, disk)` order.
@@ -219,7 +264,7 @@ impl Replayer {
                 break;
             }
             self.events.pop();
-            let Some((op, next)) = self.disks[disk].complete(when) else {
+            let Some((id, next)) = self.disks[disk].complete(when, &self.reqs) else {
                 debug_assert!(false, "completion event for idle disk {disk}");
                 continue;
             };
@@ -227,20 +272,53 @@ impl Replayer {
                 self.seq += 1;
                 self.events.push(Reverse((done_at, self.seq, disk)));
             }
-            let r = &mut self.reqs[op.req];
+            let r = &mut self.reqs[id as usize];
             r.outstanding -= 1;
             if r.outstanding > 0 {
                 continue;
             }
-            r.phases.rounds_left -= 1;
-            if r.phases.rounds_left > 0 {
-                self.start_round(when, op.req);
+            r.rounds_left -= 1;
+            if r.rounds_left > 0 {
+                self.start_round(when, id);
             } else {
                 let resp = when + r.ssd_cpu - r.arrival;
                 self.record(resp);
-                self.free.push(op.req);
+                self.free.push(id);
             }
         }
+    }
+
+    /// Replay `trace` to its last completion; returns the member-disk queue
+    /// depth sampled at each arrival.
+    fn replay(
+        &mut self,
+        policy: &mut dyn CachePolicy,
+        trace: &Trace,
+        layout: &Layout,
+        model: &ServiceModel,
+    ) -> StreamingStats {
+        let mut depth = StreamingStats::new();
+        let capacity = layout.capacity_pages();
+
+        // Arrivals are processed in trace order against the advancing clock.
+        for rec in &trace.records {
+            self.drain_until(rec.time);
+            let queued = self.disks.iter().map(|d| d.queue.len() + d.current.is_some() as usize);
+            depth.record(queued.sum::<usize>() as f64);
+            for lba in rec.pages() {
+                let fx = policy.access(rec.op, lba).foreground;
+                let ssd_fx = Effects { raid_rounds: 0, raid_reads: 0, raid_writes: 0, ..fx };
+                let ssd_cpu = model.response_time(&ssd_fx);
+                match phases_for(layout, capacity, lba, &fx) {
+                    Some(slot) => self.start(Slot { arrival: rec.time, ssd_cpu, ..slot }),
+                    // Pure cache operation: completes without touching disks.
+                    None => self.record(ssd_cpu),
+                }
+            }
+        }
+        self.drain_until(SimTime::MAX);
+        policy.flush();
+        depth
     }
 }
 
@@ -252,32 +330,13 @@ pub fn replay_des(
     model: &ServiceModel,
 ) -> DesReport {
     let mut sim = Replayer::new(layout, trace.page_size);
-    let mut depth = StreamingStats::new();
-    let capacity = layout.capacity_pages();
-
-    // Arrivals are processed in trace order against the advancing clock.
-    for rec in &trace.records {
-        sim.drain_until(rec.time);
-        let queued = sim.disks.iter().map(|d| d.queue.len() + d.current.is_some() as usize);
-        depth.record(queued.sum::<usize>() as f64);
-        for lba in rec.pages() {
-            let fx = policy.access(rec.op, lba).foreground;
-            let ssd_fx = Effects { raid_rounds: 0, raid_reads: 0, raid_writes: 0, ..fx };
-            let ssd_cpu = model.response_time(&ssd_fx);
-            match phases_for(layout, capacity, lba, &fx) {
-                Some(phases) => sim.start(rec.time, phases, ssd_cpu),
-                // Pure cache operation: completes without touching disks.
-                None => sim.record(ssd_cpu),
-            }
-        }
-    }
-    sim.drain_until(SimTime::MAX);
-    policy.flush();
-
+    let depth = sim.replay(policy, trace, layout, model);
+    #[expect(clippy::cast_possible_truncation, reason = "a mean of u64 nanoseconds fits a u64")]
+    let mean_ns = sim.stats.mean() as u64;
     DesReport {
         policy: policy.name(),
         requests: sim.stats.count(),
-        mean_response: SimTime::from_nanos(sim.stats.mean() as u64),
+        mean_response: SimTime::from_nanos(mean_ns),
         p99: SimTime::from_nanos(sim.hist.quantile(0.99).unwrap_or(0)),
         hit_ratio: policy.stats().hit_ratio(),
         mean_queue_depth: depth.mean(),
@@ -298,7 +357,7 @@ mod tests {
     fn geometry(cache_pages: u64) -> CacheGeometry {
         CacheGeometry {
             total_pages: cache_pages,
-            ways: 64.min(cache_pages as u32),
+            ways: u32::try_from(cache_pages).map_or(64, |pages| pages.min(64)),
             page_size: 4096,
         }
     }
@@ -511,7 +570,10 @@ mod tests {
                     let members = if rounds >= 2 { reads.max(writes).max(1) } else { 1 };
                     let want: Vec<_> =
                         decoded.into_iter().take(members as usize).flatten().collect();
-                    assert_eq!(got.targets[..got.count as usize], want, "{layout:?} {lba} {fx:?}");
+                    let targets: Vec<_> = got.disks().map(|d| (d, got.disk_page)).collect();
+                    assert_eq!(targets, want, "{layout:?} {lba} {fx:?}");
+                    let absent = &got.members[targets.len()..];
+                    assert!(absent.iter().all(|&m| m == ABSENT), "{layout:?} {lba} {fx:?}");
                     assert_eq!(u32::from(got.rounds_left), rounds, "{layout:?} {lba} {fx:?}");
                 }
             }
@@ -520,9 +582,10 @@ mod tests {
 
     /// A small write on the default array: read round + write round on the
     /// data and parity disks.
-    fn small_write(layout: &Layout, lba: u64) -> Phases {
+    fn small_write(layout: &Layout, lba: u64, arrival: SimTime) -> Slot {
         let fx = Effects { raid_reads: 2, raid_writes: 2, raid_rounds: 2, ..Effects::default() };
-        phases_for(layout, layout.capacity_pages(), lba, &fx).expect("touches disks")
+        let slot = phases_for(layout, layout.capacity_pages(), lba, &fx).expect("touches disks");
+        Slot { arrival, ..slot }
     }
 
     #[test]
@@ -534,7 +597,7 @@ mod tests {
         for i in 0..50u64 {
             let now = SimTime::from_secs(i);
             sim.drain_until(now);
-            sim.start(now, small_write(&layout, i * 64), SimTime::ZERO);
+            sim.start(small_write(&layout, i * 64, now));
             assert_eq!(sim.reqs.len(), 1, "request {i} must reuse the finished slot");
         }
         sim.drain_until(SimTime::MAX);
@@ -548,7 +611,7 @@ mod tests {
             sim.drain_until(now);
             assert_eq!(sim.free.len(), sim.reqs.len(), "burst {round}: all slots returned");
             for i in 0..100u64 {
-                sim.start(now, small_write(&layout, i * 64), SimTime::ZERO);
+                sim.start(small_write(&layout, i * 64, now));
             }
             assert_eq!(sim.reqs.len(), 100, "burst {round}");
             assert!(sim.events.len() <= layout.disks, "one pending completion per disk");
@@ -561,17 +624,49 @@ mod tests {
     #[test]
     fn completion_for_an_idle_disk_is_not_a_panic() {
         let mut disk = DiskSim::new(1024, 4096);
-        assert!(disk.complete(SimTime::ZERO).is_none());
-        let done_at = disk.push(SimTime::ZERO, MemberOp { req: 0, disk_page: 7 }).expect("idle");
-        let (op, next) = disk.complete(done_at).expect("one op in service");
-        assert_eq!((op.req, op.disk_page, next), (0, 7, None));
-        assert!(disk.complete(done_at).is_none(), "a duplicate completion finds nothing");
+        assert!(disk.complete(SimTime::ZERO, &[]).is_none());
+        let done_at = disk.push(SimTime::ZERO, 0, 7).expect("idle");
+        assert_eq!(disk.complete(done_at, &[]), Some((0, None)), "one op in service");
+        assert!(disk.complete(done_at, &[]).is_none(), "a duplicate completion finds nothing");
+    }
+
+    #[test]
+    fn the_widest_layout_keeps_every_member_id_below_absent() {
+        // RAID-5 over 65 535 one-page members: row 0's parity sits on the
+        // last member, whose id is the largest a slot can hold.
+        let layout = Layout::new(RaidLevel::Raid5, Layout::MAX_DISKS, 1, 1);
+        let slot = small_write(&layout, 0, SimTime::ZERO);
+        assert_eq!(slot.members, [0, ABSENT - 1, ABSENT]);
+        assert_eq!(member_id(Layout::MAX_DISKS - 1), Some(ABSENT - 1));
+    }
+
+    #[test]
+    fn fin1_backlog_costs_at_most_64_bytes_per_request_in_flight() {
+        // Fin1 ÷ 100 (the benchmark's sweep input at seed 42) leaves the
+        // array unstable under Nossd, so the backlog, not the cache, sizes
+        // the replayer: tens of thousands of requests are in flight at once.
+        let spec = PaperTrace::Fin1.spec().scaled(100);
+        let trace = spec.generate(42);
+        let raid = RaidModel::paper_default(trace.address_space_pages().max(1024));
+        let mut policy =
+            build_policy(PolicyKind::Nossd, geometry(spec.unique_total / 10), raid, 42);
+        let mut sim = Replayer::new(&raid.layout, trace.page_size);
+        sim.replay(policy.as_mut(), &trace, &raid.layout, &ServiceModel::paper_default());
+
+        // A slot is appended only when none is free, so the table's length
+        // is the peak number of requests in flight.
+        let peak = sim.reqs.len();
+        let ids = sim.free.capacity() + sim.disks.iter().map(|d| d.queue.capacity()).sum::<usize>();
+        let kept = size_of::<Slot>() * sim.reqs.capacity() + size_of::<u32>() * ids;
+        assert!(peak > 10_000, "only {peak} requests in flight: the backlog did not build");
+        assert!(kept <= 64 * peak, "{kept} B kept for {peak} in flight: {} B each", kept / peak);
     }
 
     /// The replayer as it stood before the inline-state rewrite, verbatim:
     /// per-request `VecDeque<Vec<..>>` phases, one `ReqState` per trace
     /// request, three address decodes. The differential tests below hold
     /// the rewrite to it bit for bit.
+    #[expect(clippy::cast_possible_truncation, reason = "kept as it was written")]
     mod reference {
         use super::super::DesReport;
         use crate::service::ServiceModel;
