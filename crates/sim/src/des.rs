@@ -21,15 +21,18 @@
 //! I/O) is not queued on the member disks, exactly as in [`crate::openloop`].
 //!
 //! Live state follows the queue depth, not the trace length. An in-flight
-//! request holds one 32-byte `Slot`: arrival, SSD/CPU time, the one
-//! `disk_page` its data, P and Q share, and its member ids as `u16`s. Each
-//! queued member op is a 4-byte slot id in its disk's FIFO, and a finished
-//! slot's id waits in a 4-byte free-list entry: at most 64 bytes per
-//! in-flight request with every table's growth slack counted, which a test
-//! holds on a Fin1 backlog of 24 007 requests. Slots are recycled when
-//! their response is recorded, and the event heap holds at most one
-//! completion per disk. Once slots and FIFOs have grown to the peak backlog
-//! a request allocates nothing, and its address is decoded once.
+//! request holds one 24-byte `Slot`: the one `disk_page` its data, P and Q
+//! share, a wrapping `credit` that folds its arrival and SSD/CPU time into
+//! one word, and its member ids as `u16`s. Slots sit in fixed chunks of
+//! 1 024 that never move, so the table grows without copying, and a
+//! finished slot waits on a free list threaded through the slot itself.
+//! Each queued member op is a 4-byte slot id in its disk's FIFO: at most
+//! 40 bytes per in-flight request with every table's growth slack counted,
+//! which a test holds on a Fin1 backlog of 24 007 requests. Slots are
+//! recycled when their response is recorded, and the event heap holds at
+//! most one completion per disk. Once the slot table and FIFOs have grown
+//! to the peak backlog a request allocates nothing, and its address is
+//! decoded once.
 
 // Indexing here is bounds-audited: slot ids come from the slot table's own
 // length, member ids from `Layout::locate`. Every narrowing is a `try_from`.
@@ -54,14 +57,16 @@ const _: () = assert!(Layout::MAX_DISKS == ABSENT as usize);
 
 /// One in-flight request across its rounds: both rounds of a
 /// read-modify-write touch the same members at the same `disk_page`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
-    arrival: SimTime,
-    /// Flash + CPU time added once all disk rounds are done.
-    ssd_cpu: SimTime,
     /// The data page's offset on its disk; P and Q of its row sit at the
-    /// same offset on theirs.
+    /// same offset on theirs. A free slot keeps the next free slot's id
+    /// here (see [`SlotTable`]).
     disk_page: u64,
+    /// `ssd_cpu − arrival` in nanoseconds, wrapping: the flash + CPU time
+    /// added once all disk rounds are done, less the arrival time. See
+    /// [`Slot::response`].
+    credit: u64,
     /// Data, P and Q member disks; a member the request skips is [`ABSENT`],
     /// and only trailing members are ever absent.
     members: [u16; 3],
@@ -71,12 +76,92 @@ struct Slot {
     outstanding: u8,
 }
 
-const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+const _: () = assert!(std::mem::size_of::<Slot>() == 24);
 
 impl Slot {
+    /// A slot no request holds yet.
+    const VACANT: Slot =
+        Slot { disk_page: 0, credit: 0, members: [ABSENT; 3], rounds_left: 0, outstanding: 0 };
+
     /// The member disks each round touches: data, then P and Q if present.
     fn disks(&self) -> impl Iterator<Item = usize> {
         self.members.into_iter().take_while(|&m| m != ABSENT).map(usize::from)
+    }
+
+    /// This slot for a request arriving at `arrival` that spends `ssd_cpu`
+    /// on flash and CPU.
+    fn timed(self, arrival: SimTime, ssd_cpu: SimTime) -> Slot {
+        Slot { credit: ssd_cpu.as_nanos().wrapping_sub(arrival.as_nanos()), ..self }
+    }
+
+    /// The response time of a request whose last round completes at
+    /// `completion`: `completion + ssd_cpu − arrival`. The wrapping sum
+    /// is that integer exactly, because a request never completes before
+    /// it arrives, so the true value lies in `0..2^64`.
+    fn response(&self, completion: SimTime) -> SimTime {
+        SimTime::from_nanos(completion.as_nanos().wrapping_add(self.credit))
+    }
+}
+
+/// Slots per chunk of the [`SlotTable`].
+const CHUNK: usize = 1024;
+
+/// Request slots, indexed by `u32` id: id `i` lives at offset
+/// `i % CHUNK` of chunk `i / CHUNK`. Chunks are fixed arrays that never
+/// move, so growing the table allocates one chunk and copies nothing.
+/// Finished slots form a LIFO free list threaded through their
+/// `disk_page`, so a slot is reused before the table grows, most recently
+/// freed first.
+#[derive(Default)]
+struct SlotTable {
+    chunks: Vec<Box<[Slot; CHUNK]>>,
+    /// Slots ever handed out: a slot is added only when none is free, so
+    /// this is the peak number of requests in flight at once.
+    len: usize,
+    /// The most recently freed slot.
+    free: Option<u32>,
+}
+
+impl SlotTable {
+    /// Hold `slot` in a free slot if any, else in a new one; `None` once
+    /// ids run past `u32::MAX`.
+    fn admit(&mut self, slot: Slot) -> Option<u32> {
+        if let Some(id) = self.free {
+            // A free slot's link is a `u32` id or `u64::MAX`, the list's end.
+            self.free = u32::try_from(std::mem::replace(&mut self[id], slot).disk_page).ok();
+            return Some(id);
+        }
+        let id = u32::try_from(self.len).ok()?;
+        if self.len % CHUNK == 0 {
+            self.chunks.push(Box::new([Slot::VACANT; CHUNK]));
+        }
+        self.len += 1;
+        self[id] = slot;
+        Some(id)
+    }
+
+    /// Put slot `id`, whose request has finished, at the head of the free
+    /// list.
+    fn release(&mut self, id: u32) {
+        let next = self.free.map_or(u64::MAX, u64::from);
+        self[id].disk_page = next;
+        self.free = Some(id);
+    }
+}
+
+impl std::ops::Index<u32> for SlotTable {
+    type Output = Slot;
+
+    fn index(&self, id: u32) -> &Slot {
+        let id = id as usize;
+        &self.chunks[id / CHUNK][id % CHUNK]
+    }
+}
+
+impl std::ops::IndexMut<u32> for SlotTable {
+    fn index_mut(&mut self, id: u32) -> &mut Slot {
+        let id = id as usize;
+        &mut self.chunks[id / CHUNK][id % CHUNK]
     }
 }
 
@@ -122,10 +207,9 @@ impl DiskSim {
     /// The current op finished (`None` if the disk was idle); start the next
     /// one if any, at its slot's `disk_page`, and return the finished
     /// request's id and the next op's completion time.
-    fn complete(&mut self, now: SimTime, slots: &[Slot]) -> Option<(u32, Option<SimTime>)> {
+    fn complete(&mut self, now: SimTime, slots: &SlotTable) -> Option<(u32, Option<SimTime>)> {
         let done = self.current.take()?;
-        let next =
-            self.queue.pop_front().map(|id| self.begin(now, id, slots[id as usize].disk_page));
+        let next = self.queue.pop_front().map(|id| self.begin(now, id, slots[id].disk_page));
         Some((done, next))
     }
 }
@@ -169,9 +253,8 @@ fn phases_for(layout: &Layout, capacity: u64, lba: u64, fx: &Effects) -> Option<
     }
     let loc = layout.locate(if lba >= capacity { lba % capacity } else { lba });
     let mut slot = Slot {
-        arrival: SimTime::ZERO,
-        ssd_cpu: SimTime::ZERO,
         disk_page: loc.disk_page,
+        credit: 0,
         members: [member_id(loc.disk)?, ABSENT, ABSENT],
         rounds_left: 1,
         outstanding: 0,
@@ -192,10 +275,8 @@ fn phases_for(layout: &Layout, capacity: u64, lba: u64, fx: &Effects) -> Option<
 /// Member disks, in-flight requests, pending completions and response times.
 struct Replayer {
     disks: Vec<DiskSim>,
-    /// Request slots, indexed by `u32` id; `free` lists the ones whose
-    /// request has finished.
-    reqs: Vec<Slot>,
-    free: Vec<u32>,
+    /// In-flight requests' slots, and the finished ones awaiting reuse.
+    slots: SlotTable,
     /// Disk completions as (time, seq, disk): at most one per disk, since a
     /// disk's next op starts only when its current one completes.
     events: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
@@ -208,8 +289,7 @@ impl Replayer {
     fn new(layout: &Layout, page_size: u32) -> Self {
         Replayer {
             disks: (0..layout.disks).map(|_| DiskSim::new(layout.disk_pages, page_size)).collect(),
-            reqs: Vec::new(),
-            free: Vec::new(),
+            slots: SlotTable::default(),
             events: BinaryHeap::with_capacity(layout.disks),
             seq: 0,
             stats: StreamingStats::new(),
@@ -222,30 +302,21 @@ impl Replayer {
         self.hist.record(resp.as_nanos());
     }
 
-    /// Admit request `slot`, which arrives at `slot.arrival`, reusing a
-    /// finished slot if any. A request past `u32::MAX` live slots (beyond
-    /// 128 GiB of them) has no id; it is served as if it touched no disk.
-    fn start(&mut self, slot: Slot) {
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.reqs[id as usize] = slot;
-                id
-            }
-            None => {
-                let Ok(id) = u32::try_from(self.reqs.len()) else {
-                    debug_assert!(false, "more than u32::MAX requests in flight");
-                    return self.record(slot.ssd_cpu);
-                };
-                self.reqs.push(slot);
-                id
-            }
+    /// Admit request `slot`, which arrives at `arrival` and spends `ssd_cpu`
+    /// on flash and CPU, reusing a finished slot if any. A request past
+    /// `u32::MAX` live slots (beyond 96 GiB of them) has no id; it is served
+    /// as if it touched no disk.
+    fn start(&mut self, arrival: SimTime, ssd_cpu: SimTime, slot: Slot) {
+        let Some(id) = self.slots.admit(slot.timed(arrival, ssd_cpu)) else {
+            debug_assert!(false, "more than u32::MAX requests in flight");
+            return self.record(ssd_cpu);
         };
-        self.start_round(slot.arrival, id);
+        self.start_round(arrival, id);
     }
 
     /// Enqueue the member ops of request `id`'s current round.
     fn start_round(&mut self, now: SimTime, id: u32) {
-        let slot = self.reqs[id as usize];
+        let slot = self.slots[id];
         let mut outstanding = 0;
         for disk in slot.disks() {
             outstanding += 1;
@@ -254,7 +325,7 @@ impl Replayer {
                 self.events.push(Reverse((done_at, self.seq, disk)));
             }
         }
-        self.reqs[id as usize].outstanding = outstanding;
+        self.slots[id].outstanding = outstanding;
     }
 
     /// Process disk completions due by `t`, in `(time, seq, disk)` order.
@@ -264,7 +335,7 @@ impl Replayer {
                 break;
             }
             self.events.pop();
-            let Some((id, next)) = self.disks[disk].complete(when, &self.reqs) else {
+            let Some((id, next)) = self.disks[disk].complete(when, &self.slots) else {
                 debug_assert!(false, "completion event for idle disk {disk}");
                 continue;
             };
@@ -272,7 +343,7 @@ impl Replayer {
                 self.seq += 1;
                 self.events.push(Reverse((done_at, self.seq, disk)));
             }
-            let r = &mut self.reqs[id as usize];
+            let r = &mut self.slots[id];
             r.outstanding -= 1;
             if r.outstanding > 0 {
                 continue;
@@ -281,9 +352,9 @@ impl Replayer {
             if r.rounds_left > 0 {
                 self.start_round(when, id);
             } else {
-                let resp = when + r.ssd_cpu - r.arrival;
+                let resp = r.response(when);
                 self.record(resp);
-                self.free.push(id);
+                self.slots.release(id);
             }
         }
     }
@@ -310,7 +381,7 @@ impl Replayer {
                 let ssd_fx = Effects { raid_rounds: 0, raid_reads: 0, raid_writes: 0, ..fx };
                 let ssd_cpu = model.response_time(&ssd_fx);
                 match phases_for(layout, capacity, lba, &fx) {
-                    Some(slot) => self.start(Slot { arrival: rec.time, ssd_cpu, ..slot }),
+                    Some(slot) => self.start(rec.time, ssd_cpu, slot),
                     // Pure cache operation: completes without touching disks.
                     None => self.record(ssd_cpu),
                 }
@@ -582,10 +653,16 @@ mod tests {
 
     /// A small write on the default array: read round + write round on the
     /// data and parity disks.
-    fn small_write(layout: &Layout, lba: u64, arrival: SimTime) -> Slot {
+    fn small_write(layout: &Layout, lba: u64) -> Slot {
         let fx = Effects { raid_reads: 2, raid_writes: 2, raid_rounds: 2, ..Effects::default() };
-        let slot = phases_for(layout, layout.capacity_pages(), lba, &fx).expect("touches disks");
-        Slot { arrival, ..slot }
+        phases_for(layout, layout.capacity_pages(), lba, &fx).expect("touches disks")
+    }
+
+    impl SlotTable {
+        /// Slots on the free list, walked from its head.
+        fn free_len(&self) -> usize {
+            std::iter::successors(self.free, |&id| u32::try_from(self[id].disk_page).ok()).count()
+        }
     }
 
     #[test]
@@ -597,8 +674,8 @@ mod tests {
         for i in 0..50u64 {
             let now = SimTime::from_secs(i);
             sim.drain_until(now);
-            sim.start(small_write(&layout, i * 64, now));
-            assert_eq!(sim.reqs.len(), 1, "request {i} must reuse the finished slot");
+            sim.start(now, SimTime::ZERO, small_write(&layout, i * 64));
+            assert_eq!(sim.slots.len, 1, "request {i} must reuse the finished slot");
         }
         sim.drain_until(SimTime::MAX);
         assert_eq!(sim.stats.count(), 50);
@@ -609,25 +686,25 @@ mod tests {
         for round in 0..2u64 {
             let now = SimTime::from_secs(round * 3600);
             sim.drain_until(now);
-            assert_eq!(sim.free.len(), sim.reqs.len(), "burst {round}: all slots returned");
+            assert_eq!(sim.slots.free_len(), sim.slots.len, "burst {round}: all slots returned");
             for i in 0..100u64 {
-                sim.start(small_write(&layout, i * 64, now));
+                sim.start(now, SimTime::ZERO, small_write(&layout, i * 64));
             }
-            assert_eq!(sim.reqs.len(), 100, "burst {round}");
+            assert_eq!(sim.slots.len, 100, "burst {round}");
             assert!(sim.events.len() <= layout.disks, "one pending completion per disk");
         }
         sim.drain_until(SimTime::MAX);
         assert_eq!(sim.stats.count(), 200);
-        assert_eq!(sim.free.len(), 100);
+        assert_eq!(sim.slots.free_len(), 100);
     }
 
     #[test]
     fn completion_for_an_idle_disk_is_not_a_panic() {
-        let mut disk = DiskSim::new(1024, 4096);
-        assert!(disk.complete(SimTime::ZERO, &[]).is_none());
+        let (mut disk, slots) = (DiskSim::new(1024, 4096), SlotTable::default());
+        assert!(disk.complete(SimTime::ZERO, &slots).is_none());
         let done_at = disk.push(SimTime::ZERO, 0, 7).expect("idle");
-        assert_eq!(disk.complete(done_at, &[]), Some((0, None)), "one op in service");
-        assert!(disk.complete(done_at, &[]).is_none(), "a duplicate completion finds nothing");
+        assert_eq!(disk.complete(done_at, &slots), Some((0, None)), "one op in service");
+        assert!(disk.complete(done_at, &slots).is_none(), "a duplicate completion finds nothing");
     }
 
     #[test]
@@ -635,13 +712,13 @@ mod tests {
         // RAID-5 over 65 535 one-page members: row 0's parity sits on the
         // last member, whose id is the largest a slot can hold.
         let layout = Layout::new(RaidLevel::Raid5, Layout::MAX_DISKS, 1, 1);
-        let slot = small_write(&layout, 0, SimTime::ZERO);
+        let slot = small_write(&layout, 0);
         assert_eq!(slot.members, [0, ABSENT - 1, ABSENT]);
         assert_eq!(member_id(Layout::MAX_DISKS - 1), Some(ABSENT - 1));
     }
 
     #[test]
-    fn fin1_backlog_costs_at_most_64_bytes_per_request_in_flight() {
+    fn fin1_backlog_costs_at_most_40_bytes_per_request_in_flight() {
         // Fin1 ÷ 100 (the benchmark's sweep input at seed 42) leaves the
         // array unstable under Nossd, so the backlog, not the cache, sizes
         // the replayer: tens of thousands of requests are in flight at once.
@@ -653,13 +730,116 @@ mod tests {
         let mut sim = Replayer::new(&raid.layout, trace.page_size);
         sim.replay(policy.as_mut(), &trace, &raid.layout, &ServiceModel::paper_default());
 
-        // A slot is appended only when none is free, so the table's length
-        // is the peak number of requests in flight.
-        let peak = sim.reqs.len();
-        let ids = sim.free.capacity() + sim.disks.iter().map(|d| d.queue.capacity()).sum::<usize>();
-        let kept = size_of::<Slot>() * sim.reqs.capacity() + size_of::<u32>() * ids;
+        // A slot is added only when none is free, so the table's length is
+        // the peak number of requests in flight.
+        let (peak, slots) = (sim.slots.len, &sim.slots.chunks);
+        let chunk_bytes = size_of::<[Slot; CHUNK]>() * slots.len()
+            + size_of::<Box<[Slot; CHUNK]>>() * slots.capacity();
+        let fifo_bytes =
+            size_of::<u32>() * sim.disks.iter().map(|d| d.queue.capacity()).sum::<usize>();
+        let kept = chunk_bytes + fifo_bytes;
         assert!(peak > 10_000, "only {peak} requests in flight: the backlog did not build");
-        assert!(kept <= 64 * peak, "{kept} B kept for {peak} in flight: {} B each", kept / peak);
+        assert!(kept <= 40 * peak, "{kept} B kept for {peak} in flight: {} B each", kept / peak);
+    }
+
+    #[test]
+    fn credit_gives_completion_plus_ssd_cpu_minus_arrival() {
+        let slot = small_write(&RaidModel::paper_default(8192).layout, 0);
+        let cases = [
+            // Arrival 0: the credit is the SSD/CPU time itself.
+            (SimTime::ZERO, SimTime::from_micros(90), SimTime::from_millis(12)),
+            // Arrival past the SSD/CPU time: the credit wraps below zero.
+            (SimTime::from_secs(3), SimTime::from_micros(90), SimTime::from_secs(4)),
+            // No SSD/CPU time at all.
+            (SimTime::from_secs(3), SimTime::ZERO, SimTime::from_secs(3)),
+            // A large arrival time, completing near the top of the clock.
+            (
+                SimTime::from_nanos(u64::MAX - 10_000_000),
+                SimTime::from_nanos(1),
+                SimTime::from_nanos(u64::MAX - 1),
+            ),
+        ];
+        for (arrival, ssd_cpu, completion) in cases {
+            let timed = slot.timed(arrival, ssd_cpu);
+            assert_eq!(timed.credit, ssd_cpu.as_nanos().wrapping_sub(arrival.as_nanos()));
+            assert_eq!(
+                timed.response(completion),
+                completion - arrival + ssd_cpu,
+                "arrival {arrival}, ssd_cpu {ssd_cpu}, completion {completion}"
+            );
+            assert_eq!(timed.response(arrival), ssd_cpu, "no disk time: the response is ssd_cpu");
+        }
+    }
+
+    #[test]
+    fn slot_table_matches_a_vec_and_a_lifo_free_list() {
+        // Seeded admit/finish histories that climb past three chunk
+        // boundaries (ids 1023/1024, 2047/2048, 3071/3072), drain, then
+        // churn, checked against a plain model at every step: the id handed
+        // out, the length and the chunk count, and the contents of the
+        // newest live slot (of every live slot each 97th step, or while
+        // fewer than 64 are live).
+        for seed in 0..4u64 {
+            let mut state = seed;
+            let mut table = SlotTable::default();
+            let mut model_slots: Vec<Slot> = Vec::new();
+            let mut model_free: Vec<u32> = Vec::new();
+            let mut live: Vec<u32> = Vec::new();
+            let mut peak = 0;
+            for step in 0..30_000u32 {
+                let r = kdd_util::rng::splitmix64(&mut state);
+                // Admit three in four steps for the first third, then one
+                // in four, then one in two.
+                let admit_per_4 = if step < 10_000 {
+                    3
+                } else if step < 20_000 {
+                    1
+                } else {
+                    2
+                };
+                if live.is_empty() || r % 4 < admit_per_4 {
+                    let b = r.to_le_bytes();
+                    let slot = Slot {
+                        disk_page: r >> 20,
+                        credit: r.rotate_left(17),
+                        members: [u16::from(b[1] % 7), ABSENT, ABSENT],
+                        rounds_left: b[2] % 3,
+                        outstanding: b[3] % 4,
+                    };
+                    let (chunks_before, freed_waiting) =
+                        (table.chunks.len(), !model_free.is_empty());
+                    let want = model_free.pop().unwrap_or_else(|| {
+                        model_slots.push(slot);
+                        u32::try_from(model_slots.len() - 1).expect("small")
+                    });
+                    model_slots[want as usize] = slot;
+                    let got = table.admit(slot).expect("ids left");
+                    assert_eq!(got, want, "seed {seed} step {step}: id handed out");
+                    if freed_waiting {
+                        assert_eq!(table.chunks.len(), chunks_before, "seed {seed} step {step}");
+                    }
+                    live.push(got);
+                } else {
+                    let at = usize::try_from(r >> 40).expect("fits") % live.len();
+                    let id = live.swap_remove(at);
+                    table.release(id);
+                    model_free.push(id);
+                }
+                peak = peak.max(live.len());
+                assert_eq!(table.len, peak, "seed {seed} step {step}: length is the peak live");
+                assert_eq!(table.len, model_slots.len(), "seed {seed} step {step}");
+                assert_eq!(table.chunks.len(), table.len.div_ceil(CHUNK), "seed {seed} {step}");
+                if step % 97 == 0 || live.len() < 64 {
+                    for &id in &live {
+                        assert_eq!(table[id], model_slots[id as usize], "seed {seed} slot {id}");
+                    }
+                } else if let Some(&id) = live.last() {
+                    assert_eq!(table[id], model_slots[id as usize], "seed {seed} slot {id}");
+                }
+            }
+            assert!(peak > 3 * CHUNK, "seed {seed}: peak {peak} stops short of a third boundary");
+            assert_eq!(table.free_len(), model_free.len(), "seed {seed}");
+        }
     }
 
     /// The replayer as it stood before the inline-state rewrite, verbatim:
