@@ -455,7 +455,7 @@ impl KddEngine {
             nv,
             metalog,
             delta_loc: FastMap::default(),
-            dez: DezIndex::default(),
+            dez: DezIndex::new(config.geometry.total_pages),
             pending_rows: PendingRows::default(),
             stats: CacheStats::default(),
             meta_pages: config.meta_partition_pages(),
@@ -1491,7 +1491,10 @@ impl KddEngine {
                 }
             }
             self.scratch.lbas = lbas;
-            let DezPacker { page, refs: moved, .. } = packer;
+            let DezPacker { page, refs: mut moved, .. } = packer;
+            // The merged page's deltas in its index order, as the counting
+            // copy re-logs them.
+            moved.sort_unstable_by_key(|&(lba, _)| lba);
             let dt = self.ssd.write_page(self.slot_lpn(dst), &page)?;
             self.charge_stage(Stage::StagingCommit, dt, t);
             self.pool.release(page);
@@ -1699,7 +1702,8 @@ impl KddEngine {
         let layout = self.raid.layout();
         let mut cache = Self::empty_cache(&config, &self.raid);
         let mut delta_loc: FastMap<u64, DeltaLoc> = FastMap::default();
-        let mut dez = std::mem::take(&mut self.dez).emptied();
+        let mut dez = std::mem::take(&mut self.dez);
+        dez.clear();
         let mut pending_rows = PendingRows::default();
         for e in recovered.values() {
             match e.state {

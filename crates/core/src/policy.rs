@@ -39,10 +39,6 @@ use kdd_trace::record::Op;
 use kdd_util::hash::FastMap;
 use kdd_util::lru::GhostList;
 
-/// Synthetic slot ids for statically-partitioned DEZ pages (kept above
-/// any real directory slot).
-const FIXED_DEZ_BASE: u32 = u32::MAX / 2;
-
 /// Metadata pages a log operation lent.
 ///
 /// # Panics
@@ -112,10 +108,10 @@ pub struct KddPolicy {
     old_pages: u64,
     /// LARC-style ghost list (lazy admission extension).
     ghost: Option<GhostList>,
-    /// Fixed-partition mode: remaining reserved DEZ slots and the next
-    /// synthetic DEZ id (ids live above the directory's slot range).
-    fixed_dez_free: u64,
-    next_fixed_dez_id: u32,
+    /// Fixed-partition mode: the partition's free DEZ ids, the most
+    /// recently freed last. The ids are the slots just above the DAZ
+    /// directory's.
+    fixed_dez_ids: Vec<u32>,
 }
 
 impl KddPolicy {
@@ -130,11 +126,13 @@ impl KddPolicy {
         // Fixed DEZ partitioning shrinks the directory to the DAZ share
         // and puts the reserved slots in a simple pool.
         let mut geometry = config.geometry;
-        let mut fixed_dez = 0u64;
+        let mut fixed_dez_ids = Vec::new();
         if let Some(f) = config.fixed_dez_fraction {
             assert!((0.0..1.0).contains(&f), "DEZ fraction must be in [0,1)");
-            fixed_dez = (geometry.total_pages as f64 * f) as u64;
+            let fixed_dez = (geometry.total_pages as f64 * f) as u64;
             geometry.total_pages = (geometry.total_pages - fixed_dez).max(1);
+            let ids = geometry.total_pages..geometry.total_pages + fixed_dez;
+            fixed_dez_ids = ids.rev().map(|id| id as u32).collect();
         }
         KddPolicy {
             cache: SetAssocCache::new_grouped(geometry, grouping),
@@ -144,7 +142,7 @@ impl KddPolicy {
             metalog: MetaLog::new(config.meta_partition_pages(), epp),
             pending: PendingRows::default(),
             delta_loc: FastMap::default(),
-            dez: DezIndex::default(),
+            dez: DezIndex::new(config.geometry.total_pages),
             scratch_lbas: Vec::new(),
             scratch_staged: Vec::new(),
             stats: CacheStats::default(),
@@ -153,8 +151,7 @@ impl KddPolicy {
             ghost: config
                 .lazy_admission
                 .then(|| GhostList::new(config.geometry.total_pages as usize)),
-            fixed_dez_free: fixed_dez,
-            next_fixed_dez_id: FIXED_DEZ_BASE,
+            fixed_dez_ids,
         }
     }
 
@@ -204,8 +201,8 @@ impl KddPolicy {
     }
 
     fn free_dez_slot(&mut self, slot: u32) {
-        if slot >= FIXED_DEZ_BASE {
-            self.fixed_dez_free += 1;
+        if self.config.fixed_dez_fraction.is_some() {
+            self.fixed_dez_ids.push(slot);
         } else {
             self.cache.free_slot(slot);
         }
@@ -280,22 +277,17 @@ impl KddPolicy {
         }
     }
 
-    /// A slot for a new DEZ page: the fixed partition's pool, else a free
-    /// slot from the set with the fewest DEZ pages (compacting first if
-    /// that frees one), else the slot of the evicted
+    /// A slot for a new DEZ page: the fixed partition's last freed id,
+    /// else a free slot from the set with the fewest DEZ pages (compacting
+    /// first if that frees one), else the slot of the evicted
     /// [`SetAssocCache::dez_victim`].
     fn alloc_dez_slot(&mut self, fx: &mut Effects) -> Option<u32> {
         if self.config.fixed_dez_fraction.is_some() {
-            if self.fixed_dez_free == 0 {
+            if self.fixed_dez_ids.is_empty() {
                 self.compact_dez(fx); // try to reclaim partition slots
             }
-            if self.fixed_dez_free > 0 {
-                self.fixed_dez_free -= 1;
-                let id = self.next_fixed_dez_id;
-                self.next_fixed_dez_id = self.next_fixed_dez_id.wrapping_add(1).max(FIXED_DEZ_BASE);
-                return Some(id);
-            }
-            return None; // the static partition is full — that's the point
+            // None: the static partition is full — that's the point.
+            return self.fixed_dez_ids.pop();
         }
         if let Some(slot) = self.cache.alloc_delta_slot() {
             return Some(slot);
@@ -618,12 +610,47 @@ mod tests {
         }
         // The victims of every merge are held to the stable sort by
         // `plan_merge`'s own tests; here, that the bound changes no decision:
-        // 986 merges, as with a scan on every loop entry (before PR 19).
+        // 999 merges, as with a scan on every loop entry.
         let crate::MergeBound { entries, skips, merges, .. } = p.dez.bound();
-        assert_eq!(merges, 986, "the bound must not change which merges run");
+        assert_eq!(merges, 999, "the bound must not change which merges run");
         // Each skip was checked against the scan it replaced (the debug
         // assertion in `plan_merge`); most entries must be skips.
         assert!(skips * 10 >= entries * 7, "bound skipped {skips} of {entries} scans — under 70 %");
+    }
+
+    /// Fixed-partition DEZ ids come back last-freed first and stay inside
+    /// the partition, the slots just above the DAZ directory's: alloc/free
+    /// cycles totalling ten times the partition never issue a live id
+    /// twice, and a full partition issues none.
+    #[test]
+    fn fixed_dez_ids_are_recycled_inside_the_partition() {
+        let g = CacheGeometry { total_pages: 128, ways: 8, page_size: 4096 };
+        let mut config = KddConfig::new(g);
+        config.fixed_dez_fraction = Some(0.10);
+        let model = Box::new(FixedDeltaModel::new(0.25));
+        let mut p = KddPolicy::new(config, RaidModel::paper_default(100_000), model);
+        let partition = 116u32..128; // 12 reserved slots above 116 DAZ slots
+        let mut fx = Effects::default();
+        let (mut live, mut issued) = (Vec::new(), 0);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        while issued < 10 * partition.len() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            if live.len() == partition.len() {
+                assert_eq!(p.alloc_dez_slot(&mut fx), None, "the partition is full");
+            }
+            if live.is_empty() || (live.len() < partition.len() && (x >> 40) % 3 != 0) {
+                let id = p.alloc_dez_slot(&mut fx).expect("a free id");
+                assert!(partition.contains(&id), "id {id} outside the partition");
+                assert!(!live.contains(&id), "id {id} issued while live");
+                live.push(id);
+                issued += 1;
+            } else {
+                let freed = live.swap_remove((x >> 33) as usize % live.len());
+                p.free_dez_slot(freed);
+                assert_eq!(p.alloc_dez_slot(&mut fx), Some(freed), "last freed, first issued");
+                p.free_dez_slot(freed);
+            }
+        }
     }
 
     /// The engine's live-byte recount, on the counting copy: seeded random

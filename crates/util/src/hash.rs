@@ -87,180 +87,6 @@ pub type FastMap<K, V> = std::collections::HashMap<K, V, FastHasherBuilder>;
 #[allow(clippy::disallowed_types, reason = "a fixed hasher iterates in the same order every run")]
 pub type FastSet<K> = std::collections::HashSet<K, FastHasherBuilder>;
 
-/// Entries a table of `buckets` buckets holds with no tombstone (hashbrown's
-/// `bucket_mask_to_capacity`).
-fn full_cap(buckets: usize) -> usize {
-    if buckets < 8 {
-        buckets.saturating_sub(1)
-    } else {
-        buckets / 8 * 7
-    }
-}
-
-/// Buckets std allocates to hold `capacity` entries (hashbrown's
-/// `capacity_to_buckets`); `with_capacity(full_cap(b))` allocates `b`.
-fn cap_to_buckets(capacity: usize) -> usize {
-    if capacity < 4 {
-        4
-    } else if capacity < 8 {
-        8
-    } else {
-        (capacity * 8 / 7).next_power_of_two()
-    }
-}
-
-/// A [`FastSet<u64>`] that grows through a [`SpareSets`] free list,
-/// iterating under any history exactly as a plain std set with that history
-/// would.
-///
-/// It records its bucket count: once removals leave tombstones,
-/// `capacity()` no longer tells it. Reads go through `Deref`; inserts go
-/// through [`insert`](Self::insert) and [`extend`](Self::extend), which
-/// take the free list. There is no `DerefMut`, so no insert can grow the
-/// set behind the free list and leave the count stale. A clone keeps the
-/// count: std's clone copies the layout.
-#[derive(Debug, Clone, Default)]
-pub struct RecycledSet {
-    set: FastSet<u64>,
-    /// 0 until the first insert allocates.
-    buckets: usize,
-}
-
-impl std::ops::Deref for RecycledSet {
-    type Target = FastSet<u64>;
-    fn deref(&self) -> &FastSet<u64> {
-        &self.set
-    }
-}
-
-impl RecycledSet {
-    /// The bucket count std would have given this set (0 before its first
-    /// insert).
-    pub fn buckets(&self) -> usize {
-        self.buckets
-    }
-
-    /// Insert `key`, growing through `spare` where std's insert would grow;
-    /// whether it was new.
-    pub fn insert(&mut self, spare: &mut SpareSets, key: u64) -> bool {
-        // std's insert reserves room for one key before it looks the key
-        // up, so it grows a full set even for a present key.
-        spare.reserve(self, 1);
-        self.set.insert(key)
-    }
-
-    /// Insert every key, reserving up front as std's `extend` does: the
-    /// iterator's lower size hint on an empty set, half of it otherwise.
-    pub fn extend(&mut self, spare: &mut SpareSets, keys: impl IntoIterator<Item = u64>) {
-        let keys = keys.into_iter();
-        let hint = keys.size_hint().0;
-        spare.reserve(self, if self.set.is_empty() { hint } else { hint.div_ceil(2) });
-        for key in keys {
-            self.insert(spare, key);
-        }
-    }
-
-    /// Remove `key`; whether it was present.
-    pub fn remove(&mut self, key: &u64) -> bool {
-        self.set.remove(key)
-    }
-
-    /// Take every key, in iteration order, keeping the buckets.
-    pub fn drain(&mut self) -> std::collections::hash_set::Drain<'_, u64> {
-        self.set.drain()
-    }
-
-    /// Drop every key, keeping the buckets.
-    pub fn clear(&mut self) {
-        self.set.clear();
-    }
-}
-
-/// Emptied sets of every bucket count, and the growth step of each
-/// [`RecycledSet`] that draws on them.
-///
-/// A set's layout depends on its bucket count and on its history since it
-/// was last resized. When std resizes, it places the old set's keys into
-/// fresh buckets in the old set's iteration order. So when a set must
-/// grow, the free list does the same: it picks the bucket count std would
-/// pick, takes an emptied set of that count (or allocates one only when
-/// none waits), refills it in the old set's iteration order and keeps the
-/// old set. The result is laid out exactly as std's own resize would lay it
-/// out. A rehash in place (tombstones taking up half the room) keeps the
-/// buckets and is left to std.
-#[derive(Debug, Default)]
-pub struct SpareSets {
-    /// `free[n]`: emptied sets of `1 << n` buckets.
-    free: Vec<Vec<FastSet<u64>>>,
-}
-
-impl SpareSets {
-    /// Keep `set`'s buckets, emptied, for a later growth step to that size.
-    pub fn give(&mut self, set: RecycledSet) {
-        let RecycledSet { mut set, buckets } = set;
-        // `drain`, not `clear`: std's `clear` keeps the tombstones of a set
-        // whose keys were all removed already.
-        drop(set.drain());
-        self.keep(set, buckets);
-    }
-
-    /// Sets of `buckets` buckets waiting.
-    pub fn spares(&self, buckets: usize) -> usize {
-        self.free.get(buckets.trailing_zeros() as usize).map_or(0, Vec::len)
-    }
-
-    /// Sets waiting, of any size.
-    pub fn len(&self) -> usize {
-        self.free.iter().map(Vec::len).sum()
-    }
-
-    /// Whether no set is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.free.iter().all(Vec::is_empty)
-    }
-
-    /// Keep an emptied, tombstone-free set of `buckets` buckets.
-    fn keep(&mut self, set: FastSet<u64>, buckets: usize) {
-        if buckets == 0 {
-            return; // never allocated
-        }
-        let n = buckets.trailing_zeros() as usize;
-        if self.free.len() <= n {
-            self.free.resize_with(n + 1, Vec::new);
-        }
-        self.free[n].push(set);
-    }
-
-    /// std's `reserve(additional)` on `t`, with any resize done here.
-    fn reserve(&mut self, t: &mut RecycledSet, additional: usize) {
-        let (len, full) = (t.set.len(), full_cap(t.buckets));
-        if additional > t.set.capacity() - len && len + additional > full / 2 {
-            let buckets = cap_to_buckets((len + additional).max(full + 1));
-            let mut grown = self
-                .free
-                .get_mut(buckets.trailing_zeros() as usize)
-                .and_then(Vec::pop)
-                .unwrap_or_else(|| {
-                    FastSet::with_capacity_and_hasher(full_cap(buckets), FastHasherBuilder)
-                });
-            debug_assert_eq!(grown.capacity(), full_cap(buckets), "std's sizing rules moved");
-            grown.extend(t.set.drain());
-            let old = std::mem::replace(&mut t.set, grown);
-            self.keep(old, std::mem::replace(&mut t.buckets, buckets));
-        }
-        // What is left is std's own: nothing, or a rehash in place.
-        t.set.reserve(additional);
-    }
-}
-
-/// Clones start with an empty free list, as [`PagePool`](crate::PagePool)
-/// clones do: reuse in one never depends on activity in another.
-impl Clone for SpareSets {
-    fn clone(&self) -> Self {
-        SpareSets::default()
-    }
-}
-
 /// The reflected IEEE 802.3 polynomial.
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
@@ -376,76 +202,6 @@ mod tests {
         for i in 0..1000 {
             assert_eq!(m.get(&i), Some(&(i * 3)));
         }
-    }
-
-    /// The std (hashbrown) rules `SpareSets` reproduces. If a toolchain
-    /// changes them, this fails first, by name, rather than the figure pins.
-    #[test]
-    fn std_growth_rules_are_the_ones_spare_tables_encodes() {
-        // Successive inserts walk the full capacities of 4, 8, 16, ... buckets.
-        let mut set = FastSet::<u64>::default();
-        let mut caps = Vec::new();
-        for key in 0..113 {
-            set.insert(key);
-            if caps.last() != Some(&set.capacity()) {
-                caps.push(set.capacity());
-            }
-        }
-        assert_eq!(caps, [3, 7, 14, 28, 56, 112, 224]);
-        let buckets: Vec<usize> = (2..9).map(|n| 1 << n).collect();
-        assert_eq!(caps, buckets.iter().map(|&b| full_cap(b)).collect::<Vec<_>>());
-        for &b in &buckets {
-            let table = FastSet::<u64>::with_capacity_and_hasher(full_cap(b), FastHasherBuilder);
-            assert_eq!(table.capacity(), full_cap(b), "with_capacity(full_cap({b}))");
-        }
-        for c in 1..=224 {
-            let table = FastSet::<u64>::with_capacity_and_hasher(c, FastHasherBuilder);
-            assert_eq!(table.capacity(), full_cap(cap_to_buckets(c)), "with_capacity({c})");
-        }
-
-        // An insert reserves room before it looks its key up: a full table
-        // grows even when the key is present.
-        let mut set = FastSet::<u64>::default();
-        set.extend([1, 2, 3]);
-        assert_eq!(set.capacity(), 3);
-        set.insert(2);
-        assert_eq!(set.capacity(), 7, "insert of a present key at full capacity");
-
-        // Churn a 32-bucket set at 13 keys until tombstones take up all
-        // spare room: 14 keys fit in half of `full_cap(32)`, so the next
-        // insert rehashes in place (capacity 28) instead of growing (56).
-        let mut set = FastSet::with_capacity_and_hasher(full_cap(32), FastHasherBuilder);
-        let mut keys: std::collections::VecDeque<u64> = (1000..1028).collect();
-        set.extend(keys.iter().copied());
-        for key in keys.drain(..15) {
-            set.remove(&key);
-        }
-        let mut next = 1028;
-        while set.capacity() > set.len() {
-            assert!(next < 2000, "no tombstone build-up");
-            if let Some(old) = keys.pop_front() {
-                set.remove(&old);
-            }
-            set.insert(next);
-            keys.push_back(next);
-            next += 1;
-        }
-        assert_eq!((set.len(), set.capacity()), (13, 13));
-
-        // `clear` keeps the tombstones of a set whose keys are all
-        // removed; `drain` drops them, so `SpareSets::give` drains.
-        let mut emptied = set.clone();
-        for key in &keys {
-            emptied.remove(key);
-        }
-        let mut cleared = emptied.clone();
-        cleared.clear();
-        assert!(cleared.capacity() < full_cap(32), "clear of an emptied table");
-        drop(emptied.drain());
-        assert_eq!(emptied.capacity(), full_cap(32), "drain");
-
-        set.insert(next);
-        assert_eq!(set.capacity(), 28, "rehash in place, not a resize");
     }
 
     #[test]

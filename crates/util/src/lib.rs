@@ -9,6 +9,8 @@
 //! * [`lru`] — an intrusive, slab-backed LRU list used by the set-associative
 //!   cache;
 //! * [`hash`] — a fast 64-bit mixing hash used to map LBAs to cache sets;
+//! * [`sorted`] — small ascending sets of `u64` keys and the free list of
+//!   emptied vectors they grow into;
 //! * [`pool`] — a bounded free list of page buffers so hot paths recycle
 //!   pages instead of allocating per operation;
 //! * [`rng`] — deterministic RNG construction helpers;
@@ -21,6 +23,7 @@ pub mod lru;
 pub mod pool;
 pub mod rng;
 pub mod sampler;
+pub mod sorted;
 pub mod stats;
 pub mod units;
 
