@@ -42,7 +42,7 @@ use kdd_cache::stats::CacheStats;
 use kdd_delta::codec;
 use kdd_delta::xor::xor_pages_into;
 use kdd_obs::{Completion, HitClass, Recorder, ReqKind, Sample, Stage, StageTimes};
-use kdd_raid::array::{RaidArray, RaidCost, RaidError};
+use kdd_raid::array::{RaidArray, RaidError};
 use kdd_util::hash::{crc32_update, FastMap};
 use kdd_util::units::SimTime;
 use kdd_util::PagePool;
@@ -1169,9 +1169,8 @@ impl KddEngine {
     /// return value.
     fn read_array(&mut self, lba: u64, t: &mut SimTime) -> Result<Vec<u8>, EngineError> {
         let mut buf = vec![0u8; self.page_size()];
-        let cost = self.raid.read_page(lba, &mut buf)?;
-        self.charge_raid(&cost);
-        self.charge_stage(Stage::RaidRead, DISK_OP * cost.reads().max(1) as u64, t);
+        let cost = self.raid_call(|raid| raid.read_page(lba, &mut buf))?;
+        self.charge_stage(Stage::RaidRead, DISK_OP * cost.reads.max(1), t);
         Ok(buf)
     }
 
@@ -1179,10 +1178,9 @@ impl KddEngine {
     fn raid_write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime, EngineError> {
         self.cur_stages = StageTimes::new();
         let mut t = SimTime::ZERO;
-        let cost = self.raid.write_page(lba, data)?;
-        self.charge_raid(&cost);
+        let cost = self.raid_call(|raid| raid.write_page(lba, data))?;
         self.bump(false, false);
-        self.charge_stage(Stage::RaidWrite, DISK_OP * 2 * cost.writes().max(1) as u64, &mut t);
+        self.charge_stage(Stage::RaidWrite, DISK_OP * 2 * cost.writes.max(1), &mut t);
         Ok(t)
     }
 
@@ -1257,15 +1255,10 @@ impl KddEngine {
                     // cut short, the previous delta still matches the
                     // previous member content and recovery stays
                     // consistent.
-                    match self.raid.write_no_parity_update(lba, data) {
+                    match self.raid_call(|raid| raid.write_no_parity_update(lba, data)) {
                         Ok(cost) => {
-                            self.charge_raid(&cost);
                             self.last_class = HitClass::WriteHitDelta;
-                            self.charge_stage(
-                                Stage::RaidWrite,
-                                DISK_OP * cost.writes() as u64,
-                                &mut t,
-                            );
+                            self.charge_stage(Stage::RaidWrite, DISK_OP * cost.writes, &mut t);
                             if self.cache.state(slot) == PageState::Clean {
                                 self.cache.set_state(slot, PageState::Old);
                             }
@@ -1309,14 +1302,9 @@ impl KddEngine {
                     // current member data, absorbing every pending delta
                     // of the row — clean_row afterwards only reclaims
                     // (its parity step is skipped once staleness cleared).
-                    let cost = self.raid.write_page(lba, data)?;
-                    self.charge_raid(&cost);
+                    let cost = self.raid_call(|raid| raid.write_page(lba, data))?;
                     self.last_class = HitClass::WriteHitThrough;
-                    self.charge_stage(
-                        Stage::RaidWrite,
-                        DISK_OP * 2 * cost.writes().max(1) as u64,
-                        &mut t,
-                    );
+                    self.charge_stage(Stage::RaidWrite, DISK_OP * 2 * cost.writes.max(1), &mut t);
                     // Reclaim the old mapping and its flash copies, then
                     // re-insert the new version clean. A crash in between
                     // leaves the lba uncached with the data already safe
@@ -1350,8 +1338,7 @@ impl KddEngine {
     ) -> Result<(), EngineError> {
         let row = self.raid.layout().row_of(lba);
         self.clean_row(row, t)?;
-        let cost = self.raid.write_page(lba, data)?;
-        self.charge_raid(&cost);
+        self.raid_call(|raid| raid.write_page(lba, data))?;
         // Read round + write round.
         self.charge_stage(Stage::RaidWrite, DISK_OP * 2, t);
         self.fill_clean(lba, data, t)
@@ -1419,10 +1406,19 @@ impl KddEngine {
         }
     }
 
-    /// Fold one RAID operation's member-disk cost into the counters.
-    fn charge_raid(&mut self, cost: &RaidCost) {
-        self.stats.raid_reads += cost.reads() as u64;
-        self.stats.raid_writes += cost.writes() as u64;
+    /// Run one array call and charge `raid_reads`/`raid_writes` with what
+    /// the array's ledger gained over it — on an error exit too, as a
+    /// failed attempt's SSD I/O is counted.
+    fn raid_call<T>(
+        &mut self,
+        call: impl FnOnce(&mut RaidArray) -> Result<T, RaidError>,
+    ) -> Result<T, RaidError> {
+        let start = self.raid.totals();
+        let out = call(&mut self.raid);
+        let gained = self.raid.cost_since(start);
+        self.stats.raid_reads += gained.reads;
+        self.stats.raid_writes += gained.writes;
+        out
     }
 
     /// Slots the cleaner alone can release: *old* pages and DEZ pages.
@@ -1551,13 +1547,12 @@ impl KddEngine {
                         .ok_or(EngineError::Inconsistent("row member vanished from cache"))?;
                     datas.push(self.read_cached_pooled(l, slot, t)?);
                 }
-                let cost = self.raid.parity_update_with_data(row, &datas)?;
+                let cost = self.raid_call(|raid| raid.parity_update_with_data(row, &datas))?;
                 for page in datas.drain(..) {
                     self.pool.release(page);
                 }
                 self.scratch.row_pages = datas;
-                self.charge_raid(&cost);
-                self.charge_stage(Stage::ParityRmw, DISK_OP * cost.writes() as u64, t);
+                self.charge_stage(Stage::ParityRmw, DISK_OP * cost.writes, t);
             } else {
                 // RMW: fold each pending page's decompressed delta.
                 let mut pend = std::mem::take(&mut self.scratch.lbas);
@@ -1572,23 +1567,21 @@ impl KddEngine {
                     deltas.push((self.raid.layout().locate(lba).data_index, full));
                 }
                 self.scratch.lbas = pend;
-                let cost = match self.raid.parity_update_rmw(row, &deltas) {
-                    Ok(c) => c,
+                let cost = self.raid_call(|raid| match raid.parity_update_rmw(row, &deltas) {
                     // The parity member of this row is dead, so there is
                     // nothing to fold deltas into. Resync instead: it
                     // recomputes from the live data members (all current —
                     // the deltas' data halves were dispatched at write
                     // time), skips the dead disk, and clears the stale
                     // mark so a later rebuild can re-derive the parity.
-                    Err(RaidError::DiskFailed { .. }) => self.raid.resync(Some(&[row]))?,
-                    Err(e) => return Err(e.into()),
-                };
+                    Err(RaidError::DiskFailed { .. }) => raid.resync(Some(&[row])),
+                    done => done,
+                })?;
                 for (_, full) in deltas.drain(..) {
                     self.pool.release(full);
                 }
                 self.scratch.deltas = deltas;
-                self.charge_raid(&cost);
-                self.charge_stage(Stage::ParityRmw, DISK_OP * cost.ops.len() as u64, t);
+                self.charge_stage(Stage::ParityRmw, DISK_OP * (cost.reads + cost.writes), t);
             }
             self.stats.parity_updates += 1;
         }
@@ -1793,14 +1786,12 @@ impl KddEngine {
             for lba in layout.row_lpns(row).filter(alive) {
                 let Some(slot) = self.cache.lookup(lba) else { continue };
                 let data = self.read_cached_pooled(lba, slot, &mut t)?;
-                let cost = self.raid.write_no_parity_update(lba, &data)?;
+                self.raid_call(|raid| raid.write_no_parity_update(lba, &data))?;
                 self.pool.release(data);
-                self.charge_raid(&cost);
             }
         }
         if !resyncable.is_empty() {
-            let cost = self.raid.resync(Some(&resyncable))?;
-            self.charge_raid(&cost);
+            self.raid_call(|raid| raid.resync(Some(&resyncable)))?;
         }
         self.cur_stages = StageTimes::new();
         Ok(())
@@ -1818,9 +1809,8 @@ impl KddEngine {
 
     fn rebuild_after_ssd_loss(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
         self.ssd.fail();
-        let cost = self.raid.resync(None)?;
-        self.charge_raid(&cost);
-        self.charge_stage(Stage::RaidReconstruct, DISK_OP * cost.ops.len() as u64, t);
+        let cost = self.raid_call(|raid| raid.resync(None))?;
+        self.charge_stage(Stage::RaidReconstruct, DISK_OP * (cost.reads + cost.writes), t);
         self.ssd.replace();
         self.cache = Self::empty_cache(&self.config, &self.raid);
         self.payloads.release(self.nv.get_mut().staging.drain().map(|(_, payload)| payload));
@@ -1846,9 +1836,8 @@ impl KddEngine {
     }
 
     fn rebuild_failed_disk(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        let cost = self.raid.rebuild()?;
-        self.charge_raid(&cost);
-        let dt = DISK_OP * (cost.ops.len() as u64 / self.raid.layout().disks as u64).max(1);
+        let cost = self.raid_call(RaidArray::rebuild)?;
+        let dt = DISK_OP * ((cost.reads + cost.writes) / self.raid.layout().disks as u64).max(1);
         self.charge_stage(Stage::RaidReconstruct, dt, t);
         Ok(())
     }

@@ -23,8 +23,8 @@
 //! Reconstruction (degraded reads and [`RaidArray::rebuild`]) honours the
 //! members' sparseness. A member page [`MemStore::lend`] reports
 //! *unwritten* — it reads as zeros because nothing is stored — contributes
-//! nothing to an XOR or GF(2^8) sum: its read is booked in [`RaidCost`]
-//! and [`DiskStats`] like any other, and no byte is touched. A row none of
+//! nothing to an XOR or GF(2^8) sum: its read is booked in [`DiskStats`]
+//! like any other, and no byte is touched. A row none of
 //! whose surviving members folded any bytes solves to zeros for every
 //! lost member, which is what the replacement already reads there: such a
 //! row costs the accounting of its member I/Os and nothing else.
@@ -44,122 +44,15 @@ use kdd_util::hash::FastSet;
 use kdd_util::PagePool;
 use serde::{Deserialize, Serialize};
 
-/// Direction of one member-disk operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoKind {
-    /// Disk read.
-    Read,
-    /// Disk write.
-    Write,
-}
-
-/// One physical I/O issued to a member disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiskOp {
-    /// Member-disk index.
-    pub disk: usize,
-    /// Page offset on that disk.
-    pub disk_page: u64,
-    /// Read or write.
-    pub kind: IoKind,
-}
-
-/// Operations a [`DiskOps`] list holds without allocating: a RAID-6
-/// small write issues six, so every per-request cost fits.
-const INLINE_OPS: usize = 8;
-
-/// A list of [`DiskOp`]s in issue order, read as a slice. The first eight
-/// (`INLINE_OPS`) live in the value itself; a longer list (resync,
-/// rebuild) moves to the heap.
-#[derive(Clone)]
-pub struct DiskOps {
-    inline: [DiskOp; INLINE_OPS],
-    /// Ops held in `inline`; unused once `spill` has taken over.
-    len: usize,
-    spill: Vec<DiskOp>,
-}
-
-impl Default for DiskOps {
-    fn default() -> Self {
-        let unused = DiskOp { disk: 0, disk_page: 0, kind: IoKind::Read };
-        DiskOps { inline: [unused; INLINE_OPS], len: 0, spill: Vec::new() }
-    }
-}
-
-impl DiskOps {
-    /// Make room for `additional` more ops at once (a rebuild knows its
-    /// count up front) instead of by doubling.
-    fn reserve(&mut self, additional: usize) {
-        self.spill.reserve(self.len + additional);
-    }
-
-    fn push(&mut self, op: DiskOp) {
-        if !self.spill.is_empty() {
-            self.spill.push(op);
-        } else if self.len < INLINE_OPS {
-            self.inline[self.len] = op;
-            self.len += 1;
-        } else {
-            self.spill.reserve(2 * INLINE_OPS);
-            self.spill.extend_from_slice(&self.inline);
-            self.spill.push(op);
-        }
-    }
-}
-
-impl std::ops::Deref for DiskOps {
-    type Target = [DiskOp];
-
-    fn deref(&self) -> &[DiskOp] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        }
-    }
-}
-
-impl std::fmt::Debug for DiskOps {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl PartialEq for DiskOps {
-    fn eq(&self, other: &Self) -> bool {
-        self[..] == other[..]
-    }
-}
-
-/// The member-disk operations one array request generated — the input to
-/// the timing layer.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The member-disk I/O one array call issued — the input to the timing
+/// layer. It is what the array's [`DiskStats`] ledger gained over the call,
+/// so the two can never disagree.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RaidCost {
-    /// Operations in issue order.
-    pub ops: DiskOps,
-}
-
-impl RaidCost {
-    fn push(&mut self, disk: usize, disk_page: u64, kind: IoKind) {
-        self.ops.push(DiskOp { disk, disk_page, kind });
-    }
-
-    /// Number of member reads.
-    pub fn reads(&self) -> usize {
-        self.ops.iter().filter(|o| o.kind == IoKind::Read).count()
-    }
-
-    /// Number of member writes.
-    pub fn writes(&self) -> usize {
-        self.ops.iter().filter(|o| o.kind == IoKind::Write).count()
-    }
-
-    /// Merge another cost into this one.
-    pub fn merge(&mut self, other: RaidCost) {
-        for &op in other.ops.iter() {
-            self.ops.push(op);
-        }
-    }
+    /// Member reads.
+    pub reads: u64,
+    /// Member writes.
+    pub writes: u64,
 }
 
 /// Array-level errors.
@@ -293,9 +186,25 @@ impl RaidArray {
         self.layout.capacity_pages()
     }
 
-    /// Per-disk I/O counters.
+    /// The member I/O ledger: each member's completed reads and writes.
     pub fn stats(&self) -> &[DiskStats] {
         &self.stats
+    }
+
+    /// The ledger summed over the members: every member op booked since
+    /// the array was built.
+    pub fn totals(&self) -> RaidCost {
+        RaidCost {
+            reads: self.stats.iter().map(|s| s.reads).sum(),
+            writes: self.stats.iter().map(|s| s.writes).sum(),
+        }
+    }
+
+    /// What the ledger gained since `start`, an earlier
+    /// [`RaidArray::totals`].
+    pub fn cost_since(&self, start: RaidCost) -> RaidCost {
+        let now = self.totals();
+        RaidCost { reads: now.reads - start.reads, writes: now.writes - start.writes }
     }
 
     /// Rows currently carrying stale parity.
@@ -333,50 +242,32 @@ impl RaidArray {
 
     // ---- raw member access with accounting -----------------------------
 
-    /// Count one completed member operation.
-    fn account(&mut self, disk: usize, disk_page: u64, kind: IoKind, cost: &mut RaidCost) {
-        match kind {
-            IoKind::Read => self.stats[disk].reads += 1,
-            IoKind::Write => self.stats[disk].writes += 1,
+    /// Book one completed member operation in the ledger.
+    fn account(&mut self, disk: usize, dir: IoDir) {
+        match dir {
+            IoDir::Read => self.stats[disk].reads += 1,
+            IoDir::Write => self.stats[disk].writes += 1,
         }
-        cost.push(disk, disk_page, kind);
     }
 
-    fn disk_read(
-        &mut self,
-        disk: usize,
-        disk_page: u64,
-        buf: &mut [u8],
-        cost: &mut RaidCost,
-    ) -> Result<(), RaidError> {
+    fn disk_read(&mut self, disk: usize, disk_page: u64, buf: &mut [u8]) -> Result<(), RaidError> {
         self.disks[disk].read_page(disk_page, buf)?;
-        self.account(disk, disk_page, IoKind::Read, cost);
+        self.account(disk, IoDir::Read);
         Ok(())
     }
 
-    fn disk_write(
-        &mut self,
-        disk: usize,
-        disk_page: u64,
-        data: &[u8],
-        cost: &mut RaidCost,
-    ) -> Result<(), RaidError> {
+    fn disk_write(&mut self, disk: usize, disk_page: u64, data: &[u8]) -> Result<(), RaidError> {
         self.disks[disk].write_page(disk_page, data)?;
-        self.account(disk, disk_page, IoKind::Write, cost);
+        self.account(disk, IoDir::Write);
         Ok(())
     }
 
     /// [`RaidArray::disk_read`] without the copy: the member lends the page,
     /// `None` for an unwritten one that reads as zeros ([`MemStore::lend`]).
-    fn disk_page(
-        &mut self,
-        disk: usize,
-        disk_page: u64,
-        cost: &mut RaidCost,
-    ) -> Result<Option<&[u8]>, RaidError> {
+    fn disk_page(&mut self, disk: usize, disk_page: u64) -> Result<Option<&[u8]>, RaidError> {
         let page = self.disks[disk].lend(disk_page)?;
+        // Booked by hand: `page` borrows `disks`, so `account` cannot run.
         self.stats[disk].reads += 1;
-        cost.push(disk, disk_page, IoKind::Read);
         Ok(page)
     }
 
@@ -386,12 +277,11 @@ impl RaidArray {
         &mut self,
         disk: usize,
         disk_page: u64,
-        cost: &mut RaidCost,
         f: impl FnOnce(&mut [u8]),
     ) -> Result<(), RaidError> {
         self.disks[disk].update_page(disk_page, f)?;
-        self.account(disk, disk_page, IoKind::Read, cost);
-        self.account(disk, disk_page, IoKind::Write, cost);
+        self.account(disk, IoDir::Read);
+        self.account(disk, IoDir::Write);
         Ok(())
     }
 
@@ -404,16 +294,15 @@ impl RaidArray {
         &mut self,
         (pd, pp): (usize, u64),
         (qd, qp): (usize, u64),
-        cost: &mut RaidCost,
         f: impl FnOnce(&mut [u8], &mut [u8]),
     ) -> Result<(), RaidError> {
         if pd == qd {
             return Err(RaidError::Inconsistent("P and Q of a row share a member"));
         }
         let p_read = self.disks[pd].issue(pp, IoDir::Read)?;
-        self.account(pd, pp, IoKind::Read, cost);
+        self.account(pd, IoDir::Read);
         let q_read = self.disks[qd].issue(qp, IoDir::Read)?;
-        self.account(qd, qp, IoKind::Read, cost);
+        self.account(qd, IoDir::Read);
         let p_write = Ok(self.disks[pd].issue(pp, IoDir::Write)?);
         let q_write = self.disks[qd].issue(qp, IoDir::Write);
         let (low, high) = self.disks.split_at_mut(pd.max(qd));
@@ -422,9 +311,9 @@ impl RaidArray {
         let q_landed = p_disk.update_issued(pp, &p_read, p_write, |p| {
             q_disk.update_issued(qp, &q_read, q_write, |q| f(p, q))
         })?;
-        self.account(pd, pp, IoKind::Write, cost);
+        self.account(pd, IoDir::Write);
         q_landed?;
-        self.account(qd, qp, IoKind::Write, cost);
+        self.account(qd, IoDir::Write);
         Ok(())
     }
 
@@ -435,10 +324,10 @@ impl RaidArray {
     pub fn read_page(&mut self, lpn: u64, buf: &mut [u8]) -> Result<RaidCost, RaidError> {
         self.check_failures()?;
         let loc = self.layout.locate(lpn);
-        let mut cost = RaidCost::default();
+        let start = self.totals();
         if !self.disks[loc.disk].is_failed() {
-            match self.disk_read(loc.disk, loc.disk_page, buf, &mut cost) {
-                Ok(()) => return Ok(cost),
+            match self.disk_read(loc.disk, loc.disk_page, buf) {
+                Ok(()) => return Ok(self.cost_since(start)),
                 // The member died under this very read (injected drop or
                 // persistent fault): absorb the failure and reconstruct
                 // below, as a real array would.
@@ -473,12 +362,12 @@ impl RaidArray {
             .ok_or(RaidError::TooManyFailures)?;
         let mut other = self.pool.acquire_scratch();
         let out = if wanted == 0 { [&mut *buf, &mut *other] } else { [&mut *other, &mut *buf] };
-        let blank = self.solve_missing(loc.row, missing, out, &mut cost)?;
+        let blank = self.solve_missing(loc.row, missing, out)?;
         self.pool.release(other);
         if blank {
             buf.fill(0);
         }
-        Ok(cost)
+        Ok(self.cost_since(start))
     }
 
     // ---- full-parity writes (the conventional path) ---------------------
@@ -492,11 +381,11 @@ impl RaidArray {
             return Err(RaidError::BadArg("data must be one page"));
         }
         let loc = self.layout.locate(lpn);
-        let mut cost = RaidCost::default();
+        let start = self.totals();
 
         if self.layout.level == RaidLevel::Raid0 {
-            self.disk_write(loc.disk, loc.disk_page, data, &mut cost)?;
-            return Ok(cost);
+            self.disk_write(loc.disk, loc.disk_page, data)?;
+            return Ok(self.cost_since(start));
         }
 
         let target_failed = self.disks[loc.disk].is_failed();
@@ -539,19 +428,19 @@ impl RaidArray {
             // they lie. The pooled buffer is dropped on the (cold) error
             // paths.
             let mut delta = self.pool.acquire_scratch();
-            match self.disk_page(loc.disk, loc.disk_page, &mut cost)? {
+            match self.disk_page(loc.disk, loc.disk_page)? {
                 Some(old) => xor_pages_into(&mut delta, old, data),
                 None => delta.copy_from_slice(data),
             }
             let g = gf256::pow_g(loc.data_index);
             match (p_loc.filter(|_| p_alive), q_loc.filter(|_| q_alive)) {
-                (Some(p), Some(q)) => self.disk_update_pq(p, q, &mut cost, |p, q| {
+                (Some(p), Some(q)) => self.disk_update_pq(p, q, |p, q| {
                     gf256::mul2_slice_into(p, q, &delta, g);
                 })?,
                 (Some((pd, pp)), None) => {
-                    self.disk_update(pd, pp, &mut cost, |p| xor_into(p, &delta))?;
+                    self.disk_update(pd, pp, |p| xor_into(p, &delta))?;
                 }
-                (None, Some((qd, qp))) => self.disk_update(qd, qp, &mut cost, |q| {
+                (None, Some((qd, qp))) => self.disk_update(qd, qp, |q| {
                     gf256::mul_slice_into(q, &delta, g);
                 })?,
                 (None, None) => {}
@@ -568,7 +457,7 @@ impl RaidArray {
             for d in others() {
                 let disk = self.layout.data_disk(loc.stripe, d);
                 // Same offset across the row.
-                let Some(page) = self.disk_page(disk, loc.disk_page, &mut cost)? else { continue };
+                let Some(page) = self.disk_page(disk, loc.disk_page)? else { continue };
                 if q_loc.is_some() {
                     // One pass per member page: P ⊕= D, Q ⊕= g^d·D.
                     gf256::mul2_slice_into(&mut p, &mut q, page, gf256::pow_g(d));
@@ -578,12 +467,12 @@ impl RaidArray {
             }
             if let Some((pd, pp)) = p_loc {
                 if !self.disks[pd].is_failed() {
-                    self.disk_write(pd, pp, &p, &mut cost)?;
+                    self.disk_write(pd, pp, &p)?;
                 }
             }
             if let Some((qd, qp)) = q_loc {
                 if !self.disks[qd].is_failed() {
-                    self.disk_write(qd, qp, &q, &mut cost)?;
+                    self.disk_write(qd, qp, &q)?;
                 }
             }
             self.pool.release(p);
@@ -591,13 +480,13 @@ impl RaidArray {
         }
 
         if !target_failed {
-            self.disk_write(loc.disk, loc.disk_page, data, &mut cost)?;
+            self.disk_write(loc.disk, loc.disk_page, data)?;
         }
         // Every write completed: data and parity agree again. (RMW was only
         // chosen on a previously-clean row; reconstruct-write recomputes
         // parity from all members, repairing any prior staleness too.)
         self.stale_rows.remove(&loc.row);
-        Ok(cost)
+        Ok(self.cost_since(start))
     }
 
     // ---- KDD interfaces --------------------------------------------------
@@ -613,12 +502,12 @@ impl RaidArray {
         if self.disks[loc.disk].is_failed() {
             return Err(RaidError::DiskFailed { disk: loc.disk });
         }
-        let mut cost = RaidCost::default();
-        self.disk_write(loc.disk, loc.disk_page, data, &mut cost)?;
+        let start = self.totals();
+        self.disk_write(loc.disk, loc.disk_page, data)?;
         if self.layout.level != RaidLevel::Raid0 {
             self.stale_rows.insert(loc.row);
         }
-        Ok(cost)
+        Ok(self.cost_since(start))
     }
 
     /// Repair a stale row by reconstruct-write: the caller supplies every
@@ -637,7 +526,7 @@ impl RaidArray {
         if data.iter().any(|d| d.as_ref().len() != ps) {
             return Err(RaidError::BadArg("data pages must be page-sized"));
         }
-        let mut cost = RaidCost::default();
+        let start = self.totals();
         let q_target = self.layout.q_location(row).filter(|&(qd, _)| !self.disks[qd].is_failed());
         let mut p = self.pool.acquire();
         let mut q = self.pool.acquire();
@@ -651,16 +540,16 @@ impl RaidArray {
         }
         if let Some((pd, pp)) = self.layout.parity_location(row) {
             if !self.disks[pd].is_failed() {
-                self.disk_write(pd, pp, &p, &mut cost)?;
+                self.disk_write(pd, pp, &p)?;
             }
         }
         if let Some((qd, qp)) = q_target {
-            self.disk_write(qd, qp, &q, &mut cost)?;
+            self.disk_write(qd, qp, &q)?;
         }
         self.pool.release(p);
         self.pool.release(q);
         self.stale_rows.remove(&row);
-        Ok(cost)
+        Ok(self.cost_since(start))
     }
 
     /// Repair a stale row by read-modify-write: read the stale parity and
@@ -676,7 +565,7 @@ impl RaidArray {
         if deltas.iter().any(|(d, buf)| *d >= self.layout.row_width() || buf.as_ref().len() != ps) {
             return Err(RaidError::BadArg("delta index or size out of range"));
         }
-        let mut cost = RaidCost::default();
+        let start = self.totals();
         let p_target = self.layout.parity_location(row);
         let q_target = self.layout.q_location(row);
         if let Some((pd, _)) = p_target {
@@ -688,7 +577,7 @@ impl RaidArray {
             (Some(p), Some(q)) if !self.disks[q.0].is_failed() => {
                 // Fused P+Q fold: every delta goes into both parities in
                 // one pass; each device still sees [read, write].
-                self.disk_update_pq(p, q, &mut cost, |p, q| {
+                self.disk_update_pq(p, q, |p, q| {
                     for (d, delta) in deltas {
                         gf256::mul2_slice_into(p, q, delta.as_ref(), gf256::pow_g(*d));
                     }
@@ -696,7 +585,7 @@ impl RaidArray {
             }
             _ => {
                 if let Some((pd, pp)) = p_target {
-                    self.disk_update(pd, pp, &mut cost, |p| {
+                    self.disk_update(pd, pp, |p| {
                         for (_, delta) in deltas {
                             xor_into(p, delta.as_ref());
                         }
@@ -710,7 +599,7 @@ impl RaidArray {
             }
         }
         self.stale_rows.remove(&row);
-        Ok(cost)
+        Ok(self.cost_since(start))
     }
 
     /// Re-synchronise rows by reading the data members and recomputing
@@ -722,7 +611,7 @@ impl RaidArray {
             Some(r) => r.to_vec(),
             None => self.stale_rows.iter().copied().collect(),
         };
-        let mut cost = RaidCost::default();
+        let start = self.totals();
         let mut pages: Vec<Box<[u8]>> = Vec::with_capacity(self.layout.row_width());
         for row in targets {
             for lpn in self.layout.row_lpns(row) {
@@ -731,16 +620,15 @@ impl RaidArray {
                     return Err(RaidError::DiskFailed { disk: loc.disk });
                 }
                 let mut buf = self.pool.acquire_scratch();
-                self.disk_read(loc.disk, loc.disk_page, &mut buf, &mut cost)?;
+                self.disk_read(loc.disk, loc.disk_page, &mut buf)?;
                 pages.push(buf);
             }
-            let sub = self.parity_update_with_data(row, &pages)?;
+            self.parity_update_with_data(row, &pages)?;
             for page in pages.drain(..) {
                 self.pool.release(page);
             }
-            cost.merge(sub);
         }
-        Ok(cost)
+        Ok(self.cost_since(start))
     }
 
     // ---- failure handling ------------------------------------------------
@@ -771,6 +659,7 @@ impl RaidArray {
         for &d in &failed {
             self.disks[d].replace();
         }
+        let start = self.totals();
         let rebuilt = self.rebuild_rows(&failed);
         if rebuilt.is_err() {
             // A half-written replacement must not pass for a member: the
@@ -779,38 +668,34 @@ impl RaidArray {
                 self.disks[d].fail();
             }
         }
-        rebuilt
+        rebuilt.map(|()| self.cost_since(start))
     }
 
     /// Reconstruct every row's share of the (just replaced) `failed`
     /// members from the survivors.
-    fn rebuild_rows(&mut self, failed: &[usize]) -> Result<RaidCost, RaidError> {
+    fn rebuild_rows(&mut self, failed: &[usize]) -> Result<(), RaidError> {
         let rows = self.layout.rows();
-        let mut cost = RaidCost::default();
-        // A row's ops: a read per surviving data member, a parity read per
-        // lost one, a write per lost member.
-        cost.ops.reserve(rows as usize * (self.layout.data_disks() + failed.len()));
         let mut first = self.pool.acquire_scratch();
         let mut second = self.pool.acquire_scratch();
         for row in 0..rows {
             let dp = self.row_disk_page(row);
             let missing = self.missing_members(row, failed)?;
-            let blank = self.solve_missing(row, missing, [&mut first, &mut second], &mut cost)?;
+            let blank = self.solve_missing(row, missing, [&mut first, &mut second])?;
             for (lost, content) in missing.iter().zip([&first, &second]) {
                 let Some((_, disk)) = *lost else { continue };
                 if blank {
                     // Zeros, which the fresh replacement already reads:
                     // the write is issued and stores bytes only if corrupted.
                     self.disks[disk].write_zeros(dp)?;
-                    self.account(disk, dp, IoKind::Write, &mut cost);
+                    self.account(disk, IoDir::Write);
                 } else {
-                    self.disk_write(disk, dp, content, &mut cost)?;
+                    self.disk_write(disk, dp, content)?;
                 }
             }
         }
         self.pool.release(first);
         self.pool.release(second);
-        Ok(cost)
+        Ok(())
     }
 
     fn row_disk_page(&self, row: u64) -> u64 {
@@ -860,7 +745,6 @@ impl RaidArray {
         row: u64,
         missing: Missing,
         [first, second]: [&mut [u8]; 2],
-        cost: &mut RaidCost,
     ) -> Result<bool, RaidError> {
         let stripe = self.layout.stripe_of_row(row);
         let dp = self.row_disk_page(row);
@@ -899,7 +783,7 @@ impl RaidArray {
             .chain(read_q.map(|(qd, qp)| (RowMember::Q, qd, qp)));
         let mut blank = true;
         for (member, disk, disk_page) in survivors {
-            let Some(page) = self.disk_page(disk, disk_page, cost)? else { continue };
+            let Some(page) = self.disk_page(disk, disk_page)? else { continue };
             if std::mem::take(&mut blank) {
                 // The first bytes folded: the sums start from zeros.
                 if sum_a {
@@ -959,10 +843,9 @@ impl RaidArray {
         let mut p = self.pool.acquire();
         let mut q = self.pool.acquire();
         let mut buf = self.pool.acquire_scratch();
-        let mut cost = RaidCost::default();
         for (d, lpn) in self.layout.row_lpns(row).enumerate() {
             let loc = self.layout.locate(lpn);
-            self.disk_read(loc.disk, loc.disk_page, &mut buf, &mut cost)?;
+            self.disk_read(loc.disk, loc.disk_page, &mut buf)?;
             gf256::mul2_slice_into(&mut p, &mut q, &buf, gf256::pow_g(d));
         }
         // A mismatch short-circuits exactly as before (the Q parity is not
@@ -970,12 +853,12 @@ impl RaidArray {
         // through the buffer release below.
         let mut ok = true;
         if let Some((pd, pp)) = self.layout.parity_location(row) {
-            self.disk_read(pd, pp, &mut buf, &mut cost)?;
+            self.disk_read(pd, pp, &mut buf)?;
             ok = buf == p;
         }
         if ok {
             if let Some((qd, qp)) = self.layout.q_location(row) {
-                self.disk_read(qd, qp, &mut buf, &mut cost)?;
+                self.disk_read(qd, qp, &mut buf)?;
                 ok = buf == q;
             }
         }
@@ -1001,6 +884,7 @@ type Missing = [Option<(RowMember, usize)>; 2];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kdd_blockdev::fault::FaultPlan;
 
     fn page(tag: u8, ps: usize) -> Vec<u8> {
         (0..ps).map(|i| tag ^ (i as u8).wrapping_mul(31)).collect()
@@ -1041,8 +925,8 @@ mod tests {
         // RMW on 5-disk RAID5: read old data + old parity, write data +
         // parity — but reconstruct (3 reads) may win only for 3 disks, so
         // here expect exactly 2+2.
-        assert_eq!(cost.reads(), 2, "ops: {:?}", cost.ops);
-        assert_eq!(cost.writes(), 2);
+        assert_eq!(cost.reads, 2, "{cost:?}");
+        assert_eq!(cost.writes, 2);
     }
 
     #[test]
@@ -1051,8 +935,8 @@ mod tests {
         let ps = 256;
         a.write_page(0, &page(1, ps)).unwrap();
         let cost = a.write_page(0, &page(2, ps)).unwrap();
-        assert_eq!(cost.reads(), 3);
-        assert_eq!(cost.writes(), 3);
+        assert_eq!(cost.reads, 3);
+        assert_eq!(cost.writes, 3);
     }
 
     #[test]
@@ -1112,8 +996,8 @@ mod tests {
         let row = a.layout().row_of(0);
         assert!(a.verify_row(row).unwrap());
         let cost = a.write_no_parity_update(0, &page(2, ps)).unwrap();
-        assert_eq!(cost.reads(), 0);
-        assert_eq!(cost.writes(), 1, "exactly one member write");
+        assert_eq!(cost.reads, 0);
+        assert_eq!(cost.writes, 1, "exactly one member write");
         assert!(a.is_stale(row));
         assert!(!a.verify_row(row).unwrap(), "parity must now be stale");
         // Data itself is current.
@@ -1139,8 +1023,8 @@ mod tests {
         let d2 = page(2, ps);
         let d3 = page(3, ps);
         let cost = a.parity_update_with_data(row, &[&d0, &d1, &d2, &d3]).unwrap();
-        assert_eq!(cost.reads(), 0, "reconstruct-write repair reads nothing");
-        assert_eq!(cost.writes(), 1);
+        assert_eq!(cost.reads, 0, "reconstruct-write repair reads nothing");
+        assert_eq!(cost.writes, 1);
         assert!(!a.is_stale(row));
         assert!(a.verify_row(row).unwrap());
     }
@@ -1160,8 +1044,8 @@ mod tests {
         let mut delta = old.clone();
         xor_into(&mut delta, &new);
         let cost = a.parity_update_rmw(row, &[(1, &delta)]).unwrap();
-        assert_eq!(cost.reads(), 1, "RMW repair reads only parity");
-        assert_eq!(cost.writes(), 1);
+        assert_eq!(cost.reads, 1, "RMW repair reads only parity");
+        assert_eq!(cost.writes, 1);
         assert!(a.verify_row(row).unwrap());
     }
 
@@ -1273,8 +1157,8 @@ mod tests {
     fn raid0_has_no_parity_overhead() {
         let mut a = RaidArray::new(Layout::new(RaidLevel::Raid0, 4, 4, 16), 256);
         let cost = a.write_page(0, &page(1, 256)).unwrap();
-        assert_eq!(cost.reads(), 0);
-        assert_eq!(cost.writes(), 1);
+        assert_eq!(cost.reads, 0);
+        assert_eq!(cost.writes, 1);
         assert_eq!(a.stale_row_count(), 0);
     }
 
@@ -1300,7 +1184,6 @@ mod tests {
 
     #[test]
     fn injected_drop_degrades_then_rebuilds() {
-        use kdd_blockdev::fault::FaultPlan;
         let mut a = r5();
         let ps = 256;
         for lpn in 0..a.capacity_pages() {
@@ -1330,7 +1213,6 @@ mod tests {
 
     #[test]
     fn power_loss_mid_write_leaves_row_stale_for_resync() {
-        use kdd_blockdev::fault::FaultPlan;
         let mut a = r5();
         let ps = 256;
         for lpn in 0..a.capacity_pages() {
@@ -1355,21 +1237,78 @@ mod tests {
         assert_eq!(buf, page(0, ps), "old data still intact (write never acked)");
     }
 
-    /// One seeded mix of every array operation through two arrays of the
+    /// Each member's ledger entry, as `(reads, writes)`.
+    fn ledger(a: &RaidArray) -> Vec<(u64, u64)> {
+        a.stats().iter().map(|s| (s.reads, s.writes)).collect()
+    }
+
+    /// One member op as a fault injector sees it.
+    type Op = (FaultDomain, IoDir);
+
+    /// The most ops one [`traced`] call may issue (a rebuild of the test
+    /// arrays issues at most 192).
+    const TRACED_OPS: u64 = 256;
+
+    /// Run `call` on `a` behind an injector that corrupts zero bytes of
+    /// every op: no byte read or stored changes, and each op the call
+    /// issues is recorded, in issue order.
+    fn traced<T>(a: &mut RaidArray, call: impl FnOnce(&mut RaidArray) -> T) -> (T, Vec<Op>) {
+        let every_op = (0..TRACED_OPS)
+            .fold(FaultPlan::new(), |plan, at| plan.corrupt(at, FaultDomain::Unknown, 0, 0));
+        let inj = FaultInjector::new(every_op);
+        a.attach_injector(inj.clone());
+        let out = call(a);
+        assert!(inj.op_count() < TRACED_OPS, "{} ops outran the trace", inj.op_count());
+        (out, inj.events().iter().map(|e| (e.device, e.dir)).collect())
+    }
+
+    /// `start` with one booking per op of `ops`.
+    fn booked(mut start: Vec<(u64, u64)>, ops: &[Op]) -> Vec<(u64, u64)> {
+        for &(device, dir) in ops {
+            let FaultDomain::Disk(d) = device else { panic!("{device:?} is not a member") };
+            match dir {
+                IoDir::Read => start[d as usize].0 += 1,
+                IoDir::Write => start[d as usize].1 += 1,
+            }
+        }
+        start
+    }
+
+    /// Run `call` on every array, the last one [`traced`]: each must
+    /// return the same, hold the same ledger after it, and the traced op
+    /// stream must book exactly what the last ledger gained.
+    fn agree<T: PartialEq + std::fmt::Debug>(
+        arrays: &mut [RaidArray],
+        what: &str,
+        call: impl Fn(&mut RaidArray) -> T,
+    ) -> T {
+        let (last, rest) = arrays.split_last_mut().expect("an array to trace");
+        let before = ledger(last);
+        let (out, ops) = traced(last, &call);
+        assert_eq!(booked(before, &ops), ledger(last), "{what}: the op stream vs the ledger");
+        for a in rest {
+            assert_eq!(call(a), out, "{what}");
+            assert_eq!(ledger(a), ledger(last), "{what}: ledger");
+        }
+        out
+    }
+
+    /// One seeded mix of every array operation through three arrays of the
     /// same shape: `lent` has no injector, `copied` an empty-plan one that
     /// draws an outcome for every member op (the names predate the single
-    /// lend-and-skip path both now take). Every result (cost op list or error), every byte read, every
-    /// member's counters and every row's parity must agree.
-    fn lent_and_copied_paths_agree(mut lent: RaidArray, failed: Option<usize>) {
+    /// lend-and-skip path both now take), and the third is [`traced`].
+    /// Every result (counts or error), every byte read, every member's
+    /// ledger after every call, the traced op stream and every row's parity
+    /// must agree.
+    fn lent_and_copied_paths_agree(lent: RaidArray, failed: Option<usize>) {
         let ps = lent.page_size() as usize;
-        let mut copied = lent.clone();
+        let mut arrays = [lent.clone(), lent.clone(), lent];
         let injector = FaultInjector::none();
-        copied.attach_injector(injector.clone());
+        arrays[1].attach_injector(injector.clone());
         if let Some(disk) = failed {
-            lent.fail_disk(disk);
-            copied.fail_disk(disk);
+            arrays.iter_mut().for_each(|a| a.fail_disk(disk));
         }
-        let layout = *lent.layout();
+        let layout = *arrays[0].layout();
         let mut current: Vec<Vec<u8>> = vec![vec![0u8; ps]; layout.capacity_pages() as usize];
         let mut x = 0x5eed_u64;
         let mut next = |bound: u64| {
@@ -1382,12 +1321,12 @@ mod tests {
             let data = page(next(256) as u8, ps);
             match next(10) {
                 0..=3 => {
-                    let (a, b) = (lent.write_page(lpn, &data), copied.write_page(lpn, &data));
-                    assert_eq!(a, b, "step {step}: write_page({lpn})");
+                    let what = format!("step {step}: write_page({lpn})");
+                    let a = agree(&mut arrays, &what, |a| a.write_page(lpn, &data));
                     if let Ok(cost) = a {
                         current[lpn as usize] = data;
-                        match cost.reads() {
-                            n if n == cost.writes() => rmw += 1,
+                        match cost.reads {
+                            n if n == cost.writes => rmw += 1,
                             _ => reconstruct += 1,
                         }
                     }
@@ -1395,34 +1334,39 @@ mod tests {
                 4 | 5 => {
                     // KDD's pair: data without parity, then the repair
                     // from the delta.
-                    let a = lent.write_no_parity_update(lpn, &data);
-                    assert_eq!(a, copied.write_no_parity_update(lpn, &data), "step {step}");
-                    if a.is_err() {
+                    let what = format!("step {step}: write_no_parity_update({lpn})");
+                    if agree(&mut arrays, &what, |a| a.write_no_parity_update(lpn, &data)).is_err()
+                    {
                         continue;
                     }
                     let mut delta = current[lpn as usize].clone();
                     xor_into(&mut delta, &data);
                     current[lpn as usize] = data;
                     let loc = layout.locate(lpn);
-                    let a = lent.parity_update_rmw(loc.row, &[(loc.data_index, &delta)]);
-                    let b = copied.parity_update_rmw(loc.row, &[(loc.data_index, &delta)]);
-                    assert_eq!(a, b, "step {step}: parity_update_rmw(row {})", loc.row);
+                    let what = format!("step {step}: parity_update_rmw(row {})", loc.row);
+                    let a = agree(&mut arrays, &what, |a| {
+                        a.parity_update_rmw(loc.row, &[(loc.data_index, &delta)])
+                    });
                     repaired += usize::from(a.is_ok());
                 }
                 6 => {
                     let row = layout.row_of(lpn);
                     let datas: Vec<&[u8]> =
                         layout.row_lpns(row).map(|l| &current[l as usize][..]).collect();
-                    let a = lent.parity_update_with_data(row, &datas);
-                    assert_eq!(a, copied.parity_update_with_data(row, &datas), "step {step}");
+                    let what = format!("step {step}: parity_update_with_data(row {row})");
+                    if agree(&mut arrays, &what, |a| a.parity_update_with_data(row, &datas)).is_ok()
+                    {
+                        assert!(!arrays[0].is_stale(row), "{what}");
+                    }
                 }
                 _ => {
-                    let (mut got_a, mut got_b) = (vec![0u8; ps], vec![0u8; ps]);
-                    let a = lent.read_page(lpn, &mut got_a);
-                    assert_eq!(a, copied.read_page(lpn, &mut got_b), "step {step}");
-                    assert_eq!(got_a, got_b, "step {step}: read_page({lpn})");
+                    let what = format!("step {step}: read_page({lpn})");
+                    let (a, got) = agree(&mut arrays, &what, |a| {
+                        let mut got = vec![0u8; ps];
+                        (a.read_page(lpn, &mut got), got)
+                    });
                     if a.is_ok() {
-                        assert_eq!(got_a, current[lpn as usize], "step {step}: lpn {lpn}");
+                        assert_eq!(got, current[lpn as usize], "{what}");
                     }
                 }
             }
@@ -1430,17 +1374,14 @@ mod tests {
         assert!(rmw > 100 || failed.is_some(), "the mix made {rmw} read-modify-writes");
         assert!(reconstruct > 0 || failed.is_none(), "no degraded reconstruct-write ran");
         assert!(repaired > 100, "only {repaired} delta repairs ran");
-        let counters = |a: &RaidArray| -> Vec<(u64, u64)> {
-            a.stats().iter().map(|s| (s.reads, s.writes)).collect()
-        };
-        assert_eq!(counters(&lent), counters(&copied));
-        assert_eq!(lent.stale_row_count(), copied.stale_row_count());
+        assert!(arrays.iter().all(|a| a.stale_row_count() == arrays[0].stale_row_count()));
         assert!(injector.op_count() > 0 && injector.counters().injected == 0);
         if failed.is_none() {
             for row in 0..layout.rows() {
-                let consistent = !lent.is_stale(row);
-                assert_eq!(lent.verify_row(row), Ok(consistent), "row {row}");
-                assert_eq!(copied.verify_row(row), Ok(consistent), "row {row}");
+                let consistent = !arrays[0].is_stale(row);
+                for a in &mut arrays {
+                    assert_eq!(a.verify_row(row), Ok(consistent), "row {row}");
+                }
             }
         }
     }
@@ -1468,7 +1409,7 @@ mod tests {
     /// (data read first, data write last) and a delta repair.
     #[test]
     fn fused_pq_update_keeps_its_op_order_under_faults() {
-        use kdd_blockdev::fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
+        use kdd_blockdev::fault::{FaultEvent, FaultKind, FaultSpec};
         let ps = 256;
         let mut base = r6();
         let layout = *base.layout();
@@ -1487,9 +1428,6 @@ mod tests {
             let mut buf = vec![0u8; ps];
             a.disks[disk].read_page(p, &mut buf).unwrap();
             buf
-        };
-        let stats = |a: &RaidArray| -> Vec<(u64, u64)> {
-            a.stats().iter().map(|s| (s.reads, s.writes)).collect()
         };
         let flip = |mut v: Vec<u8>| {
             v[3..73].iter_mut().for_each(|b| *b ^= 0xFF);
@@ -1516,28 +1454,14 @@ mod tests {
             let (p_old, q_old) = (stored(&start, pd, pp), stored(&start, qd, qp));
             let (p_new, q_new) = (stored(&done, pd, pp), stored(&done, qd, qp));
             assert!(p_new != p_old && q_new != q_old);
-            let booked = |ops: &[DiskOp]| {
-                let mut s = stats(&start);
-                for op in ops {
-                    match op.kind {
-                        IoKind::Read => s[op.disk].0 += 1,
-                        IoKind::Write => s[op.disk].1 += 1,
-                    }
-                }
-                s
-            };
-            assert_eq!(booked(&want.ops), stats(&done));
 
-            // A zero-length corruption on every op records the order and
-            // changes no byte.
+            // The issue order, which changes no byte and books, op by op,
+            // what the ledger gained.
             let mut a = start.clone();
-            let every_op = (0..want.ops.len() as u64)
-                .fold(FaultPlan::new(), |plan, at| plan.corrupt(at, FaultDomain::Unknown, 0, 0));
-            let inj = FaultInjector::new(every_op);
-            a.attach_injector(inj.clone());
-            assert_eq!(call(&mut a), Ok(want.clone()));
-            let order: Vec<(FaultDomain, IoDir)> =
-                inj.events().iter().map(|e| (e.device, e.dir)).collect();
+            let (got, order) = traced(&mut a, call);
+            assert_eq!(got, Ok(want));
+            assert_eq!(order.len() as u64, want.reads + want.writes);
+            assert_eq!(booked(ledger(&start), &order), ledger(&done));
             let (p_dev, q_dev) = (FaultDomain::Disk(pd as u32), FaultDomain::Disk(qd as u32));
             let first = usize::from(!repair);
             assert_eq!(
@@ -1548,15 +1472,6 @@ mod tests {
                     (p_dev, IoDir::Write),
                     (q_dev, IoDir::Write)
                 ]
-            );
-            let from_cost = want.ops.iter().map(|op| {
-                let dir = if op.kind == IoKind::Read { IoDir::Read } else { IoDir::Write };
-                (FaultDomain::Disk(op.disk as u32), dir)
-            });
-            assert_eq!(
-                order,
-                from_cost.collect::<Vec<_>>(),
-                "the cost lists the ops in issue order"
             );
             assert_eq!(members(&a), members(&done));
 
@@ -1582,14 +1497,14 @@ mod tests {
                         "{what}"
                     );
                     let failed = kind == FaultKind::TransientIo;
-                    let ops = if failed { at + 1 } else { want.ops.len() };
+                    let ops = if failed { at + 1 } else { order.len() };
                     assert_eq!(inj.op_count(), ops as u64, "{what}");
                     if failed {
                         assert_eq!(got, Err(RaidError::Dev(DevError::transient(device))), "{what}");
-                        assert_eq!(stats(&a), booked(&want.ops[..at]), "{what}");
+                        assert_eq!(ledger(&a), booked(ledger(&start), &order[..at]), "{what}");
                     } else {
-                        assert_eq!(got, Ok(want.clone()), "{what}");
-                        assert_eq!(stats(&a), stats(&done), "{what}");
+                        assert_eq!(got, Ok(want), "{what}");
+                        assert_eq!(ledger(&a), ledger(&done), "{what}");
                     }
                     // Only a failed write of Q leaves P written.
                     let mangle = |new: Vec<u8>, old: Vec<u8>, this: bool| match kind {
@@ -1649,7 +1564,7 @@ mod tests {
         model
     }
 
-    /// Every page of every member, and the members' counters.
+    /// Every page of every member, and the members' ledger.
     fn members(a: &RaidArray) -> (Vec<Vec<u8>>, Vec<(u64, u64)>) {
         let mut buf = vec![0u8; a.page_size() as usize];
         let pages = a
@@ -1661,15 +1576,17 @@ mod tests {
                 buf.clone()
             })
             .collect();
-        (pages, a.stats().iter().map(|s| (s.reads, s.writes)).collect())
+        (pages, ledger(a))
     }
 
-    /// Fail `failed` on three copies of `base` — the solver, the reference
-    /// solver, and the solver behind an empty-plan injector (every op drawn,
-    /// every shortcut still taken) — then read every page degraded and
-    /// rebuild: each call's op list, every byte read, every member's
-    /// counters and contents must agree, parity must verify, and the sparse
-    /// rebuild must have materialised only the rows that hold something.
+    /// Fail `failed` on four copies of `base` — the solver, the reference
+    /// solver, the solver behind an empty-plan injector (every op drawn,
+    /// every shortcut still taken) and the solver [`traced`] — then read
+    /// every page degraded and rebuild: each call's counts, the op streams
+    /// of the traced solver and the traced reference, every byte read, and
+    /// every member's ledger and contents must agree, parity must verify,
+    /// and the sparse rebuild must have materialised only the rows that
+    /// hold something.
     fn solver_matches_reference(base: &RaidArray, model: &[Vec<u8>], failed: &[usize]) {
         let ps = base.page_size() as usize;
         let layout = *base.layout();
@@ -1679,43 +1596,53 @@ mod tests {
                 (0..layout.disks).any(|d| !failed.contains(&d) && base.disks[d].is_resident(row))
             })
             .count();
-        let mut new = base.clone();
-        let mut old = base.clone();
-        let mut copied = base.clone();
-        let injector = FaultInjector::new(kdd_blockdev::fault::FaultPlan::new());
+        let [mut new, mut old, mut copied, mut tracked] = [0; 4].map(|_| base.clone());
+        let injector = FaultInjector::new(FaultPlan::new());
         copied.attach_injector(injector.clone());
         for &d in failed {
-            new.fail_disk(d);
-            old.fail_disk(d);
-            copied.fail_disk(d);
+            for a in [&mut new, &mut old, &mut copied, &mut tracked] {
+                a.fail_disk(d);
+            }
         }
 
-        let (mut got, mut want, mut lent) = (vec![0xAAu8; ps], vec![0xBBu8; ps], vec![0xCCu8; ps]);
+        let mut bufs = [0xAAu8, 0xBB, 0xCC, 0xDD].map(|b| vec![b; ps]);
         for lpn in 0..layout.capacity_pages() {
-            let cost = new.read_page(lpn, &mut got);
-            assert_eq!(cost, old.reference_read_page(lpn, &mut want), "{what}: read_page({lpn})");
-            assert_eq!(cost, copied.read_page(lpn, &mut lent), "{what}: copied read_page({lpn})");
+            let [got, want, lent, seen] = &mut bufs;
+            let cost = new.read_page(lpn, got);
+            let (reference, old_ops) = traced(&mut old, |a| a.reference_read_page(lpn, want));
+            let (tracked_cost, new_ops) = traced(&mut tracked, |a| a.read_page(lpn, seen));
+            assert_eq!(cost, reference, "{what}: read_page({lpn})");
+            assert_eq!(cost, copied.read_page(lpn, lent), "{what}: copied read_page({lpn})");
+            assert_eq!(cost, tracked_cost, "{what}: traced read_page({lpn})");
+            assert_eq!(new_ops, old_ops, "{what}: read_page({lpn}) op stream");
             assert!(cost.is_ok(), "{what}: read_page({lpn}) = {cost:?}");
-            assert_eq!(got, model[lpn as usize], "{what}: lpn {lpn}");
-            assert_eq!((&want, &lent), (&got, &got), "{what}: lpn {lpn}");
+            assert_eq!(*got, model[lpn as usize], "{what}: lpn {lpn}");
+            assert!(bufs.iter().all(|b| *b == bufs[0]), "{what}: lpn {lpn}");
         }
 
         let cost = new.rebuild();
         assert!(cost.is_ok(), "{what}: rebuild = {cost:?}");
-        assert_eq!(cost, old.reference_rebuild(), "{what}: rebuild ops");
-        assert_eq!(cost, copied.rebuild(), "{what}: copied rebuild ops");
-        let ops = cost.unwrap().ops.len();
-        assert_eq!(ops, layout.rows() as usize * (layout.data_disks() + failed.len()), "{what}");
-        assert!(injector.op_count() as usize >= ops && injector.counters().injected == 0);
+        let (reference, old_ops) = traced(&mut old, RaidArray::reference_rebuild);
+        let (tracked_cost, new_ops) = traced(&mut tracked, RaidArray::rebuild);
+        assert_eq!(cost, reference, "{what}: rebuild counts");
+        assert_eq!(cost, copied.rebuild(), "{what}: copied rebuild counts");
+        assert_eq!(cost, tracked_cost, "{what}: traced rebuild counts");
+        assert_eq!(new_ops, old_ops, "{what}: rebuild op stream");
+        let cost = cost.unwrap();
+        let ops = cost.reads + cost.writes;
+        assert_eq!(ops, layout.rows() * (layout.data_disks() + failed.len()) as u64, "{what}");
+        assert!(injector.op_count() >= ops && injector.counters().injected == 0);
 
-        assert_eq!(members(&new), members(&old), "{what}: members after rebuild");
-        assert_eq!(members(&new), members(&copied), "{what}: copied members after rebuild");
+        for a in [&old, &copied, &tracked] {
+            assert_eq!(members(&new), members(a), "{what}: members after rebuild");
+        }
         for row in 0..layout.rows() {
             assert_eq!(new.verify_row(row), Ok(true), "{what}: row {row}");
         }
+        let got = &mut bufs[0];
         for lpn in 0..layout.capacity_pages() {
-            new.read_page(lpn, &mut got).unwrap();
-            assert_eq!(got, model[lpn as usize], "{what}: lpn {lpn} after rebuild");
+            new.read_page(lpn, got).unwrap();
+            assert_eq!(*got, model[lpn as usize], "{what}: lpn {lpn} after rebuild");
         }
         for &d in failed {
             assert_eq!(new.disks[d].resident_pages(), written_rows, "{what}: disk {d}");
@@ -1771,10 +1698,12 @@ mod tests {
     /// second member dropping out mid-sequence, a corrupted read, a torn
     /// write and a corrupted write of a blank row inside the rebuild — hit
     /// the solver and the reference at the same device ops with the same
-    /// outcomes, and leave the same bytes and the same op count behind.
+    /// outcomes, and leave the same bytes, op count and ledger behind. (No
+    /// [`traced`] stream here: a fault planned on every op would move the
+    /// planned ones, so the fired events pin the op order instead.)
     #[test]
     fn solver_matches_reference_under_injected_faults() {
-        use kdd_blockdev::fault::{FaultKind, FaultPlan, FaultSpec};
+        use kdd_blockdev::fault::{FaultKind, FaultSpec};
         let ps = 256;
         let mut base = r6();
         filled(&mut base, Fill::Sparse);
@@ -1811,6 +1740,7 @@ mod tests {
                 assert_eq!(got, want, "lpn {lpn}");
             }
             assert_eq!(inj_new.op_count(), inj_old.op_count(), "after read_page({lpn})");
+            assert_eq!(ledger(&new), ledger(&old), "after read_page({lpn})");
         }
         // The transient fault fails one read; member 4 drops out under a
         // survivor read of another, which fails too (the next one absorbs
@@ -1847,7 +1777,6 @@ mod tests {
     /// retry rebuilds every row.
     #[test]
     fn interrupted_rebuild_stays_degraded_and_retries_from_row_zero() {
-        use kdd_blockdev::fault::FaultPlan;
         let ps = 256;
         let mut a = r5();
         let model = filled(&mut a, Fill::Full);
@@ -1863,7 +1792,8 @@ mod tests {
             assert_eq!(buf, model[lpn as usize], "degraded lpn {lpn} after the failed rebuild");
         }
         let cost = a.rebuild().unwrap();
-        assert_eq!(cost.ops.len(), a.layout().rows() as usize * 5, "the retry covers every row");
+        let ops = cost.reads + cost.writes;
+        assert_eq!(ops, a.layout().rows() * 5, "the retry covers every row");
         assert!(a.failed_disks().is_empty());
         for lpn in 0..a.capacity_pages() {
             a.read_page(lpn, &mut buf).unwrap();
@@ -1880,22 +1810,6 @@ mod tests {
         a.fail_disk(a.layout().locate(0).disk);
         let mut short = vec![0u8; 100];
         assert!(matches!(a.read_page(0, &mut short), Err(RaidError::BadArg(_))));
-    }
-
-    #[test]
-    fn cost_op_list_spills_past_its_inline_capacity() {
-        let mut cost = RaidCost::default();
-        for n in 0..2 * INLINE_OPS {
-            cost.push(n, n as u64, if n % 2 == 0 { IoKind::Read } else { IoKind::Write });
-            assert_eq!(cost.ops.len(), n + 1);
-            assert!(cost.ops.iter().enumerate().all(|(i, op)| op.disk == i));
-        }
-        assert_eq!((cost.reads(), cost.writes()), (INLINE_OPS, INLINE_OPS));
-        let mut merged = RaidCost::default();
-        merged.push(99, 0, IoKind::Read);
-        merged.merge(cost.clone());
-        assert_eq!(merged.ops.len(), 2 * INLINE_OPS + 1);
-        assert_eq!(merged.ops[1..], cost.ops[..]);
     }
 
     #[test]
@@ -1924,10 +1838,10 @@ mod tests {
             ) -> Result<RaidCost, RaidError> {
                 self.check_failures()?;
                 let loc = self.layout.locate(lpn);
-                let mut cost = RaidCost::default();
+                let start = self.totals();
                 if !self.disks[loc.disk].is_failed() {
-                    match self.disk_read(loc.disk, loc.disk_page, buf, &mut cost) {
-                        Ok(()) => return Ok(cost),
+                    match self.disk_read(loc.disk, loc.disk_page, buf) {
+                        Ok(()) => return Ok(self.cost_since(start)),
                         Err(RaidError::Dev(e))
                             if matches!(e, DevError::Failed { .. }) && !e.is_transient() =>
                         {
@@ -1946,13 +1860,13 @@ mod tests {
                     return Err(RaidError::StaleParity { row: loc.row });
                 }
                 let failed = self.failed_disks();
-                let solved = self.reference_solve_missing(loc.row, &failed, &mut cost)?;
+                let solved = self.reference_solve_missing(loc.row, &failed)?;
                 let (_, content) = solved
                     .into_iter()
                     .find(|(m, _)| *m == RowMember::Data(loc.data_index))
                     .ok_or(RaidError::TooManyFailures)?;
                 buf.copy_from_slice(&content);
-                Ok(cost)
+                Ok(self.cost_since(start))
             }
 
             /// [`RaidArray::rebuild`] as it was: every row solved and written,
@@ -1970,11 +1884,11 @@ mod tests {
                 for &d in &failed {
                     self.disks[d].replace();
                 }
-                let mut cost = RaidCost::default();
+                let start = self.totals();
                 // Reconstruct row by row; the replacement disks are zero-filled so
                 // we re-derive their content from the survivors.
                 for row in 0..self.layout.rows() {
-                    let solved = self.reference_solve_missing(row, &failed, &mut cost)?;
+                    let solved = self.reference_solve_missing(row, &failed)?;
                     let stripe = self.layout.stripe_of_row(row);
                     let dp = self.row_disk_page(row);
                     for (member, content) in solved {
@@ -1987,10 +1901,10 @@ mod tests {
                                 RaidError::Inconsistent("Q member solved on non-RAID-6 layout"),
                             )?,
                         };
-                        self.disk_write(disk, dp, &content, &mut cost)?;
+                        self.disk_write(disk, dp, &content)?;
                     }
                 }
-                Ok(cost)
+                Ok(self.cost_since(start))
             }
 
             /// Solve for the contents of every row member whose disk is in
@@ -2000,7 +1914,6 @@ mod tests {
                 &mut self,
                 row: u64,
                 excluded: &[usize],
-                cost: &mut RaidCost,
             ) -> Result<Vec<(RowMember, Vec<u8>)>, RaidError> {
                 let ps = self.page_size as usize;
                 let stripe = self.layout.stripe_of_row(row);
@@ -2025,19 +1938,17 @@ mod tests {
                     if !missing_data.contains(&d) {
                         let disk = self.layout.data_disk(stripe, d);
                         let mut buf = vec![0u8; ps];
-                        self.disk_read(disk, dp, &mut buf, cost)?;
+                        self.disk_read(disk, dp, &mut buf)?;
                         data[d] = Some(buf);
                     }
                 }
-                let read_parity = |this: &mut Self,
-                                   loc: Option<(usize, u64)>,
-                                   cost: &mut RaidCost|
-                 -> Result<Vec<u8>, RaidError> {
-                    let (pd, pp) = loc.ok_or(RaidError::TooManyFailures)?;
-                    let mut buf = vec![0u8; ps];
-                    this.disk_read(pd, pp, &mut buf, cost)?;
-                    Ok(buf)
-                };
+                let read_parity =
+                    |this: &mut Self, loc: Option<(usize, u64)>| -> Result<Vec<u8>, RaidError> {
+                        let (pd, pp) = loc.ok_or(RaidError::TooManyFailures)?;
+                        let mut buf = vec![0u8; ps];
+                        this.disk_read(pd, pp, &mut buf)?;
+                        Ok(buf)
+                    };
 
                 // Recover missing data members first.
                 match missing_data.len() {
@@ -2046,8 +1957,7 @@ mod tests {
                         let x = missing_data[0];
                         if !p_missing && p_disk.is_some() {
                             // D_x = P ⊕ Σ_{d≠x} D_d
-                            let mut out =
-                                read_parity(self, self.layout.parity_location(row), cost)?;
+                            let mut out = read_parity(self, self.layout.parity_location(row))?;
                             for (_d, page) in data.iter().enumerate().filter(|(d, _)| *d != x) {
                                 let page = page
                                     .as_ref()
@@ -2057,7 +1967,7 @@ mod tests {
                             data[x] = Some(out);
                         } else if !q_missing && q_disk.is_some() {
                             // D_x = (Q ⊕ Σ_{d≠x} g^d·D_d) / g^x
-                            let mut acc = read_parity(self, self.layout.q_location(row), cost)?;
+                            let mut acc = read_parity(self, self.layout.q_location(row))?;
                             for (d, page) in data.iter().enumerate().filter(|(d, _)| *d != x) {
                                 let page = page
                                     .as_ref()
@@ -2078,8 +1988,8 @@ mod tests {
                         let (x, y) = (missing_data[0], missing_data[1]);
                         // a = P ⊕ Σ survivors = D_x ⊕ D_y
                         // b = Q ⊕ Σ g^d survivors = g^x·D_x ⊕ g^y·D_y
-                        let mut a = read_parity(self, self.layout.parity_location(row), cost)?;
-                        let mut b = read_parity(self, self.layout.q_location(row), cost)?;
+                        let mut a = read_parity(self, self.layout.parity_location(row))?;
+                        let mut b = read_parity(self, self.layout.q_location(row))?;
                         for (d, page) in data.iter().enumerate().filter(|(d, _)| *d != x && *d != y)
                         {
                             let page = page

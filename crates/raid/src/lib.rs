@@ -13,9 +13,11 @@
 //!   `write_no_parity_update` and `parity_update` (both reconstruct-write
 //!   and read-modify-write forms), with stale-row tracking.
 //!
-//! Every array operation returns the list of member-disk I/Os it issued
-//! ([`RaidCost`]) so the timing simulator can charge realistic service
-//! times without re-deriving RAID mechanics.
+//! Every member-disk I/O is booked once, in the array's per-member
+//! [`DiskStats`] ledger. Every array operation returns what that ledger
+//! gained over the call ([`RaidCost`]: member reads and writes), from which
+//! the engine charges simulated service time without re-deriving RAID
+//! mechanics.
 
 #![warn(missing_docs)]
 // No unwinding outside tests: the I/O path fails through typed errors,
@@ -33,5 +35,5 @@ pub mod array;
 pub mod gf256;
 pub mod layout;
 
-pub use array::{DiskOp, DiskStats, IoKind, RaidArray, RaidCost, RaidError};
+pub use array::{DiskStats, RaidArray, RaidCost, RaidError};
 pub use layout::{Layout, PageLocation, RaidLevel};

@@ -12,7 +12,9 @@
 //!
 //! Checked after replays in normal mode, after `recover_from_hdd_failure`
 //! and after `power_cycle` (which starts a fresh `CacheStats` over devices
-//! that keep counting, hence the [`Books`] baseline). The Fin2 case is also
+//! that keep counting, hence the [`Books`] baseline), and after requests the
+//! engine retried: member I/O counts whether or not the call that issued it
+//! succeeded. The Fin2 case is also
 //! the regression test for a power cut that finds a DEZ slot released by
 //! re-staged deltas and already refilled with a clean page.
 
@@ -58,11 +60,11 @@ struct Books {
 
 impl Books {
     fn of_devices(engine: &KddEngine) -> Books {
-        let disks = engine.raid().stats();
+        let disks = engine.raid().totals();
         Books {
             ssd_pages: engine.ssd().endurance().host_written_bytes / u64::from(PAGE),
-            disk_reads: disks.iter().map(|d| d.reads).sum(),
-            disk_writes: disks.iter().map(|d| d.writes).sum(),
+            disk_reads: disks.reads,
+            disk_writes: disks.writes,
         }
     }
 
@@ -175,4 +177,47 @@ fn fin1_benchmark_configuration_counts_are_pinned() {
         ..CacheStats::default()
     };
     assert_eq!(*engine.stats(), expected);
+}
+
+/// A transient member fault fails one array call part-way and the engine
+/// retries the request. The failed attempt's member I/O happened and was
+/// booked by the array, so `CacheStats` must count it too: one fault in
+/// each of 280 placements (every 7th device op from 10 to 399, on each
+/// member), 120 single-page writes each.
+#[test]
+fn retried_requests_conserve_device_io() {
+    let data: Vec<u8> = (0..PAGE).map(|i| (i % 251) as u8).collect();
+    let mut unbalanced = Vec::new();
+    let mut placements = 0;
+    for at in (10..400).step_by(7) {
+        for d in 0..5 {
+            placements += 1;
+            let mut engine = build_engine(RaidLevel::Raid5, 5);
+            let inj = FaultInjector::new(FaultPlan::new().transient(at, FaultDomain::Disk(d)));
+            engine.attach_fault_injector(inj.clone());
+            for i in 0..120u64 {
+                engine.write((13 * i) % 500, &data).expect("a transient fault is retried");
+            }
+            assert_eq!(inj.counters().transient, 1, "disk {d} at op {at}: the fault fired");
+            let (now, s) = (Books::of_devices(&engine), engine.stats());
+            assert_eq!(now.ssd_pages, s.ssd_writes_pages(), "disk {d} at op {at}: SSD pages");
+            if (now.disk_reads, now.disk_writes) != (s.raid_reads, s.raid_writes) {
+                unbalanced.push((
+                    d,
+                    at,
+                    now.disk_reads,
+                    now.disk_writes,
+                    s.raid_reads,
+                    s.raid_writes,
+                ));
+            }
+        }
+    }
+    assert!(
+        unbalanced.is_empty(),
+        "{} of {placements} placements leave the members' reads/writes apart from \
+         raid_reads/raid_writes, as (disk, op, member reads, member writes, raid_reads, \
+         raid_writes): {unbalanced:?}",
+        unbalanced.len()
+    );
 }
