@@ -1,11 +1,8 @@
-//! The Delta Zone index (§III-B/C) under both §III copies: which deltas
-//! each DEZ page still holds, their live bytes, and what compaction knows
-//! about its next victim scan.
-//!
-//! One definition each of adding a delta, releasing one (and the page with
-//! its last), planning the next merge and recounting the live bytes. How a
-//! page is filled, how a merge is executed and how a slot is freed stay
-//! with each copy.
+//! The Delta Zone index (§III-B/C) under both §III copies: where each
+//! *old* page's current delta lives (staged in NVRAM, or a DEZ page, offset
+//! and length), which deltas each DEZ page holds, their live bytes and what
+//! compaction knows about its next victim scan. Packing a page, a merge's
+//! I/O and freeing a slot stay with each copy.
 //!
 //! Every order the index shows is a key order, whatever its history: pages
 //! by slot, each page's deltas by lba. So compaction's victims (the two
@@ -17,7 +14,42 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::{Merge, MergeBound};
+use kdd_cache::setassoc::{PageState, SetAssocCache};
+use kdd_util::hash::FastMap;
 use kdd_util::sorted::{SortedSet, SpareVecs};
+
+/// Where a committed delta lives inside the DEZ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaRef {
+    /// DEZ cache slot.
+    pub slot: u32,
+    /// Byte offset within the DEZ page.
+    pub off: u16,
+    /// Compressed length in bytes.
+    pub len: u16,
+}
+
+/// Where a page's current delta lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DeltaLoc {
+    /// Still in the NVRAM staging buffer.
+    Staged,
+    /// Committed to a DEZ page.
+    Dez(DeltaRef),
+}
+
+// Every old page holds one map entry of an lba and this: a wider location
+// grows them all.
+const _: () = assert!(std::mem::size_of::<DeltaLoc>() == 12);
+
+/// What [`DezIndex::restage`] dropped: a staged delta, whose copy the
+/// caller drops, or the last delta of a DEZ page, which left the index with
+/// it ("the DEZ page cannot be freed until the valid count reaches zero"):
+/// the caller frees `emptied`.
+pub(crate) struct Released {
+    pub(crate) staged: bool,
+    pub(crate) emptied: Option<u32>,
+}
 
 /// One DEZ page: the pages whose current delta it holds.
 #[derive(Debug)]
@@ -41,19 +73,22 @@ pub(crate) struct Listed {
     bound: MergeBound,
 }
 
-/// DEZ slot → the page's deltas and live bytes, their total, the merge
-/// bound, and the emptied delta sets every page's set grows into.
+/// Each delta's location; DEZ slot → the page's deltas and live bytes,
+/// their total, the merge bound, and the emptied delta sets every page's
+/// set grows into.
 ///
 /// The pages sit packed in one array, so the merge scan walks only pages;
 /// `at` finds a slot's page in O(1). A removal moves the last page into
 /// the hole, which no order the index shows depends on.
 #[derive(Debug, Default)]
 pub(crate) struct DezIndex {
+    /// lba → its delta's location; exactly the pages with a delta.
+    locs: FastMap<u64, DeltaLoc>,
     /// Slot → its page's position in `pages`, or [`ABSENT`].
     at: Vec<u32>,
     pages: Vec<DezPage>,
     live_total: u64,
-    /// "Unknown" while the engine logs a fresh page and after recovery.
+    /// "Unknown" while a fresh page is logged and after recovery.
     bound: MergeBound,
     spare: SpareVecs,
 }
@@ -67,6 +102,17 @@ impl DezIndex {
     /// DEZ pages indexed.
     pub(crate) fn len(&self) -> u64 {
         self.pages.len() as u64
+    }
+
+    /// Slots only the cleaner can release: the *old* pages of `cache` and
+    /// the DEZ pages. Both copies' cleaning governor reads this count.
+    pub(crate) fn pinned(&self, cache: &SetAssocCache) -> u64 {
+        cache.count_state(PageState::Old) as u64 + self.len()
+    }
+
+    /// Where `lba`'s current delta lives, if it has one.
+    pub(crate) fn loc(&self, lba: u64) -> Option<DeltaLoc> {
+        self.locs.get(&lba).copied()
     }
 
     fn page(&self, slot: u32) -> Option<&DezPage> {
@@ -116,26 +162,47 @@ impl DezIndex {
         self.page(slot).into_iter().flat_map(|page| page.lbas.iter().copied())
     }
 
-    /// `lba`'s live delta of `len` bytes is in page `slot`; the page is
+    /// Recovery: `lba`'s delta, live, was committed at `r`; the page is
     /// indexed at its first delta.
-    pub(crate) fn add(&mut self, slot: u32, lba: u64, len: u32) {
-        let (page, spare) = self.page_or_insert(slot);
+    pub(crate) fn add(&mut self, lba: u64, r: DeltaRef) {
+        self.locs.insert(lba, DeltaLoc::Dez(r));
+        let (page, spare) = self.page_or_insert(r.slot);
         page.lbas.insert(spare, lba);
-        page.live += len;
-        self.live_total += u64::from(len);
+        page.live += u32::from(r.len);
+        self.live_total += u64::from(r.len);
     }
 
-    /// Page `slot`, filled with [`add`](Self::add), is complete.
-    pub(crate) fn seal(&mut self, slot: u32) {
-        if let Some(page) = self.page(slot) {
-            self.bound.lower(page.live);
+    /// `lba`'s current delta is now the one staged (`staged`), or it has
+    /// none: drop where its delta was, releasing a committed one from its
+    /// DEZ page.
+    pub(crate) fn restage(&mut self, lba: u64, staged: bool) -> Released {
+        let was =
+            if staged { self.locs.insert(lba, DeltaLoc::Staged) } else { self.locs.remove(&lba) };
+        let mut out = Released { staged: was == Some(DeltaLoc::Staged), emptied: None };
+        let Some(DeltaLoc::Dez(r)) = was else { return out };
+        // A missing page or delta is an accounting bug; skip the release
+        // (the location is already gone) rather than panic mid-write.
+        let Some(page) = self.page_mut(r.slot).filter(|page| page.lbas.contains(lba)) else {
+            debug_assert!(false, "DEZ index lost a delta");
+            return out;
+        };
+        page.lbas.remove(lba);
+        page.live -= u32::from(r.len);
+        let (emptied, live) = (page.lbas.is_empty(), page.live);
+        self.live_total -= u64::from(r.len);
+        if !emptied {
+            self.bound.lower(live);
+        } else if let Some(page) = self.remove_page(r.slot) {
+            self.spare.give(page.lbas);
+            out.emptied = Some(r.slot);
         }
+        out
     }
 
     /// Index page `slot` holding the deltas of `lbas`, none live yet: the
-    /// engine logs their mappings first. Until [`go_live`](Self::go_live)
-    /// the bound is "unknown", so an error on the way cannot leave a bound
-    /// that overlooks the page.
+    /// caller writes the page and logs their mappings first. Until
+    /// [`go_live`](Self::go_live) the bound is "unknown", so an error on the
+    /// way cannot leave a bound that overlooks the page.
     pub(crate) fn list(&mut self, slot: u32, lbas: impl IntoIterator<Item = u64>) -> Listed {
         let (page, spare) = self.page_or_insert(slot);
         debug_assert!(page.lbas.is_empty(), "DEZ slot listed twice");
@@ -147,43 +214,30 @@ impl DezIndex {
         Listed { slot, bound }
     }
 
-    /// The deltas of a listed page went live: `live` bytes of them.
-    pub(crate) fn go_live(&mut self, listed: Listed, live: u32) {
+    /// A listed page that could not be written or logged leaves the index
+    /// (the caller frees its slot); the bound is as before the listing.
+    pub(crate) fn unlist(&mut self, listed: Listed) {
+        if let Some(page) = self.remove_page(listed.slot) {
+            self.spare.give(page.lbas);
+        }
+        self.bound = listed.bound;
+    }
+
+    /// The listed page's deltas went live at `refs`, one per listed lba:
+    /// their locations turn to the page.
+    pub(crate) fn go_live(&mut self, listed: Listed, refs: &[(u64, DeltaRef)]) {
         let Listed { slot, mut bound } = listed;
+        let mut live = 0u32;
+        for &(lba, r) in refs {
+            self.locs.insert(lba, DeltaLoc::Dez(r));
+            live += u32::from(r.len);
+        }
         if let Some(page) = self.page_mut(slot) {
             page.live = live;
             self.live_total += u64::from(live);
         }
         bound.lower(live);
         self.bound = bound;
-    }
-
-    /// `lba`'s delta of `len` bytes in page `slot` is no longer live.
-    /// Whether that emptied the page: "the DEZ page cannot be freed until
-    /// the valid count reaches zero", and then it leaves the index, its set
-    /// goes to the free list and the caller frees the slot.
-    pub(crate) fn release(&mut self, slot: u32, lba: u64, len: u32) -> bool {
-        // A missing page or delta is an accounting bug; skip the release
-        // (the mapping is already gone) rather than panic mid-write.
-        let Some(page) = self.page_mut(slot) else {
-            debug_assert!(false, "DEZ index lost a page");
-            return false;
-        };
-        if !page.lbas.remove(lba) {
-            debug_assert!(false, "DEZ page lost a delta");
-            return false;
-        }
-        page.live -= len;
-        let (emptied, live) = (page.lbas.is_empty(), page.live);
-        self.live_total -= u64::from(len);
-        if !emptied {
-            self.bound.lower(live);
-            return false;
-        }
-        if let Some(page) = self.remove_page(slot) {
-            self.spare.give(page.lbas);
-        }
-        true
     }
 
     /// The next compaction turn [`plan_merge`](crate::plan_merge) finds
@@ -200,61 +254,31 @@ impl DezIndex {
         )
     }
 
-    /// Carry out `merge` in place: move the source page's deltas into the
-    /// destination, telling `moved` each one in ascending order, and drop
-    /// the source. The destination's deltas, ascending, for re-logging.
-    pub(crate) fn drain_merge(
-        &mut self,
-        merge: &Merge,
-        mut moved: impl FnMut(u64),
-    ) -> Option<impl Iterator<Item = u64> + '_> {
-        // Both keys were just sampled from the index, so the lookups hold
-        // unless it is corrupt.
-        if self.page(merge.dst).is_none() {
-            debug_assert!(false, "DEZ index corrupt: dst page vanished");
-            return None;
-        }
-        let Some(src) = self.remove_page(merge.src) else {
-            debug_assert!(false, "DEZ index corrupt: src page vanished");
-            return None;
-        };
-        let (dst, spare) = self.page_or_insert(merge.dst);
-        for &lba in src.lbas.iter() {
-            dst.lbas.insert(spare, lba);
-            moved(lba);
-        }
-        dst.live += src.live;
-        let live = dst.live;
-        spare.give(src.lbas);
-        self.bound.merged(live, merge.rest);
-        Some(self.lbas(merge.dst))
-    }
-
     /// Carry out `merge` by replacing both pages with a fresh destination
-    /// page of the `moved` deltas, `(lba, len)` each.
-    pub(crate) fn replace_merged(
-        &mut self,
-        merge: &Merge,
-        moved: impl Iterator<Item = (u64, u32)>,
-    ) {
+    /// page of the `moved` deltas, whose locations turn to it.
+    pub(crate) fn replace_merged(&mut self, merge: &Merge, moved: &[(u64, DeltaRef)]) {
         if let Some(src) = self.remove_page(merge.src) {
             self.spare.give(src.lbas);
         }
         let (page, spare) = self.page_or_insert(merge.dst);
         page.lbas.clear();
         page.live = 0;
-        for (lba, len) in moved {
+        for &(lba, r) in moved {
             page.lbas.insert(spare, lba);
-            page.live += len;
+            page.live += u32::from(r.len);
         }
         let live = page.live;
+        for &(lba, r) in moved {
+            self.locs.insert(lba, DeltaLoc::Dez(r));
+        }
         self.live_total = self.live_total - u64::from(merge.live) + u64::from(live);
         self.bound.merged(live, merge.rest);
     }
 
-    /// Forget every page (the SSD holding them is gone, or recovery
-    /// rebuilds them), keeping the free list.
+    /// Forget every delta and page (the SSD holding them is gone, or
+    /// recovery rebuilds them), keeping the free list.
     pub(crate) fn clear(&mut self) {
+        self.locs.clear();
         for page in self.pages.drain(..) {
             self.spare.give(page.lbas);
         }
@@ -264,19 +288,33 @@ impl DezIndex {
     }
 
     /// The slow definition the running counters must equal: every page's
-    /// live bytes are what `live_len(slot, lba)` credits the deltas it
-    /// lists with (the bytes of those its copy still places in it), and the
-    /// total is their sum. Debug assertions and tests only.
-    pub(crate) fn recount(&self, live_len: impl Fn(u32, u64) -> u32) -> bool {
+    /// live bytes are the lengths of the deltas it lists whose location is
+    /// that page, the total is their sum, and every committed location is
+    /// listed by its page. Debug assertions and tests only.
+    pub(crate) fn recount(&self) -> bool {
         let mut total = 0u64;
         for page in &self.pages {
-            let live: u32 = page.lbas.iter().map(|&lba| live_len(page.slot, lba)).sum();
+            let live_len = |lba| match self.locs.get(lba) {
+                Some(DeltaLoc::Dez(r)) if r.slot == page.slot => u32::from(r.len),
+                _ => 0,
+            };
+            let live: u32 = page.lbas.iter().map(live_len).sum();
             if live != page.live {
                 return false;
             }
             total += u64::from(live);
         }
-        total == self.live_total
+        let listed = |(&lba, loc): (&u64, &DeltaLoc)| match loc {
+            DeltaLoc::Dez(r) => self.page(r.slot).is_some_and(|page| page.lbas.contains(lba)),
+            DeltaLoc::Staged => true,
+        };
+        total == self.live_total && self.locs.iter().all(listed)
+    }
+
+    /// Every page's delta location.
+    #[cfg(test)]
+    pub(crate) fn locs(&self) -> impl Iterator<Item = (u64, DeltaLoc)> + '_ {
+        self.locs.iter().map(|(&lba, &loc)| (lba, loc))
     }
 
     /// What compaction can prove about its next victim scan.
@@ -302,28 +340,75 @@ mod tests {
 
     const PAGE: u32 = 4096;
 
-    /// Slot → lba → bytes of the live deltas the page holds.
-    type Model = BTreeMap<u32, BTreeMap<u64, u32>>;
+    /// The index as plain maps: slot → lba → where the page's live delta
+    /// lies, and the lbas whose delta is staged.
+    #[derive(Default)]
+    struct Model {
+        pages: BTreeMap<u32, BTreeMap<u64, DeltaRef>>,
+        staged: BTreeSet<u64>,
+    }
 
-    /// Release `lba`'s delta from whichever page holds it, in both.
-    fn release(dez: &mut DezIndex, model: &mut Model, lba: u64) -> Result<(), TestCaseError> {
-        let Some((&slot, deltas)) = model.iter_mut().find(|(_, d)| d.contains_key(&lba)) else {
-            return Ok(());
-        };
-        let len = deltas.remove(&lba).unwrap_or(0);
-        let emptied = deltas.is_empty();
-        if emptied {
-            model.remove(&slot);
+    impl Model {
+        fn loc(&self, lba: u64) -> Option<DeltaLoc> {
+            if self.staged.contains(&lba) {
+                return Some(DeltaLoc::Staged);
+            }
+            self.pages.values().find_map(|d| d.get(&lba)).map(|&r| DeltaLoc::Dez(r))
         }
-        prop_assert_eq!(dez.release(slot, lba, len), emptied);
+
+        /// Drop `lba`'s delta; whether it was staged, and the slot of the
+        /// page that emptied.
+        fn release(&mut self, lba: u64) -> (bool, Option<u32>) {
+            if self.staged.remove(&lba) {
+                return (true, None);
+            }
+            let Some((&slot, deltas)) = self.pages.iter_mut().find(|(_, d)| d.contains_key(&lba))
+            else {
+                return (false, None);
+            };
+            deltas.remove(&lba);
+            if !deltas.is_empty() {
+                return (false, None);
+            }
+            self.pages.remove(&slot);
+            (false, Some(slot))
+        }
+    }
+
+    /// Invalidate (`staged` false) or re-stage `lba`'s delta, in both: the
+    /// index reports a staged delta and an emptied page as the model does.
+    fn restage(
+        dez: &mut DezIndex,
+        model: &mut Model,
+        lba: u64,
+        staged: bool,
+    ) -> Result<(), TestCaseError> {
+        let want = model.release(lba);
+        if staged {
+            model.staged.insert(lba);
+        }
+        let got = dez.restage(lba, staged);
+        prop_assert_eq!((got.staged, got.emptied), want, "lba {}", lba);
         Ok(())
+    }
+
+    /// `deltas` of `(lba, len)` packed into page `slot` in order.
+    fn packed(slot: u32, deltas: impl IntoIterator<Item = (u64, u16)>) -> Vec<(u64, DeltaRef)> {
+        let mut off = 0;
+        let pack = |(lba, len)| {
+            let r = DeltaRef { slot, off, len };
+            off += len;
+            (lba, r)
+        };
+        deltas.into_iter().map(pack).collect()
     }
 
     /// The merge the model plans: the two smallest pages by (live bytes,
     /// slot), under pressure and if one page holds both.
     fn model_merge(model: &Model, (per_page, per_delta): (u32, u32)) -> Option<(u32, u32)> {
+        let live = |d: &BTreeMap<u64, DeltaRef>| d.values().map(|r| u32::from(r.len)).sum::<u32>();
         let mut pages: Vec<(u32, u32, u32)> =
-            model.iter().map(|(&slot, d)| (d.values().sum(), slot, d.len() as u32)).collect();
+            model.pages.iter().map(|(&slot, d)| (live(d), slot, d.len() as u32)).collect();
         pages.sort_unstable();
         let total: u32 = pages.iter().map(|&(live, ..)| live).sum();
         let pressed = pages.len() >= 4 && total * 100 < pages.len() as u32 * PAGE * 85;
@@ -341,19 +426,21 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// `DezIndex` and `PendingRows` against `BTreeMap`/`BTreeSet`
-        /// models under random adds, releases, listed pages, merges in
-        /// either copy's style and row adds, removals and takes: slots come
-        /// out ascending, each page's deltas and each taken row ascending,
-        /// all equal to the model; the live bytes recount; and compaction
-        /// merges the two smallest pages by (live bytes, slot). Delta sizes
-        /// are multiples of 256 bytes, so pages often tie.
+        /// models under random re-stages, invalidations, committed pages,
+        /// merges, recovery rebuilds and row adds, removals and takes:
+        /// every lba's location equals the model's, an invalidation reports
+        /// an emptied page exactly when the model's empties, slots come out
+        /// ascending, each page's deltas and each taken row ascending, all
+        /// equal to the model; the index recounts; and compaction merges
+        /// the two smallest pages by (live bytes, slot). Delta sizes are
+        /// multiples of 256 bytes, so pages often tie.
         #[test]
         fn dez_index_and_pending_rows_follow_key_order(
-            ops in proptest::collection::vec((0u8..10, 0u32..24, 0u64..48, 1u32..8), 0..300),
+            ops in proptest::collection::vec((0u8..11, 0u32..24, 0u64..48, 1u16..8), 0..300),
         ) {
             // Slots from 16 up grow the slot table.
             let mut dez = DezIndex::new(16);
-            let mut model = Model::new();
+            let mut model = Model::default();
             let mut rows = PendingRows::default();
             let mut row_model: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
             let mut taken = Vec::new();
@@ -361,52 +448,56 @@ mod tests {
                 let len = size * 256;
                 let row = u64::from(slot % 6);
                 match op {
-                    // The counting copy's commit: one delta at a time.
-                    0 | 1 => {
-                        release(&mut dez, &mut model, lba)?;
-                        dez.add(slot, lba, len);
-                        dez.seal(slot);
-                        model.entry(slot).or_default().insert(lba, len);
-                    }
-                    2 => release(&mut dez, &mut model, lba)?,
-                    // The engine's commit: a page of 1–4 deltas listed,
-                    // then live.
-                    3 if !model.contains_key(&slot) => {
-                        let deltas: BTreeMap<u64, u32> =
-                            (0..u64::from(size % 4) + 1).map(|k| ((lba + 7 * k) % 48, len)).collect();
-                        for &l in deltas.keys() {
-                            release(&mut dez, &mut model, l)?;
+                    // A write hit stages a delta; cleaning invalidates one.
+                    0 | 1 => restage(&mut dez, &mut model, lba, true)?,
+                    2 => restage(&mut dez, &mut model, lba, false)?,
+                    // A commit: 1–4 staged deltas listed in a fresh page,
+                    // logged, then live.
+                    3 if !model.pages.contains_key(&slot) => {
+                        let lbas: BTreeSet<u64> =
+                            (0..u64::from(size % 4) + 1).map(|k| (lba + 7 * k) % 48).collect();
+                        for &l in &lbas {
+                            restage(&mut dez, &mut model, l, true)?;
                         }
-                        let listed = dez.list(slot, deltas.keys().rev().copied());
-                        dez.go_live(listed, deltas.values().sum());
-                        model.insert(slot, deltas);
+                        let refs = packed(slot, lbas.iter().rev().map(|&l| (l, len)));
+                        let listed = dez.list(slot, lbas.iter().copied());
+                        for &l in &lbas {
+                            prop_assert_eq!(dez.loc(l), Some(DeltaLoc::Staged), "listed lba {}", l);
+                        }
+                        dez.go_live(listed, &refs);
+                        model.staged.retain(|l| !lbas.contains(l));
+                        model.pages.insert(slot, refs.into_iter().collect());
                     }
-                    // A compaction turn, carried out as the counting copy
-                    // (in place) or the engine (a fresh destination) does.
+                    // A compaction turn with either copy's page overhead:
+                    // both pages' deltas repacked into the destination.
                     4 | 5 => {
                         let overhead = if op == 4 { (0, 0) } else { (2, 12) };
                         let merge = dez.next_merge(PAGE, overhead);
                         prop_assert_eq!(merge.map(|m| (m.dst, m.src)), model_merge(&model, overhead));
                         let Some(merge) = merge else { continue };
-                        let src = model.remove(&merge.src).unwrap_or_default();
-                        if op == 4 {
-                            let mut moved = Vec::new();
-                            let merged: Vec<u64> = dez
-                                .drain_merge(&merge, |l| moved.push(l))
-                                .map(Iterator::collect)
-                                .unwrap_or_default();
-                            prop_assert_eq!(moved, src.keys().copied().collect::<Vec<_>>());
-                            let dst = model.entry(merge.dst).or_default();
-                            dst.extend(src);
-                            prop_assert_eq!(merged, dst.keys().copied().collect::<Vec<_>>());
-                        } else {
-                            let dst = model.entry(merge.dst).or_default();
-                            // Packed as the engine packs: the destination's
-                            // deltas, then the source's.
-                            let moved: Vec<(u64, u32)> =
-                                dst.iter().chain(&src).map(|(&l, &n)| (l, n)).collect();
-                            dez.replace_merged(&merge, moved.into_iter());
-                            dst.extend(src);
+                        let src = model.pages.remove(&merge.src).unwrap_or_default();
+                        let dst = model.pages.remove(&merge.dst).unwrap_or_default();
+                        let deltas = dst.iter().chain(&src).map(|(&l, r)| (l, r.len));
+                        let mut moved = packed(merge.dst, deltas);
+                        moved.sort_unstable_by_key(|&(l, _)| l);
+                        dez.replace_merged(&merge, &moved);
+                        model.pages.insert(merge.dst, moved.into_iter().collect());
+                    }
+                    // Recovery: the committed locations re-added one by one
+                    // in any order, then the staged ones re-staged.
+                    10 => {
+                        let committed: Vec<(u64, DeltaRef)> = model
+                            .pages
+                            .values()
+                            .flat_map(|d| d.iter().map(|(&l, &r)| (l, r)))
+                            .collect();
+                        dez.clear();
+                        for &(l, r) in committed.iter().rev() {
+                            dez.add(l, r);
+                        }
+                        for &l in &model.staged {
+                            let got = dez.restage(l, true);
+                            prop_assert_eq!((got.staged, got.emptied), (false, None));
                         }
                     }
                     6 | 7 => {
@@ -424,16 +515,19 @@ mod tests {
                         prop_assert_eq!(&taken, &want.into_iter().collect::<Vec<_>>());
                     }
                 }
-                prop_assert_eq!(dez.slots().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
-                for (&slot, deltas) in &model {
+                for l in 0..48 {
+                    prop_assert_eq!(dez.loc(l), model.loc(l), "lba {}", l);
+                }
+                let slots: Vec<u32> = model.pages.keys().copied().collect();
+                prop_assert_eq!(dez.slots().collect::<Vec<_>>(), slots);
+                for (&slot, deltas) in &model.pages {
                     prop_assert_eq!(
                         dez.lbas(slot).collect::<Vec<_>>(),
                         deltas.keys().copied().collect::<Vec<_>>()
                     );
                 }
-                let live_len = |slot, lba| model.get(&slot).and_then(|d| d.get(&lba)).copied();
-                proptest::prop_assert!(dez.recount(|slot, lba| live_len(slot, lba).unwrap_or(0)));
-                prop_assert_eq!(dez.len(), model.len() as u64);
+                proptest::prop_assert!(dez.recount());
+                prop_assert_eq!(dez.len(), model.pages.len() as u64);
                 prop_assert_eq!(rows.pending_rows(), row_model.len());
             }
         }

@@ -29,7 +29,7 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::config::KddConfig;
-use crate::dez::DezIndex;
+use crate::dez::{DeltaLoc, DezIndex};
 use crate::metalog::{CommitBatch, LogEntry, MetaLog, PartitionTooSmall};
 use crate::staging::{PayloadPool, StagingBuffer};
 use kdd_blockdev::error::{DevError, FaultDomain};
@@ -46,6 +46,8 @@ use kdd_raid::array::{RaidArray, RaidError};
 use kdd_util::hash::{crc32_update, FastMap};
 use kdd_util::units::SimTime;
 use kdd_util::PagePool;
+
+pub use crate::dez::DeltaRef;
 
 /// Flat service time charged per member-disk operation.
 const DISK_OP: SimTime = SimTime(8_000_000);
@@ -114,17 +116,6 @@ pub enum EntryState {
     Old,
     /// Mapping removed (tombstone).
     Free,
-}
-
-/// Where a committed delta lives inside the DEZ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaRef {
-    /// DEZ cache slot.
-    pub slot: u32,
-    /// Byte offset within the DEZ page.
-    pub off: u16,
-    /// Compressed length in bytes.
-    pub len: u16,
 }
 
 /// One persistent mapping entry (Figure 3's fields).
@@ -244,13 +235,6 @@ fn le_u16(b: &[u8], at: usize) -> Option<u16> {
     b.get(at..at.checked_add(2)?).and_then(|s| <[u8; 2]>::try_from(s).ok()).map(u16::from_le_bytes)
 }
 
-/// Where a page's delta currently lives (volatile index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DeltaLoc {
-    Staged,
-    Dez(DeltaRef),
-}
-
 /// One DEZ page image being laid out — a `[count: u16]` header, a
 /// directory of `(lba: u64, off: u16, len: u16)` records, then the
 /// compressed payloads — one delta at a time, each copied from wherever it
@@ -321,9 +305,7 @@ pub struct KddEngine {
     cache: SetAssocCache,
     nv: Nvram<NvState>,
     metalog: MetaLog<MapEntry>,
-    delta_loc: FastMap<u64, DeltaLoc>,
-    /// DEZ slot → the pages whose delta it holds; a page's live bytes are
-    /// those of its deltas `delta_loc` still places in it.
+    /// Each old page's delta location, and the DEZ pages holding them.
     dez: DezIndex,
     pending_rows: PendingRows,
     stats: CacheStats,
@@ -454,7 +436,6 @@ impl KddEngine {
             cache,
             nv,
             metalog,
-            delta_loc: FastMap::default(),
             dez: DezIndex::new(config.geometry.total_pages),
             pending_rows: PendingRows::default(),
             stats: CacheStats::default(),
@@ -746,25 +727,21 @@ impl KddEngine {
 
     // ---- delta plumbing ---------------------------------------------------
 
-    /// Drop `lba`'s membership in the DEZ page `r` points into, trimming
-    /// the page once its last live delta is gone.
-    fn release_dez_ref(&mut self, lba: u64, r: DeltaRef) -> Result<(), EngineError> {
-        // The caller has just moved `lba`'s `delta_loc` off `r`: those
-        // bytes were live until now.
-        if self.dez.release(r.slot, lba, u32::from(r.len)) {
-            self.ssd.trim_page(self.slot_lpn(r.slot))?;
-            self.cache.free_slot(r.slot);
-        }
-        Ok(())
+    /// Free and trim the slot of a DEZ page that left the index, if one
+    /// did. The slot is freed first, so a failed trim cannot leave it
+    /// pinned with no page.
+    fn free_dez_slot(&mut self, emptied: Option<u32>) -> Result<(), EngineError> {
+        let Some(slot) = emptied else { return Ok(()) };
+        self.cache.free_slot(slot);
+        Ok(self.ssd.trim_page(self.slot_lpn(slot))?)
     }
 
     fn invalidate_delta(&mut self, lba: u64) -> Result<(), EngineError> {
-        match self.delta_loc.remove(&lba) {
-            Some(DeltaLoc::Staged) => self.payloads.release(self.nv.get_mut().staging.remove(lba)),
-            Some(DeltaLoc::Dez(r)) => self.release_dez_ref(lba, r)?,
-            None => {}
+        let released = self.dez.restage(lba, false);
+        if released.staged {
+            self.payloads.release(self.nv.get_mut().staging.remove(lba));
         }
-        Ok(())
+        self.free_dez_slot(released.emptied)
     }
 
     /// Pack the staged deltas into DEZ pages: each page carries a
@@ -805,35 +782,48 @@ impl KddEngine {
                 packer.push(lba, payload);
             }
             let DezPacker { page, refs, .. } = packer;
-            let dt = self.ssd.write_page(self.slot_lpn(slot), &page)?;
-            self.charge_stage(Stage::StagingCommit, dt, t);
-            self.pool.release(page);
-            self.stats.ssd_delta_writes += 1;
-            // The page is indexed with no live bytes until its mappings are
-            // logged.
+            // The page is indexed with no live bytes until it is on flash
+            // and its mappings are logged. Logging precedes every removal of
+            // an NVRAM copy: if the crash lands in between, recovery sees
+            // both and the staged copies (same bytes) simply supersede the
+            // DEZ references.
             let listed = self.dez.list(slot, refs.iter().map(|&(lba, _)| lba));
-            // Log the whole DEZ page's mappings as one metalog group, then
-            // drop the NVRAM copies. Logging precedes every removal: if the
-            // crash lands in between, recovery sees both and the staged
-            // copies (same bytes) simply supersede the DEZ references.
-            let mut entries = std::mem::take(&mut self.scratch.entries);
-            for &(lba, r) in &refs {
-                entries.push(self.old_entry(lba, r)?);
+            let stored = self.store_dez_page(slot, &page, &refs, t);
+            self.pool.release(page);
+            if let Err(e) = stored {
+                // The staged copies are still the current deltas.
+                self.dez.unlist(listed);
+                self.cache.free_slot(slot);
+                return Err(e);
             }
-            self.meta_pending.extend(self.metalog.push_group(entries.drain(..))?);
-            self.scratch.entries = entries;
-            self.queue_batches(t)?;
-            // The page's bytes become live as `delta_loc` turns to them.
-            let mut live = 0u32;
-            for &(lba, r) in &refs {
+            for &(lba, _) in &refs {
                 self.payloads.release(self.nv.get_mut().staging.remove(lba));
-                self.delta_loc.insert(lba, DeltaLoc::Dez(r));
-                live += u32::from(r.len);
             }
+            self.dez.go_live(listed, &refs);
             self.scratch.refs = refs;
-            self.dez.go_live(listed, live);
         }
         Ok(())
+    }
+
+    /// Write the DEZ page of `refs` to `slot` and log their mappings as one
+    /// metalog group.
+    fn store_dez_page(
+        &mut self,
+        slot: u32,
+        page: &[u8],
+        refs: &[(u64, DeltaRef)],
+        t: &mut SimTime,
+    ) -> Result<(), EngineError> {
+        let dt = self.ssd.write_page(self.slot_lpn(slot), page)?;
+        self.charge_stage(Stage::StagingCommit, dt, t);
+        self.stats.ssd_delta_writes += 1;
+        let mut entries = std::mem::take(&mut self.scratch.entries);
+        for &(lba, r) in refs {
+            entries.push(self.old_entry(lba, r)?);
+        }
+        self.meta_pending.extend(self.metalog.push_group(entries.drain(..))?);
+        self.scratch.entries = entries;
+        self.queue_batches(t)
     }
 
     /// A slot for a new DEZ page: a free one from the set with the fewest
@@ -857,7 +847,7 @@ impl KddEngine {
         t: &mut SimTime,
         f: impl FnOnce(&[u8], &mut Vec<u8>) -> R,
     ) -> Result<R, EngineError> {
-        match self.delta_loc.get(&lba).copied() {
+        match self.dez.loc(lba) {
             Some(DeltaLoc::Staged) => {
                 let staged = self.nv.get().staging.get(lba);
                 let comp = staged.ok_or(EngineError::Inconsistent("staged delta index broken"))?;
@@ -1266,12 +1256,10 @@ impl KddEngine {
                             // staged one in place) before releasing any
                             // committed copy, so at every instant one valid
                             // delta exists.
-                            let old_loc = self.delta_loc.insert(lba, DeltaLoc::Staged);
+                            let released = self.dez.restage(lba, true);
                             let staged = std::mem::take(&mut comp);
                             self.payloads.release(self.nv.get_mut().staging.insert(lba, staged));
-                            if let Some(DeltaLoc::Dez(r)) = old_loc {
-                                self.release_dez_ref(lba, r)?;
-                            }
+                            self.free_dez_slot(released.emptied)?;
                             let row = self.raid.layout().row_of(lba);
                             self.add_pending(row, lba);
                             true
@@ -1421,16 +1409,11 @@ impl KddEngine {
         out
     }
 
-    /// Slots the cleaner alone can release: *old* pages and DEZ pages.
-    fn pinned(&self) -> u64 {
-        (self.cache.count_state(PageState::Old) + self.cache.count_state(PageState::Delta)) as u64
-    }
-
     fn maybe_clean(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        if self.pinned() >= self.config.compact_pressure_slots() {
+        if self.dez.pinned(&self.cache) >= self.config.compact_pressure_slots() {
             self.compact_dez(t)?;
         }
-        if self.pinned() >= self.config.clean_trigger_slots() {
+        if self.dez.pinned(&self.cache) >= self.config.clean_trigger_slots() {
             self.clean_some(t)?;
         }
         Ok(())
@@ -1441,21 +1424,12 @@ impl KddEngine {
     /// their delta path (mirrors the accounting policy).
     fn clean_some(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
         let low = self.config.clean_low_water_slots();
-        while self.pinned() > low {
+        while self.dez.pinned(&self.cache) > low {
             let Some(row) = self.pending_rows.oldest_row() else { break };
             self.clean_row(row, t)?;
         }
         self.stats.cleanings += 1;
         Ok(())
-    }
-
-    /// The DEZ index's recount against `delta_loc`. Debug assertions and
-    /// tests only.
-    fn dez_live_consistent(&self) -> bool {
-        self.dez.recount(|slot, lba| match self.delta_loc.get(&lba) {
-            Some(DeltaLoc::Dez(r)) if r.slot == slot => u32::from(r.len),
-            _ => 0,
-        })
     }
 
     /// Log-structured DEZ compaction (pressure-driven, as in the
@@ -1464,7 +1438,7 @@ impl KddEngine {
     /// the destination slot and free the source.
     fn compact_dez(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
         loop {
-            debug_assert!(self.dez_live_consistent(), "DEZ live-byte counters drifted");
+            debug_assert!(self.dez.recount(), "DEZ live-byte counters drifted");
             // A merged page holds its header and a directory record per
             // delta on top of the payloads.
             let Some(merge) = self.dez.next_merge(self.config.geometry.page_size, (2, 12)) else {
@@ -1474,7 +1448,7 @@ impl KddEngine {
             // Repack the live deltas of both pages into the destination
             // slot, each copied once from the page it lies in. Nothing
             // volatile moves until the merged page is on flash, so a failed
-            // write leaves `delta_loc` pointing at the two intact source
+            // write leaves the index pointing at the two intact source
             // pages.
             let refs = std::mem::take(&mut self.scratch.refs);
             let mut packer = DezPacker::new(self.pool.acquire(), dst, merge.deltas, refs);
@@ -1491,17 +1465,14 @@ impl KddEngine {
             // The merged page's deltas in its index order, as the counting
             // copy re-logs them.
             moved.sort_unstable_by_key(|&(lba, _)| lba);
-            let dt = self.ssd.write_page(self.slot_lpn(dst), &page)?;
-            self.charge_stage(Stage::StagingCommit, dt, t);
+            let written = self.ssd.write_page(self.slot_lpn(dst), &page);
             self.pool.release(page);
+            let dt = written?;
+            self.charge_stage(Stage::StagingCommit, dt, t);
             self.stats.ssd_delta_writes += 1;
-            for &(lba, r) in &moved {
-                self.delta_loc.insert(lba, DeltaLoc::Dez(r));
-            }
             // The merged page replaces `dst`'s record; the source retires.
-            self.dez.replace_merged(&merge, moved.iter().map(|&(lba, r)| (lba, u32::from(r.len))));
-            self.ssd.trim_page(self.slot_lpn(src))?;
-            self.cache.free_slot(src);
+            self.dez.replace_merged(&merge, &moved);
+            self.free_dez_slot(Some(src))?;
             // Re-log the moved mappings (offsets changed).
             for &(lba, r) in &moved {
                 let entry = self.old_entry(lba, r)?;
@@ -1694,7 +1665,6 @@ impl KddEngine {
         // 3. Rebuild the directory, DEZ accounting and pending rows.
         let layout = self.raid.layout();
         let mut cache = Self::empty_cache(&config, &self.raid);
-        let mut delta_loc: FastMap<u64, DeltaLoc> = FastMap::default();
         let mut dez = std::mem::take(&mut self.dez);
         dez.clear();
         let mut pending_rows = PendingRows::default();
@@ -1706,8 +1676,7 @@ impl KddEngine {
                     let row = layout.row_of(e.lba_raid);
                     pending_rows.add(row, e.lba_raid, || set_of_row(&cache, layout, row));
                     if let Some(r) = e.dez {
-                        delta_loc.insert(e.lba_raid, DeltaLoc::Dez(r));
-                        dez.add(r.slot, e.lba_raid, u32::from(r.len));
+                        dez.add(e.lba_raid, r);
                     }
                 }
                 EntryState::Free => {}
@@ -1729,10 +1698,7 @@ impl KddEngine {
             // before the cut (its slot may hold a clean page by now) while
             // the log still carries the superseded references until the
             // next commit: it leaves the index here.
-            if let Some(DeltaLoc::Dez(r)) = delta_loc.get(&lba).copied() {
-                dez.release(r.slot, lba, u32::from(r.len));
-            }
-            delta_loc.insert(lba, DeltaLoc::Staged);
+            dez.restage(lba, true);
             if cache.state(slot) != PageState::Old {
                 cache.set_state(slot, PageState::Old);
             }
@@ -1746,7 +1712,6 @@ impl KddEngine {
         // Around the devices, NVRAM and log that survived and the directory
         // just recovered; only what recovery computed differs from new.
         let mut engine = Self::assemble(config, self.ssd, self.raid, cache, self.nv, self.metalog);
-        engine.delta_loc = delta_loc;
         engine.dez = dez;
         engine.pending_rows = pending_rows;
         engine.stats.torn_pages_detected = torn_detected;
@@ -1818,7 +1783,6 @@ impl KddEngine {
         // Any pages parked by an in-flight batch belonged to the lost
         // cache's log; the fresh SSD starts from an empty mapping.
         self.meta_pending.clear();
-        self.delta_loc.clear();
         self.dez.clear();
         self.pending_rows = PendingRows::default();
         Ok(())
@@ -1886,11 +1850,11 @@ mod tests {
     /// move another page's delta between DEZ pages only through a merge
     /// (commits move deltas from staging, cleaning drops them).
     fn dez_slots(e: &KddEngine) -> FastMap<u64, u32> {
-        let slot = |(&lba, loc): (&u64, &DeltaLoc)| match loc {
+        let slot = |(lba, loc)| match loc {
             DeltaLoc::Dez(r) => Some((lba, r.slot)),
             DeltaLoc::Staged => None,
         };
-        e.delta_loc.iter().filter_map(slot).collect()
+        e.dez.locs().filter_map(slot).collect()
     }
 
     fn page(tag: u64) -> Vec<u8> {
@@ -2152,7 +2116,7 @@ mod tests {
         // Every skip from here on is checked against the scan it replaces
         // by the debug assertion in `compact_dez`.
         assert!(nudge_randomly(&mut e, &lbas, &mut versions, &mut rng, 600) > 0);
-        assert!(e.dez_live_consistent());
+        assert!(e.dez.recount());
         for &lba in &lbas {
             let (got, _) = e.read(lba).unwrap();
             assert_eq!(got, versions[&lba], "lba {lba} corrupted");
@@ -2187,8 +2151,45 @@ mod tests {
         assert!(dez_pages <= 96, "DEZ blew up: {dez_pages} pages");
     }
 
-    /// The running DEZ counters equal the recount from `delta_loc` after
-    /// every operation of seeded random mixes, recovery paths included.
+    /// One transient SSD fault at each op index from 20 to 1 499 of a
+    /// write-heavy run under pressure — on a DEZ page write, its log page
+    /// or an emptied page's trim among the rest — leaves no DEZ slot behind
+    /// once `flush` has cleaned every row: each `Delta` slot belongs to an
+    /// indexed page, so the governor's pinned count is the directory's.
+    #[test]
+    fn transient_ssd_faults_leak_no_dez_slot() {
+        use kdd_blockdev::fault::FaultPlan;
+        let lbas: Vec<u64> = (0..96u64).map(|i| (i / 8) * 16 + i % 8).collect();
+        for at in 20..1500 {
+            let mut e = pressure_engine();
+            e.attach_fault_injector(FaultInjector::new(
+                FaultPlan::new().transient(at, FaultDomain::Ssd),
+            ));
+            let mut versions: FastMap<u64, Vec<u8>> = FastMap::default();
+            for &lba in &lbas {
+                e.write(lba, &page(lba)).unwrap();
+                versions.insert(lba, page(lba));
+            }
+            for round in 0..4u8 {
+                for (i, &lba) in lbas.iter().enumerate() {
+                    let next = nudged_page(&versions[&lba], round.wrapping_mul(97) ^ i as u8);
+                    e.write(lba, &next).unwrap();
+                    versions.insert(lba, next);
+                }
+            }
+            let pinned =
+                e.cache.count_state(PageState::Old) + e.cache.count_state(PageState::Delta);
+            assert_eq!(e.dez.pinned(&e.cache), pinned as u64, "fault at op {at}");
+            e.flush().or_else(|_| e.flush()).unwrap();
+            assert_eq!(e.cache.count_state(PageState::Delta), 0, "fault at op {at}");
+            for &lba in &lbas {
+                assert_eq!(e.read(lba).unwrap().0, versions[&lba], "fault at op {at}: lba {lba}");
+            }
+        }
+    }
+
+    /// The DEZ index recounts after every operation of seeded random mixes,
+    /// recovery paths included.
     #[test]
     fn dez_live_counters_match_recount_under_random_mixes() {
         for seed in [3u64, 11, 42] {
@@ -2249,7 +2250,7 @@ mod tests {
                         e.recover_from_ssd_failure().unwrap();
                     }
                 }
-                assert!(e.dez_live_consistent(), "seed {seed} step {step}");
+                assert!(e.dez.recount(), "seed {seed} step {step}");
                 dez_pages_peak = dez_pages_peak.max(e.dez.len());
                 live_peak = live_peak.max(e.dez.live_total());
             }
@@ -2303,7 +2304,7 @@ mod tests {
                         .count();
                 }
                 (0..=997, _) => {
-                    match lent.delta_loc.get(&lba) {
+                    match lent.dez.loc(lba) {
                         Some(DeltaLoc::Staged) => staged_reads += 1,
                         Some(DeltaLoc::Dez(_)) => dez_reads += 1,
                         None => {}

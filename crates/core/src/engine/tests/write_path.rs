@@ -18,7 +18,7 @@ fn assert_conserved(e: &KddEngine, after: &str) {
 }
 
 fn staged(e: &KddEngine) -> usize {
-    e.delta_loc.values().filter(|loc| **loc == DeltaLoc::Staged).count()
+    e.dez.locs().filter(|&(_, loc)| loc == DeltaLoc::Staged).count()
 }
 
 /// A scripted mix that leaves through every exit a payload has; once the
@@ -70,15 +70,15 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     // Coalescing rewrite of a staged delta.
     rewrite(&mut e, &mut versions, lbas[0], 1);
     let before = e.staged_deltas();
-    assert_eq!(e.delta_loc.get(&lbas[0]), Some(&DeltaLoc::Staged));
+    assert_eq!(e.dez.loc(lbas[0]), Some(DeltaLoc::Staged));
     rewrite(&mut e, &mut versions, lbas[0], 2);
     assert_eq!(e.staged_deltas(), before);
     assert_conserved(&e, "coalescing");
 
     // Incompressible rewrites fall through — of a page with a staged delta
     // (invalidated on the way), with a committed one, and of a clean page.
-    let committed = |(lba, loc): (&u64, &DeltaLoc)| matches!(loc, DeltaLoc::Dez(_)).then_some(*lba);
-    let committed = e.delta_loc.iter().find_map(committed).expect("a committed delta");
+    let committed = |(lba, loc)| matches!(loc, DeltaLoc::Dez(_)).then_some(lba);
+    let committed = e.dez.locs().find_map(committed).expect("a committed delta");
     e.read(200).unwrap();
     for lba in [lbas[0], committed, 200] {
         let page = noise(&mut rng);
@@ -110,10 +110,10 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     for &lba in lbas.iter().skip(8).take(8) {
         rewrite(&mut e, &mut versions, lba, 5);
     }
-    let dez = e.delta_loc.len() - staged(&e);
+    let dez = e.dez.locs().count() - staged(&e);
     assert!(staged(&e) > 0 && dez > 0, "{} staged, {dez} committed", staged(&e));
     e.clean(&mut t).unwrap();
-    assert!(e.delta_loc.is_empty() && e.staged_deltas() == 0);
+    assert!(e.dez.locs().next().is_none() && e.staged_deltas() == 0);
     assert_conserved(&e, "cleaning");
 
     // And again from the top, merges included.

@@ -19,25 +19,25 @@
 //!   a serialised metadata log, and full §III-E failure recovery (power
 //!   loss, SSD loss, HDD loss).
 //!
-//! **One definition, used by both:** the DEZ index (`dez::DezIndex`: pages
-//! by slot, each page's deltas as an lba-ascending set, its live bytes and
-//! their total, the compaction bound — lowered when a page is new or
-//! shrinks, exact after a merge, "unknown" while the engine logs a fresh
-//! page and after recovery — and the release of an emptied page), the
-//! compaction planner (`plan_merge` with its `MergeBound`, here in the
-//! crate root: pressure test, victim scan, fit test), the cleaning
-//! governor (the trigger, ¾ compaction pressure and ⅞ low-water thresholds
-//! of [`KddConfig`]), the NoRoom reclaim's row choice and the pending-row
-//! order ([`kdd_cache::policies::PendingRows`]), the DEZ victim rule and
-//! the directory ([`kdd_cache::setassoc::SetAssocCache`]), the circular
-//! log ([`MetaLog`]) and the NVRAM staging buffer ([`StagingBuffer`]).
+//! **One definition, used by both:** the DEZ index (`dez::DezIndex`):
+//! each old page's delta location (staged, or a `DeltaRef` into a DEZ
+//! page) with one invalidate/re-stage call, one commit protocol (`list` →
+//! the caller logs → `go_live`) and one merge call, each page's deltas by
+//! lba with their live bytes, the recount against the locations, and the
+//! compaction bound. Also the compaction planner (`plan_merge` and its
+//! `MergeBound`, here in the crate root), the cleaning governor (old plus
+//! DEZ pages against the thresholds of [`KddConfig`]), the NoRoom reclaim's
+//! row choice and the pending-row order
+//! ([`kdd_cache::policies::PendingRows`]), the DEZ victim rule and the
+//! directory ([`kdd_cache::setassoc::SetAssocCache`]), the circular log
+//! ([`MetaLog`]) and the NVRAM staging buffer ([`StagingBuffer`]).
 //!
-//! **Still written twice:** how a commit packs staged deltas into pages
-//! and how a merge is carried out (both take the merge victims, the re-log
-//! order and a cleaned row's reclaim order from the shared containers' key
-//! orders), `clean_row`, and `alloc_dez_slot`, where the two copies
-//! *diverge*: the policy compacts before it evicts a clean page, the
-//! engine evicts straight away.
+//! **Still written twice:** how a commit packs staged deltas into pages,
+//! how a merge's I/O is carried out and the slot freed (both take the
+//! merge victims, the re-log order and a cleaned row's reclaim order from
+//! the shared containers' key orders), `clean_row`, and `alloc_dez_slot`,
+//! where the two copies *diverge*: the policy compacts before it evicts a
+//! clean page, the engine evicts straight away.
 //!
 //! Supporting machinery: [`metalog`] (the circular persistent metadata
 //! log), [`staging`] (the NVRAM delta staging buffer), [`config`].

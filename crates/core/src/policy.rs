@@ -26,7 +26,7 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::config::KddConfig;
-use crate::dez::DezIndex;
+use crate::dez::{DeltaLoc, DeltaRef, DezIndex};
 use crate::metalog::{Commits, KeyEntry, MetaLog, PartitionTooSmall};
 use crate::staging::StagingBuffer;
 use kdd_cache::effects::{AccessOutcome, Effects};
@@ -36,7 +36,6 @@ use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
 use kdd_cache::stats::CacheStats;
 use kdd_delta::model::DeltaSizeModel;
 use kdd_trace::record::Op;
-use kdd_util::hash::FastMap;
 use kdd_util::lru::GhostList;
 
 /// Metadata pages a log operation lent.
@@ -51,15 +50,6 @@ fn meta_pages(commits: Result<Commits<'_, KeyEntry>, PartitionTooSmall>) -> u32 
         Ok(batches) => batches.len() as u32,
         Err(e) => panic!("{e}"),
     }
-}
-
-/// Where a page's current delta lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DeltaLoc {
-    /// Still in the NVRAM staging buffer.
-    Staged,
-    /// Packed into the DEZ page at `slot`, `len` compressed bytes.
-    Dez { slot: u32, len: u32 },
 }
 
 /// The KDD cache-management policy (accounting mode).
@@ -95,17 +85,14 @@ pub struct KddPolicy {
     staging: StagingBuffer<u32>,
     metalog: MetaLog<KeyEntry>,
     pending: PendingRows,
-    /// lba → current delta location (exists iff the page is *old*).
-    delta_loc: FastMap<u64, DeltaLoc>,
-    /// DEZ slot → its still-valid deltas.
+    /// Each old page's delta location, and the DEZ pages holding them.
     dez: DezIndex,
-    /// Pages `compact_dez` re-logs and `clean_row` reclaims, reused.
+    /// Pages `clean_row` reclaims, reused.
     scratch_lbas: Vec<u64>,
-    /// The deltas `commit_staging` drains, reused.
-    scratch_staged: Vec<(u64, u32)>,
+    /// The deltas `commit_staging` and `compact_dez` place, reused.
+    scratch_refs: Vec<(u64, DeltaRef)>,
     stats: CacheStats,
     config: KddConfig,
-    old_pages: u64,
     /// LARC-style ghost list (lazy admission extension).
     ghost: Option<GhostList>,
     /// Fixed-partition mode: the partition's free DEZ ids, the most
@@ -122,7 +109,9 @@ impl KddPolicy {
         } else {
             kdd_cache::setassoc::SetGrouping::Pages(1)
         };
-        let epp = (config.geometry.page_size / ENTRY_BYTES).max(1) as usize;
+        let page_size = config.geometry.page_size;
+        assert!(page_size <= u32::from(u16::MAX), "a delta's length must fit 16 bits");
+        let epp = (page_size / ENTRY_BYTES).max(1) as usize;
         // Fixed DEZ partitioning shrinks the directory to the DAZ share
         // and puts the reserved slots in a simple pool.
         let mut geometry = config.geometry;
@@ -138,16 +127,14 @@ impl KddPolicy {
             cache: SetAssocCache::new_grouped(geometry, grouping),
             raid,
             model,
-            staging: StagingBuffer::new(config.geometry.page_size),
+            staging: StagingBuffer::new(page_size),
             metalog: MetaLog::new(config.meta_partition_pages(), epp),
             pending: PendingRows::default(),
-            delta_loc: FastMap::default(),
             dez: DezIndex::new(config.geometry.total_pages),
             scratch_lbas: Vec::new(),
-            scratch_staged: Vec::new(),
+            scratch_refs: Vec::new(),
             stats: CacheStats::default(),
             config,
-            old_pages: 0,
             ghost: config
                 .lazy_admission
                 .then(|| GhostList::new(config.geometry.total_pages as usize)),
@@ -157,7 +144,7 @@ impl KddPolicy {
 
     /// Pages currently in the *old* state.
     pub fn old_pages(&self) -> u64 {
-        self.old_pages
+        self.cache.count_state(PageState::Old) as u64
     }
 
     /// DEZ pages currently allocated.
@@ -186,17 +173,12 @@ impl KddPolicy {
 
     /// Invalidate whatever delta `lba` currently has.
     fn invalidate_delta(&mut self, lba: u64) {
-        match self.delta_loc.remove(&lba) {
-            Some(DeltaLoc::Staged) => {
-                self.staging.remove(lba);
-            }
-            Some(DeltaLoc::Dez { slot, len }) => {
-                let emptied = self.dez.release(slot, lba, len);
-                if emptied {
-                    self.free_dez_slot(slot);
-                }
-            }
-            None => {}
+        let released = self.dez.restage(lba, false);
+        if released.staged {
+            self.staging.remove(lba);
+        }
+        if let Some(slot) = released.emptied {
+            self.free_dez_slot(slot);
         }
     }
 
@@ -226,19 +208,24 @@ impl KddPolicy {
                 return;
             }
         };
-        let mut drained = std::mem::take(&mut self.scratch_staged);
-        drained.extend(self.staging.drain());
-        debug_assert!(!drained.is_empty());
+        // Packed in FIFO order, as the engine packs them.
+        let mut refs = std::mem::take(&mut self.scratch_refs);
+        refs.clear();
+        let mut off = 0;
+        for (lba, len) in self.staging.drain() {
+            refs.push((lba, DeltaRef { slot, off: off as u16, len: len as u16 }));
+            off += len;
+        }
+        debug_assert!(!refs.is_empty());
         fx.ssd_delta_writes += 1;
         // Mapping entries for the affected old pages are logged only now
         // (§III-C): the (lba_dez, off, len) tuple is finally known.
-        for (lba, len) in drained.drain(..) {
-            self.dez.add(slot, lba, len);
-            self.delta_loc.insert(lba, DeltaLoc::Dez { slot, len });
+        let listed = self.dez.list(slot, refs.iter().map(|&(lba, _)| lba));
+        for &(lba, _) in &refs {
             self.log_alloc(lba, fx);
         }
-        self.scratch_staged = drained;
-        self.dez.seal(slot);
+        self.dez.go_live(listed, &refs);
+        self.scratch_refs = refs;
     }
 
     /// Log-structured DEZ garbage collection: rewrites invalidate deltas
@@ -253,26 +240,28 @@ impl KddPolicy {
             fx.ssd_reads += 2; // read both victims
             fx.ssd_delta_writes += 1; // rewrite the merged page
 
-            // The source's deltas move into the destination in place, each
-            // keeping its size.
-            let delta_loc = &mut self.delta_loc;
-            let repoint = |lba| {
-                if let Some(&DeltaLoc::Dez { len, .. }) = delta_loc.get(&lba) {
-                    delta_loc.insert(lba, DeltaLoc::Dez { slot: merge.dst, len });
+            // Both pages' deltas repacked into the destination, as the
+            // engine packs them, each keeping its size.
+            let mut moved = std::mem::take(&mut self.scratch_refs);
+            moved.clear();
+            let mut off = 0;
+            for slot in [merge.dst, merge.src] {
+                for lba in self.dez.lbas(slot) {
+                    let Some(DeltaLoc::Dez(DeltaRef { len, .. })) = self.dez.loc(lba) else {
+                        continue;
+                    };
+                    moved.push((lba, DeltaRef { slot: merge.dst, off: off as u16, len }));
+                    off += u32::from(len);
                 }
-            };
-            let Some(merged) = self.dez.drain_merge(&merge, repoint) else {
-                break; // the index is corrupt: stop compacting
-            };
+            }
+            moved.sort_unstable_by_key(|&(lba, _)| lba);
+            self.dez.replace_merged(&merge, &moved);
             // Every delta in the merged page moved (new offsets): their
             // mapping entries are re-logged.
-            let mut moved = std::mem::take(&mut self.scratch_lbas);
-            moved.clear();
-            moved.extend(merged);
-            for &lba in &moved {
+            for &(lba, _) in &moved {
                 self.log_alloc(lba, fx);
             }
-            self.scratch_lbas = moved;
+            self.scratch_refs = moved;
             self.free_dez_slot(merge.src);
         }
     }
@@ -325,7 +314,7 @@ impl KddPolicy {
     fn clean_some(&mut self) -> Effects {
         let mut fx = Effects::default();
         let low = self.config.clean_low_water_slots();
-        while self.old_pages + self.dez.len() > low {
+        while self.dez.pinned(&self.cache) > low {
             let Some(row) = self.pending.oldest_row() else { break };
             fx += self.clean_row(row);
         }
@@ -351,7 +340,7 @@ impl KddPolicy {
             self.pending.take_row_into(row, &mut lbas);
             for &lba in &lbas {
                 // Decompress this page's delta (from NVRAM or DEZ).
-                if let Some(DeltaLoc::Dez { .. }) = self.delta_loc.get(&lba) {
+                if let Some(DeltaLoc::Dez(_)) = self.dez.loc(lba) {
                     if !reconstruct {
                         fx.ssd_reads += 1;
                     }
@@ -367,14 +356,12 @@ impl KddPolicy {
                         // rewrite as a clean page — extra SSD program per
                         // victim, future write hits keep the delta path.
                         self.cache.set_state(slot, PageState::Clean);
-                        self.old_pages -= 1;
                         fx.ssd_data_writes += 1;
                         self.log_alloc(lba, &mut fx);
                     } else {
                         // Second scheme: "simply reclaims the old pages"
                         // — the paper's choice.
                         self.cache.free_slot(slot);
-                        self.old_pages -= 1;
                         self.log_free(lba, &mut fx);
                     }
                 }
@@ -404,10 +391,10 @@ impl KddPolicy {
     fn maybe_clean(&mut self, bg: &mut Effects) {
         // Space pressure builds: first squeeze fragmentation out of the
         // DEZ, then clean rows.
-        if self.old_pages + self.dez.len() >= self.config.compact_pressure_slots() {
+        if self.dez.pinned(&self.cache) >= self.config.compact_pressure_slots() {
             self.compact_dez(bg);
         }
-        if self.old_pages + self.dez.len() >= self.config.clean_trigger_slots() {
+        if self.dez.pinned(&self.cache) >= self.config.clean_trigger_slots() {
             *bg += self.clean_some();
         }
     }
@@ -465,8 +452,8 @@ impl CachePolicy for KddPolicy {
                     PageState::Old => {
                         // Combine old data + latest delta. Data and delta
                         // are fetched concurrently over distinct channels.
-                        match self.delta_loc.get(&lba) {
-                            Some(DeltaLoc::Dez { .. }) => {
+                        match self.dez.loc(lba) {
+                            Some(DeltaLoc::Dez(_)) => {
                                 fx.ssd_reads += 2;
                                 fx.ssd_read_rounds += 1;
                             }
@@ -496,7 +483,6 @@ impl CachePolicy for KddPolicy {
                 self.cache.touch(slot);
                 if self.cache.state(slot) == PageState::Clean {
                     self.cache.set_state(slot, PageState::Old);
-                    self.old_pages += 1;
                 }
                 let size = self.model.delta_size(page_size);
                 fx.compressions += 1;
@@ -506,7 +492,7 @@ impl CachePolicy for KddPolicy {
                 }
                 if self.staging.fits(lba, &size) {
                     self.staging.insert(lba, size);
-                    self.delta_loc.insert(lba, DeltaLoc::Staged);
+                    self.dez.restage(lba, true);
                     fx += self.raid.data_write_effects();
                     let row = self.raid.row_of(lba);
                     self.pending.add(row, lba, || set_of_row(&self.cache, &self.raid.layout, row));
@@ -517,7 +503,6 @@ impl CachePolicy for KddPolicy {
                     // pending delta.
                     if let Some(slot) = self.cache.lookup(lba) {
                         self.cache.set_state(slot, PageState::Clean);
-                        self.old_pages -= 1;
                     }
                     self.pending.remove(self.raid.row_of(lba), lba);
                     fx.ssd_data_writes += 1;
@@ -656,9 +641,9 @@ mod tests {
     /// The engine's live-byte recount, on the counting copy: seeded random
     /// read/write mixes with Gaussian delta sizes, under the paper's
     /// configuration, a fixed DEZ partition and reclaim-as-clean. After
-    /// every access each DEZ page's live bytes are the sizes of the deltas
-    /// `delta_loc` places in it, and the total their sum; `flush` empties
-    /// the index.
+    /// every access the index recounts (each DEZ page's live bytes are the
+    /// sizes of the deltas located in it, the total their sum) and locates
+    /// a delta for exactly the old pages; `flush` empties the index.
     #[test]
     fn dez_live_counters_match_recount_under_random_mixes() {
         let g = CacheGeometry { total_pages: 128, ways: 8, page_size: 4096 };
@@ -669,12 +654,6 @@ mod tests {
         for (config, seed) in [KddConfig::new(g), fixed, as_clean].into_iter().zip(1u64..) {
             let model = Box::new(GaussianDeltaModel::new(0.25, seed));
             let mut p = KddPolicy::new(config, RaidModel::paper_default(100_000), model);
-            let consistent = |p: &KddPolicy| {
-                p.dez.recount(|slot, lba| match p.delta_loc.get(&lba) {
-                    Some(&DeltaLoc::Dez { slot: at, len }) if at == slot => len,
-                    _ => 0,
-                })
-            };
             let (mut merged, mut pages_peak) = (0, 0);
             let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             for step in 0..6_000 {
@@ -683,7 +662,8 @@ mod tests {
                 let lba = if r % 4 == 0 { (r >> 2) % 1024 } else { (r >> 2) % 96 };
                 let op = if r % 5 == 0 { Op::Read } else { Op::Write };
                 p.access(op, lba);
-                assert!(consistent(&p), "seed {seed} step {step}");
+                assert!(p.dez.recount(), "seed {seed} step {step}");
+                assert_eq!(p.dez.locs().count() as u64, p.old_pages(), "seed {seed} step {step}");
                 pages_peak = pages_peak.max(p.delta_pages());
                 merged = p.dez.bound().merges;
             }
@@ -692,7 +672,7 @@ mod tests {
                 "seed {seed}: {pages_peak} pages, {merged} merges"
             );
             p.flush();
-            assert!(consistent(&p));
+            assert!(p.dez.recount());
             assert_eq!((p.delta_pages(), p.dez.live_total()), (0, 0), "seed {seed}");
         }
     }
@@ -922,6 +902,16 @@ mod tests {
         }
         assert_eq!(p.pending.pending_rows(), 0);
         assert_eq!(p.old_pages(), 0);
+    }
+
+    /// A delta's length in a `DeltaRef` is 16-bit, and a delta can be a
+    /// whole page long.
+    #[test]
+    #[should_panic(expected = "16 bits")]
+    fn pages_whose_deltas_overflow_a_delta_ref_are_refused() {
+        let g = CacheGeometry { total_pages: 64, ways: 8, page_size: 1 << 16 };
+        let model = Box::new(FixedDeltaModel::new(0.25));
+        KddPolicy::new(KddConfig::new(g), RaidModel::paper_default(100_000), model);
     }
 
     #[test]

@@ -568,13 +568,15 @@ impl RaidArray {
         let start = self.totals();
         let p_target = self.layout.parity_location(row);
         let q_target = self.layout.q_location(row);
-        if let Some((pd, _)) = p_target {
-            if self.disks[pd].is_failed() {
-                return Err(RaidError::DiskFailed { disk: pd });
-            }
+        // A dead parity member has nothing to fold into: refuse before
+        // touching the other one.
+        if let Some(&(disk, _)) =
+            p_target.iter().chain(&q_target).find(|(d, _)| self.disks[*d].is_failed())
+        {
+            return Err(RaidError::DiskFailed { disk });
         }
         match (p_target, q_target) {
-            (Some(p), Some(q)) if !self.disks[q.0].is_failed() => {
+            (Some(p), Some(q)) => {
                 // Fused P+Q fold: every delta goes into both parities in
                 // one pass; each device still sees [read, write].
                 self.disk_update_pq(p, q, |p, q| {
@@ -583,20 +585,14 @@ impl RaidArray {
                     }
                 })?;
             }
-            _ => {
-                if let Some((pd, pp)) = p_target {
-                    self.disk_update(pd, pp, |p| {
-                        for (_, delta) in deltas {
-                            xor_into(p, delta.as_ref());
-                        }
-                    })?;
-                }
-                if let Some((qd, _)) = q_target {
-                    // Matches the pre-fusion behaviour: a failed Q disk
-                    // errors only after the P parity has been written.
-                    return Err(RaidError::DiskFailed { disk: qd });
-                }
+            (Some((pd, pp)), None) => {
+                self.disk_update(pd, pp, |p| {
+                    for (_, delta) in deltas {
+                        xor_into(p, delta.as_ref());
+                    }
+                })?;
             }
+            _ => {}
         }
         self.stale_rows.remove(&row);
         Ok(self.cost_since(start))
@@ -1065,6 +1061,49 @@ mod tests {
         xor_into(&mut delta, &new);
         a.parity_update_rmw(row, &[(2, &delta)]).unwrap();
         assert!(a.verify_row(row).unwrap(), "P and Q must both be repaired");
+    }
+
+    /// RAID-6 with the row's Q member dead: a delta repair is refused
+    /// before P is touched, so the failed call books no member op and P
+    /// keeps its bytes. The resync the engine falls back to then repairs P
+    /// from the row's data.
+    #[test]
+    fn rmw_with_dead_q_leaves_p_alone_and_resync_repairs_it() {
+        let mut a = r6();
+        let ps = 256;
+        let row = a.layout().row_of(0);
+        let lpns: Vec<u64> = a.layout().row_lpns(row).collect();
+        for (i, &lpn) in lpns.iter().enumerate() {
+            a.write_page(lpn, &page(i as u8, ps)).unwrap();
+        }
+        let new = page(0x77, ps);
+        a.write_no_parity_update(lpns[2], &new).unwrap();
+        let mut delta = page(2, ps);
+        xor_into(&mut delta, &new);
+        let (pd, pp) = a.layout().parity_location(row).unwrap();
+        let (qd, _) = a.layout().q_location(row).unwrap();
+        a.fail_disk(qd);
+        let stored_p = |a: &RaidArray| {
+            let mut buf = vec![0u8; ps];
+            a.disks[pd].read_page(pp, &mut buf).unwrap();
+            buf
+        };
+        let p_before = stored_p(&a);
+        let start = a.totals();
+        let got = a.parity_update_rmw(row, &[(2, &delta)]);
+        assert!(matches!(got, Err(RaidError::DiskFailed { disk }) if disk == qd), "{got:?}");
+        let gained = a.cost_since(start);
+        assert_eq!((gained.reads, gained.writes), (0, 0), "the refused repair issued member ops");
+        assert_eq!(stored_p(&a), p_before, "P changed");
+        assert!(a.is_stale(row));
+        a.resync(Some(&[row])).unwrap();
+        assert!(!a.is_stale(row));
+        let mut want = vec![0u8; ps];
+        for (i, &lpn) in lpns.iter().enumerate() {
+            xor_into(&mut want, &if lpn == lpns[2] { new.clone() } else { page(i as u8, ps) });
+        }
+        assert_ne!(p_before, want);
+        assert_eq!(stored_p(&a), want, "resync must repair P");
     }
 
     #[test]
