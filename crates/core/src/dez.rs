@@ -14,7 +14,6 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::{Merge, MergeBound};
-use kdd_cache::setassoc::{PageState, SetAssocCache};
 use kdd_util::hash::FastMap;
 use kdd_util::sorted::{SortedSet, SpareVecs};
 
@@ -104,12 +103,6 @@ impl DezIndex {
         self.pages.len() as u64
     }
 
-    /// Slots only the cleaner can release: the *old* pages of `cache` and
-    /// the DEZ pages. Both copies' cleaning governor reads this count.
-    pub(crate) fn pinned(&self, cache: &SetAssocCache) -> u64 {
-        cache.count_state(PageState::Old) as u64 + self.len()
-    }
-
     /// Where `lba`'s current delta lives, if it has one.
     pub(crate) fn loc(&self, lba: u64) -> Option<DeltaLoc> {
         self.locs.get(&lba).copied()
@@ -160,6 +153,14 @@ impl DezIndex {
     /// The pages whose delta `slot` holds, ascending.
     pub(crate) fn lbas(&self, slot: u32) -> impl Iterator<Item = u64> + '_ {
         self.page(slot).into_iter().flat_map(|page| page.lbas.iter().copied())
+    }
+
+    /// The deltas page `slot` holds, ascending by lba, with where each lies.
+    pub(crate) fn deltas(&self, slot: u32) -> impl Iterator<Item = (u64, DeltaRef)> + '_ {
+        self.lbas(slot).filter_map(|lba| match self.locs.get(&lba) {
+            Some(&DeltaLoc::Dez(r)) => Some((lba, r)),
+            _ => None,
+        })
     }
 
     /// Recovery: `lba`'s delta, live, was committed at `r`; the page is

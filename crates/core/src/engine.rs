@@ -28,16 +28,18 @@
 // "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
+use crate::cleaner::{self, CleanerIo, Done, Refs, Zones};
 use crate::config::KddConfig;
-use crate::dez::{DeltaLoc, DezIndex};
+use crate::dez::DeltaLoc;
 use crate::metalog::{CommitBatch, LogEntry, MetaLog, PartitionTooSmall};
 use crate::staging::{PayloadPool, StagingBuffer};
+use crate::Merge;
 use kdd_blockdev::error::{DevError, FaultDomain};
 use kdd_blockdev::fault::FaultInjector;
 use kdd_blockdev::nvram::Nvram;
 use kdd_blockdev::ssd::SsdDevice;
 use kdd_cache::policies::{set_of_row, PendingRows};
-use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache, SetGrouping};
+use kdd_cache::setassoc::{PageState, SetAssocCache, SetGrouping};
 use kdd_cache::stats::CacheStats;
 use kdd_delta::codec;
 use kdd_delta::xor::xor_pages_into;
@@ -244,28 +246,26 @@ struct DezPacker {
     slot: u32,
     dir_off: usize,
     data_off: usize,
-    /// Where each delta landed.
-    refs: Vec<(u64, DeltaRef)>,
 }
 
 impl DezPacker {
     /// Start a page of `count` deltas for cache slot `slot` in the zeroed
-    /// buffer `page`, listing them in the (emptied) `refs`.
-    fn new(mut page: Box<[u8]>, slot: u32, count: usize, mut refs: Vec<(u64, DeltaRef)>) -> Self {
+    /// buffer `page`.
+    fn new(mut page: Box<[u8]>, slot: u32, count: usize) -> Self {
         page[..2].copy_from_slice(&(count as u16).to_le_bytes());
-        refs.clear();
-        DezPacker { page, slot, dir_off: 2, data_off: 2 + count * 12, refs }
+        DezPacker { page, slot, dir_off: 2, data_off: 2 + count * 12 }
     }
 
-    fn push(&mut self, lba: u64, payload: &[u8]) {
+    /// Append `lba`'s delta; where it landed.
+    fn push(&mut self, lba: u64, payload: &[u8]) -> DeltaRef {
         let (dir, data, len) = (self.dir_off, self.data_off, payload.len());
         self.page[dir..dir + 8].copy_from_slice(&lba.to_le_bytes());
         self.page[dir + 8..dir + 10].copy_from_slice(&(data as u16).to_le_bytes());
         self.page[dir + 10..dir + 12].copy_from_slice(&(len as u16).to_le_bytes());
         self.page[data..data + len].copy_from_slice(payload);
-        self.refs.push((lba, DeltaRef { slot: self.slot, off: data as u16, len: len as u16 }));
         self.dir_off += 12;
         self.data_off += len;
+        DeltaRef { slot: self.slot, off: data as u16, len: len as u16 }
     }
 }
 
@@ -279,9 +279,7 @@ struct NvState {
 /// (`mem::take`, fill, put back empty) instead of allocating per call.
 #[derive(Default)]
 struct Scratch {
-    refs: Vec<(u64, DeltaRef)>,
     entries: Vec<MapEntry>,
-    lbas: Vec<u64>,
     /// Pooled pages: a row's current data, and `(data index, delta)` pairs.
     row_pages: Vec<Box<[u8]>>,
     deltas: Vec<(usize, Box<[u8]>)>,
@@ -299,16 +297,12 @@ pub struct WriteRequest<'a> {
 
 /// The prototype-style engine.
 pub struct KddEngine {
-    config: KddConfig,
+    /// The directory, DEZ index, pending rows, counters and configuration.
+    z: Zones,
     ssd: SsdDevice,
     raid: RaidArray,
-    cache: SetAssocCache,
     nv: Nvram<NvState>,
     metalog: MetaLog<MapEntry>,
-    /// Each old page's delta location, and the DEZ pages holding them.
-    dez: DezIndex,
-    pending_rows: PendingRows,
-    stats: CacheStats,
     meta_pages: u64,
     injector: Option<FaultInjector>,
     mode: EngineMode,
@@ -433,12 +427,9 @@ impl KddEngine {
     ) -> Self {
         let ps = config.geometry.page_size as usize;
         KddEngine {
-            cache,
+            z: Zones::new(config, *raid.layout(), cache),
             nv,
             metalog,
-            dez: DezIndex::new(config.geometry.total_pages),
-            pending_rows: PendingRows::default(),
-            stats: CacheStats::default(),
             meta_pages: config.meta_partition_pages(),
             injector: None,
             mode: EngineMode::Normal,
@@ -454,7 +445,6 @@ impl KddEngine {
             meta_pending: Vec::new(),
             batch_times: Vec::new(),
             cur_stages: StageTimes::new(),
-            config,
             ssd,
             raid,
         }
@@ -501,13 +491,13 @@ impl KddEngine {
         let (head, tail) = self.metalog.counters();
         Sample {
             at: self.recorder.now(),
-            cache: self.stats.counters(),
+            cache: self.z.stats.counters(),
             host_written_bytes: end.host_written_bytes,
             nand_written_bytes: end.nand_written_bytes,
             erases: end.erases,
             max_erase: u64::from(end.max_erase_count),
             stale_rows: self.raid.stale_row_count() as u64,
-            backlog_rows: self.pending_rows.pending_rows() as u64,
+            backlog_rows: self.z.pending.pending_rows() as u64,
             staged_deltas: self.nv.get().staging.len() as u64,
             metalog_pages_used: tail.saturating_sub(head),
             metalog_pages_total: self.meta_pages,
@@ -522,7 +512,7 @@ impl KddEngine {
         } else {
             self.last_class
         };
-        let after = self.stats;
+        let after = self.z.stats;
         let stages = std::mem::take(&mut self.cur_stages);
         self.observe_span(kind, lba, before, &after, class, self.last_comp_milli, service, stages);
     }
@@ -602,7 +592,7 @@ impl KddEngine {
 
     /// Cumulative cache statistics.
     pub fn stats(&self) -> &CacheStats {
-        &self.stats
+        &self.z.stats
     }
 
     /// The SSD backing the cache (endurance inspection).
@@ -622,7 +612,7 @@ impl KddEngine {
 
     /// Rows with delayed parity.
     pub fn pending_row_count(&self) -> usize {
-        self.pending_rows.pending_rows()
+        self.z.pending.pending_rows()
     }
 
     /// Deltas currently staged in NVRAM.
@@ -638,7 +628,7 @@ impl KddEngine {
 
     /// Cache-page size in bytes (every request payload must match it).
     pub fn page_size(&self) -> usize {
-        self.config.geometry.page_size as usize
+        self.z.config.geometry.page_size as usize
     }
 
     #[inline]
@@ -666,7 +656,7 @@ impl KddEngine {
             let dt = self.ssd.write_page(batch.slot, &page)?;
             self.charge_stage(Stage::MetalogCommit, dt, t);
             self.pool.release(page);
-            self.stats.ssd_meta_writes += 1;
+            self.z.stats.ssd_meta_writes += 1;
             // Only now is the page durable; recovery no longer needs the
             // NVRAM in-flight copy.
             self.metalog.confirm(batch.seq);
@@ -709,40 +699,11 @@ impl KddEngine {
     /// The mapping of the *old* page `lba` whose delta was committed at `r`.
     fn old_entry(&self, lba: u64, r: DeltaRef) -> Result<MapEntry, EngineError> {
         let slot =
-            self.cache.lookup(lba).ok_or(EngineError::Inconsistent("old page must be cached"))?;
+            self.z.cache.lookup(lba).ok_or(EngineError::Inconsistent("old page must be cached"))?;
         Ok(MapEntry { lba_raid: lba, slot, state: EntryState::Old, dez: Some(r) })
     }
 
-    /// Drop the cached page of `lba` at `slot` together with its delta. The
-    /// tombstone is logged *before* anything is trimmed, so a crash in
-    /// between can only leak flash pages — recovery never maps a reclaimed
-    /// one.
-    fn reclaim(&mut self, lba: u64, slot: u32, t: &mut SimTime) -> Result<(), EngineError> {
-        self.log_free(lba, slot, t)?;
-        self.invalidate_delta(lba)?;
-        self.ssd.trim_page(self.slot_lpn(slot))?;
-        self.cache.free_slot(slot);
-        Ok(())
-    }
-
     // ---- delta plumbing ---------------------------------------------------
-
-    /// Free and trim the slot of a DEZ page that left the index, if one
-    /// did. The slot is freed first, so a failed trim cannot leave it
-    /// pinned with no page.
-    fn free_dez_slot(&mut self, emptied: Option<u32>) -> Result<(), EngineError> {
-        let Some(slot) = emptied else { return Ok(()) };
-        self.cache.free_slot(slot);
-        Ok(self.ssd.trim_page(self.slot_lpn(slot))?)
-    }
-
-    fn invalidate_delta(&mut self, lba: u64) -> Result<(), EngineError> {
-        let released = self.dez.restage(lba, false);
-        if released.staged {
-            self.payloads.release(self.nv.get_mut().staging.remove(lba));
-        }
-        self.free_dez_slot(released.emptied)
-    }
 
     /// Pack the staged deltas into DEZ pages: each page carries a
     /// directory of `(lba, off, len)` records followed by the compressed
@@ -776,31 +737,32 @@ impl KddEngine {
                 // Fully pinned cache: the rest simply stays staged.
                 return Ok(());
             };
-            let refs = std::mem::take(&mut self.scratch.refs);
-            let mut packer = DezPacker::new(self.pool.acquire(), slot, count, refs);
+            let mut refs = std::mem::take(&mut self.z.refs);
+            refs.clear();
+            let mut packer = DezPacker::new(self.pool.acquire(), slot, count);
             for (lba, payload) in self.nv.get().staging.snapshot().take(count) {
-                packer.push(lba, payload);
+                refs.push((lba, packer.push(lba, payload)));
             }
-            let DezPacker { page, refs, .. } = packer;
+            let page = packer.page;
             // The page is indexed with no live bytes until it is on flash
             // and its mappings are logged. Logging precedes every removal of
             // an NVRAM copy: if the crash lands in between, recovery sees
             // both and the staged copies (same bytes) simply supersede the
             // DEZ references.
-            let listed = self.dez.list(slot, refs.iter().map(|&(lba, _)| lba));
+            let listed = self.z.dez.list(slot, refs.iter().map(|&(lba, _)| lba));
             let stored = self.store_dez_page(slot, &page, &refs, t);
             self.pool.release(page);
             if let Err(e) = stored {
                 // The staged copies are still the current deltas.
-                self.dez.unlist(listed);
-                self.cache.free_slot(slot);
+                self.z.dez.unlist(listed);
+                self.z.cache.free_slot(slot);
                 return Err(e);
             }
             for &(lba, _) in &refs {
                 self.payloads.release(self.nv.get_mut().staging.remove(lba));
             }
-            self.dez.go_live(listed, &refs);
-            self.scratch.refs = refs;
+            self.z.dez.go_live(listed, &refs);
+            self.z.refs = refs;
         }
         Ok(())
     }
@@ -816,7 +778,7 @@ impl KddEngine {
     ) -> Result<(), EngineError> {
         let dt = self.ssd.write_page(self.slot_lpn(slot), page)?;
         self.charge_stage(Stage::StagingCommit, dt, t);
-        self.stats.ssd_delta_writes += 1;
+        self.z.stats.ssd_delta_writes += 1;
         let mut entries = std::mem::take(&mut self.scratch.entries);
         for &(lba, r) in refs {
             entries.push(self.old_entry(lba, r)?);
@@ -829,13 +791,13 @@ impl KddEngine {
     /// A slot for a new DEZ page: a free one from the set with the fewest
     /// DEZ pages, else the slot of the evicted [`SetAssocCache::dez_victim`].
     fn alloc_dez_slot(&mut self, t: &mut SimTime) -> Result<Option<u32>, EngineError> {
-        if let Some(slot) = self.cache.alloc_delta_slot() {
+        if let Some(slot) = self.z.cache.alloc_delta_slot() {
             return Ok(Some(slot));
         }
-        let Some((slot, lba)) = self.cache.dez_victim() else { return Ok(None) };
+        let Some((slot, lba)) = self.z.cache.dez_victim() else { return Ok(None) };
         self.reclaim(lba, slot, t)?; // clean: it has no delta to drop
-        self.stats.evictions += 1;
-        Ok(self.cache.alloc_delta_slot())
+        self.z.stats.evictions += 1;
+        Ok(self.z.cache.alloc_delta_slot())
     }
 
     /// Run `f` over `lba`'s compressed delta where it lies — the NVRAM
@@ -847,7 +809,7 @@ impl KddEngine {
         t: &mut SimTime,
         f: impl FnOnce(&[u8], &mut Vec<u8>) -> R,
     ) -> Result<R, EngineError> {
-        match self.dez.loc(lba) {
+        match self.z.dez.loc(lba) {
             Some(DeltaLoc::Staged) => {
                 let staged = self.nv.get().staging.get(lba);
                 let comp = staged.ok_or(EngineError::Inconsistent("staged delta index broken"))?;
@@ -891,7 +853,7 @@ impl KddEngine {
         let (base, dt) = self.ssd.page(lpn)?;
         let mut data = copy(base);
         self.charge_stage(Stage::SsdRead, dt, t);
-        if self.cache.state(slot) == PageState::Old {
+        if self.z.cache.state(slot) == PageState::Old {
             self.fold_delta(lba, data.as_mut(), t)?;
             // "it takes only tens of microseconds to decompress the delta
             // and combine it with the data" (§IV-B2).
@@ -934,7 +896,7 @@ impl KddEngine {
         if dead {
             self.mode = EngineMode::PassThrough;
         }
-        self.stats.fault_fallbacks += 1;
+        self.z.stats.fault_fallbacks += 1;
         Ok(())
     }
 
@@ -970,7 +932,7 @@ impl KddEngine {
     /// and, when no working spare exists, pass-through mode. Power loss is
     /// surfaced unchanged — only [`KddEngine::power_cycle`] recovers it.
     pub fn read(&mut self, lba: u64) -> Result<(Vec<u8>, SimTime), EngineError> {
-        let before = self.recorder.is_enabled().then_some(self.stats);
+        let before = self.recorder.is_enabled().then_some(self.z.stats);
         let result = self.read_dispatch(lba);
         if let (Some(before), Ok((_, t))) = (before, &result) {
             self.observe(ReqKind::Read, lba, &before, *t);
@@ -1009,9 +971,9 @@ impl KddEngine {
             Ok(out) => return Ok(out),
             Err(e) => e,
         };
-        self.stats.faults_observed += 1;
+        self.z.stats.faults_observed += 1;
         if Self::retryable(&e) || Self::disk_persistent(&e) {
-            self.stats.fault_retries += 1;
+            self.z.stats.fault_retries += 1;
             attempt(self)
         } else if Self::ssd_persistent(&e) {
             self.ssd_fault_fallback()?;
@@ -1028,7 +990,7 @@ impl KddEngine {
     /// Write one page; returns the simulated service time. Same fault
     /// policy as [`KddEngine::read`].
     pub fn write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime, EngineError> {
-        let before = self.recorder.is_enabled().then_some(self.stats);
+        let before = self.recorder.is_enabled().then_some(self.z.stats);
         let result = self.write_dispatch(lba, data);
         if let (Some(before), Ok(t)) = (before, &result) {
             self.observe(ReqKind::Write, lba, &before, *t);
@@ -1070,7 +1032,7 @@ impl KddEngine {
         self.meta_defer = true;
         let mut failure = None;
         for r in reqs {
-            let before = self.stats;
+            let before = self.z.stats;
             match self.write_dispatch(r.lba, r.data) {
                 Ok(t) => {
                     self.batch_times.push(t);
@@ -1083,7 +1045,7 @@ impl KddEngine {
                         spans.push(PendingSpan {
                             lba: r.lba,
                             before,
-                            after: self.stats,
+                            after: self.z.stats,
                             class,
                             comp_milli: self.last_comp_milli,
                             stages: std::mem::take(&mut self.cur_stages),
@@ -1115,7 +1077,7 @@ impl KddEngine {
             // The group flush's meta writes belong to the batch; fold them
             // (counters and stage times alike) into the final request's
             // span, whose service time already carries the flush cost.
-            last.after = self.stats;
+            last.after = self.z.stats;
             last.stages.merge(&flush_stages);
         }
         // Spans are emitted through `&mut self`: the times step out meanwhile.
@@ -1177,10 +1139,10 @@ impl KddEngine {
     fn read_inner(&mut self, lba: u64) -> Result<(Vec<u8>, SimTime), EngineError> {
         self.cur_stages = StageTimes::new();
         let mut t = SimTime::ZERO;
-        let (hit, data) = match self.cache.lookup(lba) {
+        let (hit, data) = match self.z.cache.lookup(lba) {
             Some(slot) => {
-                self.cache.touch(slot);
-                self.stats.ssd_reads += 1;
+                self.z.cache.touch(slot);
+                self.z.stats.ssd_reads += 1;
                 (true, self.read_cached(lba, slot, &mut t, |base| base.to_vec())?)
             }
             None => {
@@ -1197,12 +1159,19 @@ impl KddEngine {
         self.cur_stages = StageTimes::new();
         let mut t = SimTime::ZERO;
         self.last_comp_milli = 0;
-        let hit = match self.cache.lookup(lba) {
+        let row = self.raid.layout().row_of(lba);
+        if self.z.pending.contains_row(row) && !self.raid.is_stale(row) {
+            // Pending with current parity (recovery resynced it, or a
+            // reclaim failed part-way): reclaimed before a new delta joins,
+            // as folding its deltas into that parity would corrupt it.
+            cleaner::clean_row(self, row, &mut t)?;
+        }
+        let hit = match self.z.cache.lookup(lba) {
             Some(slot) => {
                 // THE KDD WRITE HIT: delta to NVRAM, data to RAID without
                 // a parity update.
                 self.last_class = HitClass::WriteHit;
-                self.cache.touch(slot);
+                self.z.cache.touch(slot);
                 let mut delta = self.pool.acquire_scratch();
                 let lpn = self.slot_lpn(slot);
                 let (base, dt) = self.ssd.page(lpn)?;
@@ -1228,7 +1197,7 @@ impl KddEngine {
                 // the victim can be the very page being written. The delta
                 // path needs the cached base (reads combine base ⊕ delta),
                 // so when the base is gone, finish as a conventional miss.
-                let Some(slot) = self.cache.lookup(lba) else {
+                let Some(slot) = self.z.cache.lookup(lba) else {
                     self.payloads.release(Some(comp));
                     self.write_conventional_miss(lba, data, &mut t)?;
                     self.bump(false, false);
@@ -1249,19 +1218,19 @@ impl KddEngine {
                         Ok(cost) => {
                             self.last_class = HitClass::WriteHitDelta;
                             self.charge_stage(Stage::RaidWrite, DISK_OP * cost.writes, &mut t);
-                            if self.cache.state(slot) == PageState::Clean {
-                                self.cache.set_state(slot, PageState::Old);
+                            if self.z.cache.state(slot) == PageState::Clean {
+                                self.z.cache.set_state(slot, PageState::Old);
                             }
                             // Insert the new delta (coalescing replaces the
                             // staged one in place) before releasing any
                             // committed copy, so at every instant one valid
                             // delta exists.
-                            let released = self.dez.restage(lba, true);
+                            let released = self.z.dez.restage(lba, true);
                             let staged = std::mem::take(&mut comp);
                             self.payloads.release(self.nv.get_mut().staging.insert(lba, staged));
-                            self.free_dez_slot(released.emptied)?;
-                            let row = self.raid.layout().row_of(lba);
-                            self.add_pending(row, lba);
+                            released.emptied.map_or(Ok(()), |slot| self.free_dez_slot(slot))?;
+                            let (cache, layout) = (&self.z.cache, self.raid.layout());
+                            self.z.pending.add(row, lba, || set_of_row(cache, layout, row));
                             true
                         }
                         Err(RaidError::DiskFailed { .. })
@@ -1272,24 +1241,13 @@ impl KddEngine {
                     false
                 };
                 if !dispatched {
-                    // Incompressible delta or fully pinned cache: fall
-                    // back to a conventional parity write. Detach this
-                    // page from the pending set first (its delta is gone),
-                    // resolve any *other* pending deltas of the row, then
-                    // write through.
+                    // Incompressible delta or fully pinned cache: write
+                    // through, this page no longer pending. On a stale row
+                    // the array reconstructs parity from current member
+                    // data, absorbing every pending delta of the row, so
+                    // `clean_row` afterwards only reclaims.
                     self.payloads.release(Some(comp));
-                    let row = self.raid.layout().row_of(lba);
-                    let mut rest = std::mem::take(&mut self.scratch.lbas);
-                    self.pending_rows.take_row_into(row, &mut rest);
-                    rest.retain(|&l| l != lba);
-                    for &l in &rest {
-                        self.add_pending(row, l);
-                    }
-                    self.scratch.lbas = rest;
-                    // On a stale row the array reconstructs parity from
-                    // current member data, absorbing every pending delta
-                    // of the row — clean_row afterwards only reclaims
-                    // (its parity step is skipped once staleness cleared).
+                    self.z.pending.remove(row, lba);
                     let cost = self.raid_call(|raid| raid.write_page(lba, data))?;
                     self.last_class = HitClass::WriteHitThrough;
                     self.charge_stage(Stage::RaidWrite, DISK_OP * 2 * cost.writes.max(1), &mut t);
@@ -1299,9 +1257,9 @@ impl KddEngine {
                     // on RAID.
                     self.reclaim(lba, slot, &mut t)?;
                     self.fill_clean(lba, data, &mut t)?;
-                    self.clean_row(row, &mut t)?;
+                    cleaner::clean_row(self, row, &mut t)?;
                 }
-                self.maybe_clean(&mut t)?;
+                cleaner::maybe_clean(self, &mut t)?;
                 true
             }
             None => {
@@ -1325,70 +1283,44 @@ impl KddEngine {
         t: &mut SimTime,
     ) -> Result<(), EngineError> {
         let row = self.raid.layout().row_of(lba);
-        self.clean_row(row, t)?;
+        cleaner::clean_row(self, row, t)?;
         self.raid_call(|raid| raid.write_page(lba, data))?;
         // Read round + write round.
         self.charge_stage(Stage::RaidWrite, DISK_OP * 2, t);
         self.fill_clean(lba, data, t)
     }
 
+    /// Cache `data` as the clean page `lba`, unless its set is pinned full.
     fn fill_clean(&mut self, lba: u64, data: &[u8], t: &mut SimTime) -> Result<(), EngineError> {
-        let slot = loop {
-            match self.cache.insert(lba, PageState::Clean, |s| s == PageState::Clean) {
-                InsertOutcome::Inserted { slot } => break slot,
-                InsertOutcome::Evicted { slot, victim_lba, .. } => {
-                    self.stats.evictions += 1;
-                    self.log_free(victim_lba, slot, t)?;
-                    break slot;
-                }
-                InsertOutcome::NoRoom => {
-                    // Unpin one pending row of this set and retry; bypass
-                    // when nothing in the set can be cleaned.
-                    let set = self.cache.set_of_lba(lba);
-                    if !self.clean_one_row_in_set(set, t)? {
-                        return Ok(()); // bypass the cache
-                    }
-                }
-            }
-        };
-        let dt = self.ssd.write_page(self.slot_lpn(slot), data)?;
+        // One clock: a NoRoom reclaim is charged to the request as well.
+        let mut bg = SimTime::ZERO;
+        let slot = cleaner::insert_clean_or_bypass(self, lba, t, &mut bg);
+        *t += bg;
+        let Some(slot) = slot? else { return Ok(()) };
+        // A page that did not reach flash must not stay mapped.
+        let dt = self.ssd.write_page(self.slot_lpn(slot), data).inspect_err(|_| {
+            self.z.cache.free_slot(slot);
+        })?;
         self.charge_stage(Stage::SsdWrite, dt, t);
-        self.stats.ssd_data_writes += 1;
+        self.z.stats.ssd_data_writes += 1;
         self.log_entry(MapEntry { lba_raid: lba, slot, state: EntryState::Clean, dez: None }, t)
-    }
-
-    /// Mark `lba` pending in `row`; a new row is recorded under the set a
-    /// NoRoom reclaim will find it in.
-    fn add_pending(&mut self, row: u64, lba: u64) {
-        let (cache, layout) = (&self.cache, self.raid.layout());
-        self.pending_rows.add(row, lba, || set_of_row(cache, layout, row));
-    }
-
-    /// Clean the pending row [`PendingRows::first_row_in_set`] names for
-    /// `set`; false when none exists.
-    fn clean_one_row_in_set(&mut self, set: usize, t: &mut SimTime) -> Result<bool, EngineError> {
-        let (cache, layout) = (&self.cache, self.raid.layout());
-        let row = self.pending_rows.first_row_in_set(set, |r| set_of_row(cache, layout, r));
-        let Some(row) = row else { return Ok(false) };
-        self.clean_row(row, t)?;
-        Ok(true)
     }
 
     fn bump(&mut self, is_read: bool, hit: bool) {
         match (is_read, hit) {
             (true, true) => {
-                self.stats.read_hits += 1;
+                self.z.stats.read_hits += 1;
                 self.last_class = HitClass::ReadHit;
             }
             (true, false) => {
-                self.stats.read_misses += 1;
+                self.z.stats.read_misses += 1;
                 self.last_class = HitClass::ReadMiss;
             }
             // Write hits refine themselves into delta/through inside
             // `write_inner`; don't clobber that here.
-            (false, true) => self.stats.write_hits += 1,
+            (false, true) => self.z.stats.write_hits += 1,
             (false, false) => {
-                self.stats.write_misses += 1;
+                self.z.stats.write_misses += 1;
                 self.last_class = HitClass::WriteMiss;
             }
         }
@@ -1404,82 +1336,9 @@ impl KddEngine {
         let start = self.raid.totals();
         let out = call(&mut self.raid);
         let gained = self.raid.cost_since(start);
-        self.stats.raid_reads += gained.reads;
-        self.stats.raid_writes += gained.writes;
+        self.z.stats.raid_reads += gained.reads;
+        self.z.stats.raid_writes += gained.writes;
         out
-    }
-
-    fn maybe_clean(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        if self.dez.pinned(&self.cache) >= self.config.compact_pressure_slots() {
-            self.compact_dez(t)?;
-        }
-        if self.dez.pinned(&self.cache) >= self.config.clean_trigger_slots() {
-            self.clean_some(t)?;
-        }
-        Ok(())
-    }
-
-    /// Threshold cleaning: repair and reclaim oldest-stale rows first,
-    /// stopping just under the trigger so recently-written hot pages keep
-    /// their delta path (mirrors the accounting policy).
-    fn clean_some(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        let low = self.config.clean_low_water_slots();
-        while self.dez.pinned(&self.cache) > low {
-            let Some(row) = self.pending_rows.oldest_row() else { break };
-            self.clean_row(row, t)?;
-        }
-        self.stats.cleanings += 1;
-        Ok(())
-    }
-
-    /// Log-structured DEZ compaction (pressure-driven, as in the
-    /// accounting policy): while the index plans a merge of the two
-    /// emptiest pages into one, read both, repack their live deltas into
-    /// the destination slot and free the source.
-    fn compact_dez(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        loop {
-            debug_assert!(self.dez.recount(), "DEZ live-byte counters drifted");
-            // A merged page holds its header and a directory record per
-            // delta on top of the payloads.
-            let Some(merge) = self.dez.next_merge(self.config.geometry.page_size, (2, 12)) else {
-                return Ok(());
-            };
-            let (dst, src) = (merge.dst, merge.src);
-            // Repack the live deltas of both pages into the destination
-            // slot, each copied once from the page it lies in. Nothing
-            // volatile moves until the merged page is on flash, so a failed
-            // write leaves the index pointing at the two intact source
-            // pages.
-            let refs = std::mem::take(&mut self.scratch.refs);
-            let mut packer = DezPacker::new(self.pool.acquire(), dst, merge.deltas, refs);
-            let mut lbas = std::mem::take(&mut self.scratch.lbas);
-            for slot in [dst, src] {
-                lbas.clear();
-                lbas.extend(self.dez.lbas(slot));
-                for &lba in &lbas {
-                    self.with_delta(lba, t, |comp, _| packer.push(lba, comp))?;
-                }
-            }
-            self.scratch.lbas = lbas;
-            let DezPacker { page, refs: mut moved, .. } = packer;
-            // The merged page's deltas in its index order, as the counting
-            // copy re-logs them.
-            moved.sort_unstable_by_key(|&(lba, _)| lba);
-            let written = self.ssd.write_page(self.slot_lpn(dst), &page);
-            self.pool.release(page);
-            let dt = written?;
-            self.charge_stage(Stage::StagingCommit, dt, t);
-            self.stats.ssd_delta_writes += 1;
-            // The merged page replaces `dst`'s record; the source retires.
-            self.dez.replace_merged(&merge, &moved);
-            self.free_dez_slot(Some(src))?;
-            // Re-log the moved mappings (offsets changed).
-            for &(lba, r) in &moved {
-                let entry = self.old_entry(lba, r)?;
-                self.log_entry(entry, t)?;
-            }
-            self.scratch.refs = moved;
-        }
     }
 
     /// The cleaning pass (§III-D): repair every stale row (reconstruct-
@@ -1488,88 +1347,7 @@ impl KddEngine {
     /// a first-class background span (`cleaner_pass`) with its own stage
     /// breakdown, isolated from any in-flight request's accumulator.
     pub fn clean(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        self.background(Stage::CleanerPass, t, Self::clean_pass)
-    }
-
-    fn clean_pass(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        let rows: Vec<u64> = self.pending_rows.row_ids();
-        for row in rows {
-            self.clean_row(row, t)?;
-        }
-        self.stats.cleanings += 1;
-        Ok(())
-    }
-
-    /// Repair one row and reclaim its old/delta pages.
-    fn clean_row(&mut self, row: u64, t: &mut SimTime) -> Result<(), EngineError> {
-        if !self.pending_rows.contains_row(row) {
-            return Ok(());
-        }
-        if self.raid.is_stale(row) {
-            let mut lpns = self.raid.layout().row_lpns(row);
-            let all_cached = lpns.all(|l| self.cache.lookup(l).is_some());
-            if all_cached {
-                // Reconstruct-write from cached current versions.
-                let mut datas = std::mem::take(&mut self.scratch.row_pages);
-                for l in self.raid.layout().row_lpns(row) {
-                    let slot = self
-                        .cache
-                        .lookup(l)
-                        .ok_or(EngineError::Inconsistent("row member vanished from cache"))?;
-                    datas.push(self.read_cached_pooled(l, slot, t)?);
-                }
-                let cost = self.raid_call(|raid| raid.parity_update_with_data(row, &datas))?;
-                for page in datas.drain(..) {
-                    self.pool.release(page);
-                }
-                self.scratch.row_pages = datas;
-                self.charge_stage(Stage::ParityRmw, DISK_OP * cost.writes, t);
-            } else {
-                // RMW: fold each pending page's decompressed delta.
-                let mut pend = std::mem::take(&mut self.scratch.lbas);
-                self.pending_rows.take_row_into(row, &mut pend);
-                for &l in &pend {
-                    self.add_pending(row, l); // peek semantics
-                }
-                let mut deltas = std::mem::take(&mut self.scratch.deltas);
-                for &lba in &pend {
-                    let mut full = self.pool.acquire();
-                    self.fold_delta(lba, &mut full, t)?;
-                    deltas.push((self.raid.layout().locate(lba).data_index, full));
-                }
-                self.scratch.lbas = pend;
-                let cost = self.raid_call(|raid| match raid.parity_update_rmw(row, &deltas) {
-                    // The parity member of this row is dead, so there is
-                    // nothing to fold deltas into. Resync instead: it
-                    // recomputes from the live data members (all current —
-                    // the deltas' data halves were dispatched at write
-                    // time), skips the dead disk, and clears the stale
-                    // mark so a later rebuild can re-derive the parity.
-                    Err(RaidError::DiskFailed { .. }) => raid.resync(Some(&[row])),
-                    done => done,
-                })?;
-                for (_, full) in deltas.drain(..) {
-                    self.pool.release(full);
-                }
-                self.scratch.deltas = deltas;
-                self.charge_stage(Stage::ParityRmw, DISK_OP * (cost.reads + cost.writes), t);
-            }
-            self.stats.parity_updates += 1;
-        }
-        // Reclaim: free old pages, invalidate deltas (§III-D's "second
-        // scheme").
-        let mut pend = std::mem::take(&mut self.scratch.lbas);
-        self.pending_rows.take_row_into(row, &mut pend);
-        for &lba in &pend {
-            if let Some(slot) = self.cache.lookup(lba) {
-                debug_assert_eq!(self.cache.state(slot), PageState::Old);
-                self.reclaim(lba, slot, t)?;
-            } else {
-                self.invalidate_delta(lba)?;
-            }
-        }
-        self.scratch.lbas = pend;
-        Ok(())
+        self.background(Stage::CleanerPass, t, |e, t| cleaner::clean_oldest(e, None, t))
     }
 
     /// Flush everything: clean all rows, commit staged deltas, flush the
@@ -1602,7 +1380,7 @@ impl KddEngine {
         if let Some(inj) = &self.injector {
             inj.restore_power();
         }
-        let config = self.config;
+        let config = self.z.config;
         let meta_pages = self.meta_pages;
         let ps = config.geometry.page_size as usize;
         let epp = (ps - META_HDR) / ENTRY_BYTES;
@@ -1665,7 +1443,7 @@ impl KddEngine {
         // 3. Rebuild the directory, DEZ accounting and pending rows.
         let layout = self.raid.layout();
         let mut cache = Self::empty_cache(&config, &self.raid);
-        let mut dez = std::mem::take(&mut self.dez);
+        let mut dez = std::mem::take(&mut self.z.dez);
         dez.clear();
         let mut pending_rows = PendingRows::default();
         for e in recovered.values() {
@@ -1712,9 +1490,9 @@ impl KddEngine {
         // Around the devices, NVRAM and log that survived and the directory
         // just recovered; only what recovery computed differs from new.
         let mut engine = Self::assemble(config, self.ssd, self.raid, cache, self.nv, self.metalog);
-        engine.dez = dez;
-        engine.pending_rows = pending_rows;
-        engine.stats.torn_pages_detected = torn_detected;
+        engine.z.dez = dez;
+        engine.z.pending = pending_rows;
+        engine.z.stats.torn_pages_detected = torn_detected;
         engine.injector = self.injector;
         engine.mode = self.mode;
         engine.recorder = self.recorder;
@@ -1749,7 +1527,7 @@ impl KddEngine {
                 resyncable.push(row);
             }
             for lba in layout.row_lpns(row).filter(alive) {
-                let Some(slot) = self.cache.lookup(lba) else { continue };
+                let Some(slot) = self.z.cache.lookup(lba) else { continue };
                 let data = self.read_cached_pooled(lba, slot, &mut t)?;
                 self.raid_call(|raid| raid.write_no_parity_update(lba, &data))?;
                 self.pool.release(data);
@@ -1777,14 +1555,14 @@ impl KddEngine {
         let cost = self.raid_call(|raid| raid.resync(None))?;
         self.charge_stage(Stage::RaidReconstruct, DISK_OP * (cost.reads + cost.writes), t);
         self.ssd.replace();
-        self.cache = Self::empty_cache(&self.config, &self.raid);
+        self.z.cache = Self::empty_cache(&self.z.config, &self.raid);
         self.payloads.release(self.nv.get_mut().staging.drain().map(|(_, payload)| payload));
-        self.metalog = Self::empty_metalog(&self.config);
+        self.metalog = Self::empty_metalog(&self.z.config);
         // Any pages parked by an in-flight batch belonged to the lost
         // cache's log; the fresh SSD starts from an empty mapping.
         self.meta_pending.clear();
-        self.dez.clear();
-        self.pending_rows = PendingRows::default();
+        self.z.dez.clear();
+        self.z.pending = PendingRows::default();
         Ok(())
     }
 
@@ -1804,6 +1582,113 @@ impl KddEngine {
         let dt = DISK_OP * ((cost.reads + cost.writes) / self.raid.layout().disks as u64).max(1);
         self.charge_stage(Stage::RaidReconstruct, dt, t);
         Ok(())
+    }
+}
+
+impl CleanerIo for KddEngine {
+    type Cost = SimTime;
+    type Error = EngineError;
+    /// A page header, and a directory record per delta.
+    const MERGE_OVERHEAD: (u32, u32) = (2, 12);
+    const NOROOM_IS_A_CLEANING: bool = false;
+    const FULL_PASS_IN_MAP_ORDER: bool = true;
+
+    fn zones(&mut self) -> &mut Zones {
+        &mut self.z
+    }
+
+    fn is_stale(&self, row: u64) -> bool {
+        self.raid.is_stale(row)
+    }
+
+    fn repair(&mut self, row: u64, lbas: &[u64], reconstruct: bool, t: &mut SimTime) -> Done<Self> {
+        let ops = if reconstruct {
+            // From the cached current versions.
+            let mut datas = std::mem::take(&mut self.scratch.row_pages);
+            for l in self.raid.layout().row_lpns(row) {
+                let slot =
+                    self.z.cache.lookup(l).ok_or(EngineError::Inconsistent("row uncached"))?;
+                datas.push(self.read_cached_pooled(l, slot, t)?);
+            }
+            let cost = self.raid_call(|raid| raid.parity_update_with_data(row, &datas))?;
+            for page in datas.drain(..) {
+                self.pool.release(page);
+            }
+            self.scratch.row_pages = datas;
+            cost.writes
+        } else {
+            // Fold each pending page's decompressed delta.
+            let mut deltas = std::mem::take(&mut self.scratch.deltas);
+            for &lba in lbas {
+                let mut full = self.pool.acquire();
+                self.fold_delta(lba, &mut full, t)?;
+                deltas.push((self.raid.layout().locate(lba).data_index, full));
+            }
+            let cost = self.raid_call(|raid| match raid.parity_update_rmw(row, &deltas) {
+                // The parity member of this row is dead, so there is
+                // nothing to fold deltas into. Resync instead: it
+                // recomputes from the live data members (all current —
+                // the deltas' data halves were dispatched at write
+                // time), skips the dead disk, and clears the stale
+                // mark so a later rebuild can re-derive the parity.
+                Err(RaidError::DiskFailed { .. }) => raid.resync(Some(&[row])),
+                done => done,
+            })?;
+            for (_, full) in deltas.drain(..) {
+                self.pool.release(full);
+            }
+            self.scratch.deltas = deltas;
+            cost.reads + cost.writes
+        };
+        self.charge_stage(Stage::ParityRmw, DISK_OP * ops, t);
+        Ok(())
+    }
+
+    /// The tombstone is logged before anything is trimmed, so a crash in
+    /// between can only leak flash pages — recovery never maps a reclaimed
+    /// one — and the slot is freed before any trim, so a failed trim leaves
+    /// nothing cached.
+    fn reclaim(&mut self, lba: u64, slot: u32, t: &mut SimTime) -> Done<Self> {
+        self.log_free(lba, slot, t)?;
+        self.z.cache.free_slot(slot);
+        cleaner::invalidate_delta(self, lba)?;
+        Ok(self.ssd.trim_page(self.slot_lpn(slot))?)
+    }
+
+    fn unstage(&mut self, lba: u64) {
+        self.payloads.release(self.nv.get_mut().staging.remove(lba));
+    }
+
+    /// The slot is freed first, so a failed trim cannot leave it pinned
+    /// with no page.
+    fn free_dez_slot(&mut self, slot: u32) -> Done<Self> {
+        self.z.cache.free_slot(slot);
+        Ok(self.ssd.trim_page(self.slot_lpn(slot))?)
+    }
+
+    /// Each delta is copied once from the page it lies in. Nothing volatile
+    /// moves until the merged page is on flash, so a failed write leaves
+    /// the index pointing at the two intact source pages.
+    fn write_merged(&mut self, merge: &Merge, moved: &mut Refs, t: &mut SimTime) -> Done<Self> {
+        debug_assert!(self.z.dez.recount(), "DEZ live-byte counters drifted");
+        let mut packer = DezPacker::new(self.pool.acquire(), merge.dst, merge.deltas);
+        for (lba, r) in moved.iter_mut() {
+            *r = self.with_delta(*lba, t, |comp, _| packer.push(*lba, comp))?;
+        }
+        let written = self.ssd.write_page(self.slot_lpn(merge.dst), &packer.page);
+        self.pool.release(packer.page);
+        self.charge_stage(Stage::StagingCommit, written?, t);
+        self.z.stats.ssd_delta_writes += 1;
+        Ok(())
+    }
+
+    fn log_delta(&mut self, lba: u64, r: DeltaRef, t: &mut SimTime) -> Done<Self> {
+        let entry = self.old_entry(lba, r)?;
+        self.log_entry(entry, t)
+    }
+
+    fn log_evicted(&mut self, lba: u64, slot: u32, t: &mut SimTime) -> Done<Self> {
+        self.log_free(lba, slot, t)
     }
 }
 
@@ -1854,7 +1739,7 @@ mod tests {
             DeltaLoc::Dez(r) => Some((lba, r.slot)),
             DeltaLoc::Staged => None,
         };
-        e.dez.locs().filter_map(slot).collect()
+        e.z.dez.locs().filter_map(slot).collect()
     }
 
     fn page(tag: u64) -> Vec<u8> {
@@ -2109,14 +1994,14 @@ mod tests {
         }
         let mut rng = seeded_rng(14);
         assert!(nudge_randomly(&mut e, &lbas, &mut versions, &mut rng, 600) > 0);
-        assert_ne!(e.dez.bound(), MergeBound::default(), "compaction left no bound behind");
+        assert_ne!(e.z.dez.bound(), MergeBound::default(), "compaction left no bound behind");
         let mut e = e.power_cycle().expect("recovery");
-        assert_eq!(e.dez.bound(), MergeBound::default());
-        assert!(e.dez.len() >= 4, "recovery lost the DEZ pages compaction works on");
+        assert_eq!(e.z.dez.bound(), MergeBound::default());
+        assert!(e.z.dez.len() >= 4, "recovery lost the DEZ pages compaction works on");
         // Every skip from here on is checked against the scan it replaces
-        // by the debug assertion in `compact_dez`.
+        // by the debug assertion in `plan_merge`.
         assert!(nudge_randomly(&mut e, &lbas, &mut versions, &mut rng, 600) > 0);
-        assert!(e.dez.recount());
+        assert!(e.z.dez.recount());
         for &lba in &lbas {
             let (got, _) = e.read(lba).unwrap();
             assert_eq!(got, versions[&lba], "lba {lba} corrupted");
@@ -2140,27 +2025,29 @@ mod tests {
         }
         let mut rng = seeded_rng(14);
         let merged_deltas = nudge_randomly(&mut e, &lbas, &mut versions, &mut rng, 600);
-        assert!(merged_deltas > 0, "the write pattern never made compact_dez merge a page");
+        assert!(merged_deltas > 0, "the write pattern never made compaction merge a page");
         // Every page must still combine to its latest version.
         for &lba in &lbas {
             let (got, _) = e.read(lba).unwrap();
             assert_eq!(got, versions[&lba], "lba {lba} corrupted");
         }
         // DEZ footprint must stay bounded relative to its live bytes.
-        let dez_pages = e.cache.count_state(PageState::Delta);
+        let dez_pages = e.z.cache.count_state(PageState::Delta);
         assert!(dez_pages <= 96, "DEZ blew up: {dez_pages} pages");
     }
 
-    /// One transient SSD fault at each op index from 20 to 1 499 of a
-    /// write-heavy run under pressure — on a DEZ page write, its log page
-    /// or an emptied page's trim among the rest — leaves no DEZ slot behind
-    /// once `flush` has cleaned every row: each `Delta` slot belongs to an
-    /// indexed page, so the governor's pinned count is the directory's.
+    /// One transient SSD fault at each op index from 20 to 3 999 of a
+    /// write-heavy run under pressure — on a DEZ page write, its log page,
+    /// an emptied page's trim or a cleaned row's reclaim among the rest —
+    /// leaves no DEZ slot and no old page behind once `flush` has cleaned
+    /// every row: each `Delta` slot belongs to an indexed page, so the
+    /// governor's pinned count is the directory's, and a reclaim that
+    /// failed part-way left its unreclaimed pages pending.
     #[test]
     fn transient_ssd_faults_leak_no_dez_slot() {
         use kdd_blockdev::fault::FaultPlan;
         let lbas: Vec<u64> = (0..96u64).map(|i| (i / 8) * 16 + i % 8).collect();
-        for at in 20..1500 {
+        for at in 20..4000 {
             let mut e = pressure_engine();
             e.attach_fault_injector(FaultInjector::new(
                 FaultPlan::new().transient(at, FaultDomain::Ssd),
@@ -2178,13 +2065,54 @@ mod tests {
                 }
             }
             let pinned =
-                e.cache.count_state(PageState::Old) + e.cache.count_state(PageState::Delta);
-            assert_eq!(e.dez.pinned(&e.cache), pinned as u64, "fault at op {at}");
+                e.z.cache.count_state(PageState::Old) + e.z.cache.count_state(PageState::Delta);
+            assert_eq!(e.z.pinned(), pinned as u64, "fault at op {at}");
             e.flush().or_else(|_| e.flush()).unwrap();
-            assert_eq!(e.cache.count_state(PageState::Delta), 0, "fault at op {at}");
+            assert_eq!(e.z.cache.count_state(PageState::Delta), 0, "fault at op {at}");
+            for (_, lba, state) in e.z.cache.iter_mapped() {
+                let row = e.raid.layout().row_of(lba);
+                let pending = e.z.pending.contains(row, lba);
+                assert!(state != PageState::Old || pending, "fault at op {at}: lba {lba}");
+            }
             for &lba in &lbas {
                 assert_eq!(e.read(lba).unwrap().0, versions[&lba], "fault at op {at}: lba {lba}");
             }
+        }
+    }
+
+    /// Recovery resyncs a stale row's parity over its cached current data
+    /// and leaves the row pending with its old bases and deltas: a later
+    /// write must not fold those deltas into parity that holds them
+    /// already, so the row is reclaimed first and parity stays the XOR of
+    /// the data — which a member loss reads back.
+    #[test]
+    fn resynced_pending_row_keeps_its_parity() {
+        let mut e = engine(64);
+        let mut versions: FastMap<u64, Vec<u8>> = FastMap::default();
+        for lba in [0u64, 4] {
+            e.write(lba, &page(lba)).unwrap();
+        }
+        for lba in [0u64, 4] {
+            let next = similar_page(&page(lba), 1);
+            e.write(lba, &next).unwrap();
+            versions.insert(lba, next);
+        }
+        let row = e.raid().layout().row_of(0);
+        assert_eq!(row, e.raid().layout().row_of(4));
+        let mut e = e.power_cycle().expect("recovery");
+        assert!(e.z.pending.contains_row(row) && !e.raid().is_stale(row));
+        let next = similar_page(&versions[&0], 2);
+        e.write(0, &next).unwrap();
+        versions.insert(0, next);
+        e.clean(&mut SimTime::default()).unwrap();
+        assert_eq!(e.raid_mut().verify_row(row), Ok(true));
+        let disk = e.raid().layout().locate(0).disk;
+        e.raid_mut().fail_disk(disk);
+        let mut buf = vec![0u8; PS as usize];
+        for (lba, v) in &versions {
+            assert_eq!(&e.read(*lba).unwrap().0, v, "lba {lba}");
+            e.raid_mut().read_page(*lba, &mut buf).unwrap();
+            assert_eq!(&buf, v, "lba {lba} from the array");
         }
     }
 
@@ -2250,9 +2178,9 @@ mod tests {
                         e.recover_from_ssd_failure().unwrap();
                     }
                 }
-                assert!(e.dez.recount(), "seed {seed} step {step}");
-                dez_pages_peak = dez_pages_peak.max(e.dez.len());
-                live_peak = live_peak.max(e.dez.live_total());
+                assert!(e.z.dez.recount(), "seed {seed} step {step}");
+                dez_pages_peak = dez_pages_peak.max(e.z.dez.len());
+                live_peak = live_peak.max(e.z.dez.live_total());
             }
             assert!(dez_pages_peak >= 4 && live_peak > 0, "mix never exercised the DEZ");
         }
@@ -2304,7 +2232,7 @@ mod tests {
                         .count();
                 }
                 (0..=997, _) => {
-                    match lent.dez.loc(lba) {
+                    match lent.z.dez.loc(lba) {
                         Some(DeltaLoc::Staged) => staged_reads += 1,
                         Some(DeltaLoc::Dez(_)) => dez_reads += 1,
                         None => {}
@@ -2316,9 +2244,9 @@ mod tests {
                     }
                 }
                 (998, _) => {
-                    for row in lent.pending_rows.row_ids() {
+                    for row in lent.z.pending.row_ids() {
                         let mut lpns = lent.raid.layout().row_lpns(row);
-                        if lpns.all(|l| lent.cache.lookup(l).is_some()) {
+                        if lpns.all(|l| lent.z.cache.lookup(l).is_some()) {
                             rows_rebuilt += 1;
                         } else {
                             rows_folded += 1;
@@ -2340,7 +2268,7 @@ mod tests {
             staged_reads > 20 && dez_reads > 20,
             "{staged_reads} staged, {dez_reads} DEZ reads"
         );
-        assert!(merged > 0, "compact_dez never merged a page");
+        assert!(merged > 0, "compaction never merged a page");
         assert!(
             rows_rebuilt > 0 && rows_folded > 0,
             "{rows_rebuilt} rebuilt, {rows_folded} folded"
@@ -2453,7 +2381,7 @@ mod tests {
         assert!(matches!(build(16, 64, 128), Err(EngineError::Layout(_))), "ways > pages");
         for (total_pages, ways) in [(100, 8), (200, 50), (64, 64)] {
             let e = build(total_pages, ways, 256).expect("a partial last set is fine");
-            assert!(e.cache.slots() as u64 <= total_pages);
+            assert!(e.z.cache.slots() as u64 <= total_pages);
         }
         // DEZ offsets and lengths are 16-bit: 64 KiB pages are the largest.
         let build_paged = |page_size: u32| {
@@ -2506,7 +2434,8 @@ mod tests {
                 e.write(lba, &similar_page(&base, round)).unwrap();
             }
         }
-        let pinned = e.cache.count_state(PageState::Old) + e.cache.count_state(PageState::Delta);
+        let pinned =
+            e.z.cache.count_state(PageState::Old) + e.z.cache.count_state(PageState::Delta);
         let trigger = KddConfig::new(CacheGeometry { total_pages: 64, ways: 8, page_size: PS })
             .clean_trigger_slots() as usize;
         assert!(pinned <= trigger, "pinned pages unbounded: {pinned} > {trigger}");

@@ -18,7 +18,7 @@ fn assert_conserved(e: &KddEngine, after: &str) {
 }
 
 fn staged(e: &KddEngine) -> usize {
-    e.dez.locs().filter(|&(_, loc)| loc == DeltaLoc::Staged).count()
+    e.z.dez.locs().filter(|&(_, loc)| loc == DeltaLoc::Staged).count()
 }
 
 /// A scripted mix that leaves through every exit a payload has; once the
@@ -70,7 +70,7 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     // Coalescing rewrite of a staged delta.
     rewrite(&mut e, &mut versions, lbas[0], 1);
     let before = e.staged_deltas();
-    assert_eq!(e.dez.loc(lbas[0]), Some(DeltaLoc::Staged));
+    assert_eq!(e.z.dez.loc(lbas[0]), Some(DeltaLoc::Staged));
     rewrite(&mut e, &mut versions, lbas[0], 2);
     assert_eq!(e.staged_deltas(), before);
     assert_conserved(&e, "coalescing");
@@ -78,7 +78,7 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     // Incompressible rewrites fall through — of a page with a staged delta
     // (invalidated on the way), with a committed one, and of a clean page.
     let committed = |(lba, loc)| matches!(loc, DeltaLoc::Dez(_)).then_some(lba);
-    let committed = e.dez.locs().find_map(committed).expect("a committed delta");
+    let committed = e.z.dez.locs().find_map(committed).expect("a committed delta");
     e.read(200).unwrap();
     for lba in [lbas[0], committed, 200] {
         let page = noise(&mut rng);
@@ -93,7 +93,7 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     let row = e.raid().layout().row_of(lbas[2]);
     rewrite(&mut e, &mut versions, lbas[2], 3);
     let reads = e.stats().raid_reads;
-    e.clean_row(row, &mut t).unwrap();
+    cleaner::clean_row(&mut e, row, &mut t).unwrap();
     assert!(e.stats().raid_reads > reads, "a partly cached row is repaired by RMW");
     let whole: Vec<u64> = e.raid().layout().row_lpns(100).collect();
     for &lba in &whole {
@@ -102,7 +102,7 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     }
     rewrite(&mut e, &mut versions, whole[1], 4);
     let (reads, updates) = (e.stats().raid_reads, e.stats().parity_updates);
-    e.clean_row(100, &mut t).unwrap();
+    cleaner::clean_row(&mut e, 100, &mut t).unwrap();
     assert_eq!((e.stats().raid_reads, e.stats().parity_updates), (reads, updates + 1));
     assert_conserved(&e, "row repairs");
 
@@ -110,10 +110,10 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     for &lba in lbas.iter().skip(8).take(8) {
         rewrite(&mut e, &mut versions, lba, 5);
     }
-    let dez = e.dez.locs().count() - staged(&e);
+    let dez = e.z.dez.locs().count() - staged(&e);
     assert!(staged(&e) > 0 && dez > 0, "{} staged, {dez} committed", staged(&e));
     e.clean(&mut t).unwrap();
-    assert!(e.dez.locs().next().is_none() && e.staged_deltas() == 0);
+    assert!(e.z.dez.locs().next().is_none() && e.staged_deltas() == 0);
     assert_conserved(&e, "cleaning");
 
     // And again from the top, merges included.
@@ -140,7 +140,7 @@ fn payload_of_an_evicted_write_target_is_recycled() {
     let mut evicted = 0;
     for round in 0..4u8 {
         for &lba in &lbas {
-            let cached = e.cache.lookup(lba).is_some();
+            let cached = e.z.cache.lookup(lba).is_some();
             let misses = e.stats().write_misses;
             e.write(lba, &similar_page(&page(lba), round)).unwrap();
             evicted += usize::from(cached && e.stats().write_misses > misses);
@@ -152,25 +152,49 @@ fn payload_of_an_evicted_write_target_is_recycled() {
 
 /// Payloads that come back from NVRAM after a power cut may be exact-size
 /// copies. They are dropped when they leave the staging buffer, never
-/// recycled into a buffer `compress_into` would have to grow.
+/// recycled into a buffer `compress_into` would have to grow: when a write
+/// hit coalesces over one, when one is committed, and when a row recovery
+/// resynced is reclaimed.
 #[test]
 fn recovered_payloads_are_dropped_not_recycled() {
-    let mut e = engine(64);
-    let mut versions = FastMap::default();
-    for lba in 0..3u64 {
-        e.write(lba, &page(lba)).unwrap();
-        let next = nudged_page(&page(lba), lba as u8);
-        e.write(lba, &next).unwrap();
-        versions.insert(lba, next);
-    }
-    assert_eq!(e.staged_deltas(), 3);
-    // The NVRAM image as a restore hands it back: exact-size payloads.
-    e.nv = e.nv.clone();
-    let mut e = e.power_cycle().expect("recovery");
-    assert_eq!((e.staged_deltas(), e.payload_buffer_stats()), (3, (0, 0)));
-    // Coalesce over a recovered payload, then commit the rest.
+    // Three staged deltas, in rows 0–2, recovered from the NVRAM image as
+    // a restore hands it back: exact-size payloads. A member of those rows
+    // dead on the cut keeps recovery from resyncing them.
+    let recovered = |dead_member: bool| {
+        let mut e = engine(64);
+        let mut versions = FastMap::default();
+        for lba in 0..3u64 {
+            e.write(lba, &page(lba)).unwrap();
+            let next = nudged_page(&page(lba), lba as u8);
+            e.write(lba, &next).unwrap();
+            versions.insert(lba, next);
+        }
+        assert_eq!(e.staged_deltas(), 3);
+        if dead_member {
+            let disk = e.raid().layout().locate(4).disk;
+            e.raid_mut().fail_disk(disk);
+        }
+        e.nv = e.nv.clone();
+        let e = e.power_cycle().expect("recovery");
+        assert_eq!((e.staged_deltas(), e.payload_buffer_stats()), (3, (0, 0)));
+        (e, versions)
+    };
+    // A resynced row is reclaimed before the write: its payload is dropped
+    // and the write misses.
+    let (mut e, versions) = recovered(false);
+    e.write(0, &nudged_page(&versions[&0], 0x77)).unwrap();
+    assert_eq!(e.last_class, HitClass::WriteMiss);
+    assert_eq!(
+        (e.staged_deltas(), e.payloads.free_len()),
+        (2, 0),
+        "a reclaimed payload was recycled"
+    );
+    // A stale row's page takes the delta path: coalesce over a recovered
+    // payload, then commit the rest.
+    let (mut e, mut versions) = recovered(true);
     let next = nudged_page(&versions[&0], 0x77);
     e.write(0, &next).unwrap();
+    assert_eq!(e.last_class, HitClass::WriteHitDelta);
     versions.insert(0, next);
     assert_eq!(e.payloads.free_len(), 0, "the recovered predecessor was recycled");
     e.commit_staging(&mut SimTime::default()).unwrap();
@@ -279,7 +303,7 @@ fn wrong_sized_payload_is_an_error_and_moves_nothing() {
     ];
     assert!(matches!(e.write_batch(&batch), Err(EngineError::Layout(_))));
     assert_eq!(e.stats().write_misses, before.0.write_misses + 1);
-    assert!(e.cache.lookup(20).is_some() && e.cache.lookup(22).is_none());
+    assert!(e.z.cache.lookup(20).is_some() && e.z.cache.lookup(22).is_none());
     assert!(!e.meta_defer && e.meta_pending.is_empty(), "the group flush must still run");
     let batch = [
         WriteRequest { lba: 30, data: &p1 },
@@ -288,7 +312,7 @@ fn wrong_sized_payload_is_an_error_and_moves_nothing() {
     ];
     assert!(matches!(e.write_batch(&batch), Err(EngineError::Layout(_))));
     assert_eq!(e.stats().write_misses, before.0.write_misses + 2);
-    assert!(e.cache.lookup(30).is_some() && e.cache.lookup(31).is_none());
+    assert!(e.z.cache.lookup(30).is_some() && e.z.cache.lookup(31).is_none());
     assert!(!e.meta_defer && e.meta_pending.is_empty(), "the group flush must still run");
     // A valid write goes through afterwards, in pass-through mode too.
     let p2 = similar_page(&p0, 2);

@@ -20,24 +20,26 @@
 //!   loss, SSD loss, HDD loss).
 //!
 //! **One definition, used by both:** the DEZ index (`dez::DezIndex`):
-//! each old page's delta location (staged, or a `DeltaRef` into a DEZ
-//! page) with one invalidate/re-stage call, one commit protocol (`list` →
-//! the caller logs → `go_live`) and one merge call, each page's deltas by
-//! lba with their live bytes, the recount against the locations, and the
-//! compaction bound. Also the compaction planner (`plan_merge` and its
-//! `MergeBound`, here in the crate root), the cleaning governor (old plus
-//! DEZ pages against the thresholds of [`KddConfig`]), the NoRoom reclaim's
-//! row choice and the pending-row order
-//! ([`kdd_cache::policies::PendingRows`]), the DEZ victim rule and the
-//! directory ([`kdd_cache::setassoc::SetAssocCache`]), the circular log
-//! ([`MetaLog`]) and the NVRAM staging buffer ([`StagingBuffer`]).
+//! each old page's delta location, its invalidate/re-stage, commit (`list`
+//! → log → `go_live`) and merge calls, each page's deltas by lba with their
+//! live bytes, and the compaction bound; the compaction planner
+//! (`plan_merge`, here); and §III-D's background work (`cleaner`) over the
+//! state both keep alike (`cleaner::Zones`): the governor, oldest-first
+//! cleaning, a row's plan (repair while stale — reconstruct-write iff the
+//! whole row is cached — then reclaim, re-pending what a failed step left),
+//! the NoRoom reclaim around a clean fill, compaction and invalidation.
+//! Beneath them: [`kdd_cache::policies::PendingRows`], the directory
+//! ([`kdd_cache::setassoc::SetAssocCache`]), [`MetaLog`], [`StagingBuffer`].
 //!
-//! **Still written twice:** how a commit packs staged deltas into pages,
-//! how a merge's I/O is carried out and the slot freed (both take the
-//! merge victims, the re-log order and a cleaned row's reclaim order from
-//! the shared containers' key orders), `clean_row`, and `alloc_dez_slot`,
-//! where the two copies *diverge*: the policy compacts before it evicts a
-//! clean page, the engine evicts straight away.
+//! **Still per copy:** the I/O under `cleaner::CleanerIo` (a NoRoom reclaim
+//! counts a cleaning in the policy only; a pass over every row goes oldest
+//! first in the policy, in the pending map's order in the engine); the
+//! write paths (the engine's write miss cleans the row first, its write-hit
+//! fallback writes through, reclaims and refills, and a pending row whose
+//! parity is current is reclaimed before a write); the commit (one page in
+//! the policy, spilling into more in the engine); and `alloc_dez_slot`,
+//! where the policy compacts before it evicts a clean page and the engine
+//! evicts at once.
 //!
 //! Supporting machinery: [`metalog`] (the circular persistent metadata
 //! log), [`staging`] (the NVRAM delta staging buffer), [`config`].
@@ -54,6 +56,7 @@
     clippy::unimplemented
 )]
 
+mod cleaner;
 pub mod config;
 mod dez;
 pub mod engine;
@@ -321,7 +324,7 @@ mod tests {
                         pages.swap_remove(at % pages.len());
                     }
                     _ => {
-                        // One turn of `compact_dez`'s loop.
+                        // One turn of `cleaner::compact`'s loop.
                         let mut sorted: Vec<usize> = (0..pages.len()).collect();
                         sorted.sort_by_key(|&i| pages[i].0);
                         let live_total: u32 = pages.iter().map(|&(b, _)| b).sum();

@@ -25,18 +25,21 @@
 // "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
+use crate::cleaner::{self, CleanerIo, Done, Refs, Zones};
 use crate::config::KddConfig;
-use crate::dez::{DeltaLoc, DeltaRef, DezIndex};
+use crate::dez::{DeltaLoc, DeltaRef};
 use crate::metalog::{Commits, KeyEntry, MetaLog, PartitionTooSmall};
 use crate::staging::StagingBuffer;
+use crate::Merge;
 use kdd_cache::effects::{AccessOutcome, Effects};
 use kdd_cache::nvbuf::ENTRY_BYTES;
-use kdd_cache::policies::{set_of_row, CachePolicy, PendingRows, RaidModel};
-use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
+use kdd_cache::policies::{set_of_row, CachePolicy, RaidModel};
+use kdd_cache::setassoc::{PageState, SetAssocCache};
 use kdd_cache::stats::CacheStats;
 use kdd_delta::model::DeltaSizeModel;
 use kdd_trace::record::Op;
 use kdd_util::lru::GhostList;
+use std::convert::Infallible;
 
 /// Metadata pages a log operation lent.
 ///
@@ -79,20 +82,11 @@ fn meta_pages(commits: Result<Commits<'_, KeyEntry>, PartitionTooSmall>) -> u32 
 /// kdd.flush();                              // cleaner repairs stale parity
 /// ```
 pub struct KddPolicy {
-    cache: SetAssocCache,
-    raid: RaidModel,
+    /// The directory, DEZ index, pending rows, counters and configuration.
+    z: Zones,
     model: Box<dyn DeltaSizeModel>,
     staging: StagingBuffer<u32>,
     metalog: MetaLog<KeyEntry>,
-    pending: PendingRows,
-    /// Each old page's delta location, and the DEZ pages holding them.
-    dez: DezIndex,
-    /// Pages `clean_row` reclaims, reused.
-    scratch_lbas: Vec<u64>,
-    /// The deltas `commit_staging` and `compact_dez` place, reused.
-    scratch_refs: Vec<(u64, DeltaRef)>,
-    stats: CacheStats,
-    config: KddConfig,
     /// LARC-style ghost list (lazy admission extension).
     ghost: Option<GhostList>,
     /// Fixed-partition mode: the partition's free DEZ ids, the most
@@ -124,17 +118,10 @@ impl KddPolicy {
             fixed_dez_ids = ids.rev().map(|id| id as u32).collect();
         }
         KddPolicy {
-            cache: SetAssocCache::new_grouped(geometry, grouping),
-            raid,
+            z: Zones::new(config, raid.layout, SetAssocCache::new_grouped(geometry, grouping)),
             model,
             staging: StagingBuffer::new(page_size),
             metalog: MetaLog::new(config.meta_partition_pages(), epp),
-            pending: PendingRows::default(),
-            dez: DezIndex::new(config.geometry.total_pages),
-            scratch_lbas: Vec::new(),
-            scratch_refs: Vec::new(),
-            stats: CacheStats::default(),
-            config,
             ghost: config
                 .lazy_admission
                 .then(|| GhostList::new(config.geometry.total_pages as usize)),
@@ -144,51 +131,35 @@ impl KddPolicy {
 
     /// Pages currently in the *old* state.
     pub fn old_pages(&self) -> u64 {
-        self.cache.count_state(PageState::Old) as u64
+        self.z.cache.count_state(PageState::Old) as u64
     }
 
     /// DEZ pages currently allocated.
     pub fn delta_pages(&self) -> u64 {
-        self.dez.len()
+        self.z.dez.len()
+    }
+
+    /// The array's cost model, over the zones' layout.
+    fn raid(&self) -> RaidModel {
+        RaidModel { layout: self.z.layout }
+    }
+
+    /// Whether `lba`'s delta is committed to a DEZ page.
+    fn in_dez(&self, lba: u64) -> bool {
+        matches!(self.z.dez.loc(lba), Some(DeltaLoc::Dez(_)))
     }
 
     // ---- metadata ---------------------------------------------------------
 
-    fn log_alloc(&mut self, lba: u64, fx: &mut Effects) {
-        self.log(KeyEntry { key: lba, tombstone: false }, fx);
-    }
-
-    fn log_free(&mut self, lba: u64, fx: &mut Effects) {
-        self.log(KeyEntry { key: lba, tombstone: true }, fx);
-    }
-
-    fn log(&mut self, entry: KeyEntry, fx: &mut Effects) {
-        fx.ssd_meta_writes += meta_pages(self.metalog.push(entry));
-        if !self.config.nvram_batching {
+    /// Log `lba`'s mapping, or its tombstone.
+    fn log(&mut self, lba: u64, tombstone: bool, fx: &mut Effects) {
+        fx.ssd_meta_writes += meta_pages(self.metalog.push(KeyEntry { key: lba, tombstone }));
+        if !self.z.config.nvram_batching {
             fx.ssd_meta_writes += meta_pages(self.metalog.flush());
         }
     }
 
     // ---- delta plumbing ----------------------------------------------------
-
-    /// Invalidate whatever delta `lba` currently has.
-    fn invalidate_delta(&mut self, lba: u64) {
-        let released = self.dez.restage(lba, false);
-        if released.staged {
-            self.staging.remove(lba);
-        }
-        if let Some(slot) = released.emptied {
-            self.free_dez_slot(slot);
-        }
-    }
-
-    fn free_dez_slot(&mut self, slot: u32) {
-        if self.config.fixed_dez_fraction.is_some() {
-            self.fixed_dez_ids.push(slot);
-        } else {
-            self.cache.free_slot(slot);
-        }
-    }
 
     /// Pack the staged deltas into one DEZ page and commit it. The commit
     /// also performs log-structured compaction: if the new page has slack
@@ -199,17 +170,11 @@ impl KddPolicy {
         if self.staging.is_empty() {
             return;
         }
-        let slot = match self.alloc_dez_slot(fx) {
-            Some(s) => s,
-            None => {
-                // Cache completely pinned even after cleaning — commit is
-                // impossible; keep deltas staged (caller's insert will
-                // still fit because cleaning drained the staging buffer).
-                return;
-            }
-        };
+        // A cache pinned full even after cleaning keeps the deltas staged
+        // (the caller's insert still fits: cleaning drained the buffer).
+        let Some(slot) = self.alloc_dez_slot(fx) else { return };
         // Packed in FIFO order, as the engine packs them.
-        let mut refs = std::mem::take(&mut self.scratch_refs);
+        let mut refs = std::mem::take(&mut self.z.refs);
         refs.clear();
         let mut off = 0;
         for (lba, len) in self.staging.drain() {
@@ -220,50 +185,12 @@ impl KddPolicy {
         fx.ssd_delta_writes += 1;
         // Mapping entries for the affected old pages are logged only now
         // (§III-C): the (lba_dez, off, len) tuple is finally known.
-        let listed = self.dez.list(slot, refs.iter().map(|&(lba, _)| lba));
+        let listed = self.z.dez.list(slot, refs.iter().map(|&(lba, _)| lba));
         for &(lba, _) in &refs {
-            self.log_alloc(lba, fx);
+            self.log(lba, false, fx);
         }
-        self.dez.go_live(listed, &refs);
-        self.scratch_refs = refs;
-    }
-
-    /// Log-structured DEZ garbage collection: rewrites invalidate deltas
-    /// in place, so page utilisation decays. Compaction is *pressure
-    /// driven*: it only runs when pinned pages approach the cleaning
-    /// trigger or a DEZ allocation fails — idle fragmentation is free,
-    /// but under space pressure each merge (read two pages, rewrite one,
-    /// free the other) buys back a cache slot.
-    fn compact_dez(&mut self, fx: &mut Effects) {
-        let ps = self.config.geometry.page_size;
-        while let Some(merge) = self.dez.next_merge(ps, (0, 0)) {
-            fx.ssd_reads += 2; // read both victims
-            fx.ssd_delta_writes += 1; // rewrite the merged page
-
-            // Both pages' deltas repacked into the destination, as the
-            // engine packs them, each keeping its size.
-            let mut moved = std::mem::take(&mut self.scratch_refs);
-            moved.clear();
-            let mut off = 0;
-            for slot in [merge.dst, merge.src] {
-                for lba in self.dez.lbas(slot) {
-                    let Some(DeltaLoc::Dez(DeltaRef { len, .. })) = self.dez.loc(lba) else {
-                        continue;
-                    };
-                    moved.push((lba, DeltaRef { slot: merge.dst, off: off as u16, len }));
-                    off += u32::from(len);
-                }
-            }
-            moved.sort_unstable_by_key(|&(lba, _)| lba);
-            self.dez.replace_merged(&merge, &moved);
-            // Every delta in the merged page moved (new offsets): their
-            // mapping entries are re-logged.
-            for &(lba, _) in &moved {
-                self.log_alloc(lba, fx);
-            }
-            self.scratch_refs = moved;
-            self.free_dez_slot(merge.src);
-        }
+        self.z.dez.go_live(listed, &refs);
+        self.z.refs = refs;
     }
 
     /// A slot for a new DEZ page: the fixed partition's last freed id,
@@ -271,168 +198,134 @@ impl KddPolicy {
     /// first if that frees one), else the slot of the evicted
     /// [`SetAssocCache::dez_victim`].
     fn alloc_dez_slot(&mut self, fx: &mut Effects) -> Option<u32> {
-        if self.config.fixed_dez_fraction.is_some() {
+        if self.z.config.fixed_dez_fraction.is_some() {
             if self.fixed_dez_ids.is_empty() {
-                self.compact_dez(fx); // try to reclaim partition slots
+                let Ok(()) = cleaner::compact(self, fx); // try to reclaim partition slots
             }
             // None: the static partition is full — that's the point.
             return self.fixed_dez_ids.pop();
         }
-        if let Some(slot) = self.cache.alloc_delta_slot() {
+        if let Some(slot) = self.z.cache.alloc_delta_slot() {
             return Some(slot);
         }
-        self.compact_dez(fx);
-        if let Some(slot) = self.cache.alloc_delta_slot() {
+        let Ok(()) = cleaner::compact(self, fx);
+        if let Some(slot) = self.z.cache.alloc_delta_slot() {
             return Some(slot);
         }
         // No free slot anywhere: evict a clean page to make room.
-        if let Some((slot, lba)) = self.cache.dez_victim() {
-            self.cache.free_slot(slot);
-            self.stats.evictions += 1;
-            self.log_free(lba, fx);
-            return self.cache.alloc_delta_slot();
-        }
-        None
+        let (slot, lba) = self.z.cache.dez_victim()?;
+        self.z.cache.free_slot(slot);
+        self.z.stats.evictions += 1;
+        self.log(lba, true, fx);
+        self.z.cache.alloc_delta_slot()
     }
 
-    // ---- cleaning -----------------------------------------------------------
-
-    /// Repair every stale row and reclaim old/delta pages (§III-D).
-    fn clean_all(&mut self) -> Effects {
-        let mut fx = Effects::default();
-        while let Some(row) = self.pending.oldest_row() {
-            fx += self.clean_row(row);
-        }
-        self.stats.cleanings += 1;
-        fx
-    }
-
-    /// Threshold cleaning: work oldest-stale-row first and stop just
-    /// under the trigger. Reclaiming only the longest-stale rows keeps the
-    /// victims cold (§III-D's premise) while recently-written hot pages
-    /// keep their delta path.
-    fn clean_some(&mut self) -> Effects {
-        let mut fx = Effects::default();
-        let low = self.config.clean_low_water_slots();
-        while self.dez.pinned(&self.cache) > low {
-            let Some(row) = self.pending.oldest_row() else { break };
-            fx += self.clean_row(row);
-        }
-        self.stats.cleanings += 1;
-        fx
-    }
-
-    /// Repair one stale row and reclaim its pages.
-    fn clean_row(&mut self, row: u64) -> Effects {
-        let mut fx = Effects::default();
-        {
-            // Reconstruct-write only when every data page of the row is in
-            // SSD (clean or old+delta).
-            let reconstruct = self.raid.row_lpns(row).all(|l| self.cache.lookup(l).is_some());
-            if reconstruct {
-                // Read the row's pages from SSD to XOR (cheap, parallel).
-                fx.ssd_reads += self.raid.layout.row_width() as u32;
-                fx.ssd_read_rounds += 1;
+    /// Cache a missed page clean unless admission or a pinned set turns it
+    /// away.
+    fn fill_clean(&mut self, lba: u64, fx: &mut Effects, bg: &mut Effects) {
+        if self.admit(lba) {
+            if let Ok(Some(_)) = cleaner::insert_clean_or_bypass(self, lba, fx, bg) {
+                fx.ssd_data_writes += 1;
+                self.log(lba, false, fx);
             }
-            fx += self.raid.parity_update_effects(reconstruct);
-            self.stats.parity_updates += 1;
-            let mut lbas = std::mem::take(&mut self.scratch_lbas);
-            self.pending.take_row_into(row, &mut lbas);
-            for &lba in &lbas {
-                // Decompress this page's delta (from NVRAM or DEZ).
-                if let Some(DeltaLoc::Dez(_)) = self.dez.loc(lba) {
-                    if !reconstruct {
-                        fx.ssd_reads += 1;
-                    }
-                }
-                fx.decompressions += 1;
-                self.invalidate_delta(lba);
-                if let Some(slot) = self.cache.lookup(lba) {
-                    if self.cache.state(slot) != PageState::Old {
-                        continue; // degraded to write-through meanwhile
-                    }
-                    if self.config.reclaim_as_clean {
-                        // First scheme (§III-D): combine old + delta and
-                        // rewrite as a clean page — extra SSD program per
-                        // victim, future write hits keep the delta path.
-                        self.cache.set_state(slot, PageState::Clean);
-                        fx.ssd_data_writes += 1;
-                        self.log_alloc(lba, &mut fx);
-                    } else {
-                        // Second scheme: "simply reclaims the old pages"
-                        // — the paper's choice.
-                        self.cache.free_slot(slot);
-                        self.log_free(lba, &mut fx);
-                    }
-                }
-            }
-            self.scratch_lbas = lbas;
         }
-        fx
     }
 
     /// Lazy-admission filter (LARC extension): a missed page is admitted
     /// only on its second miss within the ghost window. Always admits
     /// when the extension is off (the paper's configuration).
     fn admit(&mut self, lba: u64) -> bool {
-        match &mut self.ghost {
-            None => true,
-            Some(g) => {
-                if g.remove(lba) {
-                    true // second miss: admit
-                } else {
-                    g.insert(lba);
-                    false // first miss: remember only
-                }
-            }
+        let Some(g) = &mut self.ghost else { return true };
+        // The second miss admits; the first is only remembered.
+        g.remove(lba) || {
+            g.insert(lba);
+            false
         }
     }
+}
 
-    fn maybe_clean(&mut self, bg: &mut Effects) {
-        // Space pressure builds: first squeeze fragmentation out of the
-        // DEZ, then clean rows.
-        if self.dez.pinned(&self.cache) >= self.config.compact_pressure_slots() {
-            self.compact_dez(bg);
-        }
-        if self.dez.pinned(&self.cache) >= self.config.clean_trigger_slots() {
-            *bg += self.clean_some();
-        }
+impl CleanerIo for KddPolicy {
+    type Cost = Effects;
+    type Error = Infallible;
+    const MERGE_OVERHEAD: (u32, u32) = (0, 0);
+    const NOROOM_IS_A_CLEANING: bool = true;
+    const FULL_PASS_IN_MAP_ORDER: bool = false;
+
+    fn zones(&mut self) -> &mut Zones {
+        &mut self.z
     }
 
-    /// Insert a clean page with clean-only eviction. A fully-pinned set is
-    /// unpinned one pending row at a time until the insert fits — minimal
-    /// reclaim, so hot old pages keep their delta path.
-    /// Returns false only when the set is pinned and holds no pending
-    /// rows to clean (the fill is then bypassed).
-    fn insert_clean_or_bypass(&mut self, lba: u64, fx: &mut Effects, bg: &mut Effects) -> bool {
-        loop {
-            match self.cache.insert(lba, PageState::Clean, |s| s == PageState::Clean) {
-                InsertOutcome::Inserted { .. } => return true,
-                InsertOutcome::Evicted { victim_lba, .. } => {
-                    self.stats.evictions += 1;
-                    self.log_free(victim_lba, fx);
-                    return true;
-                }
-                InsertOutcome::NoRoom => {
-                    let set = self.cache.set_of_lba(lba);
-                    if !self.clean_one_row_in_set(set, bg) {
-                        return false;
-                    }
-                }
-            }
+    /// Counted: the row's pages read from SSD to reconstruct (one parallel
+    /// round), else each committed delta's DEZ read; every delta is
+    /// decompressed.
+    fn repair(
+        &mut self,
+        _row: u64,
+        lbas: &[u64],
+        reconstruct: bool,
+        fx: &mut Effects,
+    ) -> Done<Self> {
+        if reconstruct {
+            fx.ssd_reads += self.z.layout.row_width() as u32;
+            fx.ssd_read_rounds += 1;
+        } else {
+            fx.ssd_reads += lbas.iter().filter(|&&lba| self.in_dez(lba)).count() as u32;
         }
+        *fx += self.raid().parity_update_effects(reconstruct);
+        fx.decompressions += lbas.len() as u32;
+        Ok(())
     }
 
-    /// Clean the pending row [`PendingRows::first_row_in_set`] names for
-    /// `set`. Returns false when none exists.
-    fn clean_one_row_in_set(&mut self, set: usize, bg: &mut Effects) -> bool {
-        let (cache, layout) = (&self.cache, &self.raid.layout);
-        let Some(row) = self.pending.first_row_in_set(set, |r| set_of_row(cache, layout, r)) else {
-            return false;
-        };
-        *bg += self.clean_row(row);
-        self.stats.cleanings += 1;
-        true
+    /// The paper's second scheme frees the page; the first
+    /// (`reclaim_as_clean`) combines old + delta and rewrites it clean, an
+    /// extra SSD program per victim that keeps the page's delta path.
+    fn reclaim(&mut self, lba: u64, slot: u32, fx: &mut Effects) -> Done<Self> {
+        cleaner::invalidate_delta(self, lba)?;
+        if self.z.config.reclaim_as_clean {
+            self.z.cache.set_state(slot, PageState::Clean);
+            fx.ssd_data_writes += 1;
+            self.log(lba, false, fx);
+        } else {
+            self.z.cache.free_slot(slot);
+            self.log(lba, true, fx);
+        }
+        Ok(())
+    }
+
+    fn unstage(&mut self, lba: u64) {
+        self.staging.remove(lba);
+    }
+
+    fn free_dez_slot(&mut self, slot: u32) -> Done<Self> {
+        if self.z.config.fixed_dez_fraction.is_some() {
+            self.fixed_dez_ids.push(slot);
+        } else {
+            self.z.cache.free_slot(slot);
+        }
+        Ok(())
+    }
+
+    /// Counted: both victims read, the merged page written; each delta
+    /// keeps its size.
+    fn write_merged(&mut self, merge: &Merge, moved: &mut Refs, fx: &mut Effects) -> Done<Self> {
+        fx.ssd_reads += 2;
+        fx.ssd_delta_writes += 1;
+        let mut off = 0;
+        for (_, r) in moved.iter_mut() {
+            *r = DeltaRef { slot: merge.dst, off, len: r.len };
+            off += r.len;
+        }
+        Ok(())
+    }
+
+    fn log_delta(&mut self, lba: u64, _r: DeltaRef, fx: &mut Effects) -> Done<Self> {
+        self.log(lba, false, fx);
+        Ok(())
+    }
+
+    fn log_evicted(&mut self, lba: u64, _slot: u32, fx: &mut Effects) -> Done<Self> {
+        self.log(lba, true, fx);
+        Ok(())
     }
 }
 
@@ -444,25 +337,17 @@ impl CachePolicy for KddPolicy {
     fn access(&mut self, op: Op, lba: u64) -> AccessOutcome {
         let mut fx = Effects::default();
         let mut bg = Effects::default();
-        let page_size = self.config.geometry.page_size;
-        let hit = match (op, self.cache.lookup(lba)) {
+        let page_size = self.z.config.geometry.page_size;
+        let hit = match (op, self.z.cache.lookup(lba)) {
             (Op::Read, Some(slot)) => {
-                self.cache.touch(slot);
-                match self.cache.state(slot) {
+                self.z.cache.touch(slot);
+                match self.z.cache.state(slot) {
                     PageState::Old => {
-                        // Combine old data + latest delta. Data and delta
-                        // are fetched concurrently over distinct channels.
-                        match self.dez.loc(lba) {
-                            Some(DeltaLoc::Dez(_)) => {
-                                fx.ssd_reads += 2;
-                                fx.ssd_read_rounds += 1;
-                            }
-                            _ => {
-                                // Delta still in NVRAM: one flash read.
-                                fx.ssd_reads += 1;
-                                fx.ssd_read_rounds += 1;
-                            }
-                        }
+                        // Combine old data + latest delta, fetched in one
+                        // round over distinct channels; a delta still in
+                        // NVRAM costs no flash read.
+                        fx.ssd_reads += 1 + u32::from(self.in_dez(lba));
+                        fx.ssd_read_rounds += 1;
                         fx.decompressions += 1;
                     }
                     _ => fx += Effects::ssd_read(),
@@ -470,66 +355,60 @@ impl CachePolicy for KddPolicy {
                 true
             }
             (Op::Read, None) => {
-                fx += self.raid.read_effects();
-                if self.admit(lba) && self.insert_clean_or_bypass(lba, &mut fx, &mut bg) {
-                    fx.ssd_data_writes += 1;
-                    self.log_alloc(lba, &mut fx);
-                }
+                fx += self.raid().read_effects();
+                self.fill_clean(lba, &mut fx, &mut bg);
                 false
             }
             (Op::Write, Some(slot)) => {
                 // THE KDD WRITE HIT: data to RAID without parity update;
                 // compressed delta staged in NVRAM.
-                self.cache.touch(slot);
-                if self.cache.state(slot) == PageState::Clean {
-                    self.cache.set_state(slot, PageState::Old);
+                self.z.cache.touch(slot);
+                if self.z.cache.state(slot) == PageState::Clean {
+                    self.z.cache.set_state(slot, PageState::Old);
                 }
                 let size = self.model.delta_size(page_size);
                 fx.compressions += 1;
-                self.invalidate_delta(lba);
+                let Ok(()) = cleaner::invalidate_delta(self, lba);
                 if !self.staging.fits(lba, &size) {
                     self.commit_staging(&mut fx);
                 }
                 if self.staging.fits(lba, &size) {
                     self.staging.insert(lba, size);
-                    self.dez.restage(lba, true);
-                    fx += self.raid.data_write_effects();
-                    let row = self.raid.row_of(lba);
-                    self.pending.add(row, lba, || set_of_row(&self.cache, &self.raid.layout, row));
+                    self.z.dez.restage(lba, true);
+                    fx += self.raid().data_write_effects();
+                    let row = self.raid().row_of(lba);
+                    self.z.pending.add(row, lba, || set_of_row(&self.z.cache, &self.z.layout, row));
                 } else {
                     // Could not commit (cache fully pinned even after
                     // cleaning): degrade this request to write-through —
                     // full parity write, refresh the cached copy, no
                     // pending delta.
-                    if let Some(slot) = self.cache.lookup(lba) {
-                        self.cache.set_state(slot, PageState::Clean);
+                    if let Some(slot) = self.z.cache.lookup(lba) {
+                        self.z.cache.set_state(slot, PageState::Clean);
                     }
-                    self.pending.remove(self.raid.row_of(lba), lba);
+                    self.z.pending.remove(self.raid().row_of(lba), lba);
                     fx.ssd_data_writes += 1;
-                    fx += self.raid.small_write_effects();
+                    fx += self.raid().small_write_effects();
                 }
-                self.maybe_clean(&mut bg);
+                let Ok(()) = cleaner::maybe_clean(self, &mut bg);
                 true
             }
             (Op::Write, None) => {
                 // Conventional write miss: cache in DAZ, parity updated
                 // the normal way (§III-A).
-                if self.admit(lba) && self.insert_clean_or_bypass(lba, &mut fx, &mut bg) {
-                    fx.ssd_data_writes += 1;
-                    self.log_alloc(lba, &mut fx);
-                }
-                fx += self.raid.small_write_effects();
+                self.fill_clean(lba, &mut fx, &mut bg);
+                fx += self.raid().small_write_effects();
                 false
             }
         };
         let mut outcome = AccessOutcome::new(hit, fx);
         outcome.background = bg;
-        self.stats.record(op == Op::Read, &outcome);
+        self.z.stats.record(op == Op::Read, &outcome);
         outcome
     }
 
     fn stats(&self) -> &CacheStats {
-        &self.stats
+        &self.z.stats
     }
 
     fn idle_tick(&mut self) -> Effects {
@@ -538,24 +417,25 @@ impl CachePolicy for KddPolicy {
         // resumes.
         let mut fx = Effects::default();
         for _ in 0..16 {
-            let Some(row) = self.pending.oldest_row() else { break };
-            fx += self.clean_row(row);
+            let Some(row) = self.z.pending.oldest_row() else { break };
+            let Ok(()) = cleaner::clean_row(self, row, &mut fx);
         }
-        if self.pending.pending_rows() == 0 {
+        if self.z.pending.pending_rows() == 0 {
             self.commit_staging(&mut fx);
         }
-        self.stats.cleanings += 1;
-        self.stats += fx;
+        self.z.stats.cleanings += 1;
+        self.z.stats += fx;
         fx
     }
 
     fn flush(&mut self) -> Effects {
-        let mut fx = self.clean_all();
+        let mut fx = Effects::default();
+        let Ok(()) = cleaner::clean_oldest(self, None, &mut fx);
         // Anything still staged gets committed, then the metadata buffer
         // itself is flushed.
         self.commit_staging(&mut fx);
         fx.ssd_meta_writes += meta_pages(self.metalog.flush());
-        self.stats += fx;
+        self.z.stats += fx;
         fx
     }
 }
@@ -596,7 +476,7 @@ mod tests {
         // The victims of every merge are held to the stable sort by
         // `plan_merge`'s own tests; here, that the bound changes no decision:
         // 999 merges, as with a scan on every loop entry.
-        let crate::MergeBound { entries, skips, merges, .. } = p.dez.bound();
+        let crate::MergeBound { entries, skips, merges, .. } = p.z.dez.bound();
         assert_eq!(merges, 999, "the bound must not change which merges run");
         // Each skip was checked against the scan it replaced (the debug
         // assertion in `plan_merge`); most entries must be skips.
@@ -662,18 +542,18 @@ mod tests {
                 let lba = if r % 4 == 0 { (r >> 2) % 1024 } else { (r >> 2) % 96 };
                 let op = if r % 5 == 0 { Op::Read } else { Op::Write };
                 p.access(op, lba);
-                assert!(p.dez.recount(), "seed {seed} step {step}");
-                assert_eq!(p.dez.locs().count() as u64, p.old_pages(), "seed {seed} step {step}");
+                assert!(p.z.dez.recount(), "seed {seed} step {step}");
+                assert_eq!(p.z.dez.locs().count() as u64, p.old_pages(), "seed {seed} step {step}");
                 pages_peak = pages_peak.max(p.delta_pages());
-                merged = p.dez.bound().merges;
+                merged = p.z.dez.bound().merges;
             }
             assert!(
                 pages_peak >= 4 && merged > 0,
                 "seed {seed}: {pages_peak} pages, {merged} merges"
             );
             p.flush();
-            assert!(p.dez.recount());
-            assert_eq!((p.delta_pages(), p.dez.live_total()), (0, 0), "seed {seed}");
+            assert!(p.z.dez.recount());
+            assert_eq!((p.delta_pages(), p.z.dez.live_total()), (0, 0), "seed {seed}");
         }
     }
 
@@ -890,17 +770,17 @@ mod tests {
             p.access(Op::Write, lba);
             p.access(Op::Write, lba);
         }
-        let before = p.pending.pending_rows();
+        let before = p.z.pending.pending_rows();
         assert!(before > 32, "need a backlog, got {before}");
         let fx = p.idle_tick();
-        let after = p.pending.pending_rows();
+        let after = p.z.pending.pending_rows();
         assert_eq!(before - after, 16, "one bounded batch per idle period");
         assert!(fx.raid_writes >= 16, "parity repaired for the batch");
         // Enough idle periods drain everything.
         for _ in 0..20 {
             p.idle_tick();
         }
-        assert_eq!(p.pending.pending_rows(), 0);
+        assert_eq!(p.z.pending.pending_rows(), 0);
         assert_eq!(p.old_pages(), 0);
     }
 
