@@ -12,6 +12,7 @@ use kdd_cache::policies::{CachePolicy, RaidModel};
 use kdd_cache::setassoc::CacheGeometry;
 use kdd_core::{KddConfig, KddPolicy};
 use kdd_delta::model::GaussianDeltaModel;
+use kdd_obs::Recorder;
 use kdd_raid::layout::{Layout, RaidLevel};
 use kdd_sim::closedloop::run_closed_loop;
 use kdd_sim::factory::{build_policy, PolicyKind};
@@ -59,7 +60,7 @@ fn raid_for(trace: &Trace) -> RaidModel {
 }
 
 /// Build a KDD policy with a tweaked configuration (ablations).
-pub fn kdd_with(
+fn kdd_with(
     g: CacheGeometry,
     raid: RaidModel,
     ratio: f64,
@@ -269,7 +270,7 @@ pub fn fig9(cfg: &ExpConfig) -> Vec<Row> {
 // ----------------------------------------------------------- Figures 10–11
 
 /// The paper's FIO read-rate sweep (0 %–75 %).
-pub const FIO_READ_RATES: [f64; 4] = [0.0, 0.25, 0.50, 0.75];
+const FIO_READ_RATES: [f64; 4] = [0.0, 0.25, 0.50, 0.75];
 
 fn fio_sweep(cfg: &ExpConfig) -> Vec<(f64, PolicyKind, f64, f64)> {
     let model = ServiceModel::paper_default();
@@ -287,7 +288,7 @@ fn fio_sweep(cfg: &ExpConfig) -> Vec<(f64, PolicyKind, f64, f64)> {
             let raid = RaidModel::paper_default(fio.wss_pages.max(1024));
             let mut p = build_policy(kind, g, raid, cfg.seed);
             let mut w = FioWorkload::new(fio, cfg.seed + 1);
-            let r = run_closed_loop(p.as_mut(), &mut w, &model, 5);
+            let r = run_closed_loop(p.as_mut(), &mut w, &model, 5, &Recorder::disabled());
             (
                 rate,
                 kind,

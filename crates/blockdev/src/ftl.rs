@@ -78,13 +78,6 @@ impl EnduranceReport {
             self.nand_written_bytes as f64 / self.host_written_bytes as f64
         }
     }
-
-    /// Projected total host bytes writable before the device wears out,
-    /// extrapolating current write amplification.
-    pub fn projected_lifetime_bytes(&self, geometry: &FlashGeometry) -> f64 {
-        let raw_endurance = geometry.capacity_bytes() as f64 * self.rated_pe_cycles as f64;
-        raw_endurance / self.waf()
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -38,7 +38,7 @@ impl<T> Nvram<T> {
     }
 
     /// Bytes still available.
-    pub fn available_bytes(&self) -> u64 {
+    fn available_bytes(&self) -> u64 {
         self.capacity_bytes - self.used_bytes
     }
 

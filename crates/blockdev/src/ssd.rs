@@ -156,11 +156,6 @@ impl SsdDevice {
     pub fn erase_counts(&self) -> impl Iterator<Item = u32> + '_ {
         self.ftl.erase_counts()
     }
-
-    /// Projected total host bytes writable before wear-out at current WAF.
-    pub fn projected_lifetime_bytes(&self) -> f64 {
-        self.ftl.endurance().projected_lifetime_bytes(self.ftl.geometry())
-    }
 }
 
 #[cfg(test)]
@@ -250,6 +245,5 @@ mod tests {
         let rep = d.endurance();
         assert_eq!(rep.host_written_bytes, 100 * 4096);
         assert!(rep.waf() >= 1.0);
-        assert!(d.projected_lifetime_bytes() > 0.0);
     }
 }

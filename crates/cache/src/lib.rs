@@ -7,12 +7,12 @@
 //! * [`policies::Nossd`] — no cache, every request goes to RAID;
 //! * [`policies::WriteThrough`] — write-allocate, write-through (WT);
 //! * [`policies::WriteAround`] — allocate on read miss only (WA);
-//! * [`policies::WriteBack`] — write-back (evaluated for completeness; the
-//!   paper excludes it because it loses data on SSD failure);
 //! * [`policies::LeavO`] — the SAC'15 baseline keeping old + new versions
 //!   of updated pages to delay parity updates.
 //!
 //! KDD itself implements the same [`CachePolicy`] trait from `kdd-core`.
+//! Write-back is absent: the paper leaves it out of its evaluation
+//! because it cannot prevent data loss under SSD failures (§IV-A1).
 //!
 //! Policies are *accounting machines*: they track cache state exactly but
 //! move no data; every access returns the device operations it implies

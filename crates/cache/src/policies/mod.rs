@@ -14,13 +14,11 @@
 mod leavo;
 mod nossd;
 mod wa;
-mod wb;
 mod wt;
 
 pub use leavo::LeavO;
 pub use nossd::Nossd;
 pub use wa::WriteAround;
-pub use wb::WriteBack;
 pub use wt::WriteThrough;
 
 use crate::effects::{AccessOutcome, Effects};

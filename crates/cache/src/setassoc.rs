@@ -3,8 +3,8 @@
 //! §III-B: "KDD adopts the N-way set-associative method to organize the
 //! SSD cache. The cache space is divided into many cache sets, each
 //! containing a fixed number of pages." Pages carry a state (*free*,
-//! *clean*, *old*, *delta*, plus *dirty*/*old-version* for the baseline
-//! policies); per-set recency is tracked with an intrusive LRU.
+//! *clean*, *old*, *delta*, plus *dirty*/*old-version* for LeavO);
+//! per-set recency is tracked with an intrusive LRU.
 //!
 //! **Who can be evicted.** §III-D: "only clean pages" may be replaced;
 //! *old* and DEZ pages stay until the cleaner releases them. The directory
@@ -14,8 +14,7 @@
 //! [`SetAssocCache::insert`]'s `evictable` chooses among the *unpinned*
 //! pages (`Clean`, `Dirty`) only. The predicate still matters there: LeavO
 //! keeps its pinned current copy as `Dirty` and evicts with `s == Clean`,
-//! while write-back evicts `Dirty` too — so the candidate class is
-//! `{Clean, Dirty}` *with the predicate applied*, not a fixed class.
+//! so the candidates are the unpinned pages the predicate accepts.
 //! Because a pinned page can never be the victim, it holds no place in its
 //! set's recency list — the eviction walk would only step over it (on a
 //! 64-way KDD set, over the 30–40 *old*/*delta* pages that sink to the LRU
@@ -52,7 +51,7 @@ pub enum PageState {
     Old,
     /// A compacted page of deltas (KDD's DEZ).
     Delta,
-    /// Newer than RAID (write-back only).
+    /// Newer than RAID: LeavO's pinned current copy.
     Dirty,
     /// LeavO's retained second version of an updated page.
     OldVersion,

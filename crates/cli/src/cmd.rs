@@ -4,11 +4,9 @@
 // counts). See DESIGN.md "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation)]
 
-#[allow(unused_imports)]
-use kdd_cache::policies::CachePolicy;
-use kdd_cache::policies::RaidModel;
+use kdd_cache::policies::{CachePolicy, RaidModel};
 use kdd_cache::setassoc::CacheGeometry;
-use kdd_sim::closedloop::run_closed_loop_observed;
+use kdd_sim::closedloop::run_closed_loop;
 use kdd_sim::factory::{build_policy, PolicyKind};
 use kdd_sim::openloop::{obs_snapshot_policy, replay_open_loop_observed};
 use kdd_sim::service::ServiceModel;
@@ -19,6 +17,10 @@ use kdd_trace::synth::PaperTrace;
 use kdd_trace::{msr, spc, writer};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+
+/// The `--policy` values [`Opts::policies`] resolves, as the usage text
+/// lists them.
+pub const POLICY_NAMES: &str = "nossd|wt|wa|leavo|kdd-50|kdd-25|kdd-12|all";
 
 /// Parsed flags and positional arguments.
 #[derive(Debug, Default)]
@@ -165,25 +167,17 @@ impl Opts {
 
     fn policies(&self) -> Result<Vec<PolicyKind>, String> {
         match self.policy.as_deref().unwrap_or("all") {
-            "all" => Ok(vec![
-                PolicyKind::Nossd,
-                PolicyKind::Wa,
-                PolicyKind::Wt,
-                PolicyKind::Wb,
-                PolicyKind::LeavO,
-                PolicyKind::Kdd(0.50),
-                PolicyKind::Kdd(0.25),
-                PolicyKind::Kdd(0.12),
-            ]),
+            "all" => {
+                Ok(std::iter::once(PolicyKind::Nossd).chain(PolicyKind::figure_set()).collect())
+            }
             "nossd" => Ok(vec![PolicyKind::Nossd]),
             "wt" => Ok(vec![PolicyKind::Wt]),
             "wa" => Ok(vec![PolicyKind::Wa]),
-            "wb" => Ok(vec![PolicyKind::Wb]),
             "leavo" => Ok(vec![PolicyKind::LeavO]),
             "kdd-50" => Ok(vec![PolicyKind::Kdd(0.50)]),
             "kdd-25" => Ok(vec![PolicyKind::Kdd(0.25)]),
             "kdd-12" => Ok(vec![PolicyKind::Kdd(0.12)]),
-            other => Err(format!("unknown policy {other:?}")),
+            other => Err(format!("unknown policy {other:?} ({POLICY_NAMES})")),
         }
     }
 }
@@ -357,7 +351,7 @@ pub fn fio(o: &Opts) -> Result<(), String> {
     for kind in o.policies()? {
         let mut p = build_policy(kind, g, raid, o.seed);
         let mut w = FioWorkload::new(cfg, o.seed + 1);
-        let r = run_closed_loop_observed(p.as_mut(), &mut w, &model, 5, &recorder);
+        let r = run_closed_loop(p.as_mut(), &mut w, &model, 5, &recorder);
         println!(
             "{:<9} {:>7.1}% {:>12} {:>12} {:>14}",
             r.policy,
@@ -547,7 +541,7 @@ fn load_snapshot(o: &Opts) -> Result<kdd_obs::Json, String> {
     Ok(doc)
 }
 
-/// `report`: render a `kdd-obs` observability snapshot (v1 or v2) —
+/// `report`: render a `kdd-obs` observability snapshot —
 /// either from a saved JSON file, or by driving a fresh observed run.
 pub fn report(o: &Opts) -> Result<(), String> {
     let doc = load_snapshot(o)?;
@@ -800,6 +794,19 @@ mod tests {
         }
         let o = Opts::parse(&s(&["--workload", "zzz"])).unwrap();
         assert!(o.paper_trace().is_err());
+    }
+
+    #[test]
+    fn policy_names_resolve() {
+        let resolve = |name: &str| Opts::parse(&s(&["--policy", name])).unwrap().policies();
+        for name in POLICY_NAMES.split('|') {
+            assert!(resolve(name).is_ok_and(|kinds| !kinds.is_empty()), "{name}");
+        }
+        let mut all = vec![PolicyKind::Nossd];
+        all.extend(PolicyKind::figure_set());
+        assert_eq!(resolve("all").unwrap(), all);
+        assert!(resolve("wb").is_err());
+        assert!(resolve("zzz").is_err());
     }
 
     #[test]

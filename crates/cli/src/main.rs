@@ -62,7 +62,7 @@ commands:
               --format spc|msr  <FILE>  [--json]
   sim         trace-driven cache simulation (hit ratio, SSD traffic)
               --workload ...|--in FILE --format ...  --scale N
-              --policy nossd|wt|wa|wb|leavo|kdd-50|kdd-25|kdd-12|all
+              --policy {policies}
               --cache-frac F in (0, 1] (of unique pages; default 0.15)
   replay      open-loop latency replay (Figure 9 style)
               same selectors as sim
@@ -74,7 +74,7 @@ commands:
   faults      fault-injection drill on the full engine (RPO-0 check)
               --plan \"ssd@120:transient,disk1@50:drop,any@900:power\"
               or --ops N --faults K for a seeded random plan
-  report      render a kdd-obs observability snapshot (v1 or v2)
+  report      render a kdd-obs observability snapshot
               <FILE.json> to read a saved snapshot, or
               --workload ... --scale N to drive a fresh observed run
               [--json] for the raw document
@@ -84,6 +84,7 @@ commands:
   obs-diff    thresholded comparison of two snapshots (CI gate)
               <baseline.json> <candidate.json>  [--threshold F (0.01)]
 
-common:       --seed N (default 42)"
+common:       --seed N (default 42)",
+        policies = cmd::POLICY_NAMES
     );
 }

@@ -111,7 +111,7 @@ impl std::error::Error for EngineError {}
 
 /// Entry state on flash (Figure 3's `state` field, persisted subset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EntryState {
+enum EntryState {
     /// Data cached, parity consistent.
     Clean,
     /// Data cached with a pending delta.
@@ -122,15 +122,15 @@ pub enum EntryState {
 
 /// One persistent mapping entry (Figure 3's fields).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MapEntry {
+struct MapEntry {
     /// RAID address of the cached page (`lba_raid`, the coalescing key).
-    pub lba_raid: u64,
+    lba_raid: u64,
     /// Cache slot (`lba_daz` analogue) holding the data.
-    pub slot: u32,
+    slot: u32,
     /// Recorded page state.
-    pub state: EntryState,
+    state: EntryState,
     /// `(lba_dez, off, len)` for *old* pages whose delta is committed.
-    pub dez: Option<DeltaRef>,
+    dez: Option<DeltaRef>,
 }
 
 impl LogEntry for MapEntry {

@@ -237,7 +237,8 @@ impl<E: LogEntry> MetaLog<E> {
     }
 
     /// Total metadata pages ever written (the Figure 4 numerator).
-    pub fn pages_written(&self) -> u64 {
+    #[cfg(test)]
+    fn pages_written(&self) -> u64 {
         self.pages_written
     }
 

@@ -21,7 +21,7 @@
 //! | Re-export | Crate | What it is |
 //! |---|---|---|
 //! | [`policy`], [`engine`] | `kdd-core` | the KDD algorithm: accounting & real-byte forms |
-//! | [`cache`] | `kdd-cache` | cache framework + WT/WA/WB/LeavO baselines |
+//! | [`cache`] | `kdd-cache` | cache framework + WT/WA/LeavO baselines |
 //! | [`raid`] | `kdd-raid` | RAID-0/5/6 with delayed-parity interfaces |
 //! | [`blockdev`] | `kdd-blockdev` | HDD model, NAND/FTL SSD with wear, NVRAM |
 //! | [`delta`] | `kdd-delta` | XOR deltas, the compressor, content generators |

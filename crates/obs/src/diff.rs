@@ -68,7 +68,7 @@ impl DiffReport {
     }
 
     /// Entries that exceeded the threshold.
-    pub fn breaches(&self) -> impl Iterator<Item = &DiffEntry> {
+    fn breaches(&self) -> impl Iterator<Item = &DiffEntry> {
         self.entries.iter().filter(|e| e.breach)
     }
 

@@ -17,8 +17,7 @@
 //!   accumulator attributing each span's service time to child stages
 //!   (latency attribution, `kdd-obs/v2`);
 //! * [`snapshot`] — periodic [`Sample`]s keyed on *simulated* time and
-//!   the versioned snapshot document, validated by [`validate_snapshot`]
-//!   (v1 and v2 accepted);
+//!   the versioned snapshot document, validated by [`validate_snapshot`];
 //! * [`trace`] — a deterministic Chrome trace-event / Perfetto exporter
 //!   over the span ring ([`trace_events`]);
 //! * [`diff`] — the thresholded snapshot differ behind `kddtool
@@ -66,9 +65,6 @@ pub use trace::trace_events;
 
 /// Schema identifier stamped into every snapshot document.
 pub const SCHEMA: &str = "kdd-obs/v2";
-
-/// The previous schema version, still accepted by [`validate_snapshot`].
-pub const SCHEMA_V1: &str = "kdd-obs/v1";
 
 /// The one place ratio math lives: `num / den`, returning 0.0 uniformly
 /// when the denominator is zero. `CacheStats::hit_ratio`,

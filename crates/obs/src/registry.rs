@@ -33,7 +33,7 @@ impl Log2Hist {
     }
 
     /// Bucket index for a value: 0 for 0, else `64 - leading_zeros`.
-    pub fn bucket_index(v: u64) -> usize {
+    fn bucket_index(v: u64) -> usize {
         if v == 0 {
             0
         } else {
@@ -42,7 +42,7 @@ impl Log2Hist {
     }
 
     /// Smallest value that lands in bucket `i` (saturating at the top).
-    pub fn bucket_lo(i: usize) -> u64 {
+    fn bucket_lo(i: usize) -> u64 {
         if i == 0 {
             0
         } else {

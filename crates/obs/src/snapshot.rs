@@ -122,62 +122,41 @@ impl Sample {
     }
 }
 
-/// Top-level keys every `kdd-obs/v1` snapshot must carry. `kdd-obs/v2`
-/// additionally requires the `stages` table ([`V2_ONLY_KEYS`]).
-pub const REQUIRED_KEYS: &[&str] = &["schema", "totals", "timeseries", "wear", "spans"];
-
-/// Top-level keys required by `kdd-obs/v2` on top of [`REQUIRED_KEYS`].
-pub const V2_ONLY_KEYS: &[&str] = &["stages"];
-
-/// Schema versions [`validate_snapshot`] accepts.
-pub const ACCEPTED_SCHEMAS: &[&str] = &[crate::SCHEMA_V1, crate::SCHEMA];
+/// Top-level keys every snapshot must carry.
+const REQUIRED_KEYS: &[&str] = &["schema", "totals", "timeseries", "wear", "spans", "stages"];
 
 /// Validate a `kdd-obs` snapshot document: schema stamp, required
-/// top-level keys, metric tables under `totals`, per-stage tables (v2),
-/// and a non-empty timeseries. Returns a list of problems (empty =
-/// valid).
+/// top-level keys, metric tables under `totals`, per-stage tables, and a
+/// non-empty timeseries. Returns a list of problems (empty = valid).
 ///
-/// Both `kdd-obs/v1` and `kdd-obs/v2` documents are accepted, each
-/// checked against its own key set. Any other schema stamp returns a
-/// single "schema version mismatch" diagnostic naming the accepted
-/// versions — not a misleading field-by-field failure list for a
+/// Only [`crate::SCHEMA`] is accepted. Any other schema stamp returns a
+/// single "schema version mismatch" diagnostic naming the found and the
+/// accepted version — not a misleading field-by-field failure list for a
 /// document we never understood in the first place.
 pub fn validate_snapshot(doc: &Json) -> Vec<String> {
     let mut problems = Vec::new();
     let schema = doc.get("schema").and_then(Json::as_str);
-    let v2 = match schema {
-        Some(s) if s == crate::SCHEMA => true,
-        Some(s) if s == crate::SCHEMA_V1 => false,
-        other => {
-            return vec![format!(
-                "schema version mismatch: found {other:?}, accepted versions are {:?} and {:?}",
-                crate::SCHEMA_V1,
-                crate::SCHEMA
-            )];
-        }
-    };
+    if schema != Some(crate::SCHEMA) {
+        return vec![format!(
+            "schema version mismatch: found {schema:?}, the accepted version is {:?}",
+            crate::SCHEMA
+        )];
+    }
     for key in REQUIRED_KEYS {
         if doc.get(key).is_none() {
             problems.push(format!("{key}: missing"));
         }
     }
-    if v2 {
-        for key in V2_ONLY_KEYS {
-            if doc.get(key).is_none() {
-                problems.push(format!("{key}: missing (required by {})", crate::SCHEMA));
-            }
-        }
-        if let Some(Json::Obj(stages)) = doc.get("stages") {
-            for (name, hist) in stages {
-                for field in ["count", "sum", "max", "buckets"] {
-                    if hist.get(field).is_none() {
-                        problems.push(format!("stages.{name}.{field}: missing"));
-                    }
+    if let Some(Json::Obj(stages)) = doc.get("stages") {
+        for (name, hist) in stages {
+            for field in ["count", "sum", "max", "buckets"] {
+                if hist.get(field).is_none() {
+                    problems.push(format!("stages.{name}.{field}: missing"));
                 }
             }
-        } else if doc.get("stages").is_some() {
-            problems.push("stages: not an object".to_string());
         }
+    } else if doc.get("stages").is_some() {
+        problems.push("stages: not an object".to_string());
     }
     if let Some(totals) = doc.get("totals") {
         for table in ["counters", "gauges", "hists", "derived"] {
@@ -233,24 +212,14 @@ mod tests {
 
     #[test]
     fn unknown_schema_yields_one_named_version_mismatch() {
-        let doc = crate::json::parse(r#"{"schema": "bogus/v0", "totals": {}}"#).expect("parse");
-        let problems = validate_snapshot(&doc);
-        assert_eq!(problems.len(), 1, "no field-list noise for a foreign document");
-        let p = problems.first().expect("one problem");
-        assert!(p.contains("schema version mismatch"), "got: {p}");
-        assert!(p.contains("bogus/v0") && p.contains("kdd-obs/v1") && p.contains("kdd-obs/v2"));
-    }
-
-    #[test]
-    fn v1_documents_are_still_accepted_without_stages() {
-        let text = r#"{
-            "schema": "kdd-obs/v1",
-            "totals": {"counters": {}, "gauges": {}, "hists": {}, "derived": {}},
-            "timeseries": [{"at_ns": 0}],
-            "wear": {"count": 0, "sum": 0, "max": 0, "buckets": []},
-            "spans": {"pushed": 0, "dropped": 0, "events": []}
-        }"#;
-        let doc = crate::json::parse(text).expect("parse");
-        assert_eq!(validate_snapshot(&doc), Vec::<String>::new());
+        // The retired v1 stamp is as foreign as a made-up one.
+        for schema in ["bogus/v0", "kdd-obs/v1"] {
+            let text = format!(r#"{{"schema": "{schema}", "totals": {{}}}}"#);
+            let problems = validate_snapshot(&crate::json::parse(&text).expect("parse"));
+            assert_eq!(problems.len(), 1, "no field-list noise for a foreign document");
+            let p = problems.first().expect("one problem");
+            assert!(p.contains("schema version mismatch"), "got: {p}");
+            assert!(p.contains(schema) && p.contains(crate::SCHEMA), "got: {p}");
+        }
     }
 }

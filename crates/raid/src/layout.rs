@@ -179,7 +179,7 @@ impl Layout {
     }
 
     /// Chunk-granular stripe of a logical page.
-    pub fn stripe_of(&self, lpn: u64) -> u64 {
+    fn stripe_of(&self, lpn: u64) -> u64 {
         lpn / (self.chunk_pages * self.data_disks() as u64)
     }
 

@@ -45,19 +45,9 @@ pub struct ClosedLoopReport {
 
 /// Run the FIO-style closed loop: `workload.config().threads` virtual
 /// threads, one outstanding request each, until the volume target is met.
+/// An enabled `recorder` gets spans stamped with issue/completion virtual
+/// times and periodic samples on the simulated clock.
 pub fn run_closed_loop(
-    policy: &mut dyn CachePolicy,
-    workload: &mut FioWorkload,
-    model: &ServiceModel,
-    disks: usize,
-) -> ClosedLoopReport {
-    run_closed_loop_observed(policy, workload, model, disks, &Recorder::disabled())
-}
-
-/// [`run_closed_loop`] with an observability recorder: spans stamped
-/// with issue/completion virtual times, periodic samples on the
-/// simulated clock. A disabled recorder reduces this to the plain run.
-pub fn run_closed_loop_observed(
     policy: &mut dyn CachePolicy,
     workload: &mut FioWorkload,
     model: &ServiceModel,
@@ -114,7 +104,13 @@ mod tests {
         let raid = RaidModel::paper_default(cfg.wss_pages.max(1024));
         let mut p = build_policy(kind, g, raid, 5);
         let mut w = FioWorkload::new(cfg, 99);
-        run_closed_loop(p.as_mut(), &mut w, &ServiceModel::paper_default(), 5)
+        run_closed_loop(
+            p.as_mut(),
+            &mut w,
+            &ServiceModel::paper_default(),
+            5,
+            &Recorder::disabled(),
+        )
     }
 
     #[test]

@@ -1013,14 +1013,13 @@ mod tests {
                 }
             };
 
-            #[allow(unused_mut)]
-            let mut drain_until = |reqs: &mut Vec<ReqState>,
-                                   disks: &mut Vec<DiskSim>,
-                                   events: &mut BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-                                   seq: &mut u64,
-                                   stats: &mut StreamingStats,
-                                   hist: &mut Histogram,
-                                   t: SimTime| {
+            let drain_until = |reqs: &mut Vec<ReqState>,
+                               disks: &mut Vec<DiskSim>,
+                               events: &mut BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+                               seq: &mut u64,
+                               stats: &mut StreamingStats,
+                               hist: &mut Histogram,
+                               t: SimTime| {
                 while let Some(&Reverse((when, _, disk))) = events.peek() {
                     if when > t {
                         break;

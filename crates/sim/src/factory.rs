@@ -4,15 +4,13 @@
 // counts). See DESIGN.md "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation)]
 
-use kdd_cache::policies::{
-    CachePolicy, LeavO, Nossd, RaidModel, WriteAround, WriteBack, WriteThrough,
-};
+use kdd_cache::policies::{CachePolicy, LeavO, Nossd, RaidModel, WriteAround, WriteThrough};
 use kdd_cache::setassoc::CacheGeometry;
 use kdd_core::{KddConfig, KddPolicy};
 use kdd_delta::model::GaussianDeltaModel;
 use serde::{Deserialize, Serialize};
 
-/// The policies the paper evaluates (plus write-back for reference).
+/// The policies the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PolicyKind {
     /// RAID with no cache.
@@ -21,9 +19,6 @@ pub enum PolicyKind {
     Wt,
     /// Write-around.
     Wa,
-    /// Write-back (not in the paper's evaluation; loses data on SSD
-    /// failure).
-    Wb,
     /// The SAC'15 delayed-parity baseline.
     LeavO,
     /// KDD at a mean delta-compression ratio (0.50 / 0.25 / 0.12 in the
@@ -61,7 +56,6 @@ impl PolicyKind {
             PolicyKind::Nossd => "Nossd".into(),
             PolicyKind::Wt => "WT".into(),
             PolicyKind::Wa => "WA".into(),
-            PolicyKind::Wb => "WB".into(),
             PolicyKind::LeavO => "LeavO".into(),
             PolicyKind::Kdd(r) => format!("KDD-{}%", (r * 100.0).round() as u32),
         }
@@ -82,7 +76,6 @@ pub fn build_policy(
         PolicyKind::Nossd => Box::new(Nossd::new(raid)),
         PolicyKind::Wt => Box::new(WriteThrough::new(geometry, raid)),
         PolicyKind::Wa => Box::new(WriteAround::new(geometry, raid)),
-        PolicyKind::Wb => Box::new(WriteBack::new(geometry, raid)),
         PolicyKind::LeavO => Box::new(LeavO::new(geometry, raid)),
         PolicyKind::Kdd(ratio) => Box::new(KddPolicy::new(
             KddConfig::new(geometry),
@@ -101,10 +94,7 @@ mod tests {
     fn all_kinds_construct_and_run() {
         let g = CacheGeometry { total_pages: 128, ways: 8, page_size: 4096 };
         let raid = RaidModel::paper_default(100_000);
-        let mut kinds = PolicyKind::figure_set();
-        kinds.push(PolicyKind::Nossd);
-        kinds.push(PolicyKind::Wb);
-        for kind in kinds {
+        for kind in std::iter::once(PolicyKind::Nossd).chain(PolicyKind::figure_set()) {
             let mut p = build_policy(kind, g, raid, 7);
             assert_eq!(p.name(), kind.name());
             for lba in 0..64 {

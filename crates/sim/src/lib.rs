@@ -16,9 +16,10 @@
 //! * [`replay`] — the one content-tracking driver of the real-byte
 //!   `KddEngine`: seeded page mutations, group commits, verified reads.
 //!
-//! The counting drivers come in pairs: the plain form and an `_observed`
-//! form taking a [`kdd_obs::Recorder`]; the plain form is the observed one
-//! with a disabled recorder.
+//! Both counting drivers take a [`kdd_obs::Recorder`] (a disabled one
+//! records nothing). The open loop also keeps a plain
+//! [`replay_open_loop`], the observed form with a disabled recorder,
+//! because the repository's benchmark package calls it by that name.
 
 #![warn(missing_docs)]
 
@@ -30,7 +31,7 @@ pub mod queue;
 pub mod replay;
 pub mod service;
 
-pub use closedloop::{run_closed_loop, run_closed_loop_observed, ClosedLoopReport};
+pub use closedloop::{run_closed_loop, ClosedLoopReport};
 pub use des::{replay_des, DesReport};
 pub use factory::{build_policy, PolicyKind};
 pub use openloop::{

@@ -352,22 +352,14 @@ mod tests {
         assert!(!events.is_empty(), "observed replay recorded no spans");
         let mut attributed = 0u64;
         for e in events {
-            let ns = |key: &str| {
-                #[allow(clippy::cast_sign_loss)]
-                let v = e.get(key).and_then(Json::as_f64).expect(key).max(0.0) as u64;
-                v
-            };
+            let ns = |key: &str| e.get(key).and_then(Json::as_f64).expect(key).max(0.0) as u64;
             let dur = ns("exit_ns").saturating_sub(ns("enter_ns"));
             let sum: u64 = e.get("stages").map_or(0, |stages| {
                 Stage::ALL
                     .iter()
                     .filter_map(|s| stages.get(s.as_str()))
                     .filter_map(Json::as_f64)
-                    .map(|v| {
-                        #[allow(clippy::cast_sign_loss)]
-                        let v = v.max(0.0) as u64;
-                        v
-                    })
+                    .map(|v| v.max(0.0) as u64)
                     .sum()
             });
             assert!(sum <= dur, "span attributes {sum} ns but served in {dur} ns");
@@ -378,7 +370,7 @@ mod tests {
 
     #[test]
     fn enabled_recorder_does_not_perturb_the_simulation() {
-        use crate::closedloop::{run_closed_loop, run_closed_loop_observed};
+        use crate::closedloop::run_closed_loop;
         use kdd_obs::RecorderConfig;
         use kdd_trace::fio::{FioConfig, FioWorkload};
 
@@ -407,8 +399,14 @@ mod tests {
         let raid = RaidModel::paper_default(cfg.wss_pages.max(1024));
         let mut plain = build_policy(PolicyKind::Kdd(0.25), g, raid, 5);
         let mut observed = build_policy(PolicyKind::Kdd(0.25), g, raid, 5);
-        let a = run_closed_loop(plain.as_mut(), &mut FioWorkload::new(cfg, 99), &model, 5);
-        let b = run_closed_loop_observed(
+        let a = run_closed_loop(
+            plain.as_mut(),
+            &mut FioWorkload::new(cfg, 99),
+            &model,
+            5,
+            &Recorder::disabled(),
+        );
+        let b = run_closed_loop(
             observed.as_mut(),
             &mut FioWorkload::new(cfg, 99),
             &model,

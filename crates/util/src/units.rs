@@ -19,7 +19,7 @@ pub const KIB: u64 = 1024;
 /// One mebibyte.
 pub const MIB: u64 = 1024 * KIB;
 /// One gibibyte.
-pub const GIB: u64 = 1024 * MIB;
+const GIB: u64 = 1024 * MIB;
 
 /// Virtual time in nanoseconds since simulation start.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]

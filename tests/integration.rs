@@ -147,7 +147,7 @@ fn open_and_closed_loop_agree_on_policy_ranking() {
         let raid = RaidModel::paper_default(cfg.wss_pages);
         let mut p = build_policy(kind, geometry, raid, 5);
         let mut w = FioWorkload::new(cfg, 17);
-        let r = run_closed_loop(p.as_mut(), &mut w, &model, 5);
+        let r = run_closed_loop(p.as_mut(), &mut w, &model, 5, &Recorder::disabled());
         ranking.push((kind.name(), r.mean_response));
     }
     // KDD < WT <= Nossd on pure writes.

@@ -15,16 +15,7 @@ use rand::RngExt;
 const PAGE: u32 = 4096;
 
 fn all_kinds() -> Vec<PolicyKind> {
-    vec![
-        PolicyKind::Nossd,
-        PolicyKind::Wt,
-        PolicyKind::Wa,
-        PolicyKind::Wb,
-        PolicyKind::LeavO,
-        PolicyKind::Kdd(0.50),
-        PolicyKind::Kdd(0.25),
-        PolicyKind::Kdd(0.12),
-    ]
+    std::iter::once(PolicyKind::Nossd).chain(PolicyKind::figure_set()).collect()
 }
 
 fn run_workload(
@@ -211,10 +202,10 @@ mod degraded {
     use kdd::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
+    #[derive(Clone, Copy, Debug)]
     enum Baseline {
         Nossd,
         Wt,
-        Wb,
         Wa,
         LeavO,
     }
@@ -262,16 +253,6 @@ mod degraded {
                     });
                     self.ssd.write_page(lpn, data).unwrap();
                 }
-                Baseline::Wb => {
-                    // SSD only; RAID updated at flush time.
-                    let lpn = self.map.get(&lba).copied().unwrap_or_else(|| {
-                        let l = self.alloc();
-                        self.map.insert(lba, l);
-                        l
-                    });
-                    self.ssd.write_page(lpn, data).unwrap();
-                    self.dirty.insert(lba);
-                }
                 Baseline::Wa => {
                     // Write-around: RAID only, and any cached copy is stale.
                     self.raid.write_page(lba, data).unwrap();
@@ -300,7 +281,7 @@ mod degraded {
         }
 
         /// Destage dirty pages so a *member* failure cannot meet stale
-        /// parity (the write-back policies' recovery obligation).
+        /// parity (LeavO's recovery obligation).
         fn sync(&mut self) {
             for lba in std::mem::take(&mut self.dirty) {
                 let lpn = self.map[&lba];
@@ -316,9 +297,9 @@ mod degraded {
     /// reconstruction.
     #[test]
     fn every_baseline_serves_correct_data_with_one_hdd_failed() {
-        for kind in [Baseline::Nossd, Baseline::Wt, Baseline::Wb, Baseline::Wa, Baseline::LeavO] {
+        for kind in [Baseline::Nossd, Baseline::Wt, Baseline::Wa, Baseline::LeavO] {
             for failed_disk in 0..5usize {
-                let mut path = DataPath::new(kind_clone(&kind));
+                let mut path = DataPath::new(kind);
                 let mut reference: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
                 let mut rng = kdd::util::rng::seeded_rng(42 + failed_disk as u64);
                 use rand::RngExt;
@@ -335,33 +316,11 @@ mod degraded {
                 for (lba, want) in &reference {
                     let got = path.read(*lba);
                     assert_eq!(
-                        &got,
-                        want,
-                        "baseline {} lba {lba} wrong with disk {failed_disk} failed",
-                        name(&kind)
+                        &got, want,
+                        "baseline {kind:?} lba {lba} wrong with disk {failed_disk} failed"
                     );
                 }
             }
-        }
-    }
-
-    fn kind_clone(k: &Baseline) -> Baseline {
-        match k {
-            Baseline::Nossd => Baseline::Nossd,
-            Baseline::Wt => Baseline::Wt,
-            Baseline::Wb => Baseline::Wb,
-            Baseline::Wa => Baseline::Wa,
-            Baseline::LeavO => Baseline::LeavO,
-        }
-    }
-
-    fn name(k: &Baseline) -> &'static str {
-        match k {
-            Baseline::Nossd => "nossd",
-            Baseline::Wt => "wt",
-            Baseline::Wb => "wb",
-            Baseline::Wa => "wa",
-            Baseline::LeavO => "leavo",
         }
     }
 
