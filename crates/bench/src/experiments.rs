@@ -1,6 +1,9 @@
-//! The experiments: one function per table/figure, plus the ablations
-//! DESIGN.md calls out. All sweeps are data-parallel (rayon) since every
-//! (workload, cache size, policy) cell is independent.
+//! The experiments: every table and figure of the paper, plus the
+//! ablations DESIGN.md calls out. [`EXPERIMENTS`] names each one once and
+//! maps it to the sweep that computes it; a [`Runner`] runs each sweep at
+//! most once, so Figures 5/6, 7/8 and 10/11 + Table II each share one.
+//! Every (workload, cache size, policy) cell of a sweep is independent
+//! and runs in order.
 
 // Indexing and narrowing casts here are bounds-audited (offsets from
 // length-checked parses; sizes bounded by construction). See DESIGN.md
@@ -10,7 +13,7 @@
 use crate::report::Row;
 use kdd_cache::policies::{CachePolicy, RaidModel};
 use kdd_cache::setassoc::CacheGeometry;
-use kdd_core::{KddConfig, KddPolicy};
+use kdd_core::{KddConfig, KddPolicy, KddVariant};
 use kdd_delta::model::GaussianDeltaModel;
 use kdd_obs::Recorder;
 use kdd_raid::layout::{Layout, RaidLevel};
@@ -22,7 +25,6 @@ use kdd_trace::fio::{FioConfig, FioWorkload};
 use kdd_trace::record::Trace;
 use kdd_trace::stats::TraceStats;
 use kdd_trace::synth::PaperTrace;
-use rayon::prelude::*;
 
 /// Shared experiment parameters.
 #[derive(Debug, Clone, Copy)]
@@ -36,6 +38,154 @@ pub struct ExpConfig {
 impl Default for ExpConfig {
     fn default() -> Self {
         ExpConfig { scale: 100, seed: 42 }
+    }
+}
+
+/// One table or figure: its name, the sweep that computes it, and which
+/// of the sweep's outputs it prints.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The name `repro` takes and every row carries.
+    pub name: &'static str,
+    sweep: Sweep,
+    part: usize,
+}
+
+const fn exp(name: &'static str, sweep: Sweep, part: usize) -> Experiment {
+    Experiment { name, sweep, part }
+}
+
+/// Every experiment, in the order `repro all` prints them.
+pub static EXPERIMENTS: [Experiment; 17] = [
+    exp("table1", Sweep::TraceStats, 0),
+    exp("fig4", Sweep::MetadataPartition, 0),
+    exp("fig5", Sweep::HitAndTraffic(&PaperTrace::WRITE_DOMINANT), 0),
+    exp("fig6", Sweep::HitAndTraffic(&PaperTrace::WRITE_DOMINANT), 1),
+    exp("fig7", Sweep::HitAndTraffic(&PaperTrace::READ_DOMINANT), 0),
+    exp("fig8", Sweep::HitAndTraffic(&PaperTrace::READ_DOMINANT), 1),
+    exp("fig9", Sweep::OpenLoopLatency, 0),
+    exp("fig10", Sweep::Fio, 0),
+    exp("fig11", Sweep::Fio, 1),
+    exp("table2", Sweep::Fio, 2),
+    // Dynamic DAZ/DEZ mixing (the paper's design) vs static partitions at
+    // 10 % and 30 % DEZ reservations (§III-B's rejected alternative).
+    exp(
+        "ablation_zoning",
+        Sweep::Ablation(&[
+            ("dynamic", KddVariant::Paper),
+            ("fixed-10%", KddVariant::FixedDez(0.10)),
+            ("fixed-30%", KddVariant::FixedDez(0.30)),
+        ]),
+        0,
+    ),
+    // §III-D's two reclamation schemes: simple reclaim (the paper's
+    // choice) vs re-materialising cleaned pages as clean copies.
+    exp(
+        "ablation_reclaim",
+        Sweep::Ablation(&[
+            ("simple-reclaim", KddVariant::Paper),
+            ("reclaim-as-clean", KddVariant::ReclaimAsClean),
+        ]),
+        0,
+    ),
+    // NVRAM metadata batching (the circular-log design) vs a metadata page
+    // write per mapping change (§III-B's motivation).
+    exp(
+        "ablation_metalog",
+        Sweep::Ablation(&[
+            ("nvram-batched", KddVariant::Paper),
+            ("unbatched", KddVariant::UnbatchedMetadata),
+        ]),
+        0,
+    ),
+    // Stripe-aligned cache-set placement vs per-page hashing (§III-B's
+    // spatial-locality mapping).
+    exp(
+        "ablation_setmap",
+        Sweep::Ablation(&[
+            ("stripe-aligned", KddVariant::Paper),
+            ("page-hashed", KddVariant::PageHashedSets),
+        ]),
+        0,
+    ),
+    // Extension study: LARC-style lazy admission on top of KDD (§V-C calls
+    // the selective-allocation family "complementary to our KDD").
+    exp(
+        "ablation_admission",
+        Sweep::Ablation(&[
+            ("always-admit", KddVariant::Paper),
+            ("lazy-admit", KddVariant::LazyAdmission),
+        ]),
+        0,
+    ),
+    exp("ablation_raid6", Sweep::RaidLevels, 0),
+    exp("ablation_desmodel", Sweep::DesModel, 0),
+];
+
+/// The experiment called `name`.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+/// What computes an experiment's rows; one sweep may feed several
+/// experiments, one output each.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sweep {
+    TraceStats,
+    MetadataPartition,
+    /// Hit ratio, then SSD write traffic, over cache sizes on these traces.
+    HitAndTraffic(&'static [PaperTrace]),
+    OpenLoopLatency,
+    /// Latency, SSD write traffic, then Table II's verdicts.
+    Fio,
+    /// KDD-25 % under each labelled variant.
+    Ablation(&'static [(&'static str, KddVariant)]),
+    RaidLevels,
+    DesModel,
+}
+
+impl Sweep {
+    fn run(self, cfg: &ExpConfig) -> Vec<Vec<Row>> {
+        match self {
+            Sweep::TraceStats => vec![trace_stats(cfg)],
+            Sweep::MetadataPartition => vec![metadata_partition(cfg)],
+            Sweep::HitAndTraffic(traces) => hit_and_traffic(traces, cfg),
+            Sweep::OpenLoopLatency => vec![open_loop_latency(cfg)],
+            Sweep::Fio => fio(cfg),
+            Sweep::Ablation(variants) => vec![ablation(variants, cfg)],
+            Sweep::RaidLevels => vec![raid_levels(cfg)],
+            Sweep::DesModel => vec![des_model(cfg)],
+        }
+    }
+}
+
+/// Runs experiments, each sweep at most once.
+#[derive(Debug)]
+pub struct Runner {
+    cfg: ExpConfig,
+    done: Vec<(Sweep, Vec<Vec<Row>>)>,
+}
+
+impl Runner {
+    /// A runner with no sweep run yet.
+    pub fn new(cfg: ExpConfig) -> Self {
+        Runner { cfg, done: Vec::new() }
+    }
+
+    /// `experiment`'s rows, from its sweep's earlier run if there was one.
+    pub fn rows(&mut self, experiment: &Experiment) -> Vec<Row> {
+        let i = match self.done.iter().position(|(sweep, _)| *sweep == experiment.sweep) {
+            Some(i) => i,
+            None => {
+                self.done.push((experiment.sweep, experiment.sweep.run(&self.cfg)));
+                self.done.len() - 1
+            }
+        };
+        let mut rows = self.done[i].1[experiment.part].clone();
+        for row in &mut rows {
+            row.experiment = experiment.name.to_string();
+        }
+        rows
     }
 }
 
@@ -59,30 +209,23 @@ fn raid_for(trace: &Trace) -> RaidModel {
     RaidModel::paper_default(trace.address_space_pages().max(1024))
 }
 
-/// Build a KDD policy with a tweaked configuration (ablations).
-fn kdd_with(
-    g: CacheGeometry,
-    raid: RaidModel,
-    ratio: f64,
-    seed: u64,
-    tweak: impl FnOnce(&mut KddConfig),
-) -> KddPolicy {
-    let mut config = KddConfig::new(g);
-    tweak(&mut config);
-    KddPolicy::new(config, raid, Box::new(GaussianDeltaModel::new(ratio, seed)))
+/// The cache Figure 9 and the ablations use: 15 % of a trace's unique
+/// pages.
+fn cache_pages_15(trace: &Trace) -> u64 {
+    (TraceStats::compute(trace).unique_total * 15 / 100).max(256)
 }
 
-// ---------------------------------------------------------------- Table I
+fn by_workload_then_policy(rows: &mut [Row]) {
+    rows.sort_by_key(|a| (a.workload.clone(), a.policy.clone()));
+}
 
 /// Table I: characteristics of the (regenerated) traces.
-pub fn table1(cfg: &ExpConfig) -> Vec<Row> {
+fn trace_stats(cfg: &ExpConfig) -> Vec<Row> {
     PaperTrace::ALL
-        .par_iter()
+        .iter()
         .map(|&pt| {
-            let t = gen(pt, cfg);
-            let s = TraceStats::compute(&t);
+            let s = TraceStats::compute(&gen(pt, cfg));
             Row::new(
-                "table1",
                 pt.name(),
                 "scale",
                 cfg.scale as f64,
@@ -100,157 +243,93 @@ pub fn table1(cfg: &ExpConfig) -> Vec<Row> {
         .collect()
 }
 
-// ---------------------------------------------------------------- Figure 4
-
 /// Figure 4: metadata I/O share of SSD write traffic vs the metadata
 /// partition size (0.39 %–0.98 % of the SSD), per trace and cache size.
-pub fn fig4(cfg: &ExpConfig) -> Vec<Row> {
-    let partitions = [0.0039f64, 0.0059, 0.0078, 0.0098];
-    let cache_fracs = [0.10f64, 0.20];
-    let mut cells: Vec<(PaperTrace, f64, f64)> = Vec::new();
-    for &pt in &PaperTrace::ALL {
-        for &cf in &cache_fracs {
-            for &pf in &partitions {
-                cells.push((pt, cf, pf));
+fn metadata_partition(cfg: &ExpConfig) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for pt in PaperTrace::ALL {
+        let trace = gen(pt, cfg);
+        let stats = TraceStats::compute(&trace);
+        for cache_frac in [0.10f64, 0.20] {
+            let cache_pages = ((stats.unique_total as f64 * cache_frac) as u64).max(256);
+            for part_frac in [0.0039f64, 0.0059, 0.0078, 0.0098] {
+                let config = KddConfig {
+                    meta_partition_frac: part_frac,
+                    ..KddConfig::new(geometry(cache_pages))
+                };
+                let model = Box::new(GaussianDeltaModel::new(0.25, cfg.seed));
+                let mut p = KddPolicy::new(config, raid_for(&trace), model);
+                p.run_trace(&trace);
+                rows.push(Row::new(
+                    pt.name(),
+                    "partition_pct",
+                    part_frac * 100.0,
+                    &format!("cache={}k", cache_pages / 1000),
+                    vec![
+                        ("metadata_pct", p.stats().metadata_fraction() * 100.0),
+                        ("meta_pages", p.stats().ssd_meta_writes as f64),
+                    ],
+                ));
             }
         }
     }
-    let mut rows: Vec<Row> = cells
-        .par_iter()
-        .map(|&(pt, cache_frac, part_frac)| {
-            let trace = gen(pt, cfg);
-            let stats = TraceStats::compute(&trace);
-            let cache_pages = ((stats.unique_total as f64 * cache_frac) as u64).max(256);
-            let g = geometry(cache_pages);
-            let raid = raid_for(&trace);
-            let mut p = kdd_with(g, raid, 0.25, cfg.seed, |c| c.meta_partition_frac = part_frac);
-            p.run_trace(&trace);
-            Row::new(
-                "fig4",
-                pt.name(),
-                "partition_pct",
-                part_frac * 100.0,
-                &format!("cache={}k", cache_pages / 1000),
-                vec![
-                    ("metadata_pct", p.stats().metadata_fraction() * 100.0),
-                    ("meta_pages", p.stats().ssd_meta_writes as f64),
-                ],
-            )
-        })
-        .collect();
-    rows.sort_by_key(|a| (a.workload.clone(), a.policy.clone()));
+    by_workload_then_policy(&mut rows);
     rows
 }
 
-// ------------------------------------------------------------ Figures 5–8
-
-fn hit_and_traffic(
-    experiment_hit: &str,
-    experiment_traffic: &str,
-    traces: &[PaperTrace],
-    cfg: &ExpConfig,
-) -> (Vec<Row>, Vec<Row>) {
-    let kinds = PolicyKind::figure_set();
-    let mut cells: Vec<(PaperTrace, f64, PolicyKind)> = Vec::new();
+/// Figures 5/7 (hit ratios) and 6/8 (SSD write traffic) over the cache
+/// sizes, on the write-dominant or the read-dominant traces.
+fn hit_and_traffic(traces: &[PaperTrace], cfg: &ExpConfig) -> Vec<Vec<Row>> {
+    let (mut hit, mut traffic) = (Vec::new(), Vec::new());
     for &pt in traces {
-        for &cf in &CACHE_FRACTIONS {
-            for &k in &kinds {
-                cells.push((pt, cf, k));
+        let trace = gen(pt, cfg);
+        let stats = TraceStats::compute(&trace);
+        for cache_frac in CACHE_FRACTIONS {
+            let cache_pages = ((stats.unique_total as f64 * cache_frac) as u64).max(256);
+            for kind in PolicyKind::figure_set() {
+                let mut p = build_policy(kind, geometry(cache_pages), raid_for(&trace), cfg.seed);
+                p.run_trace(&trace);
+                let s = p.stats();
+                let x = cache_pages as f64 / 1000.0;
+                // WA caches no writes: the paper omits it from the hit-ratio plots.
+                if kind != PolicyKind::Wa {
+                    let hit_pct = s.hit_ratio() * 100.0;
+                    hit.push(Row::new(
+                        pt.name(),
+                        "cache_kpages",
+                        x,
+                        &kind.name(),
+                        vec![("hit_pct", hit_pct)],
+                    ));
+                }
+                let mib = s.ssd_write_bytes(4096).as_u64() as f64 / (1 << 20) as f64;
+                traffic.push(Row::new(
+                    pt.name(),
+                    "cache_kpages",
+                    x,
+                    &kind.name(),
+                    vec![("ssd_write_mib", mib)],
+                ));
             }
         }
-    }
-    let results: Vec<(PaperTrace, f64, PolicyKind, f64, f64, u64)> = cells
-        .par_iter()
-        .map(|&(pt, cache_frac, kind)| {
-            let trace = gen(pt, cfg);
-            let stats = TraceStats::compute(&trace);
-            let cache_pages = ((stats.unique_total as f64 * cache_frac) as u64).max(256);
-            let g = geometry(cache_pages);
-            let raid = raid_for(&trace);
-            let mut p = build_policy(kind, g, raid, cfg.seed);
-            p.run_trace(&trace);
-            let s = p.stats();
-            (
-                pt,
-                cache_frac,
-                kind,
-                s.hit_ratio(),
-                s.ssd_write_bytes(4096).as_u64() as f64 / (1 << 20) as f64,
-                cache_pages,
-            )
-        })
-        .collect();
-    let mut hit = Vec::new();
-    let mut traffic = Vec::new();
-    for (pt, _cf, kind, hr, mib, cache_pages) in results {
-        let x = cache_pages as f64 / 1000.0;
-        // WA caches no writes: the paper omits it from the hit-ratio plots.
-        if kind != PolicyKind::Wa {
-            hit.push(Row::new(
-                experiment_hit,
-                pt.name(),
-                "cache_kpages",
-                x,
-                &kind.name(),
-                vec![("hit_pct", hr * 100.0)],
-            ));
-        }
-        traffic.push(Row::new(
-            experiment_traffic,
-            pt.name(),
-            "cache_kpages",
-            x,
-            &kind.name(),
-            vec![("ssd_write_mib", mib)],
-        ));
     }
     let key = |r: &Row| (r.workload.clone(), r.policy.clone(), (r.x * 1e6) as i64);
     hit.sort_by_key(key);
     traffic.sort_by_key(key);
-    (hit, traffic)
+    vec![hit, traffic]
 }
-
-/// Figure 5: hit ratios, write-dominant traces (Fin1, Hm0).
-pub fn fig5(cfg: &ExpConfig) -> Vec<Row> {
-    hit_and_traffic("fig5", "fig6", &PaperTrace::WRITE_DOMINANT, cfg).0
-}
-
-/// Figure 6: SSD write traffic, write-dominant traces.
-pub fn fig6(cfg: &ExpConfig) -> Vec<Row> {
-    hit_and_traffic("fig5", "fig6", &PaperTrace::WRITE_DOMINANT, cfg).1
-}
-
-/// Figure 7: hit ratios, read-dominant traces (Fin2, Web0).
-pub fn fig7(cfg: &ExpConfig) -> Vec<Row> {
-    hit_and_traffic("fig7", "fig8", &PaperTrace::READ_DOMINANT, cfg).0
-}
-
-/// Figure 8: SSD write traffic, read-dominant traces.
-pub fn fig8(cfg: &ExpConfig) -> Vec<Row> {
-    hit_and_traffic("fig7", "fig8", &PaperTrace::READ_DOMINANT, cfg).1
-}
-
-// ---------------------------------------------------------------- Figure 9
 
 /// Figure 9: average response time, open-loop trace replay.
-pub fn fig9(cfg: &ExpConfig) -> Vec<Row> {
+fn open_loop_latency(cfg: &ExpConfig) -> Vec<Row> {
     let model = ServiceModel::paper_default();
-    let cells: Vec<(PaperTrace, PolicyKind)> = PaperTrace::ALL
-        .iter()
-        .flat_map(|&pt| PolicyKind::latency_set().into_iter().map(move |k| (pt, k)))
-        .collect();
-    let mut rows: Vec<Row> = cells
-        .par_iter()
-        .map(|&(pt, kind)| {
-            let trace = gen(pt, cfg);
-            let stats = TraceStats::compute(&trace);
-            let cache_pages = (stats.unique_total * 15 / 100).max(256);
-            let g = geometry(cache_pages);
-            let raid = raid_for(&trace);
-            let mut p = build_policy(kind, g, raid, cfg.seed);
+    let mut rows = Vec::new();
+    for pt in PaperTrace::ALL {
+        let trace = gen(pt, cfg);
+        let cache_pages = cache_pages_15(&trace);
+        for kind in PolicyKind::latency_set() {
+            let mut p = build_policy(kind, geometry(cache_pages), raid_for(&trace), cfg.seed);
             let r = replay_open_loop(p.as_mut(), &trace, &model, 5, 1);
-            Row::new(
-                "fig9",
+            rows.push(Row::new(
                 pt.name(),
                 "cache_kpages",
                 cache_pages as f64 / 1000.0,
@@ -260,91 +339,54 @@ pub fn fig9(cfg: &ExpConfig) -> Vec<Row> {
                     ("p99_resp_ms", r.p99.as_nanos() as f64 / 1e6),
                     ("hit_pct", r.hit_ratio * 100.0),
                 ],
-            )
-        })
-        .collect();
-    rows.sort_by_key(|a| (a.workload.clone(), a.policy.clone()));
+            ));
+        }
+    }
+    by_workload_then_policy(&mut rows);
     rows
 }
-
-// ----------------------------------------------------------- Figures 10–11
 
 /// The paper's FIO read-rate sweep (0 %–75 %).
 const FIO_READ_RATES: [f64; 4] = [0.0, 0.25, 0.50, 0.75];
 
-fn fio_sweep(cfg: &ExpConfig) -> Vec<(f64, PolicyKind, f64, f64)> {
+/// Figure 10 (average response time) and Figure 11 (SSD write traffic)
+/// under FIO at 0–75 % read rates, then Table II: the qualitative policy
+/// comparison at the 25 % read rate (1.0 = Low latency / Good endurance,
+/// 0.0 = High latency / Bad endurance).
+fn fio(cfg: &ExpConfig) -> Vec<Vec<Row>> {
     let model = ServiceModel::paper_default();
-    let cells: Vec<(f64, PolicyKind)> = FIO_READ_RATES
-        .iter()
-        .flat_map(|&r| PolicyKind::latency_set().into_iter().map(move |k| (r, k)))
-        .collect();
-    cells
-        .par_iter()
-        .map(|&(rate, kind)| {
-            let fio = FioConfig::paper(rate).scaled(cfg.scale);
-            // Paper: 1 GiB cache under a 1.6 GiB working set.
-            let cache_pages = ((1u64 << 30) / 4096 / cfg.scale).max(64);
-            let g = geometry(cache_pages);
-            let raid = RaidModel::paper_default(fio.wss_pages.max(1024));
+    let mut sweep = Vec::new();
+    // Paper: 1 GiB cache under a 1.6 GiB working set.
+    let g = geometry(((1u64 << 30) / 4096 / cfg.scale).max(64));
+    for rate in FIO_READ_RATES {
+        let fio = FioConfig::paper(rate).scaled(cfg.scale);
+        let raid = RaidModel::paper_default(fio.wss_pages.max(1024));
+        for kind in PolicyKind::latency_set() {
             let mut p = build_policy(kind, g, raid, cfg.seed);
             let mut w = FioWorkload::new(fio, cfg.seed + 1);
             let r = run_closed_loop(p.as_mut(), &mut w, &model, 5, &Recorder::disabled());
-            (
-                rate,
-                kind,
-                r.mean_response.as_nanos() as f64 / 1e6,
-                r.ssd_write_bytes.as_u64() as f64 / (1 << 20) as f64,
-            )
-        })
-        .collect()
-}
-
-/// Figure 10: average response time under FIO at 0–75 % read rates.
-pub fn fig10(cfg: &ExpConfig) -> Vec<Row> {
-    let mut rows: Vec<Row> = fio_sweep(cfg)
-        .into_iter()
-        .map(|(rate, kind, ms, _)| {
-            Row::new(
-                "fig10",
-                "fio-zipf",
-                "read_rate",
-                rate,
-                &kind.name(),
-                vec![("mean_resp_ms", ms)],
-            )
-        })
+            let ms = r.mean_response.as_nanos() as f64 / 1e6;
+            let mib = r.ssd_write_bytes.as_u64() as f64 / (1 << 20) as f64;
+            sweep.push((rate, kind, ms, mib));
+        }
+    }
+    let row = |rate: f64, kind: PolicyKind, metrics| {
+        Row::new("fio-zipf", "read_rate", rate, &kind.name(), metrics)
+    };
+    let by_policy_then_rate = |rows: &mut Vec<Row>| {
+        rows.sort_by_key(|a| (a.policy.clone(), (a.x * 100.0) as i64));
+    };
+    let mut latency: Vec<Row> = sweep
+        .iter()
+        .map(|&(rate, kind, ms, _)| row(rate, kind, vec![("mean_resp_ms", ms)]))
         .collect();
-    rows.sort_by_key(|a| (a.policy.clone(), (a.x * 100.0) as i64));
-    rows
-}
-
-/// Figure 11: SSD write traffic under FIO at 0–75 % read rates.
-pub fn fig11(cfg: &ExpConfig) -> Vec<Row> {
-    let mut rows: Vec<Row> = fio_sweep(cfg)
-        .into_iter()
+    by_policy_then_rate(&mut latency);
+    let mut traffic: Vec<Row> = sweep
+        .iter()
         .filter(|(_, kind, _, _)| *kind != PolicyKind::Nossd)
-        .map(|(rate, kind, _, mib)| {
-            Row::new(
-                "fig11",
-                "fio-zipf",
-                "read_rate",
-                rate,
-                &kind.name(),
-                vec![("ssd_write_mib", mib)],
-            )
-        })
+        .map(|&(rate, kind, _, mib)| row(rate, kind, vec![("ssd_write_mib", mib)]))
         .collect();
-    rows.sort_by_key(|a| (a.policy.clone(), (a.x * 100.0) as i64));
-    rows
-}
-
-// ---------------------------------------------------------------- Table II
-
-/// Table II: qualitative policy comparison, derived from the measured
-/// Figure 10/11 numbers at the 25 % read rate (1.0 = Low latency / Good
-/// endurance, 0.0 = High latency / Bad endurance).
-pub fn table2(cfg: &ExpConfig) -> Vec<Row> {
-    let sweep = fio_sweep(cfg);
+    by_policy_then_rate(&mut traffic);
     let at = |kind: PolicyKind| -> (f64, f64) {
         sweep
             .iter()
@@ -354,14 +396,13 @@ pub fn table2(cfg: &ExpConfig) -> Vec<Row> {
     };
     let (nossd_ms, _) = at(PolicyKind::Nossd);
     let (_, wt_mib) = at(PolicyKind::Wt);
-    [PolicyKind::Wt, PolicyKind::Wa, PolicyKind::LeavO, PolicyKind::Kdd(0.25)]
+    let verdicts = [PolicyKind::Wt, PolicyKind::Wa, PolicyKind::LeavO, PolicyKind::Kdd(0.25)]
         .into_iter()
         .map(|kind| {
             let (ms, mib) = at(kind);
             let low_latency = ms < 0.8 * nossd_ms;
             let good_endurance = mib < 0.7 * wt_mib;
             Row::new(
-                "table2",
                 "fio-zipf@25%read",
                 "read_rate",
                 0.25,
@@ -374,180 +415,71 @@ pub fn table2(cfg: &ExpConfig) -> Vec<Row> {
                 ],
             )
         })
-        .collect()
+        .collect();
+    vec![latency, traffic, verdicts]
 }
 
-// --------------------------------------------------------------- Ablations
-
-struct AblationPoint {
-    variant: String,
-    hit_pct: f64,
-    ssd_write_mib: f64,
-    metadata_pct: f64,
-    raid_reads_per_update: f64,
-}
-
-fn ablation_run(
-    trace: &Trace,
-    cache_pages: u64,
-    variant: &str,
-    tweak: impl FnOnce(&mut KddConfig),
-    seed: u64,
-) -> AblationPoint {
-    let g = geometry(cache_pages);
-    let raid = raid_for(trace);
-    let mut p = kdd_with(g, raid, 0.25, seed, tweak);
-    p.run_trace(trace);
-    let s = p.stats();
-    AblationPoint {
-        variant: variant.to_string(),
-        hit_pct: s.hit_ratio() * 100.0,
-        ssd_write_mib: s.ssd_write_bytes(4096).as_u64() as f64 / (1 << 20) as f64,
-        metadata_pct: s.metadata_fraction() * 100.0,
-        raid_reads_per_update: if s.parity_updates == 0 {
-            0.0
-        } else {
-            // Isolate the cleaner's reads: read misses cost 1 member read
-            // each and write misses 2 (the RMW pair); what remains is the
-            // parity-repair traffic. 0 ≈ reconstruct-write from cache,
-            // 1 ≈ read-modify-write of the stale parity.
-            let foreground = s.read_misses + 2 * s.write_misses;
-            (s.raid_reads.saturating_sub(foreground)) as f64 / s.parity_updates as f64
-        },
-    }
-}
-
-/// One named configuration tweak in an ablation sweep.
-type Variant = (&'static str, Box<dyn Fn(&mut KddConfig) + Sync + Send>);
-
-fn ablation(cfg: &ExpConfig, name: &str, variants: Vec<Variant>) -> Vec<Row> {
-    let traces = [PaperTrace::Fin1, PaperTrace::Web0];
-    let cells: Vec<(PaperTrace, usize)> =
-        traces.iter().flat_map(|&pt| (0..variants.len()).map(move |i| (pt, i))).collect();
-    let mut rows: Vec<Row> = cells
-        .par_iter()
-        .map(|&(pt, vi)| {
-            let trace = gen(pt, cfg);
-            let stats = TraceStats::compute(&trace);
-            let cache_pages = (stats.unique_total * 15 / 100).max(256);
-            let point =
-                ablation_run(&trace, cache_pages, variants[vi].0, &variants[vi].1, cfg.seed);
-            Row::new(
-                name,
+/// KDD-25 % under each labelled variant on Fin1 and Web0.
+fn ablation(variants: &[(&'static str, KddVariant)], cfg: &ExpConfig) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for pt in [PaperTrace::Fin1, PaperTrace::Web0] {
+        let trace = gen(pt, cfg);
+        let cache_pages = cache_pages_15(&trace);
+        for &(label, variant) in variants {
+            let model = Box::new(GaussianDeltaModel::new(0.25, cfg.seed));
+            let config = KddConfig::new(geometry(cache_pages));
+            let mut p = KddPolicy::with_variant(config, raid_for(&trace), model, variant);
+            p.run_trace(&trace);
+            let s = p.stats();
+            let raid_reads_per_update = if s.parity_updates == 0 {
+                0.0
+            } else {
+                // Isolate the cleaner's reads: read misses cost 1 member read
+                // each and write misses 2 (the RMW pair); what remains is the
+                // parity-repair traffic. 0 ≈ reconstruct-write from cache,
+                // 1 ≈ read-modify-write of the stale parity.
+                let foreground = s.read_misses + 2 * s.write_misses;
+                (s.raid_reads.saturating_sub(foreground)) as f64 / s.parity_updates as f64
+            };
+            rows.push(Row::new(
                 pt.name(),
                 "cache_kpages",
                 cache_pages as f64 / 1000.0,
-                &point.variant,
+                label,
                 vec![
-                    ("hit_pct", point.hit_pct),
-                    ("ssd_write_mib", point.ssd_write_mib),
-                    ("metadata_pct", point.metadata_pct),
-                    ("raid_rd_per_upd", point.raid_reads_per_update),
+                    ("hit_pct", s.hit_ratio() * 100.0),
+                    ("ssd_write_mib", s.ssd_write_bytes(4096).as_u64() as f64 / (1 << 20) as f64),
+                    ("metadata_pct", s.metadata_fraction() * 100.0),
+                    ("raid_rd_per_upd", raid_reads_per_update),
                 ],
-            )
-        })
-        .collect();
-    rows.sort_by_key(|a| (a.workload.clone(), a.policy.clone()));
+            ));
+        }
+    }
+    by_workload_then_policy(&mut rows);
     rows
-}
-
-/// Ablation: dynamic DAZ/DEZ mixing (the paper's design) vs static
-/// partitions at 10 % and 30 % DEZ reservations (§III-B's rejected
-/// alternative).
-pub fn ablation_zoning(cfg: &ExpConfig) -> Vec<Row> {
-    ablation(
-        cfg,
-        "ablation_zoning",
-        vec![
-            ("dynamic", Box::new(|_c: &mut KddConfig| {})),
-            ("fixed-10%", Box::new(|c: &mut KddConfig| c.fixed_dez_fraction = Some(0.10))),
-            ("fixed-30%", Box::new(|c: &mut KddConfig| c.fixed_dez_fraction = Some(0.30))),
-        ],
-    )
-}
-
-/// Ablation: §III-D's two reclamation schemes — simple reclaim (paper's
-/// choice) vs re-materialising cleaned pages as clean copies.
-pub fn ablation_reclaim(cfg: &ExpConfig) -> Vec<Row> {
-    ablation(
-        cfg,
-        "ablation_reclaim",
-        vec![
-            ("simple-reclaim", Box::new(|_c: &mut KddConfig| {})),
-            ("reclaim-as-clean", Box::new(|c: &mut KddConfig| c.reclaim_as_clean = true)),
-        ],
-    )
-}
-
-/// Ablation: NVRAM metadata batching (the circular-log design) vs a
-/// metadata page write per mapping change (§III-B's motivation).
-pub fn ablation_metalog(cfg: &ExpConfig) -> Vec<Row> {
-    ablation(
-        cfg,
-        "ablation_metalog",
-        vec![
-            ("nvram-batched", Box::new(|_c: &mut KddConfig| {})),
-            ("unbatched", Box::new(|c: &mut KddConfig| c.nvram_batching = false)),
-        ],
-    )
-}
-
-/// Extension study: LARC-style lazy admission on top of KDD (§V-C calls
-/// the selective-allocation family "complementary to our KDD").
-pub fn ablation_admission(cfg: &ExpConfig) -> Vec<Row> {
-    ablation(
-        cfg,
-        "ablation_admission",
-        vec![
-            ("always-admit", Box::new(|_c: &mut KddConfig| {})),
-            ("lazy-admit", Box::new(|c: &mut KddConfig| c.lazy_admission = true)),
-        ],
-    )
-}
-
-/// Ablation: stripe-aligned cache-set placement vs per-page hashing
-/// (§III-B's spatial-locality mapping).
-pub fn ablation_setmap(cfg: &ExpConfig) -> Vec<Row> {
-    ablation(
-        cfg,
-        "ablation_setmap",
-        vec![
-            ("stripe-aligned", Box::new(|_c: &mut KddConfig| {})),
-            ("page-hashed", Box::new(|c: &mut KddConfig| c.stripe_aligned_sets = false)),
-        ],
-    )
 }
 
 /// Extension study: the small-write penalty doubles from RAID-5 to
 /// RAID-6 (2r+2w → 3r+3w), so KDD's delayed parity buys more. The paper
 /// covers RAID-5/6 in the design (§III-A) but evaluates RAID-5 only.
-pub fn ablation_raid6(cfg: &ExpConfig) -> Vec<Row> {
+fn raid_levels(cfg: &ExpConfig) -> Vec<Row> {
     let model = ServiceModel::paper_default();
-    let levels = [(RaidLevel::Raid5, 5usize), (RaidLevel::Raid6, 6usize)];
-    let kinds = [PolicyKind::Nossd, PolicyKind::Wt, PolicyKind::Kdd(0.25)];
-    let cells: Vec<((RaidLevel, usize), PolicyKind)> =
-        levels.iter().flat_map(|&lv| kinds.iter().map(move |&k| (lv, k))).collect();
-    let mut rows: Vec<Row> = cells
-        .par_iter()
-        .map(|&((level, disks), kind)| {
-            let trace = gen(PaperTrace::Fin1, cfg);
-            let stats = TraceStats::compute(&trace);
-            let cache_pages = (stats.unique_total * 15 / 100).max(256);
-            let g = geometry(cache_pages);
-            // Same data capacity, one extra parity disk for RAID-6.
-            let chunk_pages = 16u64;
-            let data_disks = 4u64;
-            let disk_pages =
-                (trace.address_space_pages().max(1024).div_ceil(data_disks).div_ceil(chunk_pages)
-                    + 1)
-                    * chunk_pages;
-            let raid = RaidModel { layout: Layout::new(level, disks, chunk_pages, disk_pages) };
+    let trace = gen(PaperTrace::Fin1, cfg);
+    let g = geometry(cache_pages_15(&trace));
+    // Same data capacity, one extra parity disk for RAID-6.
+    let (chunk_pages, data_disks) = (16u64, 4u64);
+    let disk_pages =
+        (trace.address_space_pages().max(1024).div_ceil(data_disks).div_ceil(chunk_pages) + 1)
+            * chunk_pages;
+    let mut rows = Vec::new();
+    for (level, disks) in [(RaidLevel::Raid5, 5usize), (RaidLevel::Raid6, 6usize)] {
+        let raid = RaidModel { layout: Layout::new(level, disks, chunk_pages, disk_pages) };
+        for kind in [PolicyKind::Nossd, PolicyKind::Wt, PolicyKind::Kdd(0.25)] {
             let mut p = build_policy(kind, g, raid, cfg.seed);
             let r = replay_open_loop(p.as_mut(), &trace, &model, disks, 1);
             let s = p.stats();
             let disk_ios = (s.raid_reads + s.raid_writes) as f64 / s.requests().max(1) as f64;
-            Row::new(
-                "ablation_raid6",
+            rows.push(Row::new(
                 &format!("Fin1/{level:?}"),
                 "disks",
                 disks as f64,
@@ -557,38 +489,30 @@ pub fn ablation_raid6(cfg: &ExpConfig) -> Vec<Row> {
                     ("disk_ios_per_req", disk_ios),
                     ("hit_pct", r.hit_ratio * 100.0),
                 ],
-            )
-        })
-        .collect();
-    rows.sort_by_key(|a| (a.workload.clone(), a.policy.clone()));
+            ));
+        }
+    }
+    by_workload_then_policy(&mut rows);
     rows
 }
 
 /// Model-validation study: the algebraic queueing replayer (used for
 /// Figure 9) against the discrete-event replayer with per-disk queues and
 /// mechanical seek times. Rankings must agree; absolute numbers differ.
-pub fn ablation_desmodel(cfg: &ExpConfig) -> Vec<Row> {
+fn des_model(cfg: &ExpConfig) -> Vec<Row> {
     let model = ServiceModel::paper_default();
-    let kinds = PolicyKind::latency_set();
-    let cells: Vec<(PaperTrace, PolicyKind)> = [PaperTrace::Fin1, PaperTrace::Fin2]
-        .iter()
-        .flat_map(|&pt| kinds.iter().map(move |&k| (pt, k)))
-        .collect();
-    let mut rows: Vec<Row> = cells
-        .par_iter()
-        .map(|&(pt, kind)| {
-            let trace = gen(pt, cfg);
-            let stats = TraceStats::compute(&trace);
-            let cache_pages = (stats.unique_total * 15 / 100).max(256);
-            let g = geometry(cache_pages);
-            let raid = raid_for(&trace);
-            let layout = raid.layout;
+    let mut rows = Vec::new();
+    for pt in [PaperTrace::Fin1, PaperTrace::Fin2] {
+        let trace = gen(pt, cfg);
+        let cache_pages = cache_pages_15(&trace);
+        let (g, raid) = (geometry(cache_pages), raid_for(&trace));
+        let layout = raid.layout;
+        for kind in PolicyKind::latency_set() {
             let mut p1 = build_policy(kind, g, raid, cfg.seed);
             let alg = replay_open_loop(p1.as_mut(), &trace, &model, layout.disks, 1);
             let mut p2 = build_policy(kind, g, raid, cfg.seed);
             let des = kdd_sim::des::replay_des(p2.as_mut(), &trace, &layout, &model);
-            Row::new(
-                "ablation_desmodel",
+            rows.push(Row::new(
                 pt.name(),
                 "cache_kpages",
                 cache_pages as f64 / 1000.0,
@@ -599,10 +523,10 @@ pub fn ablation_desmodel(cfg: &ExpConfig) -> Vec<Row> {
                     ("des_p99_ms", des.p99.as_nanos() as f64 / 1e6),
                     ("des_queue_depth", des.mean_queue_depth),
                 ],
-            )
-        })
-        .collect();
-    rows.sort_by_key(|a| (a.workload.clone(), a.policy.clone()));
+            ));
+        }
+    }
+    by_workload_then_policy(&mut rows);
     rows
 }
 
@@ -614,9 +538,13 @@ mod tests {
         ExpConfig { scale: 2000, seed: 42 }
     }
 
+    fn run(name: &str, cfg: &ExpConfig) -> Vec<Row> {
+        Runner::new(*cfg).rows(find(name).expect("a known experiment"))
+    }
+
     #[test]
     fn table1_reports_all_traces() {
-        let rows = table1(&tiny());
+        let rows = run("table1", &tiny());
         assert_eq!(rows.len(), 4);
         let fin1 = rows.iter().find(|r| r.workload == "Fin1").unwrap();
         assert!((fin1.metric("read_ratio").unwrap() - 0.19).abs() < 0.02);
@@ -624,7 +552,7 @@ mod tests {
 
     #[test]
     fn fig4_metadata_shrinks_with_partition() {
-        let rows = fig4(&tiny());
+        let rows = run("fig4", &tiny());
         // For each (workload, cache) group the metadata share must not
         // grow as the partition grows.
         for wl in ["Fin1", "Fin2", "Hm0", "Web0"] {
@@ -645,7 +573,7 @@ mod tests {
         // Needs real cache pressure: at very small scales the floor cache
         // of 256 pages swallows the whole working set.
         let cfg = ExpConfig { scale: 500, seed: 42 };
-        let rows = fig6(&cfg);
+        let rows = run("fig6", &cfg);
         // At the largest cache, on each write-dominant trace:
         // LeavO > WT > KDD-50 > KDD-25 > KDD-12 > WA.
         for wl in ["Fin1", "Hm0"] {
@@ -684,7 +612,7 @@ mod tests {
 
     #[test]
     fn fig10_kdd_beats_nossd_everywhere() {
-        let rows = fig10(&ExpConfig { scale: 4096, seed: 7 });
+        let rows = run("fig10", &ExpConfig { scale: 4096, seed: 7 });
         for rate in FIO_READ_RATES {
             let get = |p: &str| {
                 rows.iter()
@@ -700,7 +628,7 @@ mod tests {
     #[test]
     fn ablations_produce_contrasts() {
         let cfg = tiny();
-        let metalog = ablation_metalog(&cfg);
+        let metalog = run("ablation_metalog", &cfg);
         for wl in ["Fin1", "Web0"] {
             let get = |v: &str, m: &str| {
                 metalog
@@ -714,15 +642,15 @@ mod tests {
                 "{wl}: batching must cut metadata traffic"
             );
         }
-        let zoning = ablation_zoning(&cfg);
+        let zoning = run("ablation_zoning", &cfg);
         assert_eq!(zoning.len(), 6);
-        let reclaim = ablation_reclaim(&cfg);
+        let reclaim = run("ablation_reclaim", &cfg);
         assert_eq!(reclaim.len(), 4);
     }
 
     #[test]
     fn des_and_algebraic_rank_policies_identically() {
-        let rows = ablation_desmodel(&ExpConfig { scale: 2000, seed: 42 });
+        let rows = run("ablation_desmodel", &ExpConfig { scale: 2000, seed: 42 });
         for wl in ["Fin1", "Fin2"] {
             let mut alg: Vec<(String, f64)> = rows
                 .iter()
@@ -747,7 +675,7 @@ mod tests {
 
     #[test]
     fn raid6_widens_kdds_member_io_advantage() {
-        let rows = ablation_raid6(&tiny());
+        let rows = run("ablation_raid6", &tiny());
         let get = |wl: &str, p: &str, m: &str| {
             rows.iter()
                 .find(|r| r.workload == wl && r.policy == p)

@@ -1,8 +1,9 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
-//! Each `figN`/`tableN` function reproduces one evaluation artifact of
-//! the ICPP'16 KDD paper and returns uniform [`report::Row`]s; the
-//! `repro` binary prints them as tables (and optionally JSON).
+//! [`experiments::EXPERIMENTS`] names every evaluation artifact of the
+//! ICPP'16 KDD paper, and a [`experiments::Runner`] computes each one's
+//! uniform [`report::Row`]s; the `repro` binary prints them as tables (and
+//! optionally JSON).
 //!
 //! Scale: `scale` divides the Table I trace sizes (and the FIO volume).
 //! `scale = 1` is the paper's full workload (millions of requests);
@@ -13,5 +14,5 @@ pub mod experiments;
 pub mod perfjson;
 pub mod report;
 
-pub use experiments::*;
+pub use experiments::{ExpConfig, Runner, EXPERIMENTS};
 pub use report::{print_rows, rows_to_json, Row};

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 /// One data point of one figure/table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Row {
-    /// Experiment id ("table1", "fig5", "ablation_zoning", ...).
+    /// Experiment id, the name it has in [`crate::experiments::EXPERIMENTS`].
     pub experiment: String,
     /// Workload name ("Fin1", "fio", ...).
     pub workload: String,
@@ -26,9 +26,8 @@ pub struct Row {
 }
 
 impl Row {
-    /// Construct a row.
+    /// Construct a row; the experiment that runs it names it.
     pub fn new(
-        experiment: &str,
         workload: &str,
         x_label: &str,
         x: f64,
@@ -36,7 +35,7 @@ impl Row {
         metrics: Vec<(&str, f64)>,
     ) -> Row {
         Row {
-            experiment: experiment.into(),
+            experiment: String::new(),
             workload: workload.into(),
             x_label: x_label.into(),
             x,
@@ -141,7 +140,7 @@ mod tests {
 
     #[test]
     fn metric_lookup() {
-        let r = Row::new("fig5", "Fin1", "cache", 1.0, "WT", vec![("hit", 0.5), ("mib", 12.0)]);
+        let r = Row::new("Fin1", "cache", 1.0, "WT", vec![("hit", 0.5), ("mib", 12.0)]);
         assert_eq!(r.metric("hit"), Some(0.5));
         assert_eq!(r.metric("nope"), None);
     }
@@ -149,9 +148,9 @@ mod tests {
     #[test]
     fn printing_does_not_panic() {
         let rows = vec![
-            Row::new("fig5", "Fin1", "cache", 1.0, "WT", vec![("hit", 0.5)]),
-            Row::new("fig5", "Fin1", "cache", 2.0, "WT", vec![("hit", 0.6)]),
-            Row::new("fig5", "Hm0", "cache", 1.0, "KDD-25%", vec![("hit", 0.4)]),
+            Row::new("Fin1", "cache", 1.0, "WT", vec![("hit", 0.5)]),
+            Row::new("Fin1", "cache", 2.0, "WT", vec![("hit", 0.6)]),
+            Row::new("Hm0", "cache", 1.0, "KDD-25%", vec![("hit", 0.4)]),
         ];
         print_rows(&rows);
     }

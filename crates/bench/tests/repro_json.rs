@@ -51,6 +51,60 @@ fn table1_json_parses_and_matches_the_committed_rows() {
     assert_same("repro --json", json.as_bytes(), &committed("results/repro_scale100.json"));
 }
 
+/// `repro` at a tiny scale, seed 42; its stdout.
+fn repro_tiny(args: &[&str]) -> String {
+    let run = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .args(["--scale", "2000", "--seed", "42"])
+        .output()
+        .expect("run repro");
+    assert!(run.status.success(), "repro {args:?}: {}", String::from_utf8_lossy(&run.stderr));
+    String::from_utf8(run.stdout).expect("repro prints UTF-8")
+}
+
+/// The `== experiment / workload ==` blocks of `text` that belong to `name`.
+fn blocks_of(text: &str, name: &str) -> String {
+    let header = format!("{name} / ");
+    text.split("\n== ")
+        .skip(1)
+        .filter(|b| b.starts_with(&header))
+        .map(|b| format!("\n== {b}"))
+        .collect()
+}
+
+/// Experiments that share a sweep still print alone: `repro <name>` prints
+/// exactly the blocks `repro all` prints for `name`, for every name.
+#[test]
+fn each_experiment_alone_prints_its_rows_of_all() {
+    let all = repro_tiny(&["all"]);
+    for experiment in &kdd_bench::EXPERIMENTS {
+        let alone = repro_tiny(&[experiment.name]);
+        assert!(!alone.is_empty(), "{} printed nothing", experiment.name);
+        assert_eq!(alone, blocks_of(&all, experiment.name), "{}", experiment.name);
+    }
+}
+
+/// The whole command line is checked before any experiment runs: each bad
+/// one exits with code 2 and the usage text, having printed no row.
+#[test]
+fn bad_command_lines_are_usage_errors() {
+    let bad: [&[&str]; 6] = [
+        &["fig5", "bogus"],
+        &["fig5", "--seed", "x"],
+        &["fig5", "--json"],
+        &["fig5", "--scale", "0"],
+        &["--seed", "7"],
+        &[],
+    ];
+    for args in bad {
+        let run = Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("run repro");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
+        assert!(run.stdout.is_empty() && !stderr.contains("running"), "{args:?} ran: {stderr}");
+    }
+}
+
 #[test]
 fn perfbench_smoke_snapshot_is_byte_identical_to_the_committed_one() {
     let dir = scratch("perfbench-smoke");

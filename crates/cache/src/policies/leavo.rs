@@ -20,7 +20,7 @@ use crate::effects::{AccessOutcome, Effects};
 use crate::nvbuf::MetadataBuffer;
 use crate::policies::{CachePolicy, PendingRows, RaidModel};
 use crate::setassoc::{CacheGeometry, InsertOutcome, PageState, SetAssocCache};
-use crate::stats::CacheStats;
+use crate::stats::{record, CacheStats};
 use kdd_trace::record::Op;
 use kdd_util::hash::FastMap;
 
@@ -209,7 +209,7 @@ impl CachePolicy for LeavO {
         };
         let mut outcome = AccessOutcome::new(hit, fx);
         outcome.background = bg;
-        self.stats.record(op == Op::Read, &outcome);
+        record(&mut self.stats, op == Op::Read, &outcome);
         outcome
     }
 

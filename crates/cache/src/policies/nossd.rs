@@ -3,7 +3,7 @@
 
 use crate::effects::{AccessOutcome, Effects};
 use crate::policies::{CachePolicy, RaidModel};
-use crate::stats::CacheStats;
+use crate::stats::{record, CacheStats};
 use kdd_trace::record::Op;
 
 /// RAID with no SSD cache at all.
@@ -31,7 +31,7 @@ impl CachePolicy for Nossd {
             Op::Write => self.raid.small_write_effects(),
         };
         let outcome = AccessOutcome::new(false, fx);
-        self.stats.record(op == Op::Read, &outcome);
+        record(&mut self.stats, op == Op::Read, &outcome);
         outcome
     }
 

@@ -12,7 +12,7 @@
 use crate::effects::{AccessOutcome, Effects};
 use crate::policies::{CachePolicy, RaidModel};
 use crate::setassoc::{CacheGeometry, InsertOutcome, PageState, SetAssocCache};
-use crate::stats::CacheStats;
+use crate::stats::{record, CacheStats};
 use kdd_trace::record::Op;
 
 /// Write-allocate, write-through SSD cache.
@@ -78,7 +78,7 @@ impl CachePolicy for WriteThrough {
             }
         };
         let outcome = AccessOutcome::new(hit, fx);
-        self.stats.record(op == Op::Read, &outcome);
+        record(&mut self.stats, op == Op::Read, &outcome);
         outcome
     }
 

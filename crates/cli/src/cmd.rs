@@ -18,7 +18,7 @@ use kdd_trace::{msr, spc, writer};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
-/// The `--policy` values [`Opts::policies`] resolves, as the usage text
+/// The `--policy` values [`Opts::parse`] resolves, as the usage text
 /// lists them.
 pub const POLICY_NAMES: &str = "nossd|wt|wa|leavo|kdd-50|kdd-25|kdd-12|all";
 
@@ -29,7 +29,8 @@ pub struct Opts {
     pub input: Option<String>,
     pub out: Option<String>,
     pub format: Option<String>,
-    pub policy: Option<String>,
+    /// The policies `--policy` names (default `all`).
+    pub policies: Vec<PolicyKind>,
     pub scale: u64,
     pub seed: u64,
     pub cache_frac: f64,
@@ -73,7 +74,7 @@ impl Opts {
                 "--in" => o.input = Some(take("in")?),
                 "--out" => o.out = Some(take("out")?),
                 "--format" => o.format = Some(take("format")?),
-                "--policy" => o.policy = Some(take("policy")?),
+                "--policy" => o.policies = policies(&take("policy")?)?,
                 "--scale" => {
                     o.scale = take("scale")?.parse().map_err(|e| format!("bad --scale: {e}"))?;
                     if o.scale == 0 {
@@ -137,6 +138,9 @@ impl Opts {
                 positional => o.positional.push(positional.to_string()),
             }
         }
+        if o.policies.is_empty() {
+            o.policies = policies("all")?;
+        }
         Ok(o)
     }
 
@@ -164,21 +168,20 @@ impl Opts {
             Ok(self.paper_trace()?.generate_scaled(self.scale, self.seed))
         }
     }
+}
 
-    fn policies(&self) -> Result<Vec<PolicyKind>, String> {
-        match self.policy.as_deref().unwrap_or("all") {
-            "all" => {
-                Ok(std::iter::once(PolicyKind::Nossd).chain(PolicyKind::figure_set()).collect())
-            }
-            "nossd" => Ok(vec![PolicyKind::Nossd]),
-            "wt" => Ok(vec![PolicyKind::Wt]),
-            "wa" => Ok(vec![PolicyKind::Wa]),
-            "leavo" => Ok(vec![PolicyKind::LeavO]),
-            "kdd-50" => Ok(vec![PolicyKind::Kdd(0.50)]),
-            "kdd-25" => Ok(vec![PolicyKind::Kdd(0.25)]),
-            "kdd-12" => Ok(vec![PolicyKind::Kdd(0.12)]),
-            other => Err(format!("unknown policy {other:?} ({POLICY_NAMES})")),
-        }
+/// The policies a `--policy` value names.
+fn policies(name: &str) -> Result<Vec<PolicyKind>, String> {
+    match name {
+        "all" => Ok(std::iter::once(PolicyKind::Nossd).chain(PolicyKind::figure_set()).collect()),
+        "nossd" => Ok(vec![PolicyKind::Nossd]),
+        "wt" => Ok(vec![PolicyKind::Wt]),
+        "wa" => Ok(vec![PolicyKind::Wa]),
+        "leavo" => Ok(vec![PolicyKind::LeavO]),
+        "kdd-50" => Ok(vec![PolicyKind::Kdd(0.50)]),
+        "kdd-25" => Ok(vec![PolicyKind::Kdd(0.25)]),
+        "kdd-12" => Ok(vec![PolicyKind::Kdd(0.12)]),
+        other => Err(format!("unknown policy {other:?} ({POLICY_NAMES})")),
     }
 }
 
@@ -250,7 +253,7 @@ pub fn sim(o: &Opts) -> Result<(), String> {
         "{:<9} {:>8} {:>14} {:>10} {:>12} {:>12}",
         "policy", "hit%", "ssd writes", "meta%", "raid reads", "raid writes"
     );
-    for kind in o.policies()? {
+    for &kind in &o.policies {
         let mut p = build_policy(kind, g, raid, o.seed);
         p.run_trace(&trace);
         let s = p.stats();
@@ -277,7 +280,7 @@ fn obs_recorder(o: &Opts) -> Result<kdd_obs::Recorder, String> {
     if o.obs.is_none() {
         return Ok(Recorder::disabled());
     }
-    if o.policies()?.len() != 1 {
+    if o.policies.len() != 1 {
         return Err("--obs records a single run: pick one policy with --policy".into());
     }
     Ok(Recorder::new(RecorderConfig {
@@ -306,7 +309,7 @@ pub fn replay(o: &Opts) -> Result<(), String> {
     let model = ServiceModel::paper_default();
     let recorder = obs_recorder(o)?;
     println!("{:<9} {:>8} {:>12} {:>12} {:>12}", "policy", "hit%", "mean resp", "p50", "p99");
-    for kind in o.policies()? {
+    for &kind in &o.policies {
         let mut p = build_policy(kind, g, raid, o.seed);
         let r = replay_open_loop_observed(p.as_mut(), &trace, &model, 5, 1, &recorder);
         println!(
@@ -348,7 +351,7 @@ pub fn fio(o: &Opts) -> Result<(), String> {
         "{:<9} {:>8} {:>12} {:>12} {:>14}",
         "policy", "hit%", "mean resp", "p99", "ssd writes"
     );
-    for kind in o.policies()? {
+    for &kind in &o.policies {
         let mut p = build_policy(kind, g, raid, o.seed);
         let mut w = FioWorkload::new(cfg, o.seed + 1);
         let r = run_closed_loop(p.as_mut(), &mut w, &model, 5, &recorder);
@@ -752,7 +755,7 @@ mod tests {
         assert_eq!(o.workload.as_deref(), Some("fin1"));
         assert_eq!(o.scale, 500);
         assert_eq!(o.positional, vec!["file.spc"]);
-        assert_eq!(o.policies().unwrap(), vec![PolicyKind::Kdd(0.25)]);
+        assert_eq!(o.policies, vec![PolicyKind::Kdd(0.25)]);
     }
 
     #[test]
@@ -796,16 +799,20 @@ mod tests {
         assert!(o.paper_trace().is_err());
     }
 
+    /// `--policy` resolves while the command line is parsed, so a bad name
+    /// is a usage error before any subcommand prints.
     #[test]
     fn policy_names_resolve() {
-        let resolve = |name: &str| Opts::parse(&s(&["--policy", name])).unwrap().policies();
+        let resolve = |name: &str| Opts::parse(&s(&["--policy", name])).map(|o| o.policies);
         for name in POLICY_NAMES.split('|') {
             assert!(resolve(name).is_ok_and(|kinds| !kinds.is_empty()), "{name}");
         }
         let mut all = vec![PolicyKind::Nossd];
         all.extend(PolicyKind::figure_set());
         assert_eq!(resolve("all").unwrap(), all);
-        assert!(resolve("wb").is_err());
+        assert_eq!(Opts::parse(&[]).unwrap().policies, all, "the default is all");
+        let err = resolve("wb").unwrap_err();
+        assert!(err.contains("unknown policy \"wb\""), "{err}");
         assert!(resolve("zzz").is_err());
     }
 

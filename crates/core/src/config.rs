@@ -1,4 +1,6 @@
-//! KDD configuration knobs.
+//! KDD configuration knobs: what both §III copies run. The designs
+//! `KddPolicy` alone can measure against the paper's are
+//! [`crate::KddVariant`]s.
 
 // Narrowing casts here are bounded by construction (page sizes, slot
 // counts). See DESIGN.md "Static analysis & invariants".
@@ -19,53 +21,12 @@ pub struct KddConfig {
     /// Metadata partition size as a fraction of the SSD's page count
     /// (Figure 4 sweeps 0.39 %–0.98 %; the paper settles on 0.59 %).
     pub meta_partition_frac: f64,
-    /// Map pages of the same parity stripe to the same cache set (§III-B's
-    /// spatial-locality optimisation). Ablation: off → per-page hashing.
-    ///
-    /// `KddPolicy` ablation; `KddEngine` accepts only the default.
-    pub stripe_aligned_sets: bool,
-    /// Batch metadata entries in NVRAM before committing page-sized
-    /// batches (§III-B's motivation for the circular log). Ablation: off →
-    /// every mapping change writes its own metadata page.
-    ///
-    /// `KddPolicy` ablation; `KddEngine` accepts only the default.
-    pub nvram_batching: bool,
-    /// After a parity update, combine old+delta into a fresh *clean* page
-    /// (§III-D's first reclamation scheme) instead of simply reclaiming
-    /// (the second scheme, the paper's choice).
-    ///
-    /// `KddPolicy` ablation; `KddEngine` accepts only the default.
-    pub reclaim_as_clean: bool,
-    /// `Some(f)`: statically reserve fraction `f` of the cache for the
-    /// Delta Zone instead of mixing DAZ/DEZ pages dynamically in each set
-    /// — the design alternative §III-B rejects ("it is hard to determine
-    /// the appropriate size of these zones").
-    ///
-    /// `KddPolicy` ablation; `KddEngine` accepts only the default.
-    pub fixed_dez_fraction: Option<f64>,
-    /// LARC-style lazy admission (§V-C: selective-allocation policies
-    /// "are complementary to our KDD"): a missed page is only cached on
-    /// its *second* miss within the ghost window, filtering one-hit
-    /// wonders out of the allocation writes. Extension knob, off by
-    /// default to match the paper.
-    ///
-    /// `KddPolicy` ablation; `KddEngine` accepts only the default.
-    pub lazy_admission: bool,
 }
 
 impl KddConfig {
     /// Paper defaults for a given cache geometry.
     pub fn new(geometry: CacheGeometry) -> Self {
-        KddConfig {
-            geometry,
-            clean_threshold: 0.90,
-            meta_partition_frac: 0.0059,
-            stripe_aligned_sets: true,
-            nvram_batching: true,
-            reclaim_as_clean: false,
-            fixed_dez_fraction: None,
-            lazy_admission: false,
-        }
+        KddConfig { geometry, clean_threshold: 0.90, meta_partition_frac: 0.0059 }
     }
 
     /// Metadata partition size in pages (at least 2).

@@ -67,7 +67,7 @@ pub mod staging;
 pub use config::KddConfig;
 pub use engine::{KddEngine, WriteRequest};
 pub use metalog::{CommitBatch, Commits, KeyEntry, LogEntry, MetaLog, PartitionTooSmall};
-pub use policy::KddPolicy;
+pub use policy::{KddPolicy, KddVariant};
 pub use staging::{DeltaPayload, StagingBuffer};
 
 /// What [`two_smallest_by_key`] found.

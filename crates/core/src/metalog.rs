@@ -159,7 +159,6 @@ pub struct MetaLog<E: LogEntry> {
     pages: VecDeque<MetaPage<E>>,
     /// Key → position of its newest entry (buffered or logged).
     latest: FastMap<u64, u64>,
-    pages_written: u64,
     entries_pushed: u64,
     /// When enabled, committed-but-unconfirmed batches are retained (an
     /// NVRAM-resident redo list) so recovery can tolerate a torn or lost
@@ -191,7 +190,6 @@ impl<E: LogEntry> MetaLog<E> {
             buffer_base: 0,
             pages: VecDeque::new(),
             latest: FastMap::default(),
-            pages_written: 0,
             entries_pushed: 0,
             track_inflight: false,
             inflight: Vec::new(),
@@ -236,12 +234,6 @@ impl<E: LogEntry> MetaLog<E> {
         self.tail - self.head
     }
 
-    /// Total metadata pages ever written (the Figure 4 numerator).
-    #[cfg(test)]
-    fn pages_written(&self) -> u64 {
-        self.pages_written
-    }
-
     /// Entries pushed by the caller (excludes GC reinsertions).
     pub fn entries_pushed(&self) -> u64 {
         self.entries_pushed
@@ -253,6 +245,8 @@ impl<E: LogEntry> MetaLog<E> {
     }
 
     /// NVRAM head/tail counters (what §III-E1 restores after power loss).
+    /// Both start at 0 and step once per page, so the tail is also the
+    /// count of pages ever written.
     pub fn counters(&self) -> (u64, u64) {
         (self.head, self.tail)
     }
@@ -399,7 +393,6 @@ impl<E: LogEntry> MetaLog<E> {
         let seq = self.tail;
         self.tail += 1;
         self.pages.push_back(MetaPage { seq, start, entries: Arc::clone(&entries) });
-        self.pages_written = self.pages_written.saturating_add(1);
         let batch = CommitBatch { slot: seq % self.partition_pages, seq, entries };
         if self.track_inflight {
             // Batches GC'd past the head can no longer matter to recovery.
@@ -491,7 +484,6 @@ mod tests {
             buffer_index: FastMap<u64, usize>,
             pages: VecDeque<MetaPage<E>>,
             latest: FastMap<u64, Latest>,
-            pages_written: u64,
             entries_pushed: u64,
             /// When enabled, committed-but-unconfirmed batches are retained (an
             /// NVRAM-resident redo list) so recovery can tolerate a torn or lost
@@ -521,7 +513,6 @@ mod tests {
                     buffer_index: FastMap::default(),
                     pages: VecDeque::new(),
                     latest: FastMap::default(),
-                    pages_written: 0,
                     entries_pushed: 0,
                     track_inflight: false,
                     inflight: Vec::new(),
@@ -562,11 +553,6 @@ mod tests {
             /// Log pages currently in use.
             pub fn used_pages(&self) -> u64 {
                 self.tail - self.head
-            }
-
-            /// Total metadata pages ever written (the Figure 4 numerator).
-            pub fn pages_written(&self) -> u64 {
-                self.pages_written
             }
 
             /// Entries pushed by the caller (excludes GC reinsertions).
@@ -749,7 +735,6 @@ mod tests {
                     self.latest.insert(e.key(), Latest::Page(seq));
                 }
                 self.pages.push_back(MetaPage { seq, entries: entries.clone() });
-                self.pages_written = self.pages_written.saturating_add(1);
                 let batch =
                     CommitBatch { slot: seq % self.partition_pages, seq, entries: entries.into() };
                 if self.track_inflight {
@@ -845,7 +830,6 @@ mod tests {
             assert_eq!(log.buffered_snapshot(), old.buffered_snapshot(), "call {i} {call:?}");
             assert_eq!(sorted(log.recover_live()), sorted(old.recover_live()), "call {i} {call:?}");
             assert_eq!(log.counters(), old.counters(), "call {i}");
-            assert_eq!(log.pages_written(), old.pages_written(), "call {i}");
             assert_eq!(log.entries_pushed(), old.entries_pushed(), "call {i}");
             assert_eq!(log.buffered_entries(), old.buffered_entries(), "call {i}");
             assert_eq!(tuples(log.unconfirmed()), tuples(old.unconfirmed()), "call {i}");
@@ -920,18 +904,8 @@ mod tests {
         assert_eq!(commits.len(), 1);
         assert_eq!(commits[0].entries.len(), 4);
         assert_eq!(commits[0].slot, 0);
-        assert_eq!(log.pages_written(), 1);
+        assert_eq!(log.counters().1, 1, "one page written");
         assert_eq!(log.used_pages(), 1);
-    }
-
-    /// The page counter saturates instead of wrapping (or panicking: tests
-    /// run with overflow checks on).
-    #[test]
-    fn pages_written_saturates() {
-        let mut log = MetaLog::new(8, 1);
-        log.pages_written = u64::MAX;
-        assert_eq!(log.push(key(1)).unwrap().len(), 1);
-        assert_eq!(log.pages_written(), u64::MAX);
     }
 
     #[test]
@@ -973,10 +947,10 @@ mod tests {
             log.push(key(k)).unwrap(); // rewrite: newer copies further down the log
         }
         assert!(log.used_pages() <= 5);
-        let before = log.pages_written();
+        let before = log.counters().1;
         log.push(key(100)).unwrap();
         log.push(key(101)).unwrap();
-        assert!(log.pages_written() > before);
+        assert!(log.counters().1 > before);
         assert!(log.counters().0 > 0, "GC reclaimed a head page");
         // Every key still recoverable.
         let mut live: Vec<u64> = log.recover_live().iter().map(|e| e.key).collect();
@@ -1015,7 +989,7 @@ mod tests {
                 }
             }
             log.flush().unwrap();
-            log.pages_written()
+            log.counters().1
         };
         let small = run(8);
         let big = run(256);
@@ -1060,7 +1034,7 @@ mod tests {
         let (head, tail) = log.counters();
         assert!(tail >= head);
         assert!(tail - head <= 2);
-        assert_eq!(log.pages_written(), 10);
+        assert_eq!(tail, 10, "one page per entry");
     }
 
     #[test]
@@ -1116,7 +1090,7 @@ mod tests {
         }
         single.flush().unwrap();
         assert!(
-            grouped.pages_written() <= single_pages as u64 + 1,
+            grouped.counters().1 <= single_pages as u64 + 1,
             "group commit must never write more pages"
         );
         assert_eq!(grouped.entries_pushed(), 32);

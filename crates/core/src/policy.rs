@@ -35,7 +35,7 @@ use kdd_cache::effects::{AccessOutcome, Effects};
 use kdd_cache::nvbuf::ENTRY_BYTES;
 use kdd_cache::policies::{set_of_row, CachePolicy, RaidModel};
 use kdd_cache::setassoc::{PageState, SetAssocCache};
-use kdd_cache::stats::CacheStats;
+use kdd_cache::stats::{record, CacheStats};
 use kdd_delta::model::DeltaSizeModel;
 use kdd_trace::record::Op;
 use kdd_util::lru::GhostList;
@@ -53,6 +53,36 @@ fn meta_pages(commits: Result<Commits<'_, KeyEntry>, PartitionTooSmall>) -> u32 
         Ok(batches) => batches.len() as u32,
         Err(e) => panic!("{e}"),
     }
+}
+
+/// The design a [`KddPolicy`] runs: the paper's, or one alternative the
+/// ablation studies measure it against. [`crate::KddEngine`] runs the
+/// paper's alone.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum KddVariant {
+    /// The paper's design (§III).
+    Paper,
+    /// Pages hash into cache sets one by one instead of by parity stripe
+    /// (§III-B's spatial-locality mapping, switched off).
+    PageHashedSets,
+    /// Every mapping change writes its own metadata page instead of
+    /// batching entries in NVRAM (§III-B's motivation for the circular
+    /// log).
+    UnbatchedMetadata,
+    /// After a parity update, combine old + delta into a fresh *clean*
+    /// page (§III-D's first reclamation scheme) instead of freeing it (the
+    /// second, the paper's choice).
+    ReclaimAsClean,
+    /// Statically reserve this fraction of the cache for the Delta Zone
+    /// instead of mixing DAZ/DEZ pages in each set — the alternative
+    /// §III-B rejects ("it is hard to determine the appropriate size of
+    /// these zones").
+    FixedDez(f64),
+    /// LARC-style lazy admission (§V-C calls selective allocation
+    /// "complementary to our KDD"): a missed page is cached only on its
+    /// second miss within the ghost window, filtering one-hit wonders out
+    /// of the allocation writes.
+    LazyAdmission,
 }
 
 /// The KDD cache-management policy (accounting mode).
@@ -84,6 +114,7 @@ fn meta_pages(commits: Result<Commits<'_, KeyEntry>, PartitionTooSmall>) -> u32 
 pub struct KddPolicy {
     /// The directory, DEZ index, pending rows, counters and configuration.
     z: Zones,
+    variant: KddVariant,
     model: Box<dyn DeltaSizeModel>,
     staging: StagingBuffer<u32>,
     metalog: MetaLog<KeyEntry>,
@@ -96,12 +127,23 @@ pub struct KddPolicy {
 }
 
 impl KddPolicy {
-    /// Build a KDD cache with the given delta-compressibility model.
+    /// Build the paper's KDD cache with the given delta-compressibility
+    /// model.
     pub fn new(config: KddConfig, raid: RaidModel, model: Box<dyn DeltaSizeModel>) -> Self {
-        let grouping = if config.stripe_aligned_sets {
-            raid.set_grouping()
-        } else {
+        Self::with_variant(config, raid, model, KddVariant::Paper)
+    }
+
+    /// Build a KDD cache that runs `variant`.
+    pub fn with_variant(
+        config: KddConfig,
+        raid: RaidModel,
+        model: Box<dyn DeltaSizeModel>,
+        variant: KddVariant,
+    ) -> Self {
+        let grouping = if variant == KddVariant::PageHashedSets {
             kdd_cache::setassoc::SetGrouping::Pages(1)
+        } else {
+            raid.set_grouping()
         };
         let page_size = config.geometry.page_size;
         assert!(page_size <= u32::from(u16::MAX), "a delta's length must fit 16 bits");
@@ -110,7 +152,7 @@ impl KddPolicy {
         // and puts the reserved slots in a simple pool.
         let mut geometry = config.geometry;
         let mut fixed_dez_ids = Vec::new();
-        if let Some(f) = config.fixed_dez_fraction {
+        if let KddVariant::FixedDez(f) = variant {
             assert!((0.0..1.0).contains(&f), "DEZ fraction must be in [0,1)");
             let fixed_dez = (geometry.total_pages as f64 * f) as u64;
             geometry.total_pages = (geometry.total_pages - fixed_dez).max(1);
@@ -119,11 +161,11 @@ impl KddPolicy {
         }
         KddPolicy {
             z: Zones::new(config, raid.layout, SetAssocCache::new_grouped(geometry, grouping)),
+            variant,
             model,
             staging: StagingBuffer::new(page_size),
             metalog: MetaLog::new(config.meta_partition_pages(), epp),
-            ghost: config
-                .lazy_admission
+            ghost: (variant == KddVariant::LazyAdmission)
                 .then(|| GhostList::new(config.geometry.total_pages as usize)),
             fixed_dez_ids,
         }
@@ -154,7 +196,7 @@ impl KddPolicy {
     /// Log `lba`'s mapping, or its tombstone.
     fn log(&mut self, lba: u64, tombstone: bool, fx: &mut Effects) {
         fx.ssd_meta_writes += meta_pages(self.metalog.push(KeyEntry { key: lba, tombstone }));
-        if !self.z.config.nvram_batching {
+        if self.variant == KddVariant::UnbatchedMetadata {
             fx.ssd_meta_writes += meta_pages(self.metalog.flush());
         }
     }
@@ -198,7 +240,7 @@ impl KddPolicy {
     /// first if that frees one), else the slot of the evicted
     /// [`SetAssocCache::dez_victim`].
     fn alloc_dez_slot(&mut self, fx: &mut Effects) -> Option<u32> {
-        if self.z.config.fixed_dez_fraction.is_some() {
+        if matches!(self.variant, KddVariant::FixedDez(_)) {
             if self.fixed_dez_ids.is_empty() {
                 let Ok(()) = cleaner::compact(self, fx); // try to reclaim partition slots
             }
@@ -277,11 +319,12 @@ impl CleanerIo for KddPolicy {
     }
 
     /// The paper's second scheme frees the page; the first
-    /// (`reclaim_as_clean`) combines old + delta and rewrites it clean, an
-    /// extra SSD program per victim that keeps the page's delta path.
+    /// ([`KddVariant::ReclaimAsClean`]) combines old + delta and rewrites
+    /// it clean, an extra SSD program per victim that keeps the page's
+    /// delta path.
     fn reclaim(&mut self, lba: u64, slot: u32, fx: &mut Effects) -> Done<Self> {
         cleaner::invalidate_delta(self, lba)?;
-        if self.z.config.reclaim_as_clean {
+        if self.variant == KddVariant::ReclaimAsClean {
             self.z.cache.set_state(slot, PageState::Clean);
             fx.ssd_data_writes += 1;
             self.log(lba, false, fx);
@@ -297,7 +340,7 @@ impl CleanerIo for KddPolicy {
     }
 
     fn free_dez_slot(&mut self, slot: u32) -> Done<Self> {
-        if self.z.config.fixed_dez_fraction.is_some() {
+        if matches!(self.variant, KddVariant::FixedDez(_)) {
             self.fixed_dez_ids.push(slot);
         } else {
             self.z.cache.free_slot(slot);
@@ -403,7 +446,7 @@ impl CachePolicy for KddPolicy {
         };
         let mut outcome = AccessOutcome::new(hit, fx);
         outcome.background = bg;
-        self.z.stats.record(op == Op::Read, &outcome);
+        record(&mut self.z.stats, op == Op::Read, &outcome);
         outcome
     }
 
@@ -490,10 +533,10 @@ mod tests {
     #[test]
     fn fixed_dez_ids_are_recycled_inside_the_partition() {
         let g = CacheGeometry { total_pages: 128, ways: 8, page_size: 4096 };
-        let mut config = KddConfig::new(g);
-        config.fixed_dez_fraction = Some(0.10);
         let model = Box::new(FixedDeltaModel::new(0.25));
-        let mut p = KddPolicy::new(config, RaidModel::paper_default(100_000), model);
+        let raid = RaidModel::paper_default(100_000);
+        let mut p =
+            KddPolicy::with_variant(KddConfig::new(g), raid, model, KddVariant::FixedDez(0.10));
         let partition = 116u32..128; // 12 reserved slots above 116 DAZ slots
         let mut fx = Effects::default();
         let (mut live, mut issued) = (Vec::new(), 0);
@@ -520,20 +563,18 @@ mod tests {
 
     /// The engine's live-byte recount, on the counting copy: seeded random
     /// read/write mixes with Gaussian delta sizes, under the paper's
-    /// configuration, a fixed DEZ partition and reclaim-as-clean. After
+    /// design, a fixed DEZ partition and reclaim-as-clean. After
     /// every access the index recounts (each DEZ page's live bytes are the
     /// sizes of the deltas located in it, the total their sum) and locates
     /// a delta for exactly the old pages; `flush` empties the index.
     #[test]
     fn dez_live_counters_match_recount_under_random_mixes() {
         let g = CacheGeometry { total_pages: 128, ways: 8, page_size: 4096 };
-        let mut fixed = KddConfig::new(g);
-        fixed.fixed_dez_fraction = Some(0.10);
-        let mut as_clean = KddConfig::new(g);
-        as_clean.reclaim_as_clean = true;
-        for (config, seed) in [KddConfig::new(g), fixed, as_clean].into_iter().zip(1u64..) {
+        let variants = [KddVariant::Paper, KddVariant::FixedDez(0.10), KddVariant::ReclaimAsClean];
+        for (variant, seed) in variants.into_iter().zip(1u64..) {
             let model = Box::new(GaussianDeltaModel::new(0.25, seed));
-            let mut p = KddPolicy::new(config, RaidModel::paper_default(100_000), model);
+            let raid = RaidModel::paper_default(100_000);
+            let mut p = KddPolicy::with_variant(KddConfig::new(g), raid, model, variant);
             let (mut merged, mut pages_peak) = (0, 0);
             let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             for step in 0..6_000 {
@@ -730,9 +771,9 @@ mod tests {
     fn lazy_admission_filters_one_hit_wonders() {
         let g = CacheGeometry { total_pages: 256, ways: 64, page_size: 4096 };
         let raid = RaidModel::paper_default(1_000_000);
-        let mut cfg = KddConfig::new(g);
-        cfg.lazy_admission = true;
-        let mut lazy = KddPolicy::new(cfg, raid, Box::new(FixedDeltaModel::new(0.25)));
+        let model = Box::new(FixedDeltaModel::new(0.25));
+        let mut lazy =
+            KddPolicy::with_variant(KddConfig::new(g), raid, model, KddVariant::LazyAdmission);
         let mut eager = kdd(256, 0.25);
         // A scan of one-hit wonders plus a small hot set accessed twice.
         for i in 0..4000u64 {

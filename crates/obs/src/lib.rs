@@ -59,7 +59,7 @@ pub use json::Json;
 pub use recorder::{Recorder, RecorderConfig};
 pub use registry::Log2Hist;
 pub use ring::{BackgroundSpan, Completion, HitClass, ReqKind, SpanBody, SpanEvent, SpanRing};
-pub use snapshot::{validate_snapshot, CacheCounters, Sample};
+pub use snapshot::{validate_snapshot, CacheStats, Sample};
 pub use stage::{Stage, StageTimes};
 pub use trace::trace_events;
 

@@ -135,9 +135,9 @@ impl ObsCore {
             ("delta.comp_milli", self.comp_milli.export()),
         ]);
         let derived = obj(vec![
-            ("cache.hit_ratio", Json::Num(frac(c.hits(), c.requests()))),
-            ("cache.read_hit_ratio", Json::Num(frac(c.read_hits, c.read_hits + c.read_misses))),
-            ("cache.metadata_fraction", Json::Num(frac(c.ssd_meta_writes, c.ssd_writes_pages()))),
+            ("cache.hit_ratio", Json::Num(c.hit_ratio())),
+            ("cache.read_hit_ratio", Json::Num(c.read_hit_ratio())),
+            ("cache.metadata_fraction", Json::Num(c.metadata_fraction())),
             ("ssd.waf", Json::Num(frac(fin.nand_written_bytes, fin.host_written_bytes))),
             ("metalog.occupancy", Json::Num(frac(fin.metalog_pages_used, fin.metalog_pages_total))),
         ]);
@@ -284,7 +284,7 @@ impl Recorder {
 mod tests {
     use super::*;
     use crate::ring::HitClass;
-    use crate::snapshot::{validate_snapshot, CacheCounters};
+    use crate::snapshot::{validate_snapshot, CacheStats};
 
     fn completion(lba: u64, service: SimTime) -> Completion {
         Completion::new(ReqKind::Write, lba, HitClass::WriteHitDelta, service)
@@ -318,7 +318,7 @@ mod tests {
         r.record(completion(3, SimTime::from_micros(50)));
         let fin = Sample {
             at: r.now(),
-            cache: CacheCounters { write_hits: 1, ..CacheCounters::default() },
+            cache: CacheStats { write_hits: 1, ..CacheStats::default() },
             host_written_bytes: 4096,
             nand_written_bytes: 8192,
             ..Sample::default()

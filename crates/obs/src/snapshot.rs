@@ -9,50 +9,82 @@
 
 use crate::frac;
 use crate::json::{obj, Json};
-use kdd_util::SimTime;
+use kdd_util::{ByteSize, SimTime};
 
-/// Integer mirror of `kdd_cache::stats::CacheStats`.
-///
-/// `kdd-obs` sits below the cache crate in the dependency graph, so the
-/// cache exports its totals through this struct (see
-/// `CacheStats::counters()`) instead of the recorder depending on the
-/// cache types.
+/// Cumulative counters for one cache run: every policy's and the engine's
+/// account of its requests and device I/O. `kdd-cache` re-exports it as
+/// `kdd_cache::stats::CacheStats` and folds each access into it there;
+/// it lives here so a [`Sample`] carries it as it is.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // field names match CacheStats one-to-one
-pub struct CacheCounters {
+pub struct CacheStats {
+    /// Read requests that hit.
     pub read_hits: u64,
+    /// Read requests that missed.
     pub read_misses: u64,
+    /// Write requests that hit.
     pub write_hits: u64,
+    /// Write requests that missed.
     pub write_misses: u64,
+    /// SSD data pages written (fills, allocations, updates, versions).
     pub ssd_data_writes: u64,
+    /// SSD delta pages written (KDD).
     pub ssd_delta_writes: u64,
+    /// SSD metadata pages written.
     pub ssd_meta_writes: u64,
+    /// SSD pages read.
     pub ssd_reads: u64,
+    /// RAID member pages read.
     pub raid_reads: u64,
+    /// RAID member pages written.
     pub raid_writes: u64,
+    /// Pages evicted from the cache.
     pub evictions: u64,
+    /// Background parity updates performed (rows repaired).
     pub parity_updates: u64,
+    /// Cleaning passes run.
     pub cleanings: u64,
+    /// Device faults observed by the engine (failed reads/writes of any
+    /// kind, before retry or fallback).
     pub faults_observed: u64,
+    /// Operations retried after a transient device fault.
     pub fault_retries: u64,
+    /// Requests served by falling back to pass-through RAID after a
+    /// persistent SSD fault.
     pub fault_fallbacks: u64,
+    /// Torn/corrupt metadata log pages detected (and healed from the
+    /// NVRAM in-flight copy) during power-failure recovery.
     pub torn_pages_detected: u64,
 }
 
-impl CacheCounters {
-    /// Total requests folded into these counters.
+impl CacheStats {
+    /// All requests seen.
     pub fn requests(&self) -> u64 {
         self.read_hits + self.read_misses + self.write_hits + self.write_misses
     }
 
-    /// Hits (read + write) out of all requests.
-    pub fn hits(&self) -> u64 {
-        self.read_hits + self.write_hits
+    /// Overall cache hit ratio (reads + writes), as Figures 5/7 plot.
+    pub fn hit_ratio(&self) -> f64 {
+        frac(self.read_hits + self.write_hits, self.requests())
     }
 
-    /// Total SSD page writes across data, delta and metadata classes.
+    /// Read-only hit ratio.
+    pub fn read_hit_ratio(&self) -> f64 {
+        frac(self.read_hits, self.read_hits + self.read_misses)
+    }
+
+    /// Total SSD pages written.
     pub fn ssd_writes_pages(&self) -> u64 {
         self.ssd_data_writes + self.ssd_delta_writes + self.ssd_meta_writes
+    }
+
+    /// Total SSD bytes written — the write-traffic metric of Figures 6/8/11.
+    pub fn ssd_write_bytes(&self, page_size: u32) -> ByteSize {
+        ByteSize(self.ssd_writes_pages() * page_size as u64)
+    }
+
+    /// Metadata share of SSD write traffic — the Figure 4 metric.
+    pub fn metadata_fraction(&self) -> f64 {
+        frac(self.ssd_meta_writes, self.ssd_writes_pages())
     }
 }
 
@@ -64,7 +96,7 @@ pub struct Sample {
     /// Simulated time of the reading.
     pub at: SimTime,
     /// Cache traffic totals at this instant.
-    pub cache: CacheCounters,
+    pub cache: CacheStats,
     /// Host bytes written to the SSD so far.
     pub host_written_bytes: u64,
     /// NAND bytes physically written (≥ host bytes; WAF numerator).
@@ -96,12 +128,12 @@ impl Sample {
             ("read_misses", Json::Num(c.read_misses as f64)),
             ("write_hits", Json::Num(c.write_hits as f64)),
             ("write_misses", Json::Num(c.write_misses as f64)),
-            ("hit_ratio", Json::Num(frac(c.hits(), c.requests()))),
+            ("hit_ratio", Json::Num(c.hit_ratio())),
             ("ssd_reads", Json::Num(c.ssd_reads as f64)),
             ("ssd_data_writes", Json::Num(c.ssd_data_writes as f64)),
             ("ssd_delta_writes", Json::Num(c.ssd_delta_writes as f64)),
             ("ssd_meta_writes", Json::Num(c.ssd_meta_writes as f64)),
-            ("metadata_fraction", Json::Num(frac(c.ssd_meta_writes, c.ssd_writes_pages()))),
+            ("metadata_fraction", Json::Num(c.metadata_fraction())),
             ("raid_reads", Json::Num(c.raid_reads as f64)),
             ("raid_writes", Json::Num(c.raid_writes as f64)),
             ("host_written_bytes", Json::Num(self.host_written_bytes as f64)),

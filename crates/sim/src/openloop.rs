@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// trace drivers have no device gauges (those belong to the engine), so
 /// only the cache-counter half of the sample is populated.
 fn policy_sample(policy: &dyn CachePolicy, at: SimTime) -> Sample {
-    Sample { at, cache: policy.stats().counters(), ..Sample::default() }
+    Sample { at, cache: *policy.stats(), ..Sample::default() }
 }
 
 /// Export the recorder's snapshot after a policy-level (counting) run:
