@@ -15,8 +15,6 @@ pub enum FaultDomain {
     Ssd,
     /// RAID member disk by index.
     Disk(u32),
-    /// The battery-backed NVRAM region.
-    Nvram,
 }
 
 impl fmt::Display for FaultDomain {
@@ -25,7 +23,6 @@ impl fmt::Display for FaultDomain {
             FaultDomain::Unknown => write!(f, "device"),
             FaultDomain::Ssd => write!(f, "ssd"),
             FaultDomain::Disk(d) => write!(f, "disk{d}"),
-            FaultDomain::Nvram => write!(f, "nvram"),
         }
     }
 }
@@ -54,13 +51,6 @@ pub enum DevError {
     WornOut {
         /// Physical block that wore out.
         block: u64,
-    },
-    /// NVRAM region capacity exceeded.
-    NvramFull {
-        /// Bytes requested.
-        requested: u64,
-        /// Bytes available.
-        available: u64,
     },
     /// Read of a logical page that was never written (strict mode).
     Unmapped {
@@ -100,9 +90,6 @@ impl fmt::Display for DevError {
             }
             DevError::PowerLoss => write!(f, "power loss: all devices stopped"),
             DevError::WornOut { block } => write!(f, "flash block {block} worn out"),
-            DevError::NvramFull { requested, available } => {
-                write!(f, "NVRAM full: requested {requested}B, available {available}B")
-            }
             DevError::Unmapped { lpn } => write!(f, "page {lpn} unmapped"),
         }
     }
@@ -118,7 +105,6 @@ mod tests {
     fn display_messages() {
         assert!(DevError::OutOfRange { lpn: 9, capacity: 4 }.to_string().contains("out of range"));
         assert!(DevError::WornOut { block: 3 }.to_string().contains("worn out"));
-        assert!(DevError::NvramFull { requested: 10, available: 4 }.to_string().contains("NVRAM"));
         assert!(DevError::Unmapped { lpn: 1 }.to_string().contains("unmapped"));
         assert!(DevError::PowerLoss.to_string().contains("power loss"));
     }
@@ -143,7 +129,6 @@ mod tests {
     fn fault_domain_display() {
         assert_eq!(FaultDomain::Ssd.to_string(), "ssd");
         assert_eq!(FaultDomain::Disk(7).to_string(), "disk7");
-        assert_eq!(FaultDomain::Nvram.to_string(), "nvram");
         assert_eq!(FaultDomain::Unknown.to_string(), "device");
     }
 }

@@ -199,7 +199,7 @@ impl FaultPlan {
 
     /// Parse a compact plan string: comma-separated `device@op:kind` clauses.
     ///
-    /// Devices: `ssd`, `nvram`, `disk<N>`, `any`. Kinds: `transient`,
+    /// Devices: `ssd`, `disk<N>`, `any`. Kinds: `transient`,
     /// `persistent`, `drop`, `torn=<valid_bytes>`, `corrupt=<offset>+<len>`,
     /// `power`. Example: `ssd@120:transient,disk1@50:drop,any@200:power`.
     pub fn parse(s: &str) -> Result<Self, String> {
@@ -215,7 +215,6 @@ impl FaultPlan {
                 op_s.parse().map_err(|_| format!("`{clause}`: bad op index `{op_s}`"))?;
             let device = match dev_s {
                 "ssd" => FaultDomain::Ssd,
-                "nvram" => FaultDomain::Nvram,
                 "any" => FaultDomain::Unknown,
                 d => match d.strip_prefix("disk").and_then(|n| n.parse::<u32>().ok()) {
                     Some(n) => FaultDomain::Disk(n),
@@ -585,5 +584,13 @@ mod tests {
             FaultPlan::parse("disk0@3:corrupt=16+32").unwrap().specs[0].kind
                 == FaultKind::CorruptPage { offset: 16, len: 32 }
         );
+    }
+
+    /// No device in the stack models NVRAM I/O, so a fault there would
+    /// never fire: a plan naming it is refused, not silently inert.
+    #[test]
+    fn a_plan_naming_nvram_is_refused() {
+        let err = FaultPlan::parse("nvram@5:transient").unwrap_err();
+        assert!(err.contains("unknown device `nvram`"), "{err}");
     }
 }

@@ -13,11 +13,12 @@
 //!   *lifetime* claim (§IV-A3: "extending the lifetime of SSD by up to
 //!   5.1×");
 //! * [`ssd`] — an SSD device combining the FTL with channel-parallel
-//!   timing;
-//! * [`nvram`] — the battery-backed RAM the paper assumes for KDD's staging
-//!   buffer, metadata buffer and log head/tail counters (§III-B), with
-//!   capacity accounting and power-failure survival semantics for the
-//!   recovery tests.
+//!   timing.
+//!
+//! The battery-backed RAM the paper assumes for KDD's staging buffer,
+//! metadata buffer and log head/tail counters (§III-B) is no device here:
+//! the engine keeps that state in its own fields and carries it across a
+//! power cycle.
 
 #![warn(missing_docs)]
 // No unwinding outside tests: the I/O path fails through typed errors,
@@ -36,7 +37,6 @@ pub mod fault;
 pub mod flash;
 pub mod ftl;
 pub mod hdd;
-pub mod nvram;
 pub mod ssd;
 pub mod store;
 
@@ -47,6 +47,5 @@ pub use fault::{
 pub use flash::{FlashGeometry, FlashTimings};
 pub use ftl::{EnduranceReport, Ftl};
 pub use hdd::HddModel;
-pub use nvram::Nvram;
 pub use ssd::SsdDevice;
 pub use store::{MemStore, PageStore};

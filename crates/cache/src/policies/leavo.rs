@@ -67,12 +67,12 @@ impl LeavO {
         fx.ssd_meta_writes += self.meta.push();
     }
 
-    /// Repair all pending rows, freeing old versions and unpinning the
-    /// current copies. Returns the work performed.
+    /// Repair all pending rows, oldest first, freeing old versions and
+    /// unpinning the current copies. Returns the work performed.
     fn clean_all(&mut self) -> Effects {
         let mut fx = Effects::default();
         let mut lbas = std::mem::take(&mut self.scratch_lbas);
-        for row in self.pending.row_ids() {
+        while let Some(row) = self.pending.oldest_row() {
             // Reconstruct-write only if *every* data page of the row is in
             // cache with current content.
             let reconstruct = self.raid.row_lpns(row).all(|l| self.cache.lookup(l).is_some());

@@ -4,6 +4,7 @@
 // counts). See DESIGN.md "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation)]
 
+use kdd_blockdev::fault::FaultPlan;
 use kdd_cache::policies::{CachePolicy, RaidModel};
 use kdd_cache::setassoc::CacheGeometry;
 use kdd_sim::closedloop::run_closed_loop;
@@ -35,7 +36,8 @@ pub struct Opts {
     pub seed: u64,
     pub cache_frac: f64,
     pub read_rate: f64,
-    pub plan: Option<String>,
+    /// `--plan`, parsed with the command line.
+    pub plan: Option<FaultPlan>,
     pub ops: u64,
     pub n_faults: usize,
     pub json: bool,
@@ -128,7 +130,7 @@ impl Opts {
                     o.threshold = Some(v);
                 }
                 "--obs" => o.obs = Some(take("obs")?),
-                "--plan" => o.plan = Some(take("plan")?),
+                "--plan" => o.plan = Some(FaultPlan::parse(&take("plan")?)?),
                 "--ops" => o.ops = take("ops")?.parse().map_err(|e| format!("bad --ops: {e}"))?,
                 "--faults" => {
                     o.n_faults =
@@ -373,7 +375,36 @@ pub fn fio(o: &Opts) -> Result<(), String> {
 /// `faults`: run the full engine under an injected fault plan and report
 /// what fired, how the engine degraded, and whether RPO 0 held.
 pub fn faults(o: &Opts) -> Result<(), String> {
-    use kdd_blockdev::fault::{FaultInjector, FaultPlan};
+    fault_drill(o).map(drop)
+}
+
+/// The summary `faults` prints after its RPO check.
+#[derive(Debug, Default)]
+struct DrillSummary {
+    /// Engine fault counters, summed over every engine: a power cycle
+    /// returns an engine that counts from zero.
+    observed: u64,
+    retried: u64,
+    fallbacks: u64,
+    torn_healed: u64,
+    recoveries: u64,
+    /// Writes acknowledged, and the distinct pages they went to.
+    writes: u64,
+    pages: usize,
+    errors: u64,
+}
+
+impl DrillSummary {
+    fn count_faults(&mut self, s: &kdd_cache::stats::CacheStats) {
+        self.observed += s.faults_observed;
+        self.retried += s.fault_retries;
+        self.fallbacks += s.fault_fallbacks;
+        self.torn_healed += s.torn_pages_detected;
+    }
+}
+
+fn fault_drill(o: &Opts) -> Result<DrillSummary, String> {
+    use kdd_blockdev::fault::FaultInjector;
     use kdd_blockdev::SsdDevice;
     use kdd_core::engine::{EngineMode, KddEngine};
     use kdd_core::KddConfig;
@@ -384,7 +415,7 @@ pub fn faults(o: &Opts) -> Result<(), String> {
     const PAGE: u32 = 4096;
     const DISKS: u32 = 5;
     let plan = match &o.plan {
-        Some(s) => FaultPlan::parse(s)?,
+        Some(plan) => plan.clone(),
         None => FaultPlan::randomized(o.seed, o.ops * 4, DISKS, o.n_faults),
     };
     println!(
@@ -408,8 +439,7 @@ pub fn faults(o: &Opts) -> Result<(), String> {
     // BTreeMap: the verification sweep iterates this, and its order
     // must not vary run-to-run (RandomState would reorder the output).
     let mut acked: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let mut errors = 0u64;
-    let mut recoveries = 0u64;
+    let mut sum = DrillSummary::default();
     let mut unacked: Option<u64> = None;
     for i in 0..o.ops {
         let lba = (i.wrapping_mul(31) + i / 7) % working_set;
@@ -420,15 +450,17 @@ pub fn faults(o: &Opts) -> Result<(), String> {
         match engine.write(lba, &next) {
             Ok(_) => {
                 acked.insert(lba, next);
+                sum.writes += 1;
                 unacked = None;
             }
             Err(e) => {
-                errors += 1;
+                sum.errors += 1;
                 unacked = Some(lba);
                 if injector.power_lost() {
                     println!("op {i}: power lost mid-write ({e}); running §III-E1 recovery");
+                    sum.count_faults(engine.stats());
                     engine = engine.power_cycle().map_err(|e| format!("recovery failed: {e}"))?;
-                    recoveries += 1;
+                    sum.recoveries += 1;
                 } else {
                     println!("op {i}: write to lba {lba} failed: {e}");
                 }
@@ -465,21 +497,20 @@ pub fn faults(o: &Opts) -> Result<(), String> {
     for ev in injector.events() {
         println!("  op {:>6}  {:?} {:?}: {:?}", ev.op, ev.device, ev.dir, ev.kind);
     }
+    sum.count_faults(engine.stats());
+    sum.pages = acked.len();
     println!(
         "\nengine: {} observed, {} retried, {} fallbacks, {} torn pages healed, {} power recoveries",
-        engine.stats().faults_observed,
-        engine.stats().fault_retries,
-        engine.stats().fault_fallbacks,
-        engine.stats().torn_pages_detected,
-        recoveries,
+        sum.observed, sum.retried, sum.fallbacks, sum.torn_healed, sum.recoveries,
     );
     if engine.mode() == EngineMode::PassThrough {
         println!("engine is in pass-through mode (SSD and spare both dead)");
     }
     println!(
-        "workload: {} writes acked, {} errors surfaced, stale rows now {}",
-        acked.len(),
-        errors,
+        "workload: {} writes acked to {} pages, {} errors surfaced, stale rows now {}",
+        sum.writes,
+        sum.pages,
+        sum.errors,
         engine.raid().stale_row_count()
     );
     if lost > 0 {
@@ -489,7 +520,7 @@ pub fn faults(o: &Opts) -> Result<(), String> {
         return Err(format!("final flush failed: {e}"));
     }
     println!("RPO 0 verified: no acknowledged write lost");
-    Ok(())
+    Ok(sum)
 }
 
 /// Drive the full engine over a seeded paper workload with an enabled
@@ -846,6 +877,20 @@ mod tests {
         if let Err(e) = std::fs::remove_dir_all(&dir) {
             eprintln!("tempdir cleanup failed ({}): {e}", dir.display());
         }
+    }
+
+    /// The plan in `kddtool help`: a member drop (op 60) and a transient
+    /// SSD fault (op 120) fire before the power cut, so the summary counts
+    /// them across the recovery; the cut's own failed write is the one
+    /// error, and 1 499 writes went to the 192-page working set. A plan
+    /// naming a device that does no I/O is a usage error.
+    #[test]
+    fn fault_drill_counts_across_power_cycles() {
+        assert!(Opts::parse(&s(&["--plan", "nvram@5:transient"])).is_err());
+        let plan = "ssd@120:transient,disk1@50:drop,any@900:power";
+        let sum = fault_drill(&Opts::parse(&s(&["--plan", plan])).unwrap()).unwrap();
+        assert_eq!((sum.writes, sum.pages, sum.errors, sum.recoveries), (1499, 192, 1, 1));
+        assert_eq!((sum.observed, sum.retried, sum.fallbacks), (3, 2, 0));
     }
 
     #[test]

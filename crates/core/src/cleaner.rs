@@ -59,11 +59,6 @@ pub(crate) trait CleanerIo: Sized {
     type Error;
     /// A merged DEZ page's bytes on top of its payloads: per page, per delta.
     const MERGE_OVERHEAD: (u32, u32);
-    /// Whether a NoRoom reclaim counts in `CacheStats::cleanings`.
-    const NOROOM_IS_A_CLEANING: bool;
-    /// Whether a pass over every row takes them in the pending map's
-    /// order instead of least recently written first.
-    const FULL_PASS_IN_MAP_ORDER: bool;
 
     fn zones(&mut self) -> &mut Zones;
     /// Whether `row`'s parity lags its data. The counting model keeps no
@@ -113,17 +108,12 @@ pub(crate) fn maybe_clean<B: CleanerIo>(b: &mut B, c: &mut B::Cost) -> Done<B> {
 
 /// Clean the least recently written rows first — §III-D's cold victims,
 /// so hot pages keep their delta path — until pinned slots are down to
-/// `low`, or every row (`None`; see [`CleanerIo::FULL_PASS_IN_MAP_ORDER`]).
+/// `low`, or every row (`None`). A failed row is pending again, now as the
+/// youngest.
 pub(crate) fn clean_oldest<B: CleanerIo>(b: &mut B, low: Option<u64>, c: &mut B::Cost) -> Done<B> {
-    if low.is_none() && B::FULL_PASS_IN_MAP_ORDER {
-        for row in b.zones().pending.row_ids() {
-            clean_row(b, row, c)?;
-        }
-    } else {
-        while low.is_none_or(|low| b.zones().pinned() > low) {
-            let Some(row) = b.zones().pending.oldest_row() else { break };
-            clean_row(b, row, c)?;
-        }
+    while low.is_none_or(|low| b.zones().pinned() > low) {
+        let Some(row) = b.zones().pending.oldest_row() else { break };
+        clean_row(b, row, c)?;
     }
     b.zones().stats.cleanings += 1;
     Ok(())
@@ -168,8 +158,9 @@ fn repair_and_reclaim<B: CleanerIo>(b: &mut B, row: u64, lbas: &[u64], c: &mut B
 
 /// Insert `lba` as a clean page, evicting only clean pages (the victim's
 /// log entry costs `fg`). A set pinned full is unpinned one pending row at
-/// a time (the cleaning costs `bg`) until the insert fits. The slot, or
-/// `None` when the set holds no pending row: the fill is bypassed.
+/// a time (the cleaning costs `bg`, and counts no cleaning pass) until the
+/// insert fits. The slot, or `None` when the set holds no pending row: the
+/// fill is bypassed.
 pub(crate) fn insert_clean_or_bypass<B: CleanerIo>(
     b: &mut B,
     lba: u64,
@@ -193,9 +184,6 @@ pub(crate) fn insert_clean_or_bypass<B: CleanerIo>(
                 let row = p.pending.first_row_in_set(set, |r| set_of_row(&p.cache, &p.layout, r));
                 let Some(row) = row else { return Ok(None) };
                 clean_row(b, row, bg)?;
-                if B::NOROOM_IS_A_CLEANING {
-                    b.zones().stats.cleanings += 1;
-                }
             }
         }
     }
@@ -267,8 +255,6 @@ mod tests {
         type Cost = u32;
         type Error = u64;
         const MERGE_OVERHEAD: (u32, u32) = (0, 0);
-        const NOROOM_IS_A_CLEANING: bool = true;
-        const FULL_PASS_IN_MAP_ORDER: bool = false;
 
         fn zones(&mut self) -> &mut Zones {
             &mut self.z
@@ -484,7 +470,7 @@ mod tests {
             f.calls,
             [Call::Repair(row, true), Call::Reclaim(pending), Call::Unstage(pending)]
         );
-        assert_eq!((fg, bg, f.z.stats.cleanings), (0, 2, 1));
+        assert_eq!((fg, bg, f.z.stats.cleanings), (0, 2, 0));
         // A set with a clean page evicts it instead, logged in the foreground.
         f.calls.clear();
         f.z.cache.free_slot(f.z.cache.lookup(in_set[8]).unwrap());

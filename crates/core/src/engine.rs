@@ -36,7 +36,6 @@ use crate::staging::{PayloadPool, StagingBuffer};
 use crate::Merge;
 use kdd_blockdev::error::{DevError, FaultDomain};
 use kdd_blockdev::fault::FaultInjector;
-use kdd_blockdev::nvram::Nvram;
 use kdd_blockdev::ssd::SsdDevice;
 use kdd_cache::policies::{set_of_row, PendingRows};
 use kdd_cache::setassoc::{PageState, SetAssocCache, SetGrouping};
@@ -269,12 +268,6 @@ impl DezPacker {
     }
 }
 
-/// NVRAM-resident state: survives power failure.
-#[derive(Debug, Clone)]
-struct NvState {
-    staging: StagingBuffer<Vec<u8>>,
-}
-
 /// Vectors the commit, compaction and cleaning paths borrow
 /// (`mem::take`, fill, put back empty) instead of allocating per call.
 #[derive(Default)]
@@ -301,7 +294,9 @@ pub struct KddEngine {
     z: Zones,
     ssd: SsdDevice,
     raid: RaidArray,
-    nv: Nvram<NvState>,
+    /// The NVRAM staging buffer: with the metadata log's buffer and
+    /// head/tail counters, what [`KddEngine::power_cycle`] carries over.
+    staging: StagingBuffer<Vec<u8>>,
     metalog: MetaLog<MapEntry>,
     meta_pages: u64,
     injector: Option<FaultInjector>,
@@ -374,12 +369,9 @@ impl KddEngine {
         if geometry.page_size != ssd.page_size() || geometry.page_size != raid.page_size() {
             return Err(EngineError::Layout("page sizes must match across devices".into()));
         }
-        let nv = Nvram::new(
-            NvState { staging: StagingBuffer::new(geometry.page_size) },
-            u64::from(geometry.page_size) * 2,
-        );
+        let staging = StagingBuffer::new(geometry.page_size);
         let cache = Self::empty_cache(&config, &raid);
-        Ok(Self::assemble(config, ssd, raid, cache, nv, Self::empty_metalog(&config)))
+        Ok(Self::assemble(config, ssd, raid, cache, staging, Self::empty_metalog(&config)))
     }
 
     /// An empty directory whose sets follow `raid`'s parity rows (§III-B).
@@ -404,13 +396,13 @@ impl KddEngine {
         ssd: SsdDevice,
         raid: RaidArray,
         cache: SetAssocCache,
-        nv: Nvram<NvState>,
+        staging: StagingBuffer<Vec<u8>>,
         metalog: MetaLog<MapEntry>,
     ) -> Self {
         let ps = config.geometry.page_size as usize;
         KddEngine {
             z: Zones::new(config, *raid.layout(), cache),
-            nv,
+            staging,
             metalog,
             meta_pages: config.meta_partition_pages(),
             injector: None,
@@ -480,7 +472,7 @@ impl KddEngine {
             max_erase: u64::from(end.max_erase_count),
             stale_rows: self.raid.stale_row_count() as u64,
             backlog_rows: self.z.pending.pending_rows() as u64,
-            staged_deltas: self.nv.get().staging.len() as u64,
+            staged_deltas: self.staging.len() as u64,
             metalog_pages_used: tail.saturating_sub(head),
             metalog_pages_total: self.meta_pages,
         }
@@ -599,7 +591,7 @@ impl KddEngine {
 
     /// Deltas currently staged in NVRAM.
     pub fn staged_deltas(&self) -> usize {
-        self.nv.get().staging.len()
+        self.staging.len()
     }
 
     /// `(acquired, recycled)` of the delta payload buffers: the difference
@@ -698,13 +690,11 @@ impl KddEngine {
         // delta leaves the staging buffer only once the DEZ page holding
         // it is durably on flash and logged, so a crash mid-commit never
         // loses an acknowledged write.
-        while !self.nv.get().staging.is_empty() {
+        while !self.staging.is_empty() {
             // Greedy fill from the FIFO's front: each delta costs 12B of
             // directory + its bytes.
             let mut used = 2usize;
             let count = self
-                .nv
-                .get()
                 .staging
                 .snapshot()
                 .take_while(|(_, payload)| {
@@ -722,7 +712,7 @@ impl KddEngine {
             let mut refs = std::mem::take(&mut self.z.refs);
             refs.clear();
             let mut packer = DezPacker::new(self.pool.acquire(), slot, count);
-            for (lba, payload) in self.nv.get().staging.snapshot().take(count) {
+            for (lba, payload) in self.staging.snapshot().take(count) {
                 refs.push((lba, packer.push(lba, payload)));
             }
             let page = packer.page;
@@ -741,7 +731,7 @@ impl KddEngine {
                 return Err(e);
             }
             for &(lba, _) in &refs {
-                self.payloads.release(self.nv.get_mut().staging.remove(lba));
+                self.payloads.release(self.staging.remove(lba));
             }
             self.z.dez.go_live(listed, &refs);
             self.z.refs = refs;
@@ -793,7 +783,7 @@ impl KddEngine {
     ) -> Result<R, EngineError> {
         match self.z.dez.loc(lba) {
             Some(DeltaLoc::Staged) => {
-                let staged = self.nv.get().staging.get(lba);
+                let staged = self.staging.get(lba);
                 let comp = staged.ok_or(EngineError::Inconsistent("staged delta index broken"))?;
                 Ok(f(comp, &mut self.decode_scratch))
             }
@@ -1169,8 +1159,8 @@ impl KddEngine {
                 // record; pages that XOR-compress worse than that are
                 // treated as incompressible (full write-through below).
                 let compressible = comp.len() + 14 <= self.page_size()
-                    && comp.len() as u32 <= self.nv.get().staging.capacity_bytes();
-                if compressible && !self.nv.get().staging.fits(lba, &comp) {
+                    && comp.len() as u32 <= self.staging.capacity_bytes();
+                if compressible && !self.staging.fits(lba, &comp) {
                     self.commit_staging(&mut t)?;
                 }
                 // Committing the staged deltas may allocate DEZ pages by
@@ -1190,7 +1180,7 @@ impl KddEngine {
                 // it is dead (or dies mid-dispatch), fall through to the
                 // conventional write, whose reconstruct-write stores the
                 // data in the surviving members' parity.
-                let dispatched = if compressible && self.nv.get().staging.fits(lba, &comp) {
+                let dispatched = if compressible && self.staging.fits(lba, &comp) {
                     // Dispatch the data to the member disk *before*
                     // touching any NVRAM/volatile state: if the write is
                     // cut short, the previous delta still matches the
@@ -1209,7 +1199,7 @@ impl KddEngine {
                             // delta exists.
                             let released = self.z.dez.restage(lba, true);
                             let staged = std::mem::take(&mut comp);
-                            self.payloads.release(self.nv.get_mut().staging.insert(lba, staged));
+                            self.payloads.release(self.staging.insert(lba, staged));
                             released.emptied.map_or(Ok(()), |slot| self.free_dez_slot(slot))?;
                             let (cache, layout) = (&self.z.cache, self.raid.layout());
                             self.z.pending.add(row, lba, || set_of_row(cache, layout, row));
@@ -1444,14 +1434,14 @@ impl KddEngine {
         }
         // 4. Deltas still in the NVRAM staging buffer supersede DEZ copies
         //    and imply the page is old with pending parity.
-        let staged: Vec<u64> = self.nv.get().staging.snapshot().map(|(l, _)| l).collect();
+        let staged: Vec<u64> = self.staging.snapshot().map(|(l, _)| l).collect();
         for lba in staged {
             let Some(slot) = cache.lookup(lba) else {
                 // The mapping was tombstoned (an incompressible
                 // write-through or reclaim crashed between its log entry
                 // and the NVRAM cleanup): RAID already holds the current
                 // data, so the orphan delta is dead — drop it.
-                self.nv.get_mut().staging.remove(lba);
+                self.staging.remove(lba);
                 continue;
             };
             // A DEZ page whose every delta is re-staged had been released
@@ -1471,7 +1461,8 @@ impl KddEngine {
 
         // Around the devices, NVRAM and log that survived and the directory
         // just recovered; only what recovery computed differs from new.
-        let mut engine = Self::assemble(config, self.ssd, self.raid, cache, self.nv, self.metalog);
+        let mut engine =
+            Self::assemble(config, self.ssd, self.raid, cache, self.staging, self.metalog);
         engine.z.dez = dez;
         engine.z.pending = pending_rows;
         engine.z.stats.torn_pages_detected = torn_detected;
@@ -1538,7 +1529,7 @@ impl KddEngine {
         self.charge_stage(Stage::RaidReconstruct, DISK_OP * (cost.reads + cost.writes), t);
         self.ssd.replace();
         self.z.cache = Self::empty_cache(&self.z.config, &self.raid);
-        self.payloads.release(self.nv.get_mut().staging.drain().map(|(_, payload)| payload));
+        self.payloads.release(self.staging.drain().map(|(_, payload)| payload));
         self.metalog = Self::empty_metalog(&self.z.config);
         // Any pages parked by an in-flight batch belonged to the lost
         // cache's log; the fresh SSD starts from an empty mapping.
@@ -1572,8 +1563,6 @@ impl CleanerIo for KddEngine {
     type Error = EngineError;
     /// A page header, and a directory record per delta.
     const MERGE_OVERHEAD: (u32, u32) = (2, 12);
-    const NOROOM_IS_A_CLEANING: bool = false;
-    const FULL_PASS_IN_MAP_ORDER: bool = true;
 
     fn zones(&mut self) -> &mut Zones {
         &mut self.z
@@ -1638,7 +1627,7 @@ impl CleanerIo for KddEngine {
     }
 
     fn unstage(&mut self, lba: u64) {
-        self.payloads.release(self.nv.get_mut().staging.remove(lba));
+        self.payloads.release(self.staging.remove(lba));
     }
 
     /// The slot is freed first, so a failed trim cannot leave it pinned
@@ -1780,6 +1769,37 @@ mod tests {
         let mut buf = vec![0u8; PS as usize];
         e.raid_mut().read_page(0, &mut buf).unwrap();
         assert_eq!(buf, similar_page(&page(2), 1));
+    }
+
+    /// A pass over every row starts with the oldest, whatever order the
+    /// pending rows map iterates in: when that first repair fails, the
+    /// pass stops and the oldest row is pending again, behind the rest.
+    #[test]
+    fn clean_takes_the_oldest_row_first() {
+        use kdd_blockdev::fault::FaultPlan;
+        let mut e = engine(64);
+        // Six rows with one page each, made pending in this order.
+        let lbas = [19u64, 2, 33, 0, 17, 35];
+        for &lba in &lbas {
+            e.write(lba, &page(lba)).unwrap();
+        }
+        for &lba in &lbas {
+            e.write(lba, &nudged_page(&page(lba), 7)).unwrap();
+        }
+        let rows: Vec<u64> = lbas.iter().map(|&lba| e.raid().layout().row_of(lba)).collect();
+        e.attach_fault_injector(FaultInjector::new(
+            FaultPlan::new().transient(0, FaultDomain::Unknown),
+        ));
+        assert!(e.clean(&mut SimTime::default()).is_err());
+        let mut pending = e.z.pending.clone();
+        let mut order = Vec::new();
+        while let Some(row) = pending.oldest_row() {
+            pending.take_row_into(row, &mut Vec::new());
+            order.push(row);
+        }
+        let mut want = rows[1..].to_vec();
+        want.push(rows[0]);
+        assert_eq!(order, want, "the oldest row's repair failed, so only it moved");
     }
 
     #[test]
@@ -2226,7 +2246,10 @@ mod tests {
                     }
                 }
                 (998, _) => {
-                    for row in lent.z.pending.row_ids() {
+                    // The rows the pass takes, oldest first.
+                    let mut pending = lent.z.pending.clone();
+                    while let Some(row) = pending.oldest_row() {
+                        pending.take_row_into(row, &mut Vec::new());
                         let mut lpns = lent.raid.layout().row_lpns(row);
                         if lpns.all(|l| lent.z.cache.lookup(l).is_some()) {
                             rows_rebuilt += 1;

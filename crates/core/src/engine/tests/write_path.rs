@@ -58,7 +58,7 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     let before = e.stats().ssd_delta_writes;
     e.commit_staging(&mut t).unwrap();
     assert_eq!(e.stats().ssd_delta_writes, before + 1);
-    while e.nv.get().staging.used_bytes() + 12 * e.staged_deltas() as u32 <= PS {
+    while e.staging.used_bytes() + 12 * e.staged_deltas() as u32 <= PS {
         let lba = lbas[rng.random_range(0..lbas.len())];
         rewrite(&mut e, &mut versions, lba, rng.random());
     }
@@ -174,7 +174,7 @@ fn recovered_payloads_are_dropped_not_recycled() {
             let disk = e.raid().layout().locate(4).disk;
             e.raid_mut().fail_disk(disk);
         }
-        e.nv = e.nv.clone();
+        e.staging = e.staging.clone();
         let e = e.power_cycle().expect("recovery");
         assert_eq!((e.staged_deltas(), e.payload_buffer_stats()), (3, (0, 0)));
         (e, versions)
@@ -272,7 +272,7 @@ fn wrong_sized_payload_is_an_error_and_moves_nothing() {
     e.write(10, &p0).unwrap();
     e.write(10, &similar_page(&p0, 1)).unwrap();
     let snapshot = |e: &KddEngine| {
-        let staging = &e.nv.get().staging;
+        let staging = &e.staging;
         let log = (e.metalog.counters(), e.metalog.buffered_entries(), e.metalog.entries_pushed());
         (*e.stats(), staging.len(), staging.used_bytes(), log, e.payload_buffer_stats())
     };

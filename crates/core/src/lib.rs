@@ -25,21 +25,25 @@
 //! live bytes, and the compaction bound; the compaction planner
 //! (`plan_merge`, here); and §III-D's background work (`cleaner`) over the
 //! state both keep alike (`cleaner::Zones`): the governor, oldest-first
-//! cleaning, a row's plan (repair while stale — reconstruct-write iff the
-//! whole row is cached — then reclaim, re-pending what a failed step left),
-//! the NoRoom reclaim around a clean fill, compaction and invalidation.
-//! Beneath them: [`kdd_cache::policies::PendingRows`], the directory
-//! ([`kdd_cache::setassoc::SetAssocCache`]), [`MetaLog`], [`StagingBuffer`].
+//! cleaning (every pass, bounded or over every row), a row's plan (repair
+//! while stale — reconstruct-write iff the whole row is cached — then
+//! reclaim, re-pending what a failed step left), the NoRoom reclaim around
+//! a clean fill (which counts no cleaning pass), compaction and
+//! invalidation. Beneath them: [`kdd_cache::policies::PendingRows`], the
+//! directory ([`kdd_cache::setassoc::SetAssocCache`]), [`MetaLog`],
+//! [`StagingBuffer`].
 //!
-//! **Still per copy:** the I/O under `cleaner::CleanerIo` (a NoRoom reclaim
-//! counts a cleaning in the policy only; a pass over every row goes oldest
-//! first in the policy, in the pending map's order in the engine); the
-//! write paths (the engine's write miss cleans the row first, its write-hit
-//! fallback writes through, reclaims and refills, and a pending row whose
-//! parity is current is reclaimed before a write); the commit (one page in
-//! the policy, spilling into more in the engine); and `alloc_dez_slot`,
-//! where the policy compacts before it evicts a clean page and the engine
-//! evicts at once.
+//! The one pending-row choice that is not oldest first is the NoRoom
+//! reclaim's: its set's first row in the pending map's order.
+//!
+//! **Still per copy:** the I/O under `cleaner::CleanerIo`, with the DEZ
+//! page format (`MERGE_OVERHEAD`); the write paths (the engine's write
+//! miss cleans the row first, its write-hit fallback writes through,
+//! reclaims and refills, and a pending row whose parity is current is
+//! reclaimed before a write); the commit (one page in the policy,
+//! spilling into more in the engine); and `alloc_dez_slot`, where the
+//! policy compacts before it evicts a clean page and the engine evicts at
+//! once.
 //!
 //! Supporting machinery: [`metalog`] (the circular persistent metadata
 //! log), [`staging`] (the NVRAM delta staging buffer), [`config`].

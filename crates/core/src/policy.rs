@@ -290,8 +290,6 @@ impl CleanerIo for KddPolicy {
     type Cost = Effects;
     type Error = Infallible;
     const MERGE_OVERHEAD: (u32, u32) = (0, 0);
-    const NOROOM_IS_A_CLEANING: bool = true;
-    const FULL_PASS_IN_MAP_ORDER: bool = false;
 
     fn zones(&mut self) -> &mut Zones {
         &mut self.z
