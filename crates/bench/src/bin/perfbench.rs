@@ -51,7 +51,7 @@ use kdd_cache::CacheGeometry;
 use kdd_core::{KddConfig, KddEngine, KeyEntry, MetaLog};
 use kdd_delta::codec::{compress, decompress, xor_decoded_into, Compressor};
 use kdd_delta::content::PageMutator;
-use kdd_delta::xor::{is_all_zero, xor2_into, xor_into, xor_pages, xor_pages_into, zero_fraction};
+use kdd_delta::xor::{is_all_zero, xor_into, xor_pages, xor_pages_into, zero_fraction};
 use kdd_obs::{Recorder, RecorderConfig};
 use kdd_raid::{gf256, Layout, RaidArray, RaidLevel};
 use kdd_sim::replay_engine;
@@ -284,13 +284,6 @@ fn bench_kernels((rounds, round_ns): Rounds) -> Vec<Json> {
     });
     entries.push(kernel_entry("xor_pages_into_4k", PAGE, ns));
     eprintln!("  xor_pages_into_4k        {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
-
-    let mut acc2 = p0.clone();
-    let ns = time_ns(rounds, round_ns, || {
-        xor2_into(black_box(&mut acc2), black_box(&mut out), black_box(&p1));
-    });
-    entries.push(kernel_entry("xor2_into_4k", PAGE, ns));
-    eprintln!("  xor2_into_4k             {ns:9.1} ns/iter  {:8.0} MB/s", mb_per_s(PAGE, ns));
 
     let ns = time_ns(rounds, round_ns, || {
         black_box(zero_fraction(black_box(&delta)));

@@ -95,20 +95,13 @@ impl HddModel {
         SimTime::from_nanos(bytes.saturating_mul(1_000_000_000) / self.transfer_rate.max(1))
     }
 
-    /// Service time for an access of `len_pages` pages starting at `lpn`,
-    /// advancing the head. Reads and writes cost the same mechanically.
-    pub fn access(&mut self, lpn: u64, len_pages: u64) -> SimTime {
+    /// Service time for an access of page `lpn`, advancing the head. Reads
+    /// and writes cost the same mechanically.
+    pub fn access(&mut self, lpn: u64) -> SimTime {
         let cyl = self.cylinder_of(lpn);
         let dist = cyl.abs_diff(self.last_cylinder);
         self.last_cylinder = cyl;
-        let bytes = len_pages * self.page_size as u64;
-        self.seek_time(dist) + self.rotational_latency() + self.transfer_time(bytes)
-    }
-
-    /// Service time for a sequential continuation (no seek, no rotation):
-    /// the stream case used for rebuild/resync estimates.
-    pub fn sequential(&self, len_pages: u64) -> SimTime {
-        self.transfer_time(len_pages * self.page_size as u64)
+        self.seek_time(dist) + self.rotational_latency() + self.transfer_time(self.page_size as u64)
     }
 }
 
@@ -123,7 +116,7 @@ mod tests {
     #[test]
     fn random_access_costs_milliseconds() {
         let mut m = model();
-        let t = m.access(900_000, 1);
+        let t = m.access(900_000);
         // Seek (ms-scale) + ~4.2ms rotation + tiny transfer.
         assert!(t >= SimTime::from_millis(4), "too fast: {t}");
         assert!(t <= SimTime::from_millis(25), "too slow: {t}");
@@ -132,11 +125,11 @@ mod tests {
     #[test]
     fn same_cylinder_access_skips_seek() {
         let mut m = model();
-        m.access(500_000, 1);
-        let near = m.access(500_000, 1);
+        m.access(500_000);
+        let near = m.access(500_000);
         let mut m2 = model();
-        m2.access(500_000, 1);
-        let far = m2.access(0, 1);
+        m2.access(500_000);
+        let far = m2.access(0);
         assert!(near < far, "near {near} should beat far {far}");
     }
 
@@ -153,18 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn sequential_faster_than_random() {
-        let mut m = model();
-        let rand = m.access(700_000, 64);
-        let seq = m.sequential(64);
-        assert!(seq < rand / 2, "seq {seq} vs rand {rand}");
-    }
-
-    #[test]
     fn transfer_scales_with_length() {
         let m = model();
-        let t1 = m.sequential(1);
-        let t64 = m.sequential(64);
+        let t1 = m.transfer_time(4096);
+        let t64 = m.transfer_time(64 * 4096);
         assert!(t64 > t1 * 32, "transfer not scaling: {t1} vs {t64}");
     }
 }

@@ -48,4 +48,4 @@ pub use flash::{FlashGeometry, FlashTimings};
 pub use ftl::{EnduranceReport, Ftl};
 pub use hdd::HddModel;
 pub use ssd::SsdDevice;
-pub use store::{MemStore, PageStore};
+pub use store::MemStore;

@@ -21,7 +21,7 @@ use crate::error::{DevError, FaultDomain};
 use crate::fault::FaultInjector;
 use crate::flash::{FlashGeometry, FlashTimings};
 use crate::ftl::{EnduranceReport, Ftl};
-use crate::store::{MemStore, PageStore};
+use crate::store::MemStore;
 use kdd_util::units::SimTime;
 
 /// An SSD with contents, wear accounting and service times.

@@ -83,24 +83,6 @@ impl Slab {
     }
 }
 
-/// Page-granular storage of actual contents.
-pub trait PageStore {
-    /// Page size in bytes.
-    fn page_size(&self) -> u32;
-
-    /// Capacity in pages.
-    fn capacity_pages(&self) -> u64;
-
-    /// Read page `lpn` into `buf` (`buf.len() == page_size`).
-    fn read_page(&self, lpn: u64, buf: &mut [u8]) -> Result<(), DevError>;
-
-    /// Write `data` (`data.len() == page_size`) to page `lpn`.
-    fn write_page(&mut self, lpn: u64, data: &[u8]) -> Result<(), DevError>;
-
-    /// Discard page `lpn` (it reads back as zeros).
-    fn trim_page(&mut self, lpn: u64) -> Result<(), DevError>;
-}
-
 /// Sparse in-memory page store; unwritten pages read as zeros.
 #[derive(Debug, Clone)]
 pub struct MemStore {
@@ -315,18 +297,19 @@ impl MemStore {
         }
         Ok(())
     }
-}
 
-impl PageStore for MemStore {
-    fn page_size(&self) -> u32 {
+    /// Page size in bytes.
+    pub fn page_size(&self) -> u32 {
         self.page_size
     }
 
-    fn capacity_pages(&self) -> u64 {
+    /// Capacity in pages.
+    pub fn capacity_pages(&self) -> u64 {
         self.capacity_pages
     }
 
-    fn read_page(&self, lpn: u64, buf: &mut [u8]) -> Result<(), DevError> {
+    /// Read page `lpn` into `buf` (`buf.len() == page_size`).
+    pub fn read_page(&self, lpn: u64, buf: &mut [u8]) -> Result<(), DevError> {
         self.check(lpn)?;
         assert_eq!(buf.len(), self.page_size as usize, "buffer/page size mismatch");
         let outcome = self.intercept(IoDir::Read);
@@ -337,7 +320,8 @@ impl PageStore for MemStore {
         apply_read_outcome(outcome, buf)
     }
 
-    fn write_page(&mut self, lpn: u64, data: &[u8]) -> Result<(), DevError> {
+    /// Write `data` (`data.len() == page_size`) to page `lpn`.
+    pub fn write_page(&mut self, lpn: u64, data: &[u8]) -> Result<(), DevError> {
         let outcome = self.issue(lpn, IoDir::Write)?;
         assert_eq!(data.len(), self.page_size as usize, "buffer/page size mismatch");
         // A torn write keeps the old suffix: zeros on an unwritten page.
@@ -345,7 +329,8 @@ impl PageStore for MemStore {
         apply_write_outcome(outcome, data, self.slab.page_mut(slot))
     }
 
-    fn trim_page(&mut self, lpn: u64) -> Result<(), DevError> {
+    /// Discard page `lpn` (it reads back as zeros).
+    pub fn trim_page(&mut self, lpn: u64) -> Result<(), DevError> {
         self.issue(lpn, IoDir::Write)?;
         if let Some(slot) = self.pages.remove(&lpn) {
             self.slab.free.push(slot);

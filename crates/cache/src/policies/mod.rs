@@ -96,9 +96,6 @@ impl RaidModel {
     /// choosing read-modify-write or reconstruct-write by read count, as
     /// the array itself does.
     pub fn small_write_effects(&self) -> Effects {
-        if self.layout.level == RaidLevel::Raid0 {
-            return Effects { raid_writes: 1, raid_rounds: 1, ..Default::default() };
-        }
         let pc = self.parity_count();
         let rmw_reads = 1 + pc; // old data + old parity unit(s)
         let recon_reads = self.layout.data_disks() as u32 - 1;

@@ -4,7 +4,7 @@
 // counts). See DESIGN.md "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation)]
 
-use kdd_blockdev::fault::FaultPlan;
+use kdd_blockdev::{FaultDomain, FaultPlan};
 use kdd_cache::policies::{CachePolicy, RaidModel};
 use kdd_cache::setassoc::CacheGeometry;
 use kdd_sim::closedloop::run_closed_loop;
@@ -22,6 +22,9 @@ use std::io::{BufReader, BufWriter};
 /// The `--policy` values [`Opts::parse`] resolves, as the usage text
 /// lists them.
 pub const POLICY_NAMES: &str = "nossd|wt|wa|leavo|kdd-50|kdd-25|kdd-12|all";
+
+/// Member disks of the array `faults` drills on.
+const DRILL_DISKS: u32 = 5;
 
 /// Parsed flags and positional arguments.
 #[derive(Debug, Default)]
@@ -130,7 +133,19 @@ impl Opts {
                     o.threshold = Some(v);
                 }
                 "--obs" => o.obs = Some(take("obs")?),
-                "--plan" => o.plan = Some(FaultPlan::parse(&take("plan")?)?),
+                "--plan" => {
+                    let plan = FaultPlan::parse(&take("plan")?)?;
+                    // A fault on a member the drill's array lacks would never fire.
+                    let absent = |d| matches!(d, FaultDomain::Disk(n) if n >= DRILL_DISKS);
+                    if let Some(spec) = plan.specs.iter().find(|spec| absent(spec.device)) {
+                        return Err(format!(
+                            "--plan names {}, but the drill's array has disk0..disk{}",
+                            spec.device,
+                            DRILL_DISKS - 1
+                        ));
+                    }
+                    o.plan = Some(plan);
+                }
                 "--ops" => o.ops = take("ops")?.parse().map_err(|e| format!("bad --ops: {e}"))?,
                 "--faults" => {
                     o.n_faults =
@@ -413,10 +428,9 @@ fn fault_drill(o: &Opts) -> Result<DrillSummary, String> {
     use std::collections::BTreeMap;
 
     const PAGE: u32 = 4096;
-    const DISKS: u32 = 5;
     let plan = match &o.plan {
         Some(plan) => plan.clone(),
-        None => FaultPlan::randomized(o.seed, o.ops * 4, DISKS, o.n_faults),
+        None => FaultPlan::randomized(o.seed, o.ops * 4, DRILL_DISKS, o.n_faults),
     };
     println!(
         "fault plan: {} scheduled faults over a {}-op workload (seed {})",
@@ -426,7 +440,7 @@ fn fault_drill(o: &Opts) -> Result<DrillSummary, String> {
     );
 
     let cache_pages = 256u64;
-    let layout = Layout::new(RaidLevel::Raid5, DISKS as usize, 16, 16 * 64);
+    let layout = Layout::new(RaidLevel::Raid5, DRILL_DISKS as usize, 16, 16 * 64);
     let raid = RaidArray::new(layout, PAGE);
     let ssd = SsdDevice::with_logical_capacity((cache_pages + 64) * PAGE as u64, PAGE, 0.07);
     let g = CacheGeometry { total_pages: cache_pages, ways: 16, page_size: PAGE };
@@ -891,6 +905,17 @@ mod tests {
         let sum = fault_drill(&Opts::parse(&s(&["--plan", plan])).unwrap()).unwrap();
         assert_eq!((sum.writes, sum.pages, sum.errors, sum.recoveries), (1499, 192, 1, 1));
         assert_eq!((sum.observed, sum.retried, sum.fallbacks), (3, 2, 0));
+    }
+
+    /// The drill's array has five members: a fault on any other would never
+    /// fire, so a plan naming one is refused before anything runs.
+    #[test]
+    fn a_plan_naming_a_member_the_drill_lacks_is_refused() {
+        for plan in ["disk5@5:drop", "disk9@5:drop", "ssd@1:transient,disk4@2:drop,disk7@3:drop"] {
+            let err = Opts::parse(&s(&["--plan", plan])).unwrap_err();
+            assert!(err.contains("--plan names disk"), "{plan}: {err}");
+        }
+        assert!(Opts::parse(&s(&["--plan", "disk4@5:drop"])).is_ok());
     }
 
     #[test]

@@ -43,7 +43,7 @@ use kdd_cache::stats::CacheStats;
 use kdd_delta::codec;
 use kdd_delta::xor::xor_pages_into;
 use kdd_obs::{Completion, HitClass, Recorder, ReqKind, Sample, Stage, StageTimes};
-use kdd_raid::array::{RaidArray, RaidError};
+use kdd_raid::array::{RaidArray, RaidCost, RaidError};
 use kdd_util::hash::{crc32_update, FastMap};
 use kdd_util::units::SimTime;
 use kdd_util::PagePool;
@@ -1300,17 +1300,17 @@ impl KddEngine {
 
     /// Run one array call and charge `raid_reads`/`raid_writes` with what
     /// the array's ledger gained over it — on an error exit too, as a
-    /// failed attempt's SSD I/O is counted.
-    fn raid_call<T>(
+    /// failed attempt's SSD I/O is counted. Returns that gain.
+    fn raid_call(
         &mut self,
-        call: impl FnOnce(&mut RaidArray) -> Result<T, RaidError>,
-    ) -> Result<T, RaidError> {
+        call: impl FnOnce(&mut RaidArray) -> Result<(), RaidError>,
+    ) -> Result<RaidCost, RaidError> {
         let start = self.raid.totals();
         let out = call(&mut self.raid);
         let gained = self.raid.cost_since(start);
         self.z.stats.raid_reads += gained.reads;
         self.z.stats.raid_writes += gained.writes;
-        out
+        out.map(|()| gained)
     }
 
     /// The cleaning pass (§III-D): repair every stale row (reconstruct-

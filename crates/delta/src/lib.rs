@@ -40,4 +40,4 @@ pub use codec::{
 };
 pub use content::PageMutator;
 pub use model::{DeltaSizeModel, FixedDeltaModel, GaussianDeltaModel};
-pub use xor::{is_all_zero, xor2_into, xor_into, xor_pages, xor_pages_into, zero_fraction};
+pub use xor::{is_all_zero, xor_into, xor_pages, xor_pages_into, zero_fraction};

@@ -41,34 +41,6 @@ pub fn xor_into(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// XOR `src` into *two* destinations in one pass (`d1[i] ^= src[i]`,
-/// `d2[i] ^= src[i]`). Used where a delta must be folded into both the P
-/// parity and another accumulator without re-reading `src`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn xor2_into(d1: &mut [u8], d2: &mut [u8], src: &[u8]) {
-    assert_eq!(d1.len(), src.len(), "xor operands must have equal length");
-    assert_eq!(d2.len(), src.len(), "xor operands must have equal length");
-    let body = src.len() / 8 * 8;
-    let (d1_body, d1_tail) = d1.split_at_mut(body);
-    let (d2_body, d2_tail) = d2.split_at_mut(body);
-    let (src_body, src_tail) = src.split_at(body);
-    for ((a, b), s) in
-        d1_body.chunks_exact_mut(8).zip(d2_body.chunks_exact_mut(8)).zip(src_body.chunks_exact(8))
-    {
-        let w = ne_word(s);
-        let x = ne_word(a) ^ w;
-        a.copy_from_slice(&x.to_ne_bytes());
-        let y = ne_word(b) ^ w;
-        b.copy_from_slice(&y.to_ne_bytes());
-    }
-    for ((a, b), s) in d1_tail.iter_mut().zip(d2_tail.iter_mut()).zip(src_tail) {
-        *a ^= s;
-        *b ^= s;
-    }
-}
-
 /// XOR two pages into a caller-provided buffer (`out[i] = old[i] ^ new[i]`)
 /// without allocating — the zero-alloc twin of [`xor_pages`].
 ///
@@ -181,22 +153,6 @@ mod tests {
     fn mismatched_lengths_panic() {
         let mut a = [0u8; 4];
         xor_into(&mut a, &[0u8; 5]);
-    }
-
-    #[test]
-    fn xor2_matches_two_single_passes() {
-        for len in [0usize, 1, 7, 8, 9, 13, 64, 65, 4096] {
-            let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let a0: Vec<u8> = (0..len).map(|i| (i * 5 + 3) as u8).collect();
-            let b0: Vec<u8> = (0..len).map(|i| (i * 91 + 7) as u8).collect();
-            let (mut a, mut b) = (a0.clone(), b0.clone());
-            xor2_into(&mut a, &mut b, &src);
-            let (mut ea, mut eb) = (a0, b0);
-            xor_into(&mut ea, &src);
-            xor_into(&mut eb, &src);
-            assert_eq!(a, ea, "len={len}");
-            assert_eq!(b, eb, "len={len}");
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The RAID array: parity maintenance, degraded operation, rebuild, and
 //! the two extra interfaces KDD needs.
 //!
-//! Beyond a textbook RAID-0/5/6, this array implements the paper's §III-A
+//! Beyond a textbook RAID-5/6, this array implements the paper's §III-A
 //! additions:
 //!
 //! * [`RaidArray::write_no_parity_update`] — dispatch data to the member
@@ -35,18 +35,18 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use crate::gf256;
-use crate::layout::{Layout, RaidLevel};
+use crate::layout::Layout;
 use kdd_blockdev::error::{DevError, FaultDomain};
 use kdd_blockdev::fault::{FaultInjector, IoDir};
-use kdd_blockdev::store::{MemStore, PageStore};
+use kdd_blockdev::store::MemStore;
 use kdd_delta::{xor_into, xor_pages_into};
 use kdd_util::hash::FastSet;
 use kdd_util::PagePool;
 use serde::{Deserialize, Serialize};
 
-/// The member-disk I/O one array call issued — the input to the timing
-/// layer. It is what the array's [`DiskStats`] ledger gained over the call,
-/// so the two can never disagree.
+/// Member-disk I/O counts: the [`DiskStats`] ledger summed over the members
+/// ([`RaidArray::totals`]), or what it gained over a call
+/// ([`RaidArray::cost_since`]) — the input to the timing layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RaidCost {
     /// Member reads.
@@ -321,13 +321,12 @@ impl RaidArray {
 
     /// Read a logical page, reconstructing from redundancy if its member
     /// disk is failed.
-    pub fn read_page(&mut self, lpn: u64, buf: &mut [u8]) -> Result<RaidCost, RaidError> {
+    pub fn read_page(&mut self, lpn: u64, buf: &mut [u8]) -> Result<(), RaidError> {
         self.check_failures()?;
         let loc = self.layout.locate(lpn);
-        let start = self.totals();
         if !self.disks[loc.disk].is_failed() {
             match self.disk_read(loc.disk, loc.disk_page, buf) {
-                Ok(()) => return Ok(self.cost_since(start)),
+                Ok(()) => return Ok(()),
                 // The member died under this very read (injected drop or
                 // persistent fault): absorb the failure and reconstruct
                 // below, as a real array would.
@@ -343,9 +342,6 @@ impl RaidArray {
             }
         }
         // Degraded: reconstruct this page.
-        if self.layout.level == RaidLevel::Raid0 {
-            return Err(RaidError::TooManyFailures);
-        }
         if self.is_stale(loc.row) {
             return Err(RaidError::StaleParity { row: loc.row });
         }
@@ -367,7 +363,7 @@ impl RaidArray {
         if blank {
             buf.fill(0);
         }
-        Ok(self.cost_since(start))
+        Ok(())
     }
 
     // ---- full-parity writes (the conventional path) ---------------------
@@ -375,19 +371,12 @@ impl RaidArray {
     /// Write a logical page with a full parity update (read-modify-write
     /// or reconstruct-write, whichever needs fewer reads) — the paper's
     /// "small write" the cache is trying to avoid.
-    pub fn write_page(&mut self, lpn: u64, data: &[u8]) -> Result<RaidCost, RaidError> {
+    pub fn write_page(&mut self, lpn: u64, data: &[u8]) -> Result<(), RaidError> {
         self.check_failures()?;
         if data.len() != self.page_size as usize {
             return Err(RaidError::BadArg("data must be one page"));
         }
         let loc = self.layout.locate(lpn);
-        let start = self.totals();
-
-        if self.layout.level == RaidLevel::Raid0 {
-            self.disk_write(loc.disk, loc.disk_page, data)?;
-            return Ok(self.cost_since(start));
-        }
-
         let target_failed = self.disks[loc.disk].is_failed();
         let dd = self.layout.data_disks();
         let others = move || (0..dd).filter(move |&d| d != loc.data_index);
@@ -397,7 +386,7 @@ impl RaidArray {
         });
         let p_loc = self.layout.parity_location(loc.row);
         let q_loc = self.layout.q_location(loc.row);
-        let p_alive = p_loc.is_some_and(|(d, _)| !self.disks[d].is_failed());
+        let p_alive = !self.disks[p_loc.0].is_failed();
         let q_alive = q_loc.is_some_and(|(d, _)| !self.disks[d].is_failed());
 
         // RMW needs the target's old data and the old parity; reconstruct
@@ -433,7 +422,7 @@ impl RaidArray {
                 None => delta.copy_from_slice(data),
             }
             let g = gf256::pow_g(loc.data_index);
-            match (p_loc.filter(|_| p_alive), q_loc.filter(|_| q_alive)) {
+            match (p_alive.then_some(p_loc), q_loc.filter(|_| q_alive)) {
                 (Some(p), Some(q)) => self.disk_update_pq(p, q, |p, q| {
                     gf256::mul2_slice_into(p, q, &delta, g);
                 })?,
@@ -465,10 +454,8 @@ impl RaidArray {
                     xor_into(&mut p, page);
                 }
             }
-            if let Some((pd, pp)) = p_loc {
-                if !self.disks[pd].is_failed() {
-                    self.disk_write(pd, pp, &p)?;
-                }
+            if p_alive {
+                self.disk_write(p_loc.0, p_loc.1, &p)?;
             }
             if let Some((qd, qp)) = q_loc {
                 if !self.disks[qd].is_failed() {
@@ -486,14 +473,14 @@ impl RaidArray {
         // chosen on a previously-clean row; reconstruct-write recomputes
         // parity from all members, repairing any prior staleness too.)
         self.stale_rows.remove(&loc.row);
-        Ok(self.cost_since(start))
+        Ok(())
     }
 
     // ---- KDD interfaces --------------------------------------------------
 
     /// Write data *without* updating parity (§III-A): one member write;
     /// the row is marked stale until a `parity_update` repairs it.
-    pub fn write_no_parity_update(&mut self, lpn: u64, data: &[u8]) -> Result<RaidCost, RaidError> {
+    pub fn write_no_parity_update(&mut self, lpn: u64, data: &[u8]) -> Result<(), RaidError> {
         self.check_failures()?;
         if data.len() != self.page_size as usize {
             return Err(RaidError::BadArg("data must be one page"));
@@ -502,12 +489,9 @@ impl RaidArray {
         if self.disks[loc.disk].is_failed() {
             return Err(RaidError::DiskFailed { disk: loc.disk });
         }
-        let start = self.totals();
         self.disk_write(loc.disk, loc.disk_page, data)?;
-        if self.layout.level != RaidLevel::Raid0 {
-            self.stale_rows.insert(loc.row);
-        }
-        Ok(self.cost_since(start))
+        self.stale_rows.insert(loc.row);
+        Ok(())
     }
 
     /// Repair a stale row by reconstruct-write: the caller supplies every
@@ -517,7 +501,7 @@ impl RaidArray {
         &mut self,
         row: u64,
         data: &[impl AsRef<[u8]>],
-    ) -> Result<RaidCost, RaidError> {
+    ) -> Result<(), RaidError> {
         self.check_failures()?;
         if data.len() != self.layout.row_width() {
             return Err(RaidError::BadArg("need every data page of the row"));
@@ -526,7 +510,6 @@ impl RaidArray {
         if data.iter().any(|d| d.as_ref().len() != ps) {
             return Err(RaidError::BadArg("data pages must be page-sized"));
         }
-        let start = self.totals();
         let q_target = self.layout.q_location(row).filter(|&(qd, _)| !self.disks[qd].is_failed());
         let mut p = self.pool.acquire();
         let mut q = self.pool.acquire();
@@ -538,10 +521,9 @@ impl RaidArray {
                 xor_into(&mut p, page.as_ref());
             }
         }
-        if let Some((pd, pp)) = self.layout.parity_location(row) {
-            if !self.disks[pd].is_failed() {
-                self.disk_write(pd, pp, &p)?;
-            }
+        let (pd, pp) = self.layout.parity_location(row);
+        if !self.disks[pd].is_failed() {
+            self.disk_write(pd, pp, &p)?;
         }
         if let Some((qd, qp)) = q_target {
             self.disk_write(qd, qp, &q)?;
@@ -549,7 +531,7 @@ impl RaidArray {
         self.pool.release(p);
         self.pool.release(q);
         self.stale_rows.remove(&row);
-        Ok(self.cost_since(start))
+        Ok(())
     }
 
     /// Repair a stale row by read-modify-write: read the stale parity and
@@ -559,55 +541,53 @@ impl RaidArray {
         &mut self,
         row: u64,
         deltas: &[(usize, impl AsRef<[u8]>)],
-    ) -> Result<RaidCost, RaidError> {
+    ) -> Result<(), RaidError> {
         self.check_failures()?;
         let ps = self.page_size as usize;
         if deltas.iter().any(|(d, buf)| *d >= self.layout.row_width() || buf.as_ref().len() != ps) {
             return Err(RaidError::BadArg("delta index or size out of range"));
         }
-        let start = self.totals();
         let p_target = self.layout.parity_location(row);
         let q_target = self.layout.q_location(row);
         // A dead parity member has nothing to fold into: refuse before
         // touching the other one.
         if let Some(&(disk, _)) =
-            p_target.iter().chain(&q_target).find(|(d, _)| self.disks[*d].is_failed())
+            std::iter::once(&p_target).chain(&q_target).find(|(d, _)| self.disks[*d].is_failed())
         {
             return Err(RaidError::DiskFailed { disk });
         }
-        match (p_target, q_target) {
-            (Some(p), Some(q)) => {
+        match q_target {
+            Some(q) => {
                 // Fused P+Q fold: every delta goes into both parities in
                 // one pass; each device still sees [read, write].
-                self.disk_update_pq(p, q, |p, q| {
+                self.disk_update_pq(p_target, q, |p, q| {
                     for (d, delta) in deltas {
                         gf256::mul2_slice_into(p, q, delta.as_ref(), gf256::pow_g(*d));
                     }
                 })?;
             }
-            (Some((pd, pp)), None) => {
+            None => {
+                let (pd, pp) = p_target;
                 self.disk_update(pd, pp, |p| {
                     for (_, delta) in deltas {
                         xor_into(p, delta.as_ref());
                     }
                 })?;
             }
-            _ => {}
         }
         self.stale_rows.remove(&row);
-        Ok(self.cost_since(start))
+        Ok(())
     }
 
     /// Re-synchronise rows by reading the data members and recomputing
     /// parity — the recovery path after losing the SSD cache (§III-E2).
     /// With `rows = None` every stale row is repaired.
-    pub fn resync(&mut self, rows: Option<&[u64]>) -> Result<RaidCost, RaidError> {
+    pub fn resync(&mut self, rows: Option<&[u64]>) -> Result<(), RaidError> {
         self.check_failures()?;
         let targets: Vec<u64> = match rows {
             Some(r) => r.to_vec(),
             None => self.stale_rows.iter().copied().collect(),
         };
-        let start = self.totals();
         let mut pages: Vec<Box<[u8]>> = Vec::with_capacity(self.layout.row_width());
         for row in targets {
             for lpn in self.layout.row_lpns(row) {
@@ -624,7 +604,7 @@ impl RaidArray {
                 self.pool.release(page);
             }
         }
-        Ok(self.cost_since(start))
+        Ok(())
     }
 
     // ---- failure handling ------------------------------------------------
@@ -643,19 +623,18 @@ impl RaidArray {
     /// A rebuild that fails part-way leaves the members failed, as they
     /// were: the array stays degraded and keeps reconstructing reads, and
     /// a retry starts again from row 0.
-    pub fn rebuild(&mut self) -> Result<RaidCost, RaidError> {
+    pub fn rebuild(&mut self) -> Result<(), RaidError> {
         self.check_failures()?;
         if let Some(&row) = self.stale_rows.iter().next() {
             return Err(RaidError::StaleParity { row });
         }
         let failed = self.failed_disks();
         if failed.is_empty() {
-            return Ok(RaidCost::default());
+            return Ok(());
         }
         for &d in &failed {
             self.disks[d].replace();
         }
-        let start = self.totals();
         let rebuilt = self.rebuild_rows(&failed);
         if rebuilt.is_err() {
             // A half-written replacement must not pass for a member: the
@@ -664,7 +643,7 @@ impl RaidArray {
                 self.disks[d].fail();
             }
         }
-        rebuilt.map(|()| self.cost_since(start))
+        rebuilt
     }
 
     /// Reconstruct every row's share of the (just replaced) `failed`
@@ -709,7 +688,7 @@ impl RaidArray {
         let data = (0..self.layout.data_disks())
             .map(|d| (RowMember::Data(d), Some(self.layout.data_disk(stripe, d))));
         let parity = [
-            (RowMember::P, self.layout.parity_disk(stripe)),
+            (RowMember::P, Some(self.layout.parity_disk(stripe))),
             (RowMember::Q, self.layout.q_disk(stripe)),
         ];
         let mut lost = data
@@ -751,7 +730,7 @@ impl RaidArray {
         });
         let (x, y) = (lost_data.next(), lost_data.next());
         let (p_lost, q_lost) = (lost(RowMember::P), lost(RowMember::Q));
-        let p_loc = self.layout.parity_location(row).filter(|_| !p_lost);
+        let p_loc = (!p_lost).then(|| self.layout.parity_location(row));
         let q_loc = self.layout.q_location(row).filter(|_| !q_lost);
         // Lost data is solved from P when there is one, from Q otherwise,
         // from both when two pages are gone; lost parity is recomputed.
@@ -847,11 +826,9 @@ impl RaidArray {
         // A mismatch short-circuits exactly as before (the Q parity is not
         // read when P already disagrees); `ok` just routes both exits
         // through the buffer release below.
-        let mut ok = true;
-        if let Some((pd, pp)) = self.layout.parity_location(row) {
-            self.disk_read(pd, pp, &mut buf)?;
-            ok = buf == p;
-        }
+        let (pd, pp) = self.layout.parity_location(row);
+        self.disk_read(pd, pp, &mut buf)?;
+        let mut ok = buf == p;
         if ok {
             if let Some((qd, qp)) = self.layout.q_location(row) {
                 self.disk_read(qd, qp, &mut buf)?;
@@ -880,6 +857,7 @@ type Missing = [Option<(RowMember, usize)>; 2];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::RaidLevel;
     use kdd_blockdev::fault::FaultPlan;
 
     fn page(tag: u8, ps: usize) -> Vec<u8> {
@@ -892,6 +870,13 @@ mod tests {
 
     fn r6() -> RaidArray {
         RaidArray::new(Layout::new(RaidLevel::Raid6, 6, 4, 4 * 8), 256)
+    }
+
+    /// `call`'s result, with what the member ledger gained over it.
+    fn costed<T>(a: &mut RaidArray, call: impl FnOnce(&mut RaidArray) -> T) -> (T, RaidCost) {
+        let start = a.totals();
+        let out = call(a);
+        (out, a.cost_since(start))
     }
 
     #[test]
@@ -917,7 +902,8 @@ mod tests {
         let ps = 256;
         a.write_page(0, &page(1, ps)).unwrap();
         // Second write to the same page: genuine small write.
-        let cost = a.write_page(0, &page(2, ps)).unwrap();
+        let (done, cost) = costed(&mut a, |a| a.write_page(0, &page(2, ps)));
+        done.unwrap();
         // RMW on 5-disk RAID5: read old data + old parity, write data +
         // parity — but reconstruct (3 reads) may win only for 3 disks, so
         // here expect exactly 2+2.
@@ -930,7 +916,8 @@ mod tests {
         let mut a = r6();
         let ps = 256;
         a.write_page(0, &page(1, ps)).unwrap();
-        let cost = a.write_page(0, &page(2, ps)).unwrap();
+        let (done, cost) = costed(&mut a, |a| a.write_page(0, &page(2, ps)));
+        done.unwrap();
         assert_eq!(cost.reads, 3);
         assert_eq!(cost.writes, 3);
     }
@@ -991,7 +978,8 @@ mod tests {
         a.write_page(0, &page(1, ps)).unwrap();
         let row = a.layout().row_of(0);
         assert!(a.verify_row(row).unwrap());
-        let cost = a.write_no_parity_update(0, &page(2, ps)).unwrap();
+        let (done, cost) = costed(&mut a, |a| a.write_no_parity_update(0, &page(2, ps)));
+        done.unwrap();
         assert_eq!(cost.reads, 0);
         assert_eq!(cost.writes, 1, "exactly one member write");
         assert!(a.is_stale(row));
@@ -1018,7 +1006,9 @@ mod tests {
         let d1 = page(0xEE, ps);
         let d2 = page(2, ps);
         let d3 = page(3, ps);
-        let cost = a.parity_update_with_data(row, &[&d0, &d1, &d2, &d3]).unwrap();
+        let (done, cost) =
+            costed(&mut a, |a| a.parity_update_with_data(row, &[&d0, &d1, &d2, &d3]));
+        done.unwrap();
         assert_eq!(cost.reads, 0, "reconstruct-write repair reads nothing");
         assert_eq!(cost.writes, 1);
         assert!(!a.is_stale(row));
@@ -1039,7 +1029,8 @@ mod tests {
         a.write_no_parity_update(lpns[1], &new).unwrap();
         let mut delta = old.clone();
         xor_into(&mut delta, &new);
-        let cost = a.parity_update_rmw(row, &[(1, &delta)]).unwrap();
+        let (done, cost) = costed(&mut a, |a| a.parity_update_rmw(row, &[(1, &delta)]));
+        done.unwrap();
         assert_eq!(cost.reads, 1, "RMW repair reads only parity");
         assert_eq!(cost.writes, 1);
         assert!(a.verify_row(row).unwrap());
@@ -1080,7 +1071,7 @@ mod tests {
         a.write_no_parity_update(lpns[2], &new).unwrap();
         let mut delta = page(2, ps);
         xor_into(&mut delta, &new);
-        let (pd, pp) = a.layout().parity_location(row).unwrap();
+        let (pd, pp) = a.layout().parity_location(row);
         let (qd, _) = a.layout().q_location(row).unwrap();
         a.fail_disk(qd);
         let stored_p = |a: &RaidArray| {
@@ -1089,10 +1080,8 @@ mod tests {
             buf
         };
         let p_before = stored_p(&a);
-        let start = a.totals();
-        let got = a.parity_update_rmw(row, &[(2, &delta)]);
+        let (got, gained) = costed(&mut a, |a| a.parity_update_rmw(row, &[(2, &delta)]));
         assert!(matches!(got, Err(RaidError::DiskFailed { disk }) if disk == qd), "{got:?}");
-        let gained = a.cost_since(start);
         assert_eq!((gained.reads, gained.writes), (0, 0), "the refused repair issued member ops");
         assert_eq!(stored_p(&a), p_before, "P changed");
         assert!(a.is_stale(row));
@@ -1190,15 +1179,6 @@ mod tests {
         for row in 0..a.layout().rows() {
             assert!(a.verify_row(row).unwrap());
         }
-    }
-
-    #[test]
-    fn raid0_has_no_parity_overhead() {
-        let mut a = RaidArray::new(Layout::new(RaidLevel::Raid0, 4, 4, 16), 256);
-        let cost = a.write_page(0, &page(1, 256)).unwrap();
-        assert_eq!(cost.reads, 0);
-        assert_eq!(cost.writes, 1);
-        assert_eq!(a.stale_row_count(), 0);
     }
 
     #[test]
@@ -1336,7 +1316,7 @@ mod tests {
     /// same shape: `lent` has no injector, `copied` an empty-plan one that
     /// draws an outcome for every member op (the names predate the single
     /// lend-and-skip path both now take), and the third is [`traced`].
-    /// Every result (counts or error), every byte read, every member's
+    /// Every result, every byte read, every member's
     /// ledger after every call, the traced op stream and every row's parity
     /// must agree.
     fn lent_and_copied_paths_agree(lent: RaidArray, failed: Option<usize>) {
@@ -1361,8 +1341,9 @@ mod tests {
             match next(10) {
                 0..=3 => {
                     let what = format!("step {step}: write_page({lpn})");
-                    let a = agree(&mut arrays, &what, |a| a.write_page(lpn, &data));
-                    if let Ok(cost) = a {
+                    let (a, cost) =
+                        agree(&mut arrays, &what, |a| costed(a, |a| a.write_page(lpn, &data)));
+                    if a.is_ok() {
                         current[lpn as usize] = data;
                         match cost.reads {
                             n if n == cost.writes => rmw += 1,
@@ -1456,7 +1437,7 @@ mod tests {
         for lpn in layout.row_lpns(row) {
             base.write_page(lpn, &page(lpn as u8, ps)).unwrap();
         }
-        let (pd, pp) = layout.parity_location(row).unwrap();
+        let (pd, pp) = layout.parity_location(row);
         let (qd, qp) = layout.q_location(row).unwrap();
         let data = layout.locate(0);
         let new = page(0x5A, ps);
@@ -1489,7 +1470,8 @@ mod tests {
                 }
             };
             let mut done = start.clone();
-            let want = call(&mut done).unwrap();
+            let (result, want) = costed(&mut done, call);
+            result.unwrap();
             let (p_old, q_old) = (stored(&start, pd, pp), stored(&start, qd, qp));
             let (p_new, q_new) = (stored(&done, pd, pp), stored(&done, qd, qp));
             assert!(p_new != p_old && q_new != q_old);
@@ -1498,7 +1480,7 @@ mod tests {
             // what the ledger gained.
             let mut a = start.clone();
             let (got, order) = traced(&mut a, call);
-            assert_eq!(got, Ok(want));
+            assert_eq!(got, Ok(()));
             assert_eq!(order.len() as u64, want.reads + want.writes);
             assert_eq!(booked(ledger(&start), &order), ledger(&done));
             let (p_dev, q_dev) = (FaultDomain::Disk(pd as u32), FaultDomain::Disk(qd as u32));
@@ -1542,7 +1524,7 @@ mod tests {
                         assert_eq!(got, Err(RaidError::Dev(DevError::transient(device))), "{what}");
                         assert_eq!(ledger(&a), booked(ledger(&start), &order[..at]), "{what}");
                     } else {
-                        assert_eq!(got, Ok(want), "{what}");
+                        assert_eq!(got, Ok(()), "{what}");
                         assert_eq!(ledger(&a), ledger(&done), "{what}");
                     }
                     // Only a failed write of Q leaves P written.
@@ -1621,7 +1603,8 @@ mod tests {
     /// Fail `failed` on four copies of `base` — the solver, the reference
     /// solver, the solver behind an empty-plan injector (every op drawn,
     /// every shortcut still taken) and the solver [`traced`] — then read
-    /// every page degraded and rebuild: each call's counts, the op streams
+    /// every page degraded and rebuild: each call's result and ledger
+    /// gain ([`costed`]), the op streams
     /// of the traced solver and the traced reference, every byte read, and
     /// every member's ledger and contents must agree, parity must verify,
     /// and the sparse rebuild must have materialised only the rows that
@@ -1647,27 +1630,31 @@ mod tests {
         let mut bufs = [0xAAu8, 0xBB, 0xCC, 0xDD].map(|b| vec![b; ps]);
         for lpn in 0..layout.capacity_pages() {
             let [got, want, lent, seen] = &mut bufs;
-            let cost = new.read_page(lpn, got);
-            let (reference, old_ops) = traced(&mut old, |a| a.reference_read_page(lpn, want));
-            let (tracked_cost, new_ops) = traced(&mut tracked, |a| a.read_page(lpn, seen));
+            let cost = costed(&mut new, |a| a.read_page(lpn, got));
+            let (reference, old_ops) =
+                traced(&mut old, |a| costed(a, |a| a.reference_read_page(lpn, want)));
+            let (tracked_cost, new_ops) =
+                traced(&mut tracked, |a| costed(a, |a| a.read_page(lpn, seen)));
+            let copied_cost = costed(&mut copied, |a| a.read_page(lpn, lent));
             assert_eq!(cost, reference, "{what}: read_page({lpn})");
-            assert_eq!(cost, copied.read_page(lpn, lent), "{what}: copied read_page({lpn})");
+            assert_eq!(cost, copied_cost, "{what}: copied read_page({lpn})");
             assert_eq!(cost, tracked_cost, "{what}: traced read_page({lpn})");
             assert_eq!(new_ops, old_ops, "{what}: read_page({lpn}) op stream");
-            assert!(cost.is_ok(), "{what}: read_page({lpn}) = {cost:?}");
+            assert!(cost.0.is_ok(), "{what}: read_page({lpn}) = {cost:?}");
             assert_eq!(*got, model[lpn as usize], "{what}: lpn {lpn}");
             assert!(bufs.iter().all(|b| *b == bufs[0]), "{what}: lpn {lpn}");
         }
 
-        let cost = new.rebuild();
-        assert!(cost.is_ok(), "{what}: rebuild = {cost:?}");
-        let (reference, old_ops) = traced(&mut old, RaidArray::reference_rebuild);
-        let (tracked_cost, new_ops) = traced(&mut tracked, RaidArray::rebuild);
-        assert_eq!(cost, reference, "{what}: rebuild counts");
-        assert_eq!(cost, copied.rebuild(), "{what}: copied rebuild counts");
-        assert_eq!(cost, tracked_cost, "{what}: traced rebuild counts");
+        let rebuilt = costed(&mut new, RaidArray::rebuild);
+        let (reference, old_ops) = traced(&mut old, |a| costed(a, RaidArray::reference_rebuild));
+        let (tracked_cost, new_ops) = traced(&mut tracked, |a| costed(a, RaidArray::rebuild));
+        let copied_cost = costed(&mut copied, RaidArray::rebuild);
+        assert_eq!(rebuilt, reference, "{what}: rebuild counts");
+        assert_eq!(rebuilt, copied_cost, "{what}: copied rebuild counts");
+        assert_eq!(rebuilt, tracked_cost, "{what}: traced rebuild counts");
         assert_eq!(new_ops, old_ops, "{what}: rebuild op stream");
-        let cost = cost.unwrap();
+        let (done, cost) = rebuilt;
+        assert!(done.is_ok(), "{what}: rebuild = {done:?}");
         let ops = cost.reads + cost.writes;
         assert_eq!(ops, layout.rows() * (layout.data_disks() + failed.len()) as u64, "{what}");
         assert!(injector.op_count() >= ops && injector.counters().injected == 0);
@@ -1830,7 +1817,8 @@ mod tests {
             a.read_page(lpn, &mut buf).unwrap();
             assert_eq!(buf, model[lpn as usize], "degraded lpn {lpn} after the failed rebuild");
         }
-        let cost = a.rebuild().unwrap();
+        let (done, cost) = costed(&mut a, RaidArray::rebuild);
+        done.unwrap();
         let ops = cost.reads + cost.writes;
         assert_eq!(ops, a.layout().rows() * 5, "the retry covers every row");
         assert!(a.failed_disks().is_empty());
@@ -1874,13 +1862,12 @@ mod tests {
                 &mut self,
                 lpn: u64,
                 buf: &mut [u8],
-            ) -> Result<RaidCost, RaidError> {
+            ) -> Result<(), RaidError> {
                 self.check_failures()?;
                 let loc = self.layout.locate(lpn);
-                let start = self.totals();
                 if !self.disks[loc.disk].is_failed() {
                     match self.disk_read(loc.disk, loc.disk_page, buf) {
-                        Ok(()) => return Ok(self.cost_since(start)),
+                        Ok(()) => return Ok(()),
                         Err(RaidError::Dev(e))
                             if matches!(e, DevError::Failed { .. }) && !e.is_transient() =>
                         {
@@ -1892,9 +1879,6 @@ mod tests {
                         Err(e) => return Err(e),
                     }
                 }
-                if self.layout.level == RaidLevel::Raid0 {
-                    return Err(RaidError::TooManyFailures);
-                }
                 if self.is_stale(loc.row) {
                     return Err(RaidError::StaleParity { row: loc.row });
                 }
@@ -1905,25 +1889,24 @@ mod tests {
                     .find(|(m, _)| *m == RowMember::Data(loc.data_index))
                     .ok_or(RaidError::TooManyFailures)?;
                 buf.copy_from_slice(&content);
-                Ok(self.cost_since(start))
+                Ok(())
             }
 
             /// [`RaidArray::rebuild`] as it was: every row solved and written,
             /// the replacements healthy from the start (so without the re-fail
             /// on an error exit).
-            pub(in super::super) fn reference_rebuild(&mut self) -> Result<RaidCost, RaidError> {
+            pub(in super::super) fn reference_rebuild(&mut self) -> Result<(), RaidError> {
                 self.check_failures()?;
                 if let Some(&row) = self.stale_rows.iter().next() {
                     return Err(RaidError::StaleParity { row });
                 }
                 let failed = self.failed_disks();
                 if failed.is_empty() {
-                    return Ok(RaidCost::default());
+                    return Ok(());
                 }
                 for &d in &failed {
                     self.disks[d].replace();
                 }
-                let start = self.totals();
                 // Reconstruct row by row; the replacement disks are zero-filled so
                 // we re-derive their content from the survivors.
                 for row in 0..self.layout.rows() {
@@ -1933,9 +1916,7 @@ mod tests {
                     for (member, content) in solved {
                         let disk = match member {
                             RowMember::Data(d) => self.layout.data_disk(stripe, d),
-                            RowMember::P => self.layout.parity_disk(stripe).ok_or(
-                                RaidError::Inconsistent("P member solved on parity-less layout"),
-                            )?,
+                            RowMember::P => self.layout.parity_disk(stripe),
                             RowMember::Q => self.layout.q_disk(stripe).ok_or(
                                 RaidError::Inconsistent("Q member solved on non-RAID-6 layout"),
                             )?,
@@ -1943,7 +1924,7 @@ mod tests {
                         self.disk_write(disk, dp, &content)?;
                     }
                 }
-                Ok(self.cost_since(start))
+                Ok(())
             }
 
             /// Solve for the contents of every row member whose disk is in
@@ -1964,7 +1945,7 @@ mod tests {
                     (0..dd).filter(|&d| is_excluded(self.layout.data_disk(stripe, d))).collect();
                 let p_disk = self.layout.parity_disk(stripe);
                 let q_disk = self.layout.q_disk(stripe);
-                let p_missing = p_disk.is_some_and(is_excluded);
+                let p_missing = is_excluded(p_disk);
                 let q_missing = q_disk.is_some_and(is_excluded);
                 if missing_data.is_empty() && !p_missing && !q_missing {
                     return Ok(Vec::new());
@@ -1994,9 +1975,10 @@ mod tests {
                     0 => {}
                     1 => {
                         let x = missing_data[0];
-                        if !p_missing && p_disk.is_some() {
+                        if !p_missing {
                             // D_x = P ⊕ Σ_{d≠x} D_d
-                            let mut out = read_parity(self, self.layout.parity_location(row))?;
+                            let mut out =
+                                read_parity(self, Some(self.layout.parity_location(row)))?;
                             for (_d, page) in data.iter().enumerate().filter(|(d, _)| *d != x) {
                                 let page = page
                                     .as_ref()
@@ -2027,7 +2009,7 @@ mod tests {
                         let (x, y) = (missing_data[0], missing_data[1]);
                         // a = P ⊕ Σ survivors = D_x ⊕ D_y
                         // b = Q ⊕ Σ g^d survivors = g^x·D_x ⊕ g^y·D_y
-                        let mut a = read_parity(self, self.layout.parity_location(row))?;
+                        let mut a = read_parity(self, Some(self.layout.parity_location(row)))?;
                         let mut b = read_parity(self, self.layout.q_location(row))?;
                         for (d, page) in data.iter().enumerate().filter(|(d, _)| *d != x && *d != y)
                         {

@@ -22,8 +22,6 @@ use serde::{Deserialize, Serialize};
 /// RAID level of an array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RaidLevel {
-    /// Striping, no redundancy.
-    Raid0,
     /// Single rotating parity (left-symmetric).
     Raid5,
     /// P + Q (Reed–Solomon) rotating parity.
@@ -34,7 +32,6 @@ impl RaidLevel {
     /// Number of parity units per stripe.
     pub fn parity_count(self) -> usize {
         match self {
-            RaidLevel::Raid0 => 0,
             RaidLevel::Raid5 => 1,
             RaidLevel::Raid6 => 2,
         }
@@ -82,11 +79,7 @@ impl Layout {
     /// [`Layout::MAX_DISKS`], `chunk_pages` is zero, or `disk_pages` is not
     /// a multiple of `chunk_pages`.
     pub fn new(level: RaidLevel, disks: usize, chunk_pages: u64, disk_pages: u64) -> Self {
-        let min_disks = match level {
-            RaidLevel::Raid0 => 2,
-            RaidLevel::Raid5 => 3,
-            RaidLevel::Raid6 => 4,
-        };
+        let min_disks = 2 + level.parity_count();
         assert!(disks >= min_disks, "{level:?} needs at least {min_disks} disks");
         assert!(disks <= Self::MAX_DISKS, "at most {} member disks", Self::MAX_DISKS);
         assert!(chunk_pages > 0, "chunk must hold at least one page");
@@ -119,42 +112,25 @@ impl Layout {
         self.data_disks()
     }
 
-    /// Left-symmetric P-disk rotation: parity walks backwards from the last
-    /// disk. Valid for every level; RAID-0 simply has no parity to place.
-    fn rotated_parity_disk(&self, stripe: u64) -> usize {
+    /// Parity (P) disk of a stripe, left-symmetric: parity walks backwards
+    /// from the last disk.
+    pub fn parity_disk(&self, stripe: u64) -> usize {
         ((self.disks as u64 - 1) - (stripe % self.disks as u64)) as usize
-    }
-
-    /// Parity (P) disk of a stripe; `None` for RAID-0.
-    pub fn parity_disk(&self, stripe: u64) -> Option<usize> {
-        match self.level {
-            RaidLevel::Raid0 => None,
-            _ => Some(self.rotated_parity_disk(stripe)),
-        }
     }
 
     /// Q-parity disk of a stripe; `None` unless RAID-6.
     pub fn q_disk(&self, stripe: u64) -> Option<usize> {
         match self.level {
-            RaidLevel::Raid6 => Some((self.rotated_parity_disk(stripe) + 1) % self.disks),
-            _ => None,
+            RaidLevel::Raid6 => Some((self.parity_disk(stripe) + 1) % self.disks),
+            RaidLevel::Raid5 => None,
         }
     }
 
-    /// Disk holding data unit `d` of `stripe`.
+    /// Disk holding data unit `d` of `stripe`: data units start on the disk
+    /// after the last parity unit.
     pub fn data_disk(&self, stripe: u64, d: usize) -> usize {
         debug_assert!(d < self.data_disks());
-        match self.level {
-            RaidLevel::Raid0 => d,
-            RaidLevel::Raid5 => {
-                let p = self.rotated_parity_disk(stripe);
-                (p + 1 + d) % self.disks
-            }
-            RaidLevel::Raid6 => {
-                let q = (self.rotated_parity_disk(stripe) + 1) % self.disks;
-                (q + 1 + d) % self.disks
-            }
-        }
+        (self.parity_disk(stripe) + self.level.parity_count() + d) % self.disks
     }
 
     /// Locate a logical page.
@@ -210,10 +186,10 @@ impl Layout {
     }
 
     /// Disk page where parity row `row` stores P.
-    pub fn parity_location(&self, row: u64) -> Option<(usize, u64)> {
+    pub fn parity_location(&self, row: u64) -> (usize, u64) {
         let stripe = row / self.chunk_pages;
         let offset = row % self.chunk_pages;
-        self.parity_disk(stripe).map(|d| (d, stripe * self.chunk_pages + offset))
+        (self.parity_disk(stripe), stripe * self.chunk_pages + offset)
     }
 
     /// Disk page where parity row `row` stores Q.
@@ -239,30 +215,28 @@ mod tests {
         assert_eq!(l.capacity_pages(), 64 * 16 * 4);
         let l6 = Layout::new(RaidLevel::Raid6, 6, 16, 16 * 8);
         assert_eq!(l6.data_disks(), 4);
-        let l0 = Layout::new(RaidLevel::Raid0, 4, 16, 16 * 8);
-        assert_eq!(l0.data_disks(), 4);
     }
 
     #[test]
     fn parity_rotates_left_symmetric() {
         let l = l5();
-        let ps: Vec<usize> = (0..5).map(|s| l.parity_disk(s).unwrap()).collect();
+        let ps: Vec<usize> = (0..5).map(|s| l.parity_disk(s)).collect();
         assert_eq!(ps, vec![4, 3, 2, 1, 0]);
-        assert_eq!(l.parity_disk(5), Some(4)); // wraps
+        assert_eq!(l.parity_disk(5), 4); // wraps
     }
 
     #[test]
     fn data_never_lands_on_parity() {
         let l = l5();
         for stripe in 0..20 {
-            let p = l.parity_disk(stripe).unwrap();
+            let p = l.parity_disk(stripe);
             for d in 0..l.data_disks() {
                 assert_ne!(l.data_disk(stripe, d), p, "stripe {stripe} unit {d}");
             }
         }
         let l6 = Layout::new(RaidLevel::Raid6, 6, 8, 8 * 10);
         for stripe in 0..20 {
-            let p = l6.parity_disk(stripe).unwrap();
+            let p = l6.parity_disk(stripe);
             let q = l6.q_disk(stripe).unwrap();
             assert_ne!(p, q);
             for d in 0..l6.data_disks() {
@@ -309,9 +283,7 @@ mod tests {
         let l = l5();
         for row in 0..64 {
             let mut disks: Vec<usize> = l.row_lpns(row).map(|p| l.locate(p).disk).collect();
-            if let Some((pd, _)) = l.parity_location(row) {
-                disks.push(pd);
-            }
+            disks.push(l.parity_location(row).0);
             disks.sort_unstable();
             disks.dedup();
             assert_eq!(disks.len(), l.data_disks() + 1, "row {row} shares a disk");

@@ -7,17 +7,17 @@
 //! * [`gf256`] — the Galois-field arithmetic behind RAID-6's Q parity;
 //! * [`layout`] — left-symmetric striping, parity placement, and the
 //!   parity-row geometry KDD's cleaner operates on;
-//! * [`array`](mod@array) — a content-holding RAID-0/5/6 array with conventional
+//! * [`array`](mod@array) — a content-holding RAID-5/6 array with conventional
 //!   reads/writes, degraded operation, rebuild, resync, **and** the two
 //!   interfaces the paper adds for delayed parity maintenance:
 //!   `write_no_parity_update` and `parity_update` (both reconstruct-write
 //!   and read-modify-write forms), with stale-row tracking.
 //!
 //! Every member-disk I/O is booked once, in the array's per-member
-//! [`DiskStats`] ledger. Every array operation returns what that ledger
-//! gained over the call ([`RaidCost`]: member reads and writes), from which
-//! the engine charges simulated service time without re-deriving RAID
-//! mechanics.
+//! [`DiskStats`] ledger; the array operations return no counts of their
+//! own. A caller reads what the ledger gained over a call as a [`RaidCost`]
+//! (member reads and writes, [`RaidArray::cost_since`]) and charges
+//! simulated service time from it without re-deriving RAID mechanics.
 
 #![warn(missing_docs)]
 // No unwinding outside tests: the I/O path fails through typed errors,

@@ -79,22 +79,20 @@ fn check_against_model(
         }
     }
 
-    // Final: resync everything, then survive any single failure (RAID-5)
-    // with contents intact.
+    // Final: resync everything, then survive any single failure with
+    // contents intact.
     array.resync(None).unwrap();
-    if level != RaidLevel::Raid0 {
-        for victim in 0..disks {
-            let mut degraded = array.clone();
-            degraded.fail_disk(victim);
-            for (lba, m) in model.iter().enumerate() {
-                degraded.read_page(lba as u64, &mut buf).unwrap();
-                let expect = m.map(page).unwrap_or_else(|| vec![0u8; PS]);
-                prop_assert_eq!(&buf, &expect, "degraded({}) read {} wrong", victim, lba);
-            }
-            degraded.rebuild().unwrap();
-            for row in 0..degraded.layout().rows() {
-                prop_assert!(degraded.verify_row(row).unwrap(), "row {row} after rebuild");
-            }
+    for victim in 0..disks {
+        let mut degraded = array.clone();
+        degraded.fail_disk(victim);
+        for (lba, m) in model.iter().enumerate() {
+            degraded.read_page(lba as u64, &mut buf).unwrap();
+            let expect = m.map(page).unwrap_or_else(|| vec![0u8; PS]);
+            prop_assert_eq!(&buf, &expect, "degraded({}) read {} wrong", victim, lba);
+        }
+        degraded.rebuild().unwrap();
+        for row in 0..degraded.layout().rows() {
+            prop_assert!(degraded.verify_row(row).unwrap(), "row {row} after rebuild");
         }
     }
     Ok(())
@@ -111,21 +109,6 @@ proptest! {
     #[test]
     fn raid6_matches_model(actions in proptest::collection::vec(action_strategy(512), 1..40)) {
         check_against_model(RaidLevel::Raid6, 5, &actions)?;
-    }
-
-    #[test]
-    fn raid0_matches_model(actions in proptest::collection::vec(action_strategy(512), 1..60)) {
-        // Raid0 has no parity; filter parity-flavoured actions to plain ops.
-        let actions: Vec<Action> = actions
-            .into_iter()
-            .map(|a| match a {
-                Action::WriteNoParity(l, t) => Action::Write(l, t),
-                Action::CleanRow(l) => Action::Read(l),
-                Action::Resync => Action::Read(0),
-                other => other,
-            })
-            .collect();
-        check_against_model(RaidLevel::Raid0, 4, &actions)?;
     }
 
     /// RAID-6 tolerates any double failure after resync.

@@ -189,7 +189,7 @@ impl DiskSim {
     /// Put request `id`'s op on `disk_page` under the head at `at`; returns
     /// its completion time.
     fn begin(&mut self, at: SimTime, id: u32, disk_page: u64) -> SimTime {
-        self.busy_until = at + self.model.access(disk_page, 1);
+        self.busy_until = at + self.model.access(disk_page);
         self.current = Some(id);
         self.busy_until
     }
@@ -263,7 +263,7 @@ fn phases_for(layout: &Layout, capacity: u64, lba: u64, fx: &Effects) -> Option<
         // Read-modify-write: read round then write round on the same set.
         slot.rounds_left = 2;
         let members = fx.raid_reads.max(fx.raid_writes);
-        let p = if members >= 2 { layout.parity_disk(loc.stripe) } else { None };
+        let p = (members >= 2).then(|| layout.parity_disk(loc.stripe));
         let q = if members >= 3 { layout.q_disk(loc.stripe) } else { None };
         for (member, disk) in slot.members[1..].iter_mut().zip([p, q].into_iter().flatten()) {
             *member = member_id(disk)?;
@@ -606,7 +606,6 @@ mod tests {
     #[test]
     fn inline_targets_equal_the_three_separate_decodes() {
         let layouts = [
-            Layout::new(RaidLevel::Raid0, 4, 4, 4 * 6),
             Layout::new(RaidLevel::Raid5, 5, 4, 4 * 6),
             Layout::new(RaidLevel::Raid5, 3, 16, 16 * 3),
             Layout::new(RaidLevel::Raid6, 6, 4, 4 * 7),
@@ -635,7 +634,7 @@ mod tests {
                     let (loc, row) = (layout.locate(lba % capacity), layout.row_of(lba % capacity));
                     let decoded = [
                         Some((loc.disk, loc.disk_page)),
-                        layout.parity_location(row),
+                        Some(layout.parity_location(row)),
                         layout.q_location(row),
                     ];
                     let members = if rounds >= 2 { reads.max(writes).max(1) } else { 1 };
@@ -888,7 +887,7 @@ mod tests {
             /// Enqueue an op; if idle, start it and return its completion time.
             fn push(&mut self, now: SimTime, op: MemberOp) -> Option<SimTime> {
                 if self.current.is_none() {
-                    let service = self.model.access(op.disk_page, 1);
+                    let service = self.model.access(op.disk_page);
                     self.busy_until = now.max(self.busy_until) + service;
                     self.current = Some(op);
                     Some(self.busy_until)
@@ -903,7 +902,7 @@ mod tests {
             fn complete(&mut self, now: SimTime) -> (MemberOp, Option<SimTime>) {
                 let done = self.current.take().expect("completion without an op");
                 let next = self.queue.pop_front().map(|op| {
-                    let service = self.model.access(op.disk_page, 1);
+                    let service = self.model.access(op.disk_page);
                     self.busy_until = now + service;
                     self.current = Some(op);
                     self.busy_until
@@ -942,9 +941,7 @@ mod tests {
             let q = layout.q_location(row);
             let mut targets: Vec<(usize, u64)> = vec![(loc.disk, loc.disk_page)];
             if fx.raid_reads >= 2 || fx.raid_writes >= 2 {
-                if let Some((pd, pp)) = parity {
-                    targets.push((pd, pp));
-                }
+                targets.push(parity);
                 if fx.raid_reads >= 3 || fx.raid_writes >= 3 {
                     if let Some((qd, qp)) = q {
                         targets.push((qd, qp));

@@ -42,7 +42,7 @@ impl ServiceModel {
     pub fn paper_default() -> Self {
         let mut hdd = HddModel::enterprise_7200rpm(1 << 28, 4096);
         // Mean random access: average seek + half rotation + one page.
-        let hdd_op = hdd.access(1 << 27, 1);
+        let hdd_op = hdd.access(1 << 27);
         let flash = FlashTimings::mlc_default();
         ServiceModel {
             hdd_op,

@@ -3,7 +3,7 @@
 //! This crate holds the small, dependency-light building blocks every other
 //! crate in the workspace leans on:
 //!
-//! * [`stats`] — streaming mean/variance and latency histograms;
+//! * [`stats`] — a streaming mean and latency histograms;
 //! * [`sampler`] — Zipf and (clamped) Gaussian samplers implemented from the
 //!   formulas the paper cites, so the statistical models are auditable;
 //! * [`lru`] — an intrusive, slab-backed LRU list used by the set-associative

@@ -1,8 +1,7 @@
 //! Streaming statistics for simulation measurements.
 //!
-//! The evaluation reports averages (response time), ratios (hit ratio,
-//! metadata-I/O fraction) and, for analysis, latency distributions. All
-//! accumulators here are streaming/O(1)-memory except [`Histogram`], which
+//! The evaluation reports mean response times and latency percentiles:
+//! [`StreamingStats`] keeps a running mean in O(1) memory, [`Histogram`]
 //! uses logarithmic buckets (HdrHistogram-style) for percentile queries.
 
 // Indexing and narrowing casts here are bounds-audited (offsets from
@@ -12,60 +11,24 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Welford's online mean/variance accumulator.
+/// Welford's online mean accumulator.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StreamingStats {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
 }
 
 impl StreamingStats {
     /// Fresh accumulator.
     pub fn new() -> Self {
-        StreamingStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
+        StreamingStats::default()
     }
 
     /// Add one observation.
     pub fn record(&mut self, x: f64) {
         self.count += 1;
-        self.sum += x;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -81,35 +44,6 @@ impl StreamingStats {
             self.mean
         }
     }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
 }
 
 /// Log-bucketed histogram for latency percentiles.
@@ -120,7 +54,6 @@ impl StreamingStats {
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
-    sum: u128,
     max: u64,
 }
 
@@ -136,7 +69,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Empty histogram.
     pub fn new() -> Self {
-        Histogram { buckets: vec![0; (40 << SUB_BITS) as usize], count: 0, sum: 0, max: 0 }
+        Histogram { buckets: vec![0; (40 << SUB_BITS) as usize], count: 0, max: 0 }
     }
 
     #[inline]
@@ -167,22 +100,12 @@ impl Histogram {
     pub fn record(&mut self, value: u64) {
         self.buckets[Self::index(value)] += 1;
         self.count += 1;
-        self.sum += value as u128;
         self.max = self.max.max(value);
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Mean of recorded values.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Maximum recorded value.
@@ -206,16 +129,6 @@ impl Histogram {
         }
         Some(self.max)
     }
-
-    /// Merge another histogram.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -225,42 +138,12 @@ mod tests {
     #[test]
     fn streaming_mean_var() {
         let mut s = StreamingStats::new();
+        assert_eq!((s.count(), s.mean()), (0, 0.0));
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.record(x);
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn streaming_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..1000).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = StreamingStats::new();
-        xs.iter().for_each(|&x| all.record(x));
-        let mut a = StreamingStats::new();
-        let mut b = StreamingStats::new();
-        xs[..300].iter().for_each(|&x| a.record(x));
-        xs[300..].iter().for_each(|&x| b.record(x));
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = StreamingStats::new();
-        let mut b = StreamingStats::new();
-        b.record(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.mean(), 5.0);
-        let empty = StreamingStats::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
     }
 
     #[test]
@@ -275,7 +158,6 @@ mod tests {
         assert!((9300..=10_000).contains(&p99), "p99={p99}");
         assert_eq!(h.quantile(1.0), Some(10_000));
         assert_eq!(h.max(), 10_000);
-        assert!((h.mean() - 5000.5).abs() < 1.0);
     }
 
     #[test]
@@ -285,23 +167,6 @@ mod tests {
         h.record(0); // clamps to bucket for 1
         assert_eq!(h.count(), 1);
         assert_eq!(h.quantile(0.5), Some(0)); // min(max)=0
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in 1..=100 {
-            a.record(v);
-        }
-        for v in 901..=1000 {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 200);
-        let p50 = a.quantile(0.5).unwrap();
-        assert!(p50 <= 110, "p50={p50}");
-        assert!(a.quantile(0.9).unwrap() >= 900);
     }
 
     #[test]
