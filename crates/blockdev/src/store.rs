@@ -303,11 +303,6 @@ impl MemStore {
         self.page_size
     }
 
-    /// Capacity in pages.
-    pub fn capacity_pages(&self) -> u64 {
-        self.capacity_pages
-    }
-
     /// Read page `lpn` into `buf` (`buf.len() == page_size`).
     pub fn read_page(&self, lpn: u64, buf: &mut [u8]) -> Result<(), DevError> {
         self.check(lpn)?;

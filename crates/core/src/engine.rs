@@ -291,7 +291,7 @@ pub struct WriteRequest<'a> {
 /// The prototype-style engine.
 pub struct KddEngine {
     /// The directory, DEZ index, pending rows, counters and configuration.
-    z: Zones,
+    pub(crate) z: Zones,
     ssd: SsdDevice,
     raid: RaidArray,
     /// The NVRAM staging buffer: with the metadata log's buffer and
@@ -304,7 +304,8 @@ pub struct KddEngine {
     pool: PagePool,
     recorder: Recorder,
     last_class: HitClass,
-    last_comp_milli: u32,
+    /// The compressed delta length of the last write, if it was a hit.
+    pub(crate) last_comp_len: usize,
     /// Persistent delta compressor: the match-finder scratch is reused
     /// across write hits, and the compressed payload lands in a buffer of
     /// `payloads`, so the compress path allocates nothing.
@@ -410,7 +411,7 @@ impl KddEngine {
             pool: PagePool::new(ps),
             recorder: Recorder::disabled(),
             last_class: HitClass::ReadMiss,
-            last_comp_milli: 0,
+            last_comp_len: 0,
             codec: codec::Compressor::new(),
             payloads: PayloadPool::new(ps + 1),
             scratch: Scratch::default(),
@@ -488,7 +489,7 @@ impl KddEngine {
         };
         let after = self.z.stats;
         let stages = std::mem::take(&mut self.cur_stages);
-        self.observe_span(kind, lba, before, &after, class, self.last_comp_milli, service, stages);
+        self.observe_span(kind, lba, before, &after, class, self.last_comp_len, service, stages);
     }
 
     /// Charge `dt` of simulated time to both the caller's clock and the
@@ -536,7 +537,7 @@ impl KddEngine {
         before: &CacheStats,
         after: &CacheStats,
         class: HitClass,
-        comp_milli: u32,
+        comp_len: usize,
         service: SimTime,
         stages: StageTimes,
     ) {
@@ -550,7 +551,7 @@ impl KddEngine {
         c.faults = d32(after.faults_observed, before.faults_observed);
         c.retries = d32(after.fault_retries, before.fault_retries);
         if kind == ReqKind::Write {
-            c.comp_milli = comp_milli;
+            c.comp_milli = (comp_len * 1000 / self.page_size()) as u32;
         }
         if self.recorder.record(c) {
             let s = self.sample_now();
@@ -994,7 +995,7 @@ impl KddEngine {
             before: CacheStats,
             after: CacheStats,
             class: HitClass,
-            comp_milli: u32,
+            comp_len: usize,
             stages: StageTimes,
         }
         let observing = self.recorder.is_enabled();
@@ -1019,7 +1020,7 @@ impl KddEngine {
                             before,
                             after: self.z.stats,
                             class,
-                            comp_milli: self.last_comp_milli,
+                            comp_len: self.last_comp_len,
                             stages: std::mem::take(&mut self.cur_stages),
                         });
                     }
@@ -1062,7 +1063,7 @@ impl KddEngine {
                 &before,
                 &after,
                 s.class,
-                s.comp_milli,
+                s.comp_len,
                 *t,
                 s.stages,
             );
@@ -1130,7 +1131,7 @@ impl KddEngine {
     fn write_inner(&mut self, lba: u64, data: &[u8]) -> Result<SimTime, EngineError> {
         self.cur_stages = StageTimes::new();
         let mut t = SimTime::ZERO;
-        self.last_comp_milli = 0;
+        self.last_comp_len = 0;
         let row = self.raid.layout().row_of(lba);
         if self.z.pending.contains_row(row) && !self.raid.is_stale(row) {
             // Pending with current parity (recovery resynced it, or a
@@ -1151,7 +1152,7 @@ impl KddEngine {
                 self.charge_stage(Stage::SsdRead, dt, &mut t);
                 let mut comp = self.payloads.acquire();
                 self.codec.compress_into(&delta, &mut comp);
-                self.last_comp_milli = ((comp.len() * 1000) / self.page_size()) as u32;
+                self.last_comp_len = comp.len();
                 self.pool.release(delta);
                 // Compression CPU cost.
                 self.charge_stage(Stage::DeltaEncode, SimTime::from_micros(30), &mut t);

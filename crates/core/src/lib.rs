@@ -33,17 +33,11 @@
 //! directory ([`kdd_cache::setassoc::SetAssocCache`]), [`MetaLog`],
 //! [`StagingBuffer`].
 //!
-//! The one pending-row choice that is not oldest first is the NoRoom
-//! reclaim's: its set's first row in the pending map's order.
-//!
 //! **Still per copy:** the I/O under `cleaner::CleanerIo`, with the DEZ
-//! page format (`MERGE_OVERHEAD`); the write paths (the engine's write
-//! miss cleans the row first, its write-hit fallback writes through,
-//! reclaims and refills, and a pending row whose parity is current is
-//! reclaimed before a write); the commit (one page in the policy,
-//! spilling into more in the engine); and `alloc_dez_slot`, where the
-//! policy compacts before it evicts a clean page and the engine evicts at
-//! once.
+//! page format (`MERGE_OVERHEAD`); the write paths; the commit; and
+//! `alloc_dez_slot`. Where the copies part is checked, not listed: the
+//! test module `differential.rs` replays traces through both and names
+//! each parting.
 //!
 //! Supporting machinery: [`metalog`] (the circular persistent metadata
 //! log), [`staging`] (the NVRAM delta staging buffer), [`config`].
@@ -248,6 +242,9 @@ const _: () = {
     assert_send::<KddEngine>();
     assert_send::<KddPolicy>();
 };
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -113,7 +113,7 @@ pub enum KddVariant {
 /// ```
 pub struct KddPolicy {
     /// The directory, DEZ index, pending rows, counters and configuration.
-    z: Zones,
+    pub(crate) z: Zones,
     variant: KddVariant,
     model: Box<dyn DeltaSizeModel>,
     staging: StagingBuffer<u32>,

@@ -22,8 +22,8 @@
 //! |---|---|---|
 //! | [`policy`], [`engine`] | `kdd-core` | the KDD algorithm: accounting & real-byte forms |
 //! | [`cache`] | `kdd-cache` | cache framework + WT/WA/LeavO baselines |
-//! | [`raid`] | `kdd-raid` | RAID-0/5/6 with delayed-parity interfaces |
-//! | [`blockdev`] | `kdd-blockdev` | HDD model, NAND/FTL SSD with wear, NVRAM |
+//! | [`raid`] | `kdd-raid` | RAID-5/6 with delayed-parity interfaces |
+//! | [`blockdev`] | `kdd-blockdev` | HDD model, NAND/FTL SSD with wear, fault injection |
 //! | [`delta`] | `kdd-delta` | XOR deltas, the compressor, content generators |
 //! | [`trace`] | `kdd-trace` | trace parsers + the paper's workloads |
 //! | [`sim`] | `kdd-sim` | open/closed-loop timing simulation |
