@@ -264,7 +264,7 @@ fn metadata_partition(cfg: &ExpConfig) -> Vec<Row> {
                     pt.name(),
                     "partition_pct",
                     part_frac * 100.0,
-                    &format!("cache={}k", cache_pages / 1000),
+                    &format!("cache={:.3}k", cache_pages as f64 / 1000.0),
                     vec![
                         ("metadata_pct", p.stats().metadata_fraction() * 100.0),
                         ("meta_pages", p.stats().ssd_meta_writes as f64),
@@ -273,7 +273,8 @@ fn metadata_partition(cfg: &ExpConfig) -> Vec<Row> {
             }
         }
     }
-    by_workload_then_policy(&mut rows);
+    // Already in (workload, cache size, partition) order; a sort by label
+    // would put `cache=12.753k` before `cache=6.376k`.
     rows
 }
 

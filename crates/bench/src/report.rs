@@ -5,11 +5,10 @@
 #![allow(clippy::indexing_slicing)]
 
 use kdd_obs::json::write_str;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One data point of one figure/table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Experiment id, the name it has in [`crate::experiments::EXPERIMENTS`].
     pub experiment: String,

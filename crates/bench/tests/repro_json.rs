@@ -51,6 +51,23 @@ fn table1_json_parses_and_matches_the_committed_rows() {
     assert_same("repro --json", json.as_bytes(), &committed("results/repro_scale100.json"));
 }
 
+/// Within one block (experiment, workload) of the committed rows, each
+/// row's (policy, x) names it alone: a label that rounds two cache sizes
+/// to one value would make the rows impossible to tell apart.
+#[test]
+fn committed_rows_are_unique_within_each_block() {
+    use kdd_obs::Json;
+    let text = String::from_utf8(committed("results/repro_scale100.json")).expect("UTF-8");
+    let rows = kdd_obs::json::parse(&text).expect("repro_scale100.json parses");
+    let mut seen = std::collections::BTreeSet::new();
+    for row in rows.as_arr().expect("an array of rows") {
+        let field = |k: &str| row.get(k).and_then(Json::as_str).unwrap_or_default().to_string();
+        let x = row.get("x").and_then(Json::as_f64).expect("a numeric x");
+        let key = (field("experiment"), field("workload"), field("policy"), x.to_bits());
+        assert!(seen.insert(key.clone()), "two rows share {key:?} (x = {x})");
+    }
+}
+
 /// `repro` at a tiny scale, seed 42; its stdout.
 fn repro_tiny(args: &[&str]) -> String {
     let run = Command::new(env!("CARGO_BIN_EXE_repro"))

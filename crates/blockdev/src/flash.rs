@@ -13,10 +13,9 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use kdd_util::units::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Physical layout of a NAND flash device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashGeometry {
     /// Independent channels (command parallelism).
     pub channels: u32,
@@ -68,7 +67,7 @@ impl FlashGeometry {
 }
 
 /// Raw NAND operation latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashTimings {
     /// Page read (cell sense) time.
     pub read_page: SimTime,

@@ -20,7 +20,6 @@
 use crate::error::{DevError, FaultDomain};
 use crate::flash::{FlashGeometry, FlashTimings};
 use kdd_util::units::SimTime;
-use serde::{Deserialize, Serialize};
 
 const UNMAPPED: u64 = u64::MAX;
 
@@ -50,7 +49,7 @@ impl FlashOpCost {
 }
 
 /// Cumulative endurance statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EnduranceReport {
     /// Bytes the host wrote to the device.
     pub host_written_bytes: u64,

@@ -7,11 +7,10 @@
 //! `background` (cleaning/flushing that proceeds asynchronously) matters
 //! only for latency: background work still counts as SSD wear.
 
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// Counted device operations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Effects {
     /// SSD page reads.
     pub ssd_reads: u32,
@@ -73,7 +72,7 @@ impl AddAssign for Effects {
 
 /// What one request produced: whether it hit, plus foreground and
 /// background operation sets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Whether the request hit in the cache.
     pub hit: bool,

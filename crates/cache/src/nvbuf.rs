@@ -7,8 +7,6 @@
 //! (a newer entry for the same DAZ page overwrites the buffered one,
 //! §III-C) is `kdd_core::MetaLog`.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per persistent mapping entry on flash: two 4-byte LBAs, a 1-byte
 /// state and the 3-byte `(off, len)` tuple (§III-C). The paper's 24-byte
 /// figure additionally counts 12 bytes of *in-memory* list pointers, which
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 pub const ENTRY_BYTES: u32 = 12;
 
 /// An NVRAM metadata buffer committing page-sized batches to flash.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MetadataBuffer {
     entries_per_page: u32,
     buffered: u32,

@@ -37,10 +37,9 @@
 use kdd_raid::layout::Layout;
 use kdd_util::hash::{mix64, FastMap};
 use kdd_util::lru::LruList;
-use serde::{Deserialize, Serialize};
 
 /// State of one cache page slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PageState {
     /// Unoccupied.
     Free,
@@ -75,7 +74,7 @@ fn listed(state: PageState) -> bool {
 /// exactly the pages that are freed together while spreading unrelated
 /// rows across sets. [`SetGrouping::Pages`] is plain block-range hashing
 /// (1 = per-page) for the set-mapping ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetGrouping {
     /// `lba / n` shares a set.
     Pages(u64),
@@ -111,7 +110,7 @@ impl SetGrouping {
 }
 
 /// Cache shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Total page slots.
     pub total_pages: u64,

@@ -17,7 +17,7 @@ use kdd_trace::stats::TraceStats;
 use kdd_trace::synth::PaperTrace;
 use kdd_trace::{msr, spc, writer};
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 
 /// The `--policy` values [`Opts::parse`] resolves, as the usage text
 /// lists them.
@@ -25,6 +25,10 @@ pub const POLICY_NAMES: &str = "nossd|wt|wa|leavo|kdd-50|kdd-25|kdd-12|all";
 
 /// Member disks of the array `faults` drills on.
 const DRILL_DISKS: u32 = 5;
+
+/// What every command returns. A failed write to the command's output
+/// stays a `std::io::Error` inside, so `main` can tell a closed pipe.
+pub type CmdResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
 
 /// Parsed flags and positional arguments.
 #[derive(Debug, Default)]
@@ -49,8 +53,6 @@ pub struct Opts {
     /// Sampling interval for observed runs in simulated milliseconds
     /// (`--sample-interval-ms`).
     pub sample_interval_ms: Option<u64>,
-    /// Drift threshold for `obs-diff` (`--threshold`, default 0.01).
-    pub threshold: Option<f64>,
     /// Write a `kdd-obs` snapshot of the (single-policy) sim run to this
     /// file (`--obs FILE` on `replay`/`fio`).
     pub obs: Option<String>,
@@ -123,14 +125,6 @@ impl Opts {
                         return Err("--sample-interval-ms must be at least 1".into());
                     }
                     o.sample_interval_ms = Some(v);
-                }
-                "--threshold" => {
-                    let v: f64 =
-                        take("threshold")?.parse().map_err(|e| format!("bad --threshold: {e}"))?;
-                    if !(v.is_finite() && v >= 0.0) {
-                        return Err("--threshold must be a non-negative number".into());
-                    }
-                    o.threshold = Some(v);
                 }
                 "--obs" => o.obs = Some(take("obs")?),
                 "--plan" => {
@@ -215,17 +209,19 @@ fn geometry_for(trace: &Trace, frac: f64) -> (CacheGeometry, RaidModel) {
 }
 
 /// `gen-trace`: synthesise a paper trace and write it out.
-pub fn gen_trace(o: &Opts) -> Result<(), String> {
+pub fn gen_trace(o: &Opts) -> CmdResult {
     let pt = o.paper_trace()?;
     let trace = pt.generate_scaled(o.scale, o.seed);
     let path = o.out.as_deref().ok_or("--out required")?;
     let f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
     let mut w = BufWriter::new(f);
-    match o.format.as_deref().unwrap_or("spc") {
-        "spc" => writer::write_spc(&trace, &mut w).map_err(|e| e.to_string())?,
-        "msr" => writer::write_msr(&trace, &mut w).map_err(|e| e.to_string())?,
-        other => return Err(format!("unknown format {other:?} (spc|msr)")),
-    }
+    let written = match o.format.as_deref().unwrap_or("spc") {
+        "spc" => writer::write_spc(&trace, &mut w),
+        "msr" => writer::write_msr(&trace, &mut w),
+        other => return Err(format!("unknown format {other:?} (spc|msr)").into()),
+    };
+    // Dropping the writer would discard the error of its last write.
+    written.and_then(|()| w.flush()).map_err(|e| format!("{path}: {e}"))?;
     eprintln!(
         "wrote {} requests ({}) to {path}",
         trace.len(),
@@ -235,7 +231,7 @@ pub fn gen_trace(o: &Opts) -> Result<(), String> {
 }
 
 /// `stats`: Table-I statistics of a trace.
-pub fn stats(o: &Opts) -> Result<(), String> {
+pub fn stats(o: &Opts, out: &mut dyn Write) -> CmdResult {
     let mut o2 = Opts { input: o.input.clone(), format: o.format.clone(), ..Opts::default() };
     if o2.input.is_none() {
         o2.input = o.positional.first().cloned();
@@ -248,33 +244,36 @@ pub fn stats(o: &Opts) -> Result<(), String> {
     let o_load = Opts { scale: o.scale, seed: o.seed, ..o2 };
     let trace = o_load.load_trace()?;
     if o.json {
-        print!("{}", TraceStats::compute(&trace).export(&label).render());
+        write!(out, "{}", TraceStats::compute(&trace).export(&label).render())?;
         return Ok(());
     }
-    println!("{}", TraceStats::table_header());
-    println!("{}", TraceStats::compute(&trace).table_row(&label));
-    println!(
+    writeln!(out, "{}", TraceStats::table_header())?;
+    writeln!(out, "{}", TraceStats::compute(&trace).table_row(&label))?;
+    writeln!(
+        out,
         "duration: {}   address space: {} pages",
         trace.duration(),
         trace.address_space_pages()
-    );
+    )?;
     Ok(())
 }
 
 /// `sim`: counting simulation — hit ratio, SSD traffic, metadata share.
-pub fn sim(o: &Opts) -> Result<(), String> {
+pub fn sim(o: &Opts, out: &mut dyn Write) -> CmdResult {
     let trace = o.load_trace()?;
     let (g, raid) = geometry_for(&trace, o.cache_frac);
-    println!("cache: {} pages ({} sets x {} ways)", g.total_pages, g.sets(), g.ways);
-    println!(
+    writeln!(out, "cache: {} pages ({} sets x {} ways)", g.total_pages, g.sets(), g.ways)?;
+    writeln!(
+        out,
         "{:<9} {:>8} {:>14} {:>10} {:>12} {:>12}",
         "policy", "hit%", "ssd writes", "meta%", "raid reads", "raid writes"
-    );
+    )?;
     for &kind in &o.policies {
         let mut p = build_policy(kind, g, raid, o.seed);
         p.run_trace(&trace);
         let s = p.stats();
-        println!(
+        writeln!(
+            out,
             "{:<9} {:>7.1}% {:>14} {:>9.2}% {:>12} {:>12}",
             p.name(),
             s.hit_ratio() * 100.0,
@@ -282,7 +281,7 @@ pub fn sim(o: &Opts) -> Result<(), String> {
             s.metadata_fraction() * 100.0,
             s.raid_reads,
             s.raid_writes
-        );
+        )?;
     }
     Ok(())
 }
@@ -320,23 +319,24 @@ fn write_policy_snapshot(
 }
 
 /// `replay`: open-loop latency (Figure 9 style).
-pub fn replay(o: &Opts) -> Result<(), String> {
+pub fn replay(o: &Opts, out: &mut dyn Write) -> CmdResult {
     let trace = o.load_trace()?;
     let (g, raid) = geometry_for(&trace, o.cache_frac);
     let model = ServiceModel::paper_default();
     let recorder = obs_recorder(o)?;
-    println!("{:<9} {:>8} {:>12} {:>12} {:>12}", "policy", "hit%", "mean resp", "p50", "p99");
+    writeln!(out, "{:<9} {:>8} {:>12} {:>12} {:>12}", "policy", "hit%", "mean resp", "p50", "p99")?;
     for &kind in &o.policies {
         let mut p = build_policy(kind, g, raid, o.seed);
         let r = replay_open_loop_observed(p.as_mut(), &trace, &model, 5, 1, &recorder);
-        println!(
+        writeln!(
+            out,
             "{:<9} {:>7.1}% {:>12} {:>12} {:>12}",
             r.policy,
             r.hit_ratio * 100.0,
             format!("{}", r.mean_response),
             format!("{}", r.p50),
             format!("{}", r.p99)
-        );
+        )?;
         if let Some(path) = &o.obs {
             write_policy_snapshot(p.as_ref(), &recorder, path)?;
         }
@@ -345,7 +345,7 @@ pub fn replay(o: &Opts) -> Result<(), String> {
 }
 
 /// `fio`: closed-loop Zipf load (Figures 10/11 style).
-pub fn fio(o: &Opts) -> Result<(), String> {
+pub fn fio(o: &Opts, out: &mut dyn Write) -> CmdResult {
     let cfg = FioConfig::paper(o.read_rate).scaled(o.scale);
     let cache_pages = ((1u64 << 30) / 4096 / o.scale).max(64);
     let g = CacheGeometry {
@@ -355,31 +355,34 @@ pub fn fio(o: &Opts) -> Result<(), String> {
     };
     let raid = RaidModel::paper_default(cfg.wss_pages.max(1024));
     let model = ServiceModel::paper_default();
-    println!(
+    writeln!(
+        out,
         "read rate {:.0}%, WSS {} pages, volume {} pages, cache {} pages, {} threads",
         o.read_rate * 100.0,
         cfg.wss_pages,
         cfg.total_pages,
         cache_pages,
         cfg.threads
-    );
+    )?;
     let recorder = obs_recorder(o)?;
-    println!(
+    writeln!(
+        out,
         "{:<9} {:>8} {:>12} {:>12} {:>14}",
         "policy", "hit%", "mean resp", "p99", "ssd writes"
-    );
+    )?;
     for &kind in &o.policies {
         let mut p = build_policy(kind, g, raid, o.seed);
         let mut w = FioWorkload::new(cfg, o.seed + 1);
         let r = run_closed_loop(p.as_mut(), &mut w, &model, 5, &recorder);
-        println!(
+        writeln!(
+            out,
             "{:<9} {:>7.1}% {:>12} {:>12} {:>14}",
             r.policy,
             r.hit_ratio * 100.0,
             format!("{}", r.mean_response),
             format!("{}", r.p99),
             format!("{}", r.ssd_write_bytes)
-        );
+        )?;
         if let Some(path) = &o.obs {
             write_policy_snapshot(p.as_ref(), &recorder, path)?;
         }
@@ -389,8 +392,8 @@ pub fn fio(o: &Opts) -> Result<(), String> {
 
 /// `faults`: run the full engine under an injected fault plan and report
 /// what fired, how the engine degraded, and whether RPO 0 held.
-pub fn faults(o: &Opts) -> Result<(), String> {
-    fault_drill(o).map(drop)
+pub fn faults(o: &Opts, out: &mut dyn Write) -> CmdResult {
+    fault_drill(o, out).map(drop)
 }
 
 /// The summary `faults` prints after its RPO check.
@@ -418,7 +421,7 @@ impl DrillSummary {
     }
 }
 
-fn fault_drill(o: &Opts) -> Result<DrillSummary, String> {
+fn fault_drill(o: &Opts, out: &mut dyn Write) -> CmdResult<DrillSummary> {
     use kdd_blockdev::fault::FaultInjector;
     use kdd_blockdev::SsdDevice;
     use kdd_core::engine::{EngineMode, KddEngine};
@@ -432,12 +435,13 @@ fn fault_drill(o: &Opts) -> Result<DrillSummary, String> {
         Some(plan) => plan.clone(),
         None => FaultPlan::randomized(o.seed, o.ops * 4, DRILL_DISKS, o.n_faults),
     };
-    println!(
+    writeln!(
+        out,
         "fault plan: {} scheduled faults over a {}-op workload (seed {})",
         plan.specs.len(),
         o.ops,
         o.seed
-    );
+    )?;
 
     let cache_pages = 256u64;
     let layout = Layout::new(RaidLevel::Raid5, DRILL_DISKS as usize, 16, 16 * 64);
@@ -471,12 +475,12 @@ fn fault_drill(o: &Opts) -> Result<DrillSummary, String> {
                 sum.errors += 1;
                 unacked = Some(lba);
                 if injector.power_lost() {
-                    println!("op {i}: power lost mid-write ({e}); running §III-E1 recovery");
+                    writeln!(out, "op {i}: power lost mid-write ({e}); running §III-E1 recovery")?;
                     sum.count_faults(engine.stats());
                     engine = engine.power_cycle().map_err(|e| format!("recovery failed: {e}"))?;
                     sum.recoveries += 1;
                 } else {
-                    println!("op {i}: write to lba {lba} failed: {e}");
+                    writeln!(out, "op {i}: write to lba {lba} failed: {e}")?;
                 }
             }
         }
@@ -497,43 +501,45 @@ fn fault_drill(o: &Opts) -> Result<DrillSummary, String> {
             _ if Some(*lba) == unacked => {}
             Ok(_) => {
                 lost += 1;
-                println!("DATA LOSS: lba {lba} reads back wrong");
+                writeln!(out, "DATA LOSS: lba {lba} reads back wrong")?;
             }
             Err(e) => {
                 lost += 1;
-                println!("DATA LOSS: lba {lba} unreadable: {e}");
+                writeln!(out, "DATA LOSS: lba {lba} unreadable: {e}")?;
             }
         }
     }
 
     let c = injector.counters();
-    println!("\ninjected faults ({} total):", c.injected);
+    writeln!(out, "\ninjected faults ({} total):", c.injected)?;
     for ev in injector.events() {
-        println!("  op {:>6}  {:?} {:?}: {:?}", ev.op, ev.device, ev.dir, ev.kind);
+        writeln!(out, "  op {:>6}  {:?} {:?}: {:?}", ev.op, ev.device, ev.dir, ev.kind)?;
     }
     sum.count_faults(engine.stats());
     sum.pages = acked.len();
-    println!(
+    writeln!(
+        out,
         "\nengine: {} observed, {} retried, {} fallbacks, {} torn pages healed, {} power recoveries",
         sum.observed, sum.retried, sum.fallbacks, sum.torn_healed, sum.recoveries,
-    );
+    )?;
     if engine.mode() == EngineMode::PassThrough {
-        println!("engine is in pass-through mode (SSD and spare both dead)");
+        writeln!(out, "engine is in pass-through mode (SSD and spare both dead)")?;
     }
-    println!(
+    writeln!(
+        out,
         "workload: {} writes acked to {} pages, {} errors surfaced, stale rows now {}",
         sum.writes,
         sum.pages,
         sum.errors,
         engine.raid().stale_row_count()
-    );
+    )?;
     if lost > 0 {
-        return Err(format!("{lost} acknowledged writes lost"));
+        return Err(format!("{lost} acknowledged writes lost").into());
     }
     if let Some(e) = flush_err {
-        return Err(format!("final flush failed: {e}"));
+        return Err(format!("final flush failed: {e}").into());
     }
-    println!("RPO 0 verified: no acknowledged write lost");
+    writeln!(out, "RPO 0 verified: no acknowledged write lost")?;
     Ok(sum)
 }
 
@@ -591,19 +597,18 @@ fn load_snapshot(o: &Opts) -> Result<kdd_obs::Json, String> {
 
 /// `report`: render a `kdd-obs` observability snapshot —
 /// either from a saved JSON file, or by driving a fresh observed run.
-pub fn report(o: &Opts) -> Result<(), String> {
+pub fn report(o: &Opts, out: &mut dyn Write) -> CmdResult {
     let doc = load_snapshot(o)?;
     if o.json {
-        print!("{}", doc.render());
+        write!(out, "{}", doc.render())?;
         return Ok(());
     }
-    render_report(&doc);
-    Ok(())
+    render_report(&doc, out)
 }
 
 /// `trace`: export a snapshot's span ring as a Chrome trace-event /
 /// Perfetto-loadable JSON timeline.
-pub fn trace(o: &Opts) -> Result<(), String> {
+pub fn trace(o: &Opts, out: &mut dyn Write) -> CmdResult {
     let doc = load_snapshot(o)?;
     let trace = kdd_obs::trace_events(&doc)?;
     let rendered = trace.render();
@@ -613,41 +618,13 @@ pub fn trace(o: &Opts) -> Result<(), String> {
             let n = trace.get("traceEvents").and_then(kdd_obs::Json::as_arr).map_or(0, <[_]>::len);
             eprintln!("wrote {n} trace events to {path} (load in ui.perfetto.dev)");
         }
-        None => print!("{rendered}"),
+        None => write!(out, "{rendered}")?,
     }
     Ok(())
 }
 
-/// `obs-diff`: thresholded comparison of two snapshot documents — the
-/// obs analogue of `perfbench --gate`. Exits non-zero on any breach or
-/// structural mismatch.
-pub fn obs_diff(o: &Opts) -> Result<(), String> {
-    use kdd_obs::{diff_snapshots, json, DiffOptions};
-    let (base_path, cur_path) = match o.positional.as_slice() {
-        [a, b] => (a, b),
-        _ => return Err("obs-diff needs exactly two snapshot files: <baseline> <candidate>".into()),
-    };
-    let load = |path: &str| -> Result<kdd_obs::Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        json::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let base = load(base_path)?;
-    let cur = load(cur_path)?;
-    let mut opts = DiffOptions::default();
-    if let Some(t) = o.threshold {
-        opts.threshold = t;
-    }
-    let report = diff_snapshots(&base, &cur, &opts);
-    print!("{}", report.render());
-    if report.ok() {
-        Ok(())
-    } else {
-        Err(format!("{cur_path} drifted from {base_path}"))
-    }
-}
-
 /// Human-readable view of a validated snapshot document.
-fn render_report(doc: &kdd_obs::Json) {
+fn render_report(doc: &kdd_obs::Json, out: &mut dyn Write) -> CmdResult {
     use kdd_obs::Json;
     let num = |v: Option<&Json>| v.and_then(Json::as_f64).unwrap_or(0.0);
     let totals = doc.get("totals");
@@ -655,31 +632,35 @@ fn render_report(doc: &kdd_obs::Json) {
     let counter = |key: &str| num(table("counters").and_then(|c| c.get(key)));
     let derived = |key: &str| num(table("derived").and_then(|d| d.get(key)));
 
-    println!("{} snapshot", doc.get("schema").and_then(Json::as_str).unwrap_or("kdd-obs"));
-    println!(
+    writeln!(out, "{} snapshot", doc.get("schema").and_then(Json::as_str).unwrap_or("kdd-obs"))?;
+    writeln!(
+        out,
         "requests: {:.0}  hit ratio {:.1}%  (read hit {:.1}%)",
         counter("obs.requests"),
         derived("cache.hit_ratio") * 100.0,
         derived("cache.read_hit_ratio") * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "ssd writes: {:.0} data + {:.0} delta + {:.0} meta pages  (meta {:.1}%, WAF {:.2})",
         counter("ssd.data_writes"),
         counter("ssd.delta_writes"),
         counter("ssd.meta_writes"),
         derived("cache.metadata_fraction") * 100.0,
         derived("ssd.waf")
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "raid: {:.0} member reads, {:.0} member writes; cleaner: {:.0} cleanings, {:.0} parity updates",
         counter("raid.reads"),
         counter("raid.writes"),
         counter("cleaner.cleanings"),
         counter("cleaner.parity_updates")
-    );
+    )?;
     if let Some(Json::Obj(gauges)) = table("gauges") {
         let g = |k: &str| gauges.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-        println!(
+        writeln!(
+        out,
             "now: backlog {:.0} rows, stale {:.0} rows, staged {:.0} deltas, metalog {:.0}/{:.0} pages ({:.1}%)",
             g("cleaner.backlog_rows"),
             g("raid.stale_rows"),
@@ -687,7 +668,7 @@ fn render_report(doc: &kdd_obs::Json) {
             g("metalog.pages_used"),
             g("metalog.pages_total"),
             derived("metalog.occupancy") * 100.0
-        );
+        )?;
     }
 
     // "Where the microseconds go": per-stage simulated-time totals from
@@ -701,24 +682,26 @@ fn render_report(doc: &kdd_obs::Json) {
         let total: f64 = rows.iter().map(|&(_, sum, _)| sum).sum();
         rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         if !rows.is_empty() {
-            println!("\nwhere the microseconds go ({:.0} us attributed):", total / 1e3);
-            println!("{:>20} {:>12} {:>10} {:>7}", "stage", "total(us)", "spans", "share");
+            writeln!(out, "\nwhere the microseconds go ({:.0} us attributed):", total / 1e3)?;
+            writeln!(out, "{:>20} {:>12} {:>10} {:>7}", "stage", "total(us)", "spans", "share")?;
             for (name, sum, count) in rows {
-                println!(
+                writeln!(
+                    out,
                     "{name:>20} {:>12.0} {count:>10.0} {:>6.1}%",
                     sum / 1e3,
                     if total > 0.0 { sum / total * 100.0 } else { 0.0 }
-                );
+                )?;
             }
         }
     }
 
     if let Some(ts) = doc.get("timeseries").and_then(Json::as_arr) {
-        println!("\ntimeseries ({} samples):", ts.len());
-        println!(
+        writeln!(out, "\ntimeseries ({} samples):", ts.len())?;
+        writeln!(
+            out,
             "{:>8} {:>9} {:>10} {:>8} {:>7} {:>7} {:>9}",
             "t(s)", "requests", "ssd_wr", "backlog", "stale", "staged", "metalog%"
-        );
+        )?;
         // Show at most 12 rows: the head and the tail of the series.
         let n = ts.len();
         let shown: Vec<usize> =
@@ -727,14 +710,15 @@ fn render_report(doc: &kdd_obs::Json) {
         for &i in &shown {
             if let Some(prev) = last {
                 if i > prev + 1 {
-                    println!("{:>8}", "...");
+                    writeln!(out, "{:>8}", "...")?;
                 }
             }
             last = Some(i);
             let Some(s) = ts.get(i) else { continue };
             let f = |k: &str| num(s.get(k));
             let ssd_wr = f("ssd_data_writes") + f("ssd_delta_writes") + f("ssd_meta_writes");
-            println!(
+            writeln!(
+                out,
                 "{:>8.1} {:>9.0} {:>10.0} {:>8.0} {:>7.0} {:>7.0} {:>8.1}%",
                 f("at_ns") / 1e9,
                 f("requests"),
@@ -743,20 +727,21 @@ fn render_report(doc: &kdd_obs::Json) {
                 f("stale_rows"),
                 f("staged_deltas"),
                 f("metalog_occupancy") * 100.0
-            );
+            )?;
         }
     }
 
     if let Some(wear) = doc.get("wear") {
-        println!(
+        writeln!(
+            out,
             "\nwear: {:.0} blocks, max erase {:.0}",
             num(wear.get("count")),
             num(wear.get("max"))
-        );
+        )?;
         if let Some(buckets) = wear.get("buckets").and_then(Json::as_arr) {
             for b in buckets {
                 if let Some([lo, n]) = b.as_arr().map(|a| [num(a.first()), num(a.get(1))]) {
-                    println!("  >= {lo:>6.0} erases: {n:.0} blocks");
+                    writeln!(out, "  >= {lo:>6.0} erases: {n:.0} blocks")?;
                 }
             }
         }
@@ -765,16 +750,18 @@ fn render_report(doc: &kdd_obs::Json) {
     if let Some(spans) = doc.get("spans") {
         let pushed = num(spans.get("pushed"));
         let dropped = num(spans.get("dropped"));
-        println!("\nspans: {pushed:.0} recorded, {dropped:.0} dropped by the ring");
+        writeln!(out, "\nspans: {pushed:.0} recorded, {dropped:.0} dropped by the ring")?;
         if dropped > 0.0 {
             let cap = num(spans.get("capacity"));
-            println!(
+            writeln!(
+                out,
                 "WARNING: span ring overflowed — {dropped:.0} of {pushed:.0} spans were \
                  dropped (ring capacity {cap:.0}); rerun with a larger --ring-capacity to \
                  keep them"
-            );
+            )?;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -877,7 +864,7 @@ mod tests {
         .unwrap();
         gen_trace(&o).unwrap();
         let o2 = Opts::parse(&s(&["--format", "spc", "--in", path.to_str().unwrap()])).unwrap();
-        stats(&o2).unwrap();
+        stats(&o2, &mut std::io::sink()).unwrap();
         let o3 = Opts::parse(&s(&[
             "--in",
             path.to_str().unwrap(),
@@ -887,7 +874,7 @@ mod tests {
             "0.2",
         ]))
         .unwrap();
-        sim(&o3).unwrap();
+        sim(&o3, &mut std::io::sink()).unwrap();
         if let Err(e) = std::fs::remove_dir_all(&dir) {
             eprintln!("tempdir cleanup failed ({}): {e}", dir.display());
         }
@@ -902,7 +889,8 @@ mod tests {
     fn fault_drill_counts_across_power_cycles() {
         assert!(Opts::parse(&s(&["--plan", "nvram@5:transient"])).is_err());
         let plan = "ssd@120:transient,disk1@50:drop,any@900:power";
-        let sum = fault_drill(&Opts::parse(&s(&["--plan", plan])).unwrap()).unwrap();
+        let sum = fault_drill(&Opts::parse(&s(&["--plan", plan])).unwrap(), &mut std::io::sink())
+            .unwrap();
         assert_eq!((sum.writes, sum.pages, sum.errors, sum.recoveries), (1499, 192, 1, 1));
         assert_eq!((sum.observed, sum.retried, sum.fallbacks), (3, 2, 0));
     }
@@ -922,13 +910,13 @@ mod tests {
     fn replay_smoke() {
         let o = Opts::parse(&s(&["--workload", "hm0", "--scale", "4000", "--policy", "kdd-12"]))
             .unwrap();
-        replay(&o).unwrap();
+        replay(&o, &mut std::io::sink()).unwrap();
     }
 
     #[test]
     fn fio_smoke() {
         let o =
             Opts::parse(&s(&["--read-rate", "0.5", "--scale", "8192", "--policy", "wt"])).unwrap();
-        fio(&o).unwrap();
+        fio(&o, &mut std::io::sink()).unwrap();
     }
 }

@@ -11,6 +11,7 @@
 
 mod cmd;
 
+use std::io::{self, ErrorKind, Write};
 use std::process::exit;
 
 fn main() {
@@ -24,16 +25,16 @@ fn main() {
         usage();
         exit(2);
     });
+    let mut out = std::io::stdout().lock();
     let result = match cmd.as_str() {
         "gen-trace" => cmd::gen_trace(&opts),
-        "stats" => cmd::stats(&opts),
-        "sim" => cmd::sim(&opts),
-        "replay" => cmd::replay(&opts),
-        "fio" => cmd::fio(&opts),
-        "faults" => cmd::faults(&opts),
-        "report" => cmd::report(&opts),
-        "trace" => cmd::trace(&opts),
-        "obs-diff" => cmd::obs_diff(&opts),
+        "stats" => cmd::stats(&opts, &mut out),
+        "sim" => cmd::sim(&opts, &mut out),
+        "replay" => cmd::replay(&opts, &mut out),
+        "fio" => cmd::fio(&opts, &mut out),
+        "faults" => cmd::faults(&opts, &mut out),
+        "report" => cmd::report(&opts, &mut out),
+        "trace" => cmd::trace(&opts, &mut out),
         "help" | "--help" | "-h" => {
             usage();
             Ok(())
@@ -44,7 +45,12 @@ fn main() {
             exit(2);
         }
     };
-    if let Err(e) = result {
+    let flushed = out.flush();
+    let Err(e) = result.and(flushed.map_err(Into::into)) else { return };
+    // The reader closed its end (`kddtool report x.json | head`): it has
+    // what it wanted, so this is a quiet, successful end.
+    let closed = e.downcast_ref::<io::Error>().is_some_and(|e| e.kind() == ErrorKind::BrokenPipe);
+    if !closed {
         eprintln!("error: {e}");
         exit(1);
     }
@@ -81,8 +87,6 @@ commands:
               --ring-capacity N --sample-interval-ms N tune the recorder
   trace       export a snapshot's span ring as Chrome trace-event JSON
               (Perfetto-loadable); same inputs as report, --out FILE
-  obs-diff    thresholded comparison of two snapshots (CI gate)
-              <baseline.json> <candidate.json>  [--threshold F (0.01)]
 
 common:       --seed N (default 42)",
         policies = cmd::POLICY_NAMES

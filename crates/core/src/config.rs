@@ -7,10 +7,9 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use kdd_cache::setassoc::CacheGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Tunables for a KDD cache instance.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct KddConfig {
     /// Cache shape (slots, associativity, page size).
     pub geometry: CacheGeometry,

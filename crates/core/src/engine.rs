@@ -830,7 +830,7 @@ impl KddEngine {
             self.fold_delta(lba, data.as_mut(), t)?;
             // "it takes only tens of microseconds to decompress the delta
             // and combine it with the data" (§IV-B2).
-            self.charge_stage(Stage::DeltaDecode, SimTime::from_micros(20), t);
+            self.charge_stage(Stage::DeltaDecode, codec::DECODE_TIME, t);
         }
         Ok(data)
     }
@@ -1154,8 +1154,7 @@ impl KddEngine {
                 self.codec.compress_into(&delta, &mut comp);
                 self.last_comp_len = comp.len();
                 self.pool.release(delta);
-                // Compression CPU cost.
-                self.charge_stage(Stage::DeltaEncode, SimTime::from_micros(30), &mut t);
+                self.charge_stage(Stage::DeltaEncode, codec::ENCODE_TIME, &mut t);
                 // A delta must fit a DEZ page alongside its directory
                 // record; pages that XOR-compress worse than that are
                 // treated as incompressible (full write-through below).

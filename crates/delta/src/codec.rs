@@ -44,6 +44,16 @@
 // "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
+use kdd_util::units::SimTime;
+
+/// CPU time of one delta compression on the paper's testbed, which the
+/// simulators charge per write hit (§IV-B2: "tens of microseconds").
+pub const ENCODE_TIME: SimTime = SimTime::from_micros(30);
+
+/// CPU time of decompressing one delta and combining it with its base
+/// page (§IV-B2).
+pub const DECODE_TIME: SimTime = SimTime::from_micros(20);
+
 /// Which representation a compressed buffer uses (the header byte).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaCodec {

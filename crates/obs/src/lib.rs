@@ -9,7 +9,7 @@
 //!   `totals` straight from the final [`Sample`]'s fields and its own
 //!   counters, naming each metric once; [`Json`] objects are
 //!   `BTreeMap`-backed, so the rendered key order is byte-stable;
-//! * [`registry`] — the [`Log2Hist`] power-of-two histogram;
+//! * [`hist`] — the [`Log2Hist`] power-of-two histogram;
 //! * [`ring`] — structured I/O lifecycle spans ([`Completion`] →
 //!   [`SpanEvent`]) and first-class background spans captured into a
 //!   bounded [`SpanRing`];
@@ -19,9 +19,7 @@
 //! * [`snapshot`] — periodic [`Sample`]s keyed on *simulated* time and
 //!   the versioned snapshot document, validated by [`validate_snapshot`];
 //! * [`trace`] — a deterministic Chrome trace-event / Perfetto exporter
-//!   over the span ring ([`trace_events`]);
-//! * [`diff`] — the thresholded snapshot differ behind `kddtool
-//!   obs-diff` ([`diff_snapshots`]).
+//!   over the span ring ([`trace_events`]).
 //!
 //! Everything funnels through a cloneable [`Recorder`] handle that
 //! defaults to a no-op sink: when disabled, each call is one branch on an
@@ -45,19 +43,17 @@
     clippy::unimplemented
 )]
 
-pub mod diff;
+pub mod hist;
 pub mod json;
 pub mod recorder;
-pub mod registry;
 pub mod ring;
 pub mod snapshot;
 pub mod stage;
 pub mod trace;
 
-pub use diff::{diff_snapshots, DiffEntry, DiffOptions, DiffReport};
+pub use hist::Log2Hist;
 pub use json::Json;
 pub use recorder::{Recorder, RecorderConfig};
-pub use registry::Log2Hist;
 pub use ring::{BackgroundSpan, Completion, HitClass, ReqKind, SpanBody, SpanEvent, SpanRing};
 pub use snapshot::{validate_snapshot, CacheStats, Sample};
 pub use stage::{Stage, StageTimes};

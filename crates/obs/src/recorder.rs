@@ -12,8 +12,8 @@
 //! bans wall-clock reads).
 
 use crate::frac;
+use crate::hist::Log2Hist;
 use crate::json::{obj, Json};
-use crate::registry::Log2Hist;
 use crate::ring::{BackgroundSpan, Completion, ReqKind, SpanBody, SpanEvent, SpanRing};
 use crate::snapshot::Sample;
 use crate::stage::{Stage, StageTimes};

@@ -175,8 +175,8 @@ pub fn trace_events(doc: &Json) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::Log2Hist;
     use crate::recorder::{Recorder, RecorderConfig};
-    use crate::registry::Log2Hist;
     use crate::ring::{Completion, HitClass, ReqKind};
     use crate::snapshot::Sample;
     use crate::stage::{Stage, StageTimes};

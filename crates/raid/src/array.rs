@@ -42,7 +42,6 @@ use kdd_blockdev::store::MemStore;
 use kdd_delta::{xor_into, xor_pages_into};
 use kdd_util::hash::FastSet;
 use kdd_util::PagePool;
-use serde::{Deserialize, Serialize};
 
 /// Member-disk I/O counts: the [`DiskStats`] ledger summed over the members
 /// ([`RaidArray::totals`]), or what it gained over a call
@@ -105,7 +104,7 @@ impl std::fmt::Display for RaidError {
 impl std::error::Error for RaidError {}
 
 /// Per-disk I/O counters.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DiskStats {
     /// Pages read.
     pub reads: u64,

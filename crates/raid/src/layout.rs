@@ -17,10 +17,8 @@
 // counts). See DESIGN.md "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation)]
 
-use serde::{Deserialize, Serialize};
-
 /// RAID level of an array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RaidLevel {
     /// Single rotating parity (left-symmetric).
     Raid5,
@@ -54,7 +52,7 @@ pub struct PageLocation {
 }
 
 /// Immutable array geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layout {
     /// RAID level.
     pub level: RaidLevel,

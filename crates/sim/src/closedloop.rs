@@ -18,12 +18,11 @@ use kdd_cache::stats::CacheStats;
 use kdd_obs::Recorder;
 use kdd_trace::fio::FioWorkload;
 use kdd_util::units::{ByteSize, SimTime};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Results of one closed-loop run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClosedLoopReport {
     /// Policy display name.
     pub policy: String,

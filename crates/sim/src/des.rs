@@ -46,7 +46,6 @@ use kdd_raid::layout::Layout;
 use kdd_trace::record::Trace;
 use kdd_util::stats::{Histogram, StreamingStats};
 use kdd_util::units::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -215,7 +214,7 @@ impl DiskSim {
 }
 
 /// Results of a DES replay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DesReport {
     /// Policy display name.
     pub policy: String,

@@ -8,10 +8,9 @@ use kdd_cache::policies::{CachePolicy, LeavO, Nossd, RaidModel, WriteAround, Wri
 use kdd_cache::setassoc::CacheGeometry;
 use kdd_core::{KddConfig, KddPolicy};
 use kdd_delta::model::GaussianDeltaModel;
-use serde::{Deserialize, Serialize};
 
 /// The policies the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyKind {
     /// RAID with no cache.
     Nossd,

@@ -17,7 +17,6 @@ use kdd_obs::{Recorder, Sample, Stage};
 use kdd_trace::record::{Op, Trace};
 use kdd_util::stats::{Histogram, StreamingStats};
 use kdd_util::units::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One timeseries sample drawn from a policy's cumulative counters. The
 /// trace drivers have no device gauges (those belong to the engine), so
@@ -119,7 +118,7 @@ impl RequestServer {
 }
 
 /// Latency results of one replay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpenLoopReport {
     /// Policy display name.
     pub policy: String,

@@ -13,11 +13,10 @@ use kdd_core::engine::{EngineError, KddEngine, WriteRequest};
 use kdd_delta::content::PageMutator;
 use kdd_trace::record::{Op, Trace};
 use kdd_util::units::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Results of one engine-backed replay ([`replay_engine`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineReplayReport {
     /// Page operations issued (reads + writes).
     pub ops: u64,

@@ -18,12 +18,12 @@
 use kdd_blockdev::flash::FlashTimings;
 use kdd_blockdev::hdd::HddModel;
 use kdd_cache::effects::Effects;
+use kdd_delta::codec;
 use kdd_obs::{Stage, StageTimes};
 use kdd_util::units::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Per-operation service times.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ServiceModel {
     /// One random member-disk access (seek + rotation + transfer).
     pub hdd_op: SimTime,
@@ -48,22 +48,33 @@ impl ServiceModel {
             hdd_op,
             ssd_read: flash.read_page + flash.xfer_page,
             ssd_write: flash.program_page + flash.xfer_page,
-            compress: SimTime::from_micros(30),
-            decompress: SimTime::from_micros(20),
+            compress: codec::ENCODE_TIME,
+            decompress: codec::DECODE_TIME,
         }
     }
 
-    /// Foreground response time of one request's effects.
-    pub fn response_time(&self, fx: &Effects) -> SimTime {
-        let cpu =
-            self.compress * fx.compressions as u64 + self.decompress * fx.decompressions as u64;
-        let ssd_reads = self.ssd_read * fx.ssd_read_rounds as u64;
-        if fx.raid_rounds > 0 {
-            // SSD programs overlap the (much slower) disk access.
-            self.hdd_op * fx.raid_rounds as u64 + ssd_reads + cpu
+    /// The cost terms of one request's effects, each with the stage it is
+    /// charged to. SSD programs overlap a (much slower) disk round, so
+    /// they cost time only when the request touches no disk.
+    fn terms(&self, is_read: bool, fx: &Effects) -> [(Stage, SimTime); 4] {
+        let device = if fx.raid_rounds > 0 {
+            let raid = if is_read { Stage::RaidRead } else { Stage::RaidWrite };
+            (raid, self.hdd_op * u64::from(fx.raid_rounds))
         } else {
-            ssd_reads + self.ssd_write * fx.ssd_writes() as u64 + cpu
-        }
+            (Stage::SsdWrite, self.ssd_write * u64::from(fx.ssd_writes()))
+        };
+        [
+            (Stage::DeltaEncode, self.compress * u64::from(fx.compressions)),
+            (Stage::DeltaDecode, self.decompress * u64::from(fx.decompressions)),
+            (Stage::SsdRead, self.ssd_read * u64::from(fx.ssd_read_rounds)),
+            device,
+        ]
+    }
+
+    /// Foreground response time of one request's effects: the sum of
+    /// its cost terms.
+    pub fn response_time(&self, fx: &Effects) -> SimTime {
+        self.terms(false, fx).iter().map(|&(_, t)| t).sum()
     }
 
     /// Stage attribution of [`Self::response_time`]: the same cost
@@ -75,15 +86,8 @@ impl ServiceModel {
     /// conservation invariant (stage sum ≤ span duration) intact.
     pub fn stage_times(&self, is_read: bool, fx: &Effects) -> StageTimes {
         let mut st = StageTimes::new();
-        st.add(Stage::DeltaEncode, self.compress * u64::from(fx.compressions));
-        st.add(Stage::DeltaDecode, self.decompress * u64::from(fx.decompressions));
-        st.add(Stage::SsdRead, self.ssd_read * u64::from(fx.ssd_read_rounds));
-        if fx.raid_rounds > 0 {
-            // SSD programs overlap the (much slower) disk access.
-            let raid = if is_read { Stage::RaidRead } else { Stage::RaidWrite };
-            st.add(raid, self.hdd_op * u64::from(fx.raid_rounds));
-        } else {
-            st.add(Stage::SsdWrite, self.ssd_write * u64::from(fx.ssd_writes()));
+        for (stage, t) in self.terms(is_read, fx) {
+            st.add(stage, t);
         }
         st
     }
@@ -137,5 +141,23 @@ mod tests {
         // But a pure cache write does pay the program time.
         let pure = Effects { ssd_data_writes: 1, ..fx() };
         assert_eq!(m.response_time(&pure), m.ssd_write);
+    }
+
+    /// Both read one list of cost terms, so the stage breakdown sums to
+    /// the response time, on disk and off it.
+    #[test]
+    fn stage_times_sum_to_the_response_time() {
+        let m = ServiceModel::paper_default();
+        for effects in [
+            Effects { ssd_data_writes: 1, raid_reads: 2, raid_writes: 2, raid_rounds: 2, ..fx() },
+            Effects { ssd_reads: 2, ssd_read_rounds: 1, decompressions: 1, ..fx() },
+            Effects { ssd_delta_writes: 1, ssd_read_rounds: 1, compressions: 1, ..fx() },
+            fx(),
+        ] {
+            for is_read in [false, true] {
+                let st = m.stage_times(is_read, &effects);
+                assert_eq!(st.total_ns(), m.response_time(&effects).as_nanos(), "{effects:?}");
+            }
+        }
     }
 }

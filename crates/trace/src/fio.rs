@@ -20,10 +20,9 @@ use kdd_util::rng::seeded_rng;
 use kdd_util::sampler::Zipf;
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// Configuration mirroring the paper's FIO invocation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FioConfig {
     /// Working-set size in pages (1.6 GiB / 4 KiB = 409 600 in the paper).
     pub wss_pages: u64,

@@ -10,10 +10,9 @@
 #![allow(clippy::indexing_slicing)]
 
 use kdd_util::units::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Request direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Read request.
     Read,
@@ -22,7 +21,7 @@ pub enum Op {
 }
 
 /// One block-level request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Arrival time relative to trace start.
     pub time: SimTime,
@@ -42,7 +41,7 @@ impl TraceRecord {
 }
 
 /// An in-memory trace: records sorted by arrival time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// The requests, in time order.
     pub records: Vec<TraceRecord>,

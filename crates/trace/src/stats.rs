@@ -2,10 +2,9 @@
 
 use crate::record::{Op, Trace};
 use kdd_util::hash::FastSet;
-use serde::{Deserialize, Serialize};
 
 /// The statistics Table I reports per workload.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TraceStats {
     /// Unique pages touched by any request.
     pub unique_total: u64,

@@ -26,13 +26,12 @@ use kdd_util::rng::{derive_seed, seeded_rng};
 use kdd_util::sampler::Zipf;
 use kdd_util::units::SimTime;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 /// Pages allocated consecutively per "extent" (spatial locality knob).
 const CLUSTER_PAGES: u64 = 8;
 
 /// Everything needed to regenerate one trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthSpec {
     /// Human-readable name (e.g. "Fin1").
     pub name: &'static str,
@@ -277,7 +276,7 @@ impl Stream {
 /// assert_eq!(stats.unique_total, 993);            // 993k / 1000
 /// assert!((stats.read_ratio() - 0.19).abs() < 0.02);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PaperTrace {
     /// OLTP financial trace 1 — write-dominant (read ratio 0.19).
     Fin1,

@@ -9,10 +9,8 @@
 // "Static analysis & invariants".
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
-use serde::{Deserialize, Serialize};
-
 /// Welford's online mean accumulator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamingStats {
     count: u64,
     mean: f64,
@@ -50,7 +48,7 @@ impl StreamingStats {
 ///
 /// Values are bucketed with ~4.2 % relative resolution (16 sub-buckets per
 /// power of two), covering `1..2^40` ns — sub-nanosecond to ~18 minutes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
