@@ -219,10 +219,7 @@ impl CachePolicy for LeavO {
 
     fn idle_tick(&mut self) -> Effects {
         let fx = self.clean_all();
-        self.stats.ssd_meta_writes += fx.ssd_meta_writes as u64;
-        self.stats.ssd_data_writes += fx.ssd_data_writes as u64;
-        self.stats.raid_reads += fx.raid_reads as u64;
-        self.stats.raid_writes += fx.raid_writes as u64;
+        self.stats += fx;
         fx
     }
 
@@ -230,10 +227,7 @@ impl CachePolicy for LeavO {
         let mut fx = self.clean_all();
         fx.ssd_meta_writes += self.meta.flush();
         // Account traffic without counting a request.
-        self.stats.ssd_meta_writes += fx.ssd_meta_writes as u64;
-        self.stats.ssd_data_writes += fx.ssd_data_writes as u64;
-        self.stats.raid_reads += fx.raid_reads as u64;
-        self.stats.raid_writes += fx.raid_writes as u64;
+        self.stats += fx;
         fx
     }
 }

@@ -1,6 +1,7 @@
-//! §III-D's background work, written once for both copies: the cleaning
-//! governor, row cleaning (parity repair, then reclaim), the NoRoom reclaim
-//! around a clean fill, DEZ compaction and delta invalidation. Each copy
+//! §III-C's commit and §III-D's background work, written once for both
+//! copies: the commit of the staged deltas, the cleaning governor, row
+//! cleaning (parity repair, then reclaim), the NoRoom reclaim around a
+//! clean fill, DEZ compaction and delta invalidation. Each copy
 //! implements [`CleanerIo`] with its own I/O — counted [`Effects`] in
 //! `KddPolicy`, device calls and simulated time in `KddEngine` — and keeps
 //! its own order of device operations, costs and log entries inside each
@@ -8,9 +9,11 @@
 //!
 //! [`Effects`]: kdd_cache::effects::Effects
 
+// Bounds-audited: a DEZ page's offsets and lengths fit its 16-bit size.
+#![allow(clippy::cast_possible_truncation)]
+
 use crate::config::KddConfig;
 use crate::dez::{DeltaRef, DezIndex};
-use crate::Merge;
 use kdd_cache::policies::{set_of_row, PendingRows};
 use kdd_cache::setassoc::{InsertOutcome, PageState, SetAssocCache};
 use kdd_cache::stats::CacheStats;
@@ -57,8 +60,8 @@ pub(crate) trait CleanerIo: Sized {
     /// What the work costs: counted effects, or simulated time.
     type Cost;
     type Error;
-    /// A merged DEZ page's bytes on top of its payloads: per page, per delta.
-    const MERGE_OVERHEAD: (u32, u32);
+    /// A DEZ page's directory bytes: per page, per delta.
+    const DEZ_PAGE_OVERHEAD: (u32, u32);
 
     fn zones(&mut self) -> &mut Zones;
     /// Whether `row`'s parity lags its data. The counting model keeps no
@@ -78,17 +81,84 @@ pub(crate) trait CleanerIo: Sized {
     /// Drop the old page `lba` at `slot` and its delta; a failure before
     /// the delta is released changes nothing.
     fn reclaim(&mut self, lba: u64, slot: u32, c: &mut Self::Cost) -> Done<Self>;
+    /// The staged deltas' lbas and lengths, oldest first.
+    fn staged(&self) -> impl Iterator<Item = (u64, u32)> + '_;
     /// Drop the staged copy of an invalidated delta.
     fn unstage(&mut self, lba: u64);
+    /// Drop the staged copies of the deltas a page committed, the oldest.
+    fn unstage_committed(&mut self, refs: &Refs) {
+        refs.iter().for_each(|&(lba, _)| self.unstage(lba));
+    }
+    /// A staged delta fits no DEZ page beside the directory: none commits.
+    fn oversized_delta(&self) -> Done<Self> {
+        Ok(())
+    }
+    /// A slot for a new DEZ page, or `None` when the cache is pinned full.
+    fn alloc_dez_slot(&mut self, c: &mut Self::Cost) -> Result<Option<u32>, Self::Error>;
     /// Free the slot of a DEZ page that left the index.
     fn free_dez_slot(&mut self, slot: u32) -> Done<Self>;
-    /// Write `merge.dst` with the `moved` deltas packed in order, pointing
-    /// each at where it landed.
-    fn write_merged(&mut self, merge: &Merge, moved: &mut Refs, c: &mut Self::Cost) -> Done<Self>;
+    /// Write DEZ page `slot`: each ref's delta, read from where it lies now.
+    fn write_dez_page(&mut self, slot: u32, refs: &Refs, c: &mut Self::Cost) -> Done<Self>;
+    /// Log where a committed page's deltas lie, as one group.
+    fn log_commit(&mut self, refs: &Refs, c: &mut Self::Cost) -> Done<Self>;
     /// Log that `lba`'s delta now lies at `r`.
     fn log_delta(&mut self, lba: u64, r: DeltaRef, c: &mut Self::Cost) -> Done<Self>;
     /// Log that the clean page `lba` was evicted from `slot`.
     fn log_evicted(&mut self, lba: u64, slot: u32, c: &mut Self::Cost) -> Done<Self>;
+}
+
+/// §III-C's commit: pack the staged deltas, oldest first, into as many DEZ
+/// pages as their directories need. A page is indexed with no live bytes,
+/// written, and its mappings logged — only now is each `(lba_dez, off,
+/// len)` known — before any staged copy is dropped, so a crash mid-commit
+/// loses no delta; a failed write or log leaves the staged copies current.
+/// A cache pinned full keeps the rest staged.
+pub(crate) fn commit_staging<B: CleanerIo>(b: &mut B, c: &mut B::Cost) -> Done<B> {
+    let page_size = b.zones().config.geometry.page_size;
+    let (per_page, per_delta) = B::DEZ_PAGE_OVERHEAD;
+    while b.staged().next().is_some() {
+        let mut used = per_page;
+        let count = b
+            .staged()
+            .take_while(|&(_, len)| {
+                used += per_delta + len;
+                used <= page_size
+            })
+            .count();
+        if count == 0 {
+            return b.oversized_delta();
+        }
+        let Some(slot) = b.alloc_dez_slot(c)? else { return Ok(()) };
+        // Taken only now: the allocation may compact, which borrows it too.
+        let mut refs = std::mem::take(&mut b.zones().refs);
+        refs.clear();
+        let sized = |(lba, len)| (lba, DeltaRef { slot, off: 0, len: len as u16 });
+        refs.extend(b.staged().take(count).map(sized));
+        lay_out::<B>(slot, &mut refs);
+        let listed = b.zones().dez.list(slot, refs.iter().map(|&(lba, _)| lba));
+        if let Err(e) = b.write_dez_page(slot, &refs, c).and_then(|()| b.log_commit(&refs, c)) {
+            let z = b.zones();
+            z.dez.unlist(listed);
+            z.cache.free_slot(slot);
+            return Err(e);
+        }
+        b.unstage_committed(&refs);
+        let z = b.zones();
+        z.dez.go_live(listed, &refs);
+        z.refs = refs;
+    }
+    Ok(())
+}
+
+/// Point each of `refs` into page `slot`, packed in order after the page
+/// directory, each keeping its length.
+fn lay_out<B: CleanerIo>(slot: u32, refs: &mut Refs) {
+    let (per_page, per_delta) = B::DEZ_PAGE_OVERHEAD;
+    let mut off = per_page + per_delta * refs.len() as u32;
+    for (_, r) in refs.iter_mut() {
+        *r = DeltaRef { slot, off: off as u16, len: r.len };
+        off += u32::from(r.len);
+    }
 }
 
 /// The governor, after every write hit: as pinned slots pass the pressure
@@ -195,13 +265,18 @@ pub(crate) fn insert_clean_or_bypass<B: CleanerIo>(
 pub(crate) fn compact<B: CleanerIo>(b: &mut B, c: &mut B::Cost) -> Done<B> {
     loop {
         let p = b.zones();
-        let Some(merge) = p.dez.next_merge(p.config.geometry.page_size, B::MERGE_OVERHEAD) else {
+        let Some(merge) = p.dez.next_merge(p.config.geometry.page_size, B::DEZ_PAGE_OVERHEAD)
+        else {
             return Ok(());
         };
+        debug_assert!(p.dez.recount(), "DEZ live-byte counters drifted");
         let mut moved = std::mem::take(&mut p.refs);
         moved.clear();
         moved.extend(p.dez.deltas(merge.dst).chain(p.dez.deltas(merge.src)));
-        b.write_merged(&merge, &mut moved, c)?;
+        lay_out::<B>(merge.dst, &mut moved);
+        // Nothing volatile moves until the merged page is written, so a
+        // failed write leaves the index pointing at the two intact pages.
+        b.write_dez_page(merge.dst, &moved, c)?;
         moved.sort_unstable_by_key(|&(lba, _)| lba);
         b.zones().dez.replace_merged(&merge, &moved);
         b.free_dez_slot(merge.src)?;
@@ -225,6 +300,7 @@ pub(crate) fn invalidate_delta<B: CleanerIo>(b: &mut B, lba: u64) -> Done<B> {
 mod tests {
     #![allow(clippy::indexing_slicing)]
     use super::*;
+    use crate::dez::DeltaLoc;
     use kdd_cache::setassoc::{CacheGeometry, SetGrouping};
     use kdd_raid::layout::RaidLevel;
     use std::collections::BTreeSet;
@@ -236,25 +312,29 @@ mod tests {
         Reclaim(u64),
         Unstage(u64),
         FreeDez(u32),
-        Merged(u32, Vec<u64>),
+        Wrote(u32, Vec<u64>),
+        Committed(Vec<u64>),
         Logged(u64),
         Evicted(u64),
     }
 
     /// A backend without devices: each hook records itself and touches
     /// only the shared state. Parity is stale except on `current` rows;
-    /// reclaiming `fails` fails before anything moves.
+    /// reclaiming `fails`, or writing its delta, fails before anything
+    /// moves. `staged` is the staging buffer: lbas and lengths, oldest
+    /// first.
     struct Fake {
         z: Zones,
         current: BTreeSet<u64>,
         fails: Option<u64>,
+        staged: Vec<(u64, u32)>,
         calls: Vec<Call>,
     }
 
     impl CleanerIo for Fake {
         type Cost = u32;
         type Error = u64;
-        const MERGE_OVERHEAD: (u32, u32) = (0, 0);
+        const DEZ_PAGE_OVERHEAD: (u32, u32) = (0, 0);
 
         fn zones(&mut self) -> &mut Zones {
             &mut self.z
@@ -280,8 +360,17 @@ mod tests {
             invalidate_delta(self, lba)
         }
 
+        fn staged(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+            self.staged.iter().copied()
+        }
+
         fn unstage(&mut self, lba: u64) {
+            self.staged.retain(|&(l, _)| l != lba);
             self.calls.push(Call::Unstage(lba));
+        }
+
+        fn alloc_dez_slot(&mut self, _: &mut u32) -> Result<Option<u32>, u64> {
+            Ok(self.z.cache.alloc_delta_slot())
         }
 
         fn free_dez_slot(&mut self, slot: u32) -> Done<Self> {
@@ -290,14 +379,19 @@ mod tests {
             Ok(())
         }
 
-        fn write_merged(&mut self, m: &Merge, moved: &mut Refs, c: &mut u32) -> Done<Self> {
-            *c += 1;
-            self.calls.push(Call::Merged(m.dst, moved.iter().map(|&(lba, _)| lba).collect()));
-            let mut off = 0;
-            for (_, r) in moved.iter_mut() {
-                *r = DeltaRef { slot: m.dst, off, len: r.len };
-                off += r.len;
+        fn write_dez_page(&mut self, slot: u32, refs: &Refs, c: &mut u32) -> Done<Self> {
+            let lbas: Vec<u64> = refs.iter().map(|&(lba, _)| lba).collect();
+            if let Some(lba) = self.fails.filter(|lba| lbas.contains(lba)) {
+                return Err(lba);
             }
+            *c += 1;
+            self.calls.push(Call::Wrote(slot, lbas));
+            Ok(())
+        }
+
+        fn log_commit(&mut self, refs: &Refs, c: &mut u32) -> Done<Self> {
+            *c += 1;
+            self.calls.push(Call::Committed(refs.iter().map(|&(lba, _)| lba).collect()));
             Ok(())
         }
 
@@ -323,7 +417,7 @@ mod tests {
         let config = KddConfig { clean_threshold: 0.25, ..KddConfig::new(geometry) };
         let cache = SetAssocCache::new_grouped(geometry, SetGrouping::parity_rows(&layout));
         let z = Zones::new(config, layout, cache);
-        Fake { z, current: BTreeSet::new(), fails: None, calls: Vec::new() }
+        Fake { z, current: BTreeSet::new(), fails: None, staged: Vec::new(), calls: Vec::new() }
     }
 
     impl Fake {
@@ -482,6 +576,52 @@ mod tests {
     }
 
     #[test]
+    fn commit_packs_oldest_first_and_keeps_staged_what_it_cannot_write() {
+        let mut f = fake();
+        for lba in 0..5 {
+            f.write_hit(lba);
+        }
+        // 4 096-byte pages: the oldest delta alone, then the next two.
+        f.staged = vec![(0, 3000), (1, 2000), (2, 1000)];
+        let mut cost = 0;
+        commit_staging(&mut f, &mut cost).unwrap();
+        let [first, second] = [0, 1].map(|lba| match f.z.dez.loc(lba) {
+            Some(DeltaLoc::Dez(r)) => r.slot,
+            loc => panic!("lba {lba} at {loc:?}"),
+        });
+        let want = [
+            Call::Wrote(first, vec![0]),
+            Call::Committed(vec![0]),
+            Call::Unstage(0),
+            Call::Wrote(second, vec![1, 2]),
+            Call::Committed(vec![1, 2]),
+            Call::Unstage(1),
+            Call::Unstage(2),
+        ];
+        assert_eq!(f.calls, want);
+        let dez = |off, len| Some(DeltaLoc::Dez(DeltaRef { slot: second, off, len }));
+        assert_eq!((f.z.dez.loc(1), f.z.dez.loc(2)), (dez(0, 2000), dez(2000, 1000)));
+        assert!(f.staged.is_empty() && f.z.dez.recount());
+        assert_eq!((f.z.dez.len(), cost), (2, 4));
+        // A failed write frees its slot and leaves the delta staged.
+        f.calls.clear();
+        f.staged = vec![(3, 500)];
+        f.fails = Some(3);
+        let free = f.z.cache.free_slots();
+        assert_eq!(commit_staging(&mut f, &mut cost), Err(3));
+        assert_eq!((f.z.cache.free_slots(), f.z.dez.len()), (free, 2));
+        assert_eq!((f.z.dez.loc(3), f.staged.len()), (Some(DeltaLoc::Staged), 1));
+        f.fails = None;
+        commit_staging(&mut f, &mut cost).unwrap();
+        assert_eq!((f.z.dez.len(), f.calls.len()), (3, 3));
+        // A delta no page holds stays staged.
+        f.calls.clear();
+        f.staged = vec![(4, 5000)];
+        commit_staging(&mut f, &mut cost).unwrap();
+        assert!(f.calls.is_empty() && f.staged.len() == 1);
+    }
+
+    #[test]
     fn compaction_relogs_by_lba_and_stops_when_nothing_merges() {
         let mut f = fake();
         // Five nearly empty pages: the two emptiest merge (ties to the
@@ -493,11 +633,11 @@ mod tests {
         let mut cost = 0;
         compact(&mut f, &mut cost).unwrap();
         let want = [
-            Call::Merged(slots[1], vec![7, 2]),
+            Call::Wrote(slots[1], vec![7, 2]),
             Call::FreeDez(slots[3]),
             Call::Logged(2),
             Call::Logged(7),
-            Call::Merged(slots[4], vec![8, 2, 7]),
+            Call::Wrote(slots[4], vec![8, 2, 7]),
             Call::FreeDez(slots[1]),
             Call::Logged(2),
             Call::Logged(7),
@@ -505,10 +645,10 @@ mod tests {
         ];
         assert_eq!(f.calls, want);
         assert_eq!((f.z.dez.len(), cost), (3, 7));
-        assert_eq!(f.z.dez.next_merge(4096, Fake::MERGE_OVERHEAD), None);
+        assert_eq!(f.z.dez.next_merge(4096, Fake::DEZ_PAGE_OVERHEAD), None);
         assert!(f.z.dez.recount());
         let at = |lba| f.z.dez.loc(lba);
-        let dez = |off| Some(crate::dez::DeltaLoc::Dez(DeltaRef { slot: slots[4], off, len: 60 }));
+        let dez = |off| Some(DeltaLoc::Dez(DeltaRef { slot: slots[4], off, len: 60 }));
         assert_eq!((at(2), at(7)), (dez(90), dez(150)), "packed destination first");
     }
 }

@@ -9,10 +9,11 @@
 //! state they share in [`Zones`] are compared.
 //!
 //! This is a ratchet, not an equality test: each rig pins the first op at
-//! which the copies part and the [`Divergence`] that explains it, and apart
-//! from that the first op at which `ssd_reads` parts. Mirroring a rule in
-//! one copy, or fixing a bug, moves a pin later; a parting that no named
-//! rule explains fails with the op and both copies' counters.
+//! which the copies part and the [`Divergence`] that explains it, apart
+//! from that the first op at which `ssd_reads` parts, and both copies'
+//! end-of-trace totals. Mirroring a rule in one copy, or fixing a bug,
+//! moves a pin later and the totals with it; a parting that no named rule
+//! explains fails with the op and both copies' counters.
 
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
@@ -39,7 +40,7 @@ const PAGE: u32 = 4096;
 ///
 /// The pins below, over single `write`s and exact delta lengths on RAID-5 ×
 /// 5 with 16-page chunks, with both copies' counters at the end of the
-/// trace (engine / policy; no flush):
+/// trace (engine / policy; no flush), all asserted by the rig's test:
 ///
 /// | rig (seed) | page ops | first op apart (engine delta) | `ssd_reads` apart | hit ratio | DEZ page writes | parity updates | `ssd_reads` |
 /// |---|---|---|---|---|---|---|---|
@@ -75,7 +76,8 @@ enum Divergence {
     /// policy charges `small_write_effects` only.
     WriteMissCleansRow,
     /// The engine's commit spills into more DEZ pages than the policy's
-    /// one: its pages carry a 2-byte header and a 12-byte record per delta.
+    /// one: its `DEZ_PAGE_OVERHEAD` is a 2-byte header and a 12-byte
+    /// record per delta, the policy's none.
     CommitSpill,
     /// With no slot free, the policy's `alloc_dez_slot` compacts the DEZ
     /// before it evicts a clean page; the engine evicts at once.
@@ -225,11 +227,21 @@ struct Rig {
 }
 
 /// What a replay found: the first op (1-based) where the copies part and
-/// its rule, and the first where `ssd_reads` parts.
+/// its rule, the first where `ssd_reads` parts, and the engine's and the
+/// policy's [`Totals`] at the end.
 #[derive(Default)]
 struct Parting {
     apart: Option<(u64, Divergence)>,
     ssd_reads_apart: Option<(u64, Divergence)>,
+    totals: [Totals; 2],
+}
+
+/// One copy's end-of-trace columns of the [`Divergence`] table: hit ratio
+/// (as printed), DEZ page writes, parity updates, `ssd_reads`.
+type Totals = (String, u64, u64, u64);
+
+fn totals(s: &CacheStats) -> Totals {
+    (format!("{:.3}", s.hit_ratio()), s.ssd_delta_writes, s.parity_updates, s.ssd_reads)
 }
 
 fn replay(rig: &Rig) -> Parting {
@@ -313,21 +325,17 @@ fn replay(rig: &Rig) -> Parting {
             views = now;
         }
     }
-    let totals = |who: &str, s: &CacheStats| {
-        println!(
-            "  {who:6} hit ratio {:.3}, DEZ page writes {}, parity updates {}, ssd_reads {}",
-            s.hit_ratio(),
-            s.ssd_delta_writes,
-            s.parity_updates,
-            s.ssd_reads
-        );
-    };
     println!(
         "{:?} ÷{} (seed {}), {op} page ops: apart at {:?}, ssd_reads apart at op {:?}",
         rig.trace, rig.scale, rig.seed, parting.apart, parting.ssd_reads_apart
     );
-    totals("engine", &engine.z.stats);
-    totals("policy", &policy.z.stats);
+    parting.totals = [totals(&engine.z.stats), totals(&policy.z.stats)];
+    for (who, (hit_ratio, dez, parity, reads)) in ["engine", "policy"].iter().zip(&parting.totals) {
+        println!(
+            "  {who:6} hit ratio {hit_ratio}, DEZ page writes {dez}, parity updates {parity}, \
+             ssd_reads {reads}"
+        );
+    }
     parting
 }
 
@@ -336,8 +344,12 @@ fn repro_rig(trace: PaperTrace, seed: u64) -> Rig {
     Rig { trace, scale: 100, seed, cache_pages: 256, ways: 16, disk_pages: 16 * 64 }
 }
 
-/// Replay `rig` and hold it to its pins.
-fn ratchet(rig: Rig, apart: (u64, Divergence), ssd_reads_apart: u64) {
+/// A copy's [`Totals`] as the table prints them.
+type Want = (&'static str, u64, u64, u64);
+
+/// Replay `rig` and hold it to its pins and the engine's and the policy's
+/// totals.
+fn ratchet(rig: Rig, apart: (u64, Divergence), ssd_reads_apart: u64, totals: [Want; 2]) {
     let parting = replay(&rig);
     assert_eq!(parting.apart, Some(apart), "{:?}: where the copies part moved", rig.trace);
     assert_eq!(
@@ -346,26 +358,33 @@ fn ratchet(rig: Rig, apart: (u64, Divergence), ssd_reads_apart: u64) {
         "{:?}: where ssd_reads parts moved",
         rig.trace
     );
+    let got =
+        parting.totals.each_ref().map(|(h, dez, parity, reads)| (&**h, *dez, *parity, *reads));
+    assert_eq!(got, totals, "{:?}: the end-of-trace totals (engine, policy) moved", rig.trace);
 }
 
 #[test]
 fn fin1_repro_scale() {
-    ratchet(repro_rig(PaperTrace::Fin1, 5), (128, Divergence::IncompressibleDelta), 18);
+    let totals = [("0.366", 17_423, 2_489, 4_976), ("0.397", 21_702, 1_224, 22_112)];
+    ratchet(repro_rig(PaperTrace::Fin1, 5), (128, Divergence::IncompressibleDelta), 18, totals);
 }
 
 #[test]
 fn fin2_repro_scale() {
-    ratchet(repro_rig(PaperTrace::Fin2, 6), (86, Divergence::IncompressibleDelta), 59);
+    let totals = [("0.498", 3_544, 376, 18_274), ("0.518", 3_855, 232, 37_109)];
+    ratchet(repro_rig(PaperTrace::Fin2, 6), (86, Divergence::IncompressibleDelta), 59, totals);
 }
 
 #[test]
 fn hm0_repro_scale() {
-    ratchet(repro_rig(PaperTrace::Hm0, 7), (11, Divergence::IncompressibleDelta), 14);
+    let totals = [("0.448", 22_275, 3_833, 11_151), ("0.475", 28_653, 1_655, 37_806)];
+    ratchet(repro_rig(PaperTrace::Hm0, 7), (11, Divergence::IncompressibleDelta), 14, totals);
 }
 
 #[test]
 fn web0_repro_scale() {
-    ratchet(repro_rig(PaperTrace::Web0, 8), (16, Divergence::IncompressibleDelta), 49);
+    let totals = [("0.321", 14_920, 823, 6_968), ("0.344", 16_913, 1_018, 19_177)];
+    ratchet(repro_rig(PaperTrace::Web0, 8), (16, Divergence::IncompressibleDelta), 49, totals);
 }
 
 /// The benchmark's `fin1_write_heavy` rig: a 2 048-page 64-way cache over
@@ -380,5 +399,6 @@ fn fin1_benchmark_rig() {
         ways: 64,
         disk_pages: 65_536 / 4,
     };
-    ratchet(rig, (40, Divergence::IncompressibleDelta), 33);
+    let totals = [("0.537", 49_844, 5_168, 15_244), ("0.566", 63_166, 1_601, 61_245)];
+    ratchet(rig, (40, Divergence::IncompressibleDelta), 33, totals);
 }

@@ -33,7 +33,6 @@ use crate::config::KddConfig;
 use crate::dez::DeltaLoc;
 use crate::metalog::{CommitBatch, LogEntry, MetaLog, PartitionTooSmall};
 use crate::staging::{PayloadPool, StagingBuffer};
-use crate::Merge;
 use kdd_blockdev::error::{DevError, FaultDomain};
 use kdd_blockdev::fault::FaultInjector;
 use kdd_blockdev::ssd::SsdDevice;
@@ -151,7 +150,7 @@ const ENTRY_BYTES: usize = 22;
 const META_HDR: usize = 14;
 
 /// The largest page whose DEZ directory can address every byte: a delta's
-/// `off` and `len` are `u16`s ([`DeltaRef`], [`DezPacker`]).
+/// `off` and `len` are `u16`s ([`DeltaRef`] and the page's directory).
 const DEZ_MAX_PAGE: usize = 1 << 16;
 
 /// CRC-32 of a metadata page, skipping the CRC field itself.
@@ -234,38 +233,6 @@ fn le_u32(b: &[u8], at: usize) -> Option<u32> {
 
 fn le_u16(b: &[u8], at: usize) -> Option<u16> {
     b.get(at..at.checked_add(2)?).and_then(|s| <[u8; 2]>::try_from(s).ok()).map(u16::from_le_bytes)
-}
-
-/// One DEZ page image being laid out — a `[count: u16]` header, a
-/// directory of `(lba: u64, off: u16, len: u16)` records, then the
-/// compressed payloads — one delta at a time, each copied from wherever it
-/// currently lies. The caller has checked that all `count` of them fit.
-struct DezPacker {
-    page: Box<[u8]>,
-    slot: u32,
-    dir_off: usize,
-    data_off: usize,
-}
-
-impl DezPacker {
-    /// Start a page of `count` deltas for cache slot `slot` in the zeroed
-    /// buffer `page`.
-    fn new(mut page: Box<[u8]>, slot: u32, count: usize) -> Self {
-        page[..2].copy_from_slice(&(count as u16).to_le_bytes());
-        DezPacker { page, slot, dir_off: 2, data_off: 2 + count * 12 }
-    }
-
-    /// Append `lba`'s delta; where it landed.
-    fn push(&mut self, lba: u64, payload: &[u8]) -> DeltaRef {
-        let (dir, data, len) = (self.dir_off, self.data_off, payload.len());
-        self.page[dir..dir + 8].copy_from_slice(&lba.to_le_bytes());
-        self.page[dir + 8..dir + 10].copy_from_slice(&(data as u16).to_le_bytes());
-        self.page[dir + 10..dir + 12].copy_from_slice(&(len as u16).to_le_bytes());
-        self.page[data..data + len].copy_from_slice(payload);
-        self.dir_off += 12;
-        self.data_off += len;
-        DeltaRef { slot: self.slot, off: data as u16, len: len as u16 }
-    }
 }
 
 /// Vectors the commit, compaction and cleaning paths borrow
@@ -680,99 +647,6 @@ impl KddEngine {
 
     // ---- delta plumbing ---------------------------------------------------
 
-    /// Pack the staged deltas into DEZ pages: each page carries a
-    /// directory of `(lba, off, len)` records followed by the compressed
-    /// payloads. Usually one page suffices (the staging buffer is one page
-    /// of *payload*); the directory overhead can spill a few deltas into a
-    /// second page.
-    fn commit_staging(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        let ps = self.page_size();
-        // Pages are built from the payloads still sitting in NVRAM: a
-        // delta leaves the staging buffer only once the DEZ page holding
-        // it is durably on flash and logged, so a crash mid-commit never
-        // loses an acknowledged write.
-        while !self.staging.is_empty() {
-            // Greedy fill from the FIFO's front: each delta costs 12B of
-            // directory + its bytes.
-            let mut used = 2usize;
-            let count = self
-                .staging
-                .snapshot()
-                .take_while(|(_, payload)| {
-                    used += 12 + payload.len();
-                    used <= ps
-                })
-                .count();
-            if count == 0 {
-                return Err(EngineError::Inconsistent("one delta must always fit a DEZ page"));
-            }
-            let Some(slot) = self.alloc_dez_slot(t)? else {
-                // Fully pinned cache: the rest simply stays staged.
-                return Ok(());
-            };
-            let mut refs = std::mem::take(&mut self.z.refs);
-            refs.clear();
-            let mut packer = DezPacker::new(self.pool.acquire(), slot, count);
-            for (lba, payload) in self.staging.snapshot().take(count) {
-                refs.push((lba, packer.push(lba, payload)));
-            }
-            let page = packer.page;
-            // The page is indexed with no live bytes until it is on flash
-            // and its mappings are logged. Logging precedes every removal of
-            // an NVRAM copy: if the crash lands in between, recovery sees
-            // both and the staged copies (same bytes) simply supersede the
-            // DEZ references.
-            let listed = self.z.dez.list(slot, refs.iter().map(|&(lba, _)| lba));
-            let stored = self.store_dez_page(slot, &page, &refs, t);
-            self.pool.release(page);
-            if let Err(e) = stored {
-                // The staged copies are still the current deltas.
-                self.z.dez.unlist(listed);
-                self.z.cache.free_slot(slot);
-                return Err(e);
-            }
-            for &(lba, _) in &refs {
-                self.payloads.release(self.staging.remove(lba));
-            }
-            self.z.dez.go_live(listed, &refs);
-            self.z.refs = refs;
-        }
-        Ok(())
-    }
-
-    /// Write the DEZ page of `refs` to `slot` and log their mappings as one
-    /// metalog group.
-    fn store_dez_page(
-        &mut self,
-        slot: u32,
-        page: &[u8],
-        refs: &[(u64, DeltaRef)],
-        t: &mut SimTime,
-    ) -> Result<(), EngineError> {
-        let dt = self.ssd.write_page(self.slot_lpn(slot), page)?;
-        self.charge_stage(Stage::StagingCommit, dt, t);
-        self.z.stats.ssd_delta_writes += 1;
-        let mut entries = std::mem::take(&mut self.scratch.entries);
-        for &(lba, r) in refs {
-            entries.push(self.old_entry(lba, r)?);
-        }
-        self.meta_pending.extend(self.metalog.push_group(entries.drain(..))?);
-        self.scratch.entries = entries;
-        self.queue_batches(t)
-    }
-
-    /// A slot for a new DEZ page: a free one from the set with the fewest
-    /// DEZ pages, else the slot of the evicted [`SetAssocCache::dez_victim`].
-    fn alloc_dez_slot(&mut self, t: &mut SimTime) -> Result<Option<u32>, EngineError> {
-        if let Some(slot) = self.z.cache.alloc_delta_slot() {
-            return Ok(Some(slot));
-        }
-        let Some((slot, lba)) = self.z.cache.dez_victim() else { return Ok(None) };
-        self.reclaim(lba, slot, t)?; // clean: it has no delta to drop
-        self.z.stats.evictions += 1;
-        Ok(self.z.cache.alloc_delta_slot())
-    }
-
     /// Run `f` over `lba`'s compressed delta where it lies — the NVRAM
     /// staging buffer, or its DEZ page lent by the SSD (one flash read) —
     /// together with the engine's decode scratch.
@@ -1161,7 +1035,7 @@ impl KddEngine {
                 let compressible = comp.len() + 14 <= self.page_size()
                     && comp.len() as u32 <= self.staging.capacity_bytes();
                 if compressible && !self.staging.fits(lba, &comp) {
-                    self.commit_staging(&mut t)?;
+                    cleaner::commit_staging(self, &mut t)?;
                 }
                 // Committing the staged deltas may allocate DEZ pages by
                 // evicting *clean* cache pages — and this page is still
@@ -1334,7 +1208,7 @@ impl KddEngine {
     }
 
     fn flush_tail(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        self.commit_staging(t)?;
+        cleaner::commit_staging(self, t)?;
         self.meta_pending.extend(self.metalog.flush()?);
         self.queue_batches(t)
     }
@@ -1561,8 +1435,9 @@ impl KddEngine {
 impl CleanerIo for KddEngine {
     type Cost = SimTime;
     type Error = EngineError;
-    /// A page header, and a directory record per delta.
-    const MERGE_OVERHEAD: (u32, u32) = (2, 12);
+    /// A `[count: u16]` header, and an `(lba: u64, off: u16, len: u16)`
+    /// directory record per delta.
+    const DEZ_PAGE_OVERHEAD: (u32, u32) = (2, 12);
 
     fn zones(&mut self) -> &mut Zones {
         &mut self.z
@@ -1626,8 +1501,30 @@ impl CleanerIo for KddEngine {
         Ok(self.ssd.trim_page(self.slot_lpn(slot))?)
     }
 
+    /// Committed from the payloads still in NVRAM.
+    fn staged(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.staging.snapshot().map(|(lba, payload)| (lba, payload.len() as u32))
+    }
+
     fn unstage(&mut self, lba: u64) {
         self.payloads.release(self.staging.remove(lba));
+    }
+
+    /// A write hit stages only a delta that fits a page beside its record.
+    fn oversized_delta(&self) -> Done<Self> {
+        Err(EngineError::Inconsistent("one delta must always fit a DEZ page"))
+    }
+
+    /// A free one from the set with the fewest DEZ pages, else the slot of
+    /// the evicted [`SetAssocCache::dez_victim`].
+    fn alloc_dez_slot(&mut self, t: &mut SimTime) -> Result<Option<u32>, EngineError> {
+        if let Some(slot) = self.z.cache.alloc_delta_slot() {
+            return Ok(Some(slot));
+        }
+        let Some((slot, lba)) = self.z.cache.dez_victim() else { return Ok(None) };
+        self.reclaim(lba, slot, t)?; // clean: it has no delta to drop
+        self.z.stats.evictions += 1;
+        Ok(self.z.cache.alloc_delta_slot())
     }
 
     /// The slot is freed first, so a failed trim cannot leave it pinned
@@ -1637,20 +1534,37 @@ impl CleanerIo for KddEngine {
         Ok(self.ssd.trim_page(self.slot_lpn(slot))?)
     }
 
-    /// Each delta is copied once from the page it lies in. Nothing volatile
-    /// moves until the merged page is on flash, so a failed write leaves
-    /// the index pointing at the two intact source pages.
-    fn write_merged(&mut self, merge: &Merge, moved: &mut Refs, t: &mut SimTime) -> Done<Self> {
-        debug_assert!(self.z.dez.recount(), "DEZ live-byte counters drifted");
-        let mut packer = DezPacker::new(self.pool.acquire(), merge.dst, merge.deltas);
-        for (lba, r) in moved.iter_mut() {
-            *r = self.with_delta(*lba, t, |comp, _| packer.push(*lba, comp))?;
+    /// The page is a `[count: u16]` header, the `(lba, off, len)`
+    /// directory, then the compressed payloads; each delta is copied once
+    /// from NVRAM or the DEZ page it lies in.
+    fn write_dez_page(&mut self, slot: u32, refs: &Refs, t: &mut SimTime) -> Done<Self> {
+        let mut page = self.pool.acquire();
+        page[..2].copy_from_slice(&(refs.len() as u16).to_le_bytes());
+        for (dir, &(lba, r)) in page[2..].chunks_exact_mut(12).zip(refs) {
+            dir[..8].copy_from_slice(&lba.to_le_bytes());
+            dir[8..10].copy_from_slice(&r.off.to_le_bytes());
+            dir[10..].copy_from_slice(&r.len.to_le_bytes());
         }
-        let written = self.ssd.write_page(self.slot_lpn(merge.dst), &packer.page);
-        self.pool.release(packer.page);
+        for &(lba, r) in refs {
+            let at = &mut page[r.off as usize..][..r.len as usize];
+            self.with_delta(lba, t, |comp, _| at.copy_from_slice(comp))?;
+        }
+        let written = self.ssd.write_page(self.slot_lpn(slot), &page);
+        self.pool.release(page);
         self.charge_stage(Stage::StagingCommit, written?, t);
         self.z.stats.ssd_delta_writes += 1;
         Ok(())
+    }
+
+    /// One metalog group, so recovery replays the page's mappings together.
+    fn log_commit(&mut self, refs: &Refs, t: &mut SimTime) -> Done<Self> {
+        let mut entries = std::mem::take(&mut self.scratch.entries);
+        for &(lba, r) in refs {
+            entries.push(self.old_entry(lba, r)?);
+        }
+        self.meta_pending.extend(self.metalog.push_group(entries.drain(..))?);
+        self.scratch.entries = entries;
+        self.queue_batches(t)
     }
 
     fn log_delta(&mut self, lba: u64, r: DeltaRef, t: &mut SimTime) -> Done<Self> {

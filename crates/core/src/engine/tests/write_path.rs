@@ -51,19 +51,19 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     assert!(warm > 0 && warm < kdd_util::pool::DEFAULT_POOL_CAP as u64);
 
     // Commit to one DEZ page, then to two (the directory spills).
-    e.commit_staging(&mut t).unwrap();
+    cleaner::commit_staging(&mut e, &mut t).unwrap();
     for (i, &lba) in lbas.iter().take(4).enumerate() {
         rewrite(&mut e, &mut versions, lba, i as u8);
     }
     let before = e.stats().ssd_delta_writes;
-    e.commit_staging(&mut t).unwrap();
+    cleaner::commit_staging(&mut e, &mut t).unwrap();
     assert_eq!(e.stats().ssd_delta_writes, before + 1);
     while e.staging.used_bytes() + 12 * e.staged_deltas() as u32 <= PS {
         let lba = lbas[rng.random_range(0..lbas.len())];
         rewrite(&mut e, &mut versions, lba, rng.random());
     }
     let before = e.stats().ssd_delta_writes;
-    e.commit_staging(&mut t).unwrap();
+    cleaner::commit_staging(&mut e, &mut t).unwrap();
     assert_eq!(e.stats().ssd_delta_writes, before + 2, "the directory must spill a second page");
     assert_conserved(&e, "commits");
 
@@ -197,7 +197,7 @@ fn recovered_payloads_are_dropped_not_recycled() {
     assert_eq!(e.last_class, HitClass::WriteHitDelta);
     versions.insert(0, next);
     assert_eq!(e.payloads.free_len(), 0, "the recovered predecessor was recycled");
-    e.commit_staging(&mut SimTime::default()).unwrap();
+    cleaner::commit_staging(&mut e, &mut SimTime::default()).unwrap();
     assert_eq!(e.staged_deltas(), 0);
     assert_eq!((e.payloads.free_len(), e.payload_buffer_stats()), (1, (1, 0)));
     for lba in 0..3u64 {

@@ -23,18 +23,19 @@
 //! each old page's delta location, its invalidate/re-stage, commit (`list`
 //! → log → `go_live`) and merge calls, each page's deltas by lba with their
 //! live bytes, and the compaction bound; the compaction planner
-//! (`plan_merge`, here); and §III-D's background work (`cleaner`) over the
-//! state both keep alike (`cleaner::Zones`): the governor, oldest-first
-//! cleaning (every pass, bounded or over every row), a row's plan (repair
-//! while stale — reconstruct-write iff the whole row is cached — then
-//! reclaim, re-pending what a failed step left), the NoRoom reclaim around
-//! a clean fill (which counts no cleaning pass), compaction and
-//! invalidation. Beneath them: [`kdd_cache::policies::PendingRows`], the
+//! (`plan_merge`, here); and, in `cleaner`, over the state both keep alike
+//! (`cleaner::Zones`): §III-C's commit (the staged deltas that fit beside
+//! the page directory, laid out as a merge lays out its page), the
+//! governor, oldest-first cleaning (every pass, bounded or over every
+//! row), a row's plan (repair while stale — reconstruct-write iff the
+//! whole row is cached — then reclaim, re-pending what a failed step
+//! left), the NoRoom reclaim around a clean fill (which counts no cleaning
+//! pass), compaction and invalidation. Beneath them: [`kdd_cache::policies::PendingRows`], the
 //! directory ([`kdd_cache::setassoc::SetAssocCache`]), [`MetaLog`],
 //! [`StagingBuffer`].
 //!
 //! **Still per copy:** the I/O under `cleaner::CleanerIo`, with the DEZ
-//! page format (`MERGE_OVERHEAD`); the write paths; the commit; and
+//! page format (`DEZ_PAGE_OVERHEAD`); the write paths; and
 //! `alloc_dez_slot`. Where the copies part is checked, not listed: the
 //! test module `differential.rs` replays traces through both and names
 //! each parting.
@@ -178,9 +179,8 @@ pub(crate) struct Merge {
     /// The emptiest page and the runner-up, by live bytes, then slot.
     pub(crate) dst: u32,
     pub(crate) src: u32,
-    /// Live bytes and live deltas of the two together.
+    /// Live bytes of the two together.
     pub(crate) live: u32,
-    pub(crate) deltas: usize,
     /// For [`MergeBound::merged`], once the merge has happened.
     pub(crate) rest: [Option<u32>; 2],
 }
@@ -224,14 +224,14 @@ pub(crate) fn plan_merge(
         return None;
     }
     let found = scan()?;
-    let TwoSmallest { pair: ((dst, db, dn), (src, sb, sn)), rest } = found;
+    let TwoSmallest { pair: ((dst, db, _), (src, sb, _)), rest } = found;
     if !fits(&found) {
         bound.scanned(db, sb);
         return None; // nothing merges; utilisation is as good as it gets
     }
     bound.merges += 1;
     let rest = rest.map(|key| key.map(|(live, _)| live));
-    Some(Merge { dst, src, live: db + sb, deltas: dn + sn, rest })
+    Some(Merge { dst, src, live: db + sb, rest })
 }
 
 // A sharded engine will run both implementations N-way, one per thread,
@@ -272,7 +272,7 @@ mod tests {
             let half = (PAGE - per_page - 2 * per_delta) / 2;
             let exact = [(30, 1), (half, 1), (31, 1), (half, 1)];
             let merge = plan(&exact).expect("an exact fit merges");
-            assert_eq!((merge.dst, merge.src, merge.live, merge.deltas), (1, 3, 2 * half, 2));
+            assert_eq!((merge.dst, merge.src, merge.live), (1, 3, 2 * half));
             assert_eq!(merge.rest, [Some(30), Some(31)]);
             // One byte, or (where records cost anything) one delta, too many.
             assert_eq!(plan(&[(30, 1), (half + 1, 1), (31, 1), (half, 1)]), None);
@@ -335,19 +335,19 @@ mod tests {
                             [dst, src, ..] if pressed => {
                                 let (live, deltas) =
                                     (pages[dst].0 + pages[src].0, pages[dst].1 + pages[src].1);
-                                (needs(live, deltas) <= PAGE).then_some((dst, src, live, deltas))
+                                (needs(live, deltas) <= PAGE).then_some((dst, src, live))
                             }
                             _ => None,
                         };
                         let before = bound;
                         let got = plan(&pages, overhead, &mut bound);
-                        let got_fields =
-                            got.map(|m| (m.dst as usize, m.src as usize, m.live, m.deltas));
+                        let got_fields = got.map(|m| (m.dst as usize, m.src as usize, m.live));
                         proptest::prop_assert_eq!(got_fields, want);
                         proptest::prop_assert_eq!(bound.entries - before.entries, u32::from(pressed));
                         proptest::prop_assert_eq!(bound.merges - before.merges, u32::from(got.is_some()));
                         exact = pressed && bound.skips == before.skips;
-                        if let Some(Merge { dst, src, live, deltas, rest }) = got {
+                        if let Some(Merge { dst, src, live, rest }) = got {
+                            let deltas = pages[dst as usize].1 + pages[src as usize].1;
                             pages[dst as usize] = (live, deltas);
                             pages.swap_remove(src as usize);
                             bound.merged(live, rest);

@@ -30,7 +30,6 @@ use crate::config::KddConfig;
 use crate::dez::{DeltaLoc, DeltaRef};
 use crate::metalog::{Commits, KeyEntry, MetaLog, PartitionTooSmall};
 use crate::staging::StagingBuffer;
-use crate::Merge;
 use kdd_cache::effects::{AccessOutcome, Effects};
 use kdd_cache::nvbuf::ENTRY_BYTES;
 use kdd_cache::policies::{set_of_row, CachePolicy, RaidModel};
@@ -203,65 +202,6 @@ impl KddPolicy {
 
     // ---- delta plumbing ----------------------------------------------------
 
-    /// Pack the staged deltas into one DEZ page and commit it. The commit
-    /// also performs log-structured compaction: if the new page has slack
-    /// and existing DEZ pages have decayed (rewrites invalidated most of
-    /// their deltas), the emptiest pages' live deltas ride along and their
-    /// slots are freed — keeping DEZ space utilisation high.
-    fn commit_staging(&mut self, fx: &mut Effects) {
-        if self.staging.is_empty() {
-            return;
-        }
-        // A cache pinned full even after cleaning keeps the deltas staged
-        // (the caller's insert still fits: cleaning drained the buffer).
-        let Some(slot) = self.alloc_dez_slot(fx) else { return };
-        // Packed in FIFO order, as the engine packs them.
-        let mut refs = std::mem::take(&mut self.z.refs);
-        refs.clear();
-        let mut off = 0;
-        for (lba, len) in self.staging.drain() {
-            refs.push((lba, DeltaRef { slot, off: off as u16, len: len as u16 }));
-            off += len;
-        }
-        debug_assert!(!refs.is_empty());
-        fx.ssd_delta_writes += 1;
-        // Mapping entries for the affected old pages are logged only now
-        // (§III-C): the (lba_dez, off, len) tuple is finally known.
-        let listed = self.z.dez.list(slot, refs.iter().map(|&(lba, _)| lba));
-        for &(lba, _) in &refs {
-            self.log(lba, false, fx);
-        }
-        self.z.dez.go_live(listed, &refs);
-        self.z.refs = refs;
-    }
-
-    /// A slot for a new DEZ page: the fixed partition's last freed id,
-    /// else a free slot from the set with the fewest DEZ pages (compacting
-    /// first if that frees one), else the slot of the evicted
-    /// [`SetAssocCache::dez_victim`].
-    fn alloc_dez_slot(&mut self, fx: &mut Effects) -> Option<u32> {
-        if matches!(self.variant, KddVariant::FixedDez(_)) {
-            if self.fixed_dez_ids.is_empty() {
-                let Ok(()) = cleaner::compact(self, fx); // try to reclaim partition slots
-            }
-            // None: the static partition is full — that's the point.
-            return self.fixed_dez_ids.pop();
-        }
-        if let Some(slot) = self.z.cache.alloc_delta_slot() {
-            return Some(slot);
-        }
-        let Ok(()) = cleaner::compact(self, fx);
-        if let Some(slot) = self.z.cache.alloc_delta_slot() {
-            return Some(slot);
-        }
-        // No free slot anywhere: evict a clean page to make room.
-        let (slot, lba) = self.z.cache.dez_victim()?;
-        self.z.cache.free_slot(slot);
-        self.z.stats.evictions += 1;
-        self.log(lba, true, fx);
-        self.z.cache.alloc_delta_slot()
-    }
-
     /// Cache a missed page clean unless admission or a pinned set turns it
     /// away.
     fn fill_clean(&mut self, lba: u64, fx: &mut Effects, bg: &mut Effects) {
@@ -289,7 +229,8 @@ impl KddPolicy {
 impl CleanerIo for KddPolicy {
     type Cost = Effects;
     type Error = Infallible;
-    const MERGE_OVERHEAD: (u32, u32) = (0, 0);
+    /// Sizes only: the whole one-page staging buffer fits one DEZ page.
+    const DEZ_PAGE_OVERHEAD: (u32, u32) = (0, 0);
 
     fn zones(&mut self) -> &mut Zones {
         &mut self.z
@@ -333,8 +274,45 @@ impl CleanerIo for KddPolicy {
         Ok(())
     }
 
+    fn staged(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.staging.snapshot().map(|(lba, &len)| (lba, len))
+    }
+
     fn unstage(&mut self, lba: u64) {
         self.staging.remove(lba);
+    }
+
+    /// A commit takes the whole buffer — its one page of budget fits one
+    /// DEZ page — so the buffer is emptied at once, holes and all.
+    fn unstage_committed(&mut self, refs: &Refs) {
+        debug_assert_eq!(refs.len(), self.staging.len());
+        drop(self.staging.drain());
+    }
+
+    /// The fixed partition's last freed id, else a free slot from the set
+    /// with the fewest DEZ pages (compacting first if that frees one), else
+    /// the slot of the evicted [`SetAssocCache::dez_victim`].
+    fn alloc_dez_slot(&mut self, fx: &mut Effects) -> Result<Option<u32>, Infallible> {
+        if matches!(self.variant, KddVariant::FixedDez(_)) {
+            if self.fixed_dez_ids.is_empty() {
+                cleaner::compact(self, fx)?; // try to reclaim partition slots
+            }
+            // None: the static partition is full — that's the point.
+            return Ok(self.fixed_dez_ids.pop());
+        }
+        if let Some(slot) = self.z.cache.alloc_delta_slot() {
+            return Ok(Some(slot));
+        }
+        cleaner::compact(self, fx)?;
+        if let Some(slot) = self.z.cache.alloc_delta_slot() {
+            return Ok(Some(slot));
+        }
+        // No free slot anywhere: evict a clean page to make room.
+        let Some((slot, lba)) = self.z.cache.dez_victim() else { return Ok(None) };
+        self.z.cache.free_slot(slot);
+        self.z.stats.evictions += 1;
+        self.log(lba, true, fx);
+        Ok(self.z.cache.alloc_delta_slot())
     }
 
     fn free_dez_slot(&mut self, slot: u32) -> Done<Self> {
@@ -346,15 +324,25 @@ impl CleanerIo for KddPolicy {
         Ok(())
     }
 
-    /// Counted: both victims read, the merged page written; each delta
-    /// keeps its size.
-    fn write_merged(&mut self, merge: &Merge, moved: &mut Refs, fx: &mut Effects) -> Done<Self> {
-        fx.ssd_reads += 2;
+    /// Counted: one page written, after one read of each DEZ page its
+    /// deltas lie in — a merge's two victims; none for staged deltas.
+    fn write_dez_page(&mut self, _slot: u32, refs: &Refs, fx: &mut Effects) -> Done<Self> {
+        let mut from = None;
+        for &(lba, _) in refs {
+            // A merge's deltas come page by page.
+            if let Some(DeltaLoc::Dez(r)) = self.z.dez.loc(lba) {
+                fx.ssd_reads += u32::from(from.replace(r.slot) != Some(r.slot));
+            }
+        }
         fx.ssd_delta_writes += 1;
-        let mut off = 0;
-        for (_, r) in moved.iter_mut() {
-            *r = DeltaRef { slot: merge.dst, off, len: r.len };
-            off += r.len;
+        Ok(())
+    }
+
+    /// Mapping entries for the affected old pages are logged only now
+    /// (§III-C): the `(lba_dez, off, len)` tuple is finally known.
+    fn log_commit(&mut self, refs: &Refs, fx: &mut Effects) -> Done<Self> {
+        for &(lba, _) in refs {
+            self.log(lba, false, fx);
         }
         Ok(())
     }
@@ -411,7 +399,7 @@ impl CachePolicy for KddPolicy {
                 fx.compressions += 1;
                 let Ok(()) = cleaner::invalidate_delta(self, lba);
                 if !self.staging.fits(lba, &size) {
-                    self.commit_staging(&mut fx);
+                    let Ok(()) = cleaner::commit_staging(self, &mut fx);
                 }
                 if self.staging.fits(lba, &size) {
                     self.staging.insert(lba, size);
@@ -462,7 +450,7 @@ impl CachePolicy for KddPolicy {
             let Ok(()) = cleaner::clean_row(self, row, &mut fx);
         }
         if self.z.pending.pending_rows() == 0 {
-            self.commit_staging(&mut fx);
+            let Ok(()) = cleaner::commit_staging(self, &mut fx);
         }
         self.z.stats.cleanings += 1;
         self.z.stats += fx;
@@ -474,7 +462,7 @@ impl CachePolicy for KddPolicy {
         let Ok(()) = cleaner::clean_oldest(self, None, &mut fx);
         // Anything still staged gets committed, then the metadata buffer
         // itself is flushed.
-        self.commit_staging(&mut fx);
+        let Ok(()) = cleaner::commit_staging(self, &mut fx);
         fx.ssd_meta_writes += meta_pages(self.metalog.flush());
         self.z.stats += fx;
         fx
@@ -542,10 +530,10 @@ mod tests {
         while issued < 10 * partition.len() {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             if live.len() == partition.len() {
-                assert_eq!(p.alloc_dez_slot(&mut fx), None, "the partition is full");
+                assert_eq!(p.alloc_dez_slot(&mut fx), Ok(None), "the partition is full");
             }
             if live.is_empty() || (live.len() < partition.len() && (x >> 40) % 3 != 0) {
-                let id = p.alloc_dez_slot(&mut fx).expect("a free id");
+                let id = p.alloc_dez_slot(&mut fx).unwrap().expect("a free id");
                 assert!(partition.contains(&id), "id {id} outside the partition");
                 assert!(!live.contains(&id), "id {id} issued while live");
                 live.push(id);
@@ -553,7 +541,7 @@ mod tests {
             } else {
                 let freed = live.swap_remove((x >> 33) as usize % live.len());
                 p.free_dez_slot(freed);
-                assert_eq!(p.alloc_dez_slot(&mut fx), Some(freed), "last freed, first issued");
+                assert_eq!(p.alloc_dez_slot(&mut fx), Ok(Some(freed)), "last freed, first issued");
                 p.free_dez_slot(freed);
             }
         }

@@ -63,16 +63,18 @@ impl TraceStats {
         ])
     }
 
-    /// Format as a Table I row (counts in thousands, like the paper).
+    /// Format as a Table I row: counts in thousands, like the paper, to
+    /// three decimals, so a scaled-down trace's counts under 1 000 show.
     pub fn table_row(&self, name: &str) -> String {
+        let k = |n: u64| n as f64 / 1000.0;
         format!(
-            "{:<8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>10.2}",
+            "{:<8} {:>8.3} {:>8.3} {:>8.3} {:>9.3} {:>9.3} {:>10.2}",
             name,
-            self.unique_total / 1000,
-            self.unique_read / 1000,
-            self.unique_write / 1000,
-            self.read_requests / 1000,
-            self.write_requests / 1000,
+            k(self.unique_total),
+            k(self.unique_read),
+            k(self.unique_write),
+            k(self.read_requests),
+            k(self.write_requests),
             self.read_ratio()
         )
     }
@@ -134,5 +136,19 @@ mod tests {
         assert!(row.contains("993"));
         assert!(row.contains("0.19"));
         assert!(TraceStats::table_header().contains("Workload"));
+    }
+
+    #[test]
+    fn table_row_shows_counts_under_a_thousand() {
+        let s = TraceStats {
+            unique_total: 812,
+            unique_read: 5,
+            unique_write: 807,
+            read_requests: 40,
+            write_requests: 160,
+        };
+        let row = s.table_row("fin2");
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cols, ["fin2", "0.812", "0.005", "0.807", "0.040", "0.160", "0.20"]);
     }
 }
