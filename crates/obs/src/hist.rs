@@ -77,6 +77,7 @@ impl Log2Hist {
     }
 
     /// Occupancy of bucket `i` (0 for out-of-range indices).
+    #[cfg(test)]
     pub fn bucket(&self, i: usize) -> u64 {
         self.buckets.get(i).copied().unwrap_or(0)
     }

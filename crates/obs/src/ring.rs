@@ -238,6 +238,7 @@ impl SpanRing {
     }
 
     /// Total events ever pushed, including overwritten ones.
+    #[cfg(test)]
     pub fn pushed(&self) -> u64 {
         self.pushed
     }
