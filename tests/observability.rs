@@ -289,3 +289,109 @@ proptest! {
         }
     }
 }
+
+/// A page of `lba` at `version`: a fixed base with one 64-byte run that
+/// moves with the version, so every rewrite is a small, compressible
+/// delta.
+fn versioned_page(lba: u64, version: u8) -> Vec<u8> {
+    #[allow(clippy::cast_possible_truncation)]
+    let mut page: Vec<u8> =
+        (0..PAGE as usize).map(|i| (lba as u8) ^ (i as u8).wrapping_mul(31)).collect();
+    let at = usize::from(version) * 64 % (PAGE as usize - 64);
+    page.get_mut(at..at + 64).expect("inside the page").fill(version);
+    page
+}
+
+/// A recorded run across every span the engine emits: two retried
+/// transient faults (SSD and member), a group-committed batch, an explicit
+/// cleaning pass, a member drop rebuilt by `recover_from_hdd_failure`, a
+/// power cycle and a final flush. Each span's stages sum to its service
+/// time exactly — request and background spans alike — and the rendered
+/// snapshot is pinned by digest.
+#[test]
+fn every_span_attributes_its_whole_service_time() {
+    let mut engine = build_engine();
+    let plan = FaultPlan::new()
+        .transient(400, FaultDomain::Ssd)
+        .transient(900, FaultDomain::Disk(1))
+        .drop_device(2500, FaultDomain::Disk(2));
+    let injector = FaultInjector::new(plan);
+    engine.attach_fault_injector(injector.clone());
+    engine.attach_recorder(Recorder::new(RecorderConfig {
+        sample_interval: SimTime::from_millis(200),
+        ring_capacity: 8192,
+    }));
+    let mut model: std::collections::BTreeMap<u64, Vec<u8>> = std::collections::BTreeMap::new();
+    let lba_of = |i: u64| (i * 37) % 640;
+    for round in 0..6u8 {
+        for i in 0..160u64 {
+            let lba = lba_of(i + u64::from(round) * 11);
+            let page = versioned_page(lba, round.wrapping_mul(7).wrapping_add(1));
+            engine.write(lba, &page).expect("write");
+            model.insert(lba, page);
+            if i % 3 == 0 {
+                let probe = lba_of(i / 2);
+                let (data, _) = engine.read(probe).expect("read");
+                if let Some(want) = model.get(&probe) {
+                    assert_eq!(&data, want, "lba {probe}");
+                }
+            }
+        }
+        if round == 2 {
+            let pages: Vec<(u64, Vec<u8>)> =
+                (0..24u64).map(|i| (lba_of(i * 5), versioned_page(lba_of(i * 5), 200))).collect();
+            let reqs: Vec<WriteRequest<'_>> =
+                pages.iter().map(|(lba, data)| WriteRequest { lba: *lba, data }).collect();
+            engine.write_batch(&reqs).expect("batch");
+            model.extend(pages);
+            let mut t = SimTime::ZERO;
+            engine.clean(&mut t).expect("clean");
+        }
+    }
+    assert!(engine.stats().fault_retries >= 2, "both transient faults are retried");
+    let failed = engine.raid().failed_disks();
+    assert_eq!(failed, vec![2], "the dropped member");
+    engine.recover_from_hdd_failure(2).expect("rebuild");
+    let mut engine = engine.power_cycle().expect("power cycle");
+    for (i, (&lba, page)) in model.iter().enumerate().take(64) {
+        if i % 2 == 0 {
+            let next = versioned_page(lba, 250);
+            engine.write(lba, &next).expect("write after recovery");
+        } else {
+            assert_eq!(&engine.read(lba).expect("read after recovery").0, page, "lba {lba}");
+        }
+    }
+    engine.flush().expect("flush");
+    let c = injector.counters();
+    assert_eq!((c.transient, c.device_drops), (2, 1), "every planned fault fired");
+
+    let doc = engine.obs_snapshot().expect("recorder attached");
+    let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64).expect(key);
+    let events = span_events(&doc);
+    let mut kinds = std::collections::BTreeSet::new();
+    for e in events {
+        let service = num(e, "service_ns");
+        assert_eq!(num(e, "exit_ns") - num(e, "enter_ns"), service);
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let service = service as u64;
+        assert_eq!(stage_sum_ns(e), service, "span {e:?}");
+        kinds.insert(e.get("class").and_then(Json::as_str).expect("class").to_string());
+    }
+    let counter = |key: &str| {
+        let counters = doc.get("totals").and_then(|t| t.get("counters"));
+        counters.and_then(|c| c.get(key)).and_then(Json::as_f64).expect(key)
+    };
+    #[allow(clippy::cast_precision_loss)]
+    let spans = events.len() as f64;
+    assert_eq!(spans, counter("obs.requests") + counter("obs.background_spans"), "ring kept all");
+    for class in ["cleaner_pass", "group_commit_flush", "raid_reconstruct", "write_hit_delta"] {
+        assert!(kinds.contains(class), "no {class} span in {kinds:?}");
+    }
+
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in doc.render().as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1_0000_0000_01b3);
+    }
+    assert_eq!(h, 0x6c24_0fc1_10e2_751c, "rendered snapshot moved: {h:#018x}");
+}
