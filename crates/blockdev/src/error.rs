@@ -57,6 +57,13 @@ pub enum DevError {
         /// Offending logical page number.
         lpn: u64,
     },
+    /// A page read or write with a buffer that is not one page long.
+    WrongSize {
+        /// Length of the caller's buffer.
+        len: usize,
+        /// The device's page size.
+        page_size: u32,
+    },
 }
 
 impl DevError {
@@ -91,6 +98,9 @@ impl fmt::Display for DevError {
             DevError::PowerLoss => write!(f, "power loss: all devices stopped"),
             DevError::WornOut { block } => write!(f, "flash block {block} worn out"),
             DevError::Unmapped { lpn } => write!(f, "page {lpn} unmapped"),
+            DevError::WrongSize { len, page_size } => {
+                write!(f, "{len}-byte buffer for a {page_size}-byte page")
+            }
         }
     }
 }
@@ -107,6 +117,8 @@ mod tests {
         assert!(DevError::WornOut { block: 3 }.to_string().contains("worn out"));
         assert!(DevError::Unmapped { lpn: 1 }.to_string().contains("unmapped"));
         assert!(DevError::PowerLoss.to_string().contains("power loss"));
+        let short = DevError::WrongSize { len: 100, page_size: 4096 };
+        assert!(short.to_string().contains("100-byte buffer"));
     }
 
     #[test]

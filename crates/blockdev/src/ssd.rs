@@ -87,6 +87,7 @@ impl SsdDevice {
 
     /// Read a logical page; returns its service time.
     pub fn read_page(&self, lpn: u64, buf: &mut [u8]) -> Result<SimTime, DevError> {
+        self.store.check_len(buf.len())?;
         if self.store.is_failed() {
             return Err(DevError::failed(FaultDomain::Ssd));
         }
@@ -108,6 +109,7 @@ impl SsdDevice {
 
     /// Write a logical page; returns its service time (including any GC).
     pub fn write_page(&mut self, lpn: u64, data: &[u8]) -> Result<SimTime, DevError> {
+        self.store.check_len(data.len())?;
         if self.store.is_failed() {
             return Err(DevError::failed(FaultDomain::Ssd));
         }
@@ -233,6 +235,22 @@ mod tests {
         assert!(d.is_mapped(3));
         d.trim_page(3).unwrap();
         assert!(!d.is_mapped(3));
+    }
+
+    /// A buffer that is not one page is refused before the FTL or the
+    /// injector sees the op.
+    #[test]
+    fn wrong_sized_buffers_are_refused_before_any_op() {
+        use crate::fault::{FaultInjector, FaultPlan};
+        let mut d = small_ssd();
+        let injector = FaultInjector::new(FaultPlan::new());
+        d.attach_injector(injector.clone());
+        d.write_page(3, &vec![1u8; 4096]).unwrap();
+        let (wear, ops) = (format!("{:?}", d.endurance()), injector.op_count());
+        let short = DevError::WrongSize { len: 100, page_size: 4096 };
+        assert_eq!(d.read_page(3, &mut [0u8; 100]), Err(short.clone()));
+        assert_eq!(d.write_page(3, &[0u8; 100]), Err(short));
+        assert_eq!((format!("{:?}", d.endurance()), injector.op_count()), (wear, ops));
     }
 
     #[test]

@@ -303,10 +303,19 @@ impl MemStore {
         self.page_size
     }
 
+    /// Refuse a buffer that is not one page long, before any op is issued.
+    pub fn check_len(&self, len: usize) -> Result<(), DevError> {
+        if len == self.page_size as usize {
+            Ok(())
+        } else {
+            Err(DevError::WrongSize { len, page_size: self.page_size })
+        }
+    }
+
     /// Read page `lpn` into `buf` (`buf.len() == page_size`).
     pub fn read_page(&self, lpn: u64, buf: &mut [u8]) -> Result<(), DevError> {
+        self.check_len(buf.len())?;
         self.check(lpn)?;
-        assert_eq!(buf.len(), self.page_size as usize, "buffer/page size mismatch");
         let outcome = self.intercept(IoDir::Read);
         match self.pages.get(&lpn) {
             Some(&slot) => buf.copy_from_slice(self.slab.page(slot)),
@@ -317,8 +326,8 @@ impl MemStore {
 
     /// Write `data` (`data.len() == page_size`) to page `lpn`.
     pub fn write_page(&mut self, lpn: u64, data: &[u8]) -> Result<(), DevError> {
+        self.check_len(data.len())?;
         let outcome = self.issue(lpn, IoDir::Write)?;
-        assert_eq!(data.len(), self.page_size as usize, "buffer/page size mismatch");
         // A torn write keeps the old suffix: zeros on an unwritten page.
         let slot = self.resident_slot(lpn, matches!(outcome, IoOutcome::Torn { .. }));
         apply_write_outcome(outcome, data, self.slab.page_mut(slot))
@@ -778,11 +787,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn wrong_buffer_size_panics() {
-        let s = MemStore::new(4, 64);
-        let mut buf = vec![0u8; 32];
-        #[expect(clippy::let_underscore_must_use, reason = "the call panics before it returns")]
-        let _ = s.read_page(0, &mut buf);
+    fn wrong_buffer_size_is_refused() {
+        let mut s = MemStore::new(4, 64);
+        let short = DevError::WrongSize { len: 32, page_size: 64 };
+        assert_eq!(s.read_page(0, &mut [0u8; 32]), Err(short.clone()));
+        assert_eq!(s.write_page(0, &[7u8; 32]), Err(short));
+        assert!(!s.is_resident(0), "nothing was written");
     }
 }
