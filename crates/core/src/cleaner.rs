@@ -83,12 +83,8 @@ pub(crate) trait CleanerIo: Sized {
     fn reclaim(&mut self, lba: u64, slot: u32, c: &mut Self::Cost) -> Done<Self>;
     /// The staged deltas' lbas and lengths, oldest first.
     fn staged(&self) -> impl Iterator<Item = (u64, u32)> + '_;
-    /// Drop the staged copy of an invalidated delta.
+    /// Drop the staged copy of a committed or invalidated delta.
     fn unstage(&mut self, lba: u64);
-    /// Drop the staged copies of the deltas a page committed, the oldest.
-    fn unstage_committed(&mut self, refs: &Refs) {
-        refs.iter().for_each(|&(lba, _)| self.unstage(lba));
-    }
     /// A staged delta fits no DEZ page beside the directory: none commits.
     fn oversized_delta(&self) -> Done<Self> {
         Ok(())
@@ -142,7 +138,7 @@ pub(crate) fn commit_staging<B: CleanerIo>(b: &mut B, c: &mut B::Cost) -> Done<B
             z.cache.free_slot(slot);
             return Err(e);
         }
-        b.unstage_committed(&refs);
+        refs.iter().for_each(|&(lba, _)| b.unstage(lba));
         let z = b.zones();
         z.dez.go_live(listed, &refs);
         z.refs = refs;

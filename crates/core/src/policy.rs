@@ -282,13 +282,6 @@ impl CleanerIo for KddPolicy {
         self.staging.remove(lba);
     }
 
-    /// A commit takes the whole buffer — its one page of budget fits one
-    /// DEZ page — so the buffer is emptied at once, holes and all.
-    fn unstage_committed(&mut self, refs: &Refs) {
-        debug_assert_eq!(refs.len(), self.staging.len());
-        drop(self.staging.drain());
-    }
-
     /// The fixed partition's last freed id, else a free slot from the set
     /// with the fewest DEZ pages (compacting first if that frees one), else
     /// the slot of the evicted [`SetAssocCache::dez_victim`].

@@ -44,8 +44,9 @@ pub struct StagingBuffer<P> {
     capacity_bytes: u32,
     used_bytes: u32,
     /// FIFO of (key, payload); holes (None) left by coalescing/removal
-    /// are squeezed out once they outnumber the live entries, so
-    /// `fifo.len() <= 2 * index.len() + HOLE_SLACK` at all times.
+    /// are squeezed out once they outnumber the live entries, and dropped
+    /// with the last one, so `fifo.len() <= 2 * index.len() + HOLE_SLACK`
+    /// at all times and an empty buffer holds no holes.
     fifo: Vec<Option<(u64, P)>>,
     index: FastMap<u64, usize>,
 }
@@ -127,7 +128,10 @@ impl<P: DeltaPayload> StagingBuffer<P> {
         let idx = self.index.remove(&key)?;
         let (_, payload) = self.fifo[idx].take()?;
         self.used_bytes -= payload.nbytes();
-        if self.fifo.len() >= 2 * self.index.len() + HOLE_SLACK {
+        if self.index.is_empty() {
+            // The last delta left: every slot is a hole.
+            self.fifo.clear();
+        } else if self.fifo.len() >= 2 * self.index.len() + HOLE_SLACK {
             self.squeeze_holes();
         }
         Some(payload)
@@ -323,6 +327,11 @@ mod tests {
             assert!(s.fifo.len() <= 2 * 8 + HOLE_SLACK, "fifo grew to {}", s.fifo.len());
         }
         assert_eq!(s.snapshot().next().map(|(k, _)| k), Some(0));
+        // Removing the last delta leaves no hole behind.
+        for key in 0..8 {
+            s.remove(key);
+        }
+        assert!(s.is_empty() && s.fifo.is_empty(), "{} holes left", s.fifo.len());
     }
 
     proptest::proptest! {
