@@ -281,9 +281,8 @@ fn replay(rig: &Rig) -> Parting {
                         Some(prev) => mutator.mutate(prev),
                         None => mutator.initial_page(),
                     };
-                    engine.write(lba, &next).unwrap();
+                    let len = engine.write_served(lba, &next).unwrap().comp_len;
                     versions.insert(lba, next);
-                    let len = engine.last_comp_len;
                     if len > 0 {
                         delta_len.store(len as u32, Ordering::Relaxed);
                     }

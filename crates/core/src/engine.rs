@@ -270,9 +270,6 @@ pub struct KddEngine {
     mode: EngineMode,
     pool: PagePool,
     recorder: Recorder,
-    last_class: HitClass,
-    /// The compressed delta length of the last write, if it was a hit.
-    pub(crate) last_comp_len: usize,
     /// Persistent delta compressor: the match-finder scratch is reused
     /// across write hits, and the compressed payload lands in a buffer of
     /// `payloads`, so the compress path allocates nothing.
@@ -290,13 +287,24 @@ pub struct KddEngine {
     meta_pending: Vec<CommitBatch<MapEntry>>,
     /// The completion times [`KddEngine::write_batch`] lends out.
     batch_times: Vec<SimTime>,
-    /// Stage-time accumulator for the request currently being dispatched
-    /// (`kdd-obs/v2` latency attribution). Reset at the start of every
-    /// dispatch attempt so retries report only the acknowledged attempt,
-    /// keeping the conservation invariant (stage sum ≤ service time);
-    /// background work (cleaner, flush, recovery) swaps it out and
-    /// reports through its own span.
-    cur_stages: StageTimes,
+}
+
+/// What serving one request produced. Its stage charges are its clock:
+/// their total is the request's service time. Each dispatch attempt
+/// starts from none, so a retried request reports only the attempt that
+/// was acknowledged.
+pub(crate) struct Served {
+    pub(crate) stages: StageTimes,
+    /// How the cache served the request.
+    pub(crate) class: HitClass,
+    /// A write hit's compressed delta length; 0 when no delta was made.
+    pub(crate) comp_len: usize,
+}
+
+impl Served {
+    fn service(&self) -> SimTime {
+        SimTime(self.stages.total_ns())
+    }
 }
 
 impl KddEngine {
@@ -377,8 +385,6 @@ impl KddEngine {
             mode: EngineMode::Normal,
             pool: PagePool::new(ps),
             recorder: Recorder::disabled(),
-            last_class: HitClass::ReadMiss,
-            last_comp_len: 0,
             codec: codec::Compressor::new(),
             payloads: PayloadPool::new(ps + 1),
             scratch: Scratch::default(),
@@ -386,7 +392,6 @@ impl KddEngine {
             meta_defer: false,
             meta_pending: Vec::new(),
             batch_times: Vec::new(),
-            cur_stages: StageTimes::new(),
             ssd,
             raid,
         }
@@ -446,80 +451,49 @@ impl KddEngine {
         }
     }
 
-    /// Finish one acknowledged request: build the completion from the
-    /// stats delta, feed the span ring, and draw a sample if one is due.
-    fn observe(&mut self, kind: ReqKind, lba: u64, before: &CacheStats, service: SimTime) {
-        let class = if self.mode == EngineMode::PassThrough {
-            HitClass::PassThrough
-        } else {
-            self.last_class
-        };
-        let after = self.z.stats;
-        let stages = std::mem::take(&mut self.cur_stages);
-        self.observe_span(kind, lba, before, &after, class, self.last_comp_len, service, stages);
-    }
-
-    /// Charge `dt` of simulated time to both the caller's clock and the
-    /// in-flight span's stage breakdown — the one call every costed
-    /// dispatch site makes, so the conservation invariant (stage sum ≤
-    /// service time) holds by construction.
-    #[inline]
-    fn charge_stage(&mut self, stage: Stage, dt: SimTime, t: &mut SimTime) {
-        *t += dt;
-        self.cur_stages.add(stage, dt);
-    }
-
     /// Run background work (cleaner pass, group-commit flush, failure
-    /// recovery) against its own stage accumulator, isolated from any
-    /// in-flight request's, and record it — failed or not — as a
-    /// first-class span of `stage` on the ring.
+    /// recovery) on its own stage charges, record it — failed or not — as
+    /// a first-class span of `stage` on the ring, and add its time to `t`.
     fn background(
         &mut self,
         stage: Stage,
         t: &mut SimTime,
-        work: impl FnOnce(&mut Self, &mut SimTime) -> Result<(), EngineError>,
+        work: impl FnOnce(&mut Self, &mut StageTimes) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
-        let saved = std::mem::take(&mut self.cur_stages);
-        let t0 = *t;
-        let result = work(self, t);
-        let used = std::mem::replace(&mut self.cur_stages, saved);
-        let dur = t.saturating_sub(t0);
-        if (dur != SimTime::ZERO || !used.is_zero())
-            && self.recorder.record_background(stage, dur, used)
-        {
+        let mut c = StageTimes::new();
+        let result = work(self, &mut c);
+        let service = SimTime(c.total_ns());
+        *t += service;
+        if !c.is_zero() && self.recorder.record_background(stage, service, c) {
             let s = self.sample_now();
             self.recorder.push_sample(s);
         }
         result
     }
 
-    /// Span emission with explicit before/after stats: batched submissions
-    /// snapshot both at dispatch time and emit all spans after the group
-    /// flush, so each span's counter deltas cover exactly its own request.
-    #[allow(clippy::too_many_arguments)]
+    /// Record one acknowledged request as a span, its counters the stats
+    /// delta from `before` to `after`, and draw a sample if one is due.
+    /// Batched submissions snapshot both at dispatch time and emit their
+    /// spans after the group flush, so each span's counter deltas cover
+    /// exactly its own request.
     fn observe_span(
         &mut self,
         kind: ReqKind,
         lba: u64,
         before: &CacheStats,
         after: &CacheStats,
-        class: HitClass,
-        comp_len: usize,
-        service: SimTime,
-        stages: StageTimes,
+        served: &Served,
     ) {
         let d32 = |now: u64, was: u64| u32::try_from(now.saturating_sub(was)).unwrap_or(u32::MAX);
-        let mut c = Completion::new(kind, lba, class, service);
-        c.stages = stages;
+        let mut c = Completion::new(kind, lba, served.class, served.service());
+        c.stages = served.stages;
         c.ssd_reads = d32(after.ssd_reads, before.ssd_reads);
         c.ssd_writes = d32(after.ssd_writes_pages(), before.ssd_writes_pages());
         c.raid_reads = d32(after.raid_reads, before.raid_reads);
         c.raid_writes = d32(after.raid_writes, before.raid_writes);
         c.faults = d32(after.faults_observed, before.faults_observed);
         c.retries = d32(after.fault_retries, before.fault_retries);
-        if kind == ReqKind::Write {
-            c.comp_milli = (comp_len * 1000 / self.page_size()) as u32;
-        }
+        c.comp_milli = (served.comp_len * 1000 / self.page_size()) as u32;
         if self.recorder.record(c) {
             let s = self.sample_now();
             self.recorder.push_sample(s);
@@ -583,7 +557,7 @@ impl KddEngine {
     fn persist_batches(
         &mut self,
         batches: impl IntoIterator<Item = CommitBatch<MapEntry>>,
-        t: &mut SimTime,
+        c: &mut StageTimes,
     ) -> Result<(), EngineError> {
         for batch in batches {
             let mut page = self.pool.acquire();
@@ -596,7 +570,7 @@ impl KddEngine {
             let crc = meta_page_crc(&page);
             page[10..14].copy_from_slice(&crc.to_le_bytes());
             let dt = self.ssd.write_page(batch.slot, &page)?;
-            self.charge_stage(Stage::MetalogCommit, dt, t);
+            c.add(Stage::MetalogCommit, dt);
             self.pool.release(page);
             self.z.stats.ssd_meta_writes += 1;
             // Only now is the page durable; recovery no longer needs the
@@ -611,31 +585,31 @@ impl KddEngine {
     /// Deferred batches stay crash-safe: their entries live in the
     /// metalog's NVRAM buffer/inflight list until
     /// [`KddEngine::flush_group`] confirms the flash writes.
-    fn queue_batches(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
+    fn queue_batches(&mut self, c: &mut StageTimes) -> Result<(), EngineError> {
         if self.meta_defer {
             return Ok(());
         }
-        self.flush_group(t)
+        self.flush_group(c)
     }
 
     /// Write every parked metalog page to flash — the group-commit flush
     /// ending a batched submission, or at once outside one.
     /// The parking buffer is drained in place and kept, capacity and all.
-    fn flush_group(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
+    fn flush_group(&mut self, c: &mut StageTimes) -> Result<(), EngineError> {
         let mut pending = std::mem::take(&mut self.meta_pending);
-        let done = self.persist_batches(pending.drain(..), t);
+        let done = self.persist_batches(pending.drain(..), c);
         self.meta_pending = pending;
         done
     }
 
-    fn log_entry(&mut self, e: MapEntry, t: &mut SimTime) -> Result<(), EngineError> {
+    fn log_entry(&mut self, e: MapEntry, c: &mut StageTimes) -> Result<(), EngineError> {
         self.meta_pending.extend(self.metalog.push(e)?);
-        self.queue_batches(t)
+        self.queue_batches(c)
     }
 
     /// Log the tombstone of `lba`'s mapping to `slot`.
-    fn log_free(&mut self, lba: u64, slot: u32, t: &mut SimTime) -> Result<(), EngineError> {
-        self.log_entry(MapEntry { lba_raid: lba, slot, state: EntryState::Free, dez: None }, t)
+    fn log_free(&mut self, lba: u64, slot: u32, c: &mut StageTimes) -> Result<(), EngineError> {
+        self.log_entry(MapEntry { lba_raid: lba, slot, state: EntryState::Free, dez: None }, c)
     }
 
     /// The mapping of the *old* page `lba` whose delta was committed at `r`.
@@ -653,7 +627,7 @@ impl KddEngine {
     fn with_delta<R>(
         &mut self,
         lba: u64,
-        t: &mut SimTime,
+        c: &mut StageTimes,
         f: impl FnOnce(&[u8], &mut Vec<u8>) -> R,
     ) -> Result<R, EngineError> {
         match self.z.dez.loc(lba) {
@@ -669,7 +643,7 @@ impl KddEngine {
                     .get(r.off as usize..r.off as usize + r.len as usize)
                     .ok_or(EngineError::Inconsistent("delta reference outside its DEZ page"))?;
                 let out = f(comp, &mut self.decode_scratch);
-                self.charge_stage(Stage::SsdRead, dt, t);
+                c.add(Stage::SsdRead, dt);
                 Ok(out)
             }
             None => Err(EngineError::Inconsistent("old page has no delta")),
@@ -681,9 +655,9 @@ impl KddEngine {
         &mut self,
         lba: u64,
         page: &mut [u8],
-        t: &mut SimTime,
+        c: &mut StageTimes,
     ) -> Result<(), EngineError> {
-        self.with_delta(lba, t, |comp, scratch| codec::xor_decoded_into(comp, page, scratch))??;
+        self.with_delta(lba, c, |comp, scratch| codec::xor_decoded_into(comp, page, scratch))??;
         Ok(())
     }
 
@@ -693,18 +667,18 @@ impl KddEngine {
         &mut self,
         lba: u64,
         slot: u32,
-        t: &mut SimTime,
+        c: &mut StageTimes,
         copy: impl FnOnce(&[u8]) -> B,
     ) -> Result<B, EngineError> {
         let lpn = self.slot_lpn(slot);
         let (base, dt) = self.ssd.page(lpn)?;
         let mut data = copy(base);
-        self.charge_stage(Stage::SsdRead, dt, t);
+        c.add(Stage::SsdRead, dt);
         if self.z.cache.state(slot) == PageState::Old {
-            self.fold_delta(lba, data.as_mut(), t)?;
+            self.fold_delta(lba, data.as_mut(), c)?;
             // "it takes only tens of microseconds to decompress the delta
             // and combine it with the data" (§IV-B2).
-            self.charge_stage(Stage::DeltaDecode, codec::DECODE_TIME, t);
+            c.add(Stage::DeltaDecode, codec::DECODE_TIME);
         }
         Ok(data)
     }
@@ -714,10 +688,10 @@ impl KddEngine {
         &mut self,
         lba: u64,
         slot: u32,
-        t: &mut SimTime,
+        c: &mut StageTimes,
     ) -> Result<Box<[u8]>, EngineError> {
         let mut page = self.pool.acquire_scratch();
-        self.read_cached(lba, slot, t, |base| {
+        self.read_cached(lba, slot, c, |base| {
             page.copy_from_slice(base);
             page
         })
@@ -780,16 +754,13 @@ impl KddEngine {
     /// surfaced unchanged — only [`KddEngine::power_cycle`] recovers it.
     pub fn read(&mut self, lba: u64) -> Result<(Vec<u8>, SimTime), EngineError> {
         let before = self.recorder.is_enabled().then_some(self.z.stats);
-        let result = self.read_dispatch(lba);
-        if let (Some(before), Ok((_, t))) = (before, &result) {
-            self.observe(ReqKind::Read, lba, &before, *t);
-        }
-        result
-    }
-
-    fn read_dispatch(&mut self, lba: u64) -> Result<(Vec<u8>, SimTime), EngineError> {
         self.check_lba(lba)?;
-        self.dispatch(|e| e.read_inner(lba), |e| e.raid_read(lba))
+        let (data, served) = self.dispatch(|e| e.read_inner(lba), |e| e.raid_read(lba))?;
+        if let Some(before) = before {
+            let after = self.z.stats;
+            self.observe_span(ReqKind::Read, lba, &before, &after, &served);
+        }
+        Ok((data, served.service()))
     }
 
     /// Request addresses arrive from outside the program: one past the
@@ -837,12 +808,18 @@ impl KddEngine {
     /// Write one page; returns the simulated service time. Same fault
     /// policy as [`KddEngine::read`].
     pub fn write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime, EngineError> {
+        self.write_served(lba, data).map(|served| served.service())
+    }
+
+    /// [`KddEngine::write`], telling how the write was served.
+    pub(crate) fn write_served(&mut self, lba: u64, data: &[u8]) -> Result<Served, EngineError> {
         let before = self.recorder.is_enabled().then_some(self.z.stats);
-        let result = self.write_dispatch(lba, data);
-        if let (Some(before), Ok(t)) = (before, &result) {
-            self.observe(ReqKind::Write, lba, &before, *t);
+        let served = self.write_dispatch(lba, data)?;
+        if let Some(before) = before {
+            let after = self.z.stats;
+            self.observe_span(ReqKind::Write, lba, &before, &after, &served);
         }
-        result
+        Ok(served)
     }
 
     /// Submit a vector of writes as one **group commit**: every request
@@ -868,9 +845,7 @@ impl KddEngine {
             lba: u64,
             before: CacheStats,
             after: CacheStats,
-            class: HitClass,
-            comp_len: usize,
-            stages: StageTimes,
+            served: Served,
         }
         let observing = self.recorder.is_enabled();
         self.batch_times.clear();
@@ -878,25 +853,17 @@ impl KddEngine {
             Vec::with_capacity(if observing { reqs.len() } else { 0 });
         self.meta_defer = true;
         let mut failure = None;
+        // The final request's stage charges, which the group flush joins.
+        let mut last = StageTimes::new();
         for r in reqs {
             let before = self.z.stats;
             match self.write_dispatch(r.lba, r.data) {
-                Ok(t) => {
-                    self.batch_times.push(t);
+                Ok(served) => {
+                    self.batch_times.push(served.service());
+                    last = served.stages;
                     if observing {
-                        let class = if self.mode == EngineMode::PassThrough {
-                            HitClass::PassThrough
-                        } else {
-                            self.last_class
-                        };
-                        spans.push(PendingSpan {
-                            lba: r.lba,
-                            before,
-                            after: self.z.stats,
-                            class,
-                            comp_len: self.last_comp_len,
-                            stages: std::mem::take(&mut self.cur_stages),
-                        });
+                        let (lba, after) = (r.lba, self.z.stats);
+                        spans.push(PendingSpan { lba, before, after, served });
                     }
                 }
                 Err(e) => {
@@ -906,10 +873,7 @@ impl KddEngine {
             }
         }
         self.meta_defer = false;
-        let mut tg = SimTime::ZERO;
-        self.cur_stages = StageTimes::new();
-        let flush = self.flush_group(&mut tg);
-        let flush_stages = std::mem::take(&mut self.cur_stages);
+        let flush = self.flush_group(&mut last);
         if let Some(e) = failure {
             // The dispatch failure is the actionable error; a flush failure
             // here is a second symptom of the same fault (the pages stay on
@@ -917,36 +881,22 @@ impl KddEngine {
             return Err(e);
         }
         flush?;
-        if let Some(last) = self.batch_times.last_mut() {
-            *last += tg;
+        if let Some(t) = self.batch_times.last_mut() {
+            *t = SimTime(last.total_ns());
         }
-        if let Some(last) = spans.last_mut() {
-            // The group flush's meta writes belong to the batch; fold them
-            // (counters and stage times alike) into the final request's
-            // span, whose service time already carries the flush cost.
-            last.after = self.z.stats;
-            last.stages.merge(&flush_stages);
+        if let Some(s) = spans.last_mut() {
+            // The group flush's meta writes belong to the final request's
+            // span: its counters as well as its stage charges.
+            s.after = self.z.stats;
+            s.served.stages = last;
         }
-        // Spans are emitted through `&mut self`: the times step out meanwhile.
-        let times = std::mem::take(&mut self.batch_times);
-        for (s, t) in spans.iter().zip(times.iter()) {
-            let (before, after) = (s.before, s.after);
-            self.observe_span(
-                ReqKind::Write,
-                s.lba,
-                &before,
-                &after,
-                s.class,
-                s.comp_len,
-                *t,
-                s.stages,
-            );
+        for s in &spans {
+            self.observe_span(ReqKind::Write, s.lba, &s.before, &s.after, &s.served);
         }
-        self.batch_times = times;
         Ok(&self.batch_times)
     }
 
-    fn write_dispatch(&mut self, lba: u64, data: &[u8]) -> Result<SimTime, EngineError> {
+    fn write_dispatch(&mut self, lba: u64, data: &[u8]) -> Result<Served, EngineError> {
         let ps = self.page_size();
         if data.len() != ps {
             return Err(EngineError::Layout(format!("{}-byte write, {ps}-byte pages", data.len())));
@@ -955,166 +905,147 @@ impl KddEngine {
         self.dispatch(|e| e.write_inner(lba, data), |e| e.raid_write(lba, data))
     }
 
-    /// Pass-through read straight from the RAID array.
-    fn raid_read(&mut self, lba: u64) -> Result<(Vec<u8>, SimTime), EngineError> {
-        self.cur_stages = StageTimes::new();
-        let mut t = SimTime::ZERO;
-        let buf = self.read_array(lba, &mut t)?;
-        self.bump(true, false);
-        Ok((buf, t))
+    /// Pass-through read straight from the RAID array, counted a miss.
+    fn raid_read(&mut self, lba: u64) -> Result<(Vec<u8>, Served), EngineError> {
+        let mut c = StageTimes::new();
+        let buf = self.read_array(lba, &mut c)?;
+        Ok((buf, Served { class: HitClass::PassThrough, ..self.served(HitClass::ReadMiss, c) }))
     }
 
     /// One page from the array, costed, in a buffer that is the read's
     /// return value.
-    fn read_array(&mut self, lba: u64, t: &mut SimTime) -> Result<Vec<u8>, EngineError> {
+    fn read_array(&mut self, lba: u64, c: &mut StageTimes) -> Result<Vec<u8>, EngineError> {
         let mut buf = vec![0u8; self.page_size()];
         let cost = self.raid_call(|raid| raid.read_page(lba, &mut buf))?;
-        self.charge_stage(Stage::RaidRead, DISK_OP * cost.reads.max(1), t);
+        c.add(Stage::RaidRead, DISK_OP * cost.reads.max(1));
         Ok(buf)
     }
 
-    /// Pass-through write straight to the RAID array (full parity update).
-    fn raid_write(&mut self, lba: u64, data: &[u8]) -> Result<SimTime, EngineError> {
-        self.cur_stages = StageTimes::new();
-        let mut t = SimTime::ZERO;
+    /// Pass-through write straight to the RAID array (full parity update),
+    /// counted a miss.
+    fn raid_write(&mut self, lba: u64, data: &[u8]) -> Result<Served, EngineError> {
         let cost = self.raid_call(|raid| raid.write_page(lba, data))?;
-        self.bump(false, false);
-        self.charge_stage(Stage::RaidWrite, DISK_OP * 2 * cost.writes.max(1), &mut t);
-        Ok(t)
+        let mut c = StageTimes::new();
+        c.add(Stage::RaidWrite, DISK_OP * 2 * cost.writes.max(1));
+        Ok(Served { class: HitClass::PassThrough, ..self.served(HitClass::WriteMiss, c) })
     }
 
-    fn read_inner(&mut self, lba: u64) -> Result<(Vec<u8>, SimTime), EngineError> {
-        self.cur_stages = StageTimes::new();
-        let mut t = SimTime::ZERO;
-        let (hit, data) = match self.z.cache.lookup(lba) {
+    fn read_inner(&mut self, lba: u64) -> Result<(Vec<u8>, Served), EngineError> {
+        let mut c = StageTimes::new();
+        let (class, data) = match self.z.cache.lookup(lba) {
             Some(slot) => {
                 self.z.cache.touch(slot);
                 self.z.stats.ssd_reads += 1;
-                (true, self.read_cached(lba, slot, &mut t, |base| base.to_vec())?)
+                (HitClass::ReadHit, self.read_cached(lba, slot, &mut c, |base| base.to_vec())?)
             }
             None => {
-                let buf = self.read_array(lba, &mut t)?;
-                self.fill_clean(lba, &buf, &mut t)?;
-                (false, buf)
+                let buf = self.read_array(lba, &mut c)?;
+                self.fill_clean(lba, &buf, &mut c)?;
+                (HitClass::ReadMiss, buf)
             }
         };
-        self.bump(true, hit);
-        Ok((data, t))
+        Ok((data, self.served(class, c)))
     }
 
-    fn write_inner(&mut self, lba: u64, data: &[u8]) -> Result<SimTime, EngineError> {
-        self.cur_stages = StageTimes::new();
-        let mut t = SimTime::ZERO;
-        self.last_comp_len = 0;
+    fn write_inner(&mut self, lba: u64, data: &[u8]) -> Result<Served, EngineError> {
+        let mut c = StageTimes::new();
         let row = self.raid.layout().row_of(lba);
         if self.z.pending.contains_row(row) && !self.raid.is_stale(row) {
             // Pending with current parity (recovery resynced it, or a
             // reclaim failed part-way): reclaimed before a new delta joins,
             // as folding its deltas into that parity would corrupt it.
-            cleaner::clean_row(self, row, &mut t)?;
+            cleaner::clean_row(self, row, &mut c)?;
         }
-        let hit = match self.z.cache.lookup(lba) {
-            Some(slot) => {
-                // THE KDD WRITE HIT: delta to NVRAM, data to RAID without
-                // a parity update.
-                self.last_class = HitClass::WriteHit;
-                self.z.cache.touch(slot);
-                let mut delta = self.pool.acquire_scratch();
-                let lpn = self.slot_lpn(slot);
-                let (base, dt) = self.ssd.page(lpn)?;
-                xor_pages_into(&mut delta, base, data); // base ⊕ new
-                self.charge_stage(Stage::SsdRead, dt, &mut t);
-                let mut comp = self.payloads.acquire();
-                self.codec.compress_into(&delta, &mut comp);
-                self.last_comp_len = comp.len();
-                self.pool.release(delta);
-                self.charge_stage(Stage::DeltaEncode, codec::ENCODE_TIME, &mut t);
-                // A delta must fit a DEZ page alongside its directory
-                // record; pages that XOR-compress worse than that are
-                // treated as incompressible (full write-through below).
-                let compressible = comp.len() + 14 <= self.page_size()
-                    && comp.len() as u32 <= self.staging.capacity_bytes();
-                if compressible && !self.staging.fits(lba, &comp) {
-                    cleaner::commit_staging(self, &mut t)?;
-                }
-                // Committing the staged deltas may allocate DEZ pages by
-                // evicting *clean* cache pages — and this page is still
-                // clean while its first delta is only being prepared, so
-                // the victim can be the very page being written. The delta
-                // path needs the cached base (reads combine base ⊕ delta),
-                // so when the base is gone, finish as a conventional miss.
-                let Some(slot) = self.z.cache.lookup(lba) else {
-                    self.payloads.release(Some(comp));
-                    self.write_conventional_miss(lba, data, &mut t)?;
-                    self.bump(false, false);
-                    return Ok(t);
-                };
-                // The delta path needs the target member alive: the data
-                // half of "data + delta" lives on exactly that disk. When
-                // it is dead (or dies mid-dispatch), fall through to the
-                // conventional write, whose reconstruct-write stores the
-                // data in the surviving members' parity.
-                let dispatched = if compressible && self.staging.fits(lba, &comp) {
-                    // Dispatch the data to the member disk *before*
-                    // touching any NVRAM/volatile state: if the write is
-                    // cut short, the previous delta still matches the
-                    // previous member content and recovery stays
-                    // consistent.
-                    match self.raid_call(|raid| raid.write_no_parity_update(lba, data)) {
-                        Ok(cost) => {
-                            self.last_class = HitClass::WriteHitDelta;
-                            self.charge_stage(Stage::RaidWrite, DISK_OP * cost.writes, &mut t);
-                            if self.z.cache.state(slot) == PageState::Clean {
-                                self.z.cache.set_state(slot, PageState::Old);
-                            }
-                            // Insert the new delta (coalescing replaces the
-                            // staged one in place) before releasing any
-                            // committed copy, so at every instant one valid
-                            // delta exists.
-                            let released = self.z.dez.restage(lba, true);
-                            let staged = std::mem::take(&mut comp);
-                            self.payloads.release(self.staging.insert(lba, staged));
-                            released.emptied.map_or(Ok(()), |slot| self.free_dez_slot(slot))?;
-                            let (cache, layout) = (&self.z.cache, self.raid.layout());
-                            self.z.pending.add(row, lba, || set_of_row(cache, layout, row));
-                            true
-                        }
-                        Err(RaidError::DiskFailed { .. })
-                        | Err(RaidError::Dev(DevError::Failed { transient: false, .. })) => false,
-                        Err(e) => return Err(e.into()),
-                    }
-                } else {
-                    false
-                };
-                if !dispatched {
-                    // Incompressible delta or fully pinned cache: write
-                    // through, this page no longer pending. On a stale row
-                    // the array reconstructs parity from current member
-                    // data, absorbing every pending delta of the row, so
-                    // `clean_row` afterwards only reclaims.
-                    self.payloads.release(Some(comp));
-                    self.z.pending.remove(row, lba);
-                    let cost = self.raid_call(|raid| raid.write_page(lba, data))?;
-                    self.last_class = HitClass::WriteHitThrough;
-                    self.charge_stage(Stage::RaidWrite, DISK_OP * 2 * cost.writes.max(1), &mut t);
-                    // Reclaim the old mapping and its flash copies, then
-                    // re-insert the new version clean. A crash in between
-                    // leaves the lba uncached with the data already safe
-                    // on RAID.
-                    self.reclaim(lba, slot, &mut t)?;
-                    self.fill_clean(lba, data, &mut t)?;
-                    cleaner::clean_row(self, row, &mut t)?;
-                }
-                cleaner::maybe_clean(self, &mut t)?;
-                true
-            }
-            None => {
-                self.write_conventional_miss(lba, data, &mut t)?;
-                false
-            }
+        let Some(slot) = self.z.cache.lookup(lba) else {
+            self.write_conventional_miss(lba, data, &mut c)?;
+            return Ok(self.served(HitClass::WriteMiss, c));
         };
-        self.bump(false, hit);
-        Ok(t)
+        // THE KDD WRITE HIT: delta to NVRAM, data to RAID without a parity
+        // update.
+        self.z.cache.touch(slot);
+        let mut delta = self.pool.acquire_scratch();
+        let lpn = self.slot_lpn(slot);
+        let (base, dt) = self.ssd.page(lpn)?;
+        xor_pages_into(&mut delta, base, data); // base ⊕ new
+        c.add(Stage::SsdRead, dt);
+        let mut comp = self.payloads.acquire();
+        self.codec.compress_into(&delta, &mut comp);
+        let comp_len = comp.len();
+        self.pool.release(delta);
+        c.add(Stage::DeltaEncode, codec::ENCODE_TIME);
+        // A delta must fit a DEZ page alongside its directory record; pages
+        // that XOR-compress worse than that are treated as incompressible
+        // (full write-through below).
+        let compressible =
+            comp_len + 14 <= self.page_size() && comp_len as u32 <= self.staging.capacity_bytes();
+        if compressible && !self.staging.fits(lba, &comp) {
+            cleaner::commit_staging(self, &mut c)?;
+        }
+        // Committing the staged deltas may allocate DEZ pages by evicting
+        // *clean* cache pages — and this page is still clean while its
+        // first delta is only being prepared, so the victim can be the very
+        // page being written. The delta path needs the cached base (reads
+        // combine base ⊕ delta), so when the base is gone, finish as a
+        // conventional miss.
+        let Some(slot) = self.z.cache.lookup(lba) else {
+            self.payloads.release(Some(comp));
+            self.write_conventional_miss(lba, data, &mut c)?;
+            return Ok(Served { comp_len, ..self.served(HitClass::WriteMiss, c) });
+        };
+        // The delta path needs the target member alive: the data half of
+        // "data + delta" lives on exactly that disk. When it is dead (or
+        // dies mid-dispatch), fall through to the conventional write, whose
+        // reconstruct-write stores the data in the surviving members'
+        // parity.
+        let dispatched = if compressible && self.staging.fits(lba, &comp) {
+            // Dispatch the data to the member disk *before* touching any
+            // NVRAM/volatile state: if the write is cut short, the previous
+            // delta still matches the previous member content and recovery
+            // stays consistent.
+            match self.raid_call(|raid| raid.write_no_parity_update(lba, data)) {
+                Ok(cost) => {
+                    c.add(Stage::RaidWrite, DISK_OP * cost.writes);
+                    if self.z.cache.state(slot) == PageState::Clean {
+                        self.z.cache.set_state(slot, PageState::Old);
+                    }
+                    // Insert the new delta (coalescing replaces the staged
+                    // one in place) before releasing any committed copy, so
+                    // at every instant one valid delta exists.
+                    let released = self.z.dez.restage(lba, true);
+                    let staged = std::mem::take(&mut comp);
+                    self.payloads.release(self.staging.insert(lba, staged));
+                    released.emptied.map_or(Ok(()), |slot| self.free_dez_slot(slot))?;
+                    let (cache, layout) = (&self.z.cache, self.raid.layout());
+                    self.z.pending.add(row, lba, || set_of_row(cache, layout, row));
+                    true
+                }
+                Err(RaidError::DiskFailed { .. })
+                | Err(RaidError::Dev(DevError::Failed { transient: false, .. })) => false,
+                Err(e) => return Err(e.into()),
+            }
+        } else {
+            false
+        };
+        if !dispatched {
+            // Incompressible delta or fully pinned cache: write through,
+            // this page no longer pending. On a stale row the array
+            // reconstructs parity from current member data, absorbing every
+            // pending delta of the row, so `clean_row` afterwards only
+            // reclaims.
+            self.payloads.release(Some(comp));
+            self.z.pending.remove(row, lba);
+            let cost = self.raid_call(|raid| raid.write_page(lba, data))?;
+            c.add(Stage::RaidWrite, DISK_OP * 2 * cost.writes.max(1));
+            // Reclaim the old mapping and its flash copies, then re-insert
+            // the new version clean. A crash in between leaves the lba
+            // uncached with the data already safe on RAID.
+            self.reclaim(lba, slot, &mut c)?;
+            self.fill_clean(lba, data, &mut c)?;
+            cleaner::clean_row(self, row, &mut c)?;
+        }
+        cleaner::maybe_clean(self, &mut c)?;
+        let class = if dispatched { HitClass::WriteHitDelta } else { HitClass::WriteHitThrough };
+        Ok(Served { comp_len, ..self.served(class, c) })
     }
 
     /// Conventional write miss (§III-A): cache in DAZ, write to RAID with
@@ -1126,50 +1057,46 @@ impl KddEngine {
         &mut self,
         lba: u64,
         data: &[u8],
-        t: &mut SimTime,
+        c: &mut StageTimes,
     ) -> Result<(), EngineError> {
         let row = self.raid.layout().row_of(lba);
-        cleaner::clean_row(self, row, t)?;
+        cleaner::clean_row(self, row, c)?;
         self.raid_call(|raid| raid.write_page(lba, data))?;
         // Read round + write round.
-        self.charge_stage(Stage::RaidWrite, DISK_OP * 2, t);
-        self.fill_clean(lba, data, t)
+        c.add(Stage::RaidWrite, DISK_OP * 2);
+        self.fill_clean(lba, data, c)
     }
 
     /// Cache `data` as the clean page `lba`, unless its set is pinned full.
-    fn fill_clean(&mut self, lba: u64, data: &[u8], t: &mut SimTime) -> Result<(), EngineError> {
+    fn fill_clean(&mut self, lba: u64, data: &[u8], c: &mut StageTimes) -> Result<(), EngineError> {
         // One clock: a NoRoom reclaim is charged to the request as well.
-        let mut bg = SimTime::ZERO;
-        let slot = cleaner::insert_clean_or_bypass(self, lba, t, &mut bg);
-        *t += bg;
+        let mut bg = StageTimes::new();
+        let slot = cleaner::insert_clean_or_bypass(self, lba, c, &mut bg);
+        c.merge(&bg);
         let Some(slot) = slot? else { return Ok(()) };
         // A page that did not reach flash must not stay mapped.
         let dt = self.ssd.write_page(self.slot_lpn(slot), data).inspect_err(|_| {
             self.z.cache.free_slot(slot);
         })?;
-        self.charge_stage(Stage::SsdWrite, dt, t);
+        c.add(Stage::SsdWrite, dt);
         self.z.stats.ssd_data_writes += 1;
-        self.log_entry(MapEntry { lba_raid: lba, slot, state: EntryState::Clean, dez: None }, t)
+        self.log_entry(MapEntry { lba_raid: lba, slot, state: EntryState::Clean, dez: None }, c)
     }
 
-    fn bump(&mut self, is_read: bool, hit: bool) {
-        match (is_read, hit) {
-            (true, true) => {
-                self.z.stats.read_hits += 1;
-                self.last_class = HitClass::ReadHit;
+    /// Count a request served as `class` in the hit and miss statistics.
+    fn served(&mut self, class: HitClass, stages: StageTimes) -> Served {
+        let stats = &mut self.z.stats;
+        match class {
+            HitClass::ReadHit => stats.read_hits += 1,
+            HitClass::ReadMiss => stats.read_misses += 1,
+            HitClass::WriteMiss => stats.write_misses += 1,
+            HitClass::WriteHit | HitClass::WriteHitDelta | HitClass::WriteHitThrough => {
+                stats.write_hits += 1;
             }
-            (true, false) => {
-                self.z.stats.read_misses += 1;
-                self.last_class = HitClass::ReadMiss;
-            }
-            // Write hits refine themselves into delta/through inside
-            // `write_inner`; don't clobber that here.
-            (false, true) => self.z.stats.write_hits += 1,
-            (false, false) => {
-                self.z.stats.write_misses += 1;
-                self.last_class = HitClass::WriteMiss;
-            }
+            // Its callers count a pass-through request as the miss it is.
+            HitClass::PassThrough => {}
         }
+        Served { stages, class, comp_len: 0 }
     }
 
     /// Run one array call and charge `raid_reads`/`raid_writes` with what
@@ -1193,7 +1120,7 @@ impl KddEngine {
     /// a first-class background span (`cleaner_pass`) with its own stage
     /// breakdown, isolated from any in-flight request's accumulator.
     pub fn clean(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        self.background(Stage::CleanerPass, t, |e, t| cleaner::clean_oldest(e, None, t))
+        self.background(Stage::CleanerPass, t, |e, c| cleaner::clean_oldest(e, None, c))
     }
 
     /// Flush everything: clean all rows, commit staged deltas, flush the
@@ -1207,10 +1134,10 @@ impl KddEngine {
         Ok(t)
     }
 
-    fn flush_tail(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
-        cleaner::commit_staging(self, t)?;
+    fn flush_tail(&mut self, c: &mut StageTimes) -> Result<(), EngineError> {
+        cleaner::commit_staging(self, c)?;
         self.meta_pending.extend(self.metalog.flush()?);
-        self.queue_batches(t)
+        self.queue_batches(c)
     }
 
     // ---- failure handling (§III-E) ----------------------------------------
@@ -1280,8 +1207,7 @@ impl KddEngine {
         // Redo the torn/lost pages from NVRAM so the flash log is whole
         // again before normal operation resumes.
         if !heal.is_empty() {
-            let mut t = SimTime::ZERO;
-            self.persist_batches(heal, &mut t)?;
+            self.persist_batches(heal, &mut StageTimes::new())?;
         }
         // 2. Apply the NVRAM metadata buffer (newer than anything logged).
         replay(&mut recovered, self.metalog.buffered_snapshot());
@@ -1366,7 +1292,7 @@ impl KddEngine {
         let failed = self.raid.failed_disks();
         let mut resyncable: Vec<u64> = Vec::new();
         // Recovery time is not attributed to any request.
-        let mut t = SimTime::ZERO;
+        let mut c = StageTimes::new();
         for &row in &stale {
             let layout = *self.raid.layout();
             let alive = |lba: &u64| !failed.contains(&layout.locate(*lba).disk);
@@ -1375,7 +1301,7 @@ impl KddEngine {
             }
             for lba in layout.row_lpns(row).filter(alive) {
                 let Some(slot) = self.z.cache.lookup(lba) else { continue };
-                let data = self.read_cached_pooled(lba, slot, &mut t)?;
+                let data = self.read_cached_pooled(lba, slot, &mut c)?;
                 self.raid_call(|raid| raid.write_no_parity_update(lba, &data))?;
                 self.pool.release(data);
             }
@@ -1383,7 +1309,6 @@ impl KddEngine {
         if !resyncable.is_empty() {
             self.raid_call(|raid| raid.resync(Some(&resyncable)))?;
         }
-        self.cur_stages = StageTimes::new();
         Ok(())
     }
 
@@ -1397,10 +1322,10 @@ impl KddEngine {
         Ok(t)
     }
 
-    fn rebuild_after_ssd_loss(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
+    fn rebuild_after_ssd_loss(&mut self, c: &mut StageTimes) -> Result<(), EngineError> {
         self.ssd.fail();
         let cost = self.raid_call(|raid| raid.resync(None))?;
-        self.charge_stage(Stage::RaidReconstruct, DISK_OP * (cost.reads + cost.writes), t);
+        c.add(Stage::RaidReconstruct, DISK_OP * (cost.reads + cost.writes));
         self.ssd.replace();
         self.z.cache = Self::empty_cache(&self.z.config, &self.raid);
         self.payloads.release(self.staging.drain().map(|(_, payload)| payload));
@@ -1424,16 +1349,16 @@ impl KddEngine {
         Ok(t)
     }
 
-    fn rebuild_failed_disk(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
+    fn rebuild_failed_disk(&mut self, c: &mut StageTimes) -> Result<(), EngineError> {
         let cost = self.raid_call(RaidArray::rebuild)?;
         let dt = DISK_OP * ((cost.reads + cost.writes) / self.raid.layout().disks as u64).max(1);
-        self.charge_stage(Stage::RaidReconstruct, dt, t);
+        c.add(Stage::RaidReconstruct, dt);
         Ok(())
     }
 }
 
 impl CleanerIo for KddEngine {
-    type Cost = SimTime;
+    type Cost = StageTimes;
     type Error = EngineError;
     /// A `[count: u16]` header, and an `(lba: u64, off: u16, len: u16)`
     /// directory record per delta.
@@ -1447,14 +1372,20 @@ impl CleanerIo for KddEngine {
         self.raid.is_stale(row)
     }
 
-    fn repair(&mut self, row: u64, lbas: &[u64], reconstruct: bool, t: &mut SimTime) -> Done<Self> {
+    fn repair(
+        &mut self,
+        row: u64,
+        lbas: &[u64],
+        reconstruct: bool,
+        c: &mut StageTimes,
+    ) -> Done<Self> {
         let ops = if reconstruct {
             // From the cached current versions.
             let mut datas = std::mem::take(&mut self.scratch.row_pages);
             for l in self.raid.layout().row_lpns(row) {
                 let slot =
                     self.z.cache.lookup(l).ok_or(EngineError::Inconsistent("row uncached"))?;
-                datas.push(self.read_cached_pooled(l, slot, t)?);
+                datas.push(self.read_cached_pooled(l, slot, c)?);
             }
             let cost = self.raid_call(|raid| raid.parity_update_with_data(row, &datas))?;
             for page in datas.drain(..) {
@@ -1467,7 +1398,7 @@ impl CleanerIo for KddEngine {
             let mut deltas = std::mem::take(&mut self.scratch.deltas);
             for &lba in lbas {
                 let mut full = self.pool.acquire();
-                self.fold_delta(lba, &mut full, t)?;
+                self.fold_delta(lba, &mut full, c)?;
                 deltas.push((self.raid.layout().locate(lba).data_index, full));
             }
             let cost = self.raid_call(|raid| match raid.parity_update_rmw(row, &deltas) {
@@ -1486,7 +1417,7 @@ impl CleanerIo for KddEngine {
             self.scratch.deltas = deltas;
             cost.reads + cost.writes
         };
-        self.charge_stage(Stage::ParityRmw, DISK_OP * ops, t);
+        c.add(Stage::ParityRmw, DISK_OP * ops);
         Ok(())
     }
 
@@ -1494,8 +1425,8 @@ impl CleanerIo for KddEngine {
     /// between can only leak flash pages — recovery never maps a reclaimed
     /// one — and the slot is freed before any trim, so a failed trim leaves
     /// nothing cached.
-    fn reclaim(&mut self, lba: u64, slot: u32, t: &mut SimTime) -> Done<Self> {
-        self.log_free(lba, slot, t)?;
+    fn reclaim(&mut self, lba: u64, slot: u32, c: &mut StageTimes) -> Done<Self> {
+        self.log_free(lba, slot, c)?;
         self.z.cache.free_slot(slot);
         cleaner::invalidate_delta(self, lba)?;
         Ok(self.ssd.trim_page(self.slot_lpn(slot))?)
@@ -1517,12 +1448,12 @@ impl CleanerIo for KddEngine {
 
     /// A free one from the set with the fewest DEZ pages, else the slot of
     /// the evicted [`SetAssocCache::dez_victim`].
-    fn alloc_dez_slot(&mut self, t: &mut SimTime) -> Result<Option<u32>, EngineError> {
+    fn alloc_dez_slot(&mut self, c: &mut StageTimes) -> Result<Option<u32>, EngineError> {
         if let Some(slot) = self.z.cache.alloc_delta_slot() {
             return Ok(Some(slot));
         }
         let Some((slot, lba)) = self.z.cache.dez_victim() else { return Ok(None) };
-        self.reclaim(lba, slot, t)?; // clean: it has no delta to drop
+        self.reclaim(lba, slot, c)?; // clean: it has no delta to drop
         self.z.stats.evictions += 1;
         Ok(self.z.cache.alloc_delta_slot())
     }
@@ -1537,7 +1468,7 @@ impl CleanerIo for KddEngine {
     /// The page is a `[count: u16]` header, the `(lba, off, len)`
     /// directory, then the compressed payloads; each delta is copied once
     /// from NVRAM or the DEZ page it lies in.
-    fn write_dez_page(&mut self, slot: u32, refs: &Refs, t: &mut SimTime) -> Done<Self> {
+    fn write_dez_page(&mut self, slot: u32, refs: &Refs, c: &mut StageTimes) -> Done<Self> {
         let mut page = self.pool.acquire();
         page[..2].copy_from_slice(&(refs.len() as u16).to_le_bytes());
         for (dir, &(lba, r)) in page[2..].chunks_exact_mut(12).zip(refs) {
@@ -1547,33 +1478,33 @@ impl CleanerIo for KddEngine {
         }
         for &(lba, r) in refs {
             let at = &mut page[r.off as usize..][..r.len as usize];
-            self.with_delta(lba, t, |comp, _| at.copy_from_slice(comp))?;
+            self.with_delta(lba, c, |comp, _| at.copy_from_slice(comp))?;
         }
         let written = self.ssd.write_page(self.slot_lpn(slot), &page);
         self.pool.release(page);
-        self.charge_stage(Stage::StagingCommit, written?, t);
+        c.add(Stage::StagingCommit, written?);
         self.z.stats.ssd_delta_writes += 1;
         Ok(())
     }
 
     /// One metalog group, so recovery replays the page's mappings together.
-    fn log_commit(&mut self, refs: &Refs, t: &mut SimTime) -> Done<Self> {
+    fn log_commit(&mut self, refs: &Refs, c: &mut StageTimes) -> Done<Self> {
         let mut entries = std::mem::take(&mut self.scratch.entries);
         for &(lba, r) in refs {
             entries.push(self.old_entry(lba, r)?);
         }
         self.meta_pending.extend(self.metalog.push_group(entries.drain(..))?);
         self.scratch.entries = entries;
-        self.queue_batches(t)
+        self.queue_batches(c)
     }
 
-    fn log_delta(&mut self, lba: u64, r: DeltaRef, t: &mut SimTime) -> Done<Self> {
+    fn log_delta(&mut self, lba: u64, r: DeltaRef, c: &mut StageTimes) -> Done<Self> {
         let entry = self.old_entry(lba, r)?;
-        self.log_entry(entry, t)
+        self.log_entry(entry, c)
     }
 
-    fn log_evicted(&mut self, lba: u64, slot: u32, t: &mut SimTime) -> Done<Self> {
-        self.log_free(lba, slot, t)
+    fn log_evicted(&mut self, lba: u64, slot: u32, c: &mut StageTimes) -> Done<Self> {
+        self.log_free(lba, slot, c)
     }
 }
 
@@ -2337,5 +2268,35 @@ mod tests {
             .clean_trigger_slots() as usize;
         assert!(pinned <= trigger, "pinned pages unbounded: {pinned} > {trigger}");
         assert!(e.stats().parity_updates > 0);
+    }
+
+    /// A pass-through write computes no delta, so its span reports no
+    /// compression ratio — alone or in a batch — even right after a write
+    /// hit that did.
+    #[test]
+    fn pass_through_writes_report_no_compression_ratio() {
+        use kdd_blockdev::fault::FaultPlan;
+        let compressed = |e: &KddEngine| {
+            let doc = e.obs_snapshot().expect("recorder attached");
+            let hist = doc.get("totals").and_then(|t| t.get("hists"));
+            let hist = hist.and_then(|h| h.get("delta.comp_milli")).expect("delta.comp_milli");
+            let field = |key| hist.get(key).and_then(kdd_obs::Json::as_f64).expect(key);
+            (field("count"), field("max"))
+        };
+        let mut e = engine(64);
+        e.attach_recorder(Recorder::new(kdd_obs::RecorderConfig::default()));
+        e.write(3, &page(3)).unwrap();
+        e.write(3, &similar_page(&page(3), 9)).unwrap();
+        let hit = compressed(&e);
+        assert_eq!(hit.0, 1.0, "the write hit's delta");
+        e.attach_fault_injector(FaultInjector::new(
+            FaultPlan::new().persistent(0, FaultDomain::Ssd),
+        ));
+        e.read(3).unwrap();
+        assert_eq!(e.mode(), EngineMode::PassThrough);
+        e.write(40, &page(40)).unwrap();
+        assert_eq!(compressed(&e), hit, "a pass-through write");
+        e.write_batch(&[WriteRequest { lba: 41, data: &page(41) }]).unwrap();
+        assert_eq!(compressed(&e), hit, "a pass-through batch");
     }
 }

@@ -27,7 +27,7 @@ fn staged(e: &KddEngine) -> usize {
 fn steady_state_draws_no_fresh_payload_buffer() {
     let mut e = pressure_engine();
     let mut rng = seeded_rng(22);
-    let mut t = SimTime::ZERO;
+    let mut c = StageTimes::new();
     let lbas: Vec<u64> = (0..96u64).map(|i| (i / 8) * 16 + i % 8).collect();
     let mut versions = FastMap::default();
     let populate = |e: &mut KddEngine, versions: &mut FastMap<u64, Vec<u8>>| {
@@ -51,19 +51,19 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     assert!(warm > 0 && warm < kdd_util::pool::DEFAULT_POOL_CAP as u64);
 
     // Commit to one DEZ page, then to two (the directory spills).
-    cleaner::commit_staging(&mut e, &mut t).unwrap();
+    cleaner::commit_staging(&mut e, &mut c).unwrap();
     for (i, &lba) in lbas.iter().take(4).enumerate() {
         rewrite(&mut e, &mut versions, lba, i as u8);
     }
     let before = e.stats().ssd_delta_writes;
-    cleaner::commit_staging(&mut e, &mut t).unwrap();
+    cleaner::commit_staging(&mut e, &mut c).unwrap();
     assert_eq!(e.stats().ssd_delta_writes, before + 1);
     while e.staging.used_bytes() + 12 * e.staged_deltas() as u32 <= PS {
         let lba = lbas[rng.random_range(0..lbas.len())];
         rewrite(&mut e, &mut versions, lba, rng.random());
     }
     let before = e.stats().ssd_delta_writes;
-    cleaner::commit_staging(&mut e, &mut t).unwrap();
+    cleaner::commit_staging(&mut e, &mut c).unwrap();
     assert_eq!(e.stats().ssd_delta_writes, before + 2, "the directory must spill a second page");
     assert_conserved(&e, "commits");
 
@@ -82,8 +82,8 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     e.read(200).unwrap();
     for lba in [lbas[0], committed, 200] {
         let page = noise(&mut rng);
-        e.write(lba, &page).unwrap();
-        assert_eq!(e.last_class, HitClass::WriteHitThrough, "lba {lba}");
+        let served = e.write_served(lba, &page).unwrap();
+        assert_eq!(served.class, HitClass::WriteHitThrough, "lba {lba}");
         versions.insert(lba, page);
     }
     assert_conserved(&e, "fall-through");
@@ -93,7 +93,7 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     let row = e.raid().layout().row_of(lbas[2]);
     rewrite(&mut e, &mut versions, lbas[2], 3);
     let reads = e.stats().raid_reads;
-    cleaner::clean_row(&mut e, row, &mut t).unwrap();
+    cleaner::clean_row(&mut e, row, &mut c).unwrap();
     assert!(e.stats().raid_reads > reads, "a partly cached row is repaired by RMW");
     let whole: Vec<u64> = e.raid().layout().row_lpns(100).collect();
     for &lba in &whole {
@@ -102,7 +102,7 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     }
     rewrite(&mut e, &mut versions, whole[1], 4);
     let (reads, updates) = (e.stats().raid_reads, e.stats().parity_updates);
-    cleaner::clean_row(&mut e, 100, &mut t).unwrap();
+    cleaner::clean_row(&mut e, 100, &mut c).unwrap();
     assert_eq!((e.stats().raid_reads, e.stats().parity_updates), (reads, updates + 1));
     assert_conserved(&e, "row repairs");
 
@@ -112,7 +112,7 @@ fn steady_state_draws_no_fresh_payload_buffer() {
     }
     let dez = e.z.dez.locs().count() - staged(&e);
     assert!(staged(&e) > 0 && dez > 0, "{} staged, {dez} committed", staged(&e));
-    e.clean(&mut t).unwrap();
+    e.clean(&mut SimTime::default()).unwrap();
     assert!(e.z.dez.locs().next().is_none() && e.staged_deltas() == 0);
     assert_conserved(&e, "cleaning");
 
@@ -182,8 +182,8 @@ fn recovered_payloads_are_dropped_not_recycled() {
     // A resynced row is reclaimed before the write: its payload is dropped
     // and the write misses.
     let (mut e, versions) = recovered(false);
-    e.write(0, &nudged_page(&versions[&0], 0x77)).unwrap();
-    assert_eq!(e.last_class, HitClass::WriteMiss);
+    let served = e.write_served(0, &nudged_page(&versions[&0], 0x77)).unwrap();
+    assert_eq!(served.class, HitClass::WriteMiss);
     assert_eq!(
         (e.staged_deltas(), e.payloads.free_len()),
         (2, 0),
@@ -193,11 +193,10 @@ fn recovered_payloads_are_dropped_not_recycled() {
     // payload, then commit the rest.
     let (mut e, mut versions) = recovered(true);
     let next = nudged_page(&versions[&0], 0x77);
-    e.write(0, &next).unwrap();
-    assert_eq!(e.last_class, HitClass::WriteHitDelta);
+    assert_eq!(e.write_served(0, &next).unwrap().class, HitClass::WriteHitDelta);
     versions.insert(0, next);
     assert_eq!(e.payloads.free_len(), 0, "the recovered predecessor was recycled");
-    cleaner::commit_staging(&mut e, &mut SimTime::default()).unwrap();
+    cleaner::commit_staging(&mut e, &mut StageTimes::new()).unwrap();
     assert_eq!(e.staged_deltas(), 0);
     assert_eq!((e.payloads.free_len(), e.payload_buffer_stats()), (1, (1, 0)));
     for lba in 0..3u64 {
