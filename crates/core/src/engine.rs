@@ -1118,7 +1118,7 @@ impl KddEngine {
     /// write when the whole row is cached, read-modify-write otherwise),
     /// then reclaim *old* pages and invalidate their deltas. Recorded as
     /// a first-class background span (`cleaner_pass`) with its own stage
-    /// breakdown, isolated from any in-flight request's accumulator.
+    /// breakdown, and its time added to `t`.
     pub fn clean(&mut self, t: &mut SimTime) -> Result<(), EngineError> {
         self.background(Stage::CleanerPass, t, |e, c| cleaner::clean_oldest(e, None, c))
     }

@@ -7,8 +7,10 @@
 //! group-commit work — and [`StageTimes`] accumulates nanoseconds per
 //! stage as child spans of the request that spent them. The conservation
 //! invariant (enforced in tests): the sum of a span's stage times never
-//! exceeds its service time, because every stage charge is a discrete
-//! increment of the same simulated clock.
+//! exceeds its service time. An engine span's stages sum to its service
+//! time exactly — the engine's `StageTimes` is its clock, and a request's
+//! service time is their total; the counting runners leave queueing delay
+//! unattributed, so there the sum is at most the service time.
 //!
 //! Accumulation is integer-only and the accumulator is a flat
 //! `Copy` array, so instrumenting a hot path costs a bounds-checked add
